@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against the pure-numpy fallback.
 
-Run as ``python benchmarks/bench_kernels.py``.  The same comparison can be
+Run as ``python benchmarks/bench_kernels.py`` from anywhere; the package is
+imported from ``src/`` next to this directory.  The same comparison can be
 forced package-wide by setting BTD_NO_NUMBA=1, which routes every hot call
-through the numpy path.
+through the numpy path.  Without numba only the numpy column is timed.
 """
 
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from btd1 import _kernels
-from btd1.gf import GFField
-from btd1.linalg import rng
-from btd1.minors import strict_pairs, sym_pairs
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from btd1 import _kernels  # noqa: E402
+from btd1.gf import GFField  # noqa: E402
+from btd1.linalg import rng  # noqa: E402
+from btd1.minors import strict_pairs, sym_pairs  # noqa: E402
 
 
 def time_call(fn, *args, repeats=5, setup=None):
@@ -69,7 +75,12 @@ def bench_gf_rank():
 
 
 if __name__ == "__main__":
-    mode = "numba enabled" if _kernels.NUMBA_ENABLED else "numpy fallback (BTD_NO_NUMBA)"
-    print(f"kernel path: {mode}\n")
+    if _kernels.NUMBA_ENABLED:
+        mode = "numba and numpy fallback"
+    elif importlib.util.find_spec("numba") is None:
+        mode = "numpy fallback only (numba is not installed)"
+    else:
+        mode = "numpy fallback only (BTD_NO_NUMBA is set)"
+    print(f"kernel path timed: {mode}\n")
     bench_minor_matrix()
     bench_gf_rank()

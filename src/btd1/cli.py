@@ -5,8 +5,12 @@ Subcommands: ``generate`` (synthetic tensor + ground truth), ``decompose``
 CSV), ``check`` (uniqueness report for dimensions or a decomposition file,
 optionally with finite-field certification).
 
-Exit codes: 0 success, 2 input error, 3 solver diagnostic.  The environment
-variable BTD_RANK_TOL overrides the default rank tolerance.
+Exit codes: 0 success, 2 input error, 3 solver diagnostic.  ``decompose``
+prints each warning in the solver's diagnostics (for instance a CPD
+refinement that hit its iteration cap) to stderr, one line each.  The
+environment variable BTD_RANK_TOL overrides the default relative rank
+tolerance: 1e-8 for exact ``decompose``, 1e-10 for the linear-algebra
+helpers.  Noisy modes use 1e-2 unless ``--rank-tol`` is given.
 """
 
 import json
@@ -124,6 +128,9 @@ def decompose_cmd(tensor_file, mode, known_r, known_suml, evd_variant, omega, ra
         payload = {"diagnostic": str(exc), "details": exc.diagnostics}
         click.echo(json.dumps(payload, indent=1))
         sys.exit(3)
+    for key, value in report.diagnostics.items():
+        if isinstance(value, str) and value.startswith("warning"):
+            click.echo(f"{key}: {value}", err=True)
     payload = json.dumps(report.to_dict(), indent=1)
     if out:
         with open(out, "w") as fh:

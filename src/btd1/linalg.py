@@ -2,10 +2,11 @@
 pseudo-inverses and the package RNG convention.
 
 Numerical rank uses a relative singular-value threshold ``tol * sigma_max``
-with default ``tol = 1e-10`` (override globally through the environment
-variable ``BTD_RANK_TOL`` or per call).  All random draws in the package go
-through :func:`rng`, a PCG64 generator seeded explicitly, so every stochastic
-operation is reproducible from its seed.
+with default ``tol = 1e-10`` (exact ``decompose`` uses 1e-8).  The
+environment variable ``BTD_RANK_TOL``, read by :func:`default_tol` only,
+overrides both; a per-call ``tol`` overrides it.  All random draws in the
+package go through :func:`rng`, a PCG64 generator seeded explicitly, so every
+stochastic operation is reproducible from its seed.
 """
 
 import os
@@ -30,11 +31,10 @@ class SolverDiagnostic(RuntimeError):
         self.diagnostics = dict(diagnostics or {})
 
 
-def default_tol():
+def default_tol(fallback=DEFAULT_RANK_TOL):
+    """Relative rank tolerance: ``BTD_RANK_TOL`` when set, else ``fallback``."""
     env = os.environ.get("BTD_RANK_TOL")
-    if env:
-        return float(env)
-    return DEFAULT_RANK_TOL
+    return float(env) if env else fallback
 
 
 def rng(seed):

@@ -16,7 +16,9 @@ the factors are required to be orthogonal.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.cluster.hierarchy
 import scipy.linalg
+import scipy.spatial.distance
 
 from .linalg import (
     DimensionError,
@@ -50,7 +52,9 @@ class SJBDProblem:
     """A set of symmetric matrices to block-diagonalize jointly.
 
     In exact mode the inputs must be symmetric to 1e-12 relative; in
-    approximate mode they are symmetrized on ingestion.
+    approximate mode they are symmetrized on ingestion.  ``hint_sum_d``
+    fixes the dimension of the joint column space (detected when omitted);
+    ``hint_R`` gives the number of blocks, which approximate mode needs.
     """
 
     V: tuple
@@ -87,11 +91,16 @@ class SJBDProblem:
 
 @dataclass(frozen=True)
 class SJBDSolution:
-    """Joint block diagonalizer N = [N_1 ... N_R], block sizes, coefficients."""
+    """Joint block diagonalizer N = [N_1 ... N_R] and its block sizes.
+
+    ``d`` is None for an approximate problem, whose N comes back ungrouped
+    for the caller to partition.  ``status`` names a failed uniqueness
+    precondition; a CPD refinement reports its convergence in
+    ``diagnostics["cpd_status"]``.
+    """
 
     N: np.ndarray
     d: tuple
-    D: tuple
     status: str = "ok"
     diagnostics: dict = field(default_factory=dict)
 
@@ -103,9 +112,13 @@ class SJBDSolution:
         offs = np.concatenate([[0], np.cumsum(self.d)])
         return [self.N[:, offs[r] : offs[r + 1]] for r in range(self.R)]
 
+    def coefficients(self, v_list):
+        """Block-diagonal D_q with N D_q N.T ~= V_q, in least squares."""
+        return recover_coefficients(self.N, self.d, v_list)
+
     def reconstruction_errors(self, v_list):
         errs = []
-        for v, d_q in zip(v_list, self.D):
+        for v, d_q in zip(v_list, self.coefficients(v_list)):
             recon = self.N @ d_q @ self.N.T
             errs.append(np.linalg.norm(recon - v) / max(np.linalg.norm(v), 1e-300))
         return np.array(errs)
@@ -154,52 +167,46 @@ def commutant_basis(problem, r_target=None, tol=None):
     return len(mats), mats
 
 
-def _cluster_scalars(values, tol, n_clusters=None):
-    """Group near-equal scalars; single-linkage merging in the complex plane.
+def _single_linkage(dist, cut=0.0, n_clusters=None):
+    """Single-linkage labels from a square distance matrix.
 
-    With ``n_clusters`` given, merges closest clusters until that many
-    remain; otherwise merges while the gap is below ``tol`` relative to the
-    value scale.
+    With ``n_clusters`` given, cuts the tree at that many groups; otherwise
+    merges every pair of groups at most ``cut`` apart.  Returns integer
+    labels in order of first appearance.
+    """
+    n = dist.shape[0]
+    if n < 2:
+        return np.zeros(n, dtype=int)
+    z = scipy.cluster.hierarchy.linkage(
+        scipy.spatial.distance.squareform(dist, checks=False), method="single"
+    )
+    if n_clusters is None:
+        n_clusters = n - int(np.sum(z[:, 2] <= cut))
+    labels = scipy.cluster.hierarchy.cut_tree(z, n_clusters=min(max(n_clusters, 1), n))
+    # cut_tree does not document the order of its labels
+    _, first, inverse = np.unique(labels.ravel(), return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def _cluster_scalars(values, tol, n_clusters=None):
+    """Group near-equal scalars by single linkage in the complex plane.
+
+    With ``n_clusters`` given, returns that many groups; otherwise merges
+    while the gap is at most ``tol`` relative to the value scale.
     """
     values = np.asarray(values)
-    n = values.size
-    labels = list(range(n))
     scale = max(np.max(np.abs(values)), 1e-300)
-
-    def _gap(ca, cb):
-        va = values[[i for i in range(n) if labels[i] == ca]]
-        vb = values[[i for i in range(n) if labels[i] == cb]]
-        return min(abs(a - b) for a in va for b in vb)
-
-    while True:
-        uniq = sorted(set(labels))
-        if len(uniq) <= 1:
-            break
-        best = None
-        for ai in range(len(uniq)):
-            for bi in range(ai + 1, len(uniq)):
-                g = _gap(uniq[ai], uniq[bi])
-                if best is None or g < best[0]:
-                    best = (g, uniq[ai], uniq[bi])
-        if n_clusters is not None:
-            if len(uniq) <= n_clusters:
-                break
-        elif best[0] > tol * scale:
-            break
-        _, keep, drop = best
-        labels = [keep if l == drop else l for l in labels]
-    uniq = sorted(set(labels), key=lambda l: labels.index(l))
-    remap = {l: i for i, l in enumerate(uniq)}
-    return np.array([remap[l] for l in labels])
+    dist = np.abs(values[:, None] - values[None, :])
+    return _single_linkage(dist, tol * scale if n_clusters is None else 0.0, n_clusters)
 
 
 def cluster_columns(x, n_clusters=None, threshold=None):
     """Cluster columns modulo sign/scaling by absolute cosine similarity.
 
     Each column is normalized to unit norm with its largest-magnitude entry
-    made real positive; clusters are merged greedily on the largest pairwise
-    similarity until ``n_clusters`` remain (or until no pair exceeds
-    ``threshold``).  Returns integer labels in order of first appearance.
+    made real positive; single linkage on 1 - |cos| gives ``n_clusters``
+    groups (or merges every pair with similarity at least ``threshold``).
+    Returns integer labels in order of first appearance.
     """
     x = np.asarray(x)
     n = x.shape[1]
@@ -213,35 +220,10 @@ def cluster_columns(x, n_clusters=None, threshold=None):
         if np.abs(piv) > 0:
             cols[:, j] *= np.conj(piv) / np.abs(piv)
     sim = np.abs(cols.conj().T @ cols)
-    labels = list(range(n))
     if threshold is None:
         threshold = 1.0 - 1e-6
-
-    def _cluster_sim(ca, cb):
-        ia = [i for i in range(n) if labels[i] == ca]
-        ib = [i for i in range(n) if labels[i] == cb]
-        return max(sim[a, b] for a in ia for b in ib)
-
-    while True:
-        uniq = sorted(set(labels))
-        if len(uniq) <= 1:
-            break
-        best = None
-        for ai in range(len(uniq)):
-            for bi in range(ai + 1, len(uniq)):
-                s = _cluster_sim(uniq[ai], uniq[bi])
-                if best is None or s > best[0]:
-                    best = (s, uniq[ai], uniq[bi])
-        if n_clusters is not None:
-            if len(uniq) <= n_clusters:
-                break
-        elif best[0] < threshold:
-            break
-        _, keep, drop = best
-        labels = [keep if l == drop else l for l in labels]
-    uniq = sorted(set(labels), key=lambda l: labels.index(l))
-    remap = {l: i for i, l in enumerate(uniq)}
-    return np.array([remap[l] for l in labels])
+    # rounding can push |cos| of parallel columns just above 1
+    return _single_linkage(np.maximum(1.0 - sim, 0.0), 1.0 - threshold, n_clusters)
 
 
 def _realify_blocks(blocks, means, tol):
@@ -436,16 +418,23 @@ def solve_sjbd(
     omega=2.0,
     cluster_tol=1e-6,
 ):
-    """Full S-JBD pipeline: compress, commutant basis, simultaneous EVD,
-    coefficient recovery.
+    """S-JBD pipeline from the V_q to (N, d): compress, commutant basis,
+    simultaneous EVD.
 
     When the slices only span an s-dimensional subspace with s < K (always
     the case when sum d_r < K), the V_q are first restricted to that joint
     column space; the diagonalizer is mapped back afterwards, so N is K x
-    sum d_r with full column rank in exact mode.
+    sum d_r with full column rank in exact mode.  s is ``hint_sum_d`` when
+    given and otherwise the numerical rank at ``rank_tol``.
+
+    Exact mode detects R at ``rank_tol`` and groups the columns of N into
+    blocks of sizes d.  Approximate mode takes R from ``hint_R`` and returns
+    N ungrouped with d = None.  The coefficients D_q are computed only on
+    request, by :meth:`SJBDSolution.coefficients`.
     """
     if not isinstance(problem, SJBDProblem):
         problem = SJBDProblem(tuple(problem))
+    exact = problem.mode == "exact"
     v_list = list(problem.V)
     k = problem.K
     tol = default_tol() if rank_tol is None else rank_tol
@@ -465,39 +454,46 @@ def solve_sjbd(
     sub_problem = SJBDProblem(
         tuple(v_sub), mode=problem.mode, hint_R=problem.hint_R
     )
-    r_target = problem.hint_R if problem.mode == "approximate" else None
-    r_found, u_mats = commutant_basis(sub_problem, r_target=r_target, tol=tol)
+    r_found, u_mats = commutant_basis(
+        sub_problem, r_target=None if exact else problem.hint_R, tol=tol
+    )
+    if r_found < 1:
+        raise SolverDiagnostic("empty commutant basis", {"R": r_found})
     diagnostics["commutant_dim"] = int(r_found)
 
-    status = "ok"
     if evd_variant == "single":
-        n_clusters = problem.hint_R if problem.mode == "approximate" else None
         n_sub, d = simultaneous_evd_single(
-            u_mats, seed=seed, cluster_tol=cluster_tol, n_clusters=n_clusters
+            u_mats,
+            seed=seed,
+            cluster_tol=cluster_tol,
+            n_clusters=None if exact else r_found,
         )
     elif evd_variant == "cpd":
-        n_sub, d, _perm, status, fit = simultaneous_evd_cpd(
+        n_sub, d, _perm, cpd_status, fit = simultaneous_evd_cpd(
             u_mats,
             omega=omega,
             seed=seed,
-            n_clusters=problem.hint_R or r_found,
+            n_clusters=r_found,
             cluster_tol=cluster_tol,
+            partition=exact,
         )
+        diagnostics["cpd_status"] = cpd_status
         diagnostics["cpd_fit"] = float(fit)
     else:
         raise ValueError(f"unknown evd_variant {evd_variant!r}")
 
     n = u_s @ n_sub if u_s is not None else n_sub
-    d_mats = recover_coefficients(n, d, v_list)
+    if not exact:
+        return SJBDSolution(N=n, d=None, diagnostics=diagnostics)
+    d = tuple(int(x) for x in d)
     expected_q = sum(dr * (dr + 1) // 2 for dr in d)
     diagnostics["expected_Q"] = int(expected_q)
-    if problem.Q != expected_q and problem.mode == "exact":
+    status = "ok"
+    if problem.Q != expected_q:
         status = (
             "warning: Q does not match sum binom(d_r+1, 2); "
             "uniqueness guarantee does not apply"
         )
     if problem.Q < 3 and any(dr >= 2 for dr in d):
         status = "warning: fewer than 3 matrices; uniqueness guarantee does not apply"
-    sol = SJBDSolution(N=n, d=tuple(int(x) for x in d), D=d_mats, status=status, diagnostics=diagnostics)
-    diagnostics["reconstruction_error"] = float(np.max(sol.reconstruction_errors(v_list)))
-    return sol
+    return SJBDSolution(N=n, d=d, status=status, diagnostics=diagnostics)

@@ -22,7 +22,6 @@ block-size tuples, recovering the block structure afterwards by clustering.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,14 +41,7 @@ from .linalg import (
     truncated_svd,
 )
 from .minors import build_Q2
-from .sjbd import (
-    _cluster_scalars,
-    _realify_blocks,
-    build_commutant_matrix,
-    cluster_columns,
-    simultaneous_evd_cpd,
-    simultaneous_evd_single,
-)
+from .sjbd import SJBDProblem, _cluster_scalars, _realify_blocks, cluster_columns, solve_sjbd
 from .tensor import BlockTermDecomposition, Tensor3, compose, compress_third_mode, unfold
 
 __all__ = [
@@ -66,6 +58,10 @@ __all__ = [
     "candidate_size_tuples",
     "decompose",
 ]
+
+# default rank tolerance of exact decompose; the linalg helpers called without
+# a tolerance use linalg.DEFAULT_RANK_TOL (1e-10)
+EXACT_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -109,8 +105,7 @@ class SolverOptions:
             return self.rank_tol
         if self.noisy:
             return 1e-2
-        env = os.environ.get("BTD_RANK_TOL")
-        return float(env) if env else 1e-8
+        return default_tol(EXACT_RANK_TOL)
 
     @property
     def cl_tol(self):
@@ -275,6 +270,11 @@ def _khatri_rao_blocks(a, blocks):
 def phase1_recover_A(t, opts=None):
     """Phase I of the solver: returns (A, N, d, Q_used, diagnostics).
 
+    Q is counted from the minor matrix; :func:`sjbd.solve_sjbd` turns the
+    Q symmetric null matrices V_q into (N, d).  Scenario 2 passes R and
+    sum d_r as hints and partitions the ungrouped N itself.  Each a_r then
+    comes from a rank-one factorization.
+
     N is K x sum(d) with block r spanning the common null space of the term
     matrices other than r; callers should compress the third mode first when
     unfold(t, 3) is column rank deficient.
@@ -290,7 +290,8 @@ def phase1_recover_A(t, opts=None):
     # an absolute floor there
     q2_floor = 1e-12 * float(np.linalg.norm(t.values)) ** 2
 
-    if opts.mode == "noisy_scenario2":
+    scenario2 = opts.mode == "noisy_scenario2"
+    if scenario2:
         r_known = opts.known_R
         sum_d = r_known * k_dim - (r_known - 1) * opts.known_sum_L
         if sum_d < r_known:
@@ -311,59 +312,31 @@ def phase1_recover_A(t, opts=None):
         )
     diag["Q_used"] = int(q_used)
 
-    v_mats = q2set.symmetric_null_matrices(dim=q_used)
+    problem = SJBDProblem(
+        tuple(q2set.symmetric_null_matrices(dim=q_used)),
+        mode="approximate" if scenario2 else "exact",
+        hint_R=r_known if scenario2 else None,
+        hint_sum_d=sum_d,
+    )
+    sol = solve_sjbd(
+        problem,
+        seed=opts.seed,
+        rank_tol=opts.tol,
+        evd_variant=opts.variant,
+        omega=opts.omega,
+        cluster_tol=opts.cl_tol,
+    )
+    diag["sum_d"] = sol.diagnostics["subspace_dim"]
+    diag["commutant_dim"] = sol.diagnostics["commutant_dim"]
+    for key in ("cpd_status", "cpd_fit"):
+        if key in sol.diagnostics:
+            diag[key] = sol.diagnostics[key]
+    if sol.status != "ok":
+        diag["sjbd_status"] = sol.status
 
-    # restrict to the joint column space of the V_q (dimension sum d_r)
-    stacked = np.hstack(v_mats)
-    if sum_d is None:
-        sum_d = numerical_rank(stacked, tol=opts.tol)
-    diag["sum_d"] = int(sum_d)
-    if sum_d < k_dim:
-        u_s = orth(stacked, dim=sum_d)
-        v_sub = [(u_s.conj().T @ v @ np.conj(u_s)) for v in v_mats]
-        v_sub = [(v + v.T) / 2.0 for v in v_sub]
-    else:
-        u_s = None
-        v_sub = v_mats
-
-    m = build_commutant_matrix(v_sub)
-    if opts.mode == "noisy_scenario2":
-        r_detected = opts.known_R
-        basis = null_space(m, dim=r_detected)
-    else:
-        sv = np.linalg.svd(m, compute_uv=False)
-        r_detected = int(np.sum(sv <= opts.tol * sv[0])) if sv[0] > 0 else m.shape[1]
-        basis = null_space(m, dim=r_detected)
-    if r_detected < 1:
-        raise SolverDiagnostic("empty commutant basis", {"R": r_detected})
-    diag["commutant_dim"] = int(r_detected)
-    u_mats = [basis[:, i].reshape(v_sub[0].shape[0], -1, order="F") for i in range(basis.shape[1])]
-
-    partition_by_clustering = opts.mode == "noisy_scenario2"
-    if opts.variant == "cpd":
-        n_sub, d, _perm, status, fit = simultaneous_evd_cpd(
-            u_mats,
-            omega=opts.omega,
-            seed=opts.seed,
-            n_clusters=r_detected,
-            cluster_tol=opts.cl_tol,
-            partition=not partition_by_clustering,
-        )
-        diag["cpd_status"] = status
-        diag["cpd_fit"] = float(fit)
-    else:
-        n_sub, d = simultaneous_evd_single(
-            u_mats,
-            seed=opts.seed,
-            cluster_tol=opts.cl_tol,
-            n_clusters=r_detected if opts.noisy else None,
-        )
-        if partition_by_clustering:
-            d = None
-    n_full = u_s @ n_sub if u_s is not None else n_sub
-
-    if partition_by_clustering or d is None:
-        n_full, d = _partition_by_unfolding(t, n_full, r_detected, opts)
+    n_full, d = sol.N, sol.d
+    if d is None:
+        n_full, d = _partition_by_unfolding(t, n_full, r_known, opts)
     d = tuple(int(x) for x in d)
     if opts.mode == "exact" and q_used != sum(x * (x + 1) // 2 for x in d):
         raise SolverDiagnostic(

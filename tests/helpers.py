@@ -1,5 +1,7 @@
 """Shared test utilities: brute-force oracles and reference instances."""
 
+import itertools
+
 import numpy as np
 
 from btd1 import BlockTermDecomposition
@@ -33,6 +35,28 @@ def naive_unfold1(a, terms):
     """[vec(E_1) ... vec(E_R)] A.T by independent summation."""
     vec_e = np.column_stack([(b @ c.T).ravel(order="F") for b, c in terms])
     return vec_e @ a.T
+
+
+def naive_single_linkage(dist, cut=None, n_clusters=None):
+    """Greedy single linkage: merge the two closest groups until
+    ``n_clusters`` remain, or while their gap is at most ``cut``.  Labels in
+    order of first appearance."""
+    n = dist.shape[0]
+    labels = list(range(n))
+    while len(set(labels)) > (n_clusters or 1):
+        gap, keep, drop = min(
+            (
+                min(dist[i, j] for i in range(n) for j in range(n) if labels[i] == ga and labels[j] == gb),
+                ga,
+                gb,
+            )
+            for ga, gb in itertools.combinations(sorted(set(labels)), 2)
+        )
+        if n_clusters is None and gap > cut:
+            break
+        labels = [keep if lab == drop else lab for lab in labels]
+    order = list(dict.fromkeys(labels))
+    return np.array([order.index(lab) for lab in labels])
 
 
 def shared_columns_instance(r, seed=0, field="real"):

@@ -83,8 +83,26 @@ def test_decompose_scenario2_noisy(runner, tmp_path):
         ["decompose", str(out), "--mode", "scenario2", "--known-r", "3", "--known-suml", "9"],
     )
     assert res.exit_code == 0, res.output
-    payload = json.loads(res.output)
+    payload = json.loads(res.stdout)
     assert len(payload["detected_d"]) == 3
+
+
+def test_decompose_prints_warnings_to_stderr(runner, tmp_path):
+    out = tmp_path / "t.btd1"
+    runner.invoke(
+        main,
+        ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--seed", "8",
+         "--snr", "45", "--out", str(out)],
+    )
+    res = runner.invoke(
+        main,
+        ["decompose", str(out), "--mode", "scenario2", "--known-r", "3", "--known-suml", "9"],
+    )
+    assert res.exit_code == 0, res.output
+    diagnostics = json.loads(res.stdout)["diagnostics"]
+    warnings = {k: v for k, v in diagnostics.items() if str(v).startswith("warning")}
+    assert warnings, "expected the CPD refinement to report non-convergence"
+    assert res.stderr.splitlines() == [f"{k}: {v}" for k, v in warnings.items()]
 
 
 def test_decompose_missing_file_exit_2(runner):

@@ -5,6 +5,7 @@ import scipy.linalg
 from btd1.linalg import DimensionError, rng, subspace_distance
 from btd1.sjbd import (
     SJBDProblem,
+    _cluster_scalars,
     build_commutant_matrix,
     cluster_columns,
     commutant_basis,
@@ -14,7 +15,7 @@ from btd1.sjbd import (
     solve_sjbd,
 )
 
-from helpers import block_subspace_match
+from helpers import block_subspace_match, naive_single_linkage
 
 
 def make_instance(d, k, seed, field="real", q=None):
@@ -263,3 +264,75 @@ def test_simultaneous_evd_defective_raises():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(SolverDiagnostic):
         simultaneous_evd_single([jordan], seed=0)
+
+
+@pytest.mark.parametrize("evd_variant", ["single", "cpd"])
+def test_solve_sjbd_approximate_returns_ungrouped_columns(evd_variant):
+    d = (1, 3)
+    n_true, _, v_list = make_instance(d, 7, seed=10)
+    problem = SJBDProblem(tuple(v_list), mode="approximate", hint_R=2, hint_sum_d=4)
+    sol = solve_sjbd(problem, evd_variant=evd_variant)
+    assert sol.d is None
+    assert sol.N.shape == (7, 4)
+    assert sol.diagnostics["commutant_dim"] == 2
+    assert subspace_distance(sol.N, n_true) < 1e-6
+
+
+def _scalars(x, n_clusters=None, cut=None):
+    return _cluster_scalars(x, cut, n_clusters=n_clusters)
+
+
+def _columns(x, n_clusters=None, cut=None):
+    return cluster_columns(x, n_clusters=n_clusters, threshold=cut)
+
+
+# (clusterer, input with all gaps tied, (input whose one close pair sits
+# exactly at the cut, the cut)); for scalars the cut is tol * max|x| = 1,
+# for columns |cos| = 0.6 between e1 and (3, 4, 0) / 5
+@pytest.mark.parametrize(
+    "cluster,tied,at_cut",
+    [
+        (_scalars, np.arange(4.0), (np.array([4.0, 0.0, 1.0]), 0.25)),
+        (
+            _columns,
+            np.eye(4),
+            (np.array([[0.0, 1.0, 3.0], [0.0, 0.0, 4.0], [1.0, 0.0, 0.0]]), 0.6),
+        ),
+    ],
+    ids=["_cluster_scalars", "cluster_columns"],
+)
+def test_single_linkage_contract(cluster, tied, at_cut):
+    labels = list(cluster(tied, n_clusters=2))
+    assert sorted(set(labels)) == [0, 1]
+    assert labels[0] == 0 and labels.index(0) < labels.index(1)
+    x, cut = at_cut
+    assert list(cluster(x, cut=cut)) == [0, 1, 1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_clustering_matches_greedy_reference(seed):
+    # grouped data without ties, so single linkage has one answer at every cut
+    from btd1.linalg import randn
+
+    gen = rng(100 + seed)
+    sizes = (1, 2, 3, 2)
+    centers = randn(gen, len(sizes), "complex")
+    vals = np.concatenate([c + 1e-3 * randn(gen, n, "complex") for c, n in zip(centers, sizes)])
+    gen.shuffle(vals)
+    dist = np.abs(vals[:, None] - vals[None, :])
+    base = gen.standard_normal((5, len(sizes)))
+    cols = np.column_stack(
+        [
+            base[:, g] * gen.standard_normal() + 1e-3 * gen.standard_normal(5)
+            for g, n in enumerate(sizes)
+            for _ in range(n)
+        ]
+    )[:, gen.permutation(sum(sizes))]
+    unit = cols / np.linalg.norm(cols, axis=0)
+    col_dist = 1.0 - np.abs(unit.T @ unit)
+    for n_clusters in (None, 2, 4, 6):
+        expected = naive_single_linkage(dist, 1e-2 * np.abs(vals).max(), n_clusters)
+        assert list(_cluster_scalars(vals, 1e-2, n_clusters=n_clusters)) == list(expected)
+        expected = naive_single_linkage(col_dist, 1e-4, n_clusters)
+        got = cluster_columns(cols, n_clusters=n_clusters, threshold=1.0 - 1e-4)
+        assert list(got) == list(expected)

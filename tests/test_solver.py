@@ -359,3 +359,51 @@ def test_rank_only_uniqueness_regime_case3():
     assert rep.case_used == 3
     _, _, err_a, err_t = match_decompositions(truth, rep.decomposition)
     assert err_a < 1e-7 and err_t < 1e-7
+
+
+def test_env_rank_tol_reaches_solver_options(monkeypatch):
+    monkeypatch.setenv("BTD_RANK_TOL", "1e-6")
+    assert SolverOptions().tol == 1e-6
+    assert SolverOptions(mode="noisy_scenario1").tol == 1e-2
+    assert SolverOptions(rank_tol=1e-5).tol == 1e-5
+    monkeypatch.delenv("BTD_RANK_TOL")
+    assert SolverOptions().tol == 1e-8
+
+
+@pytest.mark.parametrize(
+    "opts,mode,hint_r,hint_sum_d",
+    [
+        (SolverOptions(), "exact", None, None),
+        (SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9), "approximate", 3, 6),
+    ],
+    ids=["exact", "scenario2"],
+)
+def test_phase1_runs_solve_sjbd_once(monkeypatch, opts, mode, hint_r, hint_sum_d):
+    import btd1.solver as solver_module
+
+    problems = []
+    solve = solver_module.solve_sjbd
+
+    def recording(problem, **kwargs):
+        problems.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_sjbd", recording)
+    decompose(compose(random_btd((3, 8, 8), (2, 3, 4), seed=1)), opts)
+    assert [(p.mode, p.hint_R, p.hint_sum_d) for p in problems] == [(mode, hint_r, hint_sum_d)]
+
+
+def test_scenario1_single_reads_blocks_from_eigenvalue_gaps():
+    # with R detected rather than given, the single-combination EVD groups
+    # eigenvalues at cluster_tol (as in exact mode); the CPD variant
+    # clusters into the detected R groups
+    truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=2)
+    t = add_noise(compose(truth), NoiseSpec(snr_db=50.0, seed=3))
+    single = decompose(t, SolverOptions(mode="noisy_scenario1", evd_variant="single"))
+    cpd = decompose(t, SolverOptions(mode="noisy_scenario1", evd_variant="cpd"))
+    assert single.diagnostics["commutant_dim"] == cpd.diagnostics["commutant_dim"] == 2
+    assert single.detected_d == (5, 4, 1)
+    assert cpd.detected_d == (9, 1)
+    # Q = 21 fits neither grouping, and the diagnostics say so
+    for rep in (single, cpd):
+        assert rep.diagnostics["sjbd_status"].startswith("warning: Q does not match")
