@@ -173,6 +173,8 @@ def experiment(dims, sizes, snr, trials, cond_cap, evd_variant, omega, seed, fre
         f"wrote {freq_out} and {err_out} (rejected draws: {result.rejected_draws}, "
         f"solver failures: {result.solver_failures})"
     )
+    for cause, count in result.failure_causes.items():
+        click.echo(f"  {count} x {cause}")
 
 
 @main.command()

@@ -10,7 +10,7 @@ errors on the first factor matrix and on the vectorized terms.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,11 @@ class ExperimentResult:
     errors_a: dict  # snr -> list of relative errors
     errors_terms: dict
     rejected_draws: int
-    solver_failures: int = 0
+    failure_causes: dict = field(default_factory=dict)  # exception message -> count
+
+    @property
+    def solver_failures(self):
+        return sum(self.failure_causes.values())
 
     def frequency_rows(self):
         header = ["L_tuple"] + [_fmt_snr(s) for s in self.config.snr_grid]
@@ -109,7 +113,7 @@ def run_experiment(config, progress=None):
     errs_t = {snr: [] for snr in config.snr_grid}
     master = rng(config.seed)
     rejected_total = 0
-    failures = 0
+    causes = {}
     for trial in range(config.num_trials):
         trial_seed = int(master.integers(2**31))
         truth, t, rejected = draw_instance(config, trial_seed)
@@ -131,10 +135,10 @@ def run_experiment(config, progress=None):
             )
             try:
                 report = decompose(noisy, opts)
-            except (SolverDiagnostic, np.linalg.LinAlgError):
+            except (SolverDiagnostic, np.linalg.LinAlgError) as exc:
                 # a pathological draw must not kill a long run; count it as
                 # a miss with total error
-                failures += 1
+                causes[str(exc)] = causes.get(str(exc), 0) + 1
                 errs_a[snr].append(1.0)
                 errs_t[snr].append(1.0)
                 continue
@@ -152,5 +156,5 @@ def run_experiment(config, progress=None):
         errors_a=errs_a,
         errors_terms=errs_t,
         rejected_draws=rejected_total,
-        solver_failures=failures,
+        failure_causes=causes,
     )

@@ -12,6 +12,7 @@ stochastic operation is reproducible from its seed.
 import os
 
 import numpy as np
+import scipy.linalg
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -63,16 +64,25 @@ def numerical_rank(a, tol=None):
 def null_space(a, tol=None, dim=None):
     """Orthonormal basis of the (numerical) null space, columns of shape (n, q).
 
+    The rank is the number of singular values above ``tol * sigma_max``.
     With ``dim`` given, returns the ``dim`` right singular vectors of the
     smallest singular values regardless of threshold (the noisy-pipeline
-    convention).
+    convention).  Only the right singular vectors are used, so the SVD is
+    thin unless a is wide: an m x n matrix with m < n needs the full n x n
+    Vh to reach its null vectors.
     """
     a = np.asarray(a)
     m, n = a.shape
     if m == 0:
         q = n if dim is None else dim
         return np.eye(n)[:, :q]
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    try:
+        _, s, vh = np.linalg.svd(a, full_matrices=m < n)
+    except np.linalg.LinAlgError:
+        # divide and conquer (gesdd) can fail to converge on the exactly
+        # rank-deficient matrices of exact mode; QR iteration (gesvd) is
+        # slower but converges on them
+        _, s, vh = scipy.linalg.svd(a, full_matrices=m < n, lapack_driver="gesvd")
     if dim is None:
         tol = default_tol() if tol is None else tol
         smax = s[0] if s.size else 0.0

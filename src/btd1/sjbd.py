@@ -124,34 +124,39 @@ class SJBDSolution:
         return np.array(errs)
 
 
-def commutation_matrix(k):
-    """K^2 x K^2 permutation with P vec(U) = vec(U.T) (column-major vec)."""
-    p = np.zeros((k * k, k * k))
-    for r in range(k):
-        for c in range(k):
-            p[r * k + c, c * k + r] = 1.0
-    return p
-
-
 def build_commutant_matrix(problem):
-    """Stacked K^2 Q x K^2 matrix whose null space is
-    {vec(U) : U V_q = V_q U.T for all q}."""
-    v_list = problem.V if isinstance(problem, SJBDProblem) else [np.asarray(v) for v in problem]
-    k = v_list[0].shape[0]
-    eye = np.eye(k)
-    p = commutation_matrix(k)
-    blocks = [np.kron(v.T, eye) - np.kron(eye, v) @ p for v in v_list]
-    return np.vstack(blocks)
+    """Q K(K-1)/2 x K^2 matrix whose null space is
+    {vec(U) : U V_q = V_q U.T for all q} (column-major vec).
+
+    Row (i, j) of block q is entry (i, j) of U V_q - V_q U.T.  For symmetric
+    V_q that matrix is antisymmetric, so only the i < j entries are
+    independent equations: the (j, i) row is the negative of the (i, j) row
+    and the diagonal rows are zero.  The rows of a block come in the order
+    of their entries in vec(U V_q - V_q U.T).
+    """
+    vs = np.asarray(problem.V if isinstance(problem, SJBDProblem) else tuple(problem))
+    q, k, _ = vs.shape
+    j, i = np.tril_indices(k, -1)
+    rows = np.arange(i.size)
+    # m[block, row, c, r] is the coefficient of U[r, c], which sits in column c K + r
+    m = np.zeros((q, i.size, k, k), dtype=np.result_type(vs, float))
+    m[:, rows, :, i] = vs[:, :, j].transpose(2, 0, 1)  # U[i, c] times V_q[c, j]
+    m[:, rows, :, j] = -vs[:, i, :].transpose(1, 0, 2)  # U[j, c] times -V_q[i, c]
+    return m.reshape(q * i.size, k * k)
 
 
 def commutant_basis(problem, r_target=None, tol=None):
     """Basis U_1..U_R of the commutant subspace of the V_q.
 
-    Exact mode detects R as the null-space dimension of the stacked
-    commutant matrix; approximate mode takes the ``r_target`` smallest right
+    Exact mode detects R as the null-space dimension of
+    :func:`build_commutant_matrix`, cut at ``tol`` relative to its largest
+    singular value; approximate mode takes the ``r_target`` smallest right
     singular directions instead (in noisy data the exact null space is only
-    the span of the vectorized identity).  Assumes the slices span, i.e.
-    K = sum d_r; :func:`solve_sjbd` compresses first when they do not.
+    the span of the vectorized identity).  Stacking every equation twice,
+    as all of vec(U V_q - V_q U.T) does, would scale each singular value by
+    sqrt(2) and keep the right singular vectors, so neither cut depends on
+    it.  Assumes the slices span, i.e. K = sum d_r; :func:`solve_sjbd`
+    compresses first when they do not.
     """
     if not isinstance(problem, SJBDProblem):
         problem = SJBDProblem(tuple(problem), mode="exact")

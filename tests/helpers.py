@@ -37,6 +37,25 @@ def naive_unfold1(a, terms):
     return vec_e @ a.T
 
 
+def commutation_matrix(k):
+    """K^2 x K^2 permutation with P vec(U) = vec(U.T) (column-major vec)."""
+    p = np.zeros((k * k, k * k))
+    for r in range(k):
+        for c in range(k):
+            p[r * k + c, c * k + r] = 1.0
+    return p
+
+
+def full_commutant_matrix(v_list):
+    """Q K^2 x K^2 matrix of all the entries of vec(U V_q - V_q U.T), built
+    with Kronecker products: vec(U V) = (V.T kron I) vec(U) and
+    vec(V U.T) = (I kron V) P vec(U)."""
+    k = v_list[0].shape[0]
+    eye = np.eye(k)
+    p = commutation_matrix(k)
+    return np.vstack([np.kron(v.T, eye) - np.kron(eye, v) @ p for v in v_list])
+
+
 def naive_single_linkage(dist, cut=None, n_clusters=None):
     """Greedy single linkage: merge the two closest groups until
     ``n_clusters`` remain, or while their gap is at most ``cut``.  Labels in

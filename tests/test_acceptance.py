@@ -30,7 +30,7 @@ from btd1.minors import (
     rank1_membership,
     symprod,
 )
-from btd1.sjbd import SJBDProblem, commutation_matrix, solve_sjbd
+from btd1.sjbd import SJBDProblem, solve_sjbd
 from btd1.uniqueness import (
     nonuniqueness_family_2x8x7,
     two_term_alternatives,
@@ -41,6 +41,7 @@ from btd1.uniqueness import (
 from helpers import (
     GOLDEN_Q2_3x3x5,
     block_subspace_match,
+    commutation_matrix,
     shared_columns_instance,
     golden_integer_instance,
 )

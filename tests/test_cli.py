@@ -178,3 +178,22 @@ def test_experiment_csv_schema(runner, tmp_path):
     assert err_rows[0].startswith("snr,mean_err_A,median_err_A")
     exact_row = err_rows[1].split(",")
     assert float(exact_row[1]) < 1e-8
+
+
+def test_experiment_prints_failure_causes(runner, tmp_path, monkeypatch):
+    import btd1.experiment as exp
+    from btd1.linalg import SolverDiagnostic
+
+    def failing(noisy, opts):
+        raise SolverDiagnostic("synthetic diagnostic", {})
+
+    monkeypatch.setattr(exp, "decompose", failing)
+    res = runner.invoke(
+        main,
+        ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "40,45",
+         "--trials", "1", "--seed", "1", "--quiet",
+         "--freq-out", str(tmp_path / "f.csv"), "--err-out", str(tmp_path / "e.csv")],
+    )
+    assert res.exit_code == 0, res.output
+    assert "solver failures: 2)" in res.stdout
+    assert "  2 x synthetic diagnostic" in res.stdout.splitlines()

@@ -53,9 +53,9 @@ def test_solver_failures_are_absorbed(monkeypatch):
     def flaky(noisy, opts):
         calls["n"] += 1
         if calls["n"] == 1:
-            raise np.linalg.LinAlgError("synthetic")
+            raise np.linalg.LinAlgError("synthetic LinAlgError")
         if calls["n"] == 2:
-            raise SolverDiagnostic("synthetic", {})
+            raise SolverDiagnostic("synthetic diagnostic", {})
         return real_decompose(noisy, opts)
 
     real_decompose = exp.decompose
@@ -65,6 +65,7 @@ def test_solver_failures_are_absorbed(monkeypatch):
     )
     result = run_experiment(cfg)
     assert result.solver_failures == 2
+    assert result.failure_causes == {"synthetic LinAlgError": 1, "synthetic diagnostic": 1}
     assert sum(result.frequencies[40.0].values()) == 1
     assert len(result.errors_a[40.0]) == 3
 

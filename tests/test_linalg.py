@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from btd1.linalg import (
     cond,
@@ -38,6 +39,38 @@ def test_null_space_dimensions():
     assert np.linalg.norm(a @ ns) < 1e-12
     ns3 = null_space(a, dim=3)
     assert ns3.shape == (6, 3)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "shape,rank",
+    [((12, 7), 4), ((12, 7), 7), ((7, 7), 4), ((4, 9), 4), ((5, 9), 3)],
+    ids=["tall", "tall-full", "square", "wide", "wide-deficient"],
+)
+def test_null_space_matches_scipy(shape, rank, field):
+    gen = rng(4)
+    m, n = shape
+    a = randn(gen, (m, rank), field) @ randn(gen, (rank, n), field)
+    want = scipy.linalg.null_space(a, rcond=1e-10)
+    for got in (null_space(a, tol=1e-10), null_space(a, dim=n - rank)):
+        assert got.shape == (n, n - rank) == want.shape
+        assert np.allclose(got.conj().T @ got, np.eye(n - rank), atol=1e-12)
+        assert np.linalg.norm(a @ got) < 1e-10 * np.linalg.norm(a)
+        # same span: equal orthogonal projectors
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) < 1e-10
+
+
+def test_null_space_survives_svd_nonconvergence(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    gen = rng(5)
+    a = gen.standard_normal((12, 4)) @ gen.standard_normal((4, 7))
+    want = null_space(a, tol=1e-10)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    got = null_space(a, tol=1e-10)
+    assert got.shape == want.shape == (7, 3)
+    assert np.linalg.norm(got @ got.T - want @ want.T) < 1e-10
 
 
 def test_rng_determinism_and_complex_normal():

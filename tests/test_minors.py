@@ -16,9 +16,7 @@ from btd1.minors import (
     wedge,
     wedge_block,
 )
-from btd1.sjbd import commutation_matrix
-
-from helpers import GOLDEN_Q2_3x3x5, golden_integer_instance
+from helpers import GOLDEN_Q2_3x3x5, commutation_matrix, golden_integer_instance
 
 
 def test_q2_single_term_is_zero():

@@ -15,7 +15,7 @@ from btd1.sjbd import (
     solve_sjbd,
 )
 
-from helpers import block_subspace_match, naive_single_linkage
+from helpers import block_subspace_match, full_commutant_matrix, naive_single_linkage
 
 
 def make_instance(d, k, seed, field="real", q=None):
@@ -49,6 +49,25 @@ def test_commutant_contains_identity():
     m = build_commutant_matrix(v_list)
     vec_i = np.eye(4).ravel(order="F")
     assert np.linalg.norm(m @ vec_i) < 1e-12 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d,k", [((1, 1), 2), ((1, 2, 3), 6), ((2, 3), 7)])
+def test_commutant_matrix_keeps_the_independent_rows(d, k, field):
+    # K = 2 gives a wide commutant matrix, the others tall ones
+    _, _, v_list = make_instance(d, k, seed=8, field=field)
+    v_list = SJBDProblem(tuple(v_list)).V
+    full = full_commutant_matrix(v_list)
+    i, j = np.meshgrid(np.arange(k), np.arange(k))  # row j K + i is entry (i, j)
+    upper = np.tile((i < j).ravel(), len(v_list))
+    m = build_commutant_matrix(v_list)
+    assert m.shape == (len(v_list) * k * (k - 1) // 2, k * k)
+    assert m.dtype == full.dtype
+    assert np.array_equal(m, full[upper])
+    s = np.linalg.svd(m, compute_uv=False)
+    s_full = np.linalg.svd(full, compute_uv=False)
+    assert np.allclose(np.sqrt(2.0) * s, s_full[: s.size], rtol=0, atol=1e-12 * s_full[0])
+    assert np.all(s_full[s.size :] < 1e-12 * s_full[0])
 
 
 @pytest.mark.parametrize("d", [(1, 1, 1), (1, 2), (2, 3), (1, 2, 3)])

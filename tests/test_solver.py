@@ -282,6 +282,15 @@ def test_decompose_compresses_rank_deficient_third_mode():
     assert err_a < 1e-8 and err_t < 1e-8
 
 
+def test_decompose_6x20x20_exact():
+    # Phase I takes the null spaces of two tall matrices (Q2 is 2850 x 210,
+    # the commutant matrix 9500 x 400): about a second with a thin SVD, close
+    # to a minute if the SVD builds the full U
+    rep = decompose(compose(random_btd((6, 20, 20), (4,) * 5, seed=7)))
+    assert rep.detected_L == (4, 4, 4, 4, 4)
+    assert rep.residual <= 1e-6
+
+
 def test_decompose_seed_invariant_structure():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=14)
     t = compose(truth)
