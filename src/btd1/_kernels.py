@@ -1,60 +1,19 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
-The numba path is used by default when numba imports cleanly.  Set the
-environment variable ``BTD_NO_NUMBA=1`` to force the vectorized numpy
-implementations (useful on platforms without a working LLVM toolchain and
-for benchmarking; see ``benchmarks/bench_kernels.py``).
-
-Both paths produce bit-identical results for integer inputs and agree to
-floating-point rounding otherwise; ``tests/test_kernels.py`` checks this.
+Each kernel fills or reduces the ``out``/``mat`` array it is given in place.
+``tests/test_kernels.py`` compares each one with a plain-loop reference.
 """
-
-import os
 
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("BTD_NO_NUMBA", "").strip().lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-if NUMBA_ENABLED:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        numba = None
-        NUMBA_ENABLED = False
-else:  # pragma: no cover
-    numba = None
+# perfbench/run.py reads this to record the kernel path of a benchmark run.
+NUMBA_ENABLED = False
 
 
-def _minor_matrix_loops(t, ip1, ip2, jp1, jp2, kp1, kp2, out):
-    # out[a*nj + b, c] = t[i1,j1,k1]t[i2,j2,k2] + t[i1,j1,k2]t[i2,j2,k1]
-    #                  - t[i1,j2,k1]t[i2,j1,k2] - t[i1,j2,k2]t[i2,j1,k1]
-    ni = ip1.shape[0]
-    nj = jp1.shape[0]
-    nk = kp1.shape[0]
-    for a in range(ni):
-        i1 = ip1[a]
-        i2 = ip2[a]
-        for b in range(nj):
-            j1 = jp1[b]
-            j2 = jp2[b]
-            row = a * nj + b
-            for c in range(nk):
-                k1 = kp1[c]
-                k2 = kp2[c]
-                out[row, c] = (
-                    t[i1, j1, k1] * t[i2, j2, k2]
-                    + t[i1, j1, k2] * t[i2, j2, k1]
-                    - t[i1, j2, k1] * t[i2, j1, k2]
-                    - t[i1, j2, k2] * t[i2, j1, k1]
-                )
-    return out
-
-
-def _minor_matrix_numpy(t, ip1, ip2, jp1, jp2, kp1, kp2, out):
+def minor_matrix_fill(t, ip1, ip2, jp1, jp2, kp1, kp2, out):
+    """out[a*nj + b, c] = t[i1,j1,k1]t[i2,j2,k2] + t[i1,j1,k2]t[i2,j2,k1]
+    - t[i1,j2,k1]t[i2,j1,k2] - t[i1,j2,k2]t[i2,j1,k1] for the a-th i-pair,
+    the b-th j-pair and the c-th k-pair."""
     ni = ip1.shape[0]
     nj = jp1.shape[0]
     # row grid: (ni*nj,) index arrays with the j-pair fastest
@@ -73,49 +32,12 @@ def _minor_matrix_numpy(t, ip1, ip2, jp1, jp2, kp1, kp2, out):
     return out
 
 
-def _gf2k_eliminate_loops(mat, logt, expt, order):
-    # In-place row echelon over GF(2^k); returns the rank.  Addition is XOR,
-    # multiplication goes through log/antilog tables of the multiplicative
-    # group (size order-1).  mat entries are in [0, order).
-    m, n = mat.shape
-    q1 = order - 1
-    rank = 0
-    for col in range(n):
-        pivot = -1
-        for r in range(rank, m):
-            if mat[r, col] != 0:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            for c in range(n):
-                tmp = mat[pivot, c]
-                mat[pivot, c] = mat[rank, c]
-                mat[rank, c] = tmp
-        inv_log = (q1 - logt[mat[rank, col]]) % q1
-        for c in range(col, n):
-            v = mat[rank, c]
-            if v != 0:
-                mat[rank, c] = expt[(logt[v] + inv_log) % q1]
-        for r in range(m):
-            if r == rank:
-                continue
-            f = mat[r, col]
-            if f == 0:
-                continue
-            flog = logt[f]
-            for c in range(col, n):
-                v = mat[rank, c]
-                if v != 0:
-                    mat[r, c] ^= expt[(logt[v] + flog) % q1]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def gf2k_eliminate(mat, logt, expt, order):
+    """In-place reduced row echelon form over GF(2^k); returns the rank.
 
-
-def _gf2k_eliminate_numpy(mat, logt, expt, order):
+    Addition is XOR, multiplication goes through the log/antilog tables of
+    the multiplicative group (size order-1); entries are in [0, order).
+    """
     m, n = mat.shape
     q1 = order - 1
     rank = 0
@@ -143,52 +65,9 @@ def _gf2k_eliminate_numpy(mat, logt, expt, order):
     return rank
 
 
-def _powmod(base, exponent, modulus):
-    result = 1
-    base = base % modulus
-    while exponent > 0:
-        if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exponent >>= 1
-    return result
-
-
-def _gfp_eliminate_loops(mat, p):
-    # Row echelon over the prime field GF(p); mat entries in [0, p).
-    m, n = mat.shape
-    rank = 0
-    for col in range(n):
-        pivot = -1
-        for r in range(rank, m):
-            if mat[r, col] != 0:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            for c in range(n):
-                tmp = mat[pivot, c]
-                mat[pivot, c] = mat[rank, c]
-                mat[rank, c] = tmp
-        inv = _powmod(mat[rank, col], p - 2, p)
-        for c in range(col, n):
-            mat[rank, c] = mat[rank, c] * inv % p
-        for r in range(m):
-            if r == rank:
-                continue
-            f = mat[r, col]
-            if f == 0:
-                continue
-            for c in range(col, n):
-                mat[r, c] = (mat[r, c] + (p - f) * mat[rank, c]) % p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _gfp_eliminate_numpy(mat, p):
+def gfp_eliminate(mat, p):
+    """In-place reduced row echelon form over the prime field GF(p); returns
+    the rank.  Entries are in [0, p)."""
     m, n = mat.shape
     rank = 0
     for col in range(n):
@@ -209,19 +88,3 @@ def _gfp_eliminate_numpy(mat, p):
         if rank == m:
             break
     return rank
-
-
-if NUMBA_ENABLED:
-    minor_matrix_fill = numba.njit(cache=True)(_minor_matrix_loops)
-    gf2k_eliminate = numba.njit(cache=True)(_gf2k_eliminate_loops)
-    _powmod = numba.njit(cache=True)(_powmod)
-    gfp_eliminate = numba.njit(cache=True)(_gfp_eliminate_loops)
-else:
-    minor_matrix_fill = _minor_matrix_numpy
-    gf2k_eliminate = _gf2k_eliminate_numpy
-    gfp_eliminate = _gfp_eliminate_numpy
-
-# Explicit handles for the benchmark and the cross-path tests.
-minor_matrix_fill_numpy = _minor_matrix_numpy
-gf2k_eliminate_numpy = _gf2k_eliminate_numpy
-gfp_eliminate_numpy = _gfp_eliminate_numpy

@@ -130,11 +130,6 @@ class GFField:
             return np.bitwise_xor(a, b)
         return (a - b) % self.p
 
-    def neg(self, a):
-        if self.binary:
-            return np.array(a, copy=True)
-        return (-np.asarray(a)) % self.p
-
     def mul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)

@@ -61,15 +61,17 @@ def numerical_rank(a, tol=None):
     return int(np.sum(s > tol * s[0]))
 
 
-def null_space(a, tol=None, dim=None):
+def null_space(a, tol=None, dim=None, atol=0.0):
     """Orthonormal basis of the (numerical) null space, columns of shape (n, q).
 
-    The rank is the number of singular values above ``tol * sigma_max``.
-    With ``dim`` given, returns the ``dim`` right singular vectors of the
-    smallest singular values regardless of threshold (the noisy-pipeline
-    convention).  Only the right singular vectors are used, so the SVD is
-    thin unless a is wide: an m x n matrix with m < n needs the full n x n
-    Vh to reach its null vectors.
+    The rank is the number of singular values above
+    ``max(tol * sigma_max, atol)``; the absolute floor ``atol`` matters when
+    the whole matrix is at rounding level.  With ``dim`` given, returns the
+    ``dim`` right singular vectors of the smallest singular values
+    regardless of threshold (the noisy-pipeline convention).  Only the right
+    singular vectors are used, so the SVD is thin unless a is wide: an
+    m x n matrix with m < n needs the full n x n Vh to reach its null
+    vectors.
     """
     a = np.asarray(a)
     m, n = a.shape
@@ -86,7 +88,7 @@ def null_space(a, tol=None, dim=None):
     if dim is None:
         tol = default_tol() if tol is None else tol
         smax = s[0] if s.size else 0.0
-        r = int(np.sum(s > tol * smax)) if smax > 0 else 0
+        r = int(np.sum(s > max(tol * smax, atol)))
     else:
         r = n - dim
     return vh[r:].conj().T
@@ -155,10 +157,3 @@ def dominant_rank1(m):
     # vh rows are conjugated right singular vectors, exactly the row factor
     z = vh[0]
     return w, z
-
-
-def relative_error(est, truth):
-    denom = np.linalg.norm(truth)
-    if denom == 0:
-        return float(np.linalg.norm(est))
-    return float(np.linalg.norm(est - truth) / denom)

@@ -80,12 +80,12 @@ class MinorMatrixSet:
     def n_rows(self):
         return self.Q2.shape[0]
 
-    def null_space(self, tol=None, dim=None):
-        return null_space(self.Q2, tol=tol, dim=dim)
+    def null_space(self, tol=None, dim=None, atol=0.0):
+        return null_space(self.Q2, tol=tol, dim=dim, atol=atol)
 
-    def symmetric_null_matrices(self, tol=None, dim=None):
+    def symmetric_null_matrices(self, tol=None, dim=None, atol=0.0):
         """Null vectors of Q2 mapped through D and reshaped to symmetric K x K."""
-        g = self.null_space(tol=tol, dim=dim)
+        g = self.null_space(tol=tol, dim=dim, atol=atol)
         k = int(round(np.sqrt(self.D.shape[0])))
         return [(self.D @ g[:, q]).reshape(k, k) for q in range(g.shape[1])]
 

@@ -283,7 +283,6 @@ def phase1_recover_A(t, opts=None):
     i_dim, j_dim, k_dim = t.dims
     diag = {}
     q2set = build_Q2(t)
-    q2 = q2set.Q2
     # entries of the minor matrix are quadratic in the tensor; anything below
     # rounding level on that scale is noise even when the whole matrix is
     # numerically zero (single-term tensors), so the relative threshold gets
@@ -300,10 +299,10 @@ def phase1_recover_A(t, opts=None):
                 {"sum_d": sum_d, "R": r_known},
             )
         q_used = minimal_null_dimension(r_known, sum_d)
+        v_mats = q2set.symmetric_null_matrices(dim=q_used)
     else:
-        sv = np.linalg.svd(q2, compute_uv=False)
-        threshold = max(opts.tol * (sv[0] if sv.size else 0.0), q2_floor)
-        q_used = int(np.sum(sv <= threshold)) + q2.shape[1] - sv.size
+        v_mats = q2set.symmetric_null_matrices(tol=opts.tol, atol=q2_floor)
+        q_used = len(v_mats)
         sum_d = None
     if q_used < 1:
         raise SolverDiagnostic(
@@ -313,7 +312,7 @@ def phase1_recover_A(t, opts=None):
     diag["Q_used"] = int(q_used)
 
     problem = SJBDProblem(
-        tuple(q2set.symmetric_null_matrices(dim=q_used)),
+        tuple(v_mats),
         mode="approximate" if scenario2 else "exact",
         hint_R=r_known if scenario2 else None,
         hint_sum_d=sum_d,

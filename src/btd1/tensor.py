@@ -61,10 +61,6 @@ class Tensor3:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_array(cls, values):
-        return cls(np.asarray(values), _as_field(values))
-
     @property
     def dims(self):
         return self.values.shape
@@ -73,14 +69,6 @@ class Tensor3:
     def flat_values(self):
         """Entries in lexicographic (i, j, k) order, k fastest."""
         return self.values.ravel(order="C")
-
-    def horizontal_slices(self):
-        """List of the J x K slices H_i."""
-        return [self.values[i] for i in range(self.dims[0])]
-
-    def frontal_slices(self):
-        """List of the I x J slices T_k."""
-        return [self.values[:, :, k] for k in range(self.dims[2])]
 
     def norm(self):
         return float(np.linalg.norm(self.values))

@@ -78,6 +78,87 @@ def naive_single_linkage(dist, cut=None, n_clusters=None):
     return np.array([order.index(lab) for lab in labels])
 
 
+def loop_minor_matrix_fill(t, ip1, ip2, jp1, jp2, kp1, kp2, out):
+    """Reference minor-matrix fill, one entry at a time:
+    out[a*nj + b, c] = t[i1,j1,k1]t[i2,j2,k2] + t[i1,j1,k2]t[i2,j2,k1]
+                     - t[i1,j2,k1]t[i2,j1,k2] - t[i1,j2,k2]t[i2,j1,k1]."""
+    nj = jp1.shape[0]
+    for a in range(ip1.shape[0]):
+        i1, i2 = ip1[a], ip2[a]
+        for b in range(nj):
+            j1, j2 = jp1[b], jp2[b]
+            for c in range(kp1.shape[0]):
+                k1, k2 = kp1[c], kp2[c]
+                out[a * nj + b, c] = (
+                    t[i1, j1, k1] * t[i2, j2, k2]
+                    + t[i1, j1, k2] * t[i2, j2, k1]
+                    - t[i1, j2, k1] * t[i2, j1, k2]
+                    - t[i1, j2, k2] * t[i2, j1, k1]
+                )
+    return out
+
+
+def _swap_rows(mat, r1, r2):
+    for c in range(mat.shape[1]):
+        mat[r1, c], mat[r2, c] = mat[r2, c], mat[r1, c]
+
+
+def loop_gf2k_eliminate(mat, logt, expt, order):
+    """Reference in-place reduced row echelon form over GF(2^k), entry by
+    entry; returns the rank.  Addition is XOR, multiplication goes through
+    the log/antilog tables of the multiplicative group (size order-1)."""
+    m, n = mat.shape
+    q1 = order - 1
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if mat[r, col] != 0), -1)
+        if pivot < 0:
+            continue
+        _swap_rows(mat, pivot, rank)
+        inv_log = (q1 - logt[mat[rank, col]]) % q1
+        for c in range(col, n):
+            v = mat[rank, c]
+            if v != 0:
+                mat[rank, c] = expt[(logt[v] + inv_log) % q1]
+        for r in range(m):
+            f = mat[r, col]
+            if r == rank or f == 0:
+                continue
+            for c in range(col, n):
+                v = mat[rank, c]
+                if v != 0:
+                    mat[r, c] ^= expt[(logt[v] + logt[f]) % q1]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def loop_gfp_eliminate(mat, p):
+    """Reference in-place reduced row echelon form over GF(p), entry by
+    entry; returns the rank."""
+    m, n = mat.shape
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if mat[r, col] != 0), -1)
+        if pivot < 0:
+            continue
+        _swap_rows(mat, pivot, rank)
+        inv = pow(int(mat[rank, col]), p - 2, p)
+        for c in range(col, n):
+            mat[rank, c] = mat[rank, c] * inv % p
+        for r in range(m):
+            f = mat[r, col]
+            if r == rank or f == 0:
+                continue
+            for c in range(col, n):
+                mat[r, c] = (mat[r, c] + (p - f) * mat[rank, c]) % p
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
 def shared_columns_instance(r, seed=0, field="real"):
     """The structured R x (R+2) x (R+2) instance with shared b/c columns:
     every term has size 3 and every d_r equals 1."""

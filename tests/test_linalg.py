@@ -39,6 +39,8 @@ def test_null_space_dimensions():
     assert np.linalg.norm(a @ ns) < 1e-12
     ns3 = null_space(a, dim=3)
     assert ns3.shape == (6, 3)
+    # an absolute floor above sigma_max makes the whole space null
+    assert null_space(a, atol=2 * np.linalg.norm(a, 2)).shape == (6, 6)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -52,7 +54,12 @@ def test_null_space_matches_scipy(shape, rank, field):
     m, n = shape
     a = randn(gen, (m, rank), field) @ randn(gen, (rank, n), field)
     want = scipy.linalg.null_space(a, rcond=1e-10)
-    for got in (null_space(a, tol=1e-10), null_space(a, dim=n - rank)):
+    atol = 1e-10 * np.linalg.norm(a, 2)
+    for got in (
+        null_space(a, tol=1e-10),
+        null_space(a, tol=0.0, atol=atol),
+        null_space(a, dim=n - rank),
+    ):
         assert got.shape == (n, n - rank) == want.shape
         assert np.allclose(got.conj().T @ got, np.eye(n - rank), atol=1e-12)
         assert np.linalg.norm(a @ got) < 1e-10 * np.linalg.norm(a)
