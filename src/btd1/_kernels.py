@@ -33,7 +33,8 @@ def minor_matrix_fill(t, ip1, ip2, jp1, jp2, kp1, kp2, out):
 
 
 def gf2k_eliminate(mat, logt, expt, order):
-    """In-place reduced row echelon form over GF(2^k); returns the rank.
+    """In-place row echelon form over GF(2^k), pivots scaled to one; returns
+    the rank.  Only the rows below each pivot are reduced.
 
     Addition is XOR, multiplication goes through the log/antilog tables of
     the multiplicative group (size order-1); entries are in [0, order).
@@ -49,16 +50,17 @@ def gf2k_eliminate(mat, logt, expt, order):
         if pivot != rank:
             mat[[rank, pivot]] = mat[[pivot, rank]]
         inv_log = (q1 - logt[mat[rank, col]]) % q1
-        row = mat[rank]
+        # rows at or below rank are zero left of col
+        row = mat[rank, col:]
         nzr = row != 0
         row[nzr] = expt[(logt[row[nzr]] + inv_log) % q1]
-        others = np.nonzero(mat[:, col])[0]
-        others = others[others != rank]
-        if others.size:
-            factors = logt[mat[others, col]]
-            prod = np.zeros((others.size, n), dtype=mat.dtype)
+        # after the swap the old row `rank` (zero in col) sits at `pivot`
+        below = rank + nz[1:]
+        if below.size:
+            factors = logt[mat[below, col]]
+            prod = np.zeros((below.size, n - col), dtype=mat.dtype)
             prod[:, nzr] = expt[(logt[row[nzr]][None, :] + factors[:, None]) % q1]
-            mat[others] ^= prod
+            mat[below, col:] ^= prod
         rank += 1
         if rank == m:
             break
@@ -66,8 +68,9 @@ def gf2k_eliminate(mat, logt, expt, order):
 
 
 def gfp_eliminate(mat, p):
-    """In-place reduced row echelon form over the prime field GF(p); returns
-    the rank.  Entries are in [0, p)."""
+    """In-place row echelon form over the prime field GF(p), pivots scaled
+    to one; returns the rank.  Only the rows below each pivot are reduced.
+    Entries are in [0, p)."""
     m, n = mat.shape
     rank = 0
     for col in range(n):
@@ -78,12 +81,14 @@ def gfp_eliminate(mat, p):
         if pivot != rank:
             mat[[rank, pivot]] = mat[[pivot, rank]]
         inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = mat[rank] * inv % p
-        others = np.nonzero(mat[:, col])[0]
-        others = others[others != rank]
-        if others.size:
-            f = mat[others, col][:, None]
-            mat[others] = (mat[others] + (p - f) * mat[rank][None, :]) % p
+        # rows at or below rank are zero left of col
+        row = mat[rank, col:]
+        row[:] = row * inv % p
+        # after the swap the old row `rank` (zero in col) sits at `pivot`
+        below = rank + nz[1:]
+        if below.size:
+            f = mat[below, col][:, None]
+            mat[below, col:] = (mat[below, col:] + (p - f) * row[None, :]) % p
         rank += 1
         if rank == m:
             break

@@ -10,12 +10,20 @@ reals and complexes.  Rank over the finite field is computed exactly
 failed trial is inconclusive and can be retried with a new seed, a larger
 extension degree, or a different prime.
 
-Supported fields: GF(2^k) with table-based arithmetic (default GF(2^15)
-with reduction polynomial x^15 + x + 1) and prime fields GF(p).
+Without an explicit ``field`` the certifiers try the prime fields GF(32749)
+and GF(65521), then GF(2^15).  Over a prime field a matrix product is a
+float64 matmul reduced mod p, summed in blocks short enough that every
+partial sum stays an integer below 2^53, so the product is exact.  A tall
+matrix M is first multiplied by a random S over the field with the expected
+rank + 10 rows: rank(S M) <= rank(M), so a witness of S M still certifies
+and a miss stays inconclusive (Schwartz, J. ACM 27(4), 1980).
+
+Supported fields: prime fields GF(p) and, through ``field=``, GF(2^k) with
+table-based arithmetic (GF(2^15) with reduction polynomial x^15 + x + 1).
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +41,24 @@ __all__ = [
     "gf_q2_from_factors",
     "verify_phi_full_rank",
     "verify_generic_q2_dim",
-    "rational_rank",
 ]
 
 DEFAULT_REDUCTION_POLY = (1 << 15) | (1 << 1) | 1  # x^15 + x + 1
 
+# float64 represents every integer below 2^53 exactly
+_FLOAT_EXACT = 2**53
+# rows of the random left factor beyond the expected rank
+_COMPRESS_SLACK = 10
+
+
+@functools.cache
 def _escalation_ladder():
-    """Fields tried in turn when no explicit field is given: the default
-    binary extension first, then large prime fields.  Odd characteristic
-    matters for the symmetric-product rows, whose diagonal entries vanish
-    identically over GF(2^k)."""
-    return [GFField(), GFField(32749, 1), GFField(65521, 1)]
+    """Fields tried in turn when no explicit field is given: two large prime
+    fields, then GF(2^15).  The prime fields come first because their
+    products run through float64 BLAS and because the symmetric-product rows
+    need odd characteristic (their diagonal entries vanish identically over
+    GF(2^k)).  Built once per process."""
+    return (GFField(32749, 1), GFField(65521, 1), GFField())
 
 
 def _is_prime(n):
@@ -67,6 +82,9 @@ class GFField:
     """
 
     def __init__(self, p=2, k=15, reduction_poly=None):
+        # residues and their products live in int64 arrays
+        if p * (p - 1) >= 2**63:
+            raise ValueError(f"{p} is too large for int64 field arithmetic")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
@@ -175,26 +193,40 @@ class GFMatrix:
     def matmul(self, other):
         f = self.field
         a, b = self.values, other.values
+        block = 0 if f.binary else _exact_block(f.p)
+        if block:
+            return GFMatrix(_matmul_mod_p(a, b, f.p, block), f)
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
         for k in range(a.shape[1]):
             out = f.add(out, f.mul(a[:, k][:, None], b[k, :][None, :]))
         return GFMatrix(out, f)
 
 
-def gf_rank(m, reverse=False):
-    """Exact rank by Gaussian elimination.
+def _exact_block(p):
+    """Longest inner length n with (p-1)^2 n < 2^53: a float64 product over
+    at most n entries in [0, p) has only exact integer partial sums, in any
+    summation order.  Zero when a single product can round."""
+    return (_FLOAT_EXACT - 1) // (p - 1) ** 2
 
-    ``reverse=True`` eliminates with the column order reversed; used as an
-    independent cross-check of the elimination path.
-    """
-    if isinstance(m, GFMatrix):
-        f = m.field
-        values = m.values
-    else:
+
+def _matmul_mod_p(a, b, p, block):
+    """a @ b mod p for entries in [0, p), as float64 matmuls over inner
+    slices of length ``block`` (see ``_exact_block``)."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], block):
+        part = a[:, s : s + block].astype(np.float64) @ b[s : s + block].astype(np.float64)
+        out = (out + (part % p).astype(np.int64)) % p
+    return out
+
+
+def gf_rank(m):
+    """Exact rank by Gaussian elimination to row echelon form."""
+    if not isinstance(m, GFMatrix):
         raise DimensionError("gf_rank needs a GFMatrix")
-    if values.size == 0:
+    f = m.field
+    if m.values.size == 0:
         return 0
-    work = np.array(values[:, ::-1] if reverse else values, dtype=np.int64, order="C")
+    work = m.values.copy()
     if f.binary:
         return int(_kernels.gf2k_eliminate(work, f.log, f.exp, f.order))
     return int(_kernels.gfp_eliminate(work, f.p))
@@ -291,11 +323,48 @@ def gf_s2(f, c, sizes):
     return GFMatrix(np.hstack(cols), f)
 
 
+def _q2_factors(f, a, b, c, sizes):
+    """Phi(A, B) and S2(C).T, whose product is Q2."""
+    return gf_phi(f, a, b, sizes), GFMatrix(gf_s2(f, c, sizes).values.T, f)
+
+
 def gf_q2_from_factors(f, a, b, c, sizes):
     """Q2 of the composed tensor, computed in-field as Phi(A, B) S2(C).T."""
-    phi = gf_phi(f, a, b, sizes)
-    s2 = gf_s2(f, c, sizes)
-    return phi.matmul(GFMatrix(s2.values.T, f))
+    phi, s2t = _q2_factors(f, a, b, c, sizes)
+    return phi.matmul(s2t)
+
+
+def _certify_rank(config, expected, build, trials, seed, field, reason):
+    """Randomized rank certification shared by both verifiers.
+
+    ``build(fld, gen)`` draws one trial's factors from ``gen`` and returns
+    the matrices, leftmost first, whose product's rank is tested against
+    ``expected``.  Over a prime field a leftmost matrix with more than
+    expected + 10 rows is first multiplied by a random S drawn from the same
+    generator; rank(S M) <= rank(M), so only an exact witness certifies.
+    """
+    fields = (field,) if field is not None else _escalation_ladder()
+    n_keep = expected + _COMPRESS_SLACK
+    best = -1
+    total = 0
+    for f_idx, fld in enumerate(fields):
+        gen = rng(seed + 7919 * f_idx)
+        for _ in range(max(trials, 1)):
+            total += 1
+            m, *rest = build(fld, gen)
+            if not fld.binary and m.shape[0] > n_keep:
+                m = GFMatrix(fld.random(gen, (n_keep, m.shape[0])), fld).matmul(m)
+            for right in rest:
+                m = m.matmul(right)
+            rank = gf_rank(m)
+            best = max(best, rank)
+            if rank == expected:
+                return GFVerificationResult(
+                    config, total, "certified", rank, expected, field=fld
+                )
+    return GFVerificationResult(
+        config, total, "inconclusive", best, expected, reason=reason, field=fields[-1]
+    )
 
 
 def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
@@ -310,7 +379,7 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
     sizes = sorted(int(s) for s in sizes)
     if len(sizes) != r:
         raise DimensionError(f"expected {r} sizes, got {len(sizes)}")
-    fields = [field] if field is not None else _escalation_ladder()
+    first = field if field is not None else _escalation_ladder()[0]
     n_cols = sum(
         sizes[r1] * sizes[r2] for r1 in range(r) for r2 in range(r1 + 1, r)
     )
@@ -319,38 +388,24 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
         if n_strict(i_dim) * n_strict(j_dim) < n_cols:
             return GFVerificationResult(
                 config, 0, "impossible", -1, n_cols,
-                reason="row count below column count", field=fields[0],
+                reason="row count below column count", field=first,
             )
         if j_dim < sizes[-1] + sizes[-2]:
             return GFVerificationResult(
                 config, 0, "impossible", -1, n_cols,
                 reason="J below the two largest sizes; wedge blocks collapse",
-                field=fields[0],
+                field=first,
             )
-    best = -1
-    total = 0
-    for f_idx, fld in enumerate(fields):
-        gen = rng(seed + 7919 * f_idx)
-        for _ in range(max(trials, 1)):
-            total += 1
-            a = fld.random(gen, (i_dim, r))
-            b = fld.random(gen, (j_dim, sum(sizes)))
-            phi = gf_phi(fld, a, b, sizes)
-            rank = gf_rank(phi)
-            best = max(best, rank)
-            if rank == n_cols:
-                return GFVerificationResult(
-                    config, total, "certified", rank, n_cols, field=fld
-                )
-    return GFVerificationResult(
-        config,
-        total,
-        "inconclusive",
-        best,
-        n_cols,
+
+    def build(fld, gen):
+        a = fld.random(gen, (i_dim, r))
+        b = fld.random(gen, (j_dim, sum(sizes)))
+        return (gf_phi(fld, a, b, sizes),)
+
+    return _certify_rank(
+        config, n_cols, build, trials, seed, field,
         reason="no full-rank witness found; retry with another seed, larger k, "
         "or a different prime",
-        field=fields[-1],
     )
 
 
@@ -364,7 +419,6 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
     i_dim, j_dim, k_dim = (int(x) for x in dims)
     sizes = sorted(int(s) for s in sizes)
     sum_l = sum(sizes)
-    fields = [field] if field is not None else _escalation_ladder()
     clamped = False
     if k_dim > sum_l:
         k_dim = sum_l
@@ -375,57 +429,18 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
         return GFVerificationResult(
             config, 0, "impossible", -1, -1,
             reason="some d_r would be nonpositive; generic blocks overlap",
-            field=fields[0],
+            field=field if field is not None else _escalation_ladder()[0],
         )
     expected = n_sym(k_dim) - sum(dv * (dv + 1) // 2 for dv in d_vals)
-    best = -1
-    total = 0
-    for f_idx, fld in enumerate(fields):
-        gen = rng(seed + 7919 * f_idx)
-        for _ in range(max(trials, 1)):
-            total += 1
-            a = fld.random(gen, (i_dim, len(sizes)))
-            b = fld.random(gen, (j_dim, sum_l))
-            c = fld.random(gen, (k_dim, sum_l))
-            q2 = gf_q2_from_factors(fld, a, b, c, sizes)
-            rank = gf_rank(q2)
-            best = max(best, rank)
-            if rank == expected:
-                return GFVerificationResult(
-                    config, total, "certified", rank, expected, field=fld
-                )
-    return GFVerificationResult(
-        config,
-        total,
-        "inconclusive",
-        best,
-        expected,
+
+    def build(fld, gen):
+        a = fld.random(gen, (i_dim, len(sizes)))
+        b = fld.random(gen, (j_dim, sum_l))
+        c = fld.random(gen, (k_dim, sum_l))
+        return _q2_factors(fld, a, b, c, sizes)
+
+    return _certify_rank(
+        config, expected, build, trials, seed, field,
         reason="rank never reached the generic count; retry with another seed, "
         "larger k, or a different prime",
-        field=fields[-1],
     )
-
-
-def rational_rank(m):
-    """Exact rank over the rationals by fraction-based elimination (small
-    matrices only); the soundness cross-check for certified trials."""
-    m = np.asarray(m, dtype=object)
-    rows = [[Fraction(int(x)) for x in row] for row in m]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank

@@ -1,6 +1,7 @@
 """Shared test utilities: brute-force oracles and reference instances."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,9 +105,10 @@ def _swap_rows(mat, r1, r2):
 
 
 def loop_gf2k_eliminate(mat, logt, expt, order):
-    """Reference in-place reduced row echelon form over GF(2^k), entry by
-    entry; returns the rank.  Addition is XOR, multiplication goes through
-    the log/antilog tables of the multiplicative group (size order-1)."""
+    """Reference in-place row echelon form over GF(2^k), entry by entry,
+    pivots scaled to one and only the rows below each pivot reduced; returns
+    the rank.  Addition is XOR, multiplication goes through the log/antilog
+    tables of the multiplicative group (size order-1)."""
     m, n = mat.shape
     q1 = order - 1
     rank = 0
@@ -120,9 +122,9 @@ def loop_gf2k_eliminate(mat, logt, expt, order):
             v = mat[rank, c]
             if v != 0:
                 mat[rank, c] = expt[(logt[v] + inv_log) % q1]
-        for r in range(m):
+        for r in range(rank + 1, m):
             f = mat[r, col]
-            if r == rank or f == 0:
+            if f == 0:
                 continue
             for c in range(col, n):
                 v = mat[rank, c]
@@ -135,8 +137,9 @@ def loop_gf2k_eliminate(mat, logt, expt, order):
 
 
 def loop_gfp_eliminate(mat, p):
-    """Reference in-place reduced row echelon form over GF(p), entry by
-    entry; returns the rank."""
+    """Reference in-place row echelon form over GF(p), entry by entry, pivots
+    scaled to one and only the rows below each pivot reduced; returns the
+    rank."""
     m, n = mat.shape
     rank = 0
     for col in range(n):
@@ -147,14 +150,48 @@ def loop_gfp_eliminate(mat, p):
         inv = pow(int(mat[rank, col]), p - 2, p)
         for c in range(col, n):
             mat[rank, c] = mat[rank, c] * inv % p
-        for r in range(m):
+        for r in range(rank + 1, m):
             f = mat[r, col]
-            if r == rank or f == 0:
+            if f == 0:
                 continue
             for c in range(col, n):
                 mat[r, c] = (mat[r, c] + (p - f) * mat[rank, c]) % p
         rank += 1
         if rank == m:
+            break
+    return rank
+
+
+def loop_gf_matmul(f, a, b):
+    """Reference product over the field ``f``, one inner index at a time
+    through the field's own add and mul."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        out = f.add(out, f.mul(a[:, k][:, None], b[k, :][None, :]))
+    return out
+
+
+def rational_rank(m):
+    """Exact rank over the rationals by fraction-based elimination (small
+    matrices only); the soundness cross-check for certified trials."""
+    m = np.asarray(m, dtype=object)
+    rows = [[Fraction(int(x)) for x in row] for row in m]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(n_rows):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == n_rows:
             break
     return rank
 

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from btd1 import gf
 from btd1.gf import (
     GFField,
     GFMatrix,
@@ -8,13 +11,13 @@ from btd1.gf import (
     gf_q2_from_factors,
     gf_rank,
     gf_s2,
-    rational_rank,
     verify_generic_q2_dim,
     verify_phi_full_rank,
 )
 from btd1.linalg import rng
-from btd1.minors import build_phi_s2, build_Q2
+from btd1.minors import build_phi_s2, build_Q2, n_strict, n_sym
 from btd1 import BlockTermDecomposition, compose
+from helpers import loop_gf_matmul, rational_rank
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +36,8 @@ def test_field_guards():
         GFField(4, 1)
     with pytest.raises(ValueError):
         GFField(2, 3)  # no reduction polynomial known for this degree
+    with pytest.raises(ValueError):
+        GFField(4294967311, 1)  # prime, but p(p-1) overflows int64
 
 
 def test_identity_rank(gf2_15):
@@ -60,7 +65,8 @@ def test_random_square_full_rank_and_orderings(gf2_15):
     gen = rng(1)
     m = GFMatrix(gf2_15.random(gen, (60, 60)), gf2_15)
     assert gf_rank(m) == 60
-    assert gf_rank(m, reverse=True) == 60
+    # the same matrix eliminated with the column order reversed
+    assert gf_rank(GFMatrix(m.values[:, ::-1], gf2_15)) == 60
 
 
 def test_rank_permutation_invariance(gf2_15):
@@ -176,3 +182,93 @@ def test_soundness_certified_trial_in_rationals():
     q2_int = build_Q2(compose(d)).Q2
     assert rational_rank(q2_int) == expected
     assert np.array_equal(q2_gf.values, q2_int % p)
+
+
+@pytest.mark.parametrize("p", [32749, 65521, 67108859])
+def test_prime_matmul_matches_loop(p):
+    # 67108859 < 2^26 has a block length of 2, so the inner lengths below
+    # straddle it; the other two primes stay inside one block
+    f = GFField(p, 1)
+    gen = rng(6)
+    assert gf._exact_block(p) == (2**53 - 1) // (p - 1) ** 2
+    for inner in (0, 1, 2, 3, 5, 37, 160):
+        a = f.random(gen, (7, inner))
+        b = f.random(gen, (inner, 9))
+        a[0] = p - 1  # the largest products
+        b[:, 0] = p - 1
+        got = GFMatrix(a, f).matmul(GFMatrix(b, f)).values
+        assert np.array_equal(got, loop_gf_matmul(f, a, b))
+
+
+@pytest.mark.parametrize("p", [32749, 65521])
+def test_prime_matmul_exact_across_block_length(p):
+    # a.a with a = (1, p-1, ..., p-1) of length n is (n-1)(p-1)^2 + 1 = n
+    # mod p; past the block length the sum is odd and above 2^53, where a
+    # single float64 product would round it
+    f = GFField(p, 1)
+    block = gf._exact_block(p)
+    assert (p - 1) ** 2 * block < 2**53 <= (p - 1) ** 2 * (block + 1)
+    for n in (block - 1, block, block + 2):
+        a = np.full((1, n), p - 1, dtype=np.int64)
+        a[0, 0] = 1
+        got = GFMatrix(a, f).matmul(GFMatrix(a.T, f)).values
+        assert got.tolist() == [[n % p]]
+
+
+def test_matmul_fallback_above_float_range():
+    # (p-1)^2 > 2^53 for p above 2^26.5: the product takes the loop path
+    p = 2147483647
+    f = GFField(p, 1)
+    assert gf._exact_block(p) == 0
+    gen = rng(7)
+    a = f.random(gen, (5, 11))
+    b = f.random(gen, (11, 4))
+    a[0] = p - 1
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = GFMatrix(a, f).matmul(GFMatrix(b, f)).values
+    assert np.array_equal(got, want.astype(np.int64))
+
+
+def test_left_compression_never_raises_rank():
+    f = GFField(101, 1)
+    gen = rng(8)
+    for _ in range(60):
+        rows, cols = gen.integers(2, 25, size=2)
+        r = int(gen.integers(0, min(rows, cols) + 1))
+        m = loop_gf_matmul(f, f.random(gen, (rows, r)), f.random(gen, (r, cols)))
+        rank_m = gf_rank(GFMatrix(m, f))
+        assert rank_m <= r
+        for n_keep in (1, max(r - 1, 1), r + 1, rows + 3):
+            s = GFMatrix(f.random(gen, (n_keep, rows)), f)
+            assert gf_rank(s.matmul(GFMatrix(m, f))) <= rank_m
+
+
+@pytest.mark.parametrize(
+    "i_dim, j_dim, sizes, compressed",
+    [((2, 5, (1, 2), False)), ((6, 20, (4, 4, 4, 4, 4), True))],
+)
+def test_planted_deficient_phi_never_certifies(i_dim, j_dim, sizes, compressed):
+    # two equal columns inside the last B block make two Phi columns equal
+    n_cols = sum(x * y for k, x in enumerate(sizes) for y in sizes[k + 1 :])
+    assert (n_strict(i_dim) * n_strict(j_dim) > n_cols + 10) == compressed
+
+    def build(fld, gen):
+        a = fld.random(gen, (i_dim, len(sizes)))
+        b = fld.random(gen, (j_dim, sum(sizes)))
+        b[:, -1] = b[:, -2]
+        return (gf_phi(fld, a, b, sizes),)
+
+    for field in (None, GFField()):
+        res = gf._certify_rank({}, n_cols, build, 1, 0, field, reason="")
+        assert res.verdict == "inconclusive"
+        assert res.witnessed_rank < n_cols
+
+
+def test_certify_8x30x30():
+    start = time.monotonic()
+    sizes = (5,) * 6
+    res = verify_generic_q2_dim((8, 30, 30), sizes, seed=0)
+    assert res.certified and res.expected == n_sym(30) - 6 * n_sym(5)
+    res = verify_phi_full_rank(8, 30, 6, sizes, seed=0)
+    assert res.certified and res.expected == 15 * 25
+    assert time.monotonic() - start < 10
