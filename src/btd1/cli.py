@@ -175,6 +175,7 @@ def experiment(dims, sizes, snr, trials, cond_cap, evd_variant, omega, seed, fre
     )
     for cause, count in result.failure_causes.items():
         click.echo(f"  {count} x {cause}")
+    click.echo(f"CPD refinements not converged: {result.unconverged_refinements}")
 
 
 @main.command()

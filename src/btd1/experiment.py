@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SolverDiagnostic, cond, rng
+from .linalg import DimensionError, SolverDiagnostic, cond, rng
 from .solver import SolverOptions, candidate_size_tuples, decompose
 from .tensor import NoiseSpec, add_noise, compose, match_decompositions, random_btd, unfold
 
@@ -37,6 +37,9 @@ class ExperimentConfig:
             raise ValueError("num_trials must be at least 1")
         if not self.snr_grid:
             raise ValueError("snr grid must be nonempty")
+        # draw_instance samples without random_btd's checks until it accepts
+        if min(self.sizes) < 1 or max(self.sizes) > min(self.dims[1:]):
+            raise DimensionError("term sizes must be positive and at most min(J, K)")
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class ExperimentResult:
     errors_terms: dict
     rejected_draws: int
     failure_causes: dict = field(default_factory=dict)  # exception message -> count
+    # decompositions whose CPD refinement stopped at max_iter without converging
+    unconverged_refinements: int = 0
 
     @property
     def solver_failures(self):
@@ -92,14 +97,28 @@ def _fmt_snr(s):
 def draw_instance(config, seed):
     """Rejection-sample a ground-truth decomposition whose first and third
     unfoldings are conditioned within the cap; returns (truth, tensor,
-    number of rejected draws)."""
+    number of rejected draws).
+
+    Draw n is ``random_btd(config.dims, config.sizes, seed=seed +
+    n * 1_000_003)``.  Candidates are drawn and composed as plain arrays,
+    with the arithmetic of :func:`random_btd` and :func:`compose`, and the
+    third-unfolding condition number is tested first; only the accepted
+    draw is built as a decomposition and a tensor.
+    """
+    i_dim, j_dim, k_dim = config.dims
     rejected = 0
     sub_seed = seed
     while True:
-        truth = random_btd(config.dims, config.sizes, seed=sub_seed)
-        t = compose(truth)
-        if max(cond(unfold(t, 1)), cond(unfold(t, 3))) <= config.cond_cap:
-            return truth, t, rejected
+        gen = rng(sub_seed)
+        a = gen.standard_normal((i_dim, len(config.sizes)))
+        t = np.zeros((i_dim, j_dim, k_dim))
+        for r, size in enumerate(config.sizes):
+            b = gen.standard_normal((j_dim, size))
+            c = gen.standard_normal((k_dim, size))
+            t += a[:, r][:, None, None] * (b @ c.T)[None, :, :]
+        if cond(unfold(t, 3)) <= config.cond_cap and cond(unfold(t, 1)) <= config.cond_cap:
+            truth = random_btd(config.dims, config.sizes, seed=sub_seed)
+            return truth, compose(truth), rejected
         rejected += 1
         sub_seed = sub_seed + 1_000_003
 
@@ -114,6 +133,7 @@ def run_experiment(config, progress=None):
     master = rng(config.seed)
     rejected_total = 0
     causes = {}
+    unconverged = 0
     for trial in range(config.num_trials):
         trial_seed = int(master.integers(2**31))
         truth, t, rejected = draw_instance(config, trial_seed)
@@ -142,6 +162,8 @@ def run_experiment(config, progress=None):
                 errs_a[snr].append(1.0)
                 errs_t[snr].append(1.0)
                 continue
+            if report.diagnostics.get("cpd_converged") is False:
+                unconverged += 1
             detected = tuple(sorted(report.detected_L))
             freqs[snr][detected] = freqs[snr].get(detected, 0) + 1
             _, _, err_a, err_t = match_decompositions(truth, report.decomposition)
@@ -157,4 +179,5 @@ def run_experiment(config, progress=None):
         errors_terms=errs_t,
         rejected_draws=rejected_total,
         failure_causes=causes,
+        unconverged_refinements=unconverged,
     )

@@ -1,5 +1,5 @@
 """Shared dense linear algebra helpers: tolerant ranks, null spaces,
-pseudo-inverses and the package RNG convention.
+least squares and the package RNG convention.
 
 Numerical rank uses a relative singular-value threshold ``tol * sigma_max``
 with default ``tol = 1e-10`` (exact ``decompose`` uses 1e-8).  The
@@ -94,11 +94,6 @@ def null_space(a, tol=None, dim=None, atol=0.0):
     return vh[r:].conj().T
 
 
-def pinv(a, tol=None):
-    tol = default_tol() if tol is None else tol
-    return np.linalg.pinv(a, rcond=tol)
-
-
 def lstsq(a, b, tol=None):
     tol = default_tol() if tol is None else tol
     x, *_ = np.linalg.lstsq(a, b, rcond=tol)
@@ -131,23 +126,6 @@ def orth(a, tol=None, dim=None):
     else:
         r = dim
     return u[:, :r]
-
-
-def principal_angles(u, v):
-    """Principal angles (radians) between the column spaces of u and v."""
-    qu = orth(u, dim=min(u.shape))
-    qv = orth(v, dim=min(v.shape))
-    s = np.linalg.svd(qu.conj().T @ qv, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return np.arccos(s)
-
-
-def subspace_distance(u, v):
-    """Largest principal angle; 0 when the spans coincide."""
-    if u.shape[1] != v.shape[1]:
-        return np.pi / 2
-    ang = principal_angles(u, v)
-    return float(ang.max()) if ang.size else 0.0
 
 
 def dominant_rank1(m):

@@ -96,7 +96,8 @@ class SJBDSolution:
     ``d`` is None for an approximate problem, whose N comes back ungrouped
     for the caller to partition.  ``status`` names a failed uniqueness
     precondition; a CPD refinement reports its convergence in
-    ``diagnostics["cpd_status"]``.
+    ``diagnostics["cpd_status"]`` and ``diagnostics["cpd_converged"]``, and
+    its ALS sweep count in ``diagnostics["cpd_iters"]``.
     """
 
     N: np.ndarray
@@ -286,8 +287,17 @@ def _kr(x, y):
 def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
     """Alternating least squares for a CPD of an m x n x n stack.
 
-    Model: tensor[r, i, j] = sum_k A[r, k] C[i, k] B[j, k].  Returns the
-    factors, the final relative fit, and a convergence flag.
+    Model: tensor[r, i, j] = sum_k A[r, k] C[i, k] B[j, k].  Each factor
+    update solves its normal equations G X = K^H T.T with ``np.linalg.solve``:
+    K is the Khatri-Rao product of the other two factors and G = K^H K the
+    Hadamard product of their Grams.  When that solve finds G singular, the
+    update falls back to a least-squares solve against K itself; a G that
+    is nonsingular but ill conditioned is solved as it is.  After each sweep
+    the column norms of C and B, read off their Gram diagonals, are balanced
+    into A.  The fit is the relative residual of the last update of the
+    sweep; the loop stops when it changes by at most ``rel_tol`` relative or
+    after ``max_iter`` sweeps.  Returns the factors (A, C, B), the final
+    fit, a convergence flag and the number of sweeps run.
     """
     m, n, _ = tensor.shape
     a, c, b = (np.array(f) for f in init)
@@ -295,24 +305,42 @@ def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
     t1 = tensor.transpose(1, 0, 2).reshape(n, m * n)
     t2 = tensor.transpose(2, 0, 1).reshape(n, m * n)
     norm_t = np.linalg.norm(t0)
+
+    def update(k, g, t):
+        # the factor X.T of the normal equations G X = K^H T.T
+        try:
+            x = np.linalg.solve(g, k.conj().T @ t.T)
+        except np.linalg.LinAlgError:
+            x = lstsq(k, t.T)
+        return x.T
+
+    def gram(f):
+        return f.conj().T @ f
+
+    g_c, g_b = gram(c), gram(b)
     prev_fit = np.inf
     converged = False
-    for _ in range(max_iter):
-        a = lstsq(_kr(c, b), t0.T).T
-        c = lstsq(_kr(a, b), t1.T).T
-        b = lstsq(_kr(a, c), t2.T).T
+    for sweep in range(1, max_iter + 1):
+        a = update(_kr(c, b), g_c * g_b, t0)
+        g_a = gram(a)
+        c = update(_kr(a, b), g_a * g_b, t1)
+        g_c = gram(c)
+        k_b = _kr(a, c)
+        b = update(k_b, g_a * g_c, t2)
+        g_b = gram(b)
+        fit = np.linalg.norm(t2 - b @ k_b.T) / max(norm_t, 1e-300)
         # balance the scaling indeterminacy into the first factor
-        for f in (b, c):
-            nrm = np.linalg.norm(f, axis=0)
+        for f, g in ((b, g_b), (c, g_c)):
+            nrm = np.sqrt(g.diagonal().real)
             nrm[nrm == 0] = 1.0
-            f /= nrm[None, :]
-            a *= nrm[None, :]
-        fit = np.linalg.norm(t0 - a @ _kr(c, b).T) / max(norm_t, 1e-300)
+            f /= nrm
+            g /= nrm[:, None] * nrm
+            a *= nrm
         if abs(prev_fit - fit) <= rel_tol * max(fit, 1.0):
             converged = True
             break
         prev_fit = fit
-    return (a, c, b), fit, converged
+    return (a, c, b), fit, converged, sweep
 
 
 def simultaneous_evd_cpd(
@@ -334,8 +362,9 @@ def simultaneous_evd_cpd(
     are clustered modulo sign/scaling to find the block sizes and the
     permutation grouping the columns of N.
 
-    Returns (N, d, perm, status, fit); with ``partition=False`` the columns
-    are left ungrouped and d is None.
+    Returns (N, d, perm, status, fit, sweeps), ``sweeps`` being the ALS
+    sweeps run; with ``partition=False`` the columns are left ungrouped and
+    d is None.
     """
     k = u_mats[0].shape[0]
     mats = [np.array(u) for u in u_mats]
@@ -358,17 +387,17 @@ def simultaneous_evd_cpd(
             "initialization eigenbasis is singular", {"size": k}
         ) from exc
     a0 = np.stack([np.diagonal(n0_inv @ u @ n0) for u in mats])
-    (a, c, _b), fit, converged = cpd_als(
+    (a, c, _b), fit, converged, sweeps = cpd_als(
         stack, k, (a0, n0, n0_inv.T), max_iter=max_iter
     )
     status = "ok" if converged else "warning: CPD refinement hit max iterations"
     if not partition:
-        return c, None, np.arange(k), status, fit
+        return c, None, np.arange(k), status, fit, sweeps
     labels = cluster_columns(a, n_clusters=n_clusters, threshold=1.0 - cluster_tol)
     order = np.argsort(labels, kind="stable")
     d = tuple(int(np.sum(labels == g)) for g in range(labels.max() + 1))
     n = c[:, order]
-    return n, d, order, status, fit
+    return n, d, order, status, fit, sweeps
 
 
 def _sym_basis(d):
@@ -474,7 +503,7 @@ def solve_sjbd(
             n_clusters=None if exact else r_found,
         )
     elif evd_variant == "cpd":
-        n_sub, d, _perm, cpd_status, fit = simultaneous_evd_cpd(
+        n_sub, d, _perm, cpd_status, fit, sweeps = simultaneous_evd_cpd(
             u_mats,
             omega=omega,
             seed=seed,
@@ -484,6 +513,8 @@ def solve_sjbd(
         )
         diagnostics["cpd_status"] = cpd_status
         diagnostics["cpd_fit"] = float(fit)
+        diagnostics["cpd_iters"] = int(sweeps)
+        diagnostics["cpd_converged"] = cpd_status == "ok"
     else:
         raise ValueError(f"unknown evd_variant {evd_variant!r}")
 

@@ -327,7 +327,7 @@ def phase1_recover_A(t, opts=None):
     )
     diag["sum_d"] = sol.diagnostics["subspace_dim"]
     diag["commutant_dim"] = sol.diagnostics["commutant_dim"]
-    for key in ("cpd_status", "cpd_fit"):
+    for key in ("cpd_status", "cpd_fit", "cpd_iters", "cpd_converged"):
         if key in sol.diagnostics:
             diag[key] = sol.diagnostics[key]
     if sol.status != "ok":

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from btd1 import BlockTermDecomposition
-from btd1.linalg import rng
+from btd1 import BlockTermDecomposition, compose, random_btd, unfold
+from btd1.linalg import cond, default_tol, lstsq, orth, rng
+from btd1.sjbd import _kr
 
 
 def naive_compose(a, terms):
@@ -252,8 +253,6 @@ GOLDEN_Q2_3x3x5 = np.array(
 def block_subspace_match(est_blocks, true_blocks):
     """Greedy matching of block column spaces; returns the largest principal
     angle over the best assignment (blocks must agree in size multiset)."""
-    from btd1.linalg import subspace_distance
-
     est = list(est_blocks)
     true = list(true_blocks)
     assert sorted(b.shape[1] for b in est) == sorted(b.shape[1] for b in true)
@@ -268,3 +267,72 @@ def block_subspace_match(est_blocks, true_blocks):
         worst = max(worst, dists[pick])
         remaining.pop(pick)
     return worst
+
+
+def pinv(a, tol=None):
+    """Moore-Penrose pseudo-inverse at the package's relative rank tolerance."""
+    tol = default_tol() if tol is None else tol
+    return np.linalg.pinv(a, rcond=tol)
+
+
+def principal_angles(u, v):
+    """Principal angles (radians) between the column spaces of u and v."""
+    qu = orth(u, dim=min(u.shape))
+    qv = orth(v, dim=min(v.shape))
+    s = np.linalg.svd(qu.conj().T @ qv, compute_uv=False)
+    s = np.clip(s, -1.0, 1.0)
+    return np.arccos(s)
+
+
+def subspace_distance(u, v):
+    """Largest principal angle; 0 when the spans coincide."""
+    if u.shape[1] != v.shape[1]:
+        return np.pi / 2
+    ang = principal_angles(u, v)
+    return float(ang.max()) if ang.size else 0.0
+
+
+def lstsq_cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
+    """Reference CPD by alternating least squares: one ``lstsq`` against the
+    Khatri-Rao matrix per factor update, column norms and the fit recomputed
+    from the factors after every sweep.  Same model, balancing and stopping
+    rule as ``btd1.sjbd.cpd_als``; returns ((A, C, B), fit, converged)."""
+    m, n, _ = tensor.shape
+    a, c, b = (np.array(f) for f in init)
+    t0 = tensor.reshape(m, n * n)
+    t1 = tensor.transpose(1, 0, 2).reshape(n, m * n)
+    t2 = tensor.transpose(2, 0, 1).reshape(n, m * n)
+    norm_t = np.linalg.norm(t0)
+    prev_fit = np.inf
+    converged = False
+    for _ in range(max_iter):
+        a = lstsq(_kr(c, b), t0.T).T
+        c = lstsq(_kr(a, b), t1.T).T
+        b = lstsq(_kr(a, c), t2.T).T
+        # balance the scaling indeterminacy into the first factor
+        for f in (b, c):
+            nrm = np.linalg.norm(f, axis=0)
+            nrm[nrm == 0] = 1.0
+            f /= nrm[None, :]
+            a *= nrm[None, :]
+        fit = np.linalg.norm(t0 - a @ _kr(c, b).T) / max(norm_t, 1e-300)
+        if abs(prev_fit - fit) <= rel_tol * max(fit, 1.0):
+            converged = True
+            break
+        prev_fit = fit
+    return (a, c, b), fit, converged
+
+
+def reference_draw_instance(config, seed):
+    """Reference rejection sampler: builds the decomposition and tensor of
+    every draw and tests both unfolding condition numbers; returns (truth,
+    tensor, number of rejected draws) like ``btd1.experiment.draw_instance``."""
+    rejected = 0
+    sub_seed = seed
+    while True:
+        truth = random_btd(config.dims, config.sizes, seed=sub_seed)
+        t = compose(truth)
+        if max(cond(unfold(t, 1)), cond(unfold(t, 3))) <= config.cond_cap:
+            return truth, t, rejected
+        rejected += 1
+        sub_seed = sub_seed + 1_000_003

@@ -196,4 +196,5 @@ def test_experiment_prints_failure_causes(runner, tmp_path, monkeypatch):
     )
     assert res.exit_code == 0, res.output
     assert "solver failures: 2)" in res.stdout
+    assert "CPD refinements not converged: 0" in res.stdout
     assert "  2 x synthetic diagnostic" in res.stdout.splitlines()

@@ -1,11 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
 from btd1.experiment import ExperimentConfig, draw_instance, run_experiment
-from btd1.linalg import cond
+from btd1.linalg import DimensionError, cond, rng
 from btd1.solver import candidate_size_tuples
 from btd1 import unfold
+
+from helpers import reference_draw_instance
 
 
 def test_candidate_tuples_3x8x8():
@@ -22,6 +25,38 @@ def test_draw_instance_respects_cap():
     for seed in (0, 17, 123):
         _, t, _ = draw_instance(cfg, seed)
         assert max(cond(unfold(t, 1)), cond(unfold(t, 3))) <= 10.0
+
+
+@pytest.mark.parametrize(
+    "dims,sizes",
+    [((3, 8, 8), (2, 3, 4)), ((3, 9, 10), (1, 2, 3, 4))],
+    ids=["3x8x8", "3x9x10"],
+)
+def test_draw_instance_matches_reference(dims, sizes):
+    # the first trial seeds of criterion 5; on 3x9x10 three of them reject
+    # more than 1000 draws each
+    cfg = ExperimentConfig(dims=dims, sizes=sizes, cond_cap=10.0, seed=2024)
+    master = rng(cfg.seed)
+    rejections = []
+    for _ in range(5):
+        seed = int(master.integers(2**31))
+        truth, t, rejected = draw_instance(cfg, seed)
+        ref_truth, ref_t, ref_rejected = reference_draw_instance(cfg, seed)
+        assert rejected == ref_rejected
+        assert np.array_equal(t.values, ref_t.values)
+        assert np.array_equal(truth.A, ref_truth.A)
+        for (b, c), (ref_b, ref_c) in zip(truth.terms, ref_truth.terms):
+            assert np.array_equal(b, ref_b) and np.array_equal(c, ref_c)
+        rejections.append(rejected)
+    if dims == (3, 9, 10):
+        assert sum(r > 1000 for r in rejections) >= 3
+
+
+def test_config_rejects_impossible_sizes():
+    with pytest.raises(DimensionError):
+        ExperimentConfig(dims=(3, 8, 8), sizes=(0, 3))
+    with pytest.raises(DimensionError):
+        ExperimentConfig(dims=(3, 8, 8), sizes=(2, 9))
 
 
 def test_exact_grid_sentinel_and_schema(tmp_path):
@@ -68,6 +103,27 @@ def test_solver_failures_are_absorbed(monkeypatch):
     assert result.failure_causes == {"synthetic LinAlgError": 1, "synthetic diagnostic": 1}
     assert sum(result.frequencies[40.0].values()) == 1
     assert len(result.errors_a[40.0]) == 3
+
+
+def test_unconverged_refinements_are_counted(monkeypatch):
+    import btd1.experiment as exp
+
+    diagnostics = []
+
+    def recorded(noisy, opts):
+        report = real_decompose(noisy, opts)
+        diagnostics.append(report.diagnostics)
+        return report
+
+    real_decompose = exp.decompose
+    monkeypatch.setattr(exp, "decompose", recorded)
+    cfg = ExperimentConfig(
+        dims=(3, 8, 8), sizes=(2, 3, 4), snr_grid=(35.0,), num_trials=3, seed=2
+    )
+    result = run_experiment(cfg)
+    assert len(diagnostics) == 3
+    assert all(1 <= d["cpd_iters"] <= 500 for d in diagnostics)
+    assert result.unconverged_refinements == sum(not d["cpd_converged"] for d in diagnostics)
 
 
 def test_trials_deterministic():

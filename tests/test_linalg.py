@@ -9,12 +9,12 @@ from btd1.linalg import (
     null_space,
     numerical_rank,
     orth,
-    principal_angles,
     randn,
     rng,
-    subspace_distance,
     truncated_svd,
 )
+
+from helpers import principal_angles, subspace_distance
 
 
 def test_env_override(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from btd1.linalg import DimensionError, rng, subspace_distance
+from btd1.linalg import DimensionError, randn, rng
 from btd1.sjbd import (
     SJBDProblem,
     _cluster_scalars,
@@ -15,7 +15,13 @@ from btd1.sjbd import (
     solve_sjbd,
 )
 
-from helpers import block_subspace_match, full_commutant_matrix, naive_single_linkage
+from helpers import (
+    block_subspace_match,
+    full_commutant_matrix,
+    lstsq_cpd_als,
+    naive_single_linkage,
+    subspace_distance,
+)
 
 
 def make_instance(d, k, seed, field="real", q=None):
@@ -136,7 +142,7 @@ def test_simultaneous_evd_cpd_matches_single():
     n_true, _, v_list = make_instance(d, k, seed=7)
     _, u_mats = commutant_basis(v_list)
     n_s, d_s = simultaneous_evd_single(u_mats, seed=2)
-    n_c, d_c, _, status, fit = simultaneous_evd_cpd(u_mats, omega=2.0, seed=2, n_clusters=3)
+    n_c, d_c, _, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, omega=2.0, seed=2, n_clusters=3)
     assert sorted(d_c) == sorted(d)
     assert fit < 1e-8
     worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_s, d_s))
@@ -148,7 +154,7 @@ def test_cpd_als_all_distinct_reduces_to_diagonalization():
     k = 4
     n_true, _, v_list = make_instance(d, k, seed=8)
     _, u_mats = commutant_basis(v_list)
-    n_c, d_c, _, status, fit = simultaneous_evd_cpd(u_mats, omega=2.0, seed=3, n_clusters=4)
+    n_c, d_c, _, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, omega=2.0, seed=3, n_clusters=4)
     assert d_c == (1, 1, 1, 1)
     worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_true, d))
     assert worst < 1e-6
@@ -250,8 +256,66 @@ def test_cpd_als_exact_fit():
     b = gen.standard_normal((k, k))
     c = gen.standard_normal((k, k))
     tensor = np.einsum("rk,ik,jk->rij", a, c, b)
-    (a2, c2, b2), fit, converged = cpd_als(tensor, k, (a, c, b))
+    (a2, c2, b2), fit, converged, _sweeps = cpd_als(tensor, k, (a, c, b))
     assert fit < 1e-12 and converged
+
+
+def _noisy_cpd_case(kind, seed=21, m=4, n=5):
+    """A noisy m x n x n stack and a perturbed init for ``cpd_als``.
+
+    ``real``: real factors and init.  ``conjugate``: columns 0 and 1 of every
+    factor are a conjugate pair, so the stack is real and the init complex.
+    ``complex``: complex factors, noise and init."""
+    gen = rng(seed)
+    field = "real" if kind == "real" else "complex"
+
+    def pair(f):
+        if kind == "conjugate":
+            f[:, 1] = np.conj(f[:, 0])
+            f[:, 2:] = np.real(f[:, 2:])
+        return f
+
+    a, c, b = (pair(randn(gen, shape, field)) for shape in ((m, n), (n, n), (n, n)))
+    tensor = np.einsum("rk,ik,jk->rij", a, c, b)
+    if kind == "conjugate":
+        assert np.abs(tensor.imag).max() < 1e-12
+        tensor = tensor.real
+    tensor = tensor + 1e-2 * randn(gen, tensor.shape, "real" if kind != "complex" else "complex")
+    init = tuple(pair(f + 1e-2 * randn(gen, f.shape, field)) for f in (a, c, b))
+    return tensor, n, init
+
+
+@pytest.mark.parametrize("kind", ["real", "conjugate", "complex"])
+def test_cpd_als_matches_lstsq_reference(kind):
+    tensor, rank, init = _noisy_cpd_case(kind)
+    (a, c, b), fit, converged, sweeps = cpd_als(tensor, rank, init)
+    (a_r, c_r, b_r), fit_r, converged_r = lstsq_cpd_als(tensor, rank, init)
+    for got, want in ((a, a_r), (c, c_r), (b, b_r)):
+        assert got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    assert fit == pytest.approx(fit_r, rel=1e-9)
+    assert converged == converged_r
+    assert 1 <= sweeps <= 500
+
+
+def test_cpd_als_singular_gram_falls_back_to_lstsq(monkeypatch):
+    import btd1.sjbd as sjbd
+
+    tensor, rank, (a, c, b) = _noisy_cpd_case("real")
+    for f in (a, c, b):
+        f[:, 1] = f[:, 0]
+    calls = []
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append(1)
+        return sjbd_lstsq(*args, **kwargs)
+
+    sjbd_lstsq = sjbd.lstsq
+    monkeypatch.setattr(sjbd, "lstsq", counted_lstsq)
+    (a2, c2, b2), fit, _converged, _sweeps = cpd_als(tensor, rank, (a, c, b), max_iter=20)
+    assert calls
+    assert all(np.all(np.isfinite(f)) for f in (a2, c2, b2))
+    assert np.isfinite(fit)
 
 
 def test_noisy_commutant_basis_contains_identity_direction():
@@ -295,6 +359,9 @@ def test_solve_sjbd_approximate_returns_ungrouped_columns(evd_variant):
     assert sol.N.shape == (7, 4)
     assert sol.diagnostics["commutant_dim"] == 2
     assert subspace_distance(sol.N, n_true) < 1e-6
+    if evd_variant == "cpd":
+        assert 1 <= sol.diagnostics["cpd_iters"] <= 500
+        assert sol.diagnostics["cpd_converged"] == (sol.diagnostics["cpd_status"] == "ok")
 
 
 def _scalars(x, n_clusters=None, cut=None):

@@ -331,6 +331,20 @@ def test_decompose_scenario2_noisy_case2():
     assert err_a < 0.05
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_scenario2_cpd_refinement_is_deterministic(field):
+    truth = random_btd((3, 8, 8), (2, 3, 4), field=field, seed=4)
+    t = add_noise(compose(truth), NoiseSpec(snr_db=45.0, seed=9))
+    opts = SolverOptions(
+        mode="noisy_scenario2", known_R=3, known_sum_L=9, evd_variant="cpd", seed=0
+    )
+    rep1, rep2 = decompose(t, opts), decompose(t, opts)
+    assert np.array_equal(rep1.decomposition.A, rep2.decomposition.A)
+    assert 1 <= rep1.diagnostics["cpd_iters"] <= 500
+    for key in ("cpd_iters", "cpd_converged", "cpd_fit"):
+        assert rep1.diagnostics[key] == rep2.diagnostics[key]
+
+
 def test_decompose_scenario1_mild_noise():
     # the one threshold must separate the noise floor of the minor matrix
     # from the amplified floor of the commutant matrix; mild noise keeps

@@ -13,9 +13,9 @@ from btd1 import (
     random_btd,
     unfold,
 )
-from btd1.linalg import numerical_rank, pinv, rng
+from btd1.linalg import numerical_rank, rng
 
-from helpers import naive_compose, naive_unfold1, naive_unfold3
+from helpers import naive_compose, naive_unfold1, naive_unfold3, pinv
 
 
 def test_unfold_rank1_outer_product():
