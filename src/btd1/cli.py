@@ -31,32 +31,39 @@ __all__ = ["main"]
 
 
 def _parse_dims(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise click.BadParameter("dims must look like I,J,K")
-    return tuple(int(p) for p in parts)
+    try:
+        i_dim, j_dim, k_dim = (int(p) for p in text.split(","))
+    except ValueError:
+        raise click.BadParameter(f"dims must look like I,J,K, got {text!r}") from None
+    return i_dim, j_dim, k_dim
 
 
 def _parse_sizes(text):
     """Sizes grammar: comma-separated entries, each ``L`` or ``LxCOUNT``
     (so ``1x47,2`` is 47 ones and one 2)."""
+    bad = click.BadParameter(f"bad sizes spec {text!r}")
     sizes = []
-    for token in text.split(","):
-        if "x" in token:
-            base, count = token.split("x")
-            sizes.extend([int(base)] * int(count))
-        else:
-            sizes.append(int(token))
+    try:
+        for token in text.split(","):
+            if "x" in token:
+                base, count = token.split("x")
+                sizes.extend([int(base)] * int(count))
+            else:
+                sizes.append(int(token))
+    except ValueError:
+        raise bad from None
     if not sizes or any(s < 1 for s in sizes):
-        raise click.BadParameter(f"bad sizes spec {text!r}")
+        raise bad
     return tuple(sizes)
 
 
 def _parse_snr(text):
-    vals = []
-    for token in text.split(","):
-        vals.append(math.inf if token.strip() == "inf" else float(token))
-    return tuple(vals)
+    try:
+        return tuple(
+            math.inf if token.strip() == "inf" else float(token) for token in text.split(",")
+        )
+    except ValueError:
+        raise click.BadParameter(f"SNR must be dB values or inf, got {text!r}") from None
 
 
 @click.group()
@@ -154,16 +161,20 @@ def decompose_cmd(tensor_file, mode, known_r, known_suml, evd_variant, omega, ra
 @click.option("--quiet", is_flag=True, default=False)
 def experiment(dims, sizes, snr, trials, cond_cap, evd_variant, omega, seed, freq_out, err_out, quiet):
     """Monte-Carlo size-detection frequencies and error curves as CSV."""
-    config = ExperimentConfig(
-        dims=_parse_dims(dims),
-        sizes=_parse_sizes(sizes),
-        snr_grid=_parse_snr(snr),
-        num_trials=trials,
-        cond_cap=cond_cap,
-        evd_variant=evd_variant,
-        omega=omega,
-        seed=seed,
-    )
+    try:
+        config = ExperimentConfig(
+            dims=_parse_dims(dims),
+            sizes=_parse_sizes(sizes),
+            snr_grid=_parse_snr(snr),
+            num_trials=trials,
+            cond_cap=cond_cap,
+            evd_variant=evd_variant,
+            omega=omega,
+            seed=seed,
+        )
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     progress = None
     if not quiet:
         progress = lambda done, total: click.echo(f"\rtrial {done}/{total}", nl=(done == total), err=True)

@@ -16,7 +16,16 @@ import numpy as np
 
 from .linalg import DimensionError, SolverDiagnostic, cond, rng
 from .solver import SolverOptions, candidate_size_tuples, decompose
-from .tensor import NoiseSpec, add_noise, compose, match_decompositions, random_btd, unfold
+from .tensor import (
+    BlockTermDecomposition,
+    NoiseSpec,
+    Tensor3,
+    add_noise,
+    compose_values,
+    draw_factors,
+    match_decompositions,
+    unfold,
+)
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment"]
 
@@ -37,7 +46,7 @@ class ExperimentConfig:
             raise ValueError("num_trials must be at least 1")
         if not self.snr_grid:
             raise ValueError("snr grid must be nonempty")
-        # draw_instance samples without random_btd's checks until it accepts
+        # draw_instance samples without random_btd's size checks
         if min(self.sizes) < 1 or max(self.sizes) > min(self.dims[1:]):
             raise DimensionError("term sizes must be positive and at most min(J, K)")
 
@@ -100,25 +109,18 @@ def draw_instance(config, seed):
     number of rejected draws).
 
     Draw n is ``random_btd(config.dims, config.sizes, seed=seed +
-    n * 1_000_003)``.  Candidates are drawn and composed as plain arrays,
-    with the arithmetic of :func:`random_btd` and :func:`compose`, and the
+    n * 1_000_003)``.  Candidates are drawn and composed as plain arrays by
+    :func:`draw_factors` and :func:`compose_values`, and the
     third-unfolding condition number is tested first; only the accepted
-    draw is built as a decomposition and a tensor.
+    draw is wrapped as a decomposition and a tensor.
     """
-    i_dim, j_dim, k_dim = config.dims
     rejected = 0
     sub_seed = seed
     while True:
-        gen = rng(sub_seed)
-        a = gen.standard_normal((i_dim, len(config.sizes)))
-        t = np.zeros((i_dim, j_dim, k_dim))
-        for r, size in enumerate(config.sizes):
-            b = gen.standard_normal((j_dim, size))
-            c = gen.standard_normal((k_dim, size))
-            t += a[:, r][:, None, None] * (b @ c.T)[None, :, :]
+        a, terms = draw_factors(rng(sub_seed), config.dims, config.sizes)
+        t = compose_values(a, terms)
         if cond(unfold(t, 3)) <= config.cond_cap and cond(unfold(t, 1)) <= config.cond_cap:
-            truth = random_btd(config.dims, config.sizes, seed=sub_seed)
-            return truth, compose(truth), rejected
+            return BlockTermDecomposition(a, terms), Tensor3(t), rejected
         rejected += 1
         sub_seed = sub_seed + 1_000_003
 

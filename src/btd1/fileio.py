@@ -1,5 +1,4 @@
-"""File formats: the BTD1 binary tensor container, JSON decompositions,
-and CSV matrix export.
+"""File formats: the BTD1 binary tensor container and JSON decompositions.
 
 BTD1 layout: one ASCII header line ``BTD1 <R|C> <I> <J> <K>\\n`` followed by
 little-endian float64 entries in storage order (lexicographic (i, j, k), k
@@ -24,7 +23,6 @@ __all__ = [
     "read_decomposition",
     "decomposition_to_dict",
     "decomposition_from_dict",
-    "write_matrix_csv",
 ]
 
 _MAGIC = "BTD1"
@@ -114,12 +112,3 @@ def write_decomposition(path, d):
 def read_decomposition(path):
     with open(path) as fh:
         return decomposition_from_dict(json.load(fh))
-
-
-def write_matrix_csv(path, m):
-    """Row-major full-precision CSV, for cross-checking printed matrices."""
-    m = np.asarray(m)
-    with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(repr(complex(x)) if np.iscomplexobj(m) else repr(float(x)) for x in row))
-            fh.write("\n")

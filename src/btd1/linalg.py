@@ -1,12 +1,13 @@
 """Shared dense linear algebra helpers: tolerant ranks, null spaces,
 least squares and the package RNG convention.
 
-Numerical rank uses a relative singular-value threshold ``tol * sigma_max``
-with default ``tol = 1e-10`` (exact ``decompose`` uses 1e-8).  The
+Every rank decision on singular values goes through :func:`rank_cut`: the
+count of singular values above ``max(tol * sigma_max, atol)``, with default
+``tol = 1e-10`` (exact ``decompose`` uses 1e-8) and ``atol = 0``.  The
 environment variable ``BTD_RANK_TOL``, read by :func:`default_tol` only,
-overrides both; a per-call ``tol`` overrides it.  All random draws in the
-package go through :func:`rng`, a PCG64 generator seeded explicitly, so every
-stochastic operation is reproducible from its seed.
+overrides both default ``tol`` values; a per-call ``tol`` overrides it.  All
+random draws in the package go through :func:`rng`, a PCG64 generator seeded
+explicitly, so every stochastic operation is reproducible from its seed.
 """
 
 import os
@@ -50,25 +51,29 @@ def randn(gen, shape, field="real"):
     return gen.standard_normal(shape)
 
 
+def rank_cut(s, tol=None, atol=0.0):
+    """Number of singular values ``s`` (descending) above
+    ``max(tol * s[0], atol)``; ``tol`` defaults to :func:`default_tol`."""
+    if s.size == 0:
+        return 0
+    tol = default_tol() if tol is None else tol
+    return int(np.sum(s > max(tol * s[0], atol)))
+
+
 def numerical_rank(a, tol=None):
     a = np.asarray(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    tol = default_tol() if tol is None else tol
-    return int(np.sum(s > tol * s[0]))
+    return rank_cut(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def null_space(a, tol=None, dim=None, atol=0.0):
     """Orthonormal basis of the (numerical) null space, columns of shape (n, q).
 
-    The rank is the number of singular values above
-    ``max(tol * sigma_max, atol)``; the absolute floor ``atol`` matters when
-    the whole matrix is at rounding level.  With ``dim`` given, returns the
-    ``dim`` right singular vectors of the smallest singular values
-    regardless of threshold (the noisy-pipeline convention).  Only the right
+    The rank is :func:`rank_cut` at ``tol`` and ``atol``; the absolute
+    floor ``atol`` matters when the whole matrix is at rounding level.  With
+    ``dim`` given, returns the ``dim`` right singular vectors of the smallest
+    singular values regardless of threshold (the noisy-pipeline convention).  Only the right
     singular vectors are used, so the SVD is thin unless a is wide: an
     m x n matrix with m < n needs the full n x n Vh to reach its null
     vectors.
@@ -85,12 +90,7 @@ def null_space(a, tol=None, dim=None, atol=0.0):
         # rank-deficient matrices of exact mode; QR iteration (gesvd) is
         # slower but converges on them
         _, s, vh = scipy.linalg.svd(a, full_matrices=m < n, lapack_driver="gesvd")
-    if dim is None:
-        tol = default_tol() if tol is None else tol
-        smax = s[0] if s.size else 0.0
-        r = int(np.sum(s > max(tol * smax, atol)))
-    else:
-        r = n - dim
+    r = rank_cut(s, tol, atol) if dim is None else n - dim
     return vh[r:].conj().T
 
 
@@ -120,11 +120,7 @@ def orth(a, tol=None, dim=None):
     """Orthonormal basis of the column space."""
     a = np.asarray(a)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if dim is None:
-        tol = default_tol() if tol is None else tol
-        r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    else:
-        r = dim
+    r = rank_cut(s, tol) if dim is None else dim
     return u[:, :r]
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .linalg import DimensionError, default_tol, null_space
+from .linalg import DimensionError, default_tol, null_space, rank_cut
 from .tensor import Tensor3
 
 __all__ = [
@@ -69,25 +69,24 @@ def n_sym(n):
 
 @dataclass(frozen=True)
 class MinorMatrixSet:
-    """Q2 with its bookkeeping matrices; R2 is materialized on request only."""
+    """Q2 of a tensor with K frontal slices."""
 
     Q2: np.ndarray
-    PK: np.ndarray
-    D: np.ndarray
-    R2: np.ndarray = None
-
-    @property
-    def n_rows(self):
-        return self.Q2.shape[0]
+    K: int
 
     def null_space(self, tol=None, dim=None, atol=0.0):
         return null_space(self.Q2, tol=tol, dim=dim, atol=atol)
 
     def symmetric_null_matrices(self, tol=None, dim=None, atol=0.0):
-        """Null vectors of Q2 mapped through D and reshaped to symmetric K x K."""
+        """Null vectors of Q2 unpacked to symmetric K x K matrices.
+
+        Entry (k1, k2) of matrix q is the basis entry of the pair {k1, k2},
+        halved off the diagonal: column q of :func:`build_D` @ basis.
+        """
         g = self.null_space(tol=tol, dim=dim, atol=atol)
-        k = int(round(np.sqrt(self.D.shape[0])))
-        return [(self.D @ g[:, q]).reshape(k, k) for q in range(g.shape[1])]
+        pos = _sym_pair_position(self.K)
+        scale = np.where(np.eye(self.K, dtype=bool), 1.0, 0.5)
+        return [g[pos, q] * scale for q in range(g.shape[1])]
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def _minor_values(values, kp1, kp2):
     return _kernels.minor_matrix_fill(values, ip1, ip2, jp1, jp2, kp1, kp2, out)
 
 
-def build_Q2(t, with_r2=False):
+def build_Q2(t):
     """Minor matrix over unordered k-pairs, binom(I,2)binom(J,2) x binom(K+1,2).
 
     Row (i1 < i2, j1 < j2), column (k1 <= k2) holds
@@ -126,9 +125,7 @@ def build_Q2(t, with_r2=False):
     if i_dim < 2 or j_dim < 2:
         raise DimensionError("Q2 needs I >= 2 and J >= 2")
     kp1, kp2 = sym_pairs(k_dim)
-    q2 = _minor_values(values, kp1, kp2)
-    r2 = build_R2(t) if with_r2 else None
-    return MinorMatrixSet(Q2=q2, PK=build_PK(k_dim), D=build_D(k_dim), R2=r2)
+    return MinorMatrixSet(Q2=_minor_values(values, kp1, kp2), K=k_dim)
 
 
 def build_R2(t):
@@ -279,7 +276,7 @@ def rank1_membership(t, f, tol=None, return_both=False):
     values = t.values if isinstance(t, Tensor3) else np.asarray(t)
     comb = np.tensordot(values, f, axes=([2], [0]))
     s = np.linalg.svd(comb, compute_uv=False)
-    direct = bool(s.size < 2 or s[0] == 0 or s[1] <= tol * s[0])
+    direct = rank_cut(s, tol) <= 1
 
     r2 = build_R2(t)
     resid = r2 @ np.kron(f, f)

@@ -242,6 +242,25 @@ def _realify_blocks(blocks, means, tol):
     return real_blocks, True
 
 
+def _eigen_groups(z, cluster_tol, n_clusters=None):
+    """Eigenvectors of z grouped by near-equal eigenvalues.
+
+    Returns the eigenvector blocks and their mean eigenvalues, groups in
+    order of first appearance.  Raises :class:`SolverDiagnostic` when z is
+    numerically defective.
+    """
+    vals, vecs = np.linalg.eig(z)
+    rank = numerical_rank(vecs, tol=1e-10)
+    if rank < z.shape[0]:
+        raise SolverDiagnostic(
+            "combination matrix is defective; eigenvectors do not span",
+            {"eigenvector_rank": rank, "size": z.shape[0]},
+        )
+    labels = _cluster_scalars(vals, cluster_tol, n_clusters=n_clusters)
+    groups = [np.nonzero(labels == g)[0] for g in range(labels.max() + 1)]
+    return [vecs[:, idx] for idx in groups], [vals[idx].mean() for idx in groups]
+
+
 def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     """Joint diagonalizer from the EVD of one generic combination.
 
@@ -251,25 +270,11 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     """
     if not u_mats:
         raise DimensionError("need at least one matrix")
-    k = u_mats[0].shape[0]
     gen = rng(seed)
     complex_input = any(np.iscomplexobj(u) for u in u_mats)
     w = randn(gen, len(u_mats), "complex" if complex_input else "real")
     z = sum(wi * ui for wi, ui in zip(w, u_mats))
-    vals, vecs = np.linalg.eig(z)
-    if numerical_rank(vecs, tol=1e-10) < k:
-        raise SolverDiagnostic(
-            "combination matrix is defective; eigenvectors do not span",
-            {"eigenvector_rank": numerical_rank(vecs, tol=1e-10), "size": k},
-        )
-    labels = _cluster_scalars(vals, cluster_tol, n_clusters=n_clusters)
-    n_grp = labels.max() + 1
-    blocks = []
-    means = []
-    for g in range(n_grp):
-        idx = np.nonzero(labels == g)[0]
-        blocks.append(vecs[:, idx])
-        means.append(vals[idx].mean())
+    blocks, means = _eigen_groups(z, cluster_tol, n_clusters)
     if not complex_input:
         blocks, _ = _realify_blocks(blocks, means, cluster_tol)
     order = np.argsort([-b.shape[1] for b in blocks], kind="stable")

@@ -41,7 +41,7 @@ from .linalg import (
     truncated_svd,
 )
 from .minors import build_Q2
-from .sjbd import SJBDProblem, _cluster_scalars, _realify_blocks, cluster_columns, solve_sjbd
+from .sjbd import SJBDProblem, _eigen_groups, _realify_blocks, cluster_columns, solve_sjbd
 from .tensor import BlockTermDecomposition, Tensor3, compose, compress_third_mode, unfold
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "phase2_case3",
     "gevd_two_slice_btd",
     "estimate_L_from_d",
-    "estimate_L_from_rank_system",
     "minimal_null_dimension",
     "candidate_size_tuples",
     "decompose",
@@ -72,10 +71,10 @@ class SolverOptions:
     detectable from gaps at ``rank_tol``) or ``noisy_scenario2`` (only
     ``known_R`` and ``known_sum_L`` given).  ``evd_variant`` defaults to the
     single-combination EVD for exact data and to the least-squares
-    refinement for noisy data.
+    refinement for noisy data.  Eigenvalues are grouped at a relative
+    spread of 1e-6 in exact mode and 1e-2 in the noisy modes.
     """
 
-    case_hint: str = "auto"
     mode: str = "exact"
     known_R: int = None
     known_sum_L: int = None
@@ -83,13 +82,10 @@ class SolverOptions:
     omega: float = 2.0
     seed: int = 0
     evd_variant: str = None
-    cluster_tol: float = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "noisy_scenario1", "noisy_scenario2"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.case_hint not in ("auto", "1", "2", "3", 1, 2, 3):
-            raise ValueError(f"unknown case hint {self.case_hint!r}")
         if self.mode == "noisy_scenario2" and (
             self.known_R is None or self.known_sum_L is None
         ):
@@ -109,8 +105,6 @@ class SolverOptions:
 
     @property
     def cl_tol(self):
-        if self.cluster_tol is not None:
-            return self.cluster_tol
         return 1e-2 if self.noisy else 1e-6
 
     @property
@@ -216,41 +210,6 @@ def estimate_L_from_d(d, k, r):
     return l
 
 
-def estimate_L_from_rank_system(subset_ranks, r, r_a=None):
-    """Term sizes from subset rank equations sum_{r in Omega_m} L_r = rank_m.
-
-    ``subset_ranks`` is a list of (Omega_m, rank) pairs with 0-based index
-    sets.  Solved in least squares with rounding to positive integers;
-    rounding farther than 0.25 or a rank-deficient incidence matrix raises.
-    """
-    m_count = len(subset_ranks)
-    a = np.zeros((m_count, r))
-    b = np.zeros(m_count)
-    for m, (omega, rank) in enumerate(subset_ranks):
-        for idx in omega:
-            a[m, idx] = 1.0
-        b[m] = rank
-        if r_a is not None and len(omega) != r - r_a + 2:
-            raise DimensionError(
-                f"subset {m} has cardinality {len(omega)}, expected {r - r_a + 2}"
-            )
-    if numerical_rank(a) < r:
-        raise SolverDiagnostic(
-            "subset incidence matrix is rank deficient; sizes not identifiable",
-            {"n_subsets": m_count, "R": r},
-        )
-    x = lstsq(a, b)
-    rounded = np.round(x).astype(int)
-    if np.max(np.abs(x - rounded)) > 0.25:
-        raise SolverDiagnostic(
-            "rank system solution is too far from integers",
-            {"solution": x.tolist()},
-        )
-    if np.any(rounded < 1):
-        raise SolverDiagnostic("rank system gives non-positive sizes", {"L": rounded.tolist()})
-    return tuple(int(v) for v in rounded)
-
-
 def _rank1_pair(t, n_r):
     """Column direction a_r and the matching B_r from the rank-one matrix
     [vec(N_r.T H_1.T) ... vec(N_r.T H_I.T)] = vec(N_r.T E_r.T) a_r.T."""
@@ -263,8 +222,26 @@ def _rank1_pair(t, n_r):
     return z, b_r, m
 
 
-def _khatri_rao_blocks(a, blocks):
-    return np.hstack([np.kron(a[:, r : r + 1], blocks[r]) for r in range(len(blocks))])
+def _fit_third_factor(t, a, b_blocks):
+    """Decomposition with the given A and B_r and the C_r that fit
+    unfold(t, 3) = [a_1 kron B_1 ... a_R kron B_R] C.T in least squares."""
+    design = np.hstack([np.kron(a[:, r : r + 1], b) for r, b in enumerate(b_blocks)])
+    c = lstsq(design, unfold(t, 3)).T
+    offs = np.concatenate([[0], np.cumsum([b.shape[1] for b in b_blocks])])
+    return BlockTermDecomposition(
+        a, tuple((b, c[:, offs[r] : offs[r + 1]]) for r, b in enumerate(b_blocks))
+    )
+
+
+def _truncated_terms(a, e_mats, sizes, tol):
+    """Decomposition with the given A and the best rank-L_r factors of each
+    term matrix E_r; L_r is ``sizes[r]`` when given, else the numerical rank
+    of E_r at ``tol`` (at least 1)."""
+    terms = []
+    for idx, e in enumerate(e_mats):
+        l_r = sizes[idx] if sizes is not None else max(numerical_rank(e, tol=tol), 1)
+        terms.append(truncated_svd(e, l_r))
+    return BlockTermDecomposition(a, tuple(terms))
 
 
 def phase1_recover_A(t, opts=None):
@@ -385,17 +362,8 @@ def phase2_case1(t, a, n, d, opts=None):
             "Case 1 requires K = sum d_r", {"K": k_dim, "sum_d": sum(d)}
         )
     offs = np.concatenate([[0], np.cumsum(d)])
-    b_blocks = []
-    for r in range(len(d)):
-        n_r = n[:, offs[r] : offs[r + 1]]
-        _, b_r, _ = _rank1_pair(t, n_r)
-        b_blocks.append(b_r)
-    design = _khatri_rao_blocks(a, b_blocks)
-    c = lstsq(design, unfold(t, 3)).T
-    terms = tuple(
-        (b_blocks[r], c[:, offs[r] : offs[r + 1]]) for r in range(len(d))
-    )
-    return BlockTermDecomposition(a, terms)
+    b_blocks = [_rank1_pair(t, n[:, offs[r] : offs[r + 1]])[1] for r in range(len(d))]
+    return _fit_third_factor(t, a, b_blocks)
 
 
 def phase2_case2(t, a, opts=None, sizes=None):
@@ -411,13 +379,8 @@ def phase2_case2(t, a, opts=None, sizes=None):
     if numerical_rank(a, tol=opts.tol) < r:
         raise SolverDiagnostic("Case 2 requires A with full column rank", {"R": r})
     vec_e = lstsq(a, unfold(t, 1).T).T
-    terms = []
-    for idx in range(r):
-        e = vec_e[:, idx].reshape(j_dim, k_dim, order="F")
-        l_r = sizes[idx] if sizes is not None else max(numerical_rank(e, tol=opts.tol), 1)
-        b_r, c_r = truncated_svd(e, l_r)
-        terms.append((b_r, c_r))
-    return BlockTermDecomposition(a, tuple(terms))
+    e_mats = [vec_e[:, idx].reshape(j_dim, k_dim, order="F") for idx in range(r)]
+    return _truncated_terms(a, e_mats, sizes, opts.tol)
 
 
 def default_subsets(r, r_a):
@@ -505,13 +468,7 @@ def phase2_case3(t, a, opts=None, subsets=None, sizes=None):
                 e_hat[target] = b_s @ c_s.T
     design = np.column_stack([np.kron(a[:, idx], _vec(e_hat[idx])) for idx in range(r)])
     x = lstsq(design, _vec(t1))
-    terms = []
-    for idx in range(r):
-        e = x[idx] * e_hat[idx]
-        l_r = sizes[idx] if sizes is not None else max(numerical_rank(e, tol=opts.tol), 1)
-        b_r, c_r = truncated_svd(e, l_r)
-        terms.append((b_r, c_r))
-    return BlockTermDecomposition(a, tuple(terms))
+    return _truncated_terms(a, [x[idx] * e_hat[idx] for idx in range(r)], sizes, opts.tol)
 
 
 def gevd_two_slice_btd(q, tol=None, seed=0, cluster_tol=1e-6, n_terms=None):
@@ -542,42 +499,22 @@ def gevd_two_slice_btd(q, tol=None, seed=0, cluster_tol=1e-6, n_terms=None):
     if numerical_rank(s_a, tol=tol) < s:
         raise SolverDiagnostic("degenerate pencil: generic mixture is singular", {})
     w = s_b @ np.linalg.inv(s_a)
-    vals, vecs = np.linalg.eig(w)
-    if numerical_rank(vecs, tol=1e-10) < s:
-        raise SolverDiagnostic("degenerate pencil: defective eigenstructure", {})
-    labels = _cluster_scalars(vals, cluster_tol, n_clusters=n_terms)
-    n_grp = labels.max() + 1
-    blocks = []
-    means = []
-    for grp in range(n_grp):
-        idx = np.nonzero(labels == grp)[0]
-        blocks.append(orth(vecs[:, idx], dim=idx.size))
-        means.append(vals[idx].mean())
+    blocks, means = _eigen_groups(w, cluster_tol, n_terms)
+    blocks = [orth(b, dim=b.shape[1]) for b in blocks]
     if not complex_input:
         blocks, realified = _realify_blocks(blocks, means, max(cluster_tol, 1e-8))
         if realified:
             means = [np.real(mn) for mn in means]
-    a_cols = []
-    b_blocks = []
-    for grp in range(n_grp):
-        lam = means[grp]
-        a_grp = np.linalg.solve(mix, np.array([1.0, lam], dtype=np.result_type(mix, lam)))
-        a_cols.append(a_grp)
-        b_blocks.append(u @ blocks[grp])
-    a = np.column_stack(a_cols)
-    design = _khatri_rao_blocks(a, b_blocks)
-    q3 = unfold(q, 3)
-    c = lstsq(design, q3).T
-    offs = np.concatenate([[0], np.cumsum([b.shape[1] for b in b_blocks])])
-    terms = tuple(
-        (b_blocks[grp], c[:, offs[grp] : offs[grp + 1]]) for grp in range(n_grp)
+    a = np.column_stack(
+        [
+            np.linalg.solve(mix, np.array([1.0, lam], dtype=np.result_type(mix, lam)))
+            for lam in means
+        ]
     )
-    return BlockTermDecomposition(a, terms)
+    return _fit_third_factor(q, a, [u @ b for b in blocks])
 
 
 def _select_case(k_dim, i_dim, d, a, opts):
-    if opts.case_hint != "auto":
-        return int(opts.case_hint)
     if k_dim == sum(d):
         return 1
     r = len(d)
@@ -590,8 +527,7 @@ def decompose(t, opts=None):
     """Full pipeline: compress the third mode if rank deficient, run Phase I
     and the applicable Phase II case, estimate the term sizes, and report.
 
-    Case selection honors ``opts.case_hint`` and otherwise prefers Case 1
-    over Case 2 over Case 3.
+    Case selection prefers Case 1 over Case 2 over Case 3.
     """
     opts = opts or SolverOptions()
     i_dim, j_dim, k_dim = t.dims
@@ -627,17 +563,7 @@ def decompose(t, opts=None):
 
     if mixing is not None:
         # map the compressed third factor back to the original tensor
-        b_blocks = [b for b, _ in est.terms]
-        design = _khatri_rao_blocks(est.A, b_blocks)
-        c_full = lstsq(design, unfold(original, 3)).T
-        offs = np.concatenate([[0], np.cumsum(est.sizes)])
-        est = BlockTermDecomposition(
-            est.A,
-            tuple(
-                (b_blocks[idx], c_full[:, offs[idx] : offs[idx + 1]])
-                for idx in range(r)
-            ),
-        )
+        est = _fit_third_factor(original, est.A, [b for b, _ in est.terms])
 
     recon = compose(est)
     residual = float(

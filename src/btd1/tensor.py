@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .linalg import DimensionError, default_tol, randn, rng
+from .linalg import DimensionError, randn, rank_cut, rng
 
 __all__ = [
     "Tensor3",
@@ -26,6 +26,8 @@ __all__ = [
     "NoiseSpec",
     "unfold",
     "compose",
+    "compose_values",
+    "draw_factors",
     "random_btd",
     "add_noise",
     "compress_third_mode",
@@ -175,15 +177,32 @@ def unfold(t, mode):
     raise DimensionError(f"mode must be 1, 2 or 3, got {mode}")
 
 
+def compose_values(a, terms):
+    """Array with entries t_ijk = sum_r a_ir (B_r C_r.T)_jk."""
+    out = np.zeros(
+        (a.shape[0], terms[0][0].shape[0], terms[0][1].shape[0]),
+        dtype=np.result_type(a, *[b for b, _ in terms]),
+    )
+    for r, (b, c) in enumerate(terms):
+        out += a[:, r][:, None, None] * (b @ c.T)[None, :, :]
+    return out
+
+
 def compose(d, dims=None):
     """Tensor with entries t_ijk = sum_r a_ir (B_r C_r.T)_jk."""
-    i_dim, j_dim, k_dim = d.dims
-    if dims is not None and tuple(dims) != (i_dim, j_dim, k_dim):
-        raise DimensionError(f"factors give dims {(i_dim, j_dim, k_dim)}, expected {tuple(dims)}")
-    out = np.zeros((i_dim, j_dim, k_dim), dtype=np.result_type(d.A, *[b for b, _ in d.terms]))
-    for r, e in enumerate(d.term_matrices()):
-        out += d.A[:, r][:, None, None] * e[None, :, :]
+    if dims is not None and tuple(dims) != d.dims:
+        raise DimensionError(f"factors give dims {d.dims}, expected {tuple(dims)}")
+    out = compose_values(d.A, d.terms)
     return Tensor3(out, _as_field(out))
+
+
+def draw_factors(gen, dims, sizes, field="real"):
+    """I.i.d. standard normal A (I x R) and per-term pairs (B_r, C_r), drawn
+    from ``gen`` in that order."""
+    i_dim, j_dim, k_dim = dims
+    a = randn(gen, (i_dim, len(sizes)), field)
+    terms = [(randn(gen, (j_dim, s), field), randn(gen, (k_dim, s), field)) for s in sizes]
+    return a, terms
 
 
 def random_btd(dims, sizes, field="real", seed=0):
@@ -191,18 +210,13 @@ def random_btd(dims, sizes, field="real", seed=0):
 
     Deterministic for a given seed.  Requires L_r <= min(J, K).
     """
-    i_dim, j_dim, k_dim = dims
+    _, j_dim, k_dim = dims
     sizes = tuple(int(s) for s in sizes)
     if any(s < 1 for s in sizes):
         raise DimensionError("term sizes must be positive")
     if max(sizes) > min(j_dim, k_dim):
         raise DimensionError("term sizes must not exceed min(J, K)")
-    gen = rng(seed)
-    a = randn(gen, (i_dim, len(sizes)), field)
-    terms = tuple(
-        (randn(gen, (j_dim, s), field), randn(gen, (k_dim, s), field)) for s in sizes
-    )
-    return BlockTermDecomposition(a, terms)
+    return BlockTermDecomposition(*draw_factors(rng(seed), dims, sizes, field))
 
 
 def add_noise(t, spec):
@@ -233,8 +247,7 @@ def compress_third_mode(t, tol=None, rank=None):
     t3 = unfold(t, 3)
     u, s, vh = np.linalg.svd(t3, full_matrices=False)
     if rank is None:
-        tol = default_tol() if tol is None else tol
-        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        rank = rank_cut(s, tol)
     u = u[:, :rank]
     mixing = s[:rank, None] * vh[:rank]
     i_dim, j_dim, _ = t.dims
@@ -242,7 +255,7 @@ def compress_third_mode(t, tol=None, rank=None):
     return compressed, mixing, rank
 
 
-def match_decompositions(truth, est, return_matched=False):
+def match_decompositions(truth, est):
     """Align an estimate with a reference decomposition and measure errors.
 
     Columns are matched by maximising aggregate absolute normalized
@@ -281,14 +294,4 @@ def match_decompositions(truth, est, return_matched=False):
         scales[r] = _opt_scale(x, truth.A[:, r])
         num += np.linalg.norm(scales[r] * x - truth.A[:, r]) ** 2
     err_a = float(np.sqrt(num) / np.linalg.norm(truth.A))
-    if return_matched:
-        safe = np.where(scales == 0, 1.0, scales)
-        matched = BlockTermDecomposition(
-            est.A[:, perm] * safe[None, :],
-            tuple(
-                (est.terms[perm[r]][0] / safe[r], est.terms[perm[r]][1])
-                for r in range(truth.R)
-            ),
-        )
-        return perm, scales, err_a, err_terms, matched
     return perm, scales, err_a, err_terms

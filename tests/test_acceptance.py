@@ -23,9 +23,11 @@ from btd1.experiment import ExperimentConfig, run_experiment
 from btd1.gf import verify_generic_q2_dim, verify_phi_full_rank
 from btd1.linalg import numerical_rank, rng
 from btd1.minors import (
+    build_D,
     build_PK,
     build_phi_s2,
     build_Q2,
+    build_R2,
     compound2,
     rank1_membership,
     symprod,
@@ -271,21 +273,21 @@ def test_criterion_9():
             int(gen.integers(1, 7)),
         )
         t = Tensor3(gen.standard_normal(dims))
-        ms = build_Q2(t, with_r2=True)
+        q2 = build_Q2(t).Q2
         assert np.allclose(
-            ms.R2, ms.Q2 @ ms.PK.T, atol=1e-12 * max(1.0, np.linalg.norm(ms.Q2))
+            build_R2(t), q2 @ build_PK(dims[2]).T, atol=1e-12 * max(1.0, np.linalg.norm(q2))
         )
 
     # D maps a null basis of Q2 into the symmetric null space of R2
     for seed in range(100):
         d = random_btd((3, 4, 5), (1, 2), seed=seed)
         t = compose(d)
-        ms = build_Q2(t, with_r2=True)
-        g = ms.null_space(tol=1e-8)
-        v = ms.D @ g
-        assert np.linalg.norm(ms.R2 @ v) < 1e-8 * max(np.linalg.norm(ms.R2), 1.0)
+        r2 = build_R2(t)
+        g = build_Q2(t).null_space(tol=1e-8)
+        v = build_D(5) @ g
+        assert np.linalg.norm(r2 @ v) < 1e-8 * max(np.linalg.norm(r2), 1.0)
         p = commutation_matrix(5)
-        sym_null = np.vstack([ms.R2, np.eye(25) - p])
+        sym_null = np.vstack([r2, np.eye(25) - p])
         from btd1.linalg import null_space as ns
 
         target = ns(sym_null, tol=1e-8)

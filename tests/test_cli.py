@@ -43,6 +43,23 @@ def test_generate_bad_sizes_exit_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--dims", "3,a,8", "--sizes", "2"],
+        ["experiment", "--dims", "3,8,8", "--sizes", "9"],
+        ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "abc"],
+        ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--trials", "0"],
+    ],
+    ids=["generate-dims", "experiment-sizes", "experiment-snr", "experiment-trials"],
+)
+def test_input_errors_exit_2(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_decompose_3x9x10_case1(runner, tmp_path):
     out = tmp_path / "t.btd1"
     res = runner.invoke(

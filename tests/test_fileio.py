@@ -6,7 +6,6 @@ from btd1.fileio import (
     read_decomposition,
     read_tensor,
     write_decomposition,
-    write_matrix_csv,
     write_tensor,
 )
 
@@ -59,13 +58,3 @@ def test_decomposition_round_trip(tmp_path, field):
     for (b1, c1), (b2, c2) in zip(back.terms, d.terms):
         assert np.allclose(b1, b2)
         assert np.allclose(c1, c2)
-
-
-def test_matrix_csv(tmp_path):
-    from helpers import GOLDEN_Q2_3x3x5
-
-    path = tmp_path / "q2.csv"
-    write_matrix_csv(path, GOLDEN_Q2_3x3x5)
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    back = np.array([[float(x) for x in row] for row in rows])
-    assert np.array_equal(back, GOLDEN_Q2_3x3x5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from btd1 import Tensor3, compress_third_mode
 from btd1.linalg import (
     cond,
     default_tol,
@@ -10,6 +11,7 @@ from btd1.linalg import (
     numerical_rank,
     orth,
     randn,
+    rank_cut,
     rng,
     truncated_svd,
 )
@@ -29,6 +31,41 @@ def test_numerical_rank_threshold():
     assert numerical_rank(m) == 2
     assert numerical_rank(m, tol=1e-14) == 3
     assert numerical_rank(np.zeros((3, 2))) == 0
+
+
+def _with_singular_values(s, m, n):
+    gen = rng(6)
+    u = np.linalg.qr(gen.standard_normal((m, m)))[0][:, : len(s)]
+    v = np.linalg.qr(gen.standard_normal((n, n)))[0][:, : len(s)]
+    return (u * np.asarray(s)) @ v.T
+
+
+@pytest.mark.parametrize(
+    "s,tol,rank",
+    [
+        # 1e-10 * sigma_max = 2e-10 falls between 3e-10 and 1e-10
+        ((2.0, 3e-10, 1e-10, 0.0), None, 2),
+        ((1.0, 2e-3, 5e-4, 1e-12), 1e-3, 2),
+        ((0.0, 0.0, 0.0, 0.0), None, 0),
+    ],
+    ids=["default-tol", "explicit-tol", "zero"],
+)
+def test_one_rank_rule(s, tol, rank):
+    a = _with_singular_values(s, 12, 4)
+    assert rank_cut(np.linalg.svd(a, compute_uv=False), tol) == rank
+    assert numerical_rank(a, tol) == rank
+    assert a.shape[1] - null_space(a, tol).shape[1] == rank
+    assert orth(a, tol).shape[1] == rank
+    # unfold(t, 3) of this tensor is a
+    assert compress_third_mode(Tensor3(a.reshape(3, 4, 4)), tol)[2] == rank
+
+
+def test_null_space_atol_floor_is_the_rank_rule():
+    a = _with_singular_values((1.0, 1e-3, 1e-6), 5, 3)
+    s = np.linalg.svd(a, compute_uv=False)
+    for atol, rank in ((1e-4, 2), (2.0, 0)):
+        assert rank_cut(s, 1e-9, atol) == rank
+        assert 3 - null_space(a, tol=1e-9, atol=atol).shape[1] == rank
 
 
 def test_null_space_dimensions():

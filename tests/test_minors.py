@@ -182,8 +182,9 @@ def test_compound2_guards():
 
 def test_r2_equals_q2_pk_integer_and_float():
     t_int = compose(golden_integer_instance())
-    ms = build_Q2(t_int, with_r2=True)
-    assert np.array_equal(ms.R2, ms.Q2 @ ms.PK.T.astype(np.int64))
+    assert np.array_equal(
+        build_R2(t_int), build_Q2(t_int).Q2 @ build_PK(5).T.astype(np.int64)
+    )
     for seed in range(100):
         gen = rng(seed)
         dims = (
@@ -192,8 +193,9 @@ def test_r2_equals_q2_pk_integer_and_float():
             int(gen.integers(1, 7)),
         )
         t = Tensor3(gen.standard_normal(dims))
-        ms = build_Q2(t, with_r2=True)
-        assert np.allclose(ms.R2, ms.Q2 @ ms.PK.T, atol=1e-12 * max(1.0, np.linalg.norm(ms.Q2)))
+        q2 = build_Q2(t).Q2
+        r2 = build_R2(t)
+        assert np.allclose(r2, q2 @ build_PK(dims[2]).T, atol=1e-12 * max(1.0, np.linalg.norm(q2)))
 
 
 def test_r2_rows_reshape_symmetric():
@@ -215,17 +217,29 @@ def test_null_r2_via_null_q2():
         sizes = (1, 2) if seed % 2 else (2, 2)
         d = random_btd((3, 4, 5), sizes, seed=seed)
         t = compose(d)
-        ms = build_Q2(t, with_r2=True)
-        g = ms.null_space(tol=1e-8)
-        v = ms.D @ g
+        r2 = build_R2(t)
+        g = build_Q2(t).null_space(tol=1e-8)
         k_dim = 5
-        assert np.linalg.norm(ms.R2 @ v) < 1e-8 * max(np.linalg.norm(ms.R2), 1.0)
+        v = build_D(k_dim) @ g
+        assert np.linalg.norm(r2 @ v) < 1e-8 * max(np.linalg.norm(r2), 1.0)
         # dimension count: null(R2) cap vecsym has the same dimension
         p = commutation_matrix(k_dim)
-        constraint = np.vstack([ms.R2, np.eye(k_dim * k_dim) - p])
+        constraint = np.vstack([r2, np.eye(k_dim * k_dim) - p])
         target = null_space(constraint, tol=1e-8)
         assert target.shape[1] == g.shape[1]
         assert numerical_rank(np.hstack([v, target]), tol=1e-8) == g.shape[1]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_symmetric_null_matrices_equal_d_times_basis(field):
+    t = compose(random_btd((3, 8, 8), (2, 3, 4), field=field, seed=3))
+    ms = build_Q2(t)
+    g = ms.null_space(tol=1e-8)
+    mats = ms.symmetric_null_matrices(tol=1e-8)
+    assert len(mats) == g.shape[1] == 10
+    d = build_D(8)
+    for q, v in enumerate(mats):
+        assert np.array_equal(v, (d @ g[:, q]).reshape(8, 8))
 
 
 def test_rank1_membership_null_vector_and_zero():

@@ -6,6 +6,7 @@ from btd1.linalg import DimensionError, randn, rng
 from btd1.sjbd import (
     SJBDProblem,
     _cluster_scalars,
+    _eigen_groups,
     build_commutant_matrix,
     cluster_columns,
     commutant_basis,
@@ -347,6 +348,10 @@ def test_simultaneous_evd_defective_raises():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(SolverDiagnostic):
         simultaneous_evd_single([jordan], seed=0)
+    # the grouping shared with the two-slice GEVD names the shortfall
+    with pytest.raises(SolverDiagnostic, match="defective") as info:
+        _eigen_groups(jordan, 1e-6)
+    assert info.value.diagnostics == {"eigenvector_rank": 1, "size": 2}
 
 
 @pytest.mark.parametrize("evd_variant", ["single", "cpd"])

@@ -17,7 +17,6 @@ from btd1.solver import (
     candidate_size_tuples,
     default_subsets,
     estimate_L_from_d,
-    estimate_L_from_rank_system,
     gevd_two_slice_btd,
     minimal_null_dimension,
     phase1_recover_A,
@@ -220,35 +219,6 @@ def test_estimate_L_from_d():
     # non-integral increment: K - sum d = 3 over R - 1 = 2
     with pytest.raises(SolverDiagnostic):
         estimate_L_from_d((1, 2, 3), 9, 3)
-
-
-def test_estimate_L_from_rank_system():
-    sizes = (2, 2, 2, 3, 3, 4)
-    r, r_a = 6, 3
-    from itertools import combinations
-
-    subsets = list(combinations(range(r), r - r_a + 2))
-    ranks = [(s, sum(sizes[i] for i in s)) for s in subsets]
-    assert estimate_L_from_rank_system(ranks, r, r_a) == sizes
-    # all equal sizes: every equation reads card * l
-    ranks_eq = [(s, 5 * 2) for s in subsets]
-    assert estimate_L_from_rank_system(ranks_eq, r, r_a) == (2,) * 6
-    with pytest.raises(SolverDiagnostic):
-        estimate_L_from_rank_system(ranks[:2], r, r_a)
-
-
-def test_estimate_L_from_rank_system_perturbed_with_slack():
-    # an overdetermined system (10 equations, 5 unknowns) absorbs a +-1
-    # perturbation of one right-hand side within rounding tolerance
-    sizes = (1, 2, 2, 3, 3)
-    r, r_a = 5, 4
-    from itertools import combinations
-
-    subsets = list(combinations(range(r), r - r_a + 2))
-    assert len(subsets) == 10
-    ranks = [(s, sum(sizes[i] for i in s)) for s in subsets]
-    perturbed = [(s, v + (1 if m == 0 else 0)) for m, (s, v) in enumerate(ranks)]
-    assert estimate_L_from_rank_system(perturbed, r, r_a) == sizes
 
 
 @pytest.mark.parametrize(
