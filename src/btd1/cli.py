@@ -18,7 +18,6 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import fileio
 from .experiment import ExperimentConfig, run_experiment
@@ -230,17 +229,7 @@ def check(dims, sizes, dec_file, use_gf, trials, seed, json_out):
     _render_check(payload)
     if json_out:
         with open(json_out, "w") as fh:
-            json.dump(payload, fh, indent=1, default=_json_default)
-
-
-def _json_default(o):
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    raise TypeError(f"cannot serialize {type(o)}")
+            json.dump(payload, fh, indent=1)
 
 
 def _render_check(payload):

@@ -20,6 +20,11 @@ and a miss stays inconclusive (Schwartz, J. ACM 27(4), 1980).
 
 Supported fields: prime fields GF(p) and, through ``field=``, GF(2^k) with
 table-based arithmetic (GF(2^15) with reduction polynomial x^15 + x + 1).
+
+This module does the field arithmetic, the exact products and ranks, and
+the certification loop; ``Phi(A, B)`` and ``S2(C)`` come from the builders
+in :mod:`btd1.minors`, which take a :class:`GFField` in place of numpy's
+arithmetic, so both use one enumeration of index pairs and one formula.
 """
 
 import functools
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .linalg import DimensionError, rng
-from .minors import n_strict, n_sym, strict_pairs, sym_pairs
+from .minors import n_strict, n_sym, phi_matrix, s2_matrix
 
 __all__ = [
     "GFField",
@@ -260,67 +265,18 @@ class GFVerificationResult:
         }
 
 
-def _gf_wedge_block(f, bi, bj):
-    p, q = strict_pairs(bi.shape[0])
-    prod1 = f.mul(bi[p][:, :, None], bj[q][:, None, :])
-    prod2 = f.mul(bi[q][:, :, None], bj[p][:, None, :])
-    out = f.sub(prod1, prod2)
-    return out.reshape(p.size, bi.shape[1] * bj.shape[1])
-
-
-def _gf_symprod_block(f, ci, cj):
-    p, q = sym_pairs(ci.shape[0])
-    prod1 = f.mul(ci[p][:, :, None], cj[q][:, None, :])
-    prod2 = f.mul(ci[q][:, :, None], cj[p][:, None, :])
-    out = f.add(prod1, prod2)
-    return out.reshape(p.size, ci.shape[1] * cj.shape[1])
-
-
-def _gf_kron(f, vec, mat):
-    return f.mul(vec[:, None, None], mat[None, :, :]).reshape(
-        vec.size * mat.shape[0], mat.shape[1]
-    )
-
-
-def _split(sizes):
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    return [(offs[r], offs[r + 1]) for r in range(len(sizes))]
+def _split(m, sizes):
+    return np.split(m, np.cumsum(sizes)[:-1], axis=1)
 
 
 def gf_phi(f, a, b, sizes):
-    """Phi(A, B) over the field: blocks (a_r1 wedge a_r2) kron
-    (B_r1 wedge B_r2) over pairs r1 < r2, same enumeration as the float path."""
-    spans = _split(sizes)
-    cols = []
-    for r1 in range(len(sizes)):
-        for r2 in range(r1 + 1, len(sizes)):
-            wa = _gf_wedge_block(f, a[:, r1 : r1 + 1], a[:, r2 : r2 + 1]).ravel()
-            wb = _gf_wedge_block(
-                f, b[:, spans[r1][0] : spans[r1][1]], b[:, spans[r2][0] : spans[r2][1]]
-            )
-            cols.append(_gf_kron(f, wa, wb))
-    n_rows = n_strict(a.shape[0]) * n_strict(b.shape[0])
-    if not cols:
-        return GFMatrix(np.zeros((n_rows, 0), dtype=np.int64), f)
-    return GFMatrix(np.hstack(cols), f)
+    """Phi(A, B) over the field, built by :func:`btd1.minors.phi_matrix`."""
+    return GFMatrix(phi_matrix(a, _split(b, sizes), f), f)
 
 
 def gf_s2(f, c, sizes):
-    """S2(C) over the field."""
-    spans = _split(sizes)
-    cols = []
-    for r1 in range(len(sizes)):
-        for r2 in range(r1 + 1, len(sizes)):
-            cols.append(
-                _gf_symprod_block(
-                    f,
-                    c[:, spans[r1][0] : spans[r1][1]],
-                    c[:, spans[r2][0] : spans[r2][1]],
-                )
-            )
-    if not cols:
-        return GFMatrix(np.zeros((n_sym(c.shape[0]), 0), dtype=np.int64), f)
-    return GFMatrix(np.hstack(cols), f)
+    """S2(C) over the field, built by :func:`btd1.minors.s2_matrix`."""
+    return GFMatrix(s2_matrix(_split(c, sizes), f), f)
 
 
 def _q2_factors(f, a, b, c, sizes):

@@ -9,14 +9,19 @@ pairs carries the same information: ``R2 = Q2 @ PK.T``.
 
 All index pairs — (i1 < i2), (j1 < j2) for rows, (k1 <= k2) for columns,
 and the entries of wedge / symmetric products — are enumerated in one place
-(:func:`strict_pairs` / :func:`sym_pairs`), in lexicographic order.  Every
-structure in this module and in the finite-field module uses that single
-enumeration, which keeps the factorization ``Q2 = Phi(A, B) @ S2(C).T``
-exact entry for entry.
+(:func:`strict_pairs` / :func:`sym_pairs`, with :func:`sym_pair_position`
+as the inverse table), in lexicographic order.  The wedge and symmetric
+products and the factor matrices ``Phi(A, B)`` and ``S2(C)`` are built here
+once, for every arithmetic: :func:`phi_matrix` and :func:`s2_matrix` take
+an object with ``mul``/``add``/``sub`` methods: numpy's own arithmetic
+for real and complex factors, a ``btd1.gf.GFField`` over finite fields.  That keeps the
+factorization ``Q2 = Phi(A, B) @ S2(C).T`` exact entry for entry in both.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,10 +38,13 @@ __all__ = [
     "build_R2",
     "build_PK",
     "build_D",
+    "sym_pair_position",
     "wedge",
     "symprod",
     "wedge_block",
     "symprod_block",
+    "phi_matrix",
+    "s2_matrix",
     "build_phi_s2",
     "compound2",
     "rank1_membership",
@@ -84,7 +92,7 @@ class MinorMatrixSet:
         halved off the diagonal: column q of :func:`build_D` @ basis.
         """
         g = self.null_space(tol=tol, dim=dim, atol=atol)
-        pos = _sym_pair_position(self.K)
+        pos = sym_pair_position(self.K)
         scale = np.where(np.eye(self.K, dtype=bool), 1.0, 0.5)
         return [g[pos, q] * scale for q in range(g.shape[1])]
 
@@ -145,7 +153,9 @@ def build_R2(t):
 
 
 @lru_cache(maxsize=64)
-def _sym_pair_position(k):
+def sym_pair_position(k):
+    """K x K table of column positions: entry (k1, k2) is the index of the
+    unordered pair {k1, k2} in :func:`sym_pairs` order."""
     kp1, kp2 = sym_pairs(k)
     pos = np.zeros((k, k), dtype=np.int64)
     pos[kp1, kp2] = np.arange(kp1.size)
@@ -161,11 +171,8 @@ def build_PK(k):
     """
     if k < 1:
         raise DimensionError("K must be positive")
-    pos = _sym_pair_position(k)
     pk = np.zeros((k * k, n_sym(k)))
-    for k1 in range(k):
-        for k2 in range(k):
-            pk[k1 * k + k2, pos[k1, k2]] = 1.0
+    pk[np.arange(k * k), sym_pair_position(k).ravel()] = 1.0
     return pk
 
 
@@ -178,76 +185,98 @@ def build_D(k):
     return pk / counts[None, :]
 
 
-def wedge(x, y):
-    """All 2 x 2 minors of [x y]: entries x_p y_q - x_q y_p over pairs p < q."""
+# numpy's own arithmetic under the method names of ``btd1.gf.GFField``
+_NUMPY = SimpleNamespace(mul=operator.mul, add=operator.add, sub=operator.sub)
+
+
+def _pair_block(field, x, y, wedge):
+    """Columnwise wedge (x_p y_q - x_q y_p over p < q) or symmetric product
+    (x_p y_q + x_q y_p over p <= q) of two blocks in ``field``'s arithmetic,
+    columns ordered with y's column index fastest."""
+    p, q = strict_pairs(x.shape[0]) if wedge else sym_pairs(x.shape[0])
+    combine = field.sub if wedge else field.add
+    out = combine(
+        field.mul(x[p][:, :, None], y[q][:, None, :]),
+        field.mul(x[q][:, :, None], y[p][:, None, :]),
+    )
+    return out.reshape(p.size, x.shape[1] * y.shape[1])
+
+
+def _vector_pair(x, y, wedge):
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError("wedge needs two vectors of equal length")
-    p, q = strict_pairs(x.size)
-    return x[p] * y[q] - x[q] * y[p]
+        raise DimensionError("needs two vectors of equal length")
+    return _pair_block(_NUMPY, x[:, None], y[:, None], wedge)[:, 0]
+
+
+def _block_pair(x, y, wedge):
+    x = np.atleast_2d(np.asarray(x))
+    y = np.atleast_2d(np.asarray(y))
+    if x.shape[0] != y.shape[0]:
+        raise DimensionError("blocks must share row count")
+    return _pair_block(_NUMPY, x, y, wedge)
+
+
+def wedge(x, y):
+    """All 2 x 2 minors of [x y]: entries x_p y_q - x_q y_p over pairs p < q."""
+    return _vector_pair(x, y, wedge=True)
 
 
 def symprod(x, y):
     """All 2 x 2 permanents of [x y]: entries x_p y_q + x_q y_p over p <= q."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError("symprod needs two vectors of equal length")
-    p, q = sym_pairs(x.size)
-    return x[p] * y[q] + x[q] * y[p]
+    return _vector_pair(x, y, wedge=False)
 
 
 def wedge_block(bi, bj):
     """Columnwise wedge of two blocks, columns ordered with the second
     block's column index fastest."""
-    bi = np.atleast_2d(np.asarray(bi))
-    bj = np.atleast_2d(np.asarray(bj))
-    if bi.shape[0] != bj.shape[0]:
-        raise DimensionError("blocks must share row count")
-    p, q = strict_pairs(bi.shape[0])
-    out = bi[p][:, :, None] * bj[q][:, None, :] - bi[q][:, :, None] * bj[p][:, None, :]
-    return out.reshape(p.size, bi.shape[1] * bj.shape[1])
+    return _block_pair(bi, bj, wedge=True)
 
 
 def symprod_block(ci, cj):
     """Columnwise symmetric product of two blocks, second index fastest."""
-    ci = np.atleast_2d(np.asarray(ci))
-    cj = np.atleast_2d(np.asarray(cj))
-    if ci.shape[0] != cj.shape[0]:
-        raise DimensionError("blocks must share row count")
-    p, q = sym_pairs(ci.shape[0])
-    out = ci[p][:, :, None] * cj[q][:, None, :] + ci[q][:, :, None] * cj[p][:, None, :]
-    return out.reshape(p.size, ci.shape[1] * cj.shape[1])
+    return _block_pair(ci, cj, wedge=False)
+
+
+def _stack_pairs(cols, n_rows, blocks):
+    if not cols:
+        return np.zeros((n_rows, 0), dtype=np.result_type(*blocks))
+    return np.hstack(cols)
+
+
+def phi_matrix(a, b_blocks, field):
+    """Phi(A, B): blocks (a_r1 wedge a_r2) kron (B_r1 wedge B_r2) over term
+    pairs r1 < r2 in lexicographic order, the (l1, l2) columns of a block
+    enumerated l2 fastest; products go through ``field``."""
+    cols = []
+    for r1, r2 in zip(*strict_pairs(len(b_blocks))):
+        wa = _pair_block(field, a[:, r1 : r1 + 1], a[:, r2 : r2 + 1], wedge=True)
+        wb = _pair_block(field, b_blocks[r1], b_blocks[r2], wedge=True)
+        kron = field.mul(wa[:, :, None], wb[None])
+        cols.append(kron.reshape(wa.shape[0] * wb.shape[0], wb.shape[1]))
+    n_rows = n_strict(a.shape[0]) * n_strict(b_blocks[0].shape[0])
+    return _stack_pairs(cols, n_rows, [a, *b_blocks])
+
+
+def s2_matrix(c_blocks, field):
+    """S2(C): blocks C_r1 symprod C_r2 over term pairs r1 < r2, in the
+    order of :func:`phi_matrix`; products go through ``field``."""
+    cols = [
+        _pair_block(field, c_blocks[r1], c_blocks[r2], wedge=False)
+        for r1, r2 in zip(*strict_pairs(len(c_blocks)))
+    ]
+    return _stack_pairs(cols, n_sym(c_blocks[0].shape[0]), c_blocks)
 
 
 def build_phi_s2(d):
-    """Factored minor form of a decomposition.
-
-    Phi stacks (a_r1 wedge a_r2) kron (B_r1 wedge B_r2) and S2 stacks
-    C_r1 symprod C_r2, both over pairs r1 < r2 in lexicographic order with
-    the (l1, l2) column pairs enumerated l2 fastest.  Satisfies
-    Phi @ S2.T == Q2(compose(d)).
-    """
-    a = d.A
-    r = d.R
-    phi_cols = []
-    s2_cols = []
-    for r1 in range(r):
-        for r2 in range(r1 + 1, r):
-            wa = wedge(a[:, r1], a[:, r2])
-            wb = wedge_block(d.terms[r1][0], d.terms[r2][0])
-            phi_cols.append(np.kron(wa[:, None], wb))
-            s2_cols.append(symprod_block(d.terms[r1][1], d.terms[r2][1]))
-    i_dim, j_dim, k_dim = d.dims
-    n_rows_phi = n_strict(i_dim) * n_strict(j_dim)
-    if not phi_cols:
-        dtype = np.result_type(a, d.terms[0][0])
-        return FactorMinorForm(
-            Phi=np.zeros((n_rows_phi, 0), dtype=dtype),
-            S2=np.zeros((n_sym(k_dim), 0), dtype=dtype),
-        )
-    return FactorMinorForm(Phi=np.hstack(phi_cols), S2=np.hstack(s2_cols))
+    """Factored minor form of a decomposition, with
+    Phi @ S2.T == Q2(compose(d)): see :func:`phi_matrix` and
+    :func:`s2_matrix`."""
+    return FactorMinorForm(
+        Phi=phi_matrix(d.A, [b for b, _ in d.terms], _NUMPY),
+        S2=s2_matrix([c for _, c in d.terms], _NUMPY),
+    )
 
 
 def compound2(m):

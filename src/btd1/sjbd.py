@@ -31,6 +31,7 @@ from .linalg import (
     randn,
     rng,
 )
+from .minors import build_PK, sym_pair_position
 
 __all__ = [
     "SJBDProblem",
@@ -247,7 +248,8 @@ def _eigen_groups(z, cluster_tol, n_clusters=None):
 
     Returns the eigenvector blocks and their mean eigenvalues, groups in
     order of first appearance.  Raises :class:`SolverDiagnostic` when z is
-    numerically defective.
+    numerically defective: when its eigenvectors do not span, or when the
+    eigenvectors of one group are dependent at 1e-6.
     """
     vals, vecs = np.linalg.eig(z)
     rank = numerical_rank(vecs, tol=1e-10)
@@ -258,7 +260,21 @@ def _eigen_groups(z, cluster_tol, n_clusters=None):
         )
     labels = _cluster_scalars(vals, cluster_tol, n_clusters=n_clusters)
     groups = [np.nonzero(labels == g)[0] for g in range(labels.max() + 1)]
-    return [vecs[:, idx] for idx in groups], [vals[idx].mean() for idx in groups]
+    blocks = [vecs[:, idx] for idx in groups]
+    for g, block in enumerate(blocks):
+        # eig splits an m-fold defective eigenvalue into m values about
+        # eps^(1/m) apart (1e-8 for m = 2) whose unit eigenvectors are as
+        # close, so they pass the 1e-10 test above; the eigenvectors of a
+        # diagonalizable repeated eigenvalue are independent at the
+        # conditioning of the problem, far above the 1e-6 used here
+        group_rank = numerical_rank(block, tol=1e-6) if block.shape[1] > 1 else 1
+        if group_rank < block.shape[1]:
+            raise SolverDiagnostic(
+                "combination matrix is defective; the eigenvectors of a "
+                "repeated eigenvalue do not span its group",
+                {"group": g, "group_rank": group_rank, "group_size": block.shape[1]},
+            )
+    return blocks, [vals[idx].mean() for idx in groups]
 
 
 def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
@@ -405,47 +421,22 @@ def simultaneous_evd_cpd(
     return n, d, order, status, fit, sweeps
 
 
-def _sym_basis(d):
-    """Basis of d x d symmetric matrices as columns of a d^2 x d(d+1)/2 map."""
-    cols = []
-    for i in range(d):
-        for j in range(i, d):
-            m = np.zeros((d, d))
-            m[i, j] += 1.0
-            m[j, i] += 1.0
-            if i == j:
-                m[i, i] = 1.0
-            cols.append(m.ravel(order="F"))
-    return np.column_stack(cols)
-
-
 def recover_coefficients(n, d, v_list):
-    """Least-squares block-diagonal symmetric D_q with N D_q N.T ~= V_q."""
-    offs = np.concatenate([[0], np.cumsum(d)])
-    design_blocks = []
-    for r in range(len(d)):
-        nr = n[:, offs[r] : offs[r + 1]]
-        design_blocks.append(np.kron(nr, nr) @ _sym_basis(d[r]))
-    design = np.hstack(design_blocks)
+    """Least-squares block-diagonal symmetric D_q with N D_q N.T ~= V_q.
+
+    Each block is packed over its unordered index pairs: ``build_PK`` maps
+    the packed entries to the vectorized block and ``sym_pair_position``
+    unpacks them."""
+    n_blocks = np.split(n, np.cumsum(d)[:-1], axis=1)
+    design = np.hstack([np.kron(nr, nr) @ build_PK(dr) for nr, dr in zip(n_blocks, d)])
     pinv_design = np.linalg.pinv(design, rcond=default_tol())
+    packed_offs = np.cumsum([dr * (dr + 1) // 2 for dr in d])[:-1]
     out = []
-    sizes = [d[r] * (d[r] + 1) // 2 for r in range(len(d))]
     for v in v_list:
-        packed = pinv_design @ v.ravel(order="F")
-        blocks = []
-        pos = 0
-        for r, sz in enumerate(sizes):
-            coeffs = packed[pos : pos + sz]
-            pos += sz
-            m = np.zeros((d[r], d[r]), dtype=packed.dtype)
-            idx = 0
-            for i in range(d[r]):
-                for j in range(i, d[r]):
-                    m[i, j] = coeffs[idx]
-                    m[j, i] = coeffs[idx]
-                    idx += 1
-            blocks.append(m)
-        out.append(scipy.linalg.block_diag(*blocks))
+        packed = np.split(pinv_design @ v.ravel(order="F"), packed_offs)
+        out.append(
+            scipy.linalg.block_diag(*(p[sym_pair_position(dr)] for p, dr in zip(packed, d)))
+        )
     return tuple(out)
 
 

@@ -534,12 +534,10 @@ def decompose(t, opts=None):
     diag = {}
 
     original = t
-    mixing = None
     if not opts.noisy:
-        r3 = numerical_rank(unfold(t, 3), tol=opts.tol)
+        compressed, _, r3 = compress_third_mode(t, tol=opts.tol)
         if r3 < k_dim:
-            t, mixing, r3 = compress_third_mode(t, rank=r3)
-            k_dim = r3
+            t, k_dim = compressed, r3
             diag["compressed_K"] = int(r3)
 
     a, n, d, q_used, phase1_diag = phase1_recover_A(t, opts)
@@ -561,7 +559,7 @@ def decompose(t, opts=None):
         est = phase2_case3(t, a, opts, sizes=sizes)
         detected_l = est.sizes
 
-    if mixing is not None:
+    if t is not original:
         # map the compressed third factor back to the original tensor
         est = _fit_third_factor(original, est.A, [b for b, _ in est.terms])
 

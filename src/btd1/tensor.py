@@ -234,7 +234,7 @@ def add_noise(t, spec):
     return Tensor3(np.asarray(t.values, dtype=np.result_type(t.values, noise)) + c * noise, t.field)
 
 
-def compress_third_mode(t, tol=None, rank=None):
+def compress_third_mode(t, tol=None):
     """Replace the third mode by an orthonormal mixing of the frontal slices.
 
     Returns ``(compressed, mixing, rank)`` where ``unfold(compressed, 3)`` is
@@ -246,8 +246,7 @@ def compress_third_mode(t, tol=None, rank=None):
     """
     t3 = unfold(t, 3)
     u, s, vh = np.linalg.svd(t3, full_matrices=False)
-    if rank is None:
-        rank = rank_cut(s, tol)
+    rank = rank_cut(s, tol)
     u = u[:, :rank]
     mixing = s[:rank, None] * vh[:rank]
     i_dim, j_dim, _ = t.dims

@@ -13,7 +13,8 @@ term matrices) are exhaustive and therefore capped; a capped check reports
 verdict is sound.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -47,53 +48,50 @@ class KRankResult:
     value: int
     exact: bool = True
 
-    def __int__(self):
-        return self.value
 
+def _subset_rank(blocks, targets, ks, tol, cap):
+    """Largest k of ``ks`` (increasing) such that every k-subset of
+    ``blocks``, stacked side by side, has rank at least the sum of its
+    ``targets``.
 
-def k_rank(a, tol=None, cap=SUBSET_CAP):
-    """Largest k such that every k columns of ``a`` are linearly independent."""
-    a = np.asarray(a)
-    n = a.shape[1]
-    if np.any(np.linalg.norm(a, axis=0) == 0):
-        return KRankResult(0)
-    best = 0
-    tested = 0
-    for k in range(1, min(n, a.shape[0]) + 1):
-        n_subsets = _n_choose(n, k)
-        if tested + n_subsets > cap:
-            return KRankResult(best, exact=False)
-        tested += n_subsets
-        for cols in combinations(range(n), k):
-            if numerical_rank(a[:, cols], tol=tol) < k:
-                return KRankResult(best)
-        best = k
-    return KRankResult(best)
-
-
-def k_prime_rank(blocks, tol=None, cap=SUBSET_CAP):
-    """Largest k' such that any k' blocks yield independent columns."""
-    blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
+    Subsets are tested in lexicographic order and the first failure ends
+    the search.  The search also ends at the first k whose k smallest
+    targets sum above the row count, since no k-subset can then reach its
+    target.  ``cap`` bounds the subsets tested over all k; a k that would
+    pass it ends the search with an inexact lower bound.
+    """
     n = len(blocks)
+    smallest = sorted(targets)
     best = 0
     tested = 0
-    for k in range(1, n + 1):
-        n_subsets = _n_choose(n, k)
+    for k in ks:
+        if k <= n and sum(smallest[:k]) > blocks[0].shape[0]:
+            break
+        n_subsets = math.comb(n, k)
         if tested + n_subsets > cap:
             return KRankResult(best, exact=False)
         tested += n_subsets
         for sel in combinations(range(n), k):
             m = np.hstack([blocks[i] for i in sel])
-            if numerical_rank(m, tol=tol) < m.shape[1]:
+            if numerical_rank(m, tol=tol) < sum(targets[i] for i in sel):
                 return KRankResult(best)
         best = k
     return KRankResult(best)
 
 
-def _n_choose(n, k):
-    from math import comb
+def k_rank(a, tol=None, cap=SUBSET_CAP):
+    """Largest k such that every k columns of ``a`` are linearly independent."""
+    a = np.asarray(a)
+    if np.any(np.linalg.norm(a, axis=0) == 0):
+        return KRankResult(0)
+    return k_prime_rank([a[:, i : i + 1] for i in range(a.shape[1])], tol=tol, cap=cap)
 
-    return comb(n, k)
+
+def k_prime_rank(blocks, tol=None, cap=SUBSET_CAP):
+    """Largest k' such that any k' blocks yield independent columns."""
+    blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
+    targets = [b.shape[1] for b in blocks]
+    return _subset_rank(blocks, targets, range(1, len(blocks) + 1), tol, cap)
 
 
 def check_necessary(d, tol=None):
@@ -117,7 +115,6 @@ class UniquenessReport:
     assumptions: dict
     conditions: dict
     statements: dict
-    generic: dict = field(default_factory=dict)
     s_count: int = None
     ijk: int = None
     notes: tuple = ()
@@ -128,10 +125,6 @@ class UniquenessReport:
                 return "not_evaluated"
             if isinstance(v, (list, tuple)):
                 return [_clean(x) for x in v]
-            if isinstance(v, (np.bool_, bool)):
-                return bool(v)
-            if isinstance(v, (np.integer, int)):
-                return int(v)
             return v
 
         return {
@@ -139,7 +132,6 @@ class UniquenessReport:
             "assumptions": {k: _clean(v) for k, v in self.assumptions.items()},
             "conditions": {k: _clean(v) for k, v in self.conditions.items()},
             "statements": {k: _clean(v) for k, v in self.statements.items()},
-            "generic": {k: _clean(v) for k, v in self.generic.items()},
             "s_count": self.s_count,
             "ijk": self.ijk,
             "notes": list(self.notes),
@@ -167,20 +159,8 @@ def _subset_rank_condition(mats, sizes, subset_size, transpose, tol, cap=SUBSET_
     """Whether every ``subset_size``-subset of term matrices, concatenated
     side by side (transposed when ``transpose``), has rank equal to the sum
     of the corresponding term sizes."""
-    r = len(mats)
-    if subset_size > r:
-        return True
-    if _n_choose(r, subset_size) > cap:
-        return None
-    for sel in combinations(range(r), subset_size):
-        if transpose:
-            m = np.hstack([mats[i].T for i in sel])
-        else:
-            m = np.hstack([mats[i] for i in sel])
-        target = sum(sizes[i] for i in sel)
-        if numerical_rank(m, tol=tol) < target:
-            return False
-    return True
+    blocks = [m.T for m in mats] if transpose else mats
+    return _at_least(_subset_rank(blocks, sizes, (subset_size,), tol, cap), subset_size)
 
 
 def _at_least(kres, need):
@@ -317,7 +297,6 @@ def check_deterministic_uniqueness(d, t=None, tol=None, cap=SUBSET_CAP):
         assumptions=assumptions,
         conditions=conditions,
         statements=statements,
-        generic={},
         s_count=s_count,
         ijk=ijk,
         notes=tuple(notes),
@@ -428,7 +407,7 @@ def generic_bounds(dims, sizes):
     k_eff = min(k_dim, sum_l)
     d1 = k_eff - sum_l + sizes[0]
     if r >= 2:
-        bound = -0.5 - np.sqrt(0.25 + 2.0 * sizes[0] * sizes[1] / (r - 1)) + sum_l
+        bound = -0.5 - math.sqrt(0.25 + 2.0 * sizes[0] * sizes[1] / (r - 1)) + sum_l
         rows["first_fm_inequality"] = k_eff >= bound
     else:
         rows["first_fm_inequality"] = True

@@ -108,6 +108,74 @@ def test_gf_phi_matches_integer_construction():
     assert np.array_equal(q2_gf.values, q2_int % p)
 
 
+def test_gf_phi_s2_binary_field_matches_scalar_loop(gf2_8):
+    # every entry of Phi and S2 over GF(2^8) from the wedge and symmetric
+    # product formulas, one field scalar at a time, and Phi S2.T against the
+    # minors of the in-field composed tensor
+    f = gf2_8
+    gen = rng(21)
+    sizes = (1, 2, 2)
+    i_dim, j_dim, k_dim = 3, 4, 3
+    a = f.random(gen, (i_dim, 3))
+    b = f.random(gen, (j_dim, 5))
+    c = f.random(gen, (k_dim, 5))
+    term_cols = [(0,), (1, 2), (3, 4)]
+
+    def mul(x, y):
+        return int(f.mul(x, y))
+
+    def minor(x, y, p, q):
+        return int(f.sub(mul(x[p], y[q]), mul(x[q], y[p])))
+
+    def perm(x, y, p, q):
+        return int(f.add(mul(x[p], y[q]), mul(x[q], y[p])))
+
+    i_pairs = [(p, q) for p in range(i_dim) for q in range(p + 1, i_dim)]
+    j_pairs = [(p, q) for p in range(j_dim) for q in range(p + 1, j_dim)]
+    k_pairs = [(p, q) for p in range(k_dim) for q in range(p, k_dim)]
+    phi_cols, s2_cols = [], []
+    for r1 in range(3):
+        for r2 in range(r1 + 1, 3):
+            for l1 in term_cols[r1]:
+                for l2 in term_cols[r2]:
+                    phi_cols.append(
+                        [
+                            mul(minor(a[:, r1], a[:, r2], *ip), minor(b[:, l1], b[:, l2], *jp))
+                            for ip in i_pairs
+                            for jp in j_pairs
+                        ]
+                    )
+                    s2_cols.append([perm(c[:, l1], c[:, l2], *kp) for kp in k_pairs])
+    phi = gf_phi(f, a, b, sizes).values
+    s2 = gf_s2(f, c, sizes).values
+    assert np.array_equal(phi, np.array(phi_cols).T)
+    assert np.array_equal(s2, np.array(s2_cols).T)
+    # in characteristic 2 the diagonal pairs (k, k) of S2 vanish identically
+    assert not s2[[kp[0] == kp[1] for kp in k_pairs]].any()
+
+    t = np.zeros((i_dim, j_dim, k_dim), dtype=np.int64)
+    for i in range(i_dim):
+        for j in range(j_dim):
+            for k in range(k_dim):
+                for r, cols in enumerate(term_cols):
+                    for l in cols:
+                        t[i, j, k] = f.add(t[i, j, k], mul(a[i, r], mul(b[j, l], c[k, l])))
+    q2 = [
+        [
+            int(
+                f.sub(
+                    f.add(mul(t[i1, j1, k1], t[i2, j2, k2]), mul(t[i1, j1, k2], t[i2, j2, k1])),
+                    f.add(mul(t[i1, j2, k1], t[i2, j1, k2]), mul(t[i1, j2, k2], t[i2, j1, k1])),
+                )
+            )
+            for k1, k2 in k_pairs
+        ]
+        for i1, i2 in i_pairs
+        for j1, j2 in j_pairs
+    ]
+    assert np.array_equal(gf_q2_from_factors(f, a, b, c, sizes).values, np.array(q2))
+
+
 def test_verify_q2_dim_3x3x5():
     res = verify_generic_q2_dim((3, 3, 5), (1, 1, 1, 2), seed=0)
     assert res.certified

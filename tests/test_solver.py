@@ -5,6 +5,7 @@ from btd1 import (
     BlockTermDecomposition,
     NoiseSpec,
     SolverOptions,
+    Tensor3,
     add_noise,
     compose,
     decompose,
@@ -210,6 +211,16 @@ def test_gevd_random_instance():
         assert sorted(est.sizes) == [1, 2, 3]
         _, _, err_a, err_t = match_decompositions(truth, est)
         assert err_t < 1e-8
+
+
+@pytest.mark.parametrize("second", [[[0.0, 1.0], [0.0, 0.0]], [[2.0, 1.0], [0.0, 2.0]]])
+@pytest.mark.parametrize("seed", range(4))
+def test_gevd_defective_pencil_raises(second, seed):
+    # slices I and a Jordan block: no two-slice decomposition exists, and the
+    # pencil's double eigenvalue has a single eigenvector
+    t = Tensor3(np.stack([np.eye(2), np.array(second)]))
+    with pytest.raises(SolverDiagnostic, match="defective"):
+        gevd_two_slice_btd(t, seed=seed)
 
 
 def test_estimate_L_from_d():

@@ -5,6 +5,7 @@ from btd1 import BlockTermDecomposition, compose, random_btd
 from btd1.linalg import numerical_rank, rng
 from btd1.minors import build_Q2
 from btd1.uniqueness import (
+    KRankResult,
     nonuniqueness_family_2x8x7,
     check_rank_only_uniqueness,
     check_deterministic_uniqueness,
@@ -56,6 +57,17 @@ def test_k_rank_cap_gives_lower_bound():
     res = k_rank(a, cap=20)
     assert not res.exact
     assert res.value <= 10
+
+
+def test_subset_rank_stops_at_row_count():
+    # any two 4 x 2 blocks fill the 4 rows and no three fit, so k' = 2 is
+    # exact without testing the triples, which the cap would not cover
+    gen = rng(30)
+    blocks = [gen.standard_normal((4, 2)) for _ in range(3)]
+    assert k_prime_rank(blocks, cap=6) == KRankResult(2, exact=True)
+    # with single columns the stop is the k-rank's bound min(columns, rows):
+    # a cap of 25 covers the subsets of up to 3 of 5 columns
+    assert k_rank(gen.standard_normal((3, 5)), cap=25) == KRankResult(3, exact=True)
 
 
 def test_main_theorem_3xJx15_narrow_j():
@@ -283,6 +295,7 @@ def test_report_serialization():
     d = random_btd((3, 8, 8), (2, 3, 4), seed=13)
     rep = check_deterministic_uniqueness(d)
     payload = rep.to_dict()
+    assert "generic" not in payload
     assert payload["statements"]["S5_overall_unique"] in (True, False, "not_evaluated")
     import json
 
