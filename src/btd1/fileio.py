@@ -57,13 +57,11 @@ def read_tensor(path):
         if raw.size != 2 * n:
             raise DimensionError(f"{path}: expected {2*n} floats, found {raw.size}")
         flat = raw[0::2] + 1j * raw[1::2]
-        field = "complex"
     else:
         if raw.size != n:
             raise DimensionError(f"{path}: expected {n} floats, found {raw.size}")
         flat = raw
-        field = "real"
-    return Tensor3(flat.reshape(i_dim, j_dim, k_dim), field)
+    return Tensor3(flat.reshape(i_dim, j_dim, k_dim))
 
 
 def _encode_array(a):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linalg import DimensionError, rng
+from .linalg import DimensionError, rng, split_columns
 from .minors import n_strict, n_sym, phi_matrix, s2_matrix
 
 __all__ = [
@@ -265,18 +265,14 @@ class GFVerificationResult:
         }
 
 
-def _split(m, sizes):
-    return np.split(m, np.cumsum(sizes)[:-1], axis=1)
-
-
 def gf_phi(f, a, b, sizes):
     """Phi(A, B) over the field, built by :func:`btd1.minors.phi_matrix`."""
-    return GFMatrix(phi_matrix(a, _split(b, sizes), f), f)
+    return GFMatrix(phi_matrix(a, split_columns(b, sizes), f), f)
 
 
 def gf_s2(f, c, sizes):
     """S2(C) over the field, built by :func:`btd1.minors.s2_matrix`."""
-    return GFMatrix(s2_matrix(_split(c, sizes), f), f)
+    return GFMatrix(s2_matrix(split_columns(c, sizes), f), f)
 
 
 def _q2_factors(f, a, b, c, sizes):

@@ -5,9 +5,13 @@ Every rank decision on singular values goes through :func:`rank_cut`: the
 count of singular values above ``max(tol * sigma_max, atol)``, with default
 ``tol = 1e-10`` (exact ``decompose`` uses 1e-8) and ``atol = 0``.  The
 environment variable ``BTD_RANK_TOL``, read by :func:`default_tol` only,
-overrides both default ``tol`` values; a per-call ``tol`` overrides it.  All
-random draws in the package go through :func:`rng`, a PCG64 generator seeded
-explicitly, so every stochastic operation is reproducible from its seed.
+overrides both default ``tol`` values; a per-call ``tol`` overrides it.  A
+step that also needs a basis or factors reads its rank from the SVD that
+gives them, never from a second factorization of the same matrix: the width
+of :func:`orth` is the rank of its input, and :func:`null_space` cuts the
+SVD whose right singular vectors it returns.  All random draws in the
+package go through :func:`rng`, a PCG64 generator seeded explicitly, so
+every stochastic operation is reproducible from its seed.
 """
 
 import os
@@ -107,21 +111,18 @@ def cond(a):
     return float(s[0] / s[-1])
 
 
-def truncated_svd(a, r):
-    """Best rank-r approximation factors (b, c) with a ~= b @ c.T."""
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = min(r, s.size)
-    b = u[:, :r] * s[:r]
-    c = vh[:r].T
-    return b, c
-
-
 def orth(a, tol=None, dim=None):
-    """Orthonormal basis of the column space."""
+    """Orthonormal basis of the column space: ``dim`` columns, or
+    :func:`rank_cut` at ``tol`` of the same SVD's singular values."""
     a = np.asarray(a)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r = rank_cut(s, tol) if dim is None else dim
     return u[:, :r]
+
+
+def split_columns(m, widths):
+    """Consecutive column blocks of ``m`` with the given widths."""
+    return np.split(m, np.cumsum(widths)[:-1], axis=1)
 
 
 def dominant_rank1(m):

@@ -30,6 +30,7 @@ from .linalg import (
     orth,
     randn,
     rng,
+    split_columns,
 )
 from .minors import build_PK, sym_pair_position
 
@@ -111,8 +112,7 @@ class SJBDSolution:
         return len(self.d)
 
     def blocks(self):
-        offs = np.concatenate([[0], np.cumsum(self.d)])
-        return [self.N[:, offs[r] : offs[r + 1]] for r in range(self.R)]
+        return split_columns(self.N, self.d)
 
     def coefficients(self, v_list):
         """Block-diagonal D_q with N D_q N.T ~= V_q, in least squares."""
@@ -231,6 +231,12 @@ def cluster_columns(x, n_clusters=None, threshold=None):
         threshold = 1.0 - 1e-6
     # rounding can push |cos| of parallel columns just above 1
     return _single_linkage(np.maximum(1.0 - sim, 0.0), 1.0 - threshold, n_clusters)
+
+
+def _group_labels(labels):
+    """Stable column order that groups integer labels 0, 1, ... (as
+    :func:`cluster_columns` returns them), and the group sizes."""
+    return np.argsort(labels, kind="stable"), tuple(int(x) for x in np.bincount(labels))
 
 
 def _realify_blocks(blocks, means, tol):
@@ -365,13 +371,7 @@ def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
 
 
 def simultaneous_evd_cpd(
-    u_mats,
-    omega=2.0,
-    seed=0,
-    n_clusters=None,
-    cluster_tol=1e-6,
-    max_iter=500,
-    partition=True,
+    u_mats, omega=2.0, seed=0, n_clusters=None, cluster_tol=1e-6, partition=True
 ):
     """Joint diagonalizer via a rank-one tensor fit of the stacked basis.
 
@@ -380,12 +380,12 @@ def simultaneous_evd_cpd(
     replaced by omega * I, which is always consistent and softly enforces
     that coupling.  The fit is an alternating least squares refinement
     initialized from the single-combination EVD.  The K first-factor columns
-    are clustered modulo sign/scaling to find the block sizes and the
-    permutation grouping the columns of N.
+    are clustered modulo sign/scaling to find the block sizes, and the
+    columns of N are grouped by cluster.
 
-    Returns (N, d, perm, status, fit, sweeps), ``sweeps`` being the ALS
-    sweeps run; with ``partition=False`` the columns are left ungrouped and
-    d is None.
+    Returns (N, d, status, fit, sweeps), ``sweeps`` being the ALS sweeps
+    run; with ``partition=False`` the columns are left ungrouped and d is
+    None.
     """
     k = u_mats[0].shape[0]
     mats = [np.array(u) for u in u_mats]
@@ -408,17 +408,13 @@ def simultaneous_evd_cpd(
             "initialization eigenbasis is singular", {"size": k}
         ) from exc
     a0 = np.stack([np.diagonal(n0_inv @ u @ n0) for u in mats])
-    (a, c, _b), fit, converged, sweeps = cpd_als(
-        stack, k, (a0, n0, n0_inv.T), max_iter=max_iter
-    )
+    (a, c, _b), fit, converged, sweeps = cpd_als(stack, k, (a0, n0, n0_inv.T))
     status = "ok" if converged else "warning: CPD refinement hit max iterations"
     if not partition:
-        return c, None, np.arange(k), status, fit, sweeps
+        return c, None, status, fit, sweeps
     labels = cluster_columns(a, n_clusters=n_clusters, threshold=1.0 - cluster_tol)
-    order = np.argsort(labels, kind="stable")
-    d = tuple(int(np.sum(labels == g)) for g in range(labels.max() + 1))
-    n = c[:, order]
-    return n, d, order, status, fit, sweeps
+    order, d = _group_labels(labels)
+    return c[:, order], d, status, fit, sweeps
 
 
 def recover_coefficients(n, d, v_list):
@@ -427,7 +423,7 @@ def recover_coefficients(n, d, v_list):
     Each block is packed over its unordered index pairs: ``build_PK`` maps
     the packed entries to the vectorized block and ``sym_pair_position``
     unpacks them."""
-    n_blocks = np.split(n, np.cumsum(d)[:-1], axis=1)
+    n_blocks = split_columns(n, d)
     design = np.hstack([np.kron(nr, nr) @ build_PK(dr) for nr, dr in zip(n_blocks, d)])
     pinv_design = np.linalg.pinv(design, rcond=default_tol())
     packed_offs = np.cumsum([dr * (dr + 1) // 2 for dr in d])[:-1]
@@ -468,14 +464,12 @@ def solve_sjbd(
     v_list = list(problem.V)
     k = problem.K
     tol = default_tol() if rank_tol is None else rank_tol
-    stacked = np.hstack(v_list)
-    if problem.hint_sum_d is not None:
-        s = problem.hint_sum_d
-    else:
-        s = numerical_rank(stacked, tol=tol)
+    s = problem.hint_sum_d
+    if s is None or s < k:
+        u_s = orth(np.hstack(v_list), tol=tol, dim=s)
+        s = u_s.shape[1]
     diagnostics = {"subspace_dim": int(s), "Q": problem.Q}
     if s < k:
-        u_s = orth(stacked, dim=s)
         v_sub = [(u_s.conj().T @ v @ np.conj(u_s)) for v in v_list]
         v_sub = [(v + v.T) / 2.0 for v in v_sub]
     else:
@@ -499,7 +493,7 @@ def solve_sjbd(
             n_clusters=None if exact else r_found,
         )
     elif evd_variant == "cpd":
-        n_sub, d, _perm, cpd_status, fit, sweeps = simultaneous_evd_cpd(
+        n_sub, d, cpd_status, fit, sweeps = simultaneous_evd_cpd(
             u_mats,
             omega=omega,
             seed=seed,

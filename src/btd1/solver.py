@@ -37,11 +37,19 @@ from .linalg import (
     numerical_rank,
     orth,
     randn,
+    rank_cut,
     rng,
-    truncated_svd,
+    split_columns,
 )
 from .minors import build_Q2
-from .sjbd import SJBDProblem, _eigen_groups, _realify_blocks, cluster_columns, solve_sjbd
+from .sjbd import (
+    SJBDProblem,
+    _eigen_groups,
+    _group_labels,
+    _realify_blocks,
+    cluster_columns,
+    solve_sjbd,
+)
 from .tensor import BlockTermDecomposition, Tensor3, compose, compress_third_mode, unfold
 
 __all__ = [
@@ -218,8 +226,7 @@ def _rank1_pair(t, n_r):
     cols = [_vec(n_r.T @ values[i].T) for i in range(i_dim)]
     m = np.column_stack(cols)
     w, z = dominant_rank1(m)
-    b_r = w.reshape(n_r.shape[1], j_dim, order="F").T
-    return z, b_r, m
+    return z, w.reshape(n_r.shape[1], j_dim, order="F").T
 
 
 def _fit_third_factor(t, a, b_blocks):
@@ -227,37 +234,38 @@ def _fit_third_factor(t, a, b_blocks):
     unfold(t, 3) = [a_1 kron B_1 ... a_R kron B_R] C.T in least squares."""
     design = np.hstack([np.kron(a[:, r : r + 1], b) for r, b in enumerate(b_blocks)])
     c = lstsq(design, unfold(t, 3)).T
-    offs = np.concatenate([[0], np.cumsum([b.shape[1] for b in b_blocks])])
-    return BlockTermDecomposition(
-        a, tuple((b, c[:, offs[r] : offs[r + 1]]) for r, b in enumerate(b_blocks))
-    )
+    c_blocks = split_columns(c, [b.shape[1] for b in b_blocks])
+    return BlockTermDecomposition(a, tuple(zip(b_blocks, c_blocks)))
 
 
 def _truncated_terms(a, e_mats, sizes, tol):
     """Decomposition with the given A and the best rank-L_r factors of each
     term matrix E_r; L_r is ``sizes[r]`` when given, else the numerical rank
-    of E_r at ``tol`` (at least 1)."""
+    of E_r at ``tol`` (at least 1), cut from the SVD that gives the factors."""
     terms = []
     for idx, e in enumerate(e_mats):
-        l_r = sizes[idx] if sizes is not None else max(numerical_rank(e, tol=tol), 1)
-        terms.append(truncated_svd(e, l_r))
+        u, s, vh = np.linalg.svd(e, full_matrices=False)
+        l_r = sizes[idx] if sizes is not None else max(rank_cut(s, tol), 1)
+        l_r = min(l_r, s.size)
+        terms.append((u[:, :l_r] * s[:l_r], vh[:l_r].T))
     return BlockTermDecomposition(a, tuple(terms))
 
 
 def phase1_recover_A(t, opts=None):
-    """Phase I of the solver: returns (A, N, d, Q_used, diagnostics).
+    """Phase I of the solver: returns (A, B, N, d, Q_used, diagnostics).
 
     Q is counted from the minor matrix; :func:`sjbd.solve_sjbd` turns the
     Q symmetric null matrices V_q into (N, d).  Scenario 2 passes R and
-    sum d_r as hints and partitions the ungrouped N itself.  Each a_r then
-    comes from a rank-one factorization.
+    sum d_r as hints and partitions the ungrouped N itself.  Each a_r and
+    the J x d_r matrix B_r (the list B) then come from one rank-one
+    factorization; Case 1 fits the third factor to these B_r.
 
     N is K x sum(d) with block r spanning the common null space of the term
     matrices other than r; callers should compress the third mode first when
     unfold(t, 3) is column rank deficient.
     """
     opts = opts or SolverOptions()
-    i_dim, j_dim, k_dim = t.dims
+    k_dim = t.dims[2]
     diag = {}
     q2set = build_Q2(t)
     # entries of the minor matrix are quadratic in the tensor; anything below
@@ -312,7 +320,7 @@ def phase1_recover_A(t, opts=None):
 
     n_full, d = sol.N, sol.d
     if d is None:
-        n_full, d = _partition_by_unfolding(t, n_full, r_known, opts)
+        n_full, d = _partition_by_unfolding(t, n_full, r_known)
     d = tuple(int(x) for x in d)
     if opts.mode == "exact" and q_used != sum(x * (x + 1) // 2 for x in d):
         raise SolverDiagnostic(
@@ -321,17 +329,11 @@ def phase1_recover_A(t, opts=None):
             {"Q": q_used, "d": d},
         )
 
-    offs = np.concatenate([[0], np.cumsum(d)])
-    a_cols = []
-    for r in range(len(d)):
-        n_r = n_full[:, offs[r] : offs[r + 1]]
-        a_r, _, _ = _rank1_pair(t, n_r)
-        a_cols.append(a_r)
-    a = np.column_stack(a_cols)
-    return a, n_full, d, q_used, diag
+    a_cols, b_blocks = zip(*(_rank1_pair(t, n_r) for n_r in split_columns(n_full, d)))
+    return np.column_stack(a_cols), list(b_blocks), n_full, d, q_used, diag
 
 
-def _partition_by_unfolding(t, n_full, r_clusters, opts):
+def _partition_by_unfolding(t, n_full, r_clusters):
     """Scenario-2 block detection: columns of unfold(T,3) N reshape to
     rank-one matrices a_r w.T; cluster their left directions into R groups."""
     i_dim, j_dim, _ = t.dims
@@ -341,9 +343,7 @@ def _partition_by_unfolding(t, n_full, r_clusters, opts):
         m = t3n[:, col].reshape(i_dim, j_dim)
         u, _, _ = np.linalg.svd(m, full_matrices=False)
         dirs.append(u[:, 0])
-    labels = cluster_columns(np.column_stack(dirs), n_clusters=r_clusters)
-    order = np.argsort(labels, kind="stable")
-    d = tuple(int(np.sum(labels == g)) for g in range(labels.max() + 1))
+    order, d = _group_labels(cluster_columns(np.column_stack(dirs), n_clusters=r_clusters))
     if len(d) != r_clusters:
         raise SolverDiagnostic(
             "column clustering found a different number of groups than R",
@@ -352,17 +352,14 @@ def _partition_by_unfolding(t, n_full, r_clusters, opts):
     return n_full[:, order], d
 
 
-def phase2_case1(t, a, n, d, opts=None):
-    """Case 1 (third factor matrix square nonsingular, K = sum L_r): read
-    B_r off the rank-one factorizations and solve for C in least squares."""
-    opts = opts or SolverOptions()
-    _, j_dim, k_dim = t.dims
-    if k_dim != sum(d):
-        raise SolverDiagnostic(
-            "Case 1 requires K = sum d_r", {"K": k_dim, "sum_d": sum(d)}
-        )
-    offs = np.concatenate([[0], np.cumsum(d)])
-    b_blocks = [_rank1_pair(t, n[:, offs[r] : offs[r + 1]])[1] for r in range(len(d))]
+def phase2_case1(t, a, b_blocks):
+    """Case 1 (third factor matrix square nonsingular, K = sum L_r): solve
+    for C in least squares against the B_r of :func:`phase1_recover_A`,
+    whose widths are the d_r."""
+    k_dim = t.dims[2]
+    sum_d = sum(b.shape[1] for b in b_blocks)
+    if k_dim != sum_d:
+        raise SolverDiagnostic("Case 1 requires K = sum d_r", {"K": k_dim, "sum_d": sum_d})
     return _fit_third_factor(t, a, b_blocks)
 
 
@@ -400,9 +397,10 @@ def phase2_case3(t, a, opts=None, subsets=None, sizes=None):
     projections onto subsets of terms by generalized EVD, then resolve the
     global term scales against the mode-1 unfolding."""
     opts = opts or SolverOptions()
-    i_dim, j_dim, k_dim = t.dims
+    _, j_dim, k_dim = t.dims
     r = a.shape[1]
-    r_a = numerical_rank(a, tol=opts.tol)
+    col_a = orth(a, tol=opts.tol)
+    r_a = col_a.shape[1]
     if r_a >= r:
         raise SolverDiagnostic("Case 3 expects rank(A) < R", {"rank_A": r_a, "R": r})
     card = r - r_a + 2
@@ -414,7 +412,6 @@ def phase2_case3(t, a, opts=None, subsets=None, sizes=None):
     if covered != set(range(r)):
         raise SolverDiagnostic("subsets do not cover all terms", {"subsets": subsets})
 
-    col_a = orth(a, dim=r_a)
     t1 = unfold(t, 1)
     e_hat = [None] * r
     gen = rng(opts.seed)
@@ -443,7 +440,7 @@ def phase2_case3(t, a, opts=None, subsets=None, sizes=None):
             [q1[:, s].reshape(j_dim, k_dim, order="F") for s in range(2)]
         )
         sub = gevd_two_slice_btd(
-            Tensor3(q_values, "complex" if np.iscomplexobj(q_values) else "real"),
+            Tensor3(q_values),
             tol=opts.tol,
             seed=int(gen.integers(2**31)),
             cluster_tol=opts.cl_tol,
@@ -484,11 +481,12 @@ def gevd_two_slice_btd(q, tol=None, seed=0, cluster_tol=1e-6, n_terms=None):
     if q.dims[0] != 2:
         raise DimensionError("two-slice decomposition needs a 2 x J x K tensor")
     h1, h2 = q.values[0], q.values[1]
-    s = numerical_rank(np.vstack([h1, h2]), tol=tol)
+    # [H1; H2] is the plain transpose of [H1.T H2.T], so v's width is its rank
+    v = orth(np.hstack([h1.T, h2.T]), tol=tol)
+    s = v.shape[1]
     if s == 0:
         raise SolverDiagnostic("zero tensor has no two-slice decomposition", {})
     u = orth(np.hstack([h1, h2]), dim=s)
-    v = orth(np.hstack([h1.T, h2.T]), dim=s)
     g1 = u.conj().T @ h1 @ np.conj(v)
     g2 = u.conj().T @ h2 @ np.conj(v)
     gen = rng(seed)
@@ -530,7 +528,7 @@ def decompose(t, opts=None):
     Case selection prefers Case 1 over Case 2 over Case 3.
     """
     opts = opts or SolverOptions()
-    i_dim, j_dim, k_dim = t.dims
+    i_dim, _, k_dim = t.dims
     diag = {}
 
     original = t
@@ -540,7 +538,7 @@ def decompose(t, opts=None):
             t, k_dim = compressed, r3
             diag["compressed_K"] = int(r3)
 
-    a, n, d, q_used, phase1_diag = phase1_recover_A(t, opts)
+    a, b_blocks, _, d, q_used, phase1_diag = phase1_recover_A(t, opts)
     diag.update(phase1_diag)
     r = len(d)
     case = _select_case(k_dim, i_dim, d, a, opts)
@@ -550,7 +548,7 @@ def decompose(t, opts=None):
     if opts.noisy:
         sizes = estimate_L_from_d(d, k_dim, r)
     if case == 1:
-        est = phase2_case1(t, a, n, d, opts)
+        est = phase2_case1(t, a, b_blocks)
         detected_l = tuple(d)
     elif case == 2:
         est = phase2_case2(t, a, opts, sizes=sizes)

@@ -35,16 +35,15 @@ __all__ = [
 ]
 
 
-def _as_field(values):
-    return "complex" if np.iscomplexobj(values) else "real"
-
-
 @dataclass(frozen=True)
 class Tensor3:
-    """Dense I x J x K tensor over the real or complex numbers."""
+    """Dense I x J x K tensor over the real or complex numbers.
+
+    Complex values are stored as complex128; real and integer values keep
+    their dtype, so integer tensors stay exact.
+    """
 
     values: np.ndarray
-    field: str = "real"
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -52,16 +51,14 @@ class Tensor3:
             raise DimensionError(f"expected a 3-way array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("tensor entries must be finite")
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"unknown field tag {self.field!r}")
-        if self.field == "real" and np.iscomplexobj(v):
-            raise ValueError("field tag 'real' but complex values given")
-        dtype = np.complex128 if self.field == "complex" else None
-        if v.dtype.kind in "iub" and self.field == "real":
-            dtype = None  # keep integer tensors exact
-        v = np.ascontiguousarray(v, dtype=dtype)
+        v = np.ascontiguousarray(v, dtype=np.complex128 if np.iscomplexobj(v) else None)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @property
+    def field(self):
+        """``"complex"`` for complex values, else ``"real"``."""
+        return "complex" if np.iscomplexobj(self.values) else "real"
 
     @property
     def dims(self):
@@ -193,7 +190,7 @@ def compose(d, dims=None):
     if dims is not None and tuple(dims) != d.dims:
         raise DimensionError(f"factors give dims {d.dims}, expected {tuple(dims)}")
     out = compose_values(d.A, d.terms)
-    return Tensor3(out, _as_field(out))
+    return Tensor3(out)
 
 
 def draw_factors(gen, dims, sizes, field="real"):
@@ -231,7 +228,7 @@ def add_noise(t, spec):
     gen = rng(spec.seed)
     noise = randn(gen, t.dims, t.field)
     c = t.norm() / (np.linalg.norm(noise) * 10.0 ** (spec.snr_db / 20.0))
-    return Tensor3(np.asarray(t.values, dtype=np.result_type(t.values, noise)) + c * noise, t.field)
+    return Tensor3(np.asarray(t.values, dtype=np.result_type(t.values, noise)) + c * noise)
 
 
 def compress_third_mode(t, tol=None):
@@ -250,7 +247,7 @@ def compress_third_mode(t, tol=None):
     u = u[:, :rank]
     mixing = s[:rank, None] * vh[:rank]
     i_dim, j_dim, _ = t.dims
-    compressed = Tensor3(u.reshape(i_dim, j_dim, rank), _as_field(u))
+    compressed = Tensor3(u.reshape(i_dim, j_dim, rank))
     return compressed, mixing, rank
 
 

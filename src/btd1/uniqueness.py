@@ -243,7 +243,6 @@ def check_deterministic_uniqueness(d, t=None, tol=None, cap=SUBSET_CAP):
     if f_rank_ok is None:
         notes.append("F-subset rank condition not evaluated (cap)")
 
-    q2_null = None
     expected_q = sum(dv * (dv + 1) // 2 for dv in d_vals)
     q2 = build_Q2(t)
     q2_null = q2.Q2.shape[1] - numerical_rank(q2.Q2, tol=tol)
@@ -267,12 +266,11 @@ def check_deterministic_uniqueness(d, t=None, tol=None, cap=SUBSET_CAP):
     cond_c = _and(_equals_rank(ka, ra), ra < r, f_rank_ok, g_rank_ok)
     # rank of the stacked [E_1.T ... E_R.T].T equals sum L_r
     cond_d = numerical_rank(np.vstack(e_mats), tol=tol) == sum_l
-    q_val = expected_q
     two_smallest = sorted(sizes)[:2]
     pairs_sum = sum(
         sizes[r1] * sizes[r2] for r1 in range(r) for r2 in range(r1 + 1, r)
     )
-    cond_e = (k_dim + 1) * k_dim // 2 - q_val > pairs_sum - (
+    cond_e = (k_dim + 1) * k_dim // 2 - expected_q > pairs_sum - (
         two_smallest[0] * two_smallest[1] if len(two_smallest) == 2 else 0
     )
 

@@ -13,7 +13,6 @@ from btd1.linalg import (
     randn,
     rank_cut,
     rng,
-    truncated_svd,
 )
 
 from helpers import principal_angles, subspace_distance
@@ -143,14 +142,6 @@ def test_dominant_rank1_complex_orientation():
     m = np.outer(x, y)
     w, z = dominant_rank1(m)
     assert np.linalg.norm(np.outer(w, z) - m) < 1e-12
-
-
-def test_truncated_svd():
-    gen = rng(3)
-    m = gen.standard_normal((6, 5))
-    b, c = truncated_svd(m, 2)
-    assert b.shape == (6, 2) and c.shape == (5, 2)
-    assert numerical_rank(b @ c.T) == 2
 
 
 def test_cond():

@@ -143,7 +143,7 @@ def test_simultaneous_evd_cpd_matches_single():
     n_true, _, v_list = make_instance(d, k, seed=7)
     _, u_mats = commutant_basis(v_list)
     n_s, d_s = simultaneous_evd_single(u_mats, seed=2)
-    n_c, d_c, _, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, omega=2.0, seed=2, n_clusters=3)
+    n_c, d_c, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, omega=2.0, seed=2, n_clusters=3)
     assert sorted(d_c) == sorted(d)
     assert fit < 1e-8
     worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_s, d_s))
@@ -155,7 +155,7 @@ def test_cpd_als_all_distinct_reduces_to_diagonalization():
     k = 4
     n_true, _, v_list = make_instance(d, k, seed=8)
     _, u_mats = commutant_basis(v_list)
-    n_c, d_c, _, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, omega=2.0, seed=3, n_clusters=4)
+    n_c, d_c, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, omega=2.0, seed=3, n_clusters=4)
     assert d_c == (1, 1, 1, 1)
     worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_true, d))
     assert worst < 1e-6

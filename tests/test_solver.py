@@ -1,6 +1,11 @@
+import hashlib
+import os
+import sys
+
 import numpy as np
 import pytest
 
+import btd1
 from btd1 import (
     BlockTermDecomposition,
     NoiseSpec,
@@ -24,6 +29,7 @@ from btd1.solver import (
     phase2_case1,
     phase2_case2,
     phase2_case3,
+    _truncated_terms,
 )
 
 from helpers import shared_columns_instance
@@ -44,7 +50,7 @@ def match_a_columns(a_true, a_est):
 def test_phase1_3x8x8():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=0)
     t = compose(truth)
-    a, n, d, q_used, diag = phase1_recover_A(t)
+    a, _, n, d, q_used, diag = phase1_recover_A(t)
     assert q_used == 10
     assert sorted(d) == [1, 2, 3]
     assert match_a_columns(truth.A, a) < 1e-10
@@ -53,7 +59,7 @@ def test_phase1_3x8x8():
 def test_phase1_2x8x7_first_factor_despite_nonuniqueness():
     truth = random_btd((2, 8, 7), (3, 3, 3), seed=1)
     t = compose(truth)
-    a, n, d, q_used, diag = phase1_recover_A(t)
+    a, _, n, d, q_used, diag = phase1_recover_A(t)
     assert q_used == 3
     assert d == (1, 1, 1)
     assert match_a_columns(truth.A, a) < 1e-8
@@ -62,7 +68,7 @@ def test_phase1_2x8x7_first_factor_despite_nonuniqueness():
 def test_phase1_nr_annihilates_complementary_c_blocks():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=2)
     t = compose(truth)
-    a, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _, _ = phase1_recover_A(t)
     offs = np.concatenate([[0], np.cumsum(d)])
     # each estimated block must land in the null space of the complementary
     # C-blocks of some ground-truth term
@@ -79,7 +85,7 @@ def test_phase1_nr_annihilates_complementary_c_blocks():
 def test_phase1_rank1_structure():
     truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=3)
     t = compose(truth)
-    a, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _, _ = phase1_recover_A(t)
     offs = np.concatenate([[0], np.cumsum(d)])
     for r in range(len(d)):
         n_r = n[:, offs[r] : offs[r + 1]]
@@ -93,7 +99,7 @@ def test_phase1_scenario2_qmin_and_detection():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=4)
     t = add_noise(compose(truth), NoiseSpec(snr_db=45.0, seed=9))
     opts = SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9, seed=0)
-    a, n, d, q_used, diag = phase1_recover_A(t, opts)
+    a, _, n, d, q_used, diag = phase1_recover_A(t, opts)
     assert q_used == minimal_null_dimension(3, 6) == 9
     assert sorted(d) == [1, 2, 3]
     assert match_a_columns(truth.A, a) < 1e-2
@@ -108,8 +114,8 @@ def test_minimal_null_dimension_3x9x10():
 def test_phase2_case1_3x9x10():
     truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=5)
     t = compose(truth)
-    a, n, d, _, _ = phase1_recover_A(t)
-    est = phase2_case1(t, a, n, d)
+    a, b, _, _, _, _ = phase1_recover_A(t)
+    est = phase2_case1(t, a, b)
     _, _, err_a, err_t = match_decompositions(truth, est)
     assert err_a < 1e-8 and err_t < 1e-8
 
@@ -117,15 +123,15 @@ def test_phase2_case1_3x9x10():
 def test_phase2_case1_requires_square():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=6)
     t = compose(truth)
-    a, n, d, _, _ = phase1_recover_A(t)
+    a, b, _, _, _, _ = phase1_recover_A(t)
     with pytest.raises(SolverDiagnostic):
-        phase2_case1(t, a, n, d)
+        phase2_case1(t, a, b)
 
 
 def test_phase2_case2_3x8x8_sizes_from_ranks():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=7)
     t = compose(truth)
-    a, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _, _ = phase1_recover_A(t)
     est = phase2_case2(t, a)
     assert sorted(est.sizes) == [2, 3, 4]
     _, _, err_a, err_t = match_decompositions(truth, est)
@@ -152,7 +158,7 @@ def test_phase2_case2_rank_deficient_a():
 def test_phase2_case3_3xJx15_and_subsets():
     truth = random_btd((3, 14, 15), (2, 2, 2, 3, 3, 4), seed=10)
     t = compose(truth)
-    a, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _, _ = phase1_recover_A(t)
     est = phase2_case3(t, a)
     _, _, err_a, err_t = match_decompositions(truth, est)
     assert err_a < 1e-8 and err_t < 1e-8
@@ -165,7 +171,7 @@ def test_phase2_case3_explicit_subset_choice():
     # two overlapping five-element windows, as in the reference experiment
     truth = random_btd((3, 14, 15), (2, 2, 2, 3, 3, 4), seed=31)
     t = compose(truth)
-    a, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _, _ = phase1_recover_A(t)
     est = phase2_case3(t, a, subsets=[(0, 1, 2, 3, 4), (0, 1, 2, 3, 5)])
     _, _, err_a, err_t = match_decompositions(truth, est)
     assert err_a < 1e-8 and err_t < 1e-8
@@ -411,3 +417,80 @@ def test_scenario1_single_reads_blocks_from_eigenvalue_gaps():
     # Q = 21 fits neither grouping, and the diagnostics say so
     for rep in (single, cpd):
         assert rep.diagnostics["sjbd_status"].startswith("warning: Q does not match")
+
+
+def test_truncated_terms():
+    gen = np.random.default_rng(3)
+    a = np.ones((2, 2))
+    m = gen.standard_normal((6, 5))
+    # a forced size keeps the best rank-2 factors
+    (b, c), _ = _truncated_terms(a, [m, m], (2, 2), 1e-8).terms
+    assert b.shape == (6, 2) and c.shape == (5, 2)
+    assert numerical_rank(b @ c.T) == 2
+    u, s, vh = np.linalg.svd(m)
+    assert np.allclose(b @ c.T, (u[:, :2] * s[:2]) @ vh[:2])
+    # without sizes each L_r is the numerical rank of E_r, at least 1
+    low = gen.standard_normal((6, 3)) @ gen.standard_normal((3, 5))
+    est = _truncated_terms(a, [low, np.zeros((6, 5))], None, 1e-8)
+    assert est.sizes == (3, 1)
+    assert np.allclose(est.term_matrices()[0], low)
+
+
+_BTD1_DIR = os.path.dirname(btd1.__file__)
+
+
+def _svd_caller():
+    """Innermost btd1 function outside the linalg helpers on the stack,
+    comprehension frames skipped."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        code = frame.f_code
+        path, name = code.co_filename, code.co_name
+        if path.startswith(_BTD1_DIR) and not path.endswith("linalg.py") and name[0] != "<":
+            return name
+        frame = frame.f_back
+    return None
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "dims,sizes,case",
+    [
+        ((3, 9, 10), (1, 2, 3, 4), 1),
+        ((3, 8, 10), (2, 3, 4), 1),  # compressed third mode
+        ((3, 8, 8), (2, 3, 4), 2),
+        ((3, 14, 15), (2, 2, 2, 3, 3, 4), 3),
+    ],
+    ids=["case1", "case1-compressed", "case2", "case3"],
+)
+def test_decompose_factors_each_matrix_once(monkeypatch, dims, sizes, case, field):
+    # every rank decision reads the SVD that gives its basis or factors.  Two
+    # repeats are left: the two-slice GEVD's orthonormal basis of an
+    # eigenvector group whose rank _eigen_groups has checked (sharing it
+    # would change the raw eigenvector blocks), and the rank of A, which
+    # case selection needs before it calls phase2_case2 and which
+    # phase2_case2 checks again as its own precondition
+    allowed = {("_eigen_groups", "gevd_two_slice_btd"), ("_select_case", "phase2_case2")}
+    def digest(m):
+        m = np.ascontiguousarray(m)
+        return hashlib.sha1(repr((m.shape, m.dtype.str)).encode() + m.tobytes()).digest()
+
+    first = {}
+    repeats = []
+    svd = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        m = np.asarray(m)
+        caller = _svd_caller()
+        key, key_t = digest(m), digest(m.T)
+        earlier = first.get(key, first.get(key_t))
+        if earlier is None:
+            first[key] = caller
+        elif (earlier, caller) not in allowed:
+            repeats.append((m.shape, earlier, caller))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    rep = decompose(compose(random_btd(dims, sizes, field=field, seed=1)))
+    assert rep.case_used == case
+    assert first and repeats == []
