@@ -7,10 +7,10 @@ optionally with finite-field certification).
 
 Exit codes: 0 success, 2 input error, 3 solver diagnostic.  ``decompose``
 prints each warning in the solver's diagnostics (for instance a CPD
-refinement that hit its iteration cap) to stderr, one line each.  The
-environment variable BTD_RANK_TOL overrides the default relative rank
-tolerance: 1e-8 for exact ``decompose``, 1e-10 for the linear-algebra
-helpers.  Noisy modes use 1e-2 unless ``--rank-tol`` is given.
+refinement that hit its iteration cap) to stderr, one line each.  Its
+relative rank tolerance is ``--rank-tol`` when given, else 1e-8 in exact
+mode and 1e-2 in the noisy modes.  SNR values are dB values or ``inf``
+(exact); NaN and ``-inf`` are input errors.
 """
 
 import json
@@ -85,9 +85,7 @@ def generate(dims, sizes, field_tag, seed, snr, out, truth_out):
     try:
         truth = random_btd(dims, sizes, field=field_tag, seed=seed)
         t = compose(truth)
-        snr_val = _parse_snr(snr)[0]
-        if not math.isinf(snr_val):
-            t = add_noise(t, NoiseSpec(snr_db=snr_val, seed=seed + 1))
+        t = add_noise(t, NoiseSpec(snr_db=_parse_snr(snr)[0], seed=seed + 1))
         fileio.write_tensor(out, t)
         if truth_out is None:
             truth_out = out.rsplit(".", 1)[0] + ".truth.json"

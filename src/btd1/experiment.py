@@ -46,6 +46,8 @@ class ExperimentConfig:
             raise ValueError("num_trials must be at least 1")
         if not self.snr_grid:
             raise ValueError("snr grid must be nonempty")
+        for snr in self.snr_grid:
+            NoiseSpec(snr)  # rejects NaN and -inf
         # draw_instance samples without random_btd's size checks
         if min(self.sizes) < 1 or max(self.sizes) > min(self.dims[1:]):
             raise DimensionError("term sizes must be positive and at most min(J, K)")

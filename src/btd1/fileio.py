@@ -89,12 +89,23 @@ def decomposition_to_dict(d):
     }
 
 
+def _part(obj, key, where):
+    """``obj[key]``; a :class:`DimensionError` names the part when it is
+    missing."""
+    if not isinstance(obj, dict):
+        raise DimensionError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise DimensionError(f"{where} has no {key!r}")
+    return obj[key]
+
+
 def decomposition_from_dict(obj):
+    a = _part(obj, "A", "decomposition")
     is_complex = obj.get("field", "real") == "complex"
-    a = _decode_array(obj["A"], is_complex)
+    a = _decode_array(a, is_complex)
     terms = tuple(
-        (_decode_array(term["B"], is_complex), _decode_array(term["C"], is_complex))
-        for term in obj["terms"]
+        tuple(_decode_array(_part(term, key, f"term {r}"), is_complex) for key in "BC")
+        for r, term in enumerate(_part(obj, "terms", "decomposition"))
     )
     d = BlockTermDecomposition(a, terms)
     if "sizes" in obj and tuple(obj["sizes"]) != d.sizes:

@@ -164,14 +164,6 @@ class GFField:
             return out
         return a * b % self.p
 
-    def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise ZeroDivisionError("zero has no inverse")
-        if self.binary:
-            return self.exp[(self.order - 1 - self.log[a]) % (self.order - 1)]
-        return np.vectorize(lambda x: pow(int(x), self.p - 2, self.p))(a)
-
     def random(self, gen, shape):
         return gen.integers(0, self.order, size=shape, dtype=np.int64)
 

@@ -1,20 +1,19 @@
 """Shared dense linear algebra helpers: tolerant ranks, null spaces,
-least squares and the package RNG convention.
+least squares, the Khatri-Rao product and the package RNG convention.
 
 Every rank decision on singular values goes through :func:`rank_cut`: the
 count of singular values above ``max(tol * sigma_max, atol)``, with default
-``tol = 1e-10`` (exact ``decompose`` uses 1e-8) and ``atol = 0``.  The
-environment variable ``BTD_RANK_TOL``, read by :func:`default_tol` only,
-overrides both default ``tol`` values; a per-call ``tol`` overrides it.  A
-step that also needs a basis or factors reads its rank from the SVD that
+``tol = DEFAULT_RANK_TOL`` (1e-10; exact ``decompose`` passes 1e-8) and
+``atol = 0``.  The same constant is the default ``rcond`` of :func:`lstsq`.
+A step that also needs a basis or factors reads its rank from the SVD that
 gives them, never from a second factorization of the same matrix: the width
 of :func:`orth` is the rank of its input, and :func:`null_space` cuts the
-SVD whose right singular vectors it returns.  All random draws in the
-package go through :func:`rng`, a PCG64 generator seeded explicitly, so
-every stochastic operation is reproducible from its seed.
+SVD whose right singular vectors it returns.  Every stack
+[x_1 kron Y_1 ... x_R kron Y_R] is a :func:`khatri_rao` product.  All
+random draws in the package go through :func:`rng`, a PCG64 generator
+seeded explicitly, so every stochastic operation is reproducible from its
+seed.
 """
-
-import os
 
 import numpy as np
 import scipy.linalg
@@ -37,12 +36,6 @@ class SolverDiagnostic(RuntimeError):
         self.diagnostics = dict(diagnostics or {})
 
 
-def default_tol(fallback=DEFAULT_RANK_TOL):
-    """Relative rank tolerance: ``BTD_RANK_TOL`` when set, else ``fallback``."""
-    env = os.environ.get("BTD_RANK_TOL")
-    return float(env) if env else fallback
-
-
 def rng(seed):
     """Deterministic generator (PCG64) for the given integer seed."""
     return np.random.Generator(np.random.PCG64(seed))
@@ -55,23 +48,22 @@ def randn(gen, shape, field="real"):
     return gen.standard_normal(shape)
 
 
-def rank_cut(s, tol=None, atol=0.0):
+def rank_cut(s, tol=DEFAULT_RANK_TOL, atol=0.0):
     """Number of singular values ``s`` (descending) above
-    ``max(tol * s[0], atol)``; ``tol`` defaults to :func:`default_tol`."""
+    ``max(tol * s[0], atol)``."""
     if s.size == 0:
         return 0
-    tol = default_tol() if tol is None else tol
     return int(np.sum(s > max(tol * s[0], atol)))
 
 
-def numerical_rank(a, tol=None):
+def numerical_rank(a, tol=DEFAULT_RANK_TOL):
     a = np.asarray(a)
     if a.size == 0:
         return 0
     return rank_cut(np.linalg.svd(a, compute_uv=False), tol)
 
 
-def null_space(a, tol=None, dim=None, atol=0.0):
+def null_space(a, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
     """Orthonormal basis of the (numerical) null space, columns of shape (n, q).
 
     The rank is :func:`rank_cut` at ``tol`` and ``atol``; the absolute
@@ -98,8 +90,7 @@ def null_space(a, tol=None, dim=None, atol=0.0):
     return vh[r:].conj().T
 
 
-def lstsq(a, b, tol=None):
-    tol = default_tol() if tol is None else tol
+def lstsq(a, b, tol=DEFAULT_RANK_TOL):
     x, *_ = np.linalg.lstsq(a, b, rcond=tol)
     return x
 
@@ -111,13 +102,21 @@ def cond(a):
     return float(s[0] / s[-1])
 
 
-def orth(a, tol=None, dim=None):
+def orth(a, tol=DEFAULT_RANK_TOL, dim=None):
     """Orthonormal basis of the column space: ``dim`` columns, or
     :func:`rank_cut` at ``tol`` of the same SVD's singular values."""
     a = np.asarray(a)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r = rank_cut(s, tol) if dim is None else dim
     return u[:, :r]
+
+
+def khatri_rao(x, y):
+    """Column-wise Kronecker product [x_1 kron y_1 ... x_n kron y_n].
+
+    With ``x = np.repeat(a, widths, axis=1)`` and ``y = np.hstack(blocks)``
+    this is the block stack [a_1 kron Y_1 ... a_R kron Y_R]."""
+    return (x[:, None, :] * y[None, :, :]).reshape(-1, x.shape[1])
 
 
 def split_columns(m, widths):

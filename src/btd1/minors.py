@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels
-from .linalg import DimensionError, default_tol, null_space, rank_cut
+from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space, rank_cut
 from .tensor import Tensor3
 
 __all__ = [
@@ -82,10 +82,10 @@ class MinorMatrixSet:
     Q2: np.ndarray
     K: int
 
-    def null_space(self, tol=None, dim=None, atol=0.0):
+    def null_space(self, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
         return null_space(self.Q2, tol=tol, dim=dim, atol=atol)
 
-    def symmetric_null_matrices(self, tol=None, dim=None, atol=0.0):
+    def symmetric_null_matrices(self, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
         """Null vectors of Q2 unpacked to symmetric K x K matrices.
 
         Entry (k1, k2) of matrix q is the basis entry of the pair {k1, k2},
@@ -293,14 +293,13 @@ def compound2(m):
     )
 
 
-def rank1_membership(t, f, tol=None, return_both=False):
+def rank1_membership(t, f, tol=DEFAULT_RANK_TOL, return_both=False):
     """Whether the slice combination f_1 T_1 + ... + f_K T_K has rank <= 1.
 
     Evaluated two independent ways: numerically on the singular values of
     the combination, and through the quadratic form R2(T) (f kron f); the
     module's tests assert the two agree.
     """
-    tol = default_tol() if tol is None else tol
     f = np.asarray(f)
     values = t.values if isinstance(t, Tensor3) else np.asarray(t)
     comb = np.tensordot(values, f, axes=([2], [0]))

@@ -7,7 +7,9 @@ the block column spaces of N are recovered from the commutant subspace
 simultaneously diagonalizable by N, so N and the block sizes follow from an
 eigendecomposition.  Two variants are provided for the simultaneous EVD
 step: the EVD of a single generic linear combination, and a least-squares
-rank-one tensor refinement of it that is more robust under noise.
+rank-one tensor refinement of it that is more robust under noise.  A problem
+is exact unless its number of blocks R is given; given R, it is
+approximate (noisy data) and R is taken rather than detected.
 
 Transposes here are plain transposes even over the complex field; none of
 the factors are required to be orthogonal.
@@ -21,9 +23,10 @@ import scipy.linalg
 import scipy.spatial.distance
 
 from .linalg import (
+    DEFAULT_RANK_TOL,
     DimensionError,
     SolverDiagnostic,
-    default_tol,
+    khatri_rao,
     lstsq,
     null_space,
     numerical_rank,
@@ -53,31 +56,27 @@ SYMMETRY_TOL = 1e-12
 class SJBDProblem:
     """A set of symmetric matrices to block-diagonalize jointly.
 
-    In exact mode the inputs must be symmetric to 1e-12 relative; in
-    approximate mode they are symmetrized on ingestion.  ``hint_sum_d``
-    fixes the dimension of the joint column space (detected when omitted);
-    ``hint_R`` gives the number of blocks, which approximate mode needs.
+    Without ``hint_R`` the problem is exact and each input must be symmetric
+    to 1e-12 relative; ``hint_R`` gives the number of blocks and makes it
+    approximate.  Inputs are symmetrized on ingestion either way.
+    ``hint_sum_d`` fixes the dimension of the joint column space (detected
+    when omitted).
     """
 
     V: tuple
-    mode: str = "exact"
     hint_R: int = None
     hint_sum_d: int = None
 
     def __post_init__(self):
-        if self.mode not in ("exact", "approximate"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         mats = []
         for q, v in enumerate(self.V):
             v = np.asarray(v)
             if v.ndim != 2 or v.shape[0] != v.shape[1]:
                 raise DimensionError(f"V[{q}] is not square")
             dev = np.linalg.norm(v - v.T)
-            if self.mode == "exact":
-                if dev > SYMMETRY_TOL * max(np.linalg.norm(v), 1.0):
-                    raise ValueError(f"V[{q}] is not symmetric (deviation {dev:.2e})")
-            v = (v + v.T) / 2.0
-            mats.append(v)
+            if self.hint_R is None and dev > SYMMETRY_TOL * max(np.linalg.norm(v), 1.0):
+                raise ValueError(f"V[{q}] is not symmetric (deviation {dev:.2e})")
+            mats.append((v + v.T) / 2.0)
         if len({m.shape for m in mats}) > 1:
             raise DimensionError("all V_q must share the same size")
         object.__setattr__(self, "V", tuple(mats))
@@ -107,26 +106,20 @@ class SJBDSolution:
     status: str = "ok"
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def R(self):
-        return len(self.d)
-
     def blocks(self):
         return split_columns(self.N, self.d)
 
-    def coefficients(self, v_list):
-        """Block-diagonal D_q with N D_q N.T ~= V_q, in least squares."""
-        return recover_coefficients(self.N, self.d, v_list)
-
     def reconstruction_errors(self, v_list):
+        """Relative error of N D_q N.T against each V_q, the D_q fitted by
+        :func:`recover_coefficients`."""
         errs = []
-        for v, d_q in zip(v_list, self.coefficients(v_list)):
+        for v, d_q in zip(v_list, recover_coefficients(self.N, self.d, v_list)):
             recon = self.N @ d_q @ self.N.T
             errs.append(np.linalg.norm(recon - v) / max(np.linalg.norm(v), 1e-300))
         return np.array(errs)
 
 
-def build_commutant_matrix(problem):
+def build_commutant_matrix(v_list):
     """Q K(K-1)/2 x K^2 matrix whose null space is
     {vec(U) : U V_q = V_q U.T for all q} (column-major vec).
 
@@ -136,7 +129,7 @@ def build_commutant_matrix(problem):
     and the diagonal rows are zero.  The rows of a block come in the order
     of their entries in vec(U V_q - V_q U.T).
     """
-    vs = np.asarray(problem.V if isinstance(problem, SJBDProblem) else tuple(problem))
+    vs = np.asarray(v_list)
     q, k, _ = vs.shape
     j, i = np.tril_indices(k, -1)
     rows = np.arange(i.size)
@@ -147,29 +140,21 @@ def build_commutant_matrix(problem):
     return m.reshape(q * i.size, k * k)
 
 
-def commutant_basis(problem, r_target=None, tol=None):
-    """Basis U_1..U_R of the commutant subspace of the V_q.
+def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
+    """Basis U_1..U_R of the commutant subspace of the symmetric V_q.
 
-    Exact mode detects R as the null-space dimension of
-    :func:`build_commutant_matrix`, cut at ``tol`` relative to its largest
-    singular value; approximate mode takes the ``r_target`` smallest right
-    singular directions instead (in noisy data the exact null space is only
-    the span of the vectorized identity).  Stacking every equation twice,
-    as all of vec(U V_q - V_q U.T) does, would scale each singular value by
-    sqrt(2) and keep the right singular vectors, so neither cut depends on
-    it.  Assumes the slices span, i.e. K = sum d_r; :func:`solve_sjbd`
+    R is the null-space dimension of :func:`build_commutant_matrix`, cut at
+    ``tol`` relative to its largest singular value, or, when ``dim`` is
+    given, R = ``dim`` and the basis is the ``dim`` smallest right singular
+    directions (in noisy data the exact null space is only the span of the
+    vectorized identity).  Stacking every equation twice, as all of
+    vec(U V_q - V_q U.T) does, would scale each singular value by sqrt(2)
+    and keep the right singular vectors, so neither cut depends on it.
+    Assumes the slices span, i.e. K = sum d_r; :func:`solve_sjbd`
     compresses first when they do not.
     """
-    if not isinstance(problem, SJBDProblem):
-        problem = SJBDProblem(tuple(problem), mode="exact")
-    m = build_commutant_matrix(problem)
-    k = problem.K
-    if problem.mode == "approximate" or r_target is not None:
-        if r_target is None:
-            raise DimensionError("approximate mode needs r_target")
-        basis = null_space(m, dim=r_target)
-    else:
-        basis = null_space(m, tol=tol)
+    k = v_list[0].shape[0]
+    basis = null_space(build_commutant_matrix(v_list), tol=tol, dim=dim)
     mats = [basis[:, i].reshape(k, k, order="F") for i in range(basis.shape[1])]
     return len(mats), mats
 
@@ -306,11 +291,6 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     return n, d
 
 
-def _kr(x, y):
-    # Khatri-Rao with the second factor's row index fastest
-    return (x[:, None, :] * y[None, :, :]).reshape(-1, x.shape[1])
-
-
 def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
     """Alternating least squares for a CPD of an m x n x n stack.
 
@@ -348,11 +328,11 @@ def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
     prev_fit = np.inf
     converged = False
     for sweep in range(1, max_iter + 1):
-        a = update(_kr(c, b), g_c * g_b, t0)
+        a = update(khatri_rao(c, b), g_c * g_b, t0)
         g_a = gram(a)
-        c = update(_kr(a, b), g_a * g_b, t1)
+        c = update(khatri_rao(a, b), g_a * g_b, t1)
         g_c = gram(c)
-        k_b = _kr(a, c)
+        k_b = khatri_rao(a, c)
         b = update(k_b, g_a * g_c, t2)
         g_b = gram(b)
         fit = np.linalg.norm(t2 - b @ k_b.T) / max(norm_t, 1e-300)
@@ -425,7 +405,7 @@ def recover_coefficients(n, d, v_list):
     unpacks them."""
     n_blocks = split_columns(n, d)
     design = np.hstack([np.kron(nr, nr) @ build_PK(dr) for nr, dr in zip(n_blocks, d)])
-    pinv_design = np.linalg.pinv(design, rcond=default_tol())
+    pinv_design = np.linalg.pinv(design, rcond=DEFAULT_RANK_TOL)
     packed_offs = np.cumsum([dr * (dr + 1) // 2 for dr in d])[:-1]
     out = []
     for v in v_list:
@@ -439,7 +419,7 @@ def recover_coefficients(n, d, v_list):
 def solve_sjbd(
     problem,
     seed=0,
-    rank_tol=None,
+    rank_tol=DEFAULT_RANK_TOL,
     evd_variant="single",
     omega=2.0,
     cluster_tol=1e-6,
@@ -453,44 +433,31 @@ def solve_sjbd(
     sum d_r with full column rank in exact mode.  s is ``hint_sum_d`` when
     given and otherwise the numerical rank at ``rank_tol``.
 
-    Exact mode detects R at ``rank_tol`` and groups the columns of N into
-    blocks of sizes d.  Approximate mode takes R from ``hint_R`` and returns
-    N ungrouped with d = None.  The coefficients D_q are computed only on
-    request, by :meth:`SJBDSolution.coefficients`.
+    An exact problem has R detected at ``rank_tol`` and the columns of N
+    grouped into blocks of sizes d.  An approximate one takes R from
+    ``hint_R`` and returns N ungrouped with d = None.
     """
-    if not isinstance(problem, SJBDProblem):
-        problem = SJBDProblem(tuple(problem))
-    exact = problem.mode == "exact"
+    exact = problem.hint_R is None
     v_list = list(problem.V)
     k = problem.K
-    tol = default_tol() if rank_tol is None else rank_tol
     s = problem.hint_sum_d
     if s is None or s < k:
-        u_s = orth(np.hstack(v_list), tol=tol, dim=s)
+        u_s = orth(np.hstack(v_list), tol=rank_tol, dim=s)
         s = u_s.shape[1]
     diagnostics = {"subspace_dim": int(s), "Q": problem.Q}
     if s < k:
-        v_sub = [(u_s.conj().T @ v @ np.conj(u_s)) for v in v_list]
-        v_sub = [(v + v.T) / 2.0 for v in v_sub]
+        v_list = [(u_s.conj().T @ v @ np.conj(u_s)) for v in v_list]
+        v_list = [(v + v.T) / 2.0 for v in v_list]
     else:
         u_s = None
-        v_sub = v_list
-    sub_problem = SJBDProblem(
-        tuple(v_sub), mode=problem.mode, hint_R=problem.hint_R
-    )
-    r_found, u_mats = commutant_basis(
-        sub_problem, r_target=None if exact else problem.hint_R, tol=tol
-    )
+    r_found, u_mats = commutant_basis(v_list, tol=rank_tol, dim=problem.hint_R)
     if r_found < 1:
         raise SolverDiagnostic("empty commutant basis", {"R": r_found})
     diagnostics["commutant_dim"] = int(r_found)
 
     if evd_variant == "single":
         n_sub, d = simultaneous_evd_single(
-            u_mats,
-            seed=seed,
-            cluster_tol=cluster_tol,
-            n_clusters=None if exact else r_found,
+            u_mats, seed=seed, cluster_tol=cluster_tol, n_clusters=problem.hint_R
         )
     elif evd_variant == "cpd":
         n_sub, d, cpd_status, fit, sweeps = simultaneous_evd_cpd(

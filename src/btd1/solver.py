@@ -25,13 +25,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import (
+    DEFAULT_RANK_TOL,
     DimensionError,
     SolverDiagnostic,
-    default_tol,
     dominant_rank1,
+    khatri_rao,
     lstsq,
     null_space,
     numerical_rank,
@@ -50,7 +50,14 @@ from .sjbd import (
     cluster_columns,
     solve_sjbd,
 )
-from .tensor import BlockTermDecomposition, Tensor3, compose, compress_third_mode, unfold
+from .tensor import (
+    BlockTermDecomposition,
+    Tensor3,
+    compose,
+    compress_third_mode,
+    match_columns,
+    unfold,
+)
 
 __all__ = [
     "SolverOptions",
@@ -66,8 +73,8 @@ __all__ = [
     "decompose",
 ]
 
-# default rank tolerance of exact decompose; the linalg helpers called without
-# a tolerance use linalg.DEFAULT_RANK_TOL (1e-10)
+# default rank tolerance of exact decompose; the helpers called without a
+# tolerance use linalg.DEFAULT_RANK_TOL (1e-10)
 EXACT_RANK_TOL = 1e-8
 
 
@@ -109,7 +116,7 @@ class SolverOptions:
             return self.rank_tol
         if self.noisy:
             return 1e-2
-        return default_tol(EXACT_RANK_TOL)
+        return EXACT_RANK_TOL
 
     @property
     def cl_tol(self):
@@ -232,9 +239,9 @@ def _rank1_pair(t, n_r):
 def _fit_third_factor(t, a, b_blocks):
     """Decomposition with the given A and B_r and the C_r that fit
     unfold(t, 3) = [a_1 kron B_1 ... a_R kron B_R] C.T in least squares."""
-    design = np.hstack([np.kron(a[:, r : r + 1], b) for r, b in enumerate(b_blocks)])
-    c = lstsq(design, unfold(t, 3)).T
-    c_blocks = split_columns(c, [b.shape[1] for b in b_blocks])
+    widths = [b.shape[1] for b in b_blocks]
+    design = khatri_rao(np.repeat(a, widths, axis=1), np.hstack(b_blocks))
+    c_blocks = split_columns(lstsq(design, unfold(t, 3)).T, widths)
     return BlockTermDecomposition(a, tuple(zip(b_blocks, c_blocks)))
 
 
@@ -297,10 +304,7 @@ def phase1_recover_A(t, opts=None):
     diag["Q_used"] = int(q_used)
 
     problem = SJBDProblem(
-        tuple(v_mats),
-        mode="approximate" if scenario2 else "exact",
-        hint_R=r_known if scenario2 else None,
-        hint_sum_d=sum_d,
+        tuple(v_mats), hint_R=r_known if scenario2 else None, hint_sum_d=sum_d
     )
     sol = solve_sjbd(
         problem,
@@ -453,22 +457,18 @@ def phase2_case3(t, a, opts=None, subsets=None, sizes=None):
                 {"subset": omega, "found": sub.R},
             )
         # match recovered terms to the subset indices through the projected A
-        proj = h.T @ a[:, omega]
-        na = np.linalg.norm(sub.A, axis=0)
-        npj = np.linalg.norm(proj, axis=0)
-        corr = np.abs(sub.A.conj().T @ proj) / np.outer(na, npj)
-        rows, cols = scipy.optimize.linear_sum_assignment(-corr)
+        rows, cols = match_columns(sub.A, h.T @ a[:, omega])
         for s_idx, o_idx in zip(rows, cols):
             target = omega[o_idx]
             if e_hat[target] is None:
                 b_s, c_s = sub.terms[s_idx]
                 e_hat[target] = b_s @ c_s.T
-    design = np.column_stack([np.kron(a[:, idx], _vec(e_hat[idx])) for idx in range(r)])
+    design = khatri_rao(a, np.column_stack([_vec(e) for e in e_hat]))
     x = lstsq(design, _vec(t1))
     return _truncated_terms(a, [x[idx] * e_hat[idx] for idx in range(r)], sizes, opts.tol)
 
 
-def gevd_two_slice_btd(q, tol=None, seed=0, cluster_tol=1e-6, n_terms=None):
+def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_terms=None):
     """Decomposition of a 2 x J x K tensor by generalized eigendecomposition.
 
     Assumes the second and third factor matrices of the underlying
@@ -477,7 +477,6 @@ def gevd_two_slice_btd(q, tol=None, seed=0, cluster_tol=1e-6, n_terms=None):
     to a matrix pencil; eigenvalue multiplicities give the term sizes,
     eigenvector groups the column spaces of the B_r.
     """
-    tol = default_tol() if tol is None else tol
     if q.dims[0] != 2:
         raise DimensionError("two-slice decomposition needs a 2 x J x K tensor")
     h1, h2 = q.values[0], q.values[1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .linalg import DimensionError, randn, rank_cut, rng
+from .linalg import DEFAULT_RANK_TOL, DimensionError, khatri_rao, randn, rank_cut, rng
 
 __all__ = [
     "Tensor3",
@@ -31,6 +31,7 @@ __all__ = [
     "random_btd",
     "add_noise",
     "compress_third_mode",
+    "match_columns",
     "match_decompositions",
 ]
 
@@ -129,27 +130,24 @@ class BlockTermDecomposition:
 
     def term_columns(self):
         """Matrix [a_1 kron vec(E_1), ..., a_R kron vec(E_R)], IJK x R."""
-        cols = [
-            np.kron(self.A[:, r], e.ravel(order="F"))
-            for r, e in enumerate(self.term_matrices())
-        ]
-        return np.column_stack(cols)
+        vec_e = np.column_stack([e.ravel(order="F") for e in self.term_matrices()])
+        return khatri_rao(self.A, vec_e)
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive white noise at a target SNR in dB; infinite SNR means exact."""
+    """Additive white noise at a target SNR in dB; +inf means exact."""
 
     snr_db: float
     seed: int = 0
 
     def __post_init__(self):
-        if np.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ValueError(f"SNR must be a dB value or inf, got {self.snr_db}")
 
     @property
     def exact(self):
-        return np.isinf(self.snr_db) and self.snr_db > 0
+        return self.snr_db == np.inf
 
 
 def unfold(t, mode):
@@ -231,7 +229,7 @@ def add_noise(t, spec):
     return Tensor3(np.asarray(t.values, dtype=np.result_type(t.values, noise)) + c * noise)
 
 
-def compress_third_mode(t, tol=None):
+def compress_third_mode(t, tol=DEFAULT_RANK_TOL):
     """Replace the third mode by an orthonormal mixing of the frontal slices.
 
     Returns ``(compressed, mixing, rank)`` where ``unfold(compressed, 3)`` is
@@ -251,13 +249,22 @@ def compress_third_mode(t, tol=None):
     return compressed, mixing, rank
 
 
+def match_columns(x, y):
+    """Assignment (rows, cols) of the columns of x to the columns of y that
+    maximises the summed |cos|, the normalized |x_i^H y_j|; a zero column
+    has |cos| 0 with every column."""
+    nx = np.linalg.norm(x, axis=0)
+    ny = np.linalg.norm(y, axis=0)
+    corr = np.abs(x.conj().T @ y) / np.outer(nx + (nx == 0), ny + (ny == 0))
+    return scipy.optimize.linear_sum_assignment(-corr)
+
+
 def match_decompositions(truth, est):
     """Align an estimate with a reference decomposition and measure errors.
 
-    Columns are matched by maximising aggregate absolute normalized
-    correlation of the term columns ``a_r kron vec(E_r)`` (linear assignment),
-    then each matched column of the estimate is rescaled by its least-squares
-    optimal factor.  Returns ``(permutation, scales, err_A, err_terms)`` with
+    The term columns ``a_r kron vec(E_r)`` are matched by
+    :func:`match_columns`, then each matched column of the estimate is
+    rescaled by its least-squares optimal factor.  Returns ``(permutation, scales, err_A, err_terms)`` with
     relative Frobenius errors on A and on the term-column matrix.  Both
     errors are invariant under permutation and (lambda a_r, E_r / lambda)
     counter-scaling of the estimate.
@@ -266,10 +273,7 @@ def match_decompositions(truth, est):
         raise DimensionError(f"decompositions have {truth.R} and {est.R} terms")
     g_true = truth.term_columns()
     g_est = est.term_columns()
-    nt = np.linalg.norm(g_true, axis=0)
-    ne = np.linalg.norm(g_est, axis=0)
-    corr = np.abs(g_true.conj().T @ g_est) / np.outer(nt, ne + (ne == 0))
-    row, col = scipy.optimize.linear_sum_assignment(-corr)
+    row, col = match_columns(g_true, g_est)
     perm = np.empty(truth.R, dtype=int)
     perm[row] = col
 

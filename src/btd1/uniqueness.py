@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DimensionError, numerical_rank
+from .linalg import DEFAULT_RANK_TOL, DimensionError, khatri_rao, numerical_rank
 from .minors import build_Q2
 from .tensor import BlockTermDecomposition, compose, unfold
 
@@ -79,7 +79,7 @@ def _subset_rank(blocks, targets, ks, tol, cap):
     return KRankResult(best)
 
 
-def k_rank(a, tol=None, cap=SUBSET_CAP):
+def k_rank(a, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
     """Largest k such that every k columns of ``a`` are linearly independent."""
     a = np.asarray(a)
     if np.any(np.linalg.norm(a, axis=0) == 0):
@@ -87,19 +87,19 @@ def k_rank(a, tol=None, cap=SUBSET_CAP):
     return k_prime_rank([a[:, i : i + 1] for i in range(a.shape[1])], tol=tol, cap=cap)
 
 
-def k_prime_rank(blocks, tol=None, cap=SUBSET_CAP):
+def k_prime_rank(blocks, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
     """Largest k' such that any k' blocks yield independent columns."""
     blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
     targets = [b.shape[1] for b in blocks]
     return _subset_rank(blocks, targets, range(1, len(blocks) + 1), tol, cap)
 
 
-def check_necessary(d, tol=None):
+def check_necessary(d, tol=DEFAULT_RANK_TOL):
     """The three full-column-rank conditions any unique decomposition obeys:
     on [vec(E_1) ... vec(E_R)], on [a_1 kron B_1 ...], on [a_1 kron C_1 ...]."""
     vec_e = np.column_stack([e.ravel(order="F") for e in d.term_matrices()])
-    a_b = np.hstack([np.kron(d.A[:, r : r + 1], d.terms[r][0]) for r in range(d.R)])
-    a_c = np.hstack([np.kron(d.A[:, r : r + 1], d.terms[r][1]) for r in range(d.R)])
+    a_rep = np.repeat(d.A, d.sizes, axis=1)
+    a_b, a_c = khatri_rao(a_rep, d.B), khatri_rao(a_rep, d.C)
     return (
         numerical_rank(vec_e, tol=tol) == vec_e.shape[1],
         numerical_rank(a_b, tol=tol) == a_b.shape[1],
@@ -138,7 +138,7 @@ class UniquenessReport:
         }
 
 
-def _d_values(d, tol=None):
+def _d_values(d, tol=DEFAULT_RANK_TOL):
     """d_r = dim null of the stacked complementary third-factor blocks.
 
     For a single term the complement is empty and the null space is all of
@@ -192,7 +192,7 @@ def _or(*vals):
     return False
 
 
-def check_deterministic_uniqueness(d, t=None, tol=None, cap=SUBSET_CAP):
+def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
     """Evaluate the deterministic uniqueness criteria on one decomposition.
 
     Assumptions: full column rank of unfold(T, 3); every d_r >= 1; and
@@ -301,7 +301,7 @@ def check_deterministic_uniqueness(d, t=None, tol=None, cap=SUBSET_CAP):
     )
 
 
-def check_rank_only_uniqueness(d, tol=None, cap=SUBSET_CAP):
+def check_rank_only_uniqueness(d, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
     """Uniqueness via ranks only: r_C >= sum L_r - min L_r + 1,
     k'_B >= R - r_A + 2, k_A >= 2, and either r_A = R or
     (k_A = r_A < R and k'_C >= R - r_A + 2)."""

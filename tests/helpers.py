@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from btd1 import BlockTermDecomposition, compose, random_btd, unfold
-from btd1.linalg import cond, default_tol, lstsq, orth, rng
-from btd1.sjbd import _kr
+from btd1.linalg import DEFAULT_RANK_TOL, cond, khatri_rao, lstsq, orth, rng
 
 
 def naive_compose(a, terms):
@@ -269,9 +268,8 @@ def block_subspace_match(est_blocks, true_blocks):
     return worst
 
 
-def pinv(a, tol=None):
+def pinv(a, tol=DEFAULT_RANK_TOL):
     """Moore-Penrose pseudo-inverse at the package's relative rank tolerance."""
-    tol = default_tol() if tol is None else tol
     return np.linalg.pinv(a, rcond=tol)
 
 
@@ -306,16 +304,16 @@ def lstsq_cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
     prev_fit = np.inf
     converged = False
     for _ in range(max_iter):
-        a = lstsq(_kr(c, b), t0.T).T
-        c = lstsq(_kr(a, b), t1.T).T
-        b = lstsq(_kr(a, c), t2.T).T
+        a = lstsq(khatri_rao(c, b), t0.T).T
+        c = lstsq(khatri_rao(a, b), t1.T).T
+        b = lstsq(khatri_rao(a, c), t2.T).T
         # balance the scaling indeterminacy into the first factor
         for f in (b, c):
             nrm = np.linalg.norm(f, axis=0)
             nrm[nrm == 0] = 1.0
             f /= nrm[None, :]
             a *= nrm[None, :]
-        fit = np.linalg.norm(t0 - a @ _kr(c, b).T) / max(norm_t, 1e-300)
+        fit = np.linalg.norm(t0 - a @ khatri_rao(c, b).T) / max(norm_t, 1e-300)
         if abs(prev_fit - fit) <= rel_tol * max(fit, 1.0):
             converged = True
             break

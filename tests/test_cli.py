@@ -50,8 +50,19 @@ def test_generate_bad_sizes_exit_2(runner, tmp_path):
         ["experiment", "--dims", "3,8,8", "--sizes", "9"],
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "abc"],
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--trials", "0"],
+        ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "nan"],
+        ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "45,-inf"],
+        ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "-inf"],
     ],
-    ids=["generate-dims", "experiment-sizes", "experiment-snr", "experiment-trials"],
+    ids=[
+        "generate-dims",
+        "experiment-sizes",
+        "experiment-snr",
+        "experiment-trials",
+        "experiment-snr-nan",
+        "experiment-snr-minus-inf",
+        "generate-snr-minus-inf",
+    ],
 )
 def test_input_errors_exit_2(runner, tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
@@ -171,6 +182,19 @@ def test_check_decomposition_file(runner, tmp_path):
     res = runner.invoke(main, ["check", "--decomposition", str(tmp_path / "t.truth.json")])
     assert res.exit_code == 0, res.output
     assert "S5_overall_unique" in res.output
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"terms": []}, {"A": [[1.0]], "terms": [{"B": [[1.0]]}]}, [1, 2]],
+    ids=["no-A", "term-without-C", "list"],
+)
+def test_check_malformed_decomposition_exit_2(runner, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["check", "--decomposition", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ")
 
 
 def test_experiment_csv_schema(runner, tmp_path):

@@ -59,6 +59,12 @@ def test_config_rejects_impossible_sizes():
         ExperimentConfig(dims=(3, 8, 8), sizes=(2, 9))
 
 
+@pytest.mark.parametrize("snr", [math.nan, -math.inf], ids=["nan", "minus-inf"])
+def test_config_rejects_snr_that_is_not_a_level(snr):
+    with pytest.raises(ValueError, match="SNR"):
+        ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), snr_grid=(45.0, snr))
+
+
 def test_exact_grid_sentinel_and_schema(tmp_path):
     cfg = ExperimentConfig(
         dims=(3, 8, 8),

@@ -3,6 +3,7 @@ import pytest
 
 from btd1 import DimensionError, compose, random_btd
 from btd1.fileio import (
+    decomposition_from_dict,
     read_decomposition,
     read_tensor,
     write_decomposition,
@@ -58,3 +59,19 @@ def test_decomposition_round_trip(tmp_path, field):
     for (b1, c1), (b2, c2) in zip(back.terms, d.terms):
         assert np.allclose(b1, b2)
         assert np.allclose(c1, c2)
+
+
+# JSON that is not a decomposition, and the part each error names
+MALFORMED_DECOMPOSITIONS = [
+    ({"terms": []}, "no 'A'"),
+    ({"A": [[1.0]], "terms": [{"B": [[1.0]]}]}, "term 0 has no 'C'"),
+    ([1, 2], "not a JSON object"),
+]
+
+
+@pytest.mark.parametrize(
+    "obj,message", MALFORMED_DECOMPOSITIONS, ids=["no-A", "term-without-C", "list"]
+)
+def test_decomposition_from_dict_names_the_missing_part(obj, message):
+    with pytest.raises(DimensionError, match=message):
+        decomposition_from_dict(obj)

@@ -49,16 +49,21 @@ def test_all_ones_gf2():
     assert gf_rank(GFMatrix(np.array([[1, 1], [1, 1]]), f)) == 1
 
 
+def _check_log_tables(f):
+    # log inverts exp over the whole multiplicative group, so exp lists every
+    # nonzero element once and exp[-log a] is the inverse of a
+    group = np.arange(f.order - 1)
+    assert np.array_equal(f.log[f.exp[group]], group)
+    a = np.arange(1, f.order, dtype=np.int64)
+    assert np.all(f.mul(a, f.exp[-f.log[a] % (f.order - 1)]) == 1)
+
+
 def test_inverse_exhaustive_gf2_8(gf2_8):
-    a = np.arange(1, gf2_8.order, dtype=np.int64)
-    assert np.all(gf2_8.mul(a, gf2_8.inv(a)) == 1)
+    _check_log_tables(gf2_8)
 
 
 def test_inverse_sampled_gf2_15(gf2_15):
-    gen = rng(0)
-    a = gf2_15.random(gen, 4096)
-    a = a[a != 0]
-    assert np.all(gf2_15.mul(a, gf2_15.inv(a)) == 1)
+    _check_log_tables(gf2_15)
 
 
 def test_random_square_full_rank_and_orderings(gf2_15):

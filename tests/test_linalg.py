@@ -4,9 +4,10 @@ import scipy.linalg
 
 from btd1 import Tensor3, compress_third_mode
 from btd1.linalg import (
+    DEFAULT_RANK_TOL,
     cond,
-    default_tol,
     dominant_rank1,
+    khatri_rao,
     null_space,
     numerical_rank,
     orth,
@@ -18,11 +19,25 @@ from btd1.linalg import (
 from helpers import principal_angles, subspace_distance
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("BTD_RANK_TOL", "1e-4")
-    assert default_tol() == 1e-4
-    monkeypatch.delenv("BTD_RANK_TOL")
-    assert default_tol() == 1e-10
+def test_default_rank_tol():
+    assert DEFAULT_RANK_TOL == 1e-10
+    assert rank_cut(np.array([1.0, 2e-10, 5e-11])) == 2
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_khatri_rao_of_repeated_columns_is_the_kron_block_stack(field):
+    # [a_1 kron Y_1 ... a_R kron Y_R] with block widths that include 1
+    gen = rng(4)
+    widths = (1, 3, 1, 2)
+    a = randn(gen, (3, len(widths)), field)
+    blocks = [randn(gen, (5, w), field) for w in widths]
+    got = khatri_rao(np.repeat(a, widths, axis=1), np.hstack(blocks))
+    want = np.hstack([np.kron(a[:, r : r + 1], y) for r, y in enumerate(blocks)])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    vec_e = randn(gen, (20, len(widths)), field)
+    want = np.column_stack([np.kron(a[:, r], vec_e[:, r]) for r in range(len(widths))])
+    assert np.array_equal(khatri_rao(a, vec_e), want)
 
 
 def test_numerical_rank_threshold():
@@ -50,13 +65,15 @@ def _with_singular_values(s, m, n):
     ids=["default-tol", "explicit-tol", "zero"],
 )
 def test_one_rank_rule(s, tol, rank):
+    # tol None: every helper at its default tolerance
+    kw = {} if tol is None else {"tol": tol}
     a = _with_singular_values(s, 12, 4)
-    assert rank_cut(np.linalg.svd(a, compute_uv=False), tol) == rank
-    assert numerical_rank(a, tol) == rank
-    assert a.shape[1] - null_space(a, tol).shape[1] == rank
-    assert orth(a, tol).shape[1] == rank
+    assert rank_cut(np.linalg.svd(a, compute_uv=False), **kw) == rank
+    assert numerical_rank(a, **kw) == rank
+    assert a.shape[1] - null_space(a, **kw).shape[1] == rank
+    assert orth(a, **kw).shape[1] == rank
     # unfold(t, 3) of this tensor is a
-    assert compress_third_mode(Tensor3(a.reshape(3, 4, 4)), tol)[2] == rank
+    assert compress_third_mode(Tensor3(a.reshape(3, 4, 4)), **kw)[2] == rank
 
 
 def test_null_space_atol_floor_is_the_rank_rule():

@@ -10,6 +10,12 @@ import btd1
 MODULES = ["btd1"] + [f"btd1.{m.name}" for m in pkgutil.iter_modules(btd1.__path__)]
 
 
+def test_no_module_reads_the_environment():
+    src = Path(btd1.__file__).resolve().parent
+    readers = [p.name for p in sorted(src.glob("*.py")) if "os.environ" in p.read_text()]
+    assert not readers
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_public_names_resolve(name):
     module = importlib.import_module(name)

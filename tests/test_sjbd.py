@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from btd1.linalg import DimensionError, randn, rng
+from btd1.linalg import randn, rng
 from btd1.sjbd import (
     SJBDProblem,
     _cluster_scalars,
@@ -104,13 +104,6 @@ def test_commutant_three_generic_combinations_same_null_space():
     b1 = np.column_stack([u.ravel() for u in u1])
     b2 = np.column_stack([u.ravel() for u in u2])
     assert subspace_distance(b1, b2) < 1e-7
-
-
-def test_commutant_approximate_needs_target():
-    _, _, v_list = make_instance((1, 1), 2, seed=0)
-    problem = SJBDProblem(tuple(v_list), mode="approximate")
-    with pytest.raises(DimensionError):
-        commutant_basis(problem)
 
 
 def test_single_block_gives_identity_direction():
@@ -219,8 +212,8 @@ def test_solve_sjbd_flags_low_matrix_count():
 def test_sjbd_problem_symmetry_validation():
     bad = np.arange(9.0).reshape(3, 3)
     with pytest.raises(ValueError):
-        SJBDProblem((bad,), mode="exact")
-    prob = SJBDProblem((bad,), mode="approximate")
+        SJBDProblem((bad,))
+    prob = SJBDProblem((bad,), hint_R=1)
     assert np.allclose(prob.V[0], prob.V[0].T)
 
 
@@ -321,14 +314,14 @@ def test_cpd_als_singular_gram_falls_back_to_lstsq(monkeypatch):
 
 def test_noisy_commutant_basis_contains_identity_direction():
     # with noise the only exact null direction is the vectorized identity;
-    # the r_target-dimensional basis must include it numerically
+    # the dim-dimensional basis must include it numerically
     d = (1, 2)
     k = 3
     _, _, v_list = make_instance(d, k, seed=17)
     gen = rng(18)
     noisy = tuple(v + 1e-6 * (lambda m: (m + m.T) / 2)(gen.standard_normal((k, k))) for v in v_list)
-    problem = SJBDProblem(noisy, mode="approximate", hint_R=2)
-    r, u_mats = commutant_basis(problem, r_target=2)
+    r, u_mats = commutant_basis(SJBDProblem(noisy, hint_R=2).V, dim=2)
+    assert r == 2
     basis = np.column_stack([u.ravel(order="F") for u in u_mats])
     vec_i = np.eye(k).ravel() / np.sqrt(k)
     proj = basis @ (basis.conj().T @ vec_i)
@@ -358,7 +351,7 @@ def test_simultaneous_evd_defective_raises():
 def test_solve_sjbd_approximate_returns_ungrouped_columns(evd_variant):
     d = (1, 3)
     n_true, _, v_list = make_instance(d, 7, seed=10)
-    problem = SJBDProblem(tuple(v_list), mode="approximate", hint_R=2, hint_sum_d=4)
+    problem = SJBDProblem(tuple(v_list), hint_R=2, hint_sum_d=4)
     sol = solve_sjbd(problem, evd_variant=evd_variant)
     assert sol.d is None
     assert sol.N.shape == (7, 4)

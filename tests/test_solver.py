@@ -371,24 +371,22 @@ def test_rank_only_uniqueness_regime_case3():
     assert err_a < 1e-7 and err_t < 1e-7
 
 
-def test_env_rank_tol_reaches_solver_options(monkeypatch):
-    monkeypatch.setenv("BTD_RANK_TOL", "1e-6")
-    assert SolverOptions().tol == 1e-6
+def test_solver_options_rank_tol():
+    assert SolverOptions().tol == 1e-8
     assert SolverOptions(mode="noisy_scenario1").tol == 1e-2
     assert SolverOptions(rank_tol=1e-5).tol == 1e-5
-    monkeypatch.delenv("BTD_RANK_TOL")
-    assert SolverOptions().tol == 1e-8
+    assert SolverOptions(mode="noisy_scenario1", rank_tol=1e-5).tol == 1e-5
 
 
 @pytest.mark.parametrize(
-    "opts,mode,hint_r,hint_sum_d",
+    "opts,hint_r,hint_sum_d",
     [
-        (SolverOptions(), "exact", None, None),
-        (SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9), "approximate", 3, 6),
+        (SolverOptions(), None, None),
+        (SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9), 3, 6),
     ],
     ids=["exact", "scenario2"],
 )
-def test_phase1_runs_solve_sjbd_once(monkeypatch, opts, mode, hint_r, hint_sum_d):
+def test_phase1_runs_solve_sjbd_once(monkeypatch, opts, hint_r, hint_sum_d):
     import btd1.solver as solver_module
 
     problems = []
@@ -400,7 +398,7 @@ def test_phase1_runs_solve_sjbd_once(monkeypatch, opts, mode, hint_r, hint_sum_d
 
     monkeypatch.setattr(solver_module, "solve_sjbd", recording)
     decompose(compose(random_btd((3, 8, 8), (2, 3, 4), seed=1)), opts)
-    assert [(p.mode, p.hint_R, p.hint_sum_d) for p in problems] == [(mode, hint_r, hint_sum_d)]
+    assert [(p.hint_R, p.hint_sum_d) for p in problems] == [(hint_r, hint_sum_d)]
 
 
 def test_scenario1_single_reads_blocks_from_eigenvalue_gaps():
