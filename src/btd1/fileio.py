@@ -71,10 +71,16 @@ def _encode_array(a):
     return [[float(x) for x in row] for row in a]
 
 
-def _decode_array(rows, is_complex):
-    if is_complex:
-        return np.array([[complex(x[0], x[1]) for x in row] for row in rows])
-    return np.array(rows, dtype=float)
+def _decode_array(rows, is_complex, where):
+    """The matrix ``rows`` encodes; a :class:`DimensionError` names the part
+    ``where`` when its entries do not have the field's shape."""
+    try:
+        if is_complex:
+            return np.array([[complex(x[0], x[1]) for x in row] for row in rows])
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        field = "complex [re, im] pairs" if is_complex else "real numbers"
+        raise DimensionError(f"{where} is not a matrix of {field}") from exc
 
 
 def decomposition_to_dict(d):
@@ -102,13 +108,19 @@ def _part(obj, key, where):
 def decomposition_from_dict(obj):
     a = _part(obj, "A", "decomposition")
     is_complex = obj.get("field", "real") == "complex"
-    a = _decode_array(a, is_complex)
+    a = _decode_array(a, is_complex, "'A'")
+    terms = _part(obj, "terms", "decomposition")
+    if not isinstance(terms, list):
+        raise DimensionError("'terms' is not a list")
     terms = tuple(
-        tuple(_decode_array(_part(term, key, f"term {r}"), is_complex) for key in "BC")
-        for r, term in enumerate(_part(obj, "terms", "decomposition"))
+        tuple(
+            _decode_array(_part(term, key, f"term {r}"), is_complex, f"term {r} {key!r}")
+            for key in "BC"
+        )
+        for r, term in enumerate(terms)
     )
     d = BlockTermDecomposition(a, terms)
-    if "sizes" in obj and tuple(obj["sizes"]) != d.sizes:
+    if "sizes" in obj and not (isinstance(obj["sizes"], list) and tuple(obj["sizes"]) == d.sizes):
         raise DimensionError("declared sizes do not match the factor blocks")
     return d
 

@@ -96,10 +96,15 @@ def lstsq(a, b, tol=DEFAULT_RANK_TOL):
 
 
 def cond(a):
+    """2-norm condition number s_max / s_min of a matrix, or an array of them
+    for a stack of matrices; inf where s_min is 0 or the matrix is empty."""
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    if s.size == 0 or s[-1] == 0:
-        return np.inf
-    return float(s[0] / s[-1])
+    if s.shape[-1] == 0:
+        out = np.full(s.shape[:-1], np.inf)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(s[..., -1] == 0, np.inf, s[..., 0] / s[..., -1])
+    return out if out.ndim else float(out)
 
 
 def orth(a, tol=DEFAULT_RANK_TOL, dim=None):

@@ -291,7 +291,7 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     return n, d
 
 
-def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
+def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-4):
     """Alternating least squares for a CPD of an m x n x n stack.
 
     Model: tensor[r, i, j] = sum_k A[r, k] C[i, k] B[j, k].  Each factor
@@ -302,9 +302,12 @@ def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
     is nonsingular but ill conditioned is solved as it is.  After each sweep
     the column norms of C and B, read off their Gram diagonals, are balanced
     into A.  The fit is the relative residual of the last update of the
-    sweep; the loop stops when it changes by at most ``rel_tol`` relative or
-    after ``max_iter`` sweeps.  Returns the factors (A, C, B), the final
-    fit, a convergence flag and the number of sweeps run.
+    sweep.  The loop converges when one sweep changes the fit by at most
+    ``rel_tol`` times the fit itself, or by 1e-12: on noisy data the fit
+    levels off at the noise floor, and sweeps past that point only crawl
+    along it.  It stops unconverged after ``max_iter`` sweeps.  Returns the factors
+    (A, C, B), the final fit, a convergence flag and the number of sweeps
+    run.
     """
     m, n, _ = tensor.shape
     a, c, b = (np.array(f) for f in init)
@@ -343,7 +346,9 @@ def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
             f /= nrm
             g /= nrm[:, None] * nrm
             a *= nrm
-        if abs(prev_fit - fit) <= rel_tol * max(fit, 1.0):
+        # on noise-free data the fit sits at rounding level, where its
+        # changes are large relative to it; 1e-12 absolute is the floor
+        if abs(prev_fit - fit) <= max(rel_tol * fit, 1e-12):
             converged = True
             break
         prev_fit = fit

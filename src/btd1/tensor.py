@@ -159,27 +159,34 @@ def unfold(t, mode):
         T_(1) = [vec(E_1) ... vec(E_R)] A.T
         T_(2) = [a_1 kron C_1 ... a_R kron C_R] B.T
         T_(3) = [a_1 kron B_1 ... a_R kron B_R] C.T
+
+    An array with leading batch axes is unfolded item by item.
     """
     v = t.values if isinstance(t, Tensor3) else np.asarray(t)
-    i_dim, j_dim, k_dim = v.shape
+    *batch, i_dim, j_dim, k_dim = v.shape
     if mode == 1:
         # vec stacks columns, so vec(H_i) has j fastest
-        return v.transpose(2, 1, 0).reshape(j_dim * k_dim, i_dim)
+        return v.swapaxes(-1, -3).reshape(*batch, j_dim * k_dim, i_dim)
     if mode == 2:
-        return v.transpose(0, 2, 1).reshape(i_dim * k_dim, j_dim)
+        return v.swapaxes(-1, -2).reshape(*batch, i_dim * k_dim, j_dim)
     if mode == 3:
-        return v.reshape(i_dim * j_dim, k_dim)
+        return v.reshape(*batch, i_dim * j_dim, k_dim)
     raise DimensionError(f"mode must be 1, 2 or 3, got {mode}")
 
 
 def compose_values(a, terms):
-    """Array with entries t_ijk = sum_r a_ir (B_r C_r.T)_jk."""
+    """Array with entries t_ijk = sum_r a_ir (B_r C_r.T)_jk.
+
+    Factors with a leading batch axis, A (n, I, R), B_r (n, J, L_r) and
+    C_r (n, K, L_r), give the (n, I, J, K) stack of their tensors, each
+    item bitwise equal to its unbatched result.
+    """
     out = np.zeros(
-        (a.shape[0], terms[0][0].shape[0], terms[0][1].shape[0]),
+        a.shape[:-1] + (terms[0][0].shape[-2], terms[0][1].shape[-2]),
         dtype=np.result_type(a, *[b for b, _ in terms]),
     )
     for r, (b, c) in enumerate(terms):
-        out += a[:, r][:, None, None] * (b @ c.T)[None, :, :]
+        out += a[..., r, None, None] * (b @ c.swapaxes(-1, -2))[..., None, :, :]
     return out
 
 
@@ -191,13 +198,29 @@ def compose(d, dims=None):
     return Tensor3(out)
 
 
-def draw_factors(gen, dims, sizes, field="real"):
-    """I.i.d. standard normal A (I x R) and per-term pairs (B_r, C_r), drawn
-    from ``gen`` in that order."""
+def draw_factors(gens, dims, sizes, field="real"):
+    """I.i.d. standard normal factors, one draw per generator in ``gens``,
+    stacked along a leading batch axis: A (n, I, R) and per-term pairs
+    (B_r, C_r) of shapes (n, J, L_r) and (n, K, L_r).
+
+    Each generator makes one ``standard_normal`` call, split in order into
+    A, then B_r and C_r term by term; a complex factor takes its real part,
+    then its imaginary part.  Each factor is therefore bitwise what
+    ``randn(gen, shape, field)`` gives when called factor by factor in that
+    order.
+    """
     i_dim, j_dim, k_dim = dims
-    a = randn(gen, (i_dim, len(sizes)), field)
-    terms = [(randn(gen, (j_dim, s), field), randn(gen, (k_dim, s), field)) for s in sizes]
-    return a, terms
+    shapes = [(i_dim, len(sizes))] + [shape for s in sizes for shape in ((j_dim, s), (k_dim, s))]
+    parts = 2 if field == "complex" else 1
+    counts = [parts * rows * cols for rows, cols in shapes]
+    flat = np.empty((len(gens), sum(counts)))
+    for row, gen in zip(flat, gens):
+        gen.standard_normal(out=row)
+    factors = []
+    for shape, chunk in zip(shapes, np.split(flat, np.cumsum(counts)[:-1], axis=1)):
+        x = chunk.reshape(len(gens), parts, *shape)
+        factors.append(x[:, 0] if parts == 1 else (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0))
+    return factors[0], list(zip(factors[1::2], factors[2::2]))
 
 
 def random_btd(dims, sizes, field="real", seed=0):
@@ -211,7 +234,8 @@ def random_btd(dims, sizes, field="real", seed=0):
         raise DimensionError("term sizes must be positive")
     if max(sizes) > min(j_dim, k_dim):
         raise DimensionError("term sizes must not exceed min(J, K)")
-    return BlockTermDecomposition(*draw_factors(rng(seed), dims, sizes, field))
+    a, terms = draw_factors([rng(seed)], dims, sizes, field)
+    return BlockTermDecomposition(a[0], [(b[0], c[0]) for b, c in terms])
 
 
 def add_noise(t, spec):

@@ -290,7 +290,7 @@ def subspace_distance(u, v):
     return float(ang.max()) if ang.size else 0.0
 
 
-def lstsq_cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
+def lstsq_cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-4):
     """Reference CPD by alternating least squares: one ``lstsq`` against the
     Khatri-Rao matrix per factor update, column norms and the fit recomputed
     from the factors after every sweep.  Same model, balancing and stopping
@@ -314,11 +314,26 @@ def lstsq_cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-12):
             f /= nrm[None, :]
             a *= nrm[None, :]
         fit = np.linalg.norm(t0 - a @ khatri_rao(c, b).T) / max(norm_t, 1e-300)
-        if abs(prev_fit - fit) <= rel_tol * max(fit, 1.0):
+        if abs(prev_fit - fit) <= max(rel_tol * fit, 1e-12):
             converged = True
             break
         prev_fit = fit
     return (a, c, b), fit, converged
+
+
+def per_factor_draw(gen, dims, sizes, field="real"):
+    """Reference factor draw: A, then B_r and C_r term by term, one
+    ``standard_normal`` call per factor, or two for a complex factor (real
+    part, then imaginary part); returns (A, [(B_r, C_r), ...])."""
+
+    def draw(shape):
+        if field == "complex":
+            return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+        return gen.standard_normal(shape)
+
+    i_dim, j_dim, k_dim = dims
+    a = draw((i_dim, len(sizes)))
+    return a, [(draw((j_dim, s)), draw((k_dim, s))) for s in sizes]
 
 
 def reference_draw_instance(config, seed):

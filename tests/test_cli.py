@@ -122,14 +122,11 @@ def test_decompose_prints_warnings_to_stderr(runner, tmp_path):
         ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--seed", "8",
          "--snr", "45", "--out", str(out)],
     )
-    res = runner.invoke(
-        main,
-        ["decompose", str(out), "--mode", "scenario2", "--known-r", "3", "--known-suml", "9"],
-    )
+    res = runner.invoke(main, ["decompose", str(out), "--mode", "scenario1"])
     assert res.exit_code == 0, res.output
     diagnostics = json.loads(res.stdout)["diagnostics"]
     warnings = {k: v for k, v in diagnostics.items() if str(v).startswith("warning")}
-    assert warnings, "expected the CPD refinement to report non-convergence"
+    assert warnings, "expected scenario 1 to warn that Q misses every sum binom(d_r+1, 2)"
     assert res.stderr.splitlines() == [f"{k}: {v}" for k, v in warnings.items()]
 
 
@@ -186,8 +183,14 @@ def test_check_decomposition_file(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "payload",
-    [{"terms": []}, {"A": [[1.0]], "terms": [{"B": [[1.0]]}]}, [1, 2]],
-    ids=["no-A", "term-without-C", "list"],
+    [
+        {"terms": []},
+        {"A": [[1.0]], "terms": [{"B": [[1.0]]}]},
+        [1, 2],
+        {"A": 5, "terms": 3},
+        {"field": "complex", "A": [[1.0]], "terms": [{"B": [[1.0]], "C": [[1.0]]}]},
+    ],
+    ids=["no-A", "term-without-C", "list", "terms-not-a-list", "real-complex-entry"],
 )
 def test_check_malformed_decomposition_exit_2(runner, tmp_path, payload):
     path = tmp_path / "bad.json"

@@ -28,18 +28,24 @@ def test_draw_instance_respects_cap():
 
 
 @pytest.mark.parametrize(
-    "dims,sizes",
-    [((3, 8, 8), (2, 3, 4)), ((3, 9, 10), (1, 2, 3, 4))],
+    "dims,sizes,extra_seeds",
+    [
+        # 0, 3, 4, 26 and 188 rejections: the first sub-seed, the last of
+        # the first chunk of 4, the first of the second chunk, the third
+        # chunk, a chunk past the doubling
+        ((3, 8, 8), (2, 3, 4), {4: 0, 0: 3, 6: 4, 5: 26, 3: 188}),
+        ((3, 9, 10), (1, 2, 3, 4), {1135: 0}),
+    ],
     ids=["3x8x8", "3x9x10"],
 )
-def test_draw_instance_matches_reference(dims, sizes):
-    # the first trial seeds of criterion 5; on 3x9x10 three of them reject
-    # more than 1000 draws each
+def test_draw_instance_matches_reference(dims, sizes, extra_seeds):
+    # the first trial seeds of criterion 5, on 3x9x10 three of them reject
+    # more than 1000 draws each, then seeds accepted at chunk edges
     cfg = ExperimentConfig(dims=dims, sizes=sizes, cond_cap=10.0, seed=2024)
     master = rng(cfg.seed)
+    seeds = [int(master.integers(2**31)) for _ in range(5)] + list(extra_seeds)
     rejections = []
-    for _ in range(5):
-        seed = int(master.integers(2**31))
+    for seed in seeds:
         truth, t, rejected = draw_instance(cfg, seed)
         ref_truth, ref_t, ref_rejected = reference_draw_instance(cfg, seed)
         assert rejected == ref_rejected
@@ -48,8 +54,9 @@ def test_draw_instance_matches_reference(dims, sizes):
         for (b, c), (ref_b, ref_c) in zip(truth.terms, ref_truth.terms):
             assert np.array_equal(b, ref_b) and np.array_equal(c, ref_c)
         rejections.append(rejected)
+    assert rejections[5:] == list(extra_seeds.values())
     if dims == (3, 9, 10):
-        assert sum(r > 1000 for r in rejections) >= 3
+        assert sum(r > 1000 for r in rejections[:5]) >= 3
 
 
 def test_config_rejects_impossible_sizes():

@@ -66,11 +66,19 @@ MALFORMED_DECOMPOSITIONS = [
     ({"terms": []}, "no 'A'"),
     ({"A": [[1.0]], "terms": [{"B": [[1.0]]}]}, "term 0 has no 'C'"),
     ([1, 2], "not a JSON object"),
+    ({"A": 5, "terms": 3}, "'terms' is not a list"),
+    (
+        {"field": "complex", "A": [[1.0]], "terms": [{"B": [[1.0]], "C": [[1.0]]}]},
+        "'A' is not a matrix of complex",
+    ),
+    ({"A": [[1.0]], "terms": [{"B": [[1.0]], "C": [[1.0]]}], "sizes": 1}, "declared sizes"),
 ]
 
 
 @pytest.mark.parametrize(
-    "obj,message", MALFORMED_DECOMPOSITIONS, ids=["no-A", "term-without-C", "list"]
+    "obj,message",
+    MALFORMED_DECOMPOSITIONS,
+    ids=["no-A", "term-without-C", "list", "terms-not-a-list", "real-complex-entry", "sizes-not-a-list"],
 )
 def test_decomposition_from_dict_names_the_missing_part(obj, message):
     with pytest.raises(DimensionError, match=message):

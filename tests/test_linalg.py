@@ -164,3 +164,5 @@ def test_dominant_rank1_complex_orientation():
 def test_cond():
     assert cond(np.eye(4)) == pytest.approx(1.0)
     assert np.isinf(cond(np.zeros((3, 3))))
+    stack = np.stack([np.eye(3), np.zeros((3, 3)), rng(5).standard_normal((3, 3))])
+    assert np.array_equal(cond(stack), [cond(m) for m in stack])

@@ -250,8 +250,8 @@ def test_cpd_als_exact_fit():
     b = gen.standard_normal((k, k))
     c = gen.standard_normal((k, k))
     tensor = np.einsum("rk,ik,jk->rij", a, c, b)
-    (a2, c2, b2), fit, converged, _sweeps = cpd_als(tensor, k, (a, c, b))
-    assert fit < 1e-12 and converged
+    (a2, c2, b2), fit, converged, sweeps = cpd_als(tensor, k, (a, c, b))
+    assert fit < 1e-12 and converged and sweeps <= 3
 
 
 def _noisy_cpd_case(kind, seed=21, m=4, n=5):
@@ -290,6 +290,14 @@ def test_cpd_als_matches_lstsq_reference(kind):
     assert fit == pytest.approx(fit_r, rel=1e-9)
     assert converged == converged_r
     assert 1 <= sweeps <= 500
+
+
+@pytest.mark.parametrize("kind", ["real", "conjugate", "complex"])
+def test_cpd_als_stops_at_noise_floor(kind):
+    # the fit levels off near the 1e-2 noise; sweeps past that only crawl
+    tensor, rank, init = _noisy_cpd_case(kind)
+    _factors, _fit, converged, sweeps = cpd_als(tensor, rank, init)
+    assert converged and sweeps < 100
 
 
 def test_cpd_als_singular_gram_falls_back_to_lstsq(monkeypatch):

@@ -14,8 +14,9 @@ from btd1 import (
     unfold,
 )
 from btd1.linalg import numerical_rank, rng
+from btd1.tensor import compose_values, draw_factors
 
-from helpers import naive_compose, naive_unfold1, naive_unfold3, pinv
+from helpers import naive_compose, naive_unfold1, naive_unfold3, per_factor_draw, pinv
 
 
 def test_unfold_rank1_outer_product():
@@ -96,6 +97,30 @@ def test_random_btd_deterministic():
     for (b1, c1), (b2, c2) in zip(d1.terms, d2.terms):
         assert np.array_equal(b1, b2)
         assert np.array_equal(c1, c2)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_draw_factors_matches_per_factor_reference(field):
+    dims, sizes, seeds = (3, 9, 10), (1, 2, 3, 4), (0, 7, 2024)
+    a, terms = draw_factors([rng(s) for s in seeds], dims, sizes, field)
+    for n, seed in enumerate(seeds):
+        ref_a, ref_terms = per_factor_draw(rng(seed), dims, sizes, field)
+        d = random_btd(dims, sizes, field, seed=seed)
+        assert np.array_equal(a[n], ref_a) and np.array_equal(d.A, ref_a)
+        for (b, c), (db, dc), (ref_b, ref_c) in zip(terms, d.terms, ref_terms):
+            assert np.array_equal(b[n], ref_b) and np.array_equal(c[n], ref_c)
+            assert np.array_equal(db, ref_b) and np.array_equal(dc, ref_c)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_batched_compose_and_unfold_match_each_item(field):
+    a, terms = draw_factors([rng(s) for s in range(6)], (3, 8, 8), (2, 3, 4), field)
+    t = compose_values(a, terms)
+    for n in range(6):
+        item = compose_values(a[n], [(b[n], c[n]) for b, c in terms])
+        assert np.array_equal(t[n], item)
+        for mode in (1, 2, 3):
+            assert np.array_equal(unfold(t, mode)[n], unfold(item, mode))
 
 
 def _null_dims(d):
