@@ -51,6 +51,16 @@ class ExperimentConfig:
         # draw_instance samples without random_btd's size checks
         if min(self.sizes) < 1 or max(self.sizes) > min(self.dims[1:]):
             raise DimensionError("term sizes must be positive and at most min(J, K)")
+        # draw_instance would redraw forever if no draw can meet the cap
+        if not self.cond_cap >= 1:
+            raise ValueError(f"cond_cap must be at least 1, got {self.cond_cap}")
+        i_dim, j_dim, k_dim = self.dims
+        if sum(self.sizes) < min(i_dim * j_dim, k_dim):
+            raise DimensionError("sum L below min(IJ, K): the third unfolding is rank deficient")
+        if len(self.sizes) < min(j_dim * k_dim, i_dim):
+            raise DimensionError("R below min(JK, I): the first unfolding is rank deficient")
+        # an unknown evd_variant fails here, not in the first trial
+        SolverOptions(evd_variant=self.evd_variant)
 
 
 @dataclass(frozen=True)

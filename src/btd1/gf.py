@@ -34,7 +34,15 @@ import numpy as np
 
 from . import _kernels
 from .linalg import DimensionError, rng, split_columns
-from .minors import n_strict, n_sym, phi_matrix, s2_matrix
+from .minors import (
+    block_sizes,
+    n_sym,
+    phi_columns,
+    phi_count_conditions,
+    phi_matrix,
+    q2_null_dim,
+    s2_matrix,
+)
 
 __all__ = [
     "GFField",
@@ -324,22 +332,15 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
     if len(sizes) != r:
         raise DimensionError(f"expected {r} sizes, got {len(sizes)}")
     first = field if field is not None else _escalation_ladder()[0]
-    n_cols = sum(
-        sizes[r1] * sizes[r2] for r1 in range(r) for r2 in range(r1 + 1, r)
-    )
+    n_cols = phi_columns(sizes)
     config = {"I": i_dim, "J": j_dim, "R": r, "L": list(sizes)}
-    if r >= 2:
-        if n_strict(i_dim) * n_strict(j_dim) < n_cols:
-            return GFVerificationResult(
-                config, 0, "impossible", -1, n_cols,
-                reason="row count below column count", field=first,
-            )
-        if j_dim < sizes[-1] + sizes[-2]:
-            return GFVerificationResult(
-                config, 0, "impossible", -1, n_cols,
-                reason="J below the two largest sizes; wedge blocks collapse",
-                field=first,
-            )
+    rows_ok, wedge_ok = phi_count_conditions(i_dim, j_dim, sizes)
+    if r >= 2 and not (rows_ok and wedge_ok):
+        return GFVerificationResult(
+            config, 0, "impossible", -1, n_cols, field=first,
+            reason="row count below column count" if not rows_ok
+            else "J below the two largest sizes; wedge blocks collapse",
+        )
 
     def build(fld, gen):
         a = fld.random(gen, (i_dim, r))
@@ -363,11 +364,8 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
     i_dim, j_dim, k_dim = (int(x) for x in dims)
     sizes = sorted(int(s) for s in sizes)
     sum_l = sum(sizes)
-    clamped = False
-    if k_dim > sum_l:
-        k_dim = sum_l
-        clamped = True
-    d_vals = [k_dim - sum_l + l for l in sizes]
+    clamped = k_dim > sum_l
+    k_dim, d_vals = block_sizes(k_dim, sizes)
     config = {"I": i_dim, "J": j_dim, "K": k_dim, "L": list(sizes), "clamped": clamped}
     if any(dv < 1 for dv in d_vals):
         return GFVerificationResult(
@@ -375,7 +373,7 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
             reason="some d_r would be nonpositive; generic blocks overlap",
             field=field if field is not None else _escalation_ladder()[0],
         )
-    expected = n_sym(k_dim) - sum(dv * (dv + 1) // 2 for dv in d_vals)
+    expected = n_sym(k_dim) - q2_null_dim(d_vals)
 
     def build(fld, gen):
         a = fld.random(gen, (i_dim, len(sizes)))

@@ -16,6 +16,10 @@ once, for every arithmetic: :func:`phi_matrix` and :func:`s2_matrix` take
 an object with ``mul``/``add``/``sub`` methods: numpy's own arithmetic
 for real and complex factors, a ``btd1.gf.GFField`` over finite fields.  That keeps the
 factorization ``Q2 = Phi(A, B) @ S2(C).T`` exact entry for entry in both.
+
+Every other module reads the method's structural counts from here: pair
+counts, block sizes d_r = K - sum L + L_r, Q = sum binom(d_r+1, 2) and the
+column count of Phi(A, B) with its two count conditions.
 """
 
 import operator
@@ -32,6 +36,13 @@ from .tensor import Tensor3
 __all__ = [
     "strict_pairs",
     "sym_pairs",
+    "n_strict",
+    "n_sym",
+    "block_sizes",
+    "total_block_size",
+    "q2_null_dim",
+    "phi_columns",
+    "phi_count_conditions",
     "MinorMatrixSet",
     "FactorMinorForm",
     "build_Q2",
@@ -41,8 +52,6 @@ __all__ = [
     "sym_pair_position",
     "wedge",
     "symprod",
-    "wedge_block",
-    "symprod_block",
     "phi_matrix",
     "s2_matrix",
     "build_phi_s2",
@@ -68,11 +77,45 @@ def sym_pairs(n):
 
 
 def n_strict(n):
+    """binom(n, 2): the number of pairs p < q."""
     return n * (n - 1) // 2
 
 
 def n_sym(n):
+    """binom(n + 1, 2): the number of pairs p <= q."""
     return n * (n + 1) // 2
+
+
+def block_sizes(k, sizes):
+    """``(K, d)`` with K clamped to sum L_r (third-mode compression removes
+    the rest) and d_r = K - sum L + L_r."""
+    sum_l = sum(sizes)
+    k = min(k, sum_l)
+    return k, [k - sum_l + l for l in sizes]
+
+
+def total_block_size(r, k, sum_l):
+    """sum_r d_r = R K - (R - 1) sum L, from R, K and sum L_r alone."""
+    return r * k - (r - 1) * sum_l
+
+
+def q2_null_dim(d):
+    """Q = sum_r binom(d_r + 1, 2), the null-space dimension of Q2."""
+    return sum(n_sym(x) for x in d)
+
+
+def phi_columns(sizes):
+    """Column count sum_{r1 < r2} L_r1 L_r2 of Phi(A, B)."""
+    sum_l = sum(sizes)
+    return (sum_l * sum_l - sum(l * l for l in sizes)) // 2
+
+
+def phi_count_conditions(i_dim, j_dim, sizes):
+    """Whether Phi(A, B) has as many rows as columns, and whether J fits
+    the two largest sizes (the one size if R = 1), without which two
+    wedged B-blocks are rank deficient."""
+    rows_ok = n_strict(i_dim) * n_strict(j_dim) >= phi_columns(sizes)
+    return rows_ok, j_dim >= sum(sorted(sizes)[-2:])
 
 
 @dataclass(frozen=True)
@@ -210,14 +253,6 @@ def _vector_pair(x, y, wedge):
     return _pair_block(_NUMPY, x[:, None], y[:, None], wedge)[:, 0]
 
 
-def _block_pair(x, y, wedge):
-    x = np.atleast_2d(np.asarray(x))
-    y = np.atleast_2d(np.asarray(y))
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError("blocks must share row count")
-    return _pair_block(_NUMPY, x, y, wedge)
-
-
 def wedge(x, y):
     """All 2 x 2 minors of [x y]: entries x_p y_q - x_q y_p over pairs p < q."""
     return _vector_pair(x, y, wedge=True)
@@ -226,17 +261,6 @@ def wedge(x, y):
 def symprod(x, y):
     """All 2 x 2 permanents of [x y]: entries x_p y_q + x_q y_p over p <= q."""
     return _vector_pair(x, y, wedge=False)
-
-
-def wedge_block(bi, bj):
-    """Columnwise wedge of two blocks, columns ordered with the second
-    block's column index fastest."""
-    return _block_pair(bi, bj, wedge=True)
-
-
-def symprod_block(ci, cj):
-    """Columnwise symmetric product of two blocks, second index fastest."""
-    return _block_pair(ci, cj, wedge=False)
 
 
 def _stack_pairs(cols, n_rows, blocks):

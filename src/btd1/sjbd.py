@@ -35,7 +35,7 @@ from .linalg import (
     rng,
     split_columns,
 )
-from .minors import build_PK, sym_pair_position
+from .minors import build_PK, n_sym, q2_null_dim, sym_pair_position
 
 __all__ = [
     "SJBDProblem",
@@ -291,7 +291,7 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     return n, d
 
 
-def cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-4):
+def cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
     """Alternating least squares for a CPD of an m x n x n stack.
 
     Model: tensor[r, i, j] = sum_k A[r, k] C[i, k] B[j, k].  Each factor
@@ -393,7 +393,7 @@ def simultaneous_evd_cpd(
             "initialization eigenbasis is singular", {"size": k}
         ) from exc
     a0 = np.stack([np.diagonal(n0_inv @ u @ n0) for u in mats])
-    (a, c, _b), fit, converged, sweeps = cpd_als(stack, k, (a0, n0, n0_inv.T))
+    (a, c, _b), fit, converged, sweeps = cpd_als(stack, (a0, n0, n0_inv.T))
     status = "ok" if converged else "warning: CPD refinement hit max iterations"
     if not partition:
         return c, None, status, fit, sweeps
@@ -411,7 +411,7 @@ def recover_coefficients(n, d, v_list):
     n_blocks = split_columns(n, d)
     design = np.hstack([np.kron(nr, nr) @ build_PK(dr) for nr, dr in zip(n_blocks, d)])
     pinv_design = np.linalg.pinv(design, rcond=DEFAULT_RANK_TOL)
-    packed_offs = np.cumsum([dr * (dr + 1) // 2 for dr in d])[:-1]
+    packed_offs = np.cumsum([n_sym(dr) for dr in d])[:-1]
     out = []
     for v in v_list:
         packed = np.split(pinv_design @ v.ravel(order="F"), packed_offs)
@@ -440,7 +440,9 @@ def solve_sjbd(
 
     An exact problem has R detected at ``rank_tol`` and the columns of N
     grouped into blocks of sizes d.  An approximate one takes R from
-    ``hint_R`` and returns N ungrouped with d = None.
+    ``hint_R`` and returns N ungrouped with d = None.  An exact solution
+    records ``diagnostics["expected_Q"]`` = sum binom(d_r+1, 2), and its
+    ``status`` warns when the problem's Q differs from it.
     """
     exact = problem.hint_R is None
     v_list = list(problem.V)
@@ -484,7 +486,9 @@ def solve_sjbd(
     if not exact:
         return SJBDSolution(N=n, d=None, diagnostics=diagnostics)
     d = tuple(int(x) for x in d)
-    expected_q = sum(dr * (dr + 1) // 2 for dr in d)
+    # fewer than 3 matrices with some d_r >= 2 always fail this test, since
+    # then the sum is at least 3
+    expected_q = q2_null_dim(d)
     diagnostics["expected_Q"] = int(expected_q)
     status = "ok"
     if problem.Q != expected_q:
@@ -492,6 +496,4 @@ def solve_sjbd(
             "warning: Q does not match sum binom(d_r+1, 2); "
             "uniqueness guarantee does not apply"
         )
-    if problem.Q < 3 and any(dr >= 2 for dr in d):
-        status = "warning: fewer than 3 matrices; uniqueness guarantee does not apply"
     return SJBDSolution(N=n, d=d, status=status, diagnostics=diagnostics)

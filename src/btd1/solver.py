@@ -41,7 +41,7 @@ from .linalg import (
     rng,
     split_columns,
 )
-from .minors import build_Q2
+from .minors import build_Q2, n_sym, total_block_size
 from .sjbd import (
     SJBDProblem,
     _eigen_groups,
@@ -105,6 +105,8 @@ class SolverOptions:
             self.known_R is None or self.known_sum_L is None
         ):
             raise ValueError("noisy_scenario2 requires known_R and known_sum_L")
+        if self.evd_variant not in (None, "single", "cpd"):
+            raise ValueError(f"unknown evd_variant {self.evd_variant!r}")
 
     @property
     def noisy(self):
@@ -163,13 +165,11 @@ def _vec(m):
 def minimal_null_dimension(r, sum_d):
     """Smallest value of sum binom(d_r + 1, 2) over positive d summing to
     sum_d; the lower bound used in place of the true null-space dimension
-    when only R and sum L_r are known."""
-    best = None
-    for d in _partitions(sum_d, r):
-        val = sum(x * (x + 1) // 2 for x in d)
-        if best is None or val < best:
-            best = val
-    return best
+    when only R and sum L_r are known; needs sum_d >= R.  The sum is convex
+    in each d_r, so the balanced split (sizes q and q + 1 with
+    q = sum_d // R) attains it."""
+    q, m = divmod(sum_d, r)
+    return m * n_sym(q + 1) + (r - m) * n_sym(q)
 
 
 def _partitions(total, parts, minimum=1):
@@ -185,7 +185,7 @@ def _partitions(total, parts, minimum=1):
 def candidate_size_tuples(r, k, sum_l):
     """All sorted L-tuples consistent with known R and sum L_r; the rows of
     the detection-frequency tables."""
-    sum_d = r * k - (r - 1) * sum_l
+    sum_d = total_block_size(r, k, sum_l)
     shift = sum_l - k
     tuples = []
     for d in _partitions(sum_d, r):
@@ -284,7 +284,7 @@ def phase1_recover_A(t, opts=None):
     scenario2 = opts.mode == "noisy_scenario2"
     if scenario2:
         r_known = opts.known_R
-        sum_d = r_known * k_dim - (r_known - 1) * opts.known_sum_L
+        sum_d = total_block_size(r_known, k_dim, opts.known_sum_L)
         if sum_d < r_known:
             raise SolverDiagnostic(
                 "known R and sum L give an impossible total block size",
@@ -326,7 +326,7 @@ def phase1_recover_A(t, opts=None):
     if d is None:
         n_full, d = _partition_by_unfolding(t, n_full, r_known)
     d = tuple(int(x) for x in d)
-    if opts.mode == "exact" and q_used != sum(x * (x + 1) // 2 for x in d):
+    if opts.mode == "exact" and sol.diagnostics["expected_Q"] != q_used:
         raise SolverDiagnostic(
             "null-space dimension of the minor matrix does not match "
             "sum binom(d_r+1, 2); the structural assumption fails",
@@ -524,20 +524,26 @@ def decompose(t, opts=None):
     """Full pipeline: compress the third mode if rank deficient, run Phase I
     and the applicable Phase II case, estimate the term sizes, and report.
 
-    Case selection prefers Case 1 over Case 2 over Case 3.
+    Exact mode compresses to the numerical rank, scenario 2 to ``known_sum_L``
+    when K exceeds it.  Case selection prefers Case 1 over Case 2 over Case 3.
     """
     opts = opts or SolverOptions()
     i_dim, _, k_dim = t.dims
     diag = {}
+    if not np.any(t.values):
+        raise SolverDiagnostic("zero tensor has no block-term decomposition", {})
 
     original = t
-    if not opts.noisy:
-        compressed, _, r3 = compress_third_mode(t, tol=opts.tol)
+    to_known = opts.mode == "noisy_scenario2" and k_dim > opts.known_sum_L
+    if not opts.noisy or to_known:
+        compressed, _, r3 = compress_third_mode(
+            t, tol=opts.tol, dim=opts.known_sum_L if to_known else None
+        )
         if r3 < k_dim:
             t, k_dim = compressed, r3
             diag["compressed_K"] = int(r3)
 
-    a, b_blocks, _, d, q_used, phase1_diag = phase1_recover_A(t, opts)
+    a, b_blocks, _, d, _, phase1_diag = phase1_recover_A(t, opts)
     diag.update(phase1_diag)
     r = len(d)
     case = _select_case(k_dim, i_dim, d, a, opts)
@@ -547,14 +553,12 @@ def decompose(t, opts=None):
     if opts.noisy:
         sizes = estimate_L_from_d(d, k_dim, r)
     if case == 1:
+        # the B_r of Phase I have widths d_r, which are the sizes here
         est = phase2_case1(t, a, b_blocks)
-        detected_l = tuple(d)
     elif case == 2:
         est = phase2_case2(t, a, opts, sizes=sizes)
-        detected_l = est.sizes
     else:
         est = phase2_case3(t, a, opts, sizes=sizes)
-        detected_l = est.sizes
 
     if t is not original:
         # map the compressed third factor back to the original tensor
@@ -573,7 +577,7 @@ def decompose(t, opts=None):
     return SolveReport(
         decomposition=est,
         detected_d=tuple(d),
-        detected_L=tuple(int(x) for x in detected_l),
+        detected_L=est.sizes,
         case_used=case,
         residual=residual,
         diagnostics=diag,

@@ -190,10 +190,8 @@ def compose_values(a, terms):
     return out
 
 
-def compose(d, dims=None):
+def compose(d):
     """Tensor with entries t_ijk = sum_r a_ir (B_r C_r.T)_jk."""
-    if dims is not None and tuple(dims) != d.dims:
-        raise DimensionError(f"factors give dims {d.dims}, expected {tuple(dims)}")
     out = compose_values(d.A, d.terms)
     return Tensor3(out)
 
@@ -253,19 +251,20 @@ def add_noise(t, spec):
     return Tensor3(np.asarray(t.values, dtype=np.result_type(t.values, noise)) + c * noise)
 
 
-def compress_third_mode(t, tol=DEFAULT_RANK_TOL):
+def compress_third_mode(t, tol=DEFAULT_RANK_TOL, dim=None):
     """Replace the third mode by an orthonormal mixing of the frontal slices.
 
     Returns ``(compressed, mixing, rank)`` where ``unfold(compressed, 3)`` is
-    the left factor of the compact SVD of ``unfold(t, 3)``, ``rank`` its
-    numerical rank, and ``mixing`` the rank x K matrix with
-    ``unfold(t, 3) = unfold(compressed, 3) @ mixing``.  The compressed tensor
+    the left factor of the compact SVD of ``unfold(t, 3)``, cut to ``rank``
+    = ``dim`` columns or else to the numerical rank at ``tol`` (as in
+    :func:`btd1.linalg.orth`), and ``mixing`` the rank x K matrix with
+    ``unfold(t, 3) ~= unfold(compressed, 3) @ mixing``.  The compressed tensor
     shares the first two factor matrices with ``t``; the third factor matrix
     of ``t`` is recoverable as ``([a_1 kron B_1 ...]^+ @ unfold(t, 3)).T``.
     """
     t3 = unfold(t, 3)
     u, s, vh = np.linalg.svd(t3, full_matrices=False)
-    rank = rank_cut(s, tol)
+    rank = rank_cut(s, tol) if dim is None else dim
     u = u[:, :rank]
     mixing = s[:rank, None] * vh[:rank]
     i_dim, j_dim, _ = t.dims

@@ -20,7 +20,14 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import DEFAULT_RANK_TOL, DimensionError, khatri_rao, numerical_rank
-from .minors import build_Q2
+from .minors import (
+    block_sizes,
+    build_Q2,
+    n_sym,
+    phi_columns,
+    phi_count_conditions,
+    q2_null_dim,
+)
 from .tensor import BlockTermDecomposition, compose, unfold
 
 __all__ = [
@@ -243,7 +250,7 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_C
     if f_rank_ok is None:
         notes.append("F-subset rank condition not evaluated (cap)")
 
-    expected_q = sum(dv * (dv + 1) // 2 for dv in d_vals)
+    expected_q = q2_null_dim(d_vals)
     q2 = build_Q2(t)
     q2_null = q2.Q2.shape[1] - numerical_rank(q2.Q2, tol=tol)
     q2_dim_ok = q2_null == expected_q
@@ -266,13 +273,8 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_C
     cond_c = _and(_equals_rank(ka, ra), ra < r, f_rank_ok, g_rank_ok)
     # rank of the stacked [E_1.T ... E_R.T].T equals sum L_r
     cond_d = numerical_rank(np.vstack(e_mats), tol=tol) == sum_l
-    two_smallest = sorted(sizes)[:2]
-    pairs_sum = sum(
-        sizes[r1] * sizes[r2] for r1 in range(r) for r2 in range(r1 + 1, r)
-    )
-    cond_e = (k_dim + 1) * k_dim // 2 - expected_q > pairs_sum - (
-        two_smallest[0] * two_smallest[1] if len(two_smallest) == 2 else 0
-    )
+    # the product of the two smallest sizes is the Phi count of those two
+    cond_e = n_sym(k_dim) - expected_q > phi_columns(sizes) - phi_columns(sorted(sizes)[:2])
 
     conditions = {"a": cond_a, "b": cond_b, "c": cond_c, "d": cond_d, "e": cond_e}
 
@@ -374,9 +376,10 @@ def generic_bounds(dims, sizes):
         k_dim >= sum(sizes[1:]) + 1 and j_dim >= sum(tail) and i_dim >= 2
     )
     rows["row7"] = equal and i_dim >= r and (j_dim - l) * (k_dim - l) >= r
+    phi_rows_ok, phi_wedge_ok = phi_count_conditions(i_dim, j_dim, sizes)
     rows["row8"] = (
         i_dim >= 2
-        and j_dim >= (sizes[-2] + sizes[-1] if r >= 2 else sizes[-1])
+        and phi_wedge_ok
         and sum_l <= (i_dim - 1) * (j_dim - 1)
         and sum_l <= k_dim
     )
@@ -392,18 +395,12 @@ def generic_bounds(dims, sizes):
         rows["kruskal_overall"] = False
     # row-6 counting prerequisites (certification itself is the finite-field
     # check in btd1.gf)
-    pair_sum = sum(
-        sizes[r1] * sizes[r2] for r1 in range(r) for r2 in range(r1 + 1, r)
-    )
-    rows["row6_count_ok"] = (
-        k_dim >= sum_l
-        and (j_dim >= sizes[-2] + sizes[-1] if r >= 2 else True)
-        and (i_dim * (i_dim - 1) // 2) * (j_dim * (j_dim - 1) // 2) >= pair_sum
-    )
+    # (for R = 1 the wedge condition J >= L_1 holds whenever
+    # parameter_count_S accepts the sizes)
+    rows["row6_count_ok"] = k_dim >= sum_l and phi_wedge_ok and phi_rows_ok
     # first-factor-matrix uniqueness, valid upon verification of the generic
     # null-space count: K (clamped to sum L) within the square-root bound
-    k_eff = min(k_dim, sum_l)
-    d1 = k_eff - sum_l + sizes[0]
+    k_eff, (d1, *_) = block_sizes(k_dim, sizes)
     if r >= 2:
         bound = -0.5 - math.sqrt(0.25 + 2.0 * sizes[0] * sizes[1] / (r - 1)) + sum_l
         rows["first_fm_inequality"] = k_eff >= bound

@@ -290,7 +290,7 @@ def subspace_distance(u, v):
     return float(ang.max()) if ang.size else 0.0
 
 
-def lstsq_cpd_als(tensor, rank, init, max_iter=500, rel_tol=1e-4):
+def lstsq_cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
     """Reference CPD by alternating least squares: one ``lstsq`` against the
     Khatri-Rao matrix per factor update, column norms and the fit recomputed
     from the factors after every sweep.  Same model, balancing and stopping

@@ -224,6 +224,17 @@ def test_experiment_csv_schema(runner, tmp_path):
     assert float(exact_row[1]) < 1e-8
 
 
+def test_experiment_rejects_shape_whose_cap_no_draw_meets(runner, tmp_path):
+    # sum L = 9 < K = 10: the third unfolding is never well conditioned
+    res = runner.invoke(
+        main,
+        ["experiment", "--dims", "3,8,10", "--sizes", "2,3,4", "--trials", "1", "--quiet",
+         "--freq-out", str(tmp_path / "f.csv"), "--err-out", str(tmp_path / "e.csv")],
+    )
+    assert res.exit_code == 2, res.output
+    assert "third unfolding" in res.output
+
+
 def test_experiment_prints_failure_causes(runner, tmp_path, monkeypatch):
     import btd1.experiment as exp
     from btd1.linalg import SolverDiagnostic

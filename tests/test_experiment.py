@@ -66,6 +66,27 @@ def test_config_rejects_impossible_sizes():
         ExperimentConfig(dims=(3, 8, 8), sizes=(2, 9))
 
 
+@pytest.mark.parametrize(
+    "dims, sizes, cap",
+    [
+        ((3, 8, 10), (2, 3, 4), 10.0),
+        ((4, 8, 8), (2, 3), 10.0),
+        ((3, 8, 8), (2, 3, 4), 0.5),
+        ((3, 8, 8), (2, 3, 4), math.nan),
+    ],
+    ids=["sum-L-below-K", "R-below-I", "cap-below-1", "cap-nan"],
+)
+def test_config_rejects_caps_that_no_draw_meets(dims, sizes, cap):
+    # draw_instance would redraw forever on each of these
+    with pytest.raises(ValueError):
+        ExperimentConfig(dims=dims, sizes=sizes, cond_cap=cap)
+
+
+def test_config_rejects_unknown_evd_variant():
+    with pytest.raises(ValueError, match="evd_variant"):
+        ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), evd_variant="foo")
+
+
 @pytest.mark.parametrize("snr", [math.nan, -math.inf], ids=["nan", "minus-inf"])
 def test_config_rejects_snr_that_is_not_a_level(snr):
     with pytest.raises(ValueError, match="SNR"):

@@ -4,17 +4,21 @@ import pytest
 from btd1 import BlockTermDecomposition, DimensionError, Tensor3, compose, random_btd
 from btd1.linalg import null_space, numerical_rank, rng
 from btd1.minors import (
+    block_sizes,
     build_D,
     build_PK,
     build_phi_s2,
     build_Q2,
     build_R2,
     compound2,
+    n_strict,
+    phi_columns,
+    phi_count_conditions,
+    q2_null_dim,
     rank1_membership,
     symprod,
-    symprod_block,
+    total_block_size,
     wedge,
-    wedge_block,
 )
 from helpers import GOLDEN_Q2_3x3x5, commutation_matrix, golden_integer_instance
 
@@ -91,15 +95,17 @@ def test_pn_symprod_identity(n):
 
 def test_block_products_column_order():
     gen = rng(5)
-    bi = gen.standard_normal((5, 2))
-    bj = gen.standard_normal((5, 3))
-    wb = wedge_block(bi, bj)
-    sb = symprod_block(bi, bj)
-    # column (l1, l2) with l2 fastest
+    a = gen.standard_normal((3, 2))
+    bi, bj = gen.standard_normal((5, 2)), gen.standard_normal((5, 3))
+    ci, cj = gen.standard_normal((4, 2)), gen.standard_normal((4, 3))
+    form = build_phi_s2(BlockTermDecomposition(a, ((bi, ci), (bj, cj))))
+    wa = wedge(a[:, 0], a[:, 1])
+    # column (l1, l2) of the one term-pair block, l2 fastest
     for l1 in range(2):
         for l2 in range(3):
-            assert np.allclose(wb[:, l1 * 3 + l2], wedge(bi[:, l1], bj[:, l2]))
-            assert np.allclose(sb[:, l1 * 3 + l2], symprod(bi[:, l1], bj[:, l2]))
+            col = l1 * 3 + l2
+            assert np.allclose(form.Phi[:, col], np.kron(wa, wedge(bi[:, l1], bj[:, l2])))
+            assert np.allclose(form.S2[:, col], symprod(ci[:, l1], cj[:, l2]))
 
 
 def test_phi_s2_factorization_random():
@@ -279,3 +285,32 @@ def test_rank1_membership_agreement_200():
         direct, via = rank1_membership(t, f, return_both=True)
         agree += direct == via
     assert agree == 200
+
+
+def test_block_sizes_clamp_k_to_sum_l():
+    assert block_sizes(8, (2, 3, 4)) == (8, [1, 2, 3])
+    assert block_sizes(10, (2, 3, 4)) == (9, [2, 3, 4])
+    assert block_sizes(10, (1, 2, 3, 4)) == (10, [1, 2, 3, 4])
+    assert total_block_size(3, 8, 9) == sum(block_sizes(8, (2, 3, 4))[1]) == 6
+    # 3x8x8 (2,3,4): Q = 1 + 3 + 6
+    assert q2_null_dim(block_sizes(8, (2, 3, 4))[1]) == 10
+
+
+def test_phi_counts_match_the_factor_matrix():
+    for seed in range(12):
+        gen = rng(seed)
+        sizes = tuple(int(x) for x in gen.integers(1, 4, size=int(gen.integers(1, 5))))
+        form = build_phi_s2(random_btd((3, 6, 7), sizes, seed=seed))
+        n_cols = phi_columns(sizes)
+        assert n_cols == sum(
+            sizes[r1] * sizes[r2] for r1 in range(len(sizes)) for r2 in range(r1 + 1, len(sizes))
+        )
+        assert form.Phi.shape == (n_strict(3) * n_strict(6), n_cols)
+    # rows 3 * 15 = 45 against 2*3 + 2*4 + 3*4 = 26 columns; J = 6 < 3 + 4
+    assert phi_count_conditions(3, 6, (2, 3, 4)) == (True, False)
+    # rows 3 * 28 = 84 against 6 * 9 = 54 columns; J = 8 >= 3 + 3
+    assert phi_count_conditions(3, 8, (3, 3, 3, 3)) == (True, True)
+    # rows 1 * 6 = 6 against 3 * 4 = 12 columns
+    assert phi_count_conditions(2, 4, (2, 2, 2)) == (False, True)
+    # one term: no columns, and J must hold its single size
+    assert phi_count_conditions(2, 3, (3,)) == (True, True)

@@ -250,7 +250,7 @@ def test_cpd_als_exact_fit():
     b = gen.standard_normal((k, k))
     c = gen.standard_normal((k, k))
     tensor = np.einsum("rk,ik,jk->rij", a, c, b)
-    (a2, c2, b2), fit, converged, sweeps = cpd_als(tensor, k, (a, c, b))
+    (a2, c2, b2), fit, converged, sweeps = cpd_als(tensor, (a, c, b))
     assert fit < 1e-12 and converged and sweeps <= 3
 
 
@@ -276,14 +276,14 @@ def _noisy_cpd_case(kind, seed=21, m=4, n=5):
         tensor = tensor.real
     tensor = tensor + 1e-2 * randn(gen, tensor.shape, "real" if kind != "complex" else "complex")
     init = tuple(pair(f + 1e-2 * randn(gen, f.shape, field)) for f in (a, c, b))
-    return tensor, n, init
+    return tensor, init
 
 
 @pytest.mark.parametrize("kind", ["real", "conjugate", "complex"])
 def test_cpd_als_matches_lstsq_reference(kind):
-    tensor, rank, init = _noisy_cpd_case(kind)
-    (a, c, b), fit, converged, sweeps = cpd_als(tensor, rank, init)
-    (a_r, c_r, b_r), fit_r, converged_r = lstsq_cpd_als(tensor, rank, init)
+    tensor, init = _noisy_cpd_case(kind)
+    (a, c, b), fit, converged, sweeps = cpd_als(tensor, init)
+    (a_r, c_r, b_r), fit_r, converged_r = lstsq_cpd_als(tensor, init)
     for got, want in ((a, a_r), (c, c_r), (b, b_r)):
         assert got.dtype == want.dtype
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -295,15 +295,15 @@ def test_cpd_als_matches_lstsq_reference(kind):
 @pytest.mark.parametrize("kind", ["real", "conjugate", "complex"])
 def test_cpd_als_stops_at_noise_floor(kind):
     # the fit levels off near the 1e-2 noise; sweeps past that only crawl
-    tensor, rank, init = _noisy_cpd_case(kind)
-    _factors, _fit, converged, sweeps = cpd_als(tensor, rank, init)
+    tensor, init = _noisy_cpd_case(kind)
+    _factors, _fit, converged, sweeps = cpd_als(tensor, init)
     assert converged and sweeps < 100
 
 
 def test_cpd_als_singular_gram_falls_back_to_lstsq(monkeypatch):
     import btd1.sjbd as sjbd
 
-    tensor, rank, (a, c, b) = _noisy_cpd_case("real")
+    tensor, (a, c, b) = _noisy_cpd_case("real")
     for f in (a, c, b):
         f[:, 1] = f[:, 0]
     calls = []
@@ -314,7 +314,7 @@ def test_cpd_als_singular_gram_falls_back_to_lstsq(monkeypatch):
 
     sjbd_lstsq = sjbd.lstsq
     monkeypatch.setattr(sjbd, "lstsq", counted_lstsq)
-    (a2, c2, b2), fit, _converged, _sweeps = cpd_als(tensor, rank, (a, c, b), max_iter=20)
+    (a2, c2, b2), fit, _converged, _sweeps = cpd_als(tensor, (a, c, b), max_iter=20)
     assert calls
     assert all(np.all(np.isfinite(f)) for f in (a2, c2, b2))
     assert np.isfinite(fit)

@@ -111,6 +111,20 @@ def test_minimal_null_dimension_3x9x10():
     assert len(candidate_size_tuples(4, 10, 10)) == 9
 
 
+def test_minimal_null_dimension_is_the_balanced_split():
+    # the closed form against the enumeration of every partition
+    from btd1.minors import q2_null_dim
+    from btd1.solver import _partitions
+
+    pairs = 0
+    for r in range(1, 9):
+        for sum_d in range(r, 41):
+            best = min(q2_null_dim(d) for d in _partitions(sum_d, r))
+            assert minimal_null_dimension(r, sum_d) == best, (r, sum_d)
+            pairs += 1
+    assert pairs == 292
+
+
 def test_phase2_case1_3x9x10():
     truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=5)
     t = compose(truth)
@@ -348,6 +362,42 @@ def test_decompose_scenario1_mild_noise():
 def test_scenario2_requires_known_values():
     with pytest.raises(ValueError):
         SolverOptions(mode="noisy_scenario2")
+
+
+def test_solver_options_rejects_unknown_evd_variant():
+    with pytest.raises(ValueError, match="evd_variant"):
+        SolverOptions(evd_variant="foo")
+
+
+def test_decompose_scenario2_compresses_k_above_known_sum_l():
+    # K = 10 exceeds the known sum L = 9; the tenth third-mode direction is
+    # noise, so the third mode is compressed to 9 columns before Phase I and
+    # the third factor refitted to the original tensor
+    for seed in range(4):
+        truth = random_btd((3, 8, 10), (2, 3, 4), seed=seed)
+        t = add_noise(compose(truth), NoiseSpec(snr_db=50.0, seed=seed + 1))
+        opts = SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9, seed=seed)
+        rep = decompose(t, opts)
+        assert tuple(sorted(rep.detected_L)) == (2, 3, 4)
+        assert rep.diagnostics["compressed_K"] == 9
+        assert rep.diagnostics["sum_d"] == 9
+        assert rep.decomposition.dims == (3, 8, 10)
+        # the noise is about 3.2e-3 of the tensor at 50 dB
+        assert rep.residual < 0.03
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [
+        SolverOptions(),
+        SolverOptions(mode="noisy_scenario1"),
+        SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9),
+    ],
+    ids=["exact", "scenario1", "scenario2"],
+)
+def test_decompose_zero_tensor_raises_named_diagnostic(opts):
+    with pytest.raises(SolverDiagnostic, match="zero tensor"):
+        decompose(Tensor3(np.zeros((3, 8, 8))), opts)
 
 
 def test_decompose_single_term():

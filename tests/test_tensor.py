@@ -71,14 +71,8 @@ def test_unfold_factorization_identities(seed):
 
 def test_compose_identity_term():
     d = BlockTermDecomposition(np.array([[1.0]]), ((np.eye(2), np.eye(2)),))
-    t = compose(d, dims=(1, 2, 2))
+    t = compose(d)
     assert np.allclose(t.values[0], np.eye(2))
-
-
-def test_compose_dim_mismatch():
-    d = random_btd((2, 3, 3), (1,), seed=0)
-    with pytest.raises(DimensionError):
-        compose(d, dims=(2, 3, 4))
 
 
 def test_single_term_ml_rank_profile():
