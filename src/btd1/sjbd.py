@@ -2,13 +2,27 @@
 
 Given symmetric K x K matrices V_1, ..., V_Q admitting a joint factorization
 V_q = N D_q N.T with block-diagonal symmetric D_q (block sizes d_1..d_R),
-the block column spaces of N are recovered from the commutant subspace
-{U : U V_q = V_q U.T for all q}: a basis U_1..U_R of that subspace is
-simultaneously diagonalizable by N, so N and the block sizes follow from an
-eigendecomposition.  Two variants are provided for the simultaneous EVD
-step: the EVD of a single generic linear combination, and a least-squares
-rank-one tensor refinement of it that is more robust under noise.  A problem
-is exact unless its number of blocks R is given; given R, it is
+the block column spaces of N and the sizes d_r follow from an
+eigendecomposition, by one of two routes.
+
+* **Pencil** (exact data).  Two generic combinations W_1, W_2 of the V_q
+  give the pencil W_2 W_1^-1 = P Lambda P^-1, whose eigenvectors P span
+  the blocks of N up to a permutation: every G_q = P^-1 V_q P^-T is block
+  diagonal.  The blocks are the connected components of the coupling graph
+  max_q |G_q[i, j]| / ||G_q||, cut at ``COUPLING_CUT``, and R is their
+  count (Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math.
+  27(1), 2010).  The coupling margin, the smallest coupling kept over the
+  largest one dropped, is R's margin.
+* **Commutant.**  The commutant subspace {U : U V_q = V_q U.T for all q}
+  has a basis U_1..U_R that N diagonalizes simultaneously, found as the
+  null space of a Q K(K-1)/2 x K^2 system; N and d then come from the EVD
+  of one generic combination of the U_r, or from a least-squares rank-one
+  tensor refinement of it that is more robust under noise (De Lathauwer,
+  SIMAX 28(3), 2006).  It is the route of noisy data, and of exact data
+  whose pencil is singular, defective or has a margin below
+  ``COUPLING_MARGIN_FLOOR``.
+
+A problem is exact unless its number of blocks R is given; given R, it is
 approximate (noisy data) and R is taken rather than detected.
 
 Transposes here are plain transposes even over the complex field; none of
@@ -32,6 +46,7 @@ from .linalg import (
     numerical_rank,
     orth,
     randn,
+    rank_cut,
     rng,
     split_columns,
 )
@@ -42,6 +57,7 @@ __all__ = [
     "SJBDSolution",
     "build_commutant_matrix",
     "commutant_basis",
+    "pencil_blocks",
     "simultaneous_evd_single",
     "simultaneous_evd_cpd",
     "solve_sjbd",
@@ -50,6 +66,13 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
+# a coupling of two pencil eigenvectors above this joins their blocks; exact
+# data puts the couplings across blocks at rounding level
+COUPLING_CUT = 1e-6
+# the pencil's blocks are trusted only when the smallest coupling kept
+# exceeds the largest one dropped by this factor; exact instances measure
+# 1e10 to 1e14
+COUPLING_MARGIN_FLOOR = 1e4
 
 
 @dataclass(frozen=True)
@@ -162,22 +185,31 @@ def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
 def _single_linkage(dist, cut=0.0, n_clusters=None):
     """Single-linkage labels from a square distance matrix.
 
-    With ``n_clusters`` given, cuts the tree at that many groups; otherwise
-    merges every pair of groups at most ``cut`` apart.  Returns integer
-    labels in order of first appearance.
+    With ``n_clusters`` given, cuts the tree at that many groups (merges
+    tied at that cut are taken in the order scipy's linkage lists them);
+    otherwise merges every pair of groups at most ``cut`` apart.  Returns
+    integer labels in order of first appearance, and the merge heights in
+    increasing order: the distance at which each merge joined two groups.
     """
     n = dist.shape[0]
     if n < 2:
-        return np.zeros(n, dtype=int)
+        return np.zeros(n, dtype=int), np.zeros(0)
     z = scipy.cluster.hierarchy.linkage(
         scipy.spatial.distance.squareform(dist, checks=False), method="single"
     )
     if n_clusters is None:
         n_clusters = n - int(np.sum(z[:, 2] <= cut))
-    labels = scipy.cluster.hierarchy.cut_tree(z, n_clusters=min(max(n_clusters, 1), n))
-    # cut_tree does not document the order of its labels
-    _, first, inverse = np.unique(labels.ravel(), return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse]
+    # single-linkage merge heights never decrease, so the groups are those
+    # left after the first n - n_clusters merges; row i of z joins the two
+    # groups with ids z[i, :2] into group n + i
+    members = {i: [i] for i in range(n)}
+    for row, (a, b) in enumerate(z[: n - min(max(n_clusters, 1), n), :2].astype(int)):
+        members[n + row] = members.pop(a) + members.pop(b)
+    owner = np.empty(n, dtype=int)
+    for group, idx in members.items():
+        owner[idx] = group
+    _, first, inverse = np.unique(owner, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse], z[:, 2]
 
 
 def _cluster_scalars(values, tol, n_clusters=None):
@@ -189,7 +221,7 @@ def _cluster_scalars(values, tol, n_clusters=None):
     values = np.asarray(values)
     scale = max(np.max(np.abs(values)), 1e-300)
     dist = np.abs(values[:, None] - values[None, :])
-    return _single_linkage(dist, tol * scale if n_clusters is None else 0.0, n_clusters)
+    return _single_linkage(dist, tol * scale if n_clusters is None else 0.0, n_clusters)[0]
 
 
 def cluster_columns(x, n_clusters=None, threshold=None):
@@ -215,7 +247,7 @@ def cluster_columns(x, n_clusters=None, threshold=None):
     if threshold is None:
         threshold = 1.0 - 1e-6
     # rounding can push |cos| of parallel columns just above 1
-    return _single_linkage(np.maximum(1.0 - sim, 0.0), 1.0 - threshold, n_clusters)
+    return _single_linkage(np.maximum(1.0 - sim, 0.0), 1.0 - threshold, n_clusters)[0]
 
 
 def _group_labels(labels):
@@ -224,14 +256,49 @@ def _group_labels(labels):
     return np.argsort(labels, kind="stable"), tuple(int(x) for x in np.bincount(labels))
 
 
+def _real_span(b):
+    """Real orthonormal basis of span(b), for a span closed under
+    conjugation."""
+    return orth(np.hstack([np.real(b), np.imag(b)]), dim=b.shape[1])
+
+
 def _realify_blocks(blocks, means, tol):
     if any(abs(np.imag(m)) > tol * max(np.max(np.abs(means)), 1.0) for m in means):
         return blocks, False
-    real_blocks = []
-    for b in blocks:
-        stacked = np.hstack([np.real(b), np.imag(b)])
-        real_blocks.append(orth(stacked, dim=b.shape[1]))
-    return real_blocks, True
+    return [_real_span(b) for b in blocks], True
+
+
+def _check_eigenvectors(rank, vecs, groups):
+    """Raise :class:`SolverDiagnostic` when eigenvectors are numerically
+    defective.
+
+    ``rank`` is the rank of the eigenvector matrix ``vecs`` at 1e-10, and
+    ``groups`` index its columns by near-equal eigenvalue.  The eigenvectors
+    are defective when they do not span, or when those of one group are
+    dependent at 1e-6.
+    """
+    if rank < vecs.shape[0]:
+        raise SolverDiagnostic(
+            "combination matrix is defective; eigenvectors do not span",
+            {"eigenvector_rank": rank, "size": vecs.shape[0]},
+        )
+    for g, idx in enumerate(groups):
+        # eig splits an m-fold defective eigenvalue into m values about
+        # eps^(1/m) apart (1e-8 for m = 2) whose unit eigenvectors are as
+        # close, so they pass the 1e-10 test above; the eigenvectors of a
+        # diagonalizable repeated eigenvalue are independent at the
+        # conditioning of the problem, far above the 1e-6 used here
+        group_rank = numerical_rank(vecs[:, idx], tol=1e-6) if idx.size > 1 else 1
+        if group_rank < idx.size:
+            raise SolverDiagnostic(
+                "combination matrix is defective; the eigenvectors of a "
+                "repeated eigenvalue do not span its group",
+                {"group": g, "group_rank": group_rank, "group_size": int(idx.size)},
+            )
+
+
+def _indices_by_label(labels):
+    return [np.nonzero(labels == g)[0] for g in range(labels.max() + 1)]
 
 
 def _eigen_groups(z, cluster_tol, n_clusters=None):
@@ -239,33 +306,66 @@ def _eigen_groups(z, cluster_tol, n_clusters=None):
 
     Returns the eigenvector blocks and their mean eigenvalues, groups in
     order of first appearance.  Raises :class:`SolverDiagnostic` when z is
-    numerically defective: when its eigenvectors do not span, or when the
-    eigenvectors of one group are dependent at 1e-6.
+    numerically defective (:func:`_check_eigenvectors`).
     """
     vals, vecs = np.linalg.eig(z)
-    rank = numerical_rank(vecs, tol=1e-10)
-    if rank < z.shape[0]:
+    groups = _indices_by_label(_cluster_scalars(vals, cluster_tol, n_clusters=n_clusters))
+    _check_eigenvectors(numerical_rank(vecs, tol=1e-10), vecs, groups)
+    return [vecs[:, idx] for idx in groups], [vals[idx].mean() for idx in groups]
+
+
+def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
+    """Joint block diagonalizer of exact, spanning V_q from one pencil EVD.
+
+    Two seeded generic combinations W_1 and W_2 of the V_q give the EVD
+    W_2 W_1^-1 = P Lambda P^-1, with the rows of P^-1 scaled to unit norm.
+    Each G_q = P^-1 V_q P^-T is block diagonal up to a permutation, and the
+    blocks are the connected components of the coupling graph
+    max_q |G_q[i, j]| / ||G_q||_F cut at ``COUPLING_CUT``: single linkage on
+    -log10 of the couplings.  Real data is realified block by block; a
+    block's span is closed under conjugation.  Blocks come largest first.
+
+    Returns (N, d, margin).  The margin is the smallest coupling kept (1
+    when every block is a single column) over the largest coupling dropped,
+    and None when nothing is dropped.  Raises :class:`SolverDiagnostic` when
+    W_1 is singular at ``tol`` or when the pencil is defective (eigenvalues
+    grouped at ``cluster_tol``).
+    """
+    vs = np.asarray(v_list)
+    s = vs.shape[1]
+    complex_input = np.iscomplexobj(vs)
+    w = randn(rng(seed), (2, vs.shape[0]), "complex" if complex_input else "real")
+    w1, w2 = np.tensordot(w, vs, axes=1)
+    u, sv, vh = np.linalg.svd(w1)
+    rank = rank_cut(sv, tol)
+    if rank < s:
         raise SolverDiagnostic(
-            "combination matrix is defective; eigenvectors do not span",
-            {"eigenvector_rank": rank, "size": z.shape[0]},
+            "pencil combination W_1 is singular", {"W1_rank": rank, "size": s}
         )
-    labels = _cluster_scalars(vals, cluster_tol, n_clusters=n_clusters)
-    groups = [np.nonzero(labels == g)[0] for g in range(labels.max() + 1)]
-    blocks = [vecs[:, idx] for idx in groups]
-    for g, block in enumerate(blocks):
-        # eig splits an m-fold defective eigenvalue into m values about
-        # eps^(1/m) apart (1e-8 for m = 2) whose unit eigenvectors are as
-        # close, so they pass the 1e-10 test above; the eigenvectors of a
-        # diagonalizable repeated eigenvalue are independent at the
-        # conditioning of the problem, far above the 1e-6 used here
-        group_rank = numerical_rank(block, tol=1e-6) if block.shape[1] > 1 else 1
-        if group_rank < block.shape[1]:
-            raise SolverDiagnostic(
-                "combination matrix is defective; the eigenvectors of a "
-                "repeated eigenvalue do not span its group",
-                {"group": g, "group_rank": group_rank, "group_size": block.shape[1]},
-            )
-    return blocks, [vals[idx].mean() for idx in groups]
+    try:
+        vals, p = np.linalg.eig((w2 @ vh.conj().T / sv) @ u.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise SolverDiagnostic(f"pencil EVD failed: {exc}", {"size": s}) from exc
+    u, sv, vh = np.linalg.svd(p)
+    groups = _indices_by_label(_cluster_scalars(vals, cluster_tol))
+    _check_eigenvectors(rank_cut(sv, 1e-10), p, groups)
+    p_inv = (vh.conj().T / sv) @ u.conj().T
+    p_inv /= np.linalg.norm(p_inv, axis=1)[:, None]
+    g = p_inv @ vs @ p_inv.T
+    g_norms = np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
+    coupling = np.max(np.abs(g) / g_norms[:, None, None], axis=0)
+    coupling = np.maximum(coupling, coupling.T)
+    cut = -np.log10(COUPLING_CUT)
+    labels, heights = _single_linkage(-np.log10(np.maximum(coupling, 1e-300)), cut)
+    kept, dropped = heights[heights <= cut], heights[heights > cut]
+    margin = None
+    if dropped.size:
+        margin = float(10.0 ** (dropped.min() - (kept.max() if kept.size else 0.0)))
+    blocks = [p[:, idx] for idx in _indices_by_label(labels)]
+    if not complex_input:
+        blocks = [_real_span(b) for b in blocks]
+    blocks.sort(key=lambda b: -b.shape[1])
+    return np.hstack(blocks), tuple(b.shape[1] for b in blocks), margin
 
 
 def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
@@ -421,6 +521,38 @@ def recover_coefficients(n, d, v_list):
     return tuple(out)
 
 
+def _commutant_diagonalizer(
+    v_list, hint_r, diagnostics, seed, rank_tol, evd_variant, omega, cluster_tol
+):
+    """(N, d) of the V_q by the commutant route of :func:`solve_sjbd`,
+    recording the commutant dimension and any CPD refinement in
+    ``diagnostics``; d is None when ``hint_r`` is given and the variant is
+    the CPD."""
+    r_found, u_mats = commutant_basis(v_list, tol=rank_tol, dim=hint_r)
+    if r_found < 1:
+        raise SolverDiagnostic("empty commutant basis", {"R": r_found})
+    diagnostics["commutant_dim"] = int(r_found)
+    if evd_variant == "single":
+        return simultaneous_evd_single(
+            u_mats, seed=seed, cluster_tol=cluster_tol, n_clusters=hint_r
+        )
+    if evd_variant != "cpd":
+        raise ValueError(f"unknown evd_variant {evd_variant!r}")
+    n_sub, d, cpd_status, fit, sweeps = simultaneous_evd_cpd(
+        u_mats,
+        omega=omega,
+        seed=seed,
+        n_clusters=r_found,
+        cluster_tol=cluster_tol,
+        partition=hint_r is None,
+    )
+    diagnostics["cpd_status"] = cpd_status
+    diagnostics["cpd_fit"] = float(fit)
+    diagnostics["cpd_iters"] = int(sweeps)
+    diagnostics["cpd_converged"] = cpd_status == "ok"
+    return n_sub, d
+
+
 def solve_sjbd(
     problem,
     seed=0,
@@ -428,9 +560,10 @@ def solve_sjbd(
     evd_variant="single",
     omega=2.0,
     cluster_tol=1e-6,
+    pencil=True,
 ):
-    """S-JBD pipeline from the V_q to (N, d): compress, commutant basis,
-    simultaneous EVD.
+    """S-JBD pipeline from the V_q to (N, d): compress, then the pencil or
+    the commutant route of the module docstring.
 
     When the slices only span an s-dimensional subspace with s < K (always
     the case when sum d_r < K), the V_q are first restricted to that joint
@@ -438,9 +571,22 @@ def solve_sjbd(
     sum d_r with full column rank in exact mode.  s is ``hint_sum_d`` when
     given and otherwise the numerical rank at ``rank_tol``.
 
-    An exact problem has R detected at ``rank_tol`` and the columns of N
-    grouped into blocks of sizes d.  An approximate one takes R from
-    ``hint_R`` and returns N ungrouped with d = None.  An exact solution
+    An exact problem with ``evd_variant="single"`` and ``pencil`` set takes
+    the pencil route (:func:`pencil_blocks`); it falls back to the commutant
+    route when W_1 is singular at ``rank_tol``, when the pencil is
+    defective, or when the coupling margin is below
+    ``COUPLING_MARGIN_FLOOR``, and ``diagnostics["sjbd_fallback"]`` says
+    which (a ``warning:`` for the margin).  Noisy data with R detected
+    rather than given must pass ``pencil=False``: noise couples every pair
+    of pencil eigenvectors above any cut, leaving one block with no margin
+    to doubt it.  Every other problem takes the commutant route, with R
+    detected at ``rank_tol`` for an exact problem and taken from ``hint_R``
+    for an approximate one.  ``diagnostics["sjbd_route"]`` names the route
+    that ran; the pencil records ``coupling_margin``, the commutant
+    ``commutant_dim``.
+
+    An exact problem gets the columns of N grouped into blocks of sizes d;
+    an approximate one gets N ungrouped with d = None.  An exact solution
     records ``diagnostics["expected_Q"]`` = sum binom(d_r+1, 2), and its
     ``status`` warns when the problem's Q differs from it.
     """
@@ -457,30 +603,42 @@ def solve_sjbd(
         v_list = [(v + v.T) / 2.0 for v in v_list]
     else:
         u_s = None
-    r_found, u_mats = commutant_basis(v_list, tol=rank_tol, dim=problem.hint_R)
-    if r_found < 1:
-        raise SolverDiagnostic("empty commutant basis", {"R": r_found})
-    diagnostics["commutant_dim"] = int(r_found)
 
-    if evd_variant == "single":
-        n_sub, d = simultaneous_evd_single(
-            u_mats, seed=seed, cluster_tol=cluster_tol, n_clusters=problem.hint_R
-        )
-    elif evd_variant == "cpd":
-        n_sub, d, cpd_status, fit, sweeps = simultaneous_evd_cpd(
-            u_mats,
-            omega=omega,
-            seed=seed,
-            n_clusters=r_found,
-            cluster_tol=cluster_tol,
-            partition=exact,
-        )
-        diagnostics["cpd_status"] = cpd_status
-        diagnostics["cpd_fit"] = float(fit)
-        diagnostics["cpd_iters"] = int(sweeps)
-        diagnostics["cpd_converged"] = cpd_status == "ok"
-    else:
-        raise ValueError(f"unknown evd_variant {evd_variant!r}")
+    route = "commutant"
+    if pencil and exact and evd_variant == "single":
+        try:
+            n_sub, d, margin = pencil_blocks(
+                v_list, seed=seed, tol=rank_tol, cluster_tol=cluster_tol
+            )
+        except SolverDiagnostic as exc:
+            diagnostics["sjbd_fallback"] = str(exc)
+        else:
+            diagnostics["coupling_margin"] = margin
+            if margin is not None and margin < COUPLING_MARGIN_FLOOR:
+                diagnostics["sjbd_fallback"] = (
+                    f"warning: pencil coupling margin {margin:.1e} is below "
+                    f"{COUPLING_MARGIN_FLOOR:.0e}; blocks taken from the commutant"
+                )
+            else:
+                route = "pencil"
+    diagnostics["sjbd_route"] = route
+
+    if route == "commutant":
+        try:
+            n_sub, d = _commutant_diagonalizer(
+                v_list,
+                problem.hint_R,
+                diagnostics,
+                seed=seed,
+                rank_tol=rank_tol,
+                evd_variant=evd_variant,
+                omega=omega,
+                cluster_tol=cluster_tol,
+            )
+        except SolverDiagnostic as exc:
+            # a failure names the route that ran and why the pencil did not
+            exc.diagnostics.update(diagnostics)
+            raise
 
     n = u_s @ n_sub if u_s is not None else n_sub
     if not exact:

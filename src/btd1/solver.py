@@ -262,7 +262,8 @@ def phase1_recover_A(t, opts=None):
     """Phase I of the solver: returns (A, B, N, d, Q_used, diagnostics).
 
     Q is counted from the minor matrix; :func:`sjbd.solve_sjbd` turns the
-    Q symmetric null matrices V_q into (N, d).  Scenario 2 passes R and
+    Q symmetric null matrices V_q into (N, d), by its pencil route in exact
+    mode and by its commutant route otherwise.  Scenario 2 passes R and
     sum d_r as hints and partitions the ungrouped N itself.  Each a_r and
     the J x d_r matrix B_r (the list B) then come from one rank-one
     factorization; Case 1 fits the third factor to these B_r.
@@ -313,10 +314,21 @@ def phase1_recover_A(t, opts=None):
         evd_variant=opts.variant,
         omega=opts.omega,
         cluster_tol=opts.cl_tol,
+        # noise couples every pair of pencil eigenvectors, so scenario 1
+        # detects R from the commutant
+        pencil=opts.mode == "exact",
     )
     diag["sum_d"] = sol.diagnostics["subspace_dim"]
-    diag["commutant_dim"] = sol.diagnostics["commutant_dim"]
-    for key in ("cpd_status", "cpd_fit", "cpd_iters", "cpd_converged"):
+    for key in (
+        "sjbd_route",
+        "sjbd_fallback",
+        "coupling_margin",
+        "commutant_dim",
+        "cpd_status",
+        "cpd_fit",
+        "cpd_iters",
+        "cpd_converged",
+    ):
         if key in sol.diagnostics:
             diag[key] = sol.diagnostics[key]
     if sol.status != "ok":
@@ -570,9 +582,10 @@ def decompose(t, opts=None):
     )
     if not opts.noisy and residual > 1e-6:
         raise SolverDiagnostic(
-            f"exact-mode reconstruction failed (residual {residual:.2e}); "
-            f"the rank conditions backing case {case} do not hold",
-            {**diag, "case": case, "residual": residual},
+            f"exact-mode reconstruction failed (residual {residual:.2e}); either "
+            f"the structure Phase I found (R = {r}, d = {d}) or the rank "
+            f"conditions backing case {case} do not hold",
+            {**diag, "R": r, "d": d, "case": case, "residual": residual},
         )
     return SolveReport(
         decomposition=est,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from btd1 import BlockTermDecomposition, compose, random_btd, unfold
-from btd1.linalg import DEFAULT_RANK_TOL, cond, khatri_rao, lstsq, orth, rng
+from btd1.linalg import DEFAULT_RANK_TOL, cond, khatri_rao, lstsq, orth, randn, rng
 
 
 def naive_compose(a, terms):
@@ -288,6 +288,28 @@ def subspace_distance(u, v):
         return np.pi / 2
     ang = principal_angles(u, v)
     return float(ang.max()) if ang.size else 0.0
+
+
+def subspace_sine(u, v):
+    """Sine of the largest principal angle between two column spaces of equal
+    dimension.  It resolves angles near 0, where the arccos of
+    :func:`subspace_distance` bottoms out at about 1e-8."""
+    qu = orth(u, dim=u.shape[1])
+    qv = orth(v, dim=v.shape[1])
+    return float(np.linalg.norm(qu - qv @ (qv.conj().T @ qu), 2))
+
+
+def singular_pencil_instance(k, field="real", seed=0, q=4):
+    """V_q = N D_q N.T with one 3 x 3 block D_q = [[0, a, b], [a, 0, 0],
+    [b, 0, 0]]: rows 2 and 3 of every combination are parallel, so every
+    combination is singular."""
+    gen = rng(seed)
+    n = randn(gen, (k, 3), field)
+    v_list = []
+    for _ in range(q):
+        a, b = randn(gen, 2, field)
+        v_list.append(n @ np.array([[0, a, b], [a, 0, 0], [b, 0, 0]]) @ n.T)
+    return v_list
 
 
 def lstsq_cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):

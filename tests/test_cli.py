@@ -130,6 +130,31 @@ def test_decompose_prints_warnings_to_stderr(runner, tmp_path):
     assert res.stderr.splitlines() == [f"{k}: {v}" for k, v in warnings.items()]
 
 
+def test_decompose_reports_the_sjbd_route(runner, tmp_path, monkeypatch):
+    import btd1.sjbd as sjbd_module
+
+    out = tmp_path / "t.btd1"
+    runner.invoke(
+        main,
+        ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--seed", "6", "--out", str(out)],
+    )
+    res = runner.invoke(main, ["decompose", str(out)])
+    assert res.exit_code == 0, res.output
+    diagnostics = json.loads(res.stdout)["diagnostics"]
+    assert diagnostics["sjbd_route"] == "pencil"
+    assert diagnostics["coupling_margin"] > sjbd_module.COUPLING_MARGIN_FLOOR
+    assert "commutant_dim" not in diagnostics
+    assert res.stderr == ""
+    # a margin below the floor sends Phase I to the commutant, with a warning
+    monkeypatch.setattr(sjbd_module, "COUPLING_MARGIN_FLOOR", 1e30)
+    res = runner.invoke(main, ["decompose", str(out)])
+    assert res.exit_code == 0, res.output
+    diagnostics = json.loads(res.stdout)["diagnostics"]
+    assert diagnostics["sjbd_route"] == "commutant"
+    assert res.stderr.splitlines() == [f"sjbd_fallback: {diagnostics['sjbd_fallback']}"]
+    assert "below 1e+30" in res.stderr
+
+
 def test_decompose_missing_file_exit_2(runner):
     res = runner.invoke(main, ["decompose", "/nonexistent/file.btd1"])
     assert res.exit_code == 2

@@ -21,7 +21,9 @@ from helpers import (
     full_commutant_matrix,
     lstsq_cpd_als,
     naive_single_linkage,
+    singular_pencil_instance,
     subspace_distance,
+    subspace_sine,
 )
 
 
@@ -428,3 +430,43 @@ def test_clustering_matches_greedy_reference(seed):
         expected = naive_single_linkage(col_dist, 1e-4, n_clusters)
         got = cluster_columns(cols, n_clusters=n_clusters, threshold=1.0 - 1e-4)
         assert list(got) == list(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "d", [(1,), (3,), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (1, 1, 1), (2, 2, 1), (1, 2, 3)]
+)
+def test_exact_solve_takes_the_pencil_route(d, field, seed):
+    # K > sum d on odd seeds, so the compression runs too
+    n_true, _, v_list = make_instance(d, sum(d) + seed % 2, seed=seed, field=field)
+    problem = SJBDProblem(tuple(v_list))
+    sol = solve_sjbd(problem, seed=seed)
+    assert sol.diagnostics["sjbd_route"] == "pencil"
+    assert "sjbd_fallback" not in sol.diagnostics
+    assert "commutant_dim" not in sol.diagnostics
+    assert sol.d == tuple(sorted(d, reverse=True))
+    remaining = true_blocks(n_true, d)
+    for block in sol.blocks():
+        sines = [
+            subspace_sine(block, t) if t.shape[1] == block.shape[1] else np.inf
+            for t in remaining
+        ]
+        assert min(sines) < 1e-8
+        remaining.pop(int(np.argmin(sines)))
+    assert np.array_equal(solve_sjbd(problem, seed=seed).N, sol.N)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_singular_pencil_falls_back_to_the_commutant(field):
+    from btd1.linalg import SolverDiagnostic
+
+    v_list = singular_pencil_instance(5, field, seed=3)
+    # the commutant of this block holds a nilpotent element, so the commutant
+    # route fails too, and its diagnostic says why the pencil did not run
+    with pytest.raises(SolverDiagnostic, match="defective") as info:
+        solve_sjbd(SJBDProblem(tuple(v_list)))
+    details = info.value.diagnostics
+    assert details["sjbd_route"] == "commutant"
+    assert details["sjbd_fallback"] == "pencil combination W_1 is singular"
+    assert "coupling_margin" not in details

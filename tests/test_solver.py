@@ -32,7 +32,7 @@ from btd1.solver import (
     _truncated_terms,
 )
 
-from helpers import shared_columns_instance
+from helpers import shared_columns_instance, singular_pencil_instance
 
 
 def match_a_columns(a_true, a_est):
@@ -514,11 +514,14 @@ def _svd_caller():
 def test_decompose_factors_each_matrix_once(monkeypatch, dims, sizes, case, field):
     # every rank decision reads the SVD that gives its basis or factors.  Two
     # repeats are left: the two-slice GEVD's orthonormal basis of an
-    # eigenvector group whose rank _eigen_groups has checked (sharing it
-    # would change the raw eigenvector blocks), and the rank of A, which
+    # eigenvector group whose rank _check_eigenvectors has checked (sharing
+    # it would change the raw eigenvector blocks), and the rank of A, which
     # case selection needs before it calls phase2_case2 and which
     # phase2_case2 checks again as its own precondition
-    allowed = {("_eigen_groups", "gevd_two_slice_btd"), ("_select_case", "phase2_case2")}
+    allowed = {
+        ("_check_eigenvectors", "gevd_two_slice_btd"),
+        ("_select_case", "phase2_case2"),
+    }
     def digest(m):
         m = np.ascontiguousarray(m)
         return hashlib.sha1(repr((m.shape, m.dtype.str)).encode() + m.tobytes()).digest()
@@ -542,3 +545,82 @@ def test_decompose_factors_each_matrix_once(monkeypatch, dims, sizes, case, fiel
     rep = decompose(compose(random_btd(dims, sizes, field=field, seed=1)))
     assert rep.case_used == case
     assert first and repeats == []
+
+
+# (dims, sizes, detected_d, detected_L, case_used, Q_used, sum_d) of exact
+# decompose at seeds 1 and 7, real and complex, as the commutant route found
+# them before the pencil route replaced it: the benchmark's exact shape
+# ladder plus 6x20x20
+STRUCTURE_TABLE = [
+    ((3, 8, 8), (2, 3, 4), (3, 2, 1), (4, 3, 2), 2, 10, 6),
+    ((3, 9, 10), (1, 2, 3, 4), (4, 3, 2, 1), (4, 3, 2, 1), 1, 20, 10),
+    ((3, 14, 15), (2, 2, 2, 3, 3, 4), (3, 2, 2, 1, 1, 1), (4, 3, 3, 2, 2, 2), 3, 15, 10),
+    ((3, 8, 10), (2, 3, 4), (4, 3, 2), (4, 3, 2), 1, 19, 9),
+    ((4, 12, 12), (3, 3, 3, 3), (3, 3, 3, 3), (3, 3, 3, 3), 1, 24, 12),
+    ((6, 20, 20), (4,) * 5, (4,) * 5, (4,) * 5, 1, 50, 20),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "dims,sizes,d,l,case,q,sum_d",
+    STRUCTURE_TABLE,
+    ids=["x".join(map(str, row[0])) for row in STRUCTURE_TABLE],
+)
+def test_exact_structure_table(dims, sizes, d, l, case, q, sum_d, field, seed):
+    t = compose(random_btd(dims, sizes, field=field, seed=seed))
+    rep = decompose(t, SolverOptions(seed=seed))
+    diag = rep.diagnostics
+    assert (rep.detected_d, rep.detected_L, rep.case_used) == (d, l, case)
+    assert (diag["Q_used"], diag["sum_d"]) == (q, sum_d)
+    assert rep.residual <= 1e-6
+    assert diag["sjbd_route"] == "pencil"
+    assert diag["coupling_margin"] > 1e4
+    # no commutant was computed, so no commutant dimension is reported
+    assert "commutant_dim" not in diag
+
+
+def test_exact_decompose_reports_a_singular_pencil(monkeypatch):
+    # Phase I fed matrices whose every combination is singular: the pencil
+    # is skipped, and the commutant route's failure is a diagnostic naming
+    # both routes, never a raw LinAlgError
+    import types
+
+    import btd1.solver as solver_module
+
+    v_list = singular_pencil_instance(5, seed=3)
+    fake_q2 = types.SimpleNamespace(symmetric_null_matrices=lambda **kwargs: v_list)
+    monkeypatch.setattr(solver_module, "build_Q2", lambda t: fake_q2)
+    with pytest.raises(SolverDiagnostic) as info:
+        decompose(compose(random_btd((3, 8, 5), (2, 3), seed=1)))
+    assert info.value.diagnostics["sjbd_route"] == "commutant"
+    assert info.value.diagnostics["sjbd_fallback"] == "pencil combination W_1 is singular"
+
+
+def test_low_coupling_margin_falls_back_with_a_warning(monkeypatch):
+    import btd1.sjbd as sjbd_module
+
+    t = compose(random_btd((3, 8, 8), (2, 3, 4), seed=1))
+    pencil = decompose(t)
+    monkeypatch.setattr(sjbd_module, "COUPLING_MARGIN_FLOOR", 1e30)
+    rep = decompose(t)
+    diag = rep.diagnostics
+    assert diag["sjbd_route"] == "commutant"
+    assert diag["sjbd_fallback"].startswith("warning: pencil coupling margin")
+    assert diag["coupling_margin"] == pencil.diagnostics["coupling_margin"]
+    assert diag["commutant_dim"] == 3
+    assert rep.detected_d == pencil.detected_d == (3, 2, 1)
+    assert rep.residual < 1e-10
+
+
+def test_exact_failure_names_the_structure_phase1_found():
+    # every generic bound fails on this shape; Phase I finds one block of
+    # size 1, which the Q check accepts, and the residual check then fails
+    t = compose(random_btd((3, 14, 15), (2, 3, 4, 5, 6), seed=1))
+    with pytest.raises(SolverDiagnostic, match=r"either the structure Phase I found") as info:
+        decompose(t)
+    assert "R = 1, d = (1,)" in str(info.value)
+    assert "case 2" in str(info.value)
+    details = info.value.diagnostics
+    assert (details["R"], details["d"], details["Q_used"], details["sum_d"]) == (1, (1,), 1, 1)
