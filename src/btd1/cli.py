@@ -9,8 +9,11 @@ Exit codes: 0 success, 2 input error, 3 solver diagnostic.  ``decompose``
 prints each warning in the solver's diagnostics (for instance a CPD
 refinement that hit its iteration cap) to stderr, one line each.  Its
 relative rank tolerance is ``--rank-tol`` when given, else 1e-8 in exact
-mode and 1e-2 in the noisy modes.  SNR values are dB values or ``inf``
-(exact); NaN and ``-inf`` are input errors.
+mode and 1e-2 in the noisy modes.  The mode also picks the S-JBD route:
+the pencil for exact data, the commutant with the CPD refinement for
+noisy data (``decompose`` in scenario 1 or 2, and every noisy trial of
+``experiment``).  SNR values are dB values or ``inf`` (exact); NaN and
+``-inf`` are input errors.
 """
 
 import json
@@ -101,12 +104,10 @@ def generate(dims, sizes, field_tag, seed, snr, out, truth_out):
 @click.option("--mode", default="exact", type=click.Choice(["exact", "scenario1", "scenario2"]))
 @click.option("--known-r", default=None, type=int, help="number of terms (scenario2)")
 @click.option("--known-suml", default=None, type=int, help="sum of term sizes (scenario2)")
-@click.option("--evd-variant", default=None, type=click.Choice(["single", "cpd"]))
-@click.option("--omega", default=2.0, type=float)
 @click.option("--rank-tol", default=None, type=float)
 @click.option("--seed", default=0, type=int)
 @click.option("--out", default=None, help="report JSON path (default: stdout)")
-def decompose_cmd(tensor_file, mode, known_r, known_suml, evd_variant, omega, rank_tol, seed, out):
+def decompose_cmd(tensor_file, mode, known_r, known_suml, rank_tol, seed, out):
     """Decompose a BTD1 tensor file and report the result as JSON."""
     try:
         t = fileio.read_tensor(tensor_file)
@@ -119,8 +120,6 @@ def decompose_cmd(tensor_file, mode, known_r, known_suml, evd_variant, omega, ra
             mode=mode_map[mode],
             known_R=known_r,
             known_sum_L=known_suml,
-            evd_variant=evd_variant,
-            omega=omega,
             rank_tol=rank_tol,
             seed=seed,
         )
@@ -150,13 +149,11 @@ def decompose_cmd(tensor_file, mode, known_r, known_suml, evd_variant, omega, ra
 @click.option("--snr", default="15,20,25,30,35,40,45,50", help="comma list of dB values; inf = exact")
 @click.option("--trials", default=100, type=int)
 @click.option("--cond-cap", default=10.0, type=float)
-@click.option("--evd-variant", default="cpd", type=click.Choice(["single", "cpd"]))
-@click.option("--omega", default=2.0, type=float)
 @click.option("--seed", default=0, type=int)
 @click.option("--freq-out", default="frequencies.csv")
 @click.option("--err-out", default="errors.csv")
 @click.option("--quiet", is_flag=True, default=False)
-def experiment(dims, sizes, snr, trials, cond_cap, evd_variant, omega, seed, freq_out, err_out, quiet):
+def experiment(dims, sizes, snr, trials, cond_cap, seed, freq_out, err_out, quiet):
     """Monte-Carlo size-detection frequencies and error curves as CSV."""
     try:
         config = ExperimentConfig(
@@ -165,8 +162,6 @@ def experiment(dims, sizes, snr, trials, cond_cap, evd_variant, omega, seed, fre
             snr_grid=_parse_snr(snr),
             num_trials=trials,
             cond_cap=cond_cap,
-            evd_variant=evd_variant,
-            omega=omega,
             seed=seed,
         )
     except ValueError as exc:

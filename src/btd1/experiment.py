@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DimensionError, SolverDiagnostic, cond, rng
+from .sjbd import CPD_IDENTITY_WEIGHT
 from .solver import SolverOptions, candidate_size_tuples, decompose
 from .tensor import (
     BlockTermDecomposition,
@@ -32,13 +33,18 @@ __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment"]
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One Monte-Carlo study.  The solver's mode picks its S-JBD route, so
+    ``evd_variant`` and ``omega`` each accept only the one value that
+    route uses: "cpd" and ``sjbd.CPD_IDENTITY_WEIGHT``.  They remain for
+    callers that still pass them; any other value is refused."""
+
     dims: tuple
     sizes: tuple
     snr_grid: tuple = (15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
     num_trials: int = 100
     cond_cap: float = 10.0
     evd_variant: str = "cpd"
-    omega: float = 2.0
+    omega: float = CPD_IDENTITY_WEIGHT
     seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +65,10 @@ class ExperimentConfig:
             raise DimensionError("sum L below min(IJ, K): the third unfolding is rank deficient")
         if len(self.sizes) < min(j_dim * k_dim, i_dim):
             raise DimensionError("R below min(JK, I): the first unfolding is rank deficient")
-        # an unknown evd_variant fails here, not in the first trial
-        SolverOptions(evd_variant=self.evd_variant)
+        if self.evd_variant != "cpd":
+            raise ValueError(f"evd_variant must be 'cpd', got {self.evd_variant!r}")
+        if self.omega != CPD_IDENTITY_WEIGHT:
+            raise ValueError(f"omega must be {CPD_IDENTITY_WEIGHT}, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -172,8 +180,6 @@ def run_experiment(config, progress=None):
                 mode=mode,
                 known_R=r if mode != "exact" else None,
                 known_sum_L=sum_l if mode != "exact" else None,
-                evd_variant=config.evd_variant if mode != "exact" else None,
-                omega=config.omega,
                 seed=trial_seed,
             )
             try:

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels
-from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space, rank_cut
+from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space
 from .tensor import Tensor3
 
 __all__ = [
@@ -46,9 +46,7 @@ __all__ = [
     "MinorMatrixSet",
     "FactorMinorForm",
     "build_Q2",
-    "build_R2",
     "build_PK",
-    "build_D",
     "sym_pair_position",
     "wedge",
     "symprod",
@@ -56,7 +54,6 @@ __all__ = [
     "s2_matrix",
     "build_phi_s2",
     "compound2",
-    "rank1_membership",
 ]
 
 
@@ -132,7 +129,8 @@ class MinorMatrixSet:
         """Null vectors of Q2 unpacked to symmetric K x K matrices.
 
         Entry (k1, k2) of matrix q is the basis entry of the pair {k1, k2},
-        halved off the diagonal: column q of :func:`build_D` @ basis.
+        halved off the diagonal, so that vec of matrix q is in the null
+        space of the ordered-pair minor matrix R2 = Q2 @ PK.T.
         """
         g = self.null_space(tol=tol, dim=dim, atol=atol)
         pos = sym_pair_position(self.K)
@@ -179,22 +177,6 @@ def build_Q2(t):
     return MinorMatrixSet(Q2=_minor_values(values, kp1, kp2), K=k_dim)
 
 
-def build_R2(t):
-    """Minor matrix over ordered k-pairs, binom(I,2)binom(J,2) x K^2.
-
-    Columns are indexed by (k1, k2) with the storage convention of a
-    column-major vectorized K x K matrix, i.e. column k2*K + k1; the columns
-    for (k1, k2) and (k2, k1) coincide and R2 = Q2 @ PK.T.
-    """
-    values = t.values if isinstance(t, Tensor3) else np.ascontiguousarray(t)
-    i_dim, j_dim, k_dim = values.shape
-    if i_dim < 2 or j_dim < 2:
-        raise DimensionError("R2 needs I >= 2 and J >= 2")
-    # column index k2*K + k1 holds the pair (k1, k2)
-    kp2, kp1 = np.divmod(np.arange(k_dim * k_dim, dtype=np.int64), k_dim)
-    return _minor_values(values, kp1, kp2)
-
-
 @lru_cache(maxsize=64)
 def sym_pair_position(k):
     """K x K table of column positions: entry (k1, k2) is the index of the
@@ -217,15 +199,6 @@ def build_PK(k):
     pk = np.zeros((k * k, n_sym(k)))
     pk[np.arange(k * k), sym_pair_position(k).ravel()] = 1.0
     return pk
-
-
-def build_D(k):
-    """D = PK (PK.T PK)^-1; entries are 0, 1/2 on off-diagonal pairs, 1 on
-    diagonal pairs.  Maps a null-space basis of Q2 to vectorized symmetric
-    matrices in the null space of R2."""
-    pk = build_PK(k)
-    counts = pk.sum(axis=0)
-    return pk / counts[None, :]
 
 
 # numpy's own arithmetic under the method names of ``btd1.gf.GFField``
@@ -315,29 +288,3 @@ def compound2(m):
     return (
         m[rp][:, cp] * m[rq][:, cq] - m[rp][:, cq] * m[rq][:, cp]
     )
-
-
-def rank1_membership(t, f, tol=DEFAULT_RANK_TOL, return_both=False):
-    """Whether the slice combination f_1 T_1 + ... + f_K T_K has rank <= 1.
-
-    Evaluated two independent ways: numerically on the singular values of
-    the combination, and through the quadratic form R2(T) (f kron f); the
-    module's tests assert the two agree.
-    """
-    f = np.asarray(f)
-    values = t.values if isinstance(t, Tensor3) else np.asarray(t)
-    comb = np.tensordot(values, f, axes=([2], [0]))
-    s = np.linalg.svd(comb, compute_uv=False)
-    direct = rank_cut(s, tol) <= 1
-
-    r2 = build_R2(t)
-    resid = r2 @ np.kron(f, f)
-    # the minors of the combination scale with its squared Frobenius norm;
-    # the eps floor covers combinations that are tiny by cancellation
-    scale = np.linalg.norm(comb) ** 2 + np.finfo(float).eps * np.linalg.norm(r2) * (
-        float(np.real(np.vdot(f, f)))
-    )
-    via_minors = bool(scale == 0 or np.linalg.norm(resid) <= tol * scale)
-    if return_both:
-        return direct, via_minors
-    return direct

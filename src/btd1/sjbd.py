@@ -15,15 +15,16 @@ eigendecomposition, by one of two routes.
   largest one dropped, is R's margin.
 * **Commutant.**  The commutant subspace {U : U V_q = V_q U.T for all q}
   has a basis U_1..U_R that N diagonalizes simultaneously, found as the
-  null space of a Q K(K-1)/2 x K^2 system; N and d then come from the EVD
-  of one generic combination of the U_r, or from a least-squares rank-one
-  tensor refinement of it that is more robust under noise (De Lathauwer,
-  SIMAX 28(3), 2006).  It is the route of noisy data, and of exact data
-  whose pencil is singular, defective or has a margin below
-  ``COUPLING_MARGIN_FLOOR``.
+  null space of a Q K(K-1)/2 x K^2 system.  For noisy data, N and d come
+  from a least-squares rank-one tensor refinement of the EVD of one
+  generic combination of the U_r (De Lathauwer, SIMAX 28(3), 2006); for
+  exact data whose pencil is singular, defective or has a margin below
+  ``COUPLING_MARGIN_FLOOR``, from that EVD alone.
 
-A problem is exact unless its number of blocks R is given; given R, it is
-approximate (noisy data) and R is taken rather than detected.
+The data picks the route: exact data takes the pencil, noisy data the
+commutant with the refinement.  A problem is exact unless its number of
+blocks R is given; given R, it is approximate (noisy data) and R is taken
+rather than detected.
 
 Transposes here are plain transposes even over the complex field; none of
 the factors are required to be orthogonal.
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.cluster.hierarchy
-import scipy.linalg
 import scipy.spatial.distance
 
 from .linalg import (
@@ -50,7 +50,7 @@ from .linalg import (
     rng,
     split_columns,
 )
-from .minors import build_PK, n_sym, q2_null_dim, sym_pair_position
+from .minors import q2_null_dim
 
 __all__ = [
     "SJBDProblem",
@@ -73,6 +73,9 @@ COUPLING_CUT = 1e-6
 # exceeds the largest one dropped by this factor; exact instances measure
 # 1e10 to 1e14
 COUPLING_MARGIN_FLOOR = 1e4
+# weight of the identity slice that stands in for the last commutant basis
+# matrix in the CPD refinement
+CPD_IDENTITY_WEIGHT = 2.0
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,6 @@ class SJBDSolution:
 
     def blocks(self):
         return split_columns(self.N, self.d)
-
-    def reconstruction_errors(self, v_list):
-        """Relative error of N D_q N.T against each V_q, the D_q fitted by
-        :func:`recover_coefficients`."""
-        errs = []
-        for v, d_q in zip(v_list, recover_coefficients(self.N, self.d, v_list)):
-            recon = self.N @ d_q @ self.N.T
-            errs.append(np.linalg.norm(recon - v) / max(np.linalg.norm(v), 1e-300))
-        return np.array(errs)
 
 
 def build_commutant_matrix(v_list):
@@ -455,18 +449,16 @@ def cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
     return (a, c, b), fit, converged, sweep
 
 
-def simultaneous_evd_cpd(
-    u_mats, omega=2.0, seed=0, n_clusters=None, cluster_tol=1e-6, partition=True
-):
+def simultaneous_evd_cpd(u_mats, seed=0, n_clusters=None, cluster_tol=1e-6, partition=True):
     """Joint diagonalizer via a rank-one tensor fit of the stacked basis.
 
     The basis matrices are stacked into a tensor whose exact decomposition
     is U_r = C diag(a_r1..a_rK) B.T with B = C^{-T}; the last slice is
-    replaced by omega * I, which is always consistent and softly enforces
-    that coupling.  The fit is an alternating least squares refinement
-    initialized from the single-combination EVD.  The K first-factor columns
-    are clustered modulo sign/scaling to find the block sizes, and the
-    columns of N are grouped by cluster.
+    replaced by ``CPD_IDENTITY_WEIGHT`` * I, which is always consistent and
+    softly enforces that coupling.  The fit is an alternating least squares
+    refinement initialized from the single-combination EVD.  The K
+    first-factor columns are clustered modulo sign/scaling to find the
+    block sizes, and the columns of N are grouped by cluster.
 
     Returns (N, d, status, fit, sweeps), ``sweeps`` being the ALS sweeps
     run; with ``partition=False`` the columns are left ungrouped and d is
@@ -474,7 +466,7 @@ def simultaneous_evd_cpd(
     """
     k = u_mats[0].shape[0]
     mats = [np.array(u) for u in u_mats]
-    mats[-1] = omega * np.eye(k, dtype=mats[-1].dtype)
+    mats[-1] = CPD_IDENTITY_WEIGHT * np.eye(k, dtype=mats[-1].dtype)
     stack = np.stack(mats)
 
     # the grouped single-combination EVD keeps the initialization real for
@@ -502,45 +494,18 @@ def simultaneous_evd_cpd(
     return c[:, order], d, status, fit, sweeps
 
 
-def recover_coefficients(n, d, v_list):
-    """Least-squares block-diagonal symmetric D_q with N D_q N.T ~= V_q.
-
-    Each block is packed over its unordered index pairs: ``build_PK`` maps
-    the packed entries to the vectorized block and ``sym_pair_position``
-    unpacks them."""
-    n_blocks = split_columns(n, d)
-    design = np.hstack([np.kron(nr, nr) @ build_PK(dr) for nr, dr in zip(n_blocks, d)])
-    pinv_design = np.linalg.pinv(design, rcond=DEFAULT_RANK_TOL)
-    packed_offs = np.cumsum([n_sym(dr) for dr in d])[:-1]
-    out = []
-    for v in v_list:
-        packed = np.split(pinv_design @ v.ravel(order="F"), packed_offs)
-        out.append(
-            scipy.linalg.block_diag(*(p[sym_pair_position(dr)] for p, dr in zip(packed, d)))
-        )
-    return tuple(out)
-
-
-def _commutant_diagonalizer(
-    v_list, hint_r, diagnostics, seed, rank_tol, evd_variant, omega, cluster_tol
-):
+def _commutant_diagonalizer(v_list, hint_r, noisy, diagnostics, seed, rank_tol, cluster_tol):
     """(N, d) of the V_q by the commutant route of :func:`solve_sjbd`,
-    recording the commutant dimension and any CPD refinement in
-    ``diagnostics``; d is None when ``hint_r`` is given and the variant is
-    the CPD."""
+    recording the commutant dimension and, for noisy data, the CPD
+    refinement in ``diagnostics``; d is None when ``hint_r`` is given."""
     r_found, u_mats = commutant_basis(v_list, tol=rank_tol, dim=hint_r)
     if r_found < 1:
         raise SolverDiagnostic("empty commutant basis", {"R": r_found})
     diagnostics["commutant_dim"] = int(r_found)
-    if evd_variant == "single":
-        return simultaneous_evd_single(
-            u_mats, seed=seed, cluster_tol=cluster_tol, n_clusters=hint_r
-        )
-    if evd_variant != "cpd":
-        raise ValueError(f"unknown evd_variant {evd_variant!r}")
+    if not noisy:
+        return simultaneous_evd_single(u_mats, seed=seed, cluster_tol=cluster_tol)
     n_sub, d, cpd_status, fit, sweeps = simultaneous_evd_cpd(
         u_mats,
-        omega=omega,
         seed=seed,
         n_clusters=r_found,
         cluster_tol=cluster_tol,
@@ -553,15 +518,7 @@ def _commutant_diagonalizer(
     return n_sub, d
 
 
-def solve_sjbd(
-    problem,
-    seed=0,
-    rank_tol=DEFAULT_RANK_TOL,
-    evd_variant="single",
-    omega=2.0,
-    cluster_tol=1e-6,
-    pencil=True,
-):
+def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noisy=False):
     """S-JBD pipeline from the V_q to (N, d): compress, then the pencil or
     the commutant route of the module docstring.
 
@@ -571,19 +528,20 @@ def solve_sjbd(
     sum d_r with full column rank in exact mode.  s is ``hint_sum_d`` when
     given and otherwise the numerical rank at ``rank_tol``.
 
-    An exact problem with ``evd_variant="single"`` and ``pencil`` set takes
-    the pencil route (:func:`pencil_blocks`); it falls back to the commutant
-    route when W_1 is singular at ``rank_tol``, when the pencil is
-    defective, or when the coupling margin is below
-    ``COUPLING_MARGIN_FLOOR``, and ``diagnostics["sjbd_fallback"]`` says
-    which (a ``warning:`` for the margin).  Noisy data with R detected
-    rather than given must pass ``pencil=False``: noise couples every pair
-    of pencil eigenvectors above any cut, leaving one block with no margin
-    to doubt it.  Every other problem takes the commutant route, with R
-    detected at ``rank_tol`` for an exact problem and taken from ``hint_R``
-    for an approximate one.  ``diagnostics["sjbd_route"]`` names the route
-    that ran; the pencil records ``coupling_margin``, the commutant
-    ``commutant_dim``.
+    ``noisy`` marks the V_q as perturbed; a given ``hint_R`` implies it.
+    Exact data takes the pencil route (:func:`pencil_blocks`); it falls
+    back to the commutant route with the single-combination EVD when W_1 is
+    singular at ``rank_tol``, when the pencil is defective, or when the
+    coupling margin is below ``COUPLING_MARGIN_FLOOR``, and
+    ``diagnostics["sjbd_fallback"]`` says which (a ``warning:`` for the
+    margin).  Noisy data takes the commutant route with the CPD refinement
+    (:func:`simultaneous_evd_cpd`), even with R detected rather than given:
+    noise couples every pair of pencil eigenvectors above any cut, leaving
+    one block with no margin to doubt it.  R is detected at ``rank_tol``
+    unless ``hint_R`` gives it.  ``diagnostics["sjbd_route"]`` names the
+    route that ran; the pencil records ``coupling_margin``, the commutant
+    ``commutant_dim`` and, for noisy data, ``cpd_status``, ``cpd_fit``,
+    ``cpd_iters`` and ``cpd_converged``.
 
     An exact problem gets the columns of N grouped into blocks of sizes d;
     an approximate one gets N ungrouped with d = None.  An exact solution
@@ -591,6 +549,7 @@ def solve_sjbd(
     ``status`` warns when the problem's Q differs from it.
     """
     exact = problem.hint_R is None
+    noisy = noisy or not exact
     v_list = list(problem.V)
     k = problem.K
     s = problem.hint_sum_d
@@ -605,7 +564,7 @@ def solve_sjbd(
         u_s = None
 
     route = "commutant"
-    if pencil and exact and evd_variant == "single":
+    if not noisy:
         try:
             n_sub, d, margin = pencil_blocks(
                 v_list, seed=seed, tol=rank_tol, cluster_tol=cluster_tol
@@ -628,11 +587,10 @@ def solve_sjbd(
             n_sub, d = _commutant_diagonalizer(
                 v_list,
                 problem.hint_R,
+                noisy,
                 diagnostics,
                 seed=seed,
                 rank_tol=rank_tol,
-                evd_variant=evd_variant,
-                omega=omega,
                 cluster_tol=cluster_tol,
             )
         except SolverDiagnostic as exc:

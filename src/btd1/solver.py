@@ -84,29 +84,32 @@ class SolverOptions:
 
     ``mode`` is one of ``exact``, ``noisy_scenario1`` (structural integers
     detectable from gaps at ``rank_tol``) or ``noisy_scenario2`` (only
-    ``known_R`` and ``known_sum_L`` given).  ``evd_variant`` defaults to the
-    single-combination EVD for exact data and to the least-squares
-    refinement for noisy data.  Eigenvalues are grouped at a relative
-    spread of 1e-6 in exact mode and 1e-2 in the noisy modes.
+    ``known_R`` >= 1 and ``known_sum_L`` >= ``known_R`` given).  The mode
+    also picks the S-JBD route of :func:`sjbd.solve_sjbd`: the pencil for
+    exact data, the commutant with the least-squares CPD refinement for
+    noisy data.  Eigenvalues are grouped at a relative spread of 1e-6 in
+    exact mode and 1e-2 in the noisy modes.
     """
 
     mode: str = "exact"
     known_R: int = None
     known_sum_L: int = None
     rank_tol: float = None
-    omega: float = 2.0
     seed: int = 0
-    evd_variant: str = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "noisy_scenario1", "noisy_scenario2"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "noisy_scenario2" and (
-            self.known_R is None or self.known_sum_L is None
-        ):
-            raise ValueError("noisy_scenario2 requires known_R and known_sum_L")
-        if self.evd_variant not in (None, "single", "cpd"):
-            raise ValueError(f"unknown evd_variant {self.evd_variant!r}")
+        if self.mode == "noisy_scenario2":
+            if self.known_R is None or self.known_sum_L is None:
+                raise ValueError("noisy_scenario2 requires known_R and known_sum_L")
+            if self.known_R < 1:
+                raise ValueError(f"known_R must be at least 1, got {self.known_R}")
+            if self.known_sum_L < self.known_R:
+                raise ValueError(
+                    f"known_sum_L must be at least known_R = {self.known_R}, "
+                    f"got {self.known_sum_L}"
+                )
 
     @property
     def noisy(self):
@@ -123,12 +126,6 @@ class SolverOptions:
     @property
     def cl_tol(self):
         return 1e-2 if self.noisy else 1e-6
-
-    @property
-    def variant(self):
-        if self.evd_variant is not None:
-            return self.evd_variant
-        return "cpd" if self.noisy else "single"
 
 
 @dataclass(frozen=True)
@@ -308,15 +305,7 @@ def phase1_recover_A(t, opts=None):
         tuple(v_mats), hint_R=r_known if scenario2 else None, hint_sum_d=sum_d
     )
     sol = solve_sjbd(
-        problem,
-        seed=opts.seed,
-        rank_tol=opts.tol,
-        evd_variant=opts.variant,
-        omega=opts.omega,
-        cluster_tol=opts.cl_tol,
-        # noise couples every pair of pencil eigenvectors, so scenario 1
-        # detects R from the commutant
-        pencil=opts.mode == "exact",
+        problem, seed=opts.seed, rank_tol=opts.tol, cluster_tol=opts.cl_tol, noisy=opts.noisy
     )
     diag["sum_d"] = sol.diagnostics["subspace_dim"]
     for key in (

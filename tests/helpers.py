@@ -4,9 +4,21 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
-from btd1 import BlockTermDecomposition, compose, random_btd, unfold
-from btd1.linalg import DEFAULT_RANK_TOL, cond, khatri_rao, lstsq, orth, randn, rng
+from btd1 import BlockTermDecomposition, Tensor3, compose, random_btd, unfold
+from btd1.linalg import (
+    DEFAULT_RANK_TOL,
+    DimensionError,
+    cond,
+    khatri_rao,
+    lstsq,
+    randn,
+    rank_cut,
+    rng,
+    split_columns,
+)
+from btd1.minors import _minor_values, build_PK, n_sym, sym_pair_position
 
 
 def naive_compose(a, terms):
@@ -259,7 +271,7 @@ def block_subspace_match(est_blocks, true_blocks):
     remaining = list(range(len(true)))
     for e in est:
         dists = [
-            subspace_distance(e, true[i]) if true[i].shape[1] == e.shape[1] else np.inf
+            subspace_angle(e, true[i]) if true[i].shape[1] == e.shape[1] else np.inf
             for i in remaining
         ]
         pick = int(np.argmin(dists))
@@ -273,30 +285,13 @@ def pinv(a, tol=DEFAULT_RANK_TOL):
     return np.linalg.pinv(a, rcond=tol)
 
 
-def principal_angles(u, v):
-    """Principal angles (radians) between the column spaces of u and v."""
-    qu = orth(u, dim=min(u.shape))
-    qv = orth(v, dim=min(v.shape))
-    s = np.linalg.svd(qu.conj().T @ qv, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return np.arccos(s)
-
-
-def subspace_distance(u, v):
-    """Largest principal angle; 0 when the spans coincide."""
+def subspace_angle(u, v):
+    """Largest principal angle (radians) between the column spaces of u and
+    v, from ``scipy.linalg.subspace_angles``, which resolves angles near 0
+    to rounding level; pi/2 when the widths differ."""
     if u.shape[1] != v.shape[1]:
         return np.pi / 2
-    ang = principal_angles(u, v)
-    return float(ang.max()) if ang.size else 0.0
-
-
-def subspace_sine(u, v):
-    """Sine of the largest principal angle between two column spaces of equal
-    dimension.  It resolves angles near 0, where the arccos of
-    :func:`subspace_distance` bottoms out at about 1e-8."""
-    qu = orth(u, dim=u.shape[1])
-    qv = orth(v, dim=v.shape[1])
-    return float(np.linalg.norm(qu - qv @ (qv.conj().T @ qu), 2))
+    return float(scipy.linalg.subspace_angles(u, v).max())
 
 
 def singular_pencil_instance(k, field="real", seed=0, q=4):
@@ -371,3 +366,83 @@ def reference_draw_instance(config, seed):
             return truth, t, rejected
         rejected += 1
         sub_seed = sub_seed + 1_000_003
+
+
+def reconstruction_errors(sol, v_list):
+    """Relative error of N D_q N.T against each V_q for an S-JBD solution,
+    the D_q fitted by :func:`recover_coefficients`."""
+    errs = []
+    for v, d_q in zip(v_list, recover_coefficients(sol.N, sol.d, v_list)):
+        recon = sol.N @ d_q @ sol.N.T
+        errs.append(np.linalg.norm(recon - v) / max(np.linalg.norm(v), 1e-300))
+    return np.array(errs)
+
+
+def recover_coefficients(n, d, v_list):
+    """Least-squares block-diagonal symmetric D_q with N D_q N.T ~= V_q.
+
+    Each block is packed over its unordered index pairs: ``build_PK`` maps
+    the packed entries to the vectorized block and ``sym_pair_position``
+    unpacks them."""
+    n_blocks = split_columns(n, d)
+    design = np.hstack([np.kron(nr, nr) @ build_PK(dr) for nr, dr in zip(n_blocks, d)])
+    pinv_design = np.linalg.pinv(design, rcond=DEFAULT_RANK_TOL)
+    packed_offs = np.cumsum([n_sym(dr) for dr in d])[:-1]
+    out = []
+    for v in v_list:
+        packed = np.split(pinv_design @ v.ravel(order="F"), packed_offs)
+        out.append(
+            scipy.linalg.block_diag(*(p[sym_pair_position(dr)] for p, dr in zip(packed, d)))
+        )
+    return tuple(out)
+
+
+def build_R2(t):
+    """Minor matrix over ordered k-pairs, binom(I,2)binom(J,2) x K^2.
+
+    Columns are indexed by (k1, k2) with the storage convention of a
+    column-major vectorized K x K matrix, i.e. column k2*K + k1; the columns
+    for (k1, k2) and (k2, k1) coincide and R2 = Q2 @ PK.T.
+    """
+    values = t.values if isinstance(t, Tensor3) else np.ascontiguousarray(t)
+    i_dim, j_dim, k_dim = values.shape
+    if i_dim < 2 or j_dim < 2:
+        raise DimensionError("R2 needs I >= 2 and J >= 2")
+    # column index k2*K + k1 holds the pair (k1, k2)
+    kp2, kp1 = np.divmod(np.arange(k_dim * k_dim, dtype=np.int64), k_dim)
+    return _minor_values(values, kp1, kp2)
+
+
+def build_D(k):
+    """D = PK (PK.T PK)^-1; entries are 0, 1/2 on off-diagonal pairs, 1 on
+    diagonal pairs.  Maps a null-space basis of Q2 to vectorized symmetric
+    matrices in the null space of R2."""
+    pk = build_PK(k)
+    counts = pk.sum(axis=0)
+    return pk / counts[None, :]
+
+
+def rank1_membership(t, f, tol=DEFAULT_RANK_TOL, return_both=False):
+    """Whether the slice combination f_1 T_1 + ... + f_K T_K has rank <= 1.
+
+    Evaluated two independent ways: numerically on the singular values of
+    the combination, and through the quadratic form R2(T) (f kron f); the
+    minor tests assert the two agree.
+    """
+    f = np.asarray(f)
+    values = t.values if isinstance(t, Tensor3) else np.asarray(t)
+    comb = np.tensordot(values, f, axes=([2], [0]))
+    s = np.linalg.svd(comb, compute_uv=False)
+    direct = rank_cut(s, tol) <= 1
+
+    r2 = build_R2(t)
+    resid = r2 @ np.kron(f, f)
+    # the minors of the combination scale with its squared Frobenius norm;
+    # the eps floor covers combinations that are tiny by cancellation
+    scale = np.linalg.norm(comb) ** 2 + np.finfo(float).eps * np.linalg.norm(r2) * (
+        float(np.real(np.vdot(f, f)))
+    )
+    via_minors = bool(scale == 0 or np.linalg.norm(resid) <= tol * scale)
+    if return_both:
+        return direct, via_minors
+    return direct

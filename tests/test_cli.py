@@ -53,6 +53,8 @@ def test_generate_bad_sizes_exit_2(runner, tmp_path):
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "nan"],
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "45,-inf"],
         ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "-inf"],
+        ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--evd-variant", "cpd"],
+        ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--omega", "2"],
     ],
     ids=[
         "generate-dims",
@@ -62,6 +64,8 @@ def test_generate_bad_sizes_exit_2(runner, tmp_path):
         "experiment-snr-nan",
         "experiment-snr-minus-inf",
         "generate-snr-minus-inf",
+        "experiment-evd-variant",
+        "experiment-omega",
     ],
 )
 def test_input_errors_exit_2(runner, tmp_path, monkeypatch, args):
@@ -153,6 +157,30 @@ def test_decompose_reports_the_sjbd_route(runner, tmp_path, monkeypatch):
     assert diagnostics["sjbd_route"] == "commutant"
     assert res.stderr.splitlines() == [f"sjbd_fallback: {diagnostics['sjbd_fallback']}"]
     assert "below 1e+30" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--evd-variant", "cpd"], "No such option"),
+        (["--omega", "2"], "No such option"),
+        (["--mode", "scenario2", "--known-r", "0", "--known-suml", "9"], "known_R"),
+        (["--mode", "scenario2", "--known-r", "-1", "--known-suml", "9"], "known_R"),
+        (["--mode", "scenario2", "--known-r", "3", "--known-suml", "2"], "known_sum_L"),
+    ],
+    ids=["evd-variant", "omega", "known-r-0", "known-r-negative", "known-suml-below-r"],
+)
+def test_decompose_input_errors_exit_2(runner, tmp_path, args, message):
+    out = tmp_path / "t.btd1"
+    runner.invoke(
+        main,
+        ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--seed", "8",
+         "--snr", "45", "--out", str(out)],
+    )
+    res = runner.invoke(main, ["decompose", str(out), *args])
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr
+    assert "Traceback" not in res.output
 
 
 def test_decompose_missing_file_exit_2(runner):

@@ -87,6 +87,15 @@ def test_config_rejects_unknown_evd_variant():
         ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), evd_variant="foo")
 
 
+def test_config_accepts_only_the_cpd_weight():
+    # the noisy trials always run the CPD refinement at its fixed weight
+    ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), evd_variant="cpd", omega=2.0)
+    with pytest.raises(ValueError, match="evd_variant"):
+        ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), evd_variant="single")
+    with pytest.raises(ValueError, match="omega"):
+        ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), omega=3.0)
+
+
 @pytest.mark.parametrize("snr", [math.nan, -math.inf], ids=["nan", "minus-inf"])
 def test_config_rejects_snr_that_is_not_a_level(snr):
     with pytest.raises(ValueError, match="SNR"):

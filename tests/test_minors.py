@@ -5,22 +5,26 @@ from btd1 import BlockTermDecomposition, DimensionError, Tensor3, compose, rando
 from btd1.linalg import null_space, numerical_rank, rng
 from btd1.minors import (
     block_sizes,
-    build_D,
     build_PK,
     build_phi_s2,
     build_Q2,
-    build_R2,
     compound2,
     n_strict,
     phi_columns,
     phi_count_conditions,
     q2_null_dim,
-    rank1_membership,
     symprod,
     total_block_size,
     wedge,
 )
-from helpers import GOLDEN_Q2_3x3x5, commutation_matrix, golden_integer_instance
+from helpers import (
+    GOLDEN_Q2_3x3x5,
+    build_D,
+    build_R2,
+    commutation_matrix,
+    golden_integer_instance,
+    rank1_membership,
+)
 
 
 def test_q2_single_term_is_zero():

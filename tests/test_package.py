@@ -39,3 +39,22 @@ def test_benchmark_trace_hooks_resolve():
     missing = [(h, a) for h, a in hooks if not hasattr(importlib.import_module(h), a)]
     assert not missing
     assert callable(importlib.import_module("btd1.gf").GFMatrix.matmul)
+
+
+def test_benchmark_config_keywords_resolve():
+    # perfbench/workloads.py builds these with exactly these keywords; a
+    # dropped field would break the benchmark run, not the tier-1 suite
+    from btd1.experiment import ExperimentConfig
+    from btd1.solver import SolverOptions
+
+    ExperimentConfig(
+        dims=(3, 8, 8),
+        sizes=(2, 3, 4),
+        snr_grid=(35.0, 50.0),
+        num_trials=64,
+        cond_cap=10.0,
+        evd_variant="cpd",
+        omega=2.0,
+        seed=2024,
+    )
+    SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9)

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from btd1.linalg import randn, rng
 from btd1.sjbd import (
+    CPD_IDENTITY_WEIGHT,
     SJBDProblem,
     _cluster_scalars,
     _eigen_groups,
@@ -21,9 +22,9 @@ from helpers import (
     full_commutant_matrix,
     lstsq_cpd_als,
     naive_single_linkage,
+    reconstruction_errors,
     singular_pencil_instance,
-    subspace_distance,
-    subspace_sine,
+    subspace_angle,
 )
 
 
@@ -105,7 +106,7 @@ def test_commutant_three_generic_combinations_same_null_space():
     assert r1 == r2 == len(d)
     b1 = np.column_stack([u.ravel() for u in u1])
     b2 = np.column_stack([u.ravel() for u in u2])
-    assert subspace_distance(b1, b2) < 1e-7
+    assert subspace_angle(b1, b2) < 1e-7
 
 
 def test_single_block_gives_identity_direction():
@@ -138,7 +139,7 @@ def test_simultaneous_evd_cpd_matches_single():
     n_true, _, v_list = make_instance(d, k, seed=7)
     _, u_mats = commutant_basis(v_list)
     n_s, d_s = simultaneous_evd_single(u_mats, seed=2)
-    n_c, d_c, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, omega=2.0, seed=2, n_clusters=3)
+    n_c, d_c, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, seed=2, n_clusters=3)
     assert sorted(d_c) == sorted(d)
     assert fit < 1e-8
     worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_s, d_s))
@@ -150,7 +151,7 @@ def test_cpd_als_all_distinct_reduces_to_diagonalization():
     k = 4
     n_true, _, v_list = make_instance(d, k, seed=8)
     _, u_mats = commutant_basis(v_list)
-    n_c, d_c, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, omega=2.0, seed=3, n_clusters=4)
+    n_c, d_c, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, seed=3, n_clusters=4)
     assert d_c == (1, 1, 1, 1)
     worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_true, d))
     assert worst < 1e-6
@@ -162,7 +163,7 @@ def test_solve_sjbd_reconstruction_and_subspaces():
     n_true, d_qs, v_list = make_instance(d, k, seed=9)
     sol = solve_sjbd(SJBDProblem(tuple(v_list)))
     assert sorted(sol.d) == sorted(d)
-    assert sol.reconstruction_errors(v_list).max() < 1e-8
+    assert reconstruction_errors(sol, v_list).max() < 1e-8
     worst = block_subspace_match(sol.blocks(), true_blocks(n_true, d))
     assert worst < 1e-6
 
@@ -174,7 +175,7 @@ def test_solve_sjbd_rectangular_n():
     sol = solve_sjbd(SJBDProblem(tuple(v_list)))
     assert sorted(sol.d) == sorted(d)
     assert sol.N.shape == (7, 4)
-    assert sol.reconstruction_errors(v_list).max() < 1e-8
+    assert reconstruction_errors(sol, v_list).max() < 1e-8
     worst = block_subspace_match(sol.blocks(), true_blocks(n_true, d))
     assert worst < 1e-6
 
@@ -184,7 +185,7 @@ def test_solve_sjbd_joint_diagonalization_case():
     n_true, _, v_list = make_instance(d, 3, seed=11)
     sol = solve_sjbd(SJBDProblem(tuple(v_list)))
     assert sol.d == (1, 1, 1)
-    assert sol.reconstruction_errors(v_list).max() < 1e-8
+    assert reconstruction_errors(sol, v_list).max() < 1e-8
 
 
 def test_solve_sjbd_seed_invariance_up_to_permutation():
@@ -224,7 +225,7 @@ def test_complex_instance():
     n_true, _, v_list = make_instance(d, 3, seed=14, field="complex")
     sol = solve_sjbd(SJBDProblem(tuple(v_list)))
     assert sorted(sol.d) == sorted(d)
-    assert sol.reconstruction_errors(v_list).max() < 1e-8
+    assert reconstruction_errors(sol, v_list).max() < 1e-8
     worst = block_subspace_match(sol.blocks(), true_blocks(n_true, d))
     assert worst < 1e-6
 
@@ -339,10 +340,7 @@ def test_noisy_commutant_basis_contains_identity_direction():
 
 
 def test_cpd_variant_default_weight():
-    import inspect
-
-    sig = inspect.signature(simultaneous_evd_cpd)
-    assert sig.parameters["omega"].default == 2.0
+    assert CPD_IDENTITY_WEIGHT == 2.0
 
 
 def test_simultaneous_evd_defective_raises():
@@ -357,19 +355,17 @@ def test_simultaneous_evd_defective_raises():
     assert info.value.diagnostics == {"eigenvector_rank": 1, "size": 2}
 
 
-@pytest.mark.parametrize("evd_variant", ["single", "cpd"])
-def test_solve_sjbd_approximate_returns_ungrouped_columns(evd_variant):
+def test_solve_sjbd_approximate_returns_ungrouped_columns():
     d = (1, 3)
     n_true, _, v_list = make_instance(d, 7, seed=10)
     problem = SJBDProblem(tuple(v_list), hint_R=2, hint_sum_d=4)
-    sol = solve_sjbd(problem, evd_variant=evd_variant)
+    sol = solve_sjbd(problem)
     assert sol.d is None
     assert sol.N.shape == (7, 4)
     assert sol.diagnostics["commutant_dim"] == 2
-    assert subspace_distance(sol.N, n_true) < 1e-6
-    if evd_variant == "cpd":
-        assert 1 <= sol.diagnostics["cpd_iters"] <= 500
-        assert sol.diagnostics["cpd_converged"] == (sol.diagnostics["cpd_status"] == "ok")
+    assert subspace_angle(sol.N, n_true) < 1e-6
+    assert 1 <= sol.diagnostics["cpd_iters"] <= 500
+    assert sol.diagnostics["cpd_converged"] == (sol.diagnostics["cpd_status"] == "ok")
 
 
 def _scalars(x, n_clusters=None, cut=None):
@@ -448,12 +444,9 @@ def test_exact_solve_takes_the_pencil_route(d, field, seed):
     assert sol.d == tuple(sorted(d, reverse=True))
     remaining = true_blocks(n_true, d)
     for block in sol.blocks():
-        sines = [
-            subspace_sine(block, t) if t.shape[1] == block.shape[1] else np.inf
-            for t in remaining
-        ]
-        assert min(sines) < 1e-8
-        remaining.pop(int(np.argmin(sines)))
+        angles = [subspace_angle(block, t) for t in remaining]
+        assert min(angles) < 1e-8
+        remaining.pop(int(np.argmin(angles)))
     assert np.array_equal(solve_sjbd(problem, seed=seed).N, sol.N)
 
 

@@ -336,9 +336,7 @@ def test_decompose_scenario2_noisy_case2():
 def test_scenario2_cpd_refinement_is_deterministic(field):
     truth = random_btd((3, 8, 8), (2, 3, 4), field=field, seed=4)
     t = add_noise(compose(truth), NoiseSpec(snr_db=45.0, seed=9))
-    opts = SolverOptions(
-        mode="noisy_scenario2", known_R=3, known_sum_L=9, evd_variant="cpd", seed=0
-    )
+    opts = SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9, seed=0)
     rep1, rep2 = decompose(t, opts), decompose(t, opts)
     assert np.array_equal(rep1.decomposition.A, rep2.decomposition.A)
     assert 1 <= rep1.diagnostics["cpd_iters"] <= 500
@@ -364,9 +362,14 @@ def test_scenario2_requires_known_values():
         SolverOptions(mode="noisy_scenario2")
 
 
-def test_solver_options_rejects_unknown_evd_variant():
-    with pytest.raises(ValueError, match="evd_variant"):
-        SolverOptions(evd_variant="foo")
+@pytest.mark.parametrize(
+    "known_r,known_sum_l,match",
+    [(0, 9, "known_R"), (-1, 9, "known_R"), (3, 2, "known_sum_L")],
+)
+def test_scenario2_refuses_impossible_counts(known_r, known_sum_l, match):
+    # refused before minimal_null_dimension divides by R
+    with pytest.raises(ValueError, match=match):
+        SolverOptions(mode="noisy_scenario2", known_R=known_r, known_sum_L=known_sum_l)
 
 
 def test_decompose_scenario2_compresses_k_above_known_sum_l():
@@ -452,19 +455,48 @@ def test_phase1_runs_solve_sjbd_once(monkeypatch, opts, hint_r, hint_sum_d):
 
 
 def test_scenario1_single_reads_blocks_from_eigenvalue_gaps():
-    # with R detected rather than given, the single-combination EVD groups
-    # eigenvalues at cluster_tol (as in exact mode); the CPD variant
-    # clusters into the detected R groups
+    # with R detected rather than given, the CPD refinement clusters into
+    # the detected R groups
     truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=2)
     t = add_noise(compose(truth), NoiseSpec(snr_db=50.0, seed=3))
-    single = decompose(t, SolverOptions(mode="noisy_scenario1", evd_variant="single"))
-    cpd = decompose(t, SolverOptions(mode="noisy_scenario1", evd_variant="cpd"))
-    assert single.diagnostics["commutant_dim"] == cpd.diagnostics["commutant_dim"] == 2
-    assert single.detected_d == (5, 4, 1)
-    assert cpd.detected_d == (9, 1)
-    # Q = 21 fits neither grouping, and the diagnostics say so
-    for rep in (single, cpd):
-        assert rep.diagnostics["sjbd_status"].startswith("warning: Q does not match")
+    rep = decompose(t, SolverOptions(mode="noisy_scenario1"))
+    assert rep.diagnostics["commutant_dim"] == 2
+    assert rep.detected_d == (9, 1)
+    # Q = 21 does not fit that grouping, and the diagnostics say so
+    assert rep.diagnostics["sjbd_status"].startswith("warning: Q does not match")
+
+
+@pytest.mark.parametrize(
+    "opts,route,refined,grouped",
+    [
+        (SolverOptions(), "pencil", False, True),
+        (SolverOptions(mode="noisy_scenario1"), "commutant", True, True),
+        (SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9), "commutant", True, False),
+    ],
+    ids=["exact", "scenario1", "scenario2"],
+)
+def test_mode_picks_the_sjbd_route(monkeypatch, opts, route, refined, grouped):
+    # exact data takes the pencil; noisy data takes the commutant with the
+    # CPD refinement, whose blocks come grouped unless R is given
+    import btd1.solver as solver_module
+
+    solutions = []
+    solve = solver_module.solve_sjbd
+
+    def recording(problem, **kwargs):
+        solutions.append(solve(problem, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(solver_module, "solve_sjbd", recording)
+    t = compose(random_btd((3, 8, 8), (2, 3, 4), seed=1))
+    if opts.noisy:
+        t = add_noise(t, NoiseSpec(snr_db=50.0, seed=2))
+    diag = phase1_recover_A(t, opts)[5]
+    (sol,) = solutions
+    assert diag["sjbd_route"] == sol.diagnostics["sjbd_route"] == route
+    cpd_keys = {"cpd_status", "cpd_fit", "cpd_iters", "cpd_converged"}
+    assert {key for key in diag if key.startswith("cpd_")} == (cpd_keys if refined else set())
+    assert (sol.d is not None) == grouped
 
 
 def test_truncated_terms():
