@@ -8,8 +8,9 @@ optionally with finite-field certification).
 Exit codes: 0 success, 2 input error, 3 solver diagnostic.  ``decompose``
 prints each warning in the solver's diagnostics (for instance a CPD
 refinement that hit its iteration cap) to stderr, one line each.  Its
-relative rank tolerance is ``--rank-tol`` when given, else 1e-8 in exact
-mode and 1e-2 in the noisy modes.  The mode also picks the S-JBD route:
+relative rank tolerance is ``--rank-tol`` when given (strictly between 0
+and 1), else 1e-8 in exact mode and 1e-2 in the noisy modes;
+``--known-r`` and ``--known-suml`` apply to scenario 2 only.  The mode also picks the S-JBD route:
 the pencil for exact data, the commutant with the CPD refinement for
 noisy data (``decompose`` in scenario 1 or 2, and every noisy trial of
 ``experiment``).  SNR values are dB values or ``inf`` (exact); NaN and

@@ -5,14 +5,15 @@ Every rank decision on singular values goes through :func:`rank_cut`: the
 count of singular values above ``max(tol * sigma_max, atol)``, with default
 ``tol = DEFAULT_RANK_TOL`` (1e-10; exact ``decompose`` passes 1e-8) and
 ``atol = 0``.  The same constant is the default ``rcond`` of :func:`lstsq`.
-A step that also needs a basis or factors reads its rank from the SVD that
-gives them, never from a second factorization of the same matrix: the width
-of :func:`orth` is the rank of its input, and :func:`null_space` cuts the
-SVD whose right singular vectors it returns.  Every stack
-[x_1 kron Y_1 ... x_R kron Y_R] is a :func:`khatri_rao` product.  All
-random draws in the package go through :func:`rng`, a PCG64 generator
-seeded explicitly, so every stochastic operation is reproducible from its
-seed.
+:func:`orth` and :func:`null_space` read rank and basis off one SVD.
+Three sites test a rank and then factor the same matrix again:
+``gevd_two_slice_btd`` (an eigenvector group, then :func:`orth`; the
+mixture, then its inverse), ``simultaneous_evd_cpd`` (the initial
+eigenbasis, then its inverse) and ``phase2_case2`` (A, then :func:`lstsq`).
+Every stack [x_1 kron Y_1 ... x_R kron Y_R] is a :func:`khatri_rao`
+product.  All random draws in the package go through :func:`rng`, a PCG64
+generator seeded explicitly, so every stochastic operation is reproducible
+from its seed.
 """
 
 import numpy as np

@@ -76,6 +76,10 @@ COUPLING_MARGIN_FLOOR = 1e4
 # weight of the identity slice that stands in for the last commutant basis
 # matrix in the CPD refinement
 CPD_IDENTITY_WEIGHT = 2.0
+# the CPD refinement stops unconverged after this many ALS sweeps, and
+# converges once a sweep changes its fit by at most this fraction of it
+CPD_MAX_SWEEPS = 500
+CPD_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -121,15 +125,14 @@ class SJBDSolution:
     """Joint block diagonalizer N = [N_1 ... N_R] and its block sizes.
 
     ``d`` is None for an approximate problem, whose N comes back ungrouped
-    for the caller to partition.  ``status`` names a failed uniqueness
-    precondition; a CPD refinement reports its convergence in
-    ``diagnostics["cpd_status"]`` and ``diagnostics["cpd_converged"]``, and
-    its ALS sweep count in ``diagnostics["cpd_iters"]``.
+    for the caller to partition.  ``diagnostics`` holds every decision
+    :func:`solve_sjbd` made, under the keys a solver report shows them
+    with; ``diagnostics["sjbd_status"]``, present only on a mismatch, warns
+    that Q is not sum binom(d_r+1, 2).
     """
 
     N: np.ndarray
     d: tuple
-    status: str = "ok"
     diagnostics: dict = field(default_factory=dict)
 
     def blocks(self):
@@ -218,13 +221,12 @@ def _cluster_scalars(values, tol, n_clusters=None):
     return _single_linkage(dist, tol * scale if n_clusters is None else 0.0, n_clusters)[0]
 
 
-def cluster_columns(x, n_clusters=None, threshold=None):
+def cluster_columns(x, n_clusters):
     """Cluster columns modulo sign/scaling by absolute cosine similarity.
 
     Each column is normalized to unit norm with its largest-magnitude entry
     made real positive; single linkage on 1 - |cos| gives ``n_clusters``
-    groups (or merges every pair with similarity at least ``threshold``).
-    Returns integer labels in order of first appearance.
+    groups.  Returns integer labels in order of first appearance.
     """
     x = np.asarray(x)
     n = x.shape[1]
@@ -238,10 +240,8 @@ def cluster_columns(x, n_clusters=None, threshold=None):
         if np.abs(piv) > 0:
             cols[:, j] *= np.conj(piv) / np.abs(piv)
     sim = np.abs(cols.conj().T @ cols)
-    if threshold is None:
-        threshold = 1.0 - 1e-6
     # rounding can push |cos| of parallel columns just above 1
-    return _single_linkage(np.maximum(1.0 - sim, 0.0), 1.0 - threshold, n_clusters)[0]
+    return _single_linkage(np.maximum(1.0 - sim, 0.0), n_clusters=n_clusters)[0]
 
 
 def _group_labels(labels):
@@ -385,7 +385,7 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     return n, d
 
 
-def cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
+def cpd_als(tensor, init):
     """Alternating least squares for a CPD of an m x n x n stack.
 
     Model: tensor[r, i, j] = sum_k A[r, k] C[i, k] B[j, k].  Each factor
@@ -397,11 +397,11 @@ def cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
     the column norms of C and B, read off their Gram diagonals, are balanced
     into A.  The fit is the relative residual of the last update of the
     sweep.  The loop converges when one sweep changes the fit by at most
-    ``rel_tol`` times the fit itself, or by 1e-12: on noisy data the fit
-    levels off at the noise floor, and sweeps past that point only crawl
-    along it.  It stops unconverged after ``max_iter`` sweeps.  Returns the factors
-    (A, C, B), the final fit, a convergence flag and the number of sweeps
-    run.
+    ``CPD_REL_TOL`` times the fit itself, or by 1e-12: on noisy data the
+    fit levels off at the noise floor, and sweeps past that point only
+    crawl along it.  It stops unconverged after ``CPD_MAX_SWEEPS`` sweeps.
+    Returns the factors (A, C, B), the final fit, a convergence flag and
+    the number of sweeps run.
     """
     m, n, _ = tensor.shape
     a, c, b = (np.array(f) for f in init)
@@ -424,7 +424,7 @@ def cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
     g_c, g_b = gram(c), gram(b)
     prev_fit = np.inf
     converged = False
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, CPD_MAX_SWEEPS + 1):
         a = update(khatri_rao(c, b), g_c * g_b, t0)
         g_a = gram(a)
         c = update(khatri_rao(a, b), g_a * g_b, t1)
@@ -442,14 +442,14 @@ def cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
             a *= nrm
         # on noise-free data the fit sits at rounding level, where its
         # changes are large relative to it; 1e-12 absolute is the floor
-        if abs(prev_fit - fit) <= max(rel_tol * fit, 1e-12):
+        if abs(prev_fit - fit) <= max(CPD_REL_TOL * fit, 1e-12):
             converged = True
             break
         prev_fit = fit
     return (a, c, b), fit, converged, sweep
 
 
-def simultaneous_evd_cpd(u_mats, seed=0, n_clusters=None, cluster_tol=1e-6, partition=True):
+def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6, partition=True):
     """Joint diagonalizer via a rank-one tensor fit of the stacked basis.
 
     The basis matrices are stacked into a tensor whose exact decomposition
@@ -457,12 +457,12 @@ def simultaneous_evd_cpd(u_mats, seed=0, n_clusters=None, cluster_tol=1e-6, part
     replaced by ``CPD_IDENTITY_WEIGHT`` * I, which is always consistent and
     softly enforces that coupling.  The fit is an alternating least squares
     refinement initialized from the single-combination EVD.  The K
-    first-factor columns are clustered modulo sign/scaling to find the
-    block sizes, and the columns of N are grouped by cluster.
+    first-factor columns are clustered modulo sign/scaling into
+    ``n_clusters`` groups, which give the block sizes and group N.
 
-    Returns (N, d, status, fit, sweeps), ``sweeps`` being the ALS sweeps
-    run; with ``partition=False`` the columns are left ungrouped and d is
-    None.
+    Returns (N, d, converged, fit, sweeps) with the convergence flag and
+    ALS sweep count of :func:`cpd_als`; with ``partition=False`` the
+    columns are left ungrouped and d is None.
     """
     k = u_mats[0].shape[0]
     mats = [np.array(u) for u in u_mats]
@@ -486,12 +486,10 @@ def simultaneous_evd_cpd(u_mats, seed=0, n_clusters=None, cluster_tol=1e-6, part
         ) from exc
     a0 = np.stack([np.diagonal(n0_inv @ u @ n0) for u in mats])
     (a, c, _b), fit, converged, sweeps = cpd_als(stack, (a0, n0, n0_inv.T))
-    status = "ok" if converged else "warning: CPD refinement hit max iterations"
     if not partition:
-        return c, None, status, fit, sweeps
-    labels = cluster_columns(a, n_clusters=n_clusters, threshold=1.0 - cluster_tol)
-    order, d = _group_labels(labels)
-    return c[:, order], d, status, fit, sweeps
+        return c, None, converged, fit, sweeps
+    order, d = _group_labels(cluster_columns(a, n_clusters))
+    return c[:, order], d, converged, fit, sweeps
 
 
 def _commutant_diagonalizer(v_list, hint_r, noisy, diagnostics, seed, rank_tol, cluster_tol):
@@ -504,17 +502,15 @@ def _commutant_diagonalizer(v_list, hint_r, noisy, diagnostics, seed, rank_tol, 
     diagnostics["commutant_dim"] = int(r_found)
     if not noisy:
         return simultaneous_evd_single(u_mats, seed=seed, cluster_tol=cluster_tol)
-    n_sub, d, cpd_status, fit, sweeps = simultaneous_evd_cpd(
-        u_mats,
-        seed=seed,
-        n_clusters=r_found,
-        cluster_tol=cluster_tol,
-        partition=hint_r is None,
+    n_sub, d, converged, fit, sweeps = simultaneous_evd_cpd(
+        u_mats, r_found, seed=seed, cluster_tol=cluster_tol, partition=hint_r is None
     )
-    diagnostics["cpd_status"] = cpd_status
+    diagnostics["cpd_status"] = (
+        "ok" if converged else "warning: CPD refinement hit max iterations"
+    )
     diagnostics["cpd_fit"] = float(fit)
     diagnostics["cpd_iters"] = int(sweeps)
-    diagnostics["cpd_converged"] = cpd_status == "ok"
+    diagnostics["cpd_converged"] = converged
     return n_sub, d
 
 
@@ -538,15 +534,16 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     (:func:`simultaneous_evd_cpd`), even with R detected rather than given:
     noise couples every pair of pencil eigenvectors above any cut, leaving
     one block with no margin to doubt it.  R is detected at ``rank_tol``
-    unless ``hint_R`` gives it.  ``diagnostics["sjbd_route"]`` names the
-    route that ran; the pencil records ``coupling_margin``, the commutant
-    ``commutant_dim`` and, for noisy data, ``cpd_status``, ``cpd_fit``,
-    ``cpd_iters`` and ``cpd_converged``.
+    unless ``hint_R`` gives it.  Each decision is written once into
+    ``diagnostics``, under the key :class:`solver.SolveReport` shows: s is
+    ``sum_d``, ``sjbd_route`` names the route that ran, the pencil records
+    ``coupling_margin``, the commutant ``commutant_dim`` and, for noisy
+    data, ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.
 
     An exact problem gets the columns of N grouped into blocks of sizes d;
-    an approximate one gets N ungrouped with d = None.  An exact solution
-    records ``diagnostics["expected_Q"]`` = sum binom(d_r+1, 2), and its
-    ``status`` warns when the problem's Q differs from it.
+    an approximate one gets N ungrouped with d = None.  When an exact
+    problem's Q is not sum binom(d_r+1, 2), ``sjbd_status``, the one Q
+    verdict, warns that the uniqueness guarantee does not apply.
     """
     exact = problem.hint_R is None
     noisy = noisy or not exact
@@ -556,7 +553,7 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     if s is None or s < k:
         u_s = orth(np.hstack(v_list), tol=rank_tol, dim=s)
         s = u_s.shape[1]
-    diagnostics = {"subspace_dim": int(s), "Q": problem.Q}
+    diagnostics = {"sum_d": int(s)}
     if s < k:
         v_list = [(u_s.conj().T @ v @ np.conj(u_s)) for v in v_list]
         v_list = [(v + v.T) / 2.0 for v in v_list]
@@ -604,12 +601,9 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     d = tuple(int(x) for x in d)
     # fewer than 3 matrices with some d_r >= 2 always fail this test, since
     # then the sum is at least 3
-    expected_q = q2_null_dim(d)
-    diagnostics["expected_Q"] = int(expected_q)
-    status = "ok"
-    if problem.Q != expected_q:
-        status = (
+    if problem.Q != q2_null_dim(d):
+        diagnostics["sjbd_status"] = (
             "warning: Q does not match sum binom(d_r+1, 2); "
             "uniqueness guarantee does not apply"
         )
-    return SJBDSolution(N=n, d=d, status=status, diagnostics=diagnostics)
+    return SJBDSolution(N=n, d=d, diagnostics=diagnostics)

@@ -84,11 +84,12 @@ class SolverOptions:
 
     ``mode`` is one of ``exact``, ``noisy_scenario1`` (structural integers
     detectable from gaps at ``rank_tol``) or ``noisy_scenario2`` (only
-    ``known_R`` >= 1 and ``known_sum_L`` >= ``known_R`` given).  The mode
-    also picks the S-JBD route of :func:`sjbd.solve_sjbd`: the pencil for
-    exact data, the commutant with the least-squares CPD refinement for
-    noisy data.  Eigenvalues are grouped at a relative spread of 1e-6 in
-    exact mode and 1e-2 in the noisy modes.
+    ``known_R`` >= 1 and ``known_sum_L`` >= ``known_R`` given, and only
+    there).  A given ``rank_tol`` lies in (0, 1).  The mode also picks the
+    S-JBD route of :func:`sjbd.solve_sjbd`: the pencil for exact data, the
+    commutant with the least-squares CPD refinement for noisy data.
+    Eigenvalues are grouped at a relative spread of 1e-6 in exact mode and
+    1e-2 in the noisy modes.
     """
 
     mode: str = "exact"
@@ -110,6 +111,11 @@ class SolverOptions:
                     f"known_sum_L must be at least known_R = {self.known_R}, "
                     f"got {self.known_sum_L}"
                 )
+        elif self.known_R is not None or self.known_sum_L is not None:
+            name = "known_R" if self.known_R is not None else "known_sum_L"
+            raise ValueError(f"{name} applies only to noisy_scenario2, not {self.mode}")
+        if self.rank_tol is not None and not 0.0 < self.rank_tol < 1.0:
+            raise ValueError(f"rank_tol must lie strictly between 0 and 1, got {self.rank_tol}")
 
     @property
     def noisy(self):
@@ -256,14 +262,15 @@ def _truncated_terms(a, e_mats, sizes, tol):
 
 
 def phase1_recover_A(t, opts=None):
-    """Phase I of the solver: returns (A, B, N, d, Q_used, diagnostics).
+    """Phase I of the solver: returns (A, B, N, d, diagnostics).
 
-    Q is counted from the minor matrix; :func:`sjbd.solve_sjbd` turns the
-    Q symmetric null matrices V_q into (N, d), by its pencil route in exact
-    mode and by its commutant route otherwise.  Scenario 2 passes R and
-    sum d_r as hints and partitions the ungrouped N itself.  Each a_r and
-    the J x d_r matrix B_r (the list B) then come from one rank-one
-    factorization; Case 1 fits the third factor to these B_r.
+    Q, counted from the minor matrix, is ``diagnostics["Q_used"]``;
+    :func:`sjbd.solve_sjbd` turns the Q symmetric null matrices V_q into
+    (N, d), and its diagnostics are merged in whole (into its failures
+    too).  Exact mode raises when they hold ``sjbd_status``, the Q verdict.
+    Scenario 2 passes R and sum d_r as hints and partitions the ungrouped N
+    itself.  Each a_r and the J x d_r matrix B_r (the list B) then come
+    from one rank-one factorization; Case 1 fits the third factor to these.
 
     N is K x sum(d) with block r spanning the common null space of the term
     matrices other than r; callers should compress the third mode first when
@@ -304,30 +311,20 @@ def phase1_recover_A(t, opts=None):
     problem = SJBDProblem(
         tuple(v_mats), hint_R=r_known if scenario2 else None, hint_sum_d=sum_d
     )
-    sol = solve_sjbd(
-        problem, seed=opts.seed, rank_tol=opts.tol, cluster_tol=opts.cl_tol, noisy=opts.noisy
-    )
-    diag["sum_d"] = sol.diagnostics["subspace_dim"]
-    for key in (
-        "sjbd_route",
-        "sjbd_fallback",
-        "coupling_margin",
-        "commutant_dim",
-        "cpd_status",
-        "cpd_fit",
-        "cpd_iters",
-        "cpd_converged",
-    ):
-        if key in sol.diagnostics:
-            diag[key] = sol.diagnostics[key]
-    if sol.status != "ok":
-        diag["sjbd_status"] = sol.status
+    try:
+        sol = solve_sjbd(
+            problem, seed=opts.seed, rank_tol=opts.tol, cluster_tol=opts.cl_tol, noisy=opts.noisy
+        )
+    except SolverDiagnostic as exc:
+        exc.diagnostics.update(diag)
+        raise
+    diag.update(sol.diagnostics)
 
     n_full, d = sol.N, sol.d
     if d is None:
         n_full, d = _partition_by_unfolding(t, n_full, r_known)
     d = tuple(int(x) for x in d)
-    if opts.mode == "exact" and sol.diagnostics["expected_Q"] != q_used:
+    if opts.mode == "exact" and "sjbd_status" in diag:
         raise SolverDiagnostic(
             "null-space dimension of the minor matrix does not match "
             "sum binom(d_r+1, 2); the structural assumption fails",
@@ -335,7 +332,7 @@ def phase1_recover_A(t, opts=None):
         )
 
     a_cols, b_blocks = zip(*(_rank1_pair(t, n_r) for n_r in split_columns(n_full, d)))
-    return np.column_stack(a_cols), list(b_blocks), n_full, d, q_used, diag
+    return np.column_stack(a_cols), list(b_blocks), n_full, d, diag
 
 
 def _partition_by_unfolding(t, n_full, r_clusters):
@@ -544,7 +541,7 @@ def decompose(t, opts=None):
             t, k_dim = compressed, r3
             diag["compressed_K"] = int(r3)
 
-    a, b_blocks, _, d, _, phase1_diag = phase1_recover_A(t, opts)
+    a, b_blocks, _, d, phase1_diag = phase1_recover_A(t, opts)
     diag.update(phase1_diag)
     r = len(d)
     case = _select_case(k_dim, i_dim, d, a, opts)

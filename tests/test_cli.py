@@ -167,8 +167,28 @@ def test_decompose_reports_the_sjbd_route(runner, tmp_path, monkeypatch):
         (["--mode", "scenario2", "--known-r", "0", "--known-suml", "9"], "known_R"),
         (["--mode", "scenario2", "--known-r", "-1", "--known-suml", "9"], "known_R"),
         (["--mode", "scenario2", "--known-r", "3", "--known-suml", "2"], "known_sum_L"),
+        (["--known-r", "3"], "known_R"),
+        (["--mode", "scenario1", "--known-suml", "9"], "known_sum_L"),
+        (["--rank-tol", "0"], "rank_tol"),
+        (["--rank-tol", "-1"], "rank_tol"),
+        (["--rank-tol", "1"], "rank_tol"),
+        (["--rank-tol", "nan"], "rank_tol"),
+        (["--rank-tol", "inf"], "rank_tol"),
     ],
-    ids=["evd-variant", "omega", "known-r-0", "known-r-negative", "known-suml-below-r"],
+    ids=[
+        "evd-variant",
+        "omega",
+        "known-r-0",
+        "known-r-negative",
+        "known-suml-below-r",
+        "known-r-exact",
+        "known-suml-scenario1",
+        "rank-tol-0",
+        "rank-tol-negative",
+        "rank-tol-1",
+        "rank-tol-nan",
+        "rank-tol-inf",
+    ],
 )
 def test_decompose_input_errors_exit_2(runner, tmp_path, args, message):
     out = tmp_path / "t.btd1"
@@ -198,6 +218,30 @@ def test_decompose_diagnostic_exit_3(runner, tmp_path):
     assert res.exit_code == 3
     payload = json.loads(res.output)
     assert "diagnostic" in payload
+
+
+def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, monkeypatch):
+    # a minor matrix whose null matrices make every pencil combination
+    # singular: the commutant route fails as well, and the exit-3 details
+    # carry Phase I's Q_used and the S-JBD's sum_d
+    import types
+
+    import btd1.solver as solver_module
+    from helpers import singular_pencil_instance
+
+    out = tmp_path / "t.btd1"
+    runner.invoke(
+        main,
+        ["generate", "--dims", "3,8,5", "--sizes", "2,3", "--seed", "1", "--out", str(out)],
+    )
+    v_list = singular_pencil_instance(5, seed=3)
+    fake_q2 = types.SimpleNamespace(symmetric_null_matrices=lambda **kwargs: v_list)
+    monkeypatch.setattr(solver_module, "build_Q2", lambda t: fake_q2)
+    res = runner.invoke(main, ["decompose", str(out)])
+    assert res.exit_code == 3, res.output
+    details = json.loads(res.output)["details"]
+    assert (details["Q_used"], details["sum_d"]) == (4, 3)
+    assert details["sjbd_fallback"] == "pencil combination W_1 is singular"
 
 
 def test_check_dims_table(runner):

@@ -139,7 +139,7 @@ def test_simultaneous_evd_cpd_matches_single():
     n_true, _, v_list = make_instance(d, k, seed=7)
     _, u_mats = commutant_basis(v_list)
     n_s, d_s = simultaneous_evd_single(u_mats, seed=2)
-    n_c, d_c, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, seed=2, n_clusters=3)
+    n_c, d_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 3, seed=2)
     assert sorted(d_c) == sorted(d)
     assert fit < 1e-8
     worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_s, d_s))
@@ -151,7 +151,7 @@ def test_cpd_als_all_distinct_reduces_to_diagonalization():
     k = 4
     n_true, _, v_list = make_instance(d, k, seed=8)
     _, u_mats = commutant_basis(v_list)
-    n_c, d_c, status, fit, _sweeps = simultaneous_evd_cpd(u_mats, seed=3, n_clusters=4)
+    n_c, d_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 4, seed=3)
     assert d_c == (1, 1, 1, 1)
     worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_true, d))
     assert worst < 1e-6
@@ -209,7 +209,7 @@ def test_solve_sjbd_flags_low_matrix_count():
         ]
         v_list.append(n @ scipy.linalg.block_diag(*blocks) @ n.T)
     sol = solve_sjbd(SJBDProblem(tuple(v_list)))
-    assert "guarantee" in sol.status
+    assert "guarantee" in sol.diagnostics["sjbd_status"]
 
 
 def test_sjbd_problem_symmetry_validation():
@@ -317,7 +317,8 @@ def test_cpd_als_singular_gram_falls_back_to_lstsq(monkeypatch):
 
     sjbd_lstsq = sjbd.lstsq
     monkeypatch.setattr(sjbd, "lstsq", counted_lstsq)
-    (a2, c2, b2), fit, _converged, _sweeps = cpd_als(tensor, (a, c, b), max_iter=20)
+    monkeypatch.setattr(sjbd, "CPD_MAX_SWEEPS", 20)
+    (a2, c2, b2), fit, _converged, _sweeps = cpd_als(tensor, (a, c, b))
     assert calls
     assert all(np.all(np.isfinite(f)) for f in (a2, c2, b2))
     assert np.isfinite(fit)
@@ -372,22 +373,14 @@ def _scalars(x, n_clusters=None, cut=None):
     return _cluster_scalars(x, cut, n_clusters=n_clusters)
 
 
-def _columns(x, n_clusters=None, cut=None):
-    return cluster_columns(x, n_clusters=n_clusters, threshold=cut)
-
-
 # (clusterer, input with all gaps tied, (input whose one close pair sits
-# exactly at the cut, the cut)); for scalars the cut is tol * max|x| = 1,
-# for columns |cos| = 0.6 between e1 and (3, 4, 0) / 5
+# exactly at the cut, the cut) or None where the clusterer takes no cut);
+# for scalars the cut is tol * max|x| = 1
 @pytest.mark.parametrize(
     "cluster,tied,at_cut",
     [
         (_scalars, np.arange(4.0), (np.array([4.0, 0.0, 1.0]), 0.25)),
-        (
-            _columns,
-            np.eye(4),
-            (np.array([[0.0, 1.0, 3.0], [0.0, 0.0, 4.0], [1.0, 0.0, 0.0]]), 0.6),
-        ),
+        (cluster_columns, np.eye(4), None),
     ],
     ids=["_cluster_scalars", "cluster_columns"],
 )
@@ -395,8 +388,9 @@ def test_single_linkage_contract(cluster, tied, at_cut):
     labels = list(cluster(tied, n_clusters=2))
     assert sorted(set(labels)) == [0, 1]
     assert labels[0] == 0 and labels.index(0) < labels.index(1)
-    x, cut = at_cut
-    assert list(cluster(x, cut=cut)) == [0, 1, 1]
+    if at_cut is not None:
+        x, cut = at_cut
+        assert list(cluster(x, cut=cut)) == [0, 1, 1]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -423,9 +417,9 @@ def test_clustering_matches_greedy_reference(seed):
     for n_clusters in (None, 2, 4, 6):
         expected = naive_single_linkage(dist, 1e-2 * np.abs(vals).max(), n_clusters)
         assert list(_cluster_scalars(vals, 1e-2, n_clusters=n_clusters)) == list(expected)
-        expected = naive_single_linkage(col_dist, 1e-4, n_clusters)
-        got = cluster_columns(cols, n_clusters=n_clusters, threshold=1.0 - 1e-4)
-        assert list(got) == list(expected)
+        if n_clusters is not None:
+            expected = naive_single_linkage(col_dist, 1e-4, n_clusters)
+            assert list(cluster_columns(cols, n_clusters)) == list(expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -50,8 +50,8 @@ def match_a_columns(a_true, a_est):
 def test_phase1_3x8x8():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=0)
     t = compose(truth)
-    a, _, n, d, q_used, diag = phase1_recover_A(t)
-    assert q_used == 10
+    a, _, n, d, diag = phase1_recover_A(t)
+    assert diag["Q_used"] == 10
     assert sorted(d) == [1, 2, 3]
     assert match_a_columns(truth.A, a) < 1e-10
 
@@ -59,8 +59,8 @@ def test_phase1_3x8x8():
 def test_phase1_2x8x7_first_factor_despite_nonuniqueness():
     truth = random_btd((2, 8, 7), (3, 3, 3), seed=1)
     t = compose(truth)
-    a, _, n, d, q_used, diag = phase1_recover_A(t)
-    assert q_used == 3
+    a, _, n, d, diag = phase1_recover_A(t)
+    assert diag["Q_used"] == 3
     assert d == (1, 1, 1)
     assert match_a_columns(truth.A, a) < 1e-8
 
@@ -68,7 +68,7 @@ def test_phase1_2x8x7_first_factor_despite_nonuniqueness():
 def test_phase1_nr_annihilates_complementary_c_blocks():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=2)
     t = compose(truth)
-    a, _, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _ = phase1_recover_A(t)
     offs = np.concatenate([[0], np.cumsum(d)])
     # each estimated block must land in the null space of the complementary
     # C-blocks of some ground-truth term
@@ -85,7 +85,7 @@ def test_phase1_nr_annihilates_complementary_c_blocks():
 def test_phase1_rank1_structure():
     truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=3)
     t = compose(truth)
-    a, _, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _ = phase1_recover_A(t)
     offs = np.concatenate([[0], np.cumsum(d)])
     for r in range(len(d)):
         n_r = n[:, offs[r] : offs[r + 1]]
@@ -99,8 +99,8 @@ def test_phase1_scenario2_qmin_and_detection():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=4)
     t = add_noise(compose(truth), NoiseSpec(snr_db=45.0, seed=9))
     opts = SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9, seed=0)
-    a, _, n, d, q_used, diag = phase1_recover_A(t, opts)
-    assert q_used == minimal_null_dimension(3, 6) == 9
+    a, _, n, d, diag = phase1_recover_A(t, opts)
+    assert diag["Q_used"] == minimal_null_dimension(3, 6) == 9
     assert sorted(d) == [1, 2, 3]
     assert match_a_columns(truth.A, a) < 1e-2
 
@@ -128,7 +128,7 @@ def test_minimal_null_dimension_is_the_balanced_split():
 def test_phase2_case1_3x9x10():
     truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=5)
     t = compose(truth)
-    a, b, _, _, _, _ = phase1_recover_A(t)
+    a, b, _, _, _ = phase1_recover_A(t)
     est = phase2_case1(t, a, b)
     _, _, err_a, err_t = match_decompositions(truth, est)
     assert err_a < 1e-8 and err_t < 1e-8
@@ -137,7 +137,7 @@ def test_phase2_case1_3x9x10():
 def test_phase2_case1_requires_square():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=6)
     t = compose(truth)
-    a, b, _, _, _, _ = phase1_recover_A(t)
+    a, b, _, _, _ = phase1_recover_A(t)
     with pytest.raises(SolverDiagnostic):
         phase2_case1(t, a, b)
 
@@ -145,7 +145,7 @@ def test_phase2_case1_requires_square():
 def test_phase2_case2_3x8x8_sizes_from_ranks():
     truth = random_btd((3, 8, 8), (2, 3, 4), seed=7)
     t = compose(truth)
-    a, _, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _ = phase1_recover_A(t)
     est = phase2_case2(t, a)
     assert sorted(est.sizes) == [2, 3, 4]
     _, _, err_a, err_t = match_decompositions(truth, est)
@@ -172,7 +172,7 @@ def test_phase2_case2_rank_deficient_a():
 def test_phase2_case3_3xJx15_and_subsets():
     truth = random_btd((3, 14, 15), (2, 2, 2, 3, 3, 4), seed=10)
     t = compose(truth)
-    a, _, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _ = phase1_recover_A(t)
     est = phase2_case3(t, a)
     _, _, err_a, err_t = match_decompositions(truth, est)
     assert err_a < 1e-8 and err_t < 1e-8
@@ -185,7 +185,7 @@ def test_phase2_case3_explicit_subset_choice():
     # two overlapping five-element windows, as in the reference experiment
     truth = random_btd((3, 14, 15), (2, 2, 2, 3, 3, 4), seed=31)
     t = compose(truth)
-    a, _, n, d, _, _ = phase1_recover_A(t)
+    a, _, n, d, _ = phase1_recover_A(t)
     est = phase2_case3(t, a, subsets=[(0, 1, 2, 3, 4), (0, 1, 2, 3, 5)])
     _, _, err_a, err_t = match_decompositions(truth, est)
     assert err_a < 1e-8 and err_t < 1e-8
@@ -431,6 +431,22 @@ def test_solver_options_rank_tol():
     assert SolverOptions(mode="noisy_scenario1", rank_tol=1e-5).tol == 1e-5
 
 
+@pytest.mark.parametrize("rank_tol", [0.0, -1.0, 1.0, 2.0, float("nan"), float("inf")])
+def test_solver_options_refuse_a_rank_tol_outside_0_1(rank_tol):
+    # unchecked, 0 and -1 would fail later as "the structural assumption
+    # fails" and the rest as "minor matrix has trivial null space"
+    with pytest.raises(ValueError, match="rank_tol"):
+        SolverOptions(rank_tol=rank_tol)
+
+
+@pytest.mark.parametrize("mode", ["exact", "noisy_scenario1"])
+@pytest.mark.parametrize("name", ["known_R", "known_sum_L"])
+def test_solver_options_refuse_known_counts_outside_scenario2(mode, name):
+    # only scenario 2 reads them; the other modes would ignore them silently
+    with pytest.raises(ValueError, match=name):
+        SolverOptions(mode=mode, **{name: 3})
+
+
 @pytest.mark.parametrize(
     "opts,hint_r,hint_sum_d",
     [
@@ -491,12 +507,74 @@ def test_mode_picks_the_sjbd_route(monkeypatch, opts, route, refined, grouped):
     t = compose(random_btd((3, 8, 8), (2, 3, 4), seed=1))
     if opts.noisy:
         t = add_noise(t, NoiseSpec(snr_db=50.0, seed=2))
-    diag = phase1_recover_A(t, opts)[5]
+    diag = phase1_recover_A(t, opts)[4]
     (sol,) = solutions
     assert diag["sjbd_route"] == sol.diagnostics["sjbd_route"] == route
     cpd_keys = {"cpd_status", "cpd_fit", "cpd_iters", "cpd_converged"}
     assert {key for key in diag if key.startswith("cpd_")} == (cpd_keys if refined else set())
     assert (sol.d is not None) == grouped
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [
+        SolverOptions(),
+        SolverOptions(mode="noisy_scenario1"),
+        SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9),
+    ],
+    ids=["exact", "scenario1", "scenario2"],
+)
+def test_sjbd_diagnostics_reach_the_report(monkeypatch, opts):
+    # Phase I merges the S-JBD's diagnostics whole: a key solve_sjbd adds
+    # reaches the report with no list of keys in between
+    import btd1.solver as solver_module
+
+    solve = solver_module.solve_sjbd
+
+    def tagged(problem, **kwargs):
+        sol = solve(problem, **kwargs)
+        sol.diagnostics["sentinel"] = 0.5
+        return sol
+
+    monkeypatch.setattr(solver_module, "solve_sjbd", tagged)
+    t = compose(random_btd((3, 8, 8), (2, 3, 4), seed=1))
+    if opts.noisy:
+        t = add_noise(t, NoiseSpec(snr_db=50.0, seed=2))
+    assert decompose(t, opts).diagnostics["sentinel"] == 0.5
+
+
+def _documented_diagnostics():
+    """The keys in the first column of README's solver-diagnostics table."""
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Solver diagnostics", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M))
+
+
+def test_every_diagnostics_key_is_documented(monkeypatch):
+    # exact (compressed), scenario 1 (with its Q warning), scenario 2
+    # (compressed) and the low-margin fallback between them emit every key
+    import btd1.sjbd as sjbd_module
+
+    def noisy(dims, sizes, seed):
+        return add_noise(compose(random_btd(dims, sizes, seed=seed)), NoiseSpec(50.0, seed=seed + 1))
+
+    runs = [
+        (compose(random_btd((3, 8, 10), (2, 3, 4), seed=1)), SolverOptions()),
+        (noisy((3, 9, 10), (1, 2, 3, 4), 2), SolverOptions(mode="noisy_scenario1")),
+        (
+            noisy((3, 8, 10), (2, 3, 4), 1),
+            SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9),
+        ),
+    ]
+    emitted = set()
+    for t, opts in runs:
+        emitted |= set(decompose(t, opts).diagnostics)
+    monkeypatch.setattr(sjbd_module, "COUPLING_MARGIN_FLOOR", 1e30)
+    emitted |= set(decompose(compose(random_btd((3, 8, 8), (2, 3, 4), seed=1))).diagnostics)
+    assert emitted == _documented_diagnostics()
 
 
 def test_truncated_terms():
@@ -626,8 +704,12 @@ def test_exact_decompose_reports_a_singular_pencil(monkeypatch):
     monkeypatch.setattr(solver_module, "build_Q2", lambda t: fake_q2)
     with pytest.raises(SolverDiagnostic) as info:
         decompose(compose(random_btd((3, 8, 5), (2, 3), seed=1)))
-    assert info.value.diagnostics["sjbd_route"] == "commutant"
-    assert info.value.diagnostics["sjbd_fallback"] == "pencil combination W_1 is singular"
+    details = info.value.diagnostics
+    assert details["sjbd_route"] == "commutant"
+    assert details["sjbd_fallback"] == "pencil combination W_1 is singular"
+    # Phase I's diagnostics ride along, under the report's names
+    assert (details["Q_used"], details["sum_d"]) == (4, 3)
+    assert not {"Q", "subspace_dim"} & set(details)
 
 
 def test_low_coupling_margin_falls_back_with_a_warning(monkeypatch):
