@@ -13,9 +13,6 @@ from .tensor import (
     random_btd,
     unfold,
 )
-# tensor, and scipy.optimize with it, loads before solver: reached through
-# solver's imports instead, scipy.special's import ran ~0.09 s slower
-# (Python 3.11.7, scipy 1.17.1), a fifth of the package's start-up
 from .solver import SolveReport, SolverOptions, decompose
 
 __all__ = [

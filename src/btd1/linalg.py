@@ -17,7 +17,6 @@ from its seed.
 """
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -85,7 +84,10 @@ def null_space(a, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
     except np.linalg.LinAlgError:
         # divide and conquer (gesdd) can fail to converge on the exactly
         # rank-deficient matrices of exact mode; QR iteration (gesvd) is
-        # slower but converges on them
+        # slower but converges on them.  scipy is imported here only: it
+        # would triple the package's import time
+        import scipy.linalg
+
         _, s, vh = scipy.linalg.svd(a, full_matrices=m < n, lapack_driver="gesvd")
     r = rank_cut(s, tol, atol) if dim is None else n - dim
     return vh[r:].conj().T

@@ -30,11 +30,10 @@ Transposes here are plain transposes even over the complex field; none of
 the factors are required to be orthogonal.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.cluster.hierarchy
-import scipy.spatial.distance
 
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -182,31 +181,58 @@ def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
 def _single_linkage(dist, cut=0.0, n_clusters=None):
     """Single-linkage labels from a square distance matrix.
 
-    With ``n_clusters`` given, cuts the tree at that many groups (merges
-    tied at that cut are taken in the order scipy's linkage lists them);
-    otherwise merges every pair of groups at most ``cut`` apart.  Returns
+    The merges are the edges of a minimum spanning tree (Gower & Ross,
+    Appl. Stat. 18(1), 1969), grown by Prim's method from node 0 and read
+    from the upper triangle: each step joins the first unjoined node of
+    least distance to the tree and records it with the node joined before
+    it.  The edges, stably sorted by height, are the merges.  With
+    ``n_clusters`` given, the groups are those left after the first
+    n - ``n_clusters`` merges, so merges tied at that cut are taken in Prim
+    order; otherwise every merge at most ``cut`` high is made.  Returns
     integer labels in order of first appearance, and the merge heights in
-    increasing order: the distance at which each merge joined two groups.
+    increasing order.  Raises ``ValueError`` on a non-finite distance.
     """
     n = dist.shape[0]
     if n < 2:
         return np.zeros(n, dtype=int), np.zeros(0)
-    z = scipy.cluster.hierarchy.linkage(
-        scipy.spatial.distance.squareform(dist, checks=False), method="single"
-    )
+    # plain loops over lists: at the sizes clustered here (n <= ~20) each
+    # numpy call would cost more than the whole tree
+    rows = dist.tolist()
+    inf = math.inf
+    reach = [inf] * n
+    left = list(range(1, n))
+    edges = []
+    x = 0
+    while left:
+        best, y = inf, -1
+        row = rows[x]
+        for i in left:
+            d = row[i] if x < i else rows[i][x]
+            if not -inf < d < inf:
+                raise ValueError("single linkage needs finite distances")
+            if d < reach[i]:
+                reach[i] = d
+            if reach[i] < best:
+                best, y = reach[i], i
+        left.remove(y)
+        edges.append((best, x, y))
+        x = y
+    edges.sort(key=lambda edge: edge[0])
+    heights = [edge[0] for edge in edges]
     if n_clusters is None:
-        n_clusters = n - int(np.sum(z[:, 2] <= cut))
-    # single-linkage merge heights never decrease, so the groups are those
-    # left after the first n - n_clusters merges; row i of z joins the two
-    # groups with ids z[i, :2] into group n + i
-    members = {i: [i] for i in range(n)}
-    for row, (a, b) in enumerate(z[: n - min(max(n_clusters, 1), n), :2].astype(int)):
-        members[n + row] = members.pop(a) + members.pop(b)
-    owner = np.empty(n, dtype=int)
-    for group, idx in members.items():
-        owner[idx] = group
-    _, first, inverse = np.unique(owner, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse], z[:, 2]
+        n_clusters = n - sum(h <= cut for h in heights)
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for _, a, b in edges[: n - min(max(n_clusters, 1), n)]:
+        parent[root(a)] = root(b)
+    first = {}
+    labels = [first.setdefault(root(i), len(first)) for i in range(n)]
+    return np.array(labels), np.array(heights)
 
 
 def _cluster_scalars(values, tol, n_clusters=None):

@@ -304,7 +304,7 @@ def phase1_recover_A(t, opts=None):
     if q_used < 1:
         raise SolverDiagnostic(
             "minor matrix has trivial null space; no block structure visible",
-            {"Q": q_used},
+            {"Q_used": q_used},
         )
     diag["Q_used"] = int(q_used)
 
@@ -328,7 +328,7 @@ def phase1_recover_A(t, opts=None):
         raise SolverDiagnostic(
             "null-space dimension of the minor matrix does not match "
             "sum binom(d_r+1, 2); the structural assumption fails",
-            {"Q": q_used, "d": d},
+            {"Q_used": q_used, "d": d},
         )
 
     a_cols, b_blocks = zip(*(_rank1_pair(t, n_r) for n_r in split_columns(n_full, d)))

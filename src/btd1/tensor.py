@@ -13,10 +13,10 @@ at most ``L_r`` by construction, and the tensor they compose is
 ``sum_r a_r o E_r``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import DEFAULT_RANK_TOL, DimensionError, khatri_rao, randn, rank_cut, rng
 
@@ -272,14 +272,85 @@ def compress_third_mode(t, tol=DEFAULT_RANK_TOL, dim=None):
     return compressed, mixing, rank
 
 
+def _min_cost_assignment(cost):
+    """Rows and columns ``(rows, cols)`` of a minimum-cost assignment in a
+    finite cost matrix, one column per row or one row per column, whichever
+    is fewer; ``rows`` increases.
+
+    The Hungarian method with potentials (Kuhn, Naval Res. Logist. Q. 2,
+    1955), in the shortest-augmenting-path form of Jonker & Volgenant
+    (Computing 38(4), 1987) as given by Crouse (IEEE Trans. Aerosp.
+    Electron. Syst. 52(4), 2016): each row in turn is
+    joined by a Dijkstra search over reduced costs, which prefers a free
+    column among equally near ones and scans the columns from the last.  A
+    wide matrix is solved as it is, a tall one transposed.  Raises
+    ``ValueError`` on a non-finite cost.
+    """
+    n_rows, n_cols = cost.shape
+    transpose = n_cols < n_rows
+    # plain loops over lists: at the sizes matched here (a few columns)
+    # each numpy call would cost more than the whole assignment
+    c = (cost.T if transpose else cost).tolist()
+    if transpose:
+        n_rows, n_cols = n_cols, n_rows
+    inf = math.inf
+    if not all(-inf < x < inf for row in c for x in row):
+        raise ValueError("assignment needs finite costs")
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    path, col4row, row4col = [-1] * n_cols, [-1] * n_rows, [-1] * n_cols
+    for cur in range(n_rows):
+        dist = [inf] * n_cols
+        seen_rows, seen_cols = [cur], []
+        remaining = list(range(n_cols - 1, -1, -1))
+        i, sink, min_val = cur, -1, 0.0
+        while sink == -1:
+            row, u_i = c[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, dist[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                seen_rows.append(i)
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - dist[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        cols = sorted(range(n_rows), key=col4row.__getitem__)
+        rows = [col4row[j] for j in cols]
+    else:
+        rows, cols = range(n_rows), col4row
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+
+
 def match_columns(x, y):
     """Assignment (rows, cols) of the columns of x to the columns of y that
-    maximises the summed |cos|, the normalized |x_i^H y_j|; a zero column
+    maximises the summed |cos|, the normalized |x_i^H y_j|, found by the
+    Hungarian method (:func:`_min_cost_assignment` on -|cos|); a zero column
     has |cos| 0 with every column."""
     nx = np.linalg.norm(x, axis=0)
     ny = np.linalg.norm(y, axis=0)
     corr = np.abs(x.conj().T @ y) / np.outer(nx + (nx == 0), ny + (ny == 0))
-    return scipy.optimize.linear_sum_assignment(-corr)
+    return _min_cost_assignment(-corr)
 
 
 def match_decompositions(truth, est):

@@ -307,6 +307,27 @@ def singular_pencil_instance(k, field="real", seed=0, q=4):
     return v_list
 
 
+def phase1_failure(kind, monkeypatch):
+    """A tensor on which exact Phase I raises one of its own two failures,
+    with the failure's message and Q_used.  ``"trivial"``: an unstructured
+    tensor, whose minor matrix has full column rank.  ``"mismatch"``: a
+    3x8x8 (2,3,4) tensor with ``solve_sjbd`` patched to flag a Q mismatch."""
+    import btd1.solver as solver_module
+    from btd1 import Tensor3, compose, random_btd
+
+    if kind == "trivial":
+        return Tensor3(rng(0).standard_normal((3, 8, 8))), "trivial null space", 0
+    solve = solver_module.solve_sjbd
+
+    def flagged(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.diagnostics["sjbd_status"] = "warning: Q flagged"
+        return sol
+
+    monkeypatch.setattr(solver_module, "solve_sjbd", flagged)
+    return compose(random_btd((3, 8, 8), (2, 3, 4), seed=0)), "structural assumption fails", 10
+
+
 def lstsq_cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
     """Reference CPD by alternating least squares: one ``lstsq`` against the
     Khatri-Rao matrix per factor update, column norms and the fit recomputed

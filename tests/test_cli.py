@@ -244,6 +244,22 @@ def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, m
     assert details["sjbd_fallback"] == "pencil combination W_1 is singular"
 
 
+@pytest.mark.parametrize("kind", ["trivial", "mismatch"])
+def test_decompose_phase1_failure_details_use_the_report_names(runner, tmp_path, monkeypatch, kind):
+    from btd1.fileio import write_tensor
+    from helpers import phase1_failure
+
+    t, message, q_used = phase1_failure(kind, monkeypatch)
+    out = tmp_path / "t.btd1"
+    write_tensor(out, t)
+    res = runner.invoke(main, ["decompose", str(out)])
+    assert res.exit_code == 3, res.output
+    payload = json.loads(res.output)
+    assert message in payload["diagnostic"]
+    assert payload["details"]["Q_used"] == q_used
+    assert "Q" not in payload["details"]
+
+
 def test_check_dims_table(runner):
     res = runner.invoke(main, ["check", "--dims", "8,8,50", "--sizes", "1x47,2"])
     assert res.exit_code == 0, res.output

@@ -1,6 +1,10 @@
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,58 @@ def test_benchmark_config_keywords_resolve():
         seed=2024,
     )
     SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9)
+
+
+# one operation of every path the package serves, in a fresh process: the
+# exact cases 1-3, both noisy scenarios with the decomposition matcher, an
+# experiment trial and the three checkers; scipy is imported only when
+# gesdd fails to converge
+EVERY_PATH = textwrap.dedent(
+    """
+    import sys
+
+    import btd1
+    import btd1.cli
+    from btd1 import NoiseSpec, SolverOptions, add_noise, compose, decompose, random_btd
+    from btd1 import match_decompositions
+    from btd1.experiment import ExperimentConfig, run_experiment
+    from btd1.gf import verify_generic_q2_dim, verify_phi_full_rank
+    from btd1.uniqueness import check_deterministic_uniqueness
+
+    def scipy_modules(after):
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, (after, loaded[:5])
+
+    scipy_modules("import")
+    for dims, sizes, seed, case in [
+        ((3, 9, 10), (1, 2, 3, 4), 3, 1),
+        ((3, 8, 8), (2, 3, 4), 0, 2),
+        ((3, 14, 15), (2, 2, 2, 3, 3, 4), 10, 3),
+    ]:
+        assert decompose(compose(random_btd(dims, sizes, seed=seed))).case_used == case
+        scipy_modules(f"exact case {case}")
+    truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=18)
+    t = add_noise(compose(truth), NoiseSpec(snr_db=100.0, seed=4))
+    decompose(t, SolverOptions(mode="noisy_scenario1", rank_tol=1e-3, seed=0))
+    scipy_modules("scenario 1")
+    truth = random_btd((3, 8, 8), (2, 3, 4), seed=1)
+    t = add_noise(compose(truth), NoiseSpec(snr_db=50.0, seed=2))
+    rep = decompose(t, SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9))
+    match_decompositions(truth, rep.decomposition)
+    scipy_modules("scenario 2")
+    run_experiment(ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), snr_grid=(50.0,), num_trials=1))
+    scipy_modules("experiment")
+    assert verify_generic_q2_dim((3, 3, 5), (1, 1, 1, 2), seed=1).certified
+    assert verify_phi_full_rank(2, 3, 2, (1, 1), seed=1).certified
+    check_deterministic_uniqueness(truth, compose(truth))
+    scipy_modules("checkers")
+    """
+)
+
+
+def test_no_path_imports_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(btd1.__file__).resolve().parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-c", EVERY_PATH], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr

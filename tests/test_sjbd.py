@@ -8,6 +8,7 @@ from btd1.sjbd import (
     SJBDProblem,
     _cluster_scalars,
     _eigen_groups,
+    _single_linkage,
     build_commutant_matrix,
     cluster_columns,
     commutant_basis,
@@ -391,6 +392,54 @@ def test_single_linkage_contract(cluster, tied, at_cut):
     if at_cut is not None:
         x, cut = at_cut
         assert list(cluster(x, cut=cut)) == [0, 1, 1]
+    # a NaN anywhere is refused, not grouped
+    bad = np.array(tied)
+    bad[..., 1] = np.nan
+    with pytest.raises(ValueError):
+        cluster(bad, n_clusters=2)
+
+
+def _linkage_labels(z, merges):
+    """Labels, in order of first appearance, of the groups left after the
+    first ``merges`` rows of a scipy linkage matrix ``z``: row i joins the
+    groups with ids z[i, :2] into group n + i."""
+    n = len(z) + 1
+    members = {i: [i] for i in range(n)}
+    for row, (a, b) in enumerate(z[:merges, :2].astype(int)):
+        members[n + row] = members.pop(a) + members.pop(b)
+    owner = {i: group for group, idx in members.items() for i in idx}
+    order = list(dict.fromkeys(owner[i] for i in range(n)))
+    return np.array([order.index(owner[i]) for i in range(n)])
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+def test_single_linkage_matches_scipy(tied):
+    # scipy's single linkage is the reference: the same merge heights, and
+    # the same groups after its first n - k merges (so merges tied at the
+    # cut are taken alike) and after every merge up to a height cut
+    import scipy.cluster.hierarchy as hierarchy
+    import scipy.spatial.distance
+
+    gen = rng(40 + tied)
+    assert [x.tolist() for x in _single_linkage(np.zeros((1, 1)), n_clusters=1)] == [[0], []]
+    for n in range(2, 26):
+        for _ in range(3):
+            # points on a small integer grid tie many distances
+            pts = gen.integers(0, 3, (n, 2)).astype(float) if tied else gen.standard_normal((n, 2))
+            dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+            z = hierarchy.linkage(scipy.spatial.distance.squareform(dist), method="single")
+            for k in sorted({1, 2, 3, n // 2, n}):
+                labels, heights = _single_linkage(dist, n_clusters=k)
+                assert np.array_equal(heights, z[:, 2])
+                assert np.array_equal(labels, _linkage_labels(z, n - k))
+            cut = float(np.median(z[:, 2]))
+            labels = _single_linkage(dist, cut)[0]
+            assert np.array_equal(labels, _linkage_labels(z, int(np.sum(z[:, 2] <= cut))))
+    dist[0, 1] = dist[1, 0] = np.inf
+    with pytest.raises(ValueError):
+        hierarchy.linkage(scipy.spatial.distance.squareform(dist), method="single")
+    with pytest.raises(ValueError):
+        _single_linkage(dist, n_clusters=2)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -32,7 +32,7 @@ from btd1.solver import (
     _truncated_terms,
 )
 
-from helpers import shared_columns_instance, singular_pencil_instance
+from helpers import phase1_failure, shared_columns_instance, singular_pencil_instance
 
 
 def match_a_columns(a_true, a_est):
@@ -709,6 +709,16 @@ def test_exact_decompose_reports_a_singular_pencil(monkeypatch):
     assert details["sjbd_fallback"] == "pencil combination W_1 is singular"
     # Phase I's diagnostics ride along, under the report's names
     assert (details["Q_used"], details["sum_d"]) == (4, 3)
+    assert not {"Q", "subspace_dim"} & set(details)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "mismatch"])
+def test_phase1_failures_name_q_as_the_report_does(kind, monkeypatch):
+    t, message, q_used = phase1_failure(kind, monkeypatch)
+    with pytest.raises(SolverDiagnostic, match=message) as info:
+        decompose(t)
+    details = info.value.diagnostics
+    assert details["Q_used"] == q_used
     assert not {"Q", "subspace_dim"} & set(details)
 
 

@@ -14,7 +14,7 @@ from btd1 import (
     unfold,
 )
 from btd1.linalg import numerical_rank, rng
-from btd1.tensor import compose_values, draw_factors
+from btd1.tensor import _min_cost_assignment, compose_values, draw_factors, match_columns
 
 from helpers import naive_compose, naive_unfold1, naive_unfold3, per_factor_draw, pinv
 
@@ -260,3 +260,33 @@ def test_complex_field_round_trip():
     assert t.field == "complex"
     assert np.allclose(t.values, naive_compose(d.A, d.terms), atol=1e-12)
     assert np.allclose(unfold(t, 3), naive_unfold3(d.A, d.terms), atol=1e-12)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+def test_assignment_matches_scipy(tied):
+    # scipy's linear_sum_assignment is the reference: the same (rows, cols)
+    # on square, wide and tall matrices; on tied costs, where several
+    # assignments are optimal, the same optimal total
+    from scipy.optimize import linear_sum_assignment
+
+    gen = rng(50 + tied)
+    for shape in [(0, 3), (1, 1)] + [(r, c) for r in range(1, 9) for c in range(1, 9)]:
+        for _ in range(5):
+            cost = gen.integers(0, 3, shape).astype(float) if tied else gen.standard_normal(shape)
+            rows, cols = _min_cost_assignment(cost)
+            want_rows, want_cols = linear_sum_assignment(cost)
+            if tied:
+                assert len(set(rows.tolist())) == len(set(cols.tolist())) == min(shape)
+                assert cost[rows, cols].sum() == cost[want_rows, want_cols].sum()
+            else:
+                assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    x, y = gen.standard_normal((6, 4)), gen.standard_normal((6, 5))
+    for a, b in ((x, y), (y, x), (x, x[:, ::-1])):
+        nx, ny = np.linalg.norm(a, axis=0), np.linalg.norm(b, axis=0)
+        want = linear_sum_assignment(-np.abs(a.T @ b) / np.outer(nx, ny))
+        assert all(np.array_equal(g, w) for g, w in zip(match_columns(a, b), want))
+    x[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        linear_sum_assignment(-np.abs(x.T @ y))
+    with pytest.raises(ValueError):
+        match_columns(x, y)
