@@ -13,10 +13,17 @@ extension degree, or a different prime.
 Without an explicit ``field`` the certifiers try the prime fields GF(32749)
 and GF(65521), then GF(2^15).  Over a prime field a matrix product is a
 float64 matmul reduced mod p, summed in blocks short enough that every
-partial sum stays an integer below 2^53, so the product is exact.  A tall
-matrix M is first multiplied by a random S over the field with the expected
-rank + 10 rows: rank(S M) <= rank(M), so a witness of S M still certifies
-and a miss stays inconclusive (Schwartz, J. ACM 27(4), 1980).
+partial sum stays an integer below 2^53, so the product is exact.  When
+Phi(A, B) has more rows than the expected rank + 10, it is never formed:
+the certifiers rank the sketch S Phi (times S2(C).T for Q2) instead, where
+S has expected rank + 10 rows, each the Kronecker product s_A kron s_B of
+two random rows of lengths binom(I, 2) and binom(J, 2) (a Khatri-Rao random
+map; Sun, Guo, Luo, Tropp & Udell, SIAM J. Math. Data Sci. 2(4), 2020).
+Phi's block for the term pair (r1, r2) is (a_r1 wedge a_r2) kron (B_r1
+wedge B_r2), so its sketch is the rowwise product of S_A (a_r1 wedge a_r2)
+and S_B (B_r1 wedge B_r2), and the largest array a trial holds is S_B, not
+Phi.  rank(S M) <= rank(M) for every S, so a witness of the sketch still
+certifies and a miss stays inconclusive (Schwartz, J. ACM 27(4), 1980).
 
 Supported fields: prime fields GF(p) and, through ``field=``, GF(2^k) with
 table-based arithmetic (GF(2^15) with reduction polynomial x^15 + x + 1).
@@ -35,13 +42,16 @@ import numpy as np
 from . import _kernels
 from .linalg import DimensionError, rng, split_columns
 from .minors import (
+    _pair_block,
     block_sizes,
+    n_strict,
     n_sym,
     phi_columns,
     phi_count_conditions,
     phi_matrix,
     q2_null_dim,
     s2_matrix,
+    strict_pairs,
 )
 
 __all__ = [
@@ -60,7 +70,7 @@ DEFAULT_REDUCTION_POLY = (1 << 15) | (1 << 1) | 1  # x^15 + x + 1
 
 # float64 represents every integer below 2^53 exactly
 _FLOAT_EXACT = 2**53
-# rows of the random left factor beyond the expected rank
+# rows of the sketch beyond the expected rank
 _COMPRESS_SLACK = 10
 
 
@@ -275,25 +285,38 @@ def gf_s2(f, c, sizes):
     return GFMatrix(s2_matrix(split_columns(c, sizes), f), f)
 
 
-def _q2_factors(f, a, b, c, sizes):
-    """Phi(A, B) and S2(C).T, whose product is Q2."""
-    return gf_phi(f, a, b, sizes), GFMatrix(gf_s2(f, c, sizes).values.T, f)
-
-
 def gf_q2_from_factors(f, a, b, c, sizes):
     """Q2 of the composed tensor, computed in-field as Phi(A, B) S2(C).T."""
-    phi, s2t = _q2_factors(f, a, b, c, sizes)
-    return phi.matmul(s2t)
+    return gf_phi(f, a, b, sizes).matmul(GFMatrix(gf_s2(f, c, sizes).values.T, f))
+
+
+def _phi_sketch(f, s_a, s_b, a, b_blocks):
+    """S Phi(A, B) over a prime field for the S whose row n is
+    s_a[n] kron s_b[n], without forming S or Phi.  The block of term pair
+    (r1, r2) is the rowwise product (s_a (a_r1 wedge a_r2)) * (s_b (B_r1
+    wedge B_r2)); blocks and columns are ordered as in
+    :func:`btd1.minors.phi_matrix`."""
+    block = _exact_block(f.p)
+    cols = [np.zeros((s_a.shape[0], 0), dtype=np.int64)]
+    for r1, r2 in zip(*strict_pairs(len(b_blocks))):
+        wa = _pair_block(f, a[:, r1 : r1 + 1], a[:, r2 : r2 + 1], wedge=True)
+        wb = _pair_block(f, b_blocks[r1], b_blocks[r2], wedge=True)
+        sa = _matmul_mod_p(s_a, wa, f.p, block)
+        cols.append(sa * _matmul_mod_p(s_b, wb, f.p, block) % f.p)
+    return np.hstack(cols)
 
 
 def _certify_rank(config, expected, build, trials, seed, field, reason):
     """Randomized rank certification shared by both verifiers.
 
     ``build(fld, gen)`` draws one trial's factors from ``gen`` and returns
-    the matrices, leftmost first, whose product's rank is tested against
-    ``expected``.  Over a prime field a leftmost matrix with more than
-    expected + 10 rows is first multiplied by a random S drawn from the same
-    generator; rank(S M) <= rank(M), so only an exact witness certifies.
+    ``(a, b, sizes, *rest)``: the rank of Phi(A, B) @ rest[0] @ ... is
+    tested against ``expected``.  Over a prime field, when Phi has more than
+    n = expected + 10 rows, it is replaced by its sketch S Phi
+    (:func:`_phi_sketch`): S_A (n x binom(I,2)) and S_B (n x binom(J,2)) are
+    drawn from the same generator, and row i of S is S_A[i] kron S_B[i].
+    rank(S Phi) <= rank(Phi), so only an exact witness certifies.  Over
+    GF(2^k), and when Phi has at most n rows, Phi is formed whole.
     """
     fields = (field,) if field is not None else _escalation_ladder()
     n_keep = expected + _COMPRESS_SLACK
@@ -303,9 +326,14 @@ def _certify_rank(config, expected, build, trials, seed, field, reason):
         gen = rng(seed + 7919 * f_idx)
         for _ in range(max(trials, 1)):
             total += 1
-            m, *rest = build(fld, gen)
-            if not fld.binary and m.shape[0] > n_keep:
-                m = GFMatrix(fld.random(gen, (n_keep, m.shape[0])), fld).matmul(m)
+            a, b, sizes, *rest = build(fld, gen)
+            n_i, n_j = n_strict(a.shape[0]), n_strict(b.shape[0])
+            if fld.binary or n_i * n_j <= n_keep:
+                m = gf_phi(fld, a, b, sizes)
+            else:
+                s_a = fld.random(gen, (n_keep, n_i))
+                s_b = fld.random(gen, (n_keep, n_j))
+                m = GFMatrix(_phi_sketch(fld, s_a, s_b, a, split_columns(b, sizes)), fld)
             for right in rest:
                 m = m.matmul(right)
             rank = gf_rank(m)
@@ -344,8 +372,7 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
 
     def build(fld, gen):
         a = fld.random(gen, (i_dim, r))
-        b = fld.random(gen, (j_dim, sum(sizes)))
-        return (gf_phi(fld, a, b, sizes),)
+        return a, fld.random(gen, (j_dim, sum(sizes))), sizes
 
     return _certify_rank(
         config, n_cols, build, trials, seed, field,
@@ -379,7 +406,7 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
         a = fld.random(gen, (i_dim, len(sizes)))
         b = fld.random(gen, (j_dim, sum_l))
         c = fld.random(gen, (k_dim, sum_l))
-        return _q2_factors(fld, a, b, c, sizes)
+        return a, b, sizes, GFMatrix(gf_s2(fld, c, sizes).values.T, fld)
 
     return _certify_rank(
         config, expected, build, trials, seed, field,

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels
-from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space
+from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space, rank_cut
 from .tensor import Tensor3
 
 __all__ = [
@@ -46,6 +46,8 @@ __all__ = [
     "MinorMatrixSet",
     "FactorMinorForm",
     "build_Q2",
+    "q2_row_panels",
+    "q2_rank",
     "build_PK",
     "sym_pair_position",
     "wedge",
@@ -149,14 +151,40 @@ class FactorMinorForm:
         return self.Phi @ self.S2.T
 
 
-def _minor_values(values, kp1, kp2):
-    i_dim, j_dim, _ = values.shape
+# rows of Q2 per panel: whole i-pairs, as many as fit (at least one)
+_PANEL_ROWS = 512
+
+
+def q2_row_panels(values, out=None):
+    """Q2 of the tensor array ``values`` in consecutive row panels, each the
+    rows of one or more whole i-pairs, about 512 rows.  With ``out`` given
+    (Q2's shape), each panel is filled into, and yielded as, a view of
+    ``out``; otherwise each panel is a fresh array, so Q2 is never held
+    whole."""
+    i_dim, j_dim, k_dim = values.shape
     ip1, ip2 = strict_pairs(i_dim)
     jp1, jp2 = strict_pairs(j_dim)
-    out = np.empty(
-        (ip1.size * jp1.size, kp1.size), dtype=np.result_type(values, values)
-    )
-    return _kernels.minor_matrix_fill(values, ip1, ip2, jp1, jp2, kp1, kp2, out)
+    kp1, kp2 = sym_pairs(k_dim)
+    step = max(1, _PANEL_ROWS // jp1.size)
+    dtype = np.result_type(values, values)
+    for first in range(0, ip1.size, step):
+        pairs = slice(first, first + step)
+        n_rows = ip1[pairs].size * jp1.size
+        panel = (
+            np.empty((n_rows, kp1.size), dtype=dtype)
+            if out is None
+            else out[first * jp1.size : first * jp1.size + n_rows]
+        )
+        yield _kernels.minor_matrix_fill(
+            values, ip1[pairs], ip2[pairs], jp1, jp2, kp1, kp2, panel
+        )
+
+
+def _tensor_values(t):
+    values = t.values if isinstance(t, Tensor3) else np.ascontiguousarray(t)
+    if values.shape[0] < 2 or values.shape[1] < 2:
+        raise DimensionError("Q2 needs I >= 2 and J >= 2")
+    return values
 
 
 def build_Q2(t):
@@ -168,13 +196,29 @@ def build_Q2(t):
       - t[i1,j2,k1] t[i2,j1,k2] - t[i1,j2,k2] t[i2,j1,k1]
 
     which is integer-exact for integer tensors.  Requires I >= 2 and J >= 2.
+    Filled panel by panel through :func:`q2_row_panels`.
     """
-    values = t.values if isinstance(t, Tensor3) else np.ascontiguousarray(t)
+    values = _tensor_values(t)
     i_dim, j_dim, k_dim = values.shape
-    if i_dim < 2 or j_dim < 2:
-        raise DimensionError("Q2 needs I >= 2 and J >= 2")
-    kp1, kp2 = sym_pairs(k_dim)
-    return MinorMatrixSet(Q2=_minor_values(values, kp1, kp2), K=k_dim)
+    out = np.empty(
+        (n_strict(i_dim) * n_strict(j_dim), n_sym(k_dim)),
+        dtype=np.result_type(values, values),
+    )
+    for _ in q2_row_panels(values, out):
+        pass
+    return MinorMatrixSet(Q2=out, K=k_dim)
+
+
+def q2_rank(t, tol=DEFAULT_RANK_TOL):
+    """Numerical rank of Q2 without forming it: the triangular factor R of
+    Q2 = QR is folded over :func:`q2_row_panels` (R <- R of [R; panel]),
+    and :func:`btd1.linalg.rank_cut` at ``tol`` is applied to R's singular
+    values, which are Q2's.  Requires I >= 2 and J >= 2."""
+    values = _tensor_values(t)
+    r = np.zeros((0, n_sym(values.shape[2])), dtype=np.result_type(values, 1.0))
+    for panel in q2_row_panels(values):
+        r = np.linalg.qr(np.vstack([r, panel]), mode="r")
+    return rank_cut(np.linalg.svd(r, compute_uv=False), tol)
 
 
 @lru_cache(maxsize=64)

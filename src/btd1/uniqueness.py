@@ -22,11 +22,11 @@ import numpy as np
 from .linalg import DEFAULT_RANK_TOL, DimensionError, khatri_rao, numerical_rank
 from .minors import (
     block_sizes,
-    build_Q2,
     n_sym,
     phi_columns,
     phi_count_conditions,
     q2_null_dim,
+    q2_rank,
 )
 from .tensor import BlockTermDecomposition, compose, unfold
 
@@ -251,8 +251,7 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_C
         notes.append("F-subset rank condition not evaluated (cap)")
 
     expected_q = q2_null_dim(d_vals)
-    q2 = build_Q2(t)
-    q2_null = q2.Q2.shape[1] - numerical_rank(q2.Q2, tol=tol)
+    q2_null = n_sym(k_dim) - q2_rank(t, tol=tol)
     q2_dim_ok = q2_null == expected_q
 
     assumptions = {

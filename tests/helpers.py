@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from btd1 import BlockTermDecomposition, Tensor3, compose, random_btd, unfold
+from btd1 import BlockTermDecomposition, Tensor3, _kernels, compose, random_btd, unfold
 from btd1.linalg import (
     DEFAULT_RANK_TOL,
     DimensionError,
@@ -18,7 +18,7 @@ from btd1.linalg import (
     rng,
     split_columns,
 )
-from btd1.minors import _minor_values, build_PK, n_sym, sym_pair_position
+from btd1.minors import build_PK, n_sym, strict_pairs, sym_pair_position
 
 
 def naive_compose(a, terms):
@@ -245,6 +245,46 @@ def golden_integer_instance():
     return BlockTermDecomposition(a, terms)
 
 
+def with_equal_b_columns(d):
+    """``d`` with the last two columns of its last B block made equal: that
+    term loses a rank, so Q2 of the composed tensor falls below its generic
+    rank."""
+    terms = [(b.copy(), c) for b, c in d.terms]
+    terms[-1][0][:, -1] = terms[-1][0][:, -2]
+    return BlockTermDecomposition(d.A, tuple(terms))
+
+
+def integer_btd(dims, sizes, seed=0):
+    """Decomposition with i.i.d. integer factor entries in [-3, 3]."""
+    gen = rng(seed)
+    i_dim, j_dim, k_dim = dims
+    a = gen.integers(-3, 4, size=(i_dim, len(sizes)))
+    terms = tuple(
+        (gen.integers(-3, 4, size=(j_dim, l)), gen.integers(-3, 4, size=(k_dim, l)))
+        for l in sizes
+    )
+    return BlockTermDecomposition(a, terms)
+
+
+def q2_rank_instances():
+    """Decompositions whose composed Q2 has a clear rank gap: real, complex
+    and integer, generic and planted-deficient, the 2x8x7 example, and
+    5x18x7, whose 1530 rows of Q2 fill four row panels."""
+    return {
+        "real": random_btd((3, 8, 8), (2, 3, 4), seed=1),
+        "complex": random_btd((3, 8, 8), (2, 3, 4), field="complex", seed=1),
+        "integer": integer_btd((4, 6, 5), (1, 2, 2), seed=0),
+        "real_deficient": with_equal_b_columns(random_btd((3, 8, 8), (2, 3, 4), seed=1)),
+        "complex_deficient": with_equal_b_columns(
+            random_btd((4, 9, 9), (2, 3, 4), field="complex", seed=2)
+        ),
+        "integer_deficient": with_equal_b_columns(integer_btd((4, 6, 5), (1, 2, 2), seed=0)),
+        "2x8x7": random_btd((2, 8, 7), (3, 3, 3), seed=0),
+        "multi_panel": random_btd((5, 18, 7), (2, 2, 3), seed=4),
+        "multi_panel_deficient": with_equal_b_columns(random_btd((5, 18, 7), (2, 2, 3), seed=4)),
+    }
+
+
 GOLDEN_Q2_3x3x5 = np.array(
     [
         [0, 1, 0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0],
@@ -431,7 +471,10 @@ def build_R2(t):
         raise DimensionError("R2 needs I >= 2 and J >= 2")
     # column index k2*K + k1 holds the pair (k1, k2)
     kp2, kp1 = np.divmod(np.arange(k_dim * k_dim, dtype=np.int64), k_dim)
-    return _minor_values(values, kp1, kp2)
+    ip1, ip2 = strict_pairs(i_dim)
+    jp1, jp2 = strict_pairs(j_dim)
+    out = np.empty((ip1.size * jp1.size, kp1.size), dtype=np.result_type(values, values))
+    return _kernels.minor_matrix_fill(values, ip1, ip2, jp1, jp2, kp1, kp2, out)
 
 
 def build_D(k):

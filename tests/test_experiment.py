@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from btd1.experiment import ExperimentConfig, draw_instance, run_experiment
+import btd1
+from btd1.experiment import ExperimentConfig, ExperimentResult, draw_instance, run_experiment
 from btd1.linalg import DimensionError, cond, rng
 from btd1.solver import candidate_size_tuples
 from btd1 import unfold
@@ -177,3 +184,52 @@ def test_trials_deterministic():
     r2 = run_experiment(cfg)
     assert r1.frequencies == r2.frequencies
     assert np.array_equal(r1.errors_a[40.0], r2.errors_a[40.0])
+
+
+def _result(errors):
+    cfg = ExperimentConfig(
+        dims=(3, 8, 8), sizes=(2, 3, 4), snr_grid=tuple(float(k) for k in errors), num_trials=1
+    )
+    return ExperimentResult(
+        config=cfg,
+        candidates=(),
+        frequencies={},
+        errors_a={float(k): v for k, v in errors.items()},
+        errors_terms={float(k): v[::-1] for k, v in errors.items()},
+        rejected_draws=0,
+    )
+
+
+def test_error_rows_medians_match_numpy():
+    gen = rng(3)
+    errors = {n: list(gen.random(n) * 10.0 ** gen.integers(-6, 1, n)) for n in range(1, 9)}
+    errors[9] = [0.5, float("nan"), 0.1]
+    errors[10] = [0.25, 0.25, 1e-3, 7.0]
+    with pytest.warns(RuntimeWarning):
+        # the empty list: the mean warns and both statistics read nan
+        rows = _result({**errors, 11: []}).error_rows()
+    for n, row in zip([*errors, 11], rows[1:]):
+        ea = np.array(errors.get(n, []), dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = (repr(float(np.median(ea))), repr(float(np.median(ea[::-1]))))
+        assert (row[2], row[4]) == want
+
+
+def test_error_rows_leave_numpy_ma_unloaded():
+    # np.median imports numpy.ma on its first call in a process
+    code = textwrap.dedent(
+        """
+        import sys
+        from btd1.experiment import ExperimentConfig, ExperimentResult
+        cfg = ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), snr_grid=(35.0,), num_trials=1)
+        res = ExperimentResult(cfg, (), {}, {35.0: [0.3, 0.1]}, {35.0: [0.2]}, 0)
+        assert res.error_rows()[1][2] == repr(0.2), res.error_rows()
+        assert "numpy.ma" not in sys.modules
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(btd1.__file__).resolve().parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr

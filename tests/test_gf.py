@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from btd1.gf import (
     verify_generic_q2_dim,
     verify_phi_full_rank,
 )
-from btd1.linalg import rng
+from btd1.linalg import rng, split_columns
 from btd1.minors import build_phi_s2, build_Q2, n_strict, n_sym
-from btd1 import BlockTermDecomposition, compose
+from btd1 import BlockTermDecomposition, compose, random_btd
+from btd1.uniqueness import check_deterministic_uniqueness
 from helpers import loop_gf_matmul, rational_rank
 
 
@@ -329,12 +331,62 @@ def test_planted_deficient_phi_never_certifies(i_dim, j_dim, sizes, compressed):
         a = fld.random(gen, (i_dim, len(sizes)))
         b = fld.random(gen, (j_dim, sum(sizes)))
         b[:, -1] = b[:, -2]
-        return (gf_phi(fld, a, b, sizes),)
+        return a, b, sizes
 
     for field in (None, GFField()):
         res = gf._certify_rank({}, n_cols, build, 1, 0, field, reason="")
         assert res.verdict == "inconclusive"
         assert res.witnessed_rank < n_cols
+
+
+def _row_kronecker(f, s_a, s_b):
+    # row n of S is s_a[n] kron s_b[n]
+    return f.mul(s_a[:, :, None], s_b[:, None, :]).reshape(s_a.shape[0], -1)
+
+
+@pytest.mark.parametrize("p", [101, 32749])
+@pytest.mark.parametrize("sizes", [(2, 2, 3), (1, 3), (3,)])
+def test_phi_sketch_is_row_kronecker_times_phi(p, sizes):
+    f = GFField(p, 1)
+    gen = rng(11)
+    i_dim, j_dim, n_keep = 4, 6, 19
+    a = f.random(gen, (i_dim, len(sizes)))
+    b = f.random(gen, (j_dim, sum(sizes)))
+    s_a = f.random(gen, (n_keep, n_strict(i_dim)))
+    s_b = f.random(gen, (n_keep, n_strict(j_dim)))
+    sketch = gf._phi_sketch(f, s_a, s_b, a, split_columns(b, sizes))
+    phi = gf_phi(f, a, b, sizes)
+    want = GFMatrix(_row_kronecker(f, s_a, s_b), f).matmul(phi).values
+    assert sketch.shape == (n_keep, phi.shape[1])
+    assert np.array_equal(sketch, want)
+
+
+@pytest.mark.parametrize("field", [GFField(101, 1), GFField(32749, 1), GFField()])
+def test_certify_rank_ranks_the_sketch_over_prime_fields_only(field):
+    # a Q2 trial at 4x6x5 (1, 2, 2): Phi has 90 rows, more than the 19 kept
+    dims, sizes, expected = (4, 6, 5), (1, 2, 2), n_sym(5) - 7
+    drawn = {}
+
+    def build(fld, gen):
+        a = fld.random(gen, (dims[0], len(sizes)))
+        b = fld.random(gen, (dims[1], sum(sizes)))
+        c = fld.random(gen, (dims[2], sum(sizes)))
+        drawn.update(a=a, b=b, c=c, gen=gen)
+        return a, b, sizes, GFMatrix(gf_s2(fld, c, sizes).values.T, fld)
+
+    # expected + 1 is never reached, so the single trial reports its rank
+    res = gf._certify_rank({}, expected + 1, build, 1, 3, field, reason="")
+    assert res.verdict == "inconclusive" and res.trials == 1
+    q2 = gf_q2_from_factors(field, drawn["a"], drawn["b"], drawn["c"], sizes)
+    if field.binary:
+        # GF(2^k) ranks Phi S2(C).T whole
+        assert res.witnessed_rank == gf_rank(q2)
+    else:
+        n_keep = expected + 1 + 10
+        s_a = field.random(drawn["gen"], (n_keep, n_strict(dims[0])))
+        s_b = field.random(drawn["gen"], (n_keep, n_strict(dims[1])))
+        s = GFMatrix(_row_kronecker(field, s_a, s_b), field)
+        assert res.witnessed_rank == gf_rank(s.matmul(q2)) == expected
 
 
 def test_certify_8x30x30():
@@ -345,3 +397,24 @@ def test_certify_8x30x30():
     res = verify_phi_full_rank(8, 30, 6, sizes, seed=0)
     assert res.certified and res.expected == 15 * 25
     assert time.monotonic() - start < 10
+
+
+def test_certify_calls_stay_below_6_mb_at_6x20x20():
+    # formed, Phi (2850 x 160), its dense left factor (170 x 2850) and Q2
+    # (2850 x 210) take 3.6-4.8 MB each, and each call peaked at 15-19 MB
+    dims, sizes = (6, 20, 20), (4,) * 5
+    d = random_btd(dims, sizes, seed=0)
+    calls = {
+        "verify_generic_q2_dim": lambda: verify_generic_q2_dim(dims, sizes),
+        "verify_phi_full_rank": lambda: verify_phi_full_rank(6, 20, 5, sizes),
+        "check_deterministic_uniqueness": lambda: check_deterministic_uniqueness(d),
+    }
+    for name, call in calls.items():
+        call()  # fills the pair-index caches
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, (name, peak)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from btd1 import BlockTermDecomposition, DimensionError, Tensor3, compose, random_btd
-from btd1.linalg import null_space, numerical_rank, rng
+from btd1.linalg import DEFAULT_RANK_TOL, null_space, numerical_rank, rng
 from btd1.minors import (
     block_sizes,
     build_PK,
@@ -10,9 +10,14 @@ from btd1.minors import (
     build_Q2,
     compound2,
     n_strict,
+    n_sym,
     phi_columns,
     phi_count_conditions,
     q2_null_dim,
+    q2_rank,
+    q2_row_panels,
+    strict_pairs,
+    sym_pairs,
     symprod,
     total_block_size,
     wedge,
@@ -23,6 +28,9 @@ from helpers import (
     build_R2,
     commutation_matrix,
     golden_integer_instance,
+    integer_btd,
+    loop_minor_matrix_fill,
+    q2_rank_instances,
     rank1_membership,
 )
 
@@ -44,6 +52,38 @@ def test_q2_3x8x8_shape_and_null_dimension():
     q2 = build_Q2(t).Q2
     assert q2.shape == (84, 36)
     assert q2.shape[1] - numerical_rank(q2, tol=1e-8) == 10
+
+
+@pytest.mark.parametrize("name", sorted(q2_rank_instances()))
+@pytest.mark.parametrize("tol", [DEFAULT_RANK_TOL, 1e-8])
+def test_q2_rank_from_panels_equals_the_formed_rank(name, tol):
+    t = compose(q2_rank_instances()[name])
+    assert q2_rank(t, tol) == numerical_rank(build_Q2(t).Q2, tol)
+
+
+def test_q2_rank_sees_the_planted_deficiency():
+    cases = q2_rank_instances()
+    for name in ("real", "complex", "integer", "multi_panel"):
+        assert q2_rank(compose(cases[name + "_deficient"])) < q2_rank(compose(cases[name]))
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_build_q2_panels_equal_the_loop_fill(integer):
+    dims, sizes = (5, 18, 7), (2, 2, 3)
+    d = integer_btd(dims, sizes, seed=3) if integer else random_btd(dims, sizes, seed=3)
+    t = compose(d).values
+    # three whole i-pairs (459 rows) per panel: panels of 3, 3, 3 and 1
+    panels = list(q2_row_panels(t))
+    assert [p.shape[0] for p in panels] == [459, 459, 459, 153]
+    ip1, ip2 = strict_pairs(5)
+    jp1, jp2 = strict_pairs(18)
+    kp1, kp2 = sym_pairs(7)
+    want = np.empty((n_strict(5) * n_strict(18), n_sym(7)), dtype=t.dtype)
+    loop_minor_matrix_fill(t, ip1, ip2, jp1, jp2, kp1, kp2, want)
+    q2 = build_Q2(t).Q2
+    assert q2.dtype == want.dtype
+    assert np.array_equal(q2, want)
+    assert np.array_equal(np.vstack(panels), want)
 
 
 def test_q2_needs_two_rows():

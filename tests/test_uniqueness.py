@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from itertools import combinations
 
 from btd1 import BlockTermDecomposition, compose, random_btd
-from btd1.linalg import numerical_rank, rng
-from btd1.minors import build_Q2
+from btd1 import uniqueness
+from btd1.linalg import DEFAULT_RANK_TOL, numerical_rank, rng
+from btd1.minors import build_Q2, n_sym, q2_null_dim
 from btd1.uniqueness import (
     KRankResult,
     nonuniqueness_family_2x8x7,
@@ -17,7 +19,7 @@ from btd1.uniqueness import (
     parameter_count_S,
 )
 
-from helpers import shared_columns_instance
+from helpers import q2_rank_instances, shared_columns_instance
 
 
 def test_check_necessary_duplicate_term():
@@ -300,3 +302,16 @@ def test_report_serialization():
     import json
 
     json.dumps(payload)
+
+
+@pytest.mark.parametrize("name", sorted(q2_rank_instances()))
+def test_checker_q2_count_matches_the_formed_matrix(name):
+    # the checker ranks Q2 from row panels; the verdict is the one a formed
+    # Q2 gives
+    d = q2_rank_instances()[name]
+    t = compose(d)
+    k_dim = t.dims[2]
+    formed_null = n_sym(k_dim) - numerical_rank(build_Q2(t).Q2, DEFAULT_RANK_TOL)
+    want = formed_null == q2_null_dim(uniqueness._d_values(d))
+    rep = check_deterministic_uniqueness(d, t)
+    assert rep.assumptions["Q2_dim_ok"] is want
