@@ -296,13 +296,13 @@ def _phi_sketch(f, s_a, s_b, a, b_blocks):
     (r1, r2) is the rowwise product (s_a (a_r1 wedge a_r2)) * (s_b (B_r1
     wedge B_r2)); blocks and columns are ordered as in
     :func:`btd1.minors.phi_matrix`."""
-    block = _exact_block(f.p)
+    s_a, s_b = GFMatrix(s_a, f), GFMatrix(s_b, f)
     cols = [np.zeros((s_a.shape[0], 0), dtype=np.int64)]
     for r1, r2 in zip(*strict_pairs(len(b_blocks))):
         wa = _pair_block(f, a[:, r1 : r1 + 1], a[:, r2 : r2 + 1], wedge=True)
         wb = _pair_block(f, b_blocks[r1], b_blocks[r2], wedge=True)
-        sa = _matmul_mod_p(s_a, wa, f.p, block)
-        cols.append(sa * _matmul_mod_p(s_b, wb, f.p, block) % f.p)
+        sa = s_a.matmul(GFMatrix(wa, f)).values
+        cols.append(sa * s_b.matmul(GFMatrix(wb, f)).values % f.p)
     return np.hstack(cols)
 
 

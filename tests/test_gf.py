@@ -344,9 +344,10 @@ def _row_kronecker(f, s_a, s_b):
     return f.mul(s_a[:, :, None], s_b[:, None, :]).reshape(s_a.shape[0], -1)
 
 
-@pytest.mark.parametrize("p", [101, 32749])
+@pytest.mark.parametrize("p", [101, 32749, 2147483647])
 @pytest.mark.parametrize("sizes", [(2, 2, 3), (1, 3), (3,)])
 def test_phi_sketch_is_row_kronecker_times_phi(p, sizes):
+    # 2^31 - 1 is above the float-exact range, so products take the loop path
     f = GFField(p, 1)
     gen = rng(11)
     i_dim, j_dim, n_keep = 4, 6, 19
@@ -361,7 +362,9 @@ def test_phi_sketch_is_row_kronecker_times_phi(p, sizes):
     assert np.array_equal(sketch, want)
 
 
-@pytest.mark.parametrize("field", [GFField(101, 1), GFField(32749, 1), GFField()])
+@pytest.mark.parametrize(
+    "field", [GFField(101, 1), GFField(32749, 1), GFField(2147483647, 1), GFField()]
+)
 def test_certify_rank_ranks_the_sketch_over_prime_fields_only(field):
     # a Q2 trial at 4x6x5 (1, 2, 2): Phi has 90 rows, more than the 19 kept
     dims, sizes, expected = (4, 6, 5), (1, 2, 2), n_sym(5) - 7

@@ -31,6 +31,18 @@ def test_minor_fill_paths_agree(dtype):
     else:
         # complex products may round differently between the two paths
         assert np.allclose(out_a, out_b, atol=1e-13, rtol=1e-13)
+    # the four-term sum in one expression over (rows, n_sym(K)) gathers: the
+    # kernel's staged products must give the same bits, complex included
+    i1, i2 = np.repeat(ip1, jp1.size)[:, None], np.repeat(ip2, jp1.size)[:, None]
+    j1, j2 = np.tile(jp1, ip1.size)[:, None], np.tile(jp2, ip1.size)[:, None]
+    k1, k2 = kp1[None, :], kp2[None, :]
+    want = (
+        t[i1, j1, k1] * t[i2, j2, k2]
+        + t[i1, j1, k2] * t[i2, j2, k1]
+        - t[i1, j2, k1] * t[i2, j1, k2]
+        - t[i1, j2, k2] * t[i2, j1, k1]
+    )
+    assert np.array_equal(out_b.view(np.uint8), want.view(np.uint8))
 
 
 def test_gf2k_elimination_paths_agree():
