@@ -86,10 +86,13 @@ def generate(dims, sizes, field_tag, seed, snr, out, truth_out):
     """Write a synthetic tensor (BTD1) and its ground-truth decomposition."""
     dims = _parse_dims(dims)
     sizes = _parse_sizes(sizes)
+    snr_db = _parse_snr(snr)
+    if len(snr_db) != 1:
+        raise click.BadParameter(f"generate takes one SNR value, got {snr!r}")
     try:
         truth = random_btd(dims, sizes, field=field_tag, seed=seed)
         t = compose(truth)
-        t = add_noise(t, NoiseSpec(snr_db=_parse_snr(snr)[0], seed=seed + 1))
+        t = add_noise(t, NoiseSpec(snr_db=snr_db[0], seed=seed + 1))
         fileio.write_tensor(out, t)
         if truth_out is None:
             truth_out = out.rsplit(".", 1)[0] + ".truth.json"

@@ -42,16 +42,15 @@ import numpy as np
 from . import _kernels
 from .linalg import DimensionError, rng, split_columns
 from .minors import (
-    _pair_block,
     block_sizes,
     n_strict,
     n_sym,
     phi_columns,
     phi_count_conditions,
     phi_matrix,
+    phi_pair_wedges,
     q2_null_dim,
     s2_matrix,
-    strict_pairs,
 )
 
 __all__ = [
@@ -285,6 +284,7 @@ def gf_s2(f, c, sizes):
     return GFMatrix(s2_matrix(split_columns(c, sizes), f), f)
 
 
+# only the tests call this, but perfbench/tracing.py hooks it by name
 def gf_q2_from_factors(f, a, b, c, sizes):
     """Q2 of the composed tensor, computed in-field as Phi(A, B) S2(C).T."""
     return gf_phi(f, a, b, sizes).matmul(GFMatrix(gf_s2(f, c, sizes).values.T, f))
@@ -294,13 +294,11 @@ def _phi_sketch(f, s_a, s_b, a, b_blocks):
     """S Phi(A, B) over a prime field for the S whose row n is
     s_a[n] kron s_b[n], without forming S or Phi.  The block of term pair
     (r1, r2) is the rowwise product (s_a (a_r1 wedge a_r2)) * (s_b (B_r1
-    wedge B_r2)); blocks and columns are ordered as in
-    :func:`btd1.minors.phi_matrix`."""
+    wedge B_r2)), over the pairs of :func:`btd1.minors.phi_pair_wedges` in
+    the block order of :func:`btd1.minors.phi_matrix`."""
     s_a, s_b = GFMatrix(s_a, f), GFMatrix(s_b, f)
     cols = [np.zeros((s_a.shape[0], 0), dtype=np.int64)]
-    for r1, r2 in zip(*strict_pairs(len(b_blocks))):
-        wa = _pair_block(f, a[:, r1 : r1 + 1], a[:, r2 : r2 + 1], wedge=True)
-        wb = _pair_block(f, b_blocks[r1], b_blocks[r2], wedge=True)
+    for wa, wb in phi_pair_wedges(a, b_blocks, f):
         sa = s_a.matmul(GFMatrix(wa, f)).values
         cols.append(sa * s_b.matmul(GFMatrix(wb, f)).values % f.p)
     return np.hstack(cols)

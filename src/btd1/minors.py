@@ -11,21 +11,25 @@ All index pairs — (i1 < i2), (j1 < j2) for rows, (k1 <= k2) for columns,
 and the entries of wedge / symmetric products — are enumerated in one place
 (:func:`strict_pairs` / :func:`sym_pairs`, with :func:`sym_pair_position`
 as the inverse table), in lexicographic order.  The wedge and symmetric
-products and the factor matrices ``Phi(A, B)`` and ``S2(C)`` are built here
-once, for every arithmetic: :func:`phi_matrix` and :func:`s2_matrix` take
-an object with ``mul``/``add``/``sub`` methods: numpy's own arithmetic
-for real and complex factors, a ``btd1.gf.GFField`` over finite fields.  That keeps the
-factorization ``Q2 = Phi(A, B) @ S2(C).T`` exact entry for entry in both.
+products of factor blocks and the factor matrices ``Phi(A, B)`` and
+``S2(C)`` are built here once, for every arithmetic: :func:`phi_matrix` and
+:func:`s2_matrix` take an object with ``mul``/``add``/``sub`` methods:
+numpy's own arithmetic for real and complex factors, a ``btd1.gf.GFField``
+over finite fields.  That keeps the factorization
+``Q2 = Phi(A, B) @ S2(C).T`` exact entry for entry in both.  Phi's
+term-pair layout lives in :func:`phi_pair_wedges` alone; :func:`phi_matrix`
+and the finite-field sketch in :mod:`btd1.gf` both consume it.  The
+selector ``PK``, the vector wedge and symmetric products and the second
+compound matrix are identities the test suite checks against these
+builders; the package itself never forms them.
 
 Every other module reads the method's structural counts from here: pair
 counts, block sizes d_r = K - sum L + L_r, Q = sum binom(d_r+1, 2) and the
 column count of Phi(A, B) with its two count conditions.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,18 +48,13 @@ __all__ = [
     "phi_columns",
     "phi_count_conditions",
     "MinorMatrixSet",
-    "FactorMinorForm",
     "build_Q2",
     "q2_row_panels",
     "q2_rank",
-    "build_PK",
     "sym_pair_position",
-    "wedge",
-    "symprod",
+    "phi_pair_wedges",
     "phi_matrix",
     "s2_matrix",
-    "build_phi_s2",
-    "compound2",
 ]
 
 
@@ -138,17 +137,6 @@ class MinorMatrixSet:
         pos = sym_pair_position(self.K)
         scale = np.where(np.eye(self.K, dtype=bool), 1.0, 0.5)
         return [g[pos, q] * scale for q in range(g.shape[1])]
-
-
-@dataclass(frozen=True)
-class FactorMinorForm:
-    """Factored form of Q2: wedge part Phi(A, B) and symmetric part S2(C)."""
-
-    Phi: np.ndarray
-    S2: np.ndarray
-
-    def product(self):
-        return self.Phi @ self.S2.T
 
 
 # rows of Q2 per panel: whole i-pairs, as many as fit (at least one).  At
@@ -234,23 +222,6 @@ def sym_pair_position(k):
     return pos
 
 
-def build_PK(k):
-    """Binary K^2 x binom(K+1,2) selector with R2 = Q2 @ PK.T.
-
-    Row k1*K + k2 has its single 1 in the column of the unordered pair
-    {k1, k2}.
-    """
-    if k < 1:
-        raise DimensionError("K must be positive")
-    pk = np.zeros((k * k, n_sym(k)))
-    pk[np.arange(k * k), sym_pair_position(k).ravel()] = 1.0
-    return pk
-
-
-# numpy's own arithmetic under the method names of ``btd1.gf.GFField``
-_NUMPY = SimpleNamespace(mul=operator.mul, add=operator.add, sub=operator.sub)
-
-
 def _pair_block(field, x, y, wedge):
     """Columnwise wedge (x_p y_q - x_q y_p over p < q) or symmetric product
     (x_p y_q + x_q y_p over p <= q) of two blocks in ``field``'s arithmetic,
@@ -264,38 +235,28 @@ def _pair_block(field, x, y, wedge):
     return out.reshape(p.size, x.shape[1] * y.shape[1])
 
 
-def _vector_pair(x, y, wedge):
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError("needs two vectors of equal length")
-    return _pair_block(_NUMPY, x[:, None], y[:, None], wedge)[:, 0]
-
-
-def wedge(x, y):
-    """All 2 x 2 minors of [x y]: entries x_p y_q - x_q y_p over pairs p < q."""
-    return _vector_pair(x, y, wedge=True)
-
-
-def symprod(x, y):
-    """All 2 x 2 permanents of [x y]: entries x_p y_q + x_q y_p over p <= q."""
-    return _vector_pair(x, y, wedge=False)
-
-
 def _stack_pairs(cols, n_rows, blocks):
     if not cols:
         return np.zeros((n_rows, 0), dtype=np.result_type(*blocks))
     return np.hstack(cols)
 
 
-def phi_matrix(a, b_blocks, field):
-    """Phi(A, B): blocks (a_r1 wedge a_r2) kron (B_r1 wedge B_r2) over term
-    pairs r1 < r2 in lexicographic order, the (l1, l2) columns of a block
-    enumerated l2 fastest; products go through ``field``."""
-    cols = []
+def phi_pair_wedges(a, b_blocks, field):
+    """Per term pair r1 < r2 in lexicographic order, the two wedge blocks
+    (a_r1 wedge a_r2, B_r1 wedge B_r2) whose Kronecker product is that
+    pair's block of Phi(A, B), yielded one pair at a time; products go
+    through ``field``."""
     for r1, r2 in zip(*strict_pairs(len(b_blocks))):
         wa = _pair_block(field, a[:, r1 : r1 + 1], a[:, r2 : r2 + 1], wedge=True)
-        wb = _pair_block(field, b_blocks[r1], b_blocks[r2], wedge=True)
+        yield wa, _pair_block(field, b_blocks[r1], b_blocks[r2], wedge=True)
+
+
+def phi_matrix(a, b_blocks, field):
+    """Phi(A, B): blocks (a_r1 wedge a_r2) kron (B_r1 wedge B_r2) from
+    :func:`phi_pair_wedges`, the (l1, l2) columns of a block enumerated l2
+    fastest; products go through ``field``."""
+    cols = []
+    for wa, wb in phi_pair_wedges(a, b_blocks, field):
         kron = field.mul(wa[:, :, None], wb[None])
         cols.append(kron.reshape(wa.shape[0] * wb.shape[0], wb.shape[1]))
     n_rows = n_strict(a.shape[0]) * n_strict(b_blocks[0].shape[0])
@@ -310,27 +271,3 @@ def s2_matrix(c_blocks, field):
         for r1, r2 in zip(*strict_pairs(len(c_blocks)))
     ]
     return _stack_pairs(cols, n_sym(c_blocks[0].shape[0]), c_blocks)
-
-
-def build_phi_s2(d):
-    """Factored minor form of a decomposition, with
-    Phi @ S2.T == Q2(compose(d)): see :func:`phi_matrix` and
-    :func:`s2_matrix`."""
-    return FactorMinorForm(
-        Phi=phi_matrix(d.A, [b for b, _ in d.terms], _NUMPY),
-        S2=s2_matrix([c for _, c in d.terms], _NUMPY),
-    )
-
-
-def compound2(m):
-    """Second compound matrix: all 2 x 2 minors, pairs enumerated as in
-    :func:`wedge` so that the Binet-Cauchy identity
-    compound2(Y) @ compound2(B) == compound2(Y @ B) holds."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 2:
-        raise DimensionError("compound2 needs at least 2 rows and 2 columns")
-    rp, rq = strict_pairs(m.shape[0])
-    cp, cq = strict_pairs(m.shape[1])
-    return (
-        m[rp][:, cp] * m[rq][:, cq] - m[rp][:, cq] * m[rq][:, cp]
-    )

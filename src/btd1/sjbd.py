@@ -47,7 +47,6 @@ from .linalg import (
     randn,
     rank_cut,
     rng,
-    split_columns,
 )
 from .minors import q2_null_dim
 
@@ -133,9 +132,6 @@ class SJBDSolution:
     N: np.ndarray
     d: tuple
     diagnostics: dict = field(default_factory=dict)
-
-    def blocks(self):
-        return split_columns(self.N, self.d)
 
 
 def build_commutant_matrix(v_list):

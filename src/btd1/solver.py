@@ -523,16 +523,23 @@ def decompose(t, opts=None):
     and the applicable Phase II case, estimate the term sizes, and report.
 
     Exact mode compresses to the numerical rank, scenario 2 to ``known_sum_L``
-    when K exceeds it.  Case selection prefers Case 1 over Case 2 over Case 3.
+    when K exceeds it (a ``known_sum_L`` above I J is then refused).  Case
+    selection prefers Case 1 over Case 2 over Case 3.
     """
     opts = opts or SolverOptions()
-    i_dim, _, k_dim = t.dims
+    i_dim, j_dim, k_dim = t.dims
     diag = {}
     if not np.any(t.values):
         raise SolverDiagnostic("zero tensor has no block-term decomposition", {})
 
     original = t
     to_known = opts.mode == "noisy_scenario2" and k_dim > opts.known_sum_L
+    if to_known and opts.known_sum_L > i_dim * j_dim:
+        raise SolverDiagnostic(
+            f"known_sum_L = {opts.known_sum_L} exceeds I J = {i_dim * j_dim}; the "
+            "third mode cannot be compressed to more than I J directions",
+            {"known_sum_L": opts.known_sum_L, "IJ": i_dim * j_dim},
+        )
     if not opts.noisy or to_known:
         compressed, _, r3 = compress_third_mode(
             t, tol=opts.tol, dim=opts.known_sum_L if to_known else None

@@ -1,7 +1,10 @@
-"""Shared test utilities: brute-force oracles and reference instances."""
+"""Shared test utilities: brute-force oracles, reference instances, the
+algebraic identity helpers and the nonuniqueness witnesses."""
 
 import itertools
+import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -13,12 +16,22 @@ from btd1.linalg import (
     cond,
     khatri_rao,
     lstsq,
+    numerical_rank,
     randn,
     rank_cut,
     rng,
     split_columns,
 )
-from btd1.minors import build_PK, n_sym, strict_pairs, sym_pair_position
+from btd1.minors import n_sym, strict_pairs, sym_pair_position, sym_pairs
+from btd1.uniqueness import (
+    SUBSET_CAP,
+    _and,
+    _at_least,
+    _equals_rank,
+    _or,
+    k_prime_rank,
+    k_rank,
+)
 
 
 def naive_compose(a, terms):
@@ -510,3 +523,207 @@ def rank1_membership(t, f, tol=DEFAULT_RANK_TOL, return_both=False):
     if return_both:
         return direct, via_minors
     return direct
+
+
+# numpy's own arithmetic under the method names of ``btd1.gf.GFField``: the
+# ``field`` argument of ``btd1.minors.phi_matrix`` and ``s2_matrix`` for real
+# and complex factors
+NUMPY = SimpleNamespace(mul=operator.mul, add=operator.add, sub=operator.sub)
+
+
+def build_PK(k):
+    """Binary K^2 x binom(K+1,2) selector with R2 = Q2 @ PK.T.
+
+    Row k1*K + k2 has its single 1 in the column of the unordered pair
+    {k1, k2}.
+    """
+    if k < 1:
+        raise DimensionError("K must be positive")
+    pk = np.zeros((k * k, n_sym(k)))
+    pk[np.arange(k * k), sym_pair_position(k).ravel()] = 1.0
+    return pk
+
+
+def _vector_pair(x, y, pairs):
+    """The products x_p y_q and x_q y_p over the index pairs ``pairs(n)``."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.shape != y.shape or x.ndim != 1:
+        raise DimensionError("needs two vectors of equal length")
+    p, q = pairs(x.size)
+    return x[p] * y[q], x[q] * y[p]
+
+
+def wedge(x, y):
+    """All 2 x 2 minors of [x y]: entries x_p y_q - x_q y_p over pairs p < q."""
+    xy, yx = _vector_pair(x, y, strict_pairs)
+    return xy - yx
+
+
+def symprod(x, y):
+    """All 2 x 2 permanents of [x y]: entries x_p y_q + x_q y_p over p <= q."""
+    xy, yx = _vector_pair(x, y, sym_pairs)
+    return xy + yx
+
+
+def compound2(m):
+    """Second compound matrix: all 2 x 2 minors, pairs enumerated as in
+    :func:`wedge` so that the Binet-Cauchy identity
+    compound2(Y) @ compound2(B) == compound2(Y @ B) holds."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 2:
+        raise DimensionError("compound2 needs at least 2 rows and 2 columns")
+    rp, rq = strict_pairs(m.shape[0])
+    cp, cq = strict_pairs(m.shape[1])
+    return m[rp][:, cp] * m[rq][:, cq] - m[rp][:, cq] * m[rq][:, cp]
+
+
+def check_rank_only_uniqueness(d, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
+    """Uniqueness via ranks only: r_C >= sum L_r - min L_r + 1,
+    k'_B >= R - r_A + 2, k_A >= 2, and either r_A = R or
+    (k_A = r_A < R and k'_C >= R - r_A + 2)."""
+    sizes = d.sizes
+    sum_l = sum(sizes)
+    r = d.R
+    rc = numerical_rank(d.C, tol=tol)
+    ra = numerical_rank(d.A, tol=tol)
+    ka = k_rank(d.A, tol=tol, cap=cap)
+    kb = k_prime_rank([b for b, _ in d.terms], tol=tol, cap=cap)
+    kc = k_prime_rank([c for _, c in d.terms], tol=tol, cap=cap)
+    need = r - ra + 2
+    first = _and(
+        rc >= sum_l - min(sizes) + 1,
+        _at_least(kb, need),
+        _at_least(ka, 2),
+    )
+    branch_full = ra == r
+    branch_k = _and(_equals_rank(ka, ra), ra < r, _at_least(kc, need))
+    return _and(first, _or(branch_full, branch_k))
+
+
+def nonuniqueness_family_2x8x7(p1, p2, params=None, seed=0):
+    """A member of the two-parameter family of alternative decompositions of
+    the canonical 2 x 8 x 7 tensor built from three rank-3 terms.
+
+    ``params`` may fix the defining data (d: 2-vector, f: 8-vector, g and h:
+    7-vectors); by default they are drawn from the given seed.  Returns the
+    alternative decomposition (a BlockTermDecomposition whose three term
+    matrices have rank at most 3) together with the canonical tensor it
+    reconstructs.  Raises ZeroDivisionError-like errors when the family
+    parameters hit the excluded divisor set (alpha or delta zero).
+    """
+    if params is None:
+        gen = rng(seed)
+        params = {
+            "d": gen.standard_normal(2),
+            "f": gen.standard_normal(8),
+            "g": gen.standard_normal(7),
+            "h": gen.standard_normal(7),
+        }
+    d1, d2 = (float(x) for x in np.asarray(params["d"]))
+    f = np.asarray(params["f"], dtype=float)
+    g = np.asarray(params["g"], dtype=float)
+    h = np.asarray(params["h"], dtype=float)
+    if f.shape != (8,) or g.shape != (7,) or h.shape != (7,):
+        raise DimensionError("need f of length 8 and g, h of length 7")
+
+    eye8 = np.eye(8)
+    eye7 = np.eye(7)
+    e = lambda i: eye7[:, i - 1]
+
+    a_hat = np.array([[d1, 1.0, 0.0], [d2, 0.0, 1.0]])
+    b_hat = np.hstack([f[:, None], eye8])  # 8 x 9
+    c_hat = np.column_stack(
+        [e(1), e(2), e(3), e(4), e(5), g, e(6), e(7), h]
+    )  # 7 x 9
+    blocks = [(b_hat[:, 0:3], c_hat[:, 0:3]), (b_hat[:, 3:6], c_hat[:, 3:6]), (b_hat[:, 6:9], c_hat[:, 6:9])]
+    canonical = BlockTermDecomposition(a_hat, tuple(blocks))
+    t_hat = compose(canonical)
+
+    f1, f2, f3, f4, f5, f6, f7, f8 = f
+    g1, g2, g3, g4, g5, g6, g7 = g
+    h1, h2, h3, h4, h5, h6, h7 = h
+    alpha = (f1 * g2 - g1 + f2 * g3) * p1 + (f1 * h2 - h1 + f2 * h3) * p2 + 1.0
+    beta = (f3 * g4 - f5 + f4 * g5) * d1 * p1 + (f3 * h4 + f4 * h5) * d1 * p2
+    gamma = (f6 * g6 + f7 * g7) * d2 * p1 + (f6 * h6 - f8 + f7 * h7) * d2 * p2
+    delta = beta + alpha - gamma * alpha
+    if alpha == 0 or delta == 0:
+        raise ZeroDivisionError("family parameters hit alpha = 0 or delta = 0")
+    tau1 = -p1 * gamma / delta
+    tau2 = -p2 * beta / delta
+    tau3 = (p2 + tau2) / alpha
+    tau4 = alpha * tau1 - p1
+    q1 = h1 * tau3 + g1 * tau1 + 1.0
+    q2 = h1 * tau2 + g1 * tau4 + 1.0
+    r1 = h2 * tau3 + g2 * tau1
+    r2 = h2 * tau2 + g2 * tau4
+    s1 = h3 * tau3 + g3 * tau1
+    s2 = h3 * tau2 + g3 * tau4
+    tt = h4 * p2 / delta
+    uu = h5 * p2 / delta
+    vv = -g6 * p1 / delta
+    ww = -g7 * p1 / delta
+
+    e1_rows = [
+        [f1, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [f2, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+    for fv in (f3, f4, f5):
+        e1_rows.append([fv * q1, fv * r1, fv * s1, fv * tt, fv * uu, fv * vv, fv * ww])
+    for fv in (f6, f7, f8):
+        e1_rows.append(
+            [
+                fv * q2,
+                fv * r2,
+                fv * s2,
+                fv * tt * alpha,
+                fv * uu * alpha,
+                fv * vv * alpha,
+                fv * ww * alpha,
+            ]
+        )
+    e1 = np.array(e1_rows)
+    h_slices = t_hat.values
+    e2 = h_slices[0] - d1 * e1
+    e3 = h_slices[1] - d2 * e1
+
+    a_alt = np.array([[d1, 1.0, 0.0], [d2, 0.0, 1.0]])
+    terms = []
+    for e_mat in (e1, e2, e3):
+        u, s, vh = np.linalg.svd(e_mat, full_matrices=False)
+        terms.append((u[:, :3] * s[:3], vh[:3].conj().T))
+    alternative = BlockTermDecomposition(a_alt, tuple(terms))
+    return alternative, t_hat, (e1, e2, e3)
+
+
+def two_term_alternatives(a1, a2, b1, b2, b3, b4, c1, c2, c3, c4):
+    """The two closed-form alternative decompositions of the two-term tensor
+    a1 o (b1 c1.T + b2 c2.T + b3 c3.T) + a2 o (b1 c1.T + b2 c2.T + b4 c4.T).
+
+    Returns (t2, alt1, alt2).
+    """
+    vecs = [np.asarray(v, dtype=float) for v in (a1, a2, b1, b2, b3, b4, c1, c2, c3, c4)]
+    a1, a2, b1, b2, b3, b4, c1, c2, c3, c4 = vecs
+    base = BlockTermDecomposition(
+        np.column_stack([a1, a2]),
+        (
+            (np.column_stack([b1, b2, b3]), np.column_stack([c1, c2, c3])),
+            (np.column_stack([b1, b2, b4]), np.column_stack([c1, c2, c4])),
+        ),
+    )
+    t2 = compose(base)
+    alt1 = BlockTermDecomposition(
+        np.column_stack([a1, a1 + a2]),
+        (
+            (np.column_stack([b3, b4]), np.column_stack([c3, -c4])),
+            (np.column_stack([b1, b2, b4]), np.column_stack([c1, c2, c4])),
+        ),
+    )
+    alt2 = BlockTermDecomposition(
+        np.column_stack([a1 + a2, -a2]),
+        (
+            (np.column_stack([b1, b2, b3]), np.column_stack([c1, c2, c3])),
+            (np.column_stack([b3, b4]), np.column_stack([c3, -c4])),
+        ),
+    )
+    return t2, base, alt1, alt2

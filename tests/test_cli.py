@@ -53,6 +53,7 @@ def test_generate_bad_sizes_exit_2(runner, tmp_path):
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "nan"],
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "45,-inf"],
         ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "-inf"],
+        ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "35,50"],
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--evd-variant", "cpd"],
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--omega", "2"],
     ],
@@ -64,6 +65,7 @@ def test_generate_bad_sizes_exit_2(runner, tmp_path):
         "experiment-snr-nan",
         "experiment-snr-minus-inf",
         "generate-snr-minus-inf",
+        "generate-snr-two-values",
         "experiment-evd-variant",
         "experiment-omega",
     ],
@@ -218,6 +220,18 @@ def test_decompose_diagnostic_exit_3(runner, tmp_path):
     assert res.exit_code == 3
     payload = json.loads(res.output)
     assert "diagnostic" in payload
+
+
+def test_decompose_scenario2_known_sum_l_above_ij_exit_3(runner, tmp_path):
+    # K = 6 > known sum L = 5 > I J = 4 is a solver diagnostic, not a raw
+    # reshape error
+    out = tmp_path / "t.btd1"
+    runner.invoke(main, ["generate", "--dims", "2,2,6", "--sizes", "1,1", "--out", str(out)])
+    res = runner.invoke(
+        main, ["decompose", str(out), "--mode", "scenario2", "--known-r", "3", "--known-suml", "5"]
+    )
+    assert res.exit_code == 3, res.output
+    assert json.loads(res.output)["details"] == {"known_sum_L": 5, "IJ": 4}
 
 
 def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, monkeypatch):

@@ -16,10 +16,10 @@ from btd1.gf import (
     verify_phi_full_rank,
 )
 from btd1.linalg import rng, split_columns
-from btd1.minors import build_phi_s2, build_Q2, n_strict, n_sym
+from btd1.minors import build_Q2, n_strict, n_sym, phi_matrix, s2_matrix
 from btd1 import BlockTermDecomposition, compose, random_btd
 from btd1.uniqueness import check_deterministic_uniqueness
-from helpers import loop_gf_matmul, rational_rank
+from helpers import NUMPY, loop_gf_matmul, rational_rank
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +105,12 @@ def test_gf_phi_matches_integer_construction():
     c_int = gen.integers(0, 5, size=(4, 3))
     terms = ((b_int[:, :1], c_int[:, :1]), (b_int[:, 1:], c_int[:, 1:]))
     d = BlockTermDecomposition(a_int.astype(np.int64), tuple((b.astype(np.int64), c.astype(np.int64)) for b, c in terms))
-    fm = build_phi_s2(d)
+    phi = phi_matrix(d.A, [b for b, _ in d.terms], NUMPY)
+    s2 = s2_matrix([c for _, c in d.terms], NUMPY)
     phi_gf = gf_phi(f, a_int % p, b_int % p, sizes)
     s2_gf = gf_s2(f, c_int % p, sizes)
-    assert np.array_equal(phi_gf.values, fm.Phi % p)
-    assert np.array_equal(s2_gf.values, fm.S2 % p)
+    assert np.array_equal(phi_gf.values, phi % p)
+    assert np.array_equal(s2_gf.values, s2 % p)
     q2_gf = gf_q2_from_factors(f, a_int % p, b_int % p, c_int % p, sizes)
     q2_int = build_Q2(compose(d)).Q2
     assert np.array_equal(q2_gf.values, q2_int % p)

@@ -1,37 +1,39 @@
 import numpy as np
 import pytest
 
-from btd1 import BlockTermDecomposition, DimensionError, Tensor3, compose, random_btd
+from btd1 import DimensionError, Tensor3, compose, random_btd
 from btd1.linalg import DEFAULT_RANK_TOL, null_space, numerical_rank, rng
 from btd1.minors import (
     block_sizes,
-    build_PK,
-    build_phi_s2,
     build_Q2,
-    compound2,
     n_strict,
     n_sym,
     phi_columns,
     phi_count_conditions,
+    phi_matrix,
     q2_null_dim,
     q2_rank,
     q2_row_panels,
+    s2_matrix,
     strict_pairs,
     sym_pairs,
-    symprod,
     total_block_size,
-    wedge,
 )
 from helpers import (
     GOLDEN_Q2_3x3x5,
+    NUMPY,
     build_D,
+    build_PK,
     build_R2,
     commutation_matrix,
+    compound2,
     golden_integer_instance,
     integer_btd,
     loop_minor_matrix_fill,
     q2_rank_instances,
     rank1_membership,
+    symprod,
+    wedge,
 )
 
 
@@ -142,14 +144,15 @@ def test_block_products_column_order():
     a = gen.standard_normal((3, 2))
     bi, bj = gen.standard_normal((5, 2)), gen.standard_normal((5, 3))
     ci, cj = gen.standard_normal((4, 2)), gen.standard_normal((4, 3))
-    form = build_phi_s2(BlockTermDecomposition(a, ((bi, ci), (bj, cj))))
+    phi = phi_matrix(a, [bi, bj], NUMPY)
+    s2 = s2_matrix([ci, cj], NUMPY)
     wa = wedge(a[:, 0], a[:, 1])
     # column (l1, l2) of the one term-pair block, l2 fastest
     for l1 in range(2):
         for l2 in range(3):
             col = l1 * 3 + l2
-            assert np.allclose(form.Phi[:, col], np.kron(wa, wedge(bi[:, l1], bj[:, l2])))
-            assert np.allclose(form.S2[:, col], symprod(ci[:, l1], cj[:, l2]))
+            assert np.allclose(phi[:, col], np.kron(wa, wedge(bi[:, l1], bj[:, l2])))
+            assert np.allclose(s2[:, col], symprod(ci[:, l1], cj[:, l2]))
 
 
 def test_phi_s2_factorization_random():
@@ -158,8 +161,9 @@ def test_phi_s2_factorization_random():
         sizes = tuple(gen.integers(1, 3, size=3))
         d = random_btd((3, 4, 5), sizes, seed=seed + 100)
         q2 = build_Q2(compose(d)).Q2
-        fm = build_phi_s2(d)
-        assert np.linalg.norm(fm.product() - q2) <= 1e-10 * max(np.linalg.norm(q2), 1.0)
+        phi = phi_matrix(d.A, [b for b, _ in d.terms], NUMPY)
+        s2 = s2_matrix([c for _, c in d.terms], NUMPY)
+        assert np.linalg.norm(phi @ s2.T - q2) <= 1e-10 * max(np.linalg.norm(q2), 1.0)
 
 
 def test_phi_s2_repeated_a_column_zero_block():
@@ -167,28 +171,29 @@ def test_phi_s2_repeated_a_column_zero_block():
     a = gen.standard_normal((4, 3))
     a[:, 1] = a[:, 0]
     terms = tuple((gen.standard_normal((5, 2)), gen.standard_normal((6, 2))) for _ in range(3))
-    d = BlockTermDecomposition(a, terms)
-    fm = build_phi_s2(d)
+    phi = phi_matrix(a, [b for b, _ in terms], NUMPY)
     # block (0, 1) is the first 4 columns under lexicographic pair order
-    assert np.allclose(fm.Phi[:, :4], 0.0, atol=1e-12)
+    assert np.allclose(phi[:, :4], 0.0, atol=1e-12)
 
 
 def test_phi_s2_3x3x5_column_count_and_rank():
     d = golden_integer_instance()
-    fm = build_phi_s2(d)
+    phi = phi_matrix(d.A, [b for b, _ in d.terms], NUMPY)
+    s2 = s2_matrix([c for _, c in d.terms], NUMPY)
     sizes = d.sizes
     expected_cols = sum(
         sizes[r1] * sizes[r2] for r1 in range(4) for r2 in range(r1 + 1, 4)
     )
-    assert fm.Phi.shape[1] == expected_cols == 9
+    assert phi.shape[1] == expected_cols == 9
     # the product has exactly nine linearly independent (nonzero) columns
-    assert numerical_rank(fm.product().astype(float)) == 9
+    assert numerical_rank((phi @ s2.T).astype(float)) == 9
 
 
 def test_phi_s2_single_term_degenerate():
     d = random_btd((3, 4, 4), (2,), seed=0)
-    fm = build_phi_s2(d)
-    assert fm.Phi.shape[1] == 0 and fm.S2.shape[1] == 0
+    phi = phi_matrix(d.A, [b for b, _ in d.terms], NUMPY)
+    s2 = s2_matrix([c for _, c in d.terms], NUMPY)
+    assert phi.shape[1] == 0 and s2.shape[1] == 0
 
 
 def test_s2_null_dimension_counts_blocks():
@@ -199,8 +204,8 @@ def test_s2_null_dimension_counts_blocks():
         sizes = [(1, 2), (2, 2), (1, 2, 3), (3, 3)][seed % 4]
         k = sum(sizes)
         d = random_btd((3, k, k), sizes, seed=seed + 50)
-        fm = build_phi_s2(d)
-        null_dim = fm.S2.shape[0] - numerical_rank(fm.S2.T)
+        s2 = s2_matrix([c for _, c in d.terms], NUMPY)
+        null_dim = s2.shape[0] - numerical_rank(s2.T)
         assert null_dim == sum(l * (l + 1) // 2 for l in sizes)
 
 
@@ -344,12 +349,13 @@ def test_phi_counts_match_the_factor_matrix():
     for seed in range(12):
         gen = rng(seed)
         sizes = tuple(int(x) for x in gen.integers(1, 4, size=int(gen.integers(1, 5))))
-        form = build_phi_s2(random_btd((3, 6, 7), sizes, seed=seed))
+        d = random_btd((3, 6, 7), sizes, seed=seed)
+        phi = phi_matrix(d.A, [b for b, _ in d.terms], NUMPY)
         n_cols = phi_columns(sizes)
         assert n_cols == sum(
             sizes[r1] * sizes[r2] for r1 in range(len(sizes)) for r2 in range(r1 + 1, len(sizes))
         )
-        assert form.Phi.shape == (n_strict(3) * n_strict(6), n_cols)
+        assert phi.shape == (n_strict(3) * n_strict(6), n_cols)
     # rows 3 * 15 = 45 against 2*3 + 2*4 + 3*4 = 26 columns; J = 6 < 3 + 4
     assert phi_count_conditions(3, 6, (2, 3, 4)) == (True, False)
     # rows 3 * 28 = 84 against 6 * 9 = 54 columns; J = 8 >= 3 + 3

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -43,6 +44,54 @@ def test_benchmark_trace_hooks_resolve():
     missing = [(h, a) for h, a in hooks if not hasattr(importlib.import_module(h), a)]
     assert not missing
     assert callable(importlib.import_module("btd1.gf").GFMatrix.matmul)
+
+
+class _NamesRead(ast.NodeVisitor):
+    """Names a module reads: bare names that are not a parameter of an
+    enclosing function, attribute names, and names in ``from ... import``
+    lists."""
+
+    def __init__(self):
+        self.names = set()
+        self._params = []
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        self._params.append({a.arg for a in every if a is not None})
+        self.generic_visit(node)
+        self._params.pop()
+
+    visit_Lambda = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and not any(node.id in p for p in self._params):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        self.names.update(alias.name for alias in node.names)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name the package exports must be read by the package itself or by
+    # the benchmark, or be one of the benchmark tracer's hooks; a name only
+    # the tests use belongs in tests/helpers.py
+    root = Path(__file__).resolve().parents[1]
+    reader = _NamesRead()
+    for path in [*(root / "src" / "btd1").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        reader.visit(ast.parse(path.read_text()))
+    hooked = {(home, attr) for home, attr, _ in _benchmark_tracing().LAYERS}
+    unread = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in getattr(importlib.import_module(module), "__all__", ())
+        if name not in reader.names and (module, name) not in hooked
+    ]
+    assert not unread
 
 
 def test_benchmark_config_keywords_resolve():

@@ -389,6 +389,17 @@ def test_decompose_scenario2_compresses_k_above_known_sum_l():
         assert rep.residual < 0.03
 
 
+@pytest.mark.parametrize("known_r", [1, 2, 3, 4])
+def test_decompose_scenario2_refuses_known_sum_l_above_ij(known_r):
+    # K = 6 > known sum L = 5 > I J = 4: the third mode cannot be compressed
+    # to 5 directions, which used to escape as a raw reshape ValueError
+    t = Tensor3(np.random.default_rng(0).standard_normal((2, 2, 6)))
+    opts = SolverOptions(mode="noisy_scenario2", known_R=known_r, known_sum_L=5)
+    with pytest.raises(SolverDiagnostic, match="known_sum_L = 5 exceeds I J = 4") as info:
+        decompose(t, opts)
+    assert info.value.diagnostics == {"known_sum_L": 5, "IJ": 4}
+
+
 @pytest.mark.parametrize(
     "opts",
     [

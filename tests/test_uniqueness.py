@@ -8,18 +8,21 @@ from btd1.linalg import DEFAULT_RANK_TOL, numerical_rank, rng
 from btd1.minors import build_Q2, n_sym, q2_null_dim
 from btd1.uniqueness import (
     KRankResult,
-    nonuniqueness_family_2x8x7,
-    check_rank_only_uniqueness,
     check_deterministic_uniqueness,
     check_necessary,
-    two_term_alternatives,
     generic_bounds,
     k_prime_rank,
     k_rank,
     parameter_count_S,
 )
 
-from helpers import q2_rank_instances, shared_columns_instance
+from helpers import (
+    check_rank_only_uniqueness,
+    nonuniqueness_family_2x8x7,
+    q2_rank_instances,
+    shared_columns_instance,
+    two_term_alternatives,
+)
 
 
 def test_check_necessary_duplicate_term():
