@@ -1,4 +1,4 @@
-"""Exact linear algebra over GF(p^k) for certifying generic rank conditions.
+"""Exact linear algebra over GF(p) and GF(2^15) for certifying generic rank conditions.
 
 The minor matrix of a composed tensor has entries that are integer
 polynomials in the factor entries.  If, for one random choice of factors
@@ -25,8 +25,8 @@ and S_B (B_r1 wedge B_r2), and the largest array a trial holds is S_B, not
 Phi.  rank(S M) <= rank(M) for every S, so a witness of the sketch still
 certifies and a miss stays inconclusive (Schwartz, J. ACM 27(4), 1980).
 
-Supported fields: prime fields GF(p) and, through ``field=``, GF(2^k) with
-table-based arithmetic (GF(2^15) with reduction polynomial x^15 + x + 1).
+Supported fields: prime fields GF(p) and, through ``field=``, GF(2^15) with
+table-based arithmetic (reduction polynomial x^15 + x + 1).
 
 This module does the field arithmetic, the exact products and ranks, and
 the certification loop; ``Phi(A, B)`` and ``S2(C)`` come from the builders
@@ -65,7 +65,7 @@ __all__ = [
     "verify_generic_q2_dim",
 ]
 
-DEFAULT_REDUCTION_POLY = (1 << 15) | (1 << 1) | 1  # x^15 + x + 1
+_REDUCTION_POLY = (1 << 15) | (1 << 1) | 1  # x^15 + x + 1
 
 # float64 represents every integer below 2^53 exactly
 _FLOAT_EXACT = 2**53
@@ -95,40 +95,29 @@ def _is_prime(n):
 
 
 class GFField:
-    """GF(p^k) arithmetic on numpy integer arrays.
+    """GF(p) or GF(2^15) arithmetic on numpy integer arrays.
 
-    For p = 2 with k > 1 the field is realized through log/antilog tables of
-    the multiplicative group generated by x modulo the reduction polynomial;
-    the polynomial must be primitive for the tables to close (the default
-    x^15 + x + 1 is).  For k = 1 arithmetic is plain modular arithmetic.
+    GF(2^15) (p = 2, k = 15, the default) is realized through log/antilog
+    tables of the multiplicative group generated by x modulo the primitive
+    polynomial x^15 + x + 1.  For k = 1 arithmetic is plain modular
+    arithmetic; no other extension degree is supported.
     """
 
-    def __init__(self, p=2, k=15, reduction_poly=None):
+    def __init__(self, p=2, k=15):
         # residues and their products live in int64 arrays
         if p * (p - 1) >= 2**63:
             raise ValueError(f"{p} is too large for int64 field arithmetic")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("extension degree must be positive")
-        if k > 1 and p != 2:
-            raise DimensionError("extension fields are supported for p = 2 only")
+        if k != 1 and (p, k) != (2, 15):
+            raise ValueError(f"GF({p}^{k}) is not supported: use a prime field or GF(2^15)")
         self.p = p
         self.k = k
         self.order = p**k
-        if p == 2 and k > 1:
-            if reduction_poly is None:
-                reduction_poly = DEFAULT_REDUCTION_POLY if k == 15 else None
-            if reduction_poly is None:
-                raise ValueError("a reduction polynomial is required for this degree")
-            if reduction_poly.bit_length() - 1 != k:
-                raise ValueError("reduction polynomial degree does not match k")
-            self.reduction_poly = reduction_poly
+        self.exp = None
+        self.log = None
+        if self.binary:
             self._build_tables()
-        else:
-            self.reduction_poly = None
-            self.exp = None
-            self.log = None
 
     def _build_tables(self):
         q = self.order
@@ -140,9 +129,7 @@ class GFField:
             log[t] = i
             t <<= 1
             if t >> self.k:
-                t ^= self.reduction_poly
-        if t != 1:
-            raise ValueError("reduction polynomial is not primitive")
+                t ^= _REDUCTION_POLY
         self.exp = exp
         self.log = log
 
@@ -150,11 +137,7 @@ class GFField:
         return f"GFField(p={self.p}, k={self.k})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GFField)
-            and (self.p, self.k, self.reduction_poly)
-            == (other.p, other.k, other.reduction_poly)
-        )
+        return isinstance(other, GFField) and (self.p, self.k) == (other.p, other.k)
 
     @property
     def binary(self):
@@ -304,6 +287,11 @@ def _phi_sketch(f, s_a, s_b, a, b_blocks):
     return np.hstack(cols)
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _certify_rank(config, expected, build, trials, seed, field, reason):
     """Randomized rank certification shared by both verifiers.
 
@@ -322,7 +310,7 @@ def _certify_rank(config, expected, build, trials, seed, field, reason):
     total = 0
     for f_idx, fld in enumerate(fields):
         gen = rng(seed + 7919 * f_idx)
-        for _ in range(max(trials, 1)):
+        for _ in range(trials):
             total += 1
             a, b, sizes, *rest = build(fld, gen)
             n_i, n_j = n_strict(a.shape[0]), n_strict(b.shape[0])
@@ -352,8 +340,9 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
     reach the column count and J must fit the two largest sizes (otherwise
     the wedge of two blocks is structurally rank deficient).  One full-rank
     witness certifies; all-trials failure over the field ladder is
-    inconclusive.
+    inconclusive.  Raises ``ValueError`` when ``trials`` is below 1.
     """
+    _check_trials(trials)
     sizes = sorted(int(s) for s in sizes)
     if len(sizes) != r:
         raise DimensionError(f"expected {r} sizes, got {len(sizes)}")
@@ -385,7 +374,9 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
     The certified identity is rank Q2 = binom(K+1,2) - sum binom(d_r+1,2)
     with d_r = K - sum L + L_r.  Requires K <= sum L_r; larger K is clamped
     to sum L_r (the extra directions are removed by third-mode compression).
+    Raises ``ValueError`` when ``trials`` is below 1.
     """
+    _check_trials(trials)
     i_dim, j_dim, k_dim = (int(x) for x in dims)
     sizes = sorted(int(s) for s in sizes)
     sum_l = sum(sizes)

@@ -7,6 +7,14 @@ when ``R2(T) (f kron f) = 0``.  Because the rows of ``R2`` are vectorized
 symmetric K x K matrices, the smaller matrix ``Q2`` over unordered index
 pairs carries the same information: ``R2 = Q2 @ PK.T``.
 
+The package reads Q2 one way, and never holds it whole: Q2 is filled in
+row panels of whole i-pairs (:func:`q2_row_panels`), and the triangular
+factor R of Q2 = QR is folded over them (:func:`q2_triangle`).  R has Q2's
+singular values and right singular vectors, so Phase I's symmetric null
+matrices (:func:`symmetric_null_matrices`) and the uniqueness checker's
+rank of Q2 are both read off R.  :func:`build_Q2` stacks the panels into
+the whole matrix for the test suite alone.
+
 All index pairs — (i1 < i2), (j1 < j2) for rows, (k1 <= k2) for columns,
 and the entries of wedge / symmetric products — are enumerated in one place
 (:func:`strict_pairs` / :func:`sym_pairs`, with :func:`sym_pair_position`
@@ -28,13 +36,12 @@ counts, block sizes d_r = K - sum L + L_r, Q = sum binom(d_r+1, 2) and the
 column count of Phi(A, B) with its two count conditions.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space, rank_cut
+from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space
 from .tensor import Tensor3
 
 __all__ = [
@@ -47,10 +54,10 @@ __all__ = [
     "q2_null_dim",
     "phi_columns",
     "phi_count_conditions",
-    "MinorMatrixSet",
     "build_Q2",
     "q2_row_panels",
-    "q2_rank",
+    "q2_triangle",
+    "symmetric_null_matrices",
     "sym_pair_position",
     "phi_pair_wedges",
     "phi_matrix",
@@ -116,41 +123,18 @@ def phi_count_conditions(i_dim, j_dim, sizes):
     return rows_ok, j_dim >= sum(sorted(sizes)[-2:])
 
 
-@dataclass(frozen=True)
-class MinorMatrixSet:
-    """Q2 of a tensor with K frontal slices."""
-
-    Q2: np.ndarray
-    K: int
-
-    def null_space(self, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
-        return null_space(self.Q2, tol=tol, dim=dim, atol=atol)
-
-    def symmetric_null_matrices(self, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
-        """Null vectors of Q2 unpacked to symmetric K x K matrices.
-
-        Entry (k1, k2) of matrix q is the basis entry of the pair {k1, k2},
-        halved off the diagonal, so that vec of matrix q is in the null
-        space of the ordered-pair minor matrix R2 = Q2 @ PK.T.
-        """
-        g = self.null_space(tol=tol, dim=dim, atol=atol)
-        pos = sym_pair_position(self.K)
-        scale = np.where(np.eye(self.K, dtype=bool), 1.0, 0.5)
-        return [g[pos, q] * scale for q in range(g.shape[1])]
-
-
 # rows of Q2 per panel: whole i-pairs, as many as fit (at least one).  At
 # 6x20x20, panels of 3 or 6 times Q2's 210 columns were no faster and raised
-# the checker's traced peak from 3.8 to 5.6 and 10.7 MB
+# the checker's traced peak from 3.8 to 5.6 and 10.7 MB.  At 8x30x30 (one
+# i-pair is 435 rows against 465 columns), 256, 512, 1024 and 2048 rows
+# folded the triangle in 0.66, 0.68, 0.66 and 0.71 s (one BLAS thread) at
+# traced peaks of 12.0, 12.0, 18.8 and 35.8 MB
 _PANEL_ROWS = 512
 
 
-def q2_row_panels(values, out=None):
+def q2_row_panels(values):
     """Q2 of the tensor array ``values`` in consecutive row panels, each the
-    rows of one or more whole i-pairs, about 512 rows.  With ``out`` given
-    (Q2's shape), each panel is filled into, and yielded as, a view of
-    ``out``; otherwise each panel is a fresh array, so Q2 is never held
-    whole."""
+    rows of one or more whole i-pairs, about 512 rows, each a fresh array."""
     i_dim, j_dim, k_dim = values.shape
     ip1, ip2 = strict_pairs(i_dim)
     jp1, jp2 = strict_pairs(j_dim)
@@ -159,12 +143,7 @@ def q2_row_panels(values, out=None):
     dtype = np.result_type(values, values)
     for first in range(0, ip1.size, step):
         pairs = slice(first, first + step)
-        n_rows = ip1[pairs].size * jp1.size
-        panel = (
-            np.empty((n_rows, kp1.size), dtype=dtype)
-            if out is None
-            else out[first * jp1.size : first * jp1.size + n_rows]
-        )
+        panel = np.empty((ip1[pairs].size * jp1.size, kp1.size), dtype=dtype)
         yield _kernels.minor_matrix_fill(
             values, ip1[pairs], ip2[pairs], jp1, jp2, kp1, kp2, panel
         )
@@ -177,6 +156,8 @@ def _tensor_values(t):
     return values
 
 
+# only the tests call this (criterion 1's golden matrix and the identity
+# tests), but perfbench/tracing.py hooks it by name
 def build_Q2(t):
     """Minor matrix over unordered k-pairs, binom(I,2)binom(J,2) x binom(K+1,2).
 
@@ -186,29 +167,39 @@ def build_Q2(t):
       - t[i1,j2,k1] t[i2,j1,k2] - t[i1,j2,k2] t[i2,j1,k1]
 
     which is integer-exact for integer tensors.  Requires I >= 2 and J >= 2.
-    Filled panel by panel through :func:`q2_row_panels`.
+    Stacked from the panels of :func:`q2_row_panels`.
     """
-    values = _tensor_values(t)
-    i_dim, j_dim, k_dim = values.shape
-    out = np.empty(
-        (n_strict(i_dim) * n_strict(j_dim), n_sym(k_dim)),
-        dtype=np.result_type(values, values),
-    )
-    for _ in q2_row_panels(values, out):
-        pass
-    return MinorMatrixSet(Q2=out, K=k_dim)
+    return np.vstack(list(q2_row_panels(_tensor_values(t))))
 
 
-def q2_rank(t, tol=DEFAULT_RANK_TOL):
-    """Numerical rank of Q2 without forming it: the triangular factor R of
-    Q2 = QR is folded over :func:`q2_row_panels` (R <- R of [R; panel]),
-    and :func:`btd1.linalg.rank_cut` at ``tol`` is applied to R's singular
-    values, which are Q2's.  Requires I >= 2 and J >= 2."""
+def q2_triangle(t):
+    """The triangular factor R of Q2 = QR, min(rows, binom(K+1,2)) x
+    binom(K+1,2), folded over :func:`q2_row_panels` (R <- R of [R; panel])
+    so that Q2 is never held whole.  R has Q2's singular values and right
+    singular vectors, so Q2's rank and null space are read off R.  Requires
+    I >= 2 and J >= 2."""
     values = _tensor_values(t)
     r = np.zeros((0, n_sym(values.shape[2])), dtype=np.result_type(values, 1.0))
     for panel in q2_row_panels(values):
         r = np.linalg.qr(np.vstack([r, panel]), mode="r")
-    return rank_cut(np.linalg.svd(r, compute_uv=False), tol)
+    return r
+
+
+def symmetric_null_matrices(t, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
+    """Null vectors of Q2, from :func:`btd1.linalg.null_space` of
+    :func:`q2_triangle` at ``tol``, ``dim`` and ``atol``, unpacked to
+    symmetric K x K matrices.
+
+    Entry (k1, k2) of matrix q is the basis entry of the pair {k1, k2},
+    halved off the diagonal, so that vec of matrix q is in the null space of
+    the ordered-pair minor matrix R2 = Q2 @ PK.T.
+    """
+    values = _tensor_values(t)
+    k_dim = values.shape[2]
+    g = null_space(q2_triangle(values), tol=tol, dim=dim, atol=atol)
+    pos = sym_pair_position(k_dim)
+    scale = np.where(np.eye(k_dim, dtype=bool), 1.0, 0.5)
+    return [g[pos, q] * scale for q in range(g.shape[1])]
 
 
 @lru_cache(maxsize=64)

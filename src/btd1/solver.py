@@ -41,7 +41,7 @@ from .linalg import (
     rng,
     split_columns,
 )
-from .minors import build_Q2, n_sym, total_block_size
+from .minors import n_sym, symmetric_null_matrices, total_block_size
 from .sjbd import (
     SJBDProblem,
     _eigen_groups,
@@ -264,7 +264,9 @@ def _truncated_terms(a, e_mats, sizes, tol):
 def phase1_recover_A(t, opts=None):
     """Phase I of the solver: returns (A, B, N, d, diagnostics).
 
-    Q, counted from the minor matrix, is ``diagnostics["Q_used"]``;
+    Q, counted from the minor matrix, is ``diagnostics["Q_used"]``; the
+    null space is read off the row-panel triangle of Q2
+    (:func:`minors.symmetric_null_matrices`), so Q2 is never held whole;
     :func:`sjbd.solve_sjbd` turns the Q symmetric null matrices V_q into
     (N, d), and its diagnostics are merged in whole (into its failures
     too).  Exact mode raises when they hold ``sjbd_status``, the Q verdict.
@@ -279,7 +281,6 @@ def phase1_recover_A(t, opts=None):
     opts = opts or SolverOptions()
     k_dim = t.dims[2]
     diag = {}
-    q2set = build_Q2(t)
     # entries of the minor matrix are quadratic in the tensor; anything below
     # rounding level on that scale is noise even when the whole matrix is
     # numerically zero (single-term tensors), so the relative threshold gets
@@ -296,9 +297,9 @@ def phase1_recover_A(t, opts=None):
                 {"sum_d": sum_d, "R": r_known},
             )
         q_used = minimal_null_dimension(r_known, sum_d)
-        v_mats = q2set.symmetric_null_matrices(dim=q_used)
+        v_mats = symmetric_null_matrices(t, dim=q_used)
     else:
-        v_mats = q2set.symmetric_null_matrices(tol=opts.tol, atol=q2_floor)
+        v_mats = symmetric_null_matrices(t, tol=opts.tol, atol=q2_floor)
         q_used = len(v_mats)
         sum_d = None
     if q_used < 1:
@@ -397,7 +398,12 @@ def default_subsets(r, r_a):
 def phase2_case3(t, a, opts=None, subsets=None, sizes=None):
     """Case 3 (neither factor matrix square enough): decompose two-slice
     projections onto subsets of terms by generalized EVD, then resolve the
-    global term scales against the mode-1 unfolding."""
+    global term scales against the mode-1 unfolding.
+
+    ``sizes`` forces the truncation ranks, as in :func:`phase2_case2`, and
+    is checked before any GEVD: a subset whose sum L_r exceeds min(J, K)
+    gives a pencil the two-slice GEVD cannot split into its terms.
+    """
     opts = opts or SolverOptions()
     _, j_dim, k_dim = t.dims
     r = a.shape[1]
@@ -413,16 +419,31 @@ def phase2_case3(t, a, opts=None, subsets=None, sizes=None):
         covered.update(s)
     if covered != set(range(r)):
         raise SolverDiagnostic("subsets do not cover all terms", {"subsets": subsets})
-
-    t1 = unfold(t, 1)
-    e_hat = [None] * r
-    gen = rng(opts.seed)
+    width = min(j_dim, k_dim)
     for m_idx, omega in enumerate(subsets):
         if len(omega) != card:
             raise SolverDiagnostic(
                 f"subset {m_idx} has cardinality {len(omega)}, expected {card}",
                 {"subset": omega},
             )
+        omega_l = [] if sizes is None else [int(sizes[p]) for p in omega]
+        if sum(omega_l) > width:
+            raise SolverDiagnostic(
+                f"Case 3 subset {list(omega)} has sizes {omega_l}, sum L_r = "
+                f"{sum(omega_l)} > min(J, K) = {width}; its two-slice pencil "
+                "cannot separate the terms",
+                {
+                    "subset": [int(p) for p in omega],
+                    "L": omega_l,
+                    "sum_L": sum(omega_l),
+                    "min_JK": width,
+                },
+            )
+
+    t1 = unfold(t, 1)
+    e_hat = [None] * r
+    gen = rng(opts.seed)
+    for m_idx, omega in enumerate(subsets):
         excluded = [p for p in range(r) if p not in omega]
         if excluded:
             # plain transpose even over the complex field
@@ -555,7 +576,8 @@ def decompose(t, opts=None):
     diag["case_considered"] = case
 
     sizes = None
-    if opts.noisy:
+    if opts.noisy or case == 3:
+        # exact Case 3 takes them too: its subsets are checked against them
         sizes = estimate_L_from_d(d, k_dim, r)
     if case == 1:
         # the B_r of Phase I have widths d_r, which are the sizes here

@@ -26,7 +26,7 @@ from .minors import (
     phi_columns,
     phi_count_conditions,
     q2_null_dim,
-    q2_rank,
+    q2_triangle,
 )
 from .tensor import compose, unfold
 
@@ -248,7 +248,7 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_C
         notes.append("F-subset rank condition not evaluated (cap)")
 
     expected_q = q2_null_dim(d_vals)
-    q2_null = n_sym(k_dim) - q2_rank(t, tol=tol)
+    q2_null = n_sym(k_dim) - numerical_rank(q2_triangle(t), tol=tol)
     q2_dim_ok = q2_null == expected_q
 
     assumptions = {

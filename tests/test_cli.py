@@ -56,6 +56,7 @@ def test_generate_bad_sizes_exit_2(runner, tmp_path):
         ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "35,50"],
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--evd-variant", "cpd"],
         ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--omega", "2"],
+        ["check", "--dims", "3,8,8", "--sizes", "2,3,4", "--gf", "--trials", "0"],
     ],
     ids=[
         "generate-dims",
@@ -68,6 +69,7 @@ def test_generate_bad_sizes_exit_2(runner, tmp_path):
         "generate-snr-two-values",
         "experiment-evd-variant",
         "experiment-omega",
+        "check-gf-trials-zero",
     ],
 )
 def test_input_errors_exit_2(runner, tmp_path, monkeypatch, args):
@@ -234,12 +236,21 @@ def test_decompose_scenario2_known_sum_l_above_ij_exit_3(runner, tmp_path):
     assert json.loads(res.output)["details"] == {"known_sum_L": 5, "IJ": 4}
 
 
+def test_decompose_case3_subset_wider_than_min_jk_exit_3(runner, tmp_path):
+    out = tmp_path / "t.btd1"
+    runner.invoke(
+        main, ["generate", "--dims", "2,10,6", "--sizes", "2,2,3", "--seed", "1", "--out", str(out)]
+    )
+    res = runner.invoke(main, ["decompose", str(out)])
+    assert res.exit_code == 3, res.output
+    details = json.loads(res.output)["details"]
+    assert (details["subset"], details["sum_L"], details["min_JK"]) == ([0, 1, 2], 7, 6)
+
+
 def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, monkeypatch):
     # a minor matrix whose null matrices make every pencil combination
     # singular: the commutant route fails as well, and the exit-3 details
     # carry Phase I's Q_used and the S-JBD's sum_d
-    import types
-
     import btd1.solver as solver_module
     from helpers import singular_pencil_instance
 
@@ -249,8 +260,7 @@ def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, m
         ["generate", "--dims", "3,8,5", "--sizes", "2,3", "--seed", "1", "--out", str(out)],
     )
     v_list = singular_pencil_instance(5, seed=3)
-    fake_q2 = types.SimpleNamespace(symmetric_null_matrices=lambda **kwargs: v_list)
-    monkeypatch.setattr(solver_module, "build_Q2", lambda t: fake_q2)
+    monkeypatch.setattr(solver_module, "symmetric_null_matrices", lambda t, **kwargs: v_list)
     res = runner.invoke(main, ["decompose", str(out)])
     assert res.exit_code == 3, res.output
     details = json.loads(res.output)["details"]

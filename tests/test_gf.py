@@ -27,17 +27,11 @@ def gf2_15():
     return GFField()
 
 
-@pytest.fixture(scope="module")
-def gf2_8():
-    # x^8 + x^4 + x^3 + x^2 + 1 is primitive
-    return GFField(2, 8, reduction_poly=(1 << 8) | (1 << 4) | (1 << 3) | (1 << 2) | 1)
-
-
 def test_field_guards():
     with pytest.raises(ValueError):
         GFField(4, 1)
     with pytest.raises(ValueError):
-        GFField(2, 3)  # no reduction polynomial known for this degree
+        GFField(2, 3)  # the only extension field is GF(2^15)
     with pytest.raises(ValueError):
         GFField(4294967311, 1)  # prime, but p(p-1) overflows int64
 
@@ -51,21 +45,14 @@ def test_all_ones_gf2():
     assert gf_rank(GFMatrix(np.array([[1, 1], [1, 1]]), f)) == 1
 
 
-def _check_log_tables(f):
+def test_inverse_exhaustive_gf2_15(gf2_15):
     # log inverts exp over the whole multiplicative group, so exp lists every
     # nonzero element once and exp[-log a] is the inverse of a
+    f = gf2_15
     group = np.arange(f.order - 1)
     assert np.array_equal(f.log[f.exp[group]], group)
     a = np.arange(1, f.order, dtype=np.int64)
     assert np.all(f.mul(a, f.exp[-f.log[a] % (f.order - 1)]) == 1)
-
-
-def test_inverse_exhaustive_gf2_8(gf2_8):
-    _check_log_tables(gf2_8)
-
-
-def test_inverse_sampled_gf2_15(gf2_15):
-    _check_log_tables(gf2_15)
 
 
 def test_random_square_full_rank_and_orderings(gf2_15):
@@ -112,15 +99,15 @@ def test_gf_phi_matches_integer_construction():
     assert np.array_equal(phi_gf.values, phi % p)
     assert np.array_equal(s2_gf.values, s2 % p)
     q2_gf = gf_q2_from_factors(f, a_int % p, b_int % p, c_int % p, sizes)
-    q2_int = build_Q2(compose(d)).Q2
+    q2_int = build_Q2(compose(d))
     assert np.array_equal(q2_gf.values, q2_int % p)
 
 
-def test_gf_phi_s2_binary_field_matches_scalar_loop(gf2_8):
-    # every entry of Phi and S2 over GF(2^8) from the wedge and symmetric
+def test_gf_phi_s2_binary_field_matches_scalar_loop(gf2_15):
+    # every entry of Phi and S2 over GF(2^15) from the wedge and symmetric
     # product formulas, one field scalar at a time, and Phi S2.T against the
     # minors of the in-field composed tensor
-    f = gf2_8
+    f = gf2_15
     gen = rng(21)
     sizes = (1, 2, 2)
     i_dim, j_dim, k_dim = 3, 4, 3
@@ -182,6 +169,15 @@ def test_gf_phi_s2_binary_field_matches_scalar_loop(gf2_8):
         for j1, j2 in j_pairs
     ]
     assert np.array_equal(gf_q2_from_factors(f, a, b, c, sizes).values, np.array(q2))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verifiers_refuse_fewer_than_one_trial(trials):
+    # a trial count below one used to run one trial and report trials: 1
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_generic_q2_dim((3, 3, 5), (1, 1, 1, 2), trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_phi_full_rank(3, 4, 2, (1, 2), trials=trials)
 
 
 def test_verify_q2_dim_3x3x5():
@@ -255,7 +251,7 @@ def test_soundness_certified_trial_in_rationals():
         terms.append((b[:, off : off + l].astype(np.int64), c[:, off : off + l].astype(np.int64)))
         off += l
     d = BlockTermDecomposition(a.astype(np.int64), tuple(terms))
-    q2_int = build_Q2(compose(d)).Q2
+    q2_int = build_Q2(compose(d))
     assert rational_rank(q2_int) == expected
     assert np.array_equal(q2_gf.values, q2_int % p)
 

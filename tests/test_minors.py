@@ -12,11 +12,12 @@ from btd1.minors import (
     phi_count_conditions,
     phi_matrix,
     q2_null_dim,
-    q2_rank,
     q2_row_panels,
+    q2_triangle,
     s2_matrix,
     strict_pairs,
     sym_pairs,
+    symmetric_null_matrices,
     total_block_size,
 )
 from helpers import (
@@ -39,19 +40,19 @@ from helpers import (
 
 def test_q2_single_term_is_zero():
     t = compose(random_btd((3, 4, 4), (2,), seed=0))
-    assert np.allclose(build_Q2(t).Q2, 0.0, atol=1e-12)
+    assert np.allclose(build_Q2(t), 0.0, atol=1e-12)
 
 
 def test_q2_golden_integer_matrix():
     t = compose(golden_integer_instance())
-    q2 = build_Q2(t).Q2
+    q2 = build_Q2(t)
     assert q2.dtype == np.int64
     assert np.array_equal(q2, GOLDEN_Q2_3x3x5)
 
 
 def test_q2_3x8x8_shape_and_null_dimension():
     t = compose(random_btd((3, 8, 8), (2, 3, 4), seed=1))
-    q2 = build_Q2(t).Q2
+    q2 = build_Q2(t)
     assert q2.shape == (84, 36)
     assert q2.shape[1] - numerical_rank(q2, tol=1e-8) == 10
 
@@ -60,13 +61,14 @@ def test_q2_3x8x8_shape_and_null_dimension():
 @pytest.mark.parametrize("tol", [DEFAULT_RANK_TOL, 1e-8])
 def test_q2_rank_from_panels_equals_the_formed_rank(name, tol):
     t = compose(q2_rank_instances()[name])
-    assert q2_rank(t, tol) == numerical_rank(build_Q2(t).Q2, tol)
+    assert numerical_rank(q2_triangle(t), tol) == numerical_rank(build_Q2(t), tol)
 
 
 def test_q2_rank_sees_the_planted_deficiency():
     cases = q2_rank_instances()
     for name in ("real", "complex", "integer", "multi_panel"):
-        assert q2_rank(compose(cases[name + "_deficient"])) < q2_rank(compose(cases[name]))
+        deficient = numerical_rank(q2_triangle(compose(cases[name + "_deficient"])))
+        assert deficient < numerical_rank(q2_triangle(compose(cases[name])))
 
 
 @pytest.mark.parametrize("integer", [False, True])
@@ -82,7 +84,7 @@ def test_build_q2_panels_equal_the_loop_fill(integer):
     kp1, kp2 = sym_pairs(7)
     want = np.empty((n_strict(5) * n_strict(18), n_sym(7)), dtype=t.dtype)
     loop_minor_matrix_fill(t, ip1, ip2, jp1, jp2, kp1, kp2, want)
-    q2 = build_Q2(t).Q2
+    q2 = build_Q2(t)
     assert q2.dtype == want.dtype
     assert np.array_equal(q2, want)
     assert np.array_equal(np.vstack(panels), want)
@@ -160,7 +162,7 @@ def test_phi_s2_factorization_random():
         gen = rng(seed)
         sizes = tuple(gen.integers(1, 3, size=3))
         d = random_btd((3, 4, 5), sizes, seed=seed + 100)
-        q2 = build_Q2(compose(d)).Q2
+        q2 = build_Q2(compose(d))
         phi = phi_matrix(d.A, [b for b, _ in d.terms], NUMPY)
         s2 = s2_matrix([c for _, c in d.terms], NUMPY)
         assert np.linalg.norm(phi @ s2.T - q2) <= 1e-10 * max(np.linalg.norm(q2), 1.0)
@@ -238,7 +240,7 @@ def test_compound2_guards():
 def test_r2_equals_q2_pk_integer_and_float():
     t_int = compose(golden_integer_instance())
     assert np.array_equal(
-        build_R2(t_int), build_Q2(t_int).Q2 @ build_PK(5).T.astype(np.int64)
+        build_R2(t_int), build_Q2(t_int) @ build_PK(5).T.astype(np.int64)
     )
     for seed in range(100):
         gen = rng(seed)
@@ -248,7 +250,7 @@ def test_r2_equals_q2_pk_integer_and_float():
             int(gen.integers(1, 7)),
         )
         t = Tensor3(gen.standard_normal(dims))
-        q2 = build_Q2(t).Q2
+        q2 = build_Q2(t)
         r2 = build_R2(t)
         assert np.allclose(r2, q2 @ build_PK(dims[2]).T, atol=1e-12 * max(1.0, np.linalg.norm(q2)))
 
@@ -273,7 +275,7 @@ def test_null_r2_via_null_q2():
         d = random_btd((3, 4, 5), sizes, seed=seed)
         t = compose(d)
         r2 = build_R2(t)
-        g = build_Q2(t).null_space(tol=1e-8)
+        g = null_space(build_Q2(t), tol=1e-8)
         k_dim = 5
         v = build_D(k_dim) @ g
         assert np.linalg.norm(r2 @ v) < 1e-8 * max(np.linalg.norm(r2), 1.0)
@@ -288,10 +290,12 @@ def test_null_r2_via_null_q2():
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_symmetric_null_matrices_equal_d_times_basis(field):
     t = compose(random_btd((3, 8, 8), (2, 3, 4), field=field, seed=3))
-    ms = build_Q2(t)
-    g = ms.null_space(tol=1e-8)
-    mats = ms.symmetric_null_matrices(tol=1e-8)
+    g = null_space(q2_triangle(t), tol=1e-8)
+    mats = symmetric_null_matrices(t, tol=1e-8)
     assert len(mats) == g.shape[1] == 10
+    # the triangle's null vectors are null vectors of the formed Q2
+    q2 = build_Q2(t)
+    assert np.linalg.norm(q2 @ g) < 1e-10 * np.linalg.norm(q2)
     d = build_D(8)
     for q, v in enumerate(mats):
         assert np.array_equal(v, (d @ g[:, q]).reshape(8, 8))

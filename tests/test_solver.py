@@ -1,6 +1,8 @@
 import hashlib
+import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +317,76 @@ def test_decompose_2x8x7_raises_named_diagnostic():
     t = compose(truth)
     with pytest.raises(SolverDiagnostic):
         decompose(t)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "dims,sizes,sum_l,width",
+    [((2, 10, 6), (2, 2, 3), 7, 6), ((2, 10, 7), (3, 3, 3), 9, 7)],
+    ids=["2x10x6", "2x10x7"],
+)
+def test_case3_names_a_subset_wider_than_min_jk(dims, sizes, sum_l, width, field):
+    # the only subset holds all three terms, and their sizes add up to more
+    # than the two-slice pencil can separate; this used to surface as a
+    # failed reconstruction after the GEVD
+    t = compose(random_btd(dims, sizes, field=field, seed=1))
+    with pytest.raises(SolverDiagnostic, match=r"sum L_r = \d+ > min\(J, K\)") as info:
+        decompose(t)
+    details = info.value.diagnostics
+    assert (details["subset"], details["sum_L"], details["min_JK"]) == ([0, 1, 2], sum_l, width)
+    assert sorted(details["L"]) == sorted(sizes)
+    json.dumps(details)
+
+
+def _forbid_q2(monkeypatch):
+    """Make every binding of ``minors.build_Q2`` in the package raise."""
+    from btd1.minors import build_Q2
+
+    def formed(*args, **kwargs):
+        raise AssertionError("a package path formed Q2")
+
+    for name, module in list(sys.modules.items()):
+        if name == "btd1" or name.startswith("btd1."):
+            for attr, value in list(vars(module).items()):
+                if value is build_Q2:
+                    monkeypatch.setattr(module, attr, formed)
+    assert sys.modules["btd1.minors"].build_Q2 is formed
+
+
+def test_no_package_path_forms_q2(monkeypatch):
+    from btd1.gf import verify_generic_q2_dim, verify_phi_full_rank
+    from btd1.uniqueness import check_deterministic_uniqueness
+
+    _forbid_q2(monkeypatch)
+    for dims, sizes, case in (
+        ((3, 9, 10), (1, 2, 3, 4), 1),
+        ((3, 8, 8), (2, 3, 4), 2),
+        ((3, 14, 15), (2, 2, 2, 3, 3, 4), 3),
+    ):
+        assert decompose(compose(random_btd(dims, sizes, seed=1))).case_used == case
+    truth = random_btd((3, 8, 8), (2, 3, 4), seed=1)
+    noisy = add_noise(compose(truth), NoiseSpec(snr_db=80.0, seed=2))
+    decompose(noisy, SolverOptions(mode="noisy_scenario1"))
+    decompose(noisy, SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9))
+    assert check_deterministic_uniqueness(truth).assumptions["Q2_dim_ok"]
+    assert verify_generic_q2_dim((3, 8, 8), (2, 3, 4)).certified
+    assert verify_phi_full_rank(3, 8, 3, (2, 3, 4)).certified
+
+
+def test_phase1_holds_less_than_q2_at_6x20x20():
+    # Q2 is 2850 x 210 (4.8 MB); its null space read from the whole matrix
+    # held Q2 and its thin U at once and peaked at 9.9 MB, the row-panel
+    # triangle peaks at 3.8 MB
+    t = compose(random_btd((6, 20, 20), (4,) * 5, seed=7))
+    q2_bytes = 2850 * 210 * 8
+    phase1_recover_A(t)  # fills the pair-index caches
+    tracemalloc.start()
+    try:
+        phase1_recover_A(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q2_bytes, peak
 
 
 def test_decompose_scenario2_noisy_case2():
@@ -706,13 +778,10 @@ def test_exact_decompose_reports_a_singular_pencil(monkeypatch):
     # Phase I fed matrices whose every combination is singular: the pencil
     # is skipped, and the commutant route's failure is a diagnostic naming
     # both routes, never a raw LinAlgError
-    import types
-
     import btd1.solver as solver_module
 
     v_list = singular_pencil_instance(5, seed=3)
-    fake_q2 = types.SimpleNamespace(symmetric_null_matrices=lambda **kwargs: v_list)
-    monkeypatch.setattr(solver_module, "build_Q2", lambda t: fake_q2)
+    monkeypatch.setattr(solver_module, "symmetric_null_matrices", lambda t, **kwargs: v_list)
     with pytest.raises(SolverDiagnostic) as info:
         decompose(compose(random_btd((3, 8, 5), (2, 3), seed=1)))
     details = info.value.diagnostics

@@ -112,7 +112,7 @@ def test_main_theorem_shared_columns_subtensor_assumption_fails():
 
     compressed, _, rank = compress_third_mode(t2)
     assert rank == 4
-    q2 = build_Q2(compressed).Q2
+    q2 = build_Q2(compressed)
     null_dim = q2.shape[1] - numerical_rank(q2, tol=1e-8)
     assert null_dim == 5
     # every admissible (d_1, d_2) tuple gives sum binom(d+1, 2) <= 4 < 5
@@ -314,7 +314,7 @@ def test_checker_q2_count_matches_the_formed_matrix(name):
     d = q2_rank_instances()[name]
     t = compose(d)
     k_dim = t.dims[2]
-    formed_null = n_sym(k_dim) - numerical_rank(build_Q2(t).Q2, DEFAULT_RANK_TOL)
+    formed_null = n_sym(k_dim) - numerical_rank(build_Q2(t), DEFAULT_RANK_TOL)
     want = formed_null == q2_null_dim(uniqueness._d_values(d))
     rep = check_deterministic_uniqueness(d, t)
     assert rep.assumptions["Q2_dim_ok"] is want
