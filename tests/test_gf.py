@@ -45,7 +45,7 @@ def test_all_ones_gf2():
     assert gf_rank(GFMatrix(np.array([[1, 1], [1, 1]]), f)) == 1
 
 
-def test_inverse_exhaustive_gf2_15(gf2_15):
+def test_inverse_sampled_gf2_15(gf2_15):
     # log inverts exp over the whole multiplicative group, so exp lists every
     # nonzero element once and exp[-log a] is the inverse of a
     f = gf2_15
