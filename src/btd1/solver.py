@@ -576,16 +576,22 @@ def decompose(t, opts=None):
     diag["case_considered"] = case
 
     sizes = None
-    if opts.noisy or case == 3:
-        # exact Case 3 takes them too: its subsets are checked against them
-        sizes = estimate_L_from_d(d, k_dim, r)
-    if case == 1:
-        # the B_r of Phase I have widths d_r, which are the sizes here
-        est = phase2_case1(t, a, b_blocks)
-    elif case == 2:
-        est = phase2_case2(t, a, opts, sizes=sizes)
-    else:
-        est = phase2_case3(t, a, opts, sizes=sizes)
+    try:
+        if opts.noisy or case == 3:
+            # exact Case 3 takes them too: its subsets are checked against them
+            sizes = estimate_L_from_d(d, k_dim, r)
+        if case == 1:
+            # the B_r of Phase I have widths d_r, which are the sizes here
+            est = phase2_case1(t, a, b_blocks)
+        elif case == 2:
+            est = phase2_case2(t, a, opts, sizes=sizes)
+        else:
+            est = phase2_case3(t, a, opts, sizes=sizes)
+    except SolverDiagnostic as exc:
+        # a Phase II failure names the Phase I decisions that led to it too;
+        # on a shared name, Phase II's own value stands
+        exc.diagnostics = {**diag, **exc.diagnostics}
+        raise
 
     if t is not original:
         # map the compressed third factor back to the original tensor

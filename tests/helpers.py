@@ -381,20 +381,27 @@ def phase1_failure(kind, monkeypatch):
     return compose(random_btd((3, 8, 8), (2, 3, 4), seed=0)), "structural assumption fails", 10
 
 
-def lstsq_cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
+def lstsq_cpd_als(tensor, init, max_iter=500, rel_tol=1e-4, extrapolate=True):
     """Reference CPD by alternating least squares: one ``lstsq`` against the
     Khatri-Rao matrix per factor update, column norms and the fit recomputed
-    from the factors after every sweep.  Same model, balancing and stopping
-    rule as ``btd1.sjbd.cpd_als``; returns ((A, C, B), fit, converged)."""
+    from the factors after every sweep.  Same model, balancing, extrapolated
+    point and stopping rule as ``btd1.sjbd.cpd_als``; ``extrapolate=False``
+    runs plain ALS.  Returns ((A, C, B), fit, converged, sweeps)."""
     m, n, _ = tensor.shape
     a, c, b = (np.array(f) for f in init)
     t0 = tensor.reshape(m, n * n)
     t1 = tensor.transpose(1, 0, 2).reshape(n, m * n)
     t2 = tensor.transpose(2, 0, 1).reshape(n, m * n)
     norm_t = np.linalg.norm(t0)
+
+    def fit_of(a, c, b):
+        return np.linalg.norm(t0 - a @ khatri_rao(c, b).T) / max(norm_t, 1e-300)
+
     prev_fit = np.inf
     converged = False
-    for _ in range(max_iter):
+    step = 1.5
+    for sweep in range(1, max_iter + 1):
+        before = (a.copy(), c.copy(), b.copy())
         a = lstsq(khatri_rao(c, b), t0.T).T
         c = lstsq(khatri_rao(a, b), t1.T).T
         b = lstsq(khatri_rao(a, c), t2.T).T
@@ -404,12 +411,22 @@ def lstsq_cpd_als(tensor, init, max_iter=500, rel_tol=1e-4):
             nrm[nrm == 0] = 1.0
             f /= nrm[None, :]
             a *= nrm[None, :]
-        fit = np.linalg.norm(t0 - a @ khatri_rao(c, b).T) / max(norm_t, 1e-300)
+        fit = fit_of(a, c, b)
+        if extrapolate:
+            # keep the point along the sweep's line only if it fits better;
+            # the step grows by 1.5 up to 50 when kept and halves down to 1.1
+            moved = tuple(f0 + step * (f - f0) for f0, f in zip(before, (a, c, b)))
+            fit_x = fit_of(*moved)
+            if fit_x < fit:
+                (a, c, b), fit = moved, fit_x
+                step = min(1.5 * step, 50.0)
+            else:
+                step = max(step / 2, 1.1)
         if abs(prev_fit - fit) <= max(rel_tol * fit, 1e-12):
             converged = True
             break
         prev_fit = fit
-    return (a, c, b), fit, converged
+    return (a, c, b), fit, converged, sweep
 
 
 def per_factor_draw(gen, dims, sizes, field="real"):

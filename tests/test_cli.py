@@ -247,6 +247,29 @@ def test_decompose_case3_subset_wider_than_min_jk_exit_3(runner, tmp_path):
     assert (details["subset"], details["sum_L"], details["min_JK"]) == ([0, 1, 2], 7, 6)
 
 
+@pytest.mark.parametrize(
+    "dims,sizes,message",
+    [
+        ("2,10,6", "2,2,3", "sum L_r = 7 > min(J, K) = 6"),
+        ("2,7,6", "1,2,2,2", "block sizes are inconsistent"),
+    ],
+    ids=["2x10x6", "2x7x6"],
+)
+def test_decompose_phase2_failure_details_carry_phase1(runner, tmp_path, dims, sizes, message):
+    out = tmp_path / "t.btd1"
+    runner.invoke(
+        main, ["generate", "--dims", dims, "--sizes", sizes, "--seed", "1", "--out", str(out)]
+    )
+    res = runner.invoke(main, ["decompose", str(out)])
+    assert res.exit_code == 3, res.output
+    payload = json.loads(res.output)
+    assert message in payload["diagnostic"]
+    details = payload["details"]
+    for key in ("Q_used", "sum_d", "sjbd_route", "coupling_margin", "case_considered"):
+        assert key in details, key
+    assert details["case_considered"] == 3
+
+
 def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, monkeypatch):
     # a minor matrix whose null matrices make every pencil combination
     # singular: the commutant route fails as well, and the exit-3 details

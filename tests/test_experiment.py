@@ -15,7 +15,7 @@ from btd1.linalg import DimensionError, cond, rng
 from btd1.solver import candidate_size_tuples
 from btd1 import unfold
 
-from helpers import reference_draw_instance
+from helpers import lstsq_cpd_als, reference_draw_instance
 
 
 def test_candidate_tuples_3x8x8():
@@ -174,6 +174,63 @@ def test_unconverged_refinements_are_counted(monkeypatch):
     assert len(diagnostics) == 3
     assert all(1 <= d["cpd_iters"] <= 500 for d in diagnostics)
     assert result.unconverged_refinements == sum(not d["cpd_converged"] for d in diagnostics)
+
+
+def _criterion5_3x8x8(snr_grid, num_trials):
+    return ExperimentConfig(
+        dims=(3, 8, 8), sizes=(2, 3, 4), snr_grid=snr_grid, num_trials=num_trials, seed=2024
+    )
+
+
+def test_refinement_ends_stalled_runs_lower(monkeypatch):
+    # trials 3, 25 and 39 of criterion 5's 3x8x8 sequence at 35 dB: plain
+    # ALS crawls for all 500 sweeps on each, its fit still falling
+    import btd1.sjbd as sjbd
+
+    calls = []
+
+    def recorded(tensor, init):
+        out = real_cpd_als(tensor, init)
+        calls.append((tensor, init, out))
+        return out
+
+    real_cpd_als = sjbd.cpd_als
+    monkeypatch.setattr(sjbd, "cpd_als", recorded)
+    run_experiment(_criterion5_3x8x8((35.0,), 40))
+    converged = []
+    for trial in (3, 25, 39):
+        tensor, init, (_factors, fit, conv, _sweeps) = calls[trial]
+        _plain, plain_fit, plain_conv, plain_sweeps = lstsq_cpd_als(
+            tensor, init, extrapolate=False
+        )
+        assert (plain_conv, plain_sweeps) == (False, 500)
+        assert fit <= plain_fit, trial
+        converged.append(conv)
+    assert any(converged)
+
+
+def test_refinement_sweep_counts_on_criterion5_trials(monkeypatch):
+    # the first 30 trials of criterion 5's 3x8x8 sequence: plain ALS ran
+    # 6,594 sweeps and left 5 refinements unconverged; the extrapolated
+    # refinement runs 3,942 and leaves 4.  The one miss, trial 21 at 35 dB,
+    # is the plain run's miss too.
+    import btd1.experiment as exp
+
+    outcomes = []
+
+    def recorded(noisy, opts):
+        report = real_decompose(noisy, opts)
+        outcomes.append((report.diagnostics["cpd_iters"], tuple(sorted(report.detected_L))))
+        return report
+
+    real_decompose = exp.decompose
+    monkeypatch.setattr(exp, "decompose", recorded)
+    result = run_experiment(_criterion5_3x8x8((35.0, 50.0), 30))
+    assert len(outcomes) == 60 and not result.failure_causes
+    assert sum(sweeps for sweeps, _ in outcomes) < 5000
+    assert result.unconverged_refinements <= 4
+    misses = {(i // 2, (35, 50)[i % 2]) for i, (_, tup) in enumerate(outcomes) if tup != (2, 3, 4)}
+    assert misses <= {(21, 35)}
 
 
 def test_trials_deterministic():

@@ -287,13 +287,13 @@ def _noisy_cpd_case(kind, seed=21, m=4, n=5):
 def test_cpd_als_matches_lstsq_reference(kind):
     tensor, init = _noisy_cpd_case(kind)
     (a, c, b), fit, converged, sweeps = cpd_als(tensor, init)
-    (a_r, c_r, b_r), fit_r, converged_r = lstsq_cpd_als(tensor, init)
+    (a_r, c_r, b_r), fit_r, converged_r, sweeps_r = lstsq_cpd_als(tensor, init)
     for got, want in ((a, a_r), (c, c_r), (b, b_r)):
         assert got.dtype == want.dtype
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
     assert fit == pytest.approx(fit_r, rel=1e-9)
     assert converged == converged_r
-    assert 1 <= sweeps <= 500
+    assert 1 <= sweeps == sweeps_r <= 500
 
 
 @pytest.mark.parametrize("kind", ["real", "conjugate", "complex"])
@@ -302,6 +302,15 @@ def test_cpd_als_stops_at_noise_floor(kind):
     tensor, init = _noisy_cpd_case(kind)
     _factors, _fit, converged, sweeps = cpd_als(tensor, init)
     assert converged and sweeps < 100
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_cpd_als_is_deterministic(kind):
+    tensor, init = _noisy_cpd_case(kind)
+    (a, c, b), fit, _converged, sweeps = cpd_als(tensor, init)
+    (a2, c2, b2), fit2, _converged2, sweeps2 = cpd_als(tensor, init)
+    assert (fit, sweeps) == (fit2, sweeps2)
+    assert all(np.array_equal(x, y) for x, y in ((a, a2), (c, c2), (b, b2)))
 
 
 def test_cpd_als_singular_gram_falls_back_to_lstsq(monkeypatch):

@@ -338,6 +338,43 @@ def test_case3_names_a_subset_wider_than_min_jk(dims, sizes, sum_l, width, field
     json.dumps(details)
 
 
+# Phase I's keys that every exact failure after it carries
+PHASE1_KEYS = {"Q_used", "sum_d", "sjbd_route", "coupling_margin", "case_considered"}
+
+
+@pytest.mark.parametrize(
+    "dims,sizes,message,phase2_keys",
+    [
+        ((2, 10, 6), (2, 2, 3), r"sum L_r = 7 > min\(J, K\) = 6", {"subset", "sum_L", "min_JK"}),
+        ((2, 7, 6), (1, 2, 2, 2), "block sizes are inconsistent", {"increment", "d", "K"}),
+    ],
+    ids=["2x10x6", "2x7x6"],
+)
+def test_exact_phase2_failure_carries_phase1_diagnostics(dims, sizes, message, phase2_keys):
+    t = compose(random_btd(dims, sizes, seed=1))
+    with pytest.raises(SolverDiagnostic, match=message) as info:
+        decompose(t)
+    details = info.value.diagnostics
+    assert PHASE1_KEYS | phase2_keys <= details.keys()
+    assert (details["sjbd_route"], details["case_considered"]) == ("pencil", 3)
+    json.dumps(details)
+
+
+def test_phase2_keys_win_over_phase1_keys(monkeypatch):
+    import btd1.solver as solver_module
+
+    def failing_case3(*args, **kwargs):
+        raise SolverDiagnostic("case 3 failed", {"sum_d": -1})
+
+    monkeypatch.setattr(solver_module, "phase2_case3", failing_case3)
+    with pytest.raises(SolverDiagnostic) as info:
+        decompose(compose(random_btd((2, 10, 6), (2, 2, 3), seed=1)))
+    assert str(info.value) == "case 3 failed"
+    details = info.value.diagnostics
+    assert details["sum_d"] == -1
+    assert details["Q_used"] == 5 and details["case_considered"] == 3
+
+
 def _forbid_q2(monkeypatch):
     """Make every binding of ``minors.build_Q2`` in the package raise."""
     from btd1.minors import build_Q2
