@@ -73,26 +73,48 @@ def gf2k_eliminate(mat, logt, expt, order):
 def gfp_eliminate(mat, p):
     """In-place row echelon form over the prime field GF(p), pivots scaled
     to one; returns the rank.  Only the rows below each pivot are reduced.
-    Entries are in [0, p)."""
+    Entries of the int64 ``mat`` are in [0, p).
+
+    Reduction mod p is deferred (Dumas, Giorgi & Pernet, ACM TOMS 35(3),
+    2008).  Each pivot subtracts f times the pivot row from every row below
+    it, f being that row's entry in the pivot column, as one rank-one update
+    of the block below and to the right, without reducing it; a row with
+    f = 0 is left as it is.  Only the pivot column (before the pivot search)
+    and the pivot row (before scaling) are reduced.  An entry may go
+    negative, and one update changes it by at most (p-1)^2, so the trailing
+    block is reduced after every (2^63 - 1 - p) // (p-1)^2 updates and no
+    entry reaches 2^63 in magnitude; GFField's guard p(p-1) < 2^63 keeps that
+    count at one or more.  Below 2^16 nothing is reduced before the end, at
+    2^31 - 1 the block is reduced after every pivot.  The arithmetic is
+    exact and ``%`` returns values in [0, p), so the result is the same as
+    reducing at every step.
+    """
     m, n = mat.shape
+    budget = (2**63 - 1 - p) // (p - 1) ** 2
+    pending = 0  # updates since the trailing block was last reduced
     rank = 0
     for col in range(n):
-        nz = np.nonzero(mat[rank:, col])[0]
+        column = mat[rank:, col]
+        column %= p
+        nz = column.nonzero()[0]
         if nz.size == 0:
             continue
         pivot = rank + nz[0]
         if pivot != rank:
             mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        # rows at or below rank are zero left of col
+        # rows at or below rank are zero (mod p) left of col
         row = mat[rank, col:]
-        row[:] = row * inv % p
-        # after the swap the old row `rank` (zero in col) sits at `pivot`
-        below = rank + nz[1:]
-        if below.size:
-            f = mat[below, col][:, None]
-            mat[below, col:] = (mat[below, col:] + (p - f) * row[None, :]) % p
+        row %= p
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
         rank += 1
         if rank == m:
             break
+        below = mat[rank:, col:]
+        below -= below[:, :1] * row  # row[0] is 1: the pivot column becomes 0
+        pending += 1
+        if pending == budget:
+            mat[rank:, col + 1 :] %= p
+            pending = 0
+    mat %= p
     return rank

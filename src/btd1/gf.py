@@ -209,6 +209,9 @@ def _exact_block(p):
 def _matmul_mod_p(a, b, p, block):
     """a @ b mod p for entries in [0, p), as float64 matmuls over inner
     slices of length ``block`` (see ``_exact_block``)."""
+    if a.shape[1] <= block:
+        part = a.astype(np.float64) @ b.astype(np.float64)
+        return (part % p).astype(np.int64)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for s in range(0, a.shape[1], block):
         part = a[:, s : s + block].astype(np.float64) @ b[s : s + block].astype(np.float64)

@@ -123,27 +123,40 @@ def phi_count_conditions(i_dim, j_dim, sizes):
     return rows_ok, j_dim >= sum(sorted(sizes)[-2:])
 
 
-# rows of Q2 per panel: whole i-pairs, as many as fit (at least one).  At
-# 6x20x20, panels of 3 or 6 times Q2's 210 columns were no faster and raised
-# the checker's traced peak from 3.8 to 5.6 and 10.7 MB.  At 8x30x30 (one
-# i-pair is 435 rows against 465 columns), 256, 512, 1024 and 2048 rows
-# folded the triangle in 0.66, 0.68, 0.66 and 0.71 s (one BLAS thread) at
-# traced peaks of 12.0, 12.0, 18.8 and 35.8 MB
+# rows of Q2 per panel: whole i-pairs, as many as fit (at least one).  With
+# the fold into one Fortran-ordered buffer, 256, 512, 1024 and 2048 rows
+# folded 6x20x20 in 45-56, 35-38, 35-37 and 43-45 ms, at traced peaks of
+# the uniqueness report of 2.2, 3.6, 7.8 and 14.4 MB, and 8x30x30 (one
+# i-pair is 435 rows against 465 columns) in 0.58-0.67, 0.56-0.57,
+# 0.48-0.59 and 0.49-0.50 s, at traced peaks of 10.4, 10.4, 17.3 and
+# 31.1 MB (two runs each, one BLAS thread).  Larger panels are no clear
+# gain, and from 1024 rows the report passes 6 MB at 6x20x20
 _PANEL_ROWS = 512
 
 
-def q2_row_panels(values):
+def _pairs_per_panel(j_dim):
+    return max(1, _PANEL_ROWS // n_strict(j_dim))
+
+
+def q2_row_panels(values, out=None):
     """Q2 of the tensor array ``values`` in consecutive row panels, each the
-    rows of one or more whole i-pairs, about 512 rows, each a fresh array."""
+    rows of one or more whole i-pairs, about 512 rows.  A panel of n rows is
+    filled into ``out(n)``, an n x binom(K+1,2) array, when ``out`` is given,
+    and into a fresh array otherwise."""
     i_dim, j_dim, k_dim = values.shape
     ip1, ip2 = strict_pairs(i_dim)
     jp1, jp2 = strict_pairs(j_dim)
     kp1, kp2 = sym_pairs(k_dim)
-    step = max(1, _PANEL_ROWS // jp1.size)
-    dtype = np.result_type(values, values)
+    if out is None:
+        dtype = np.result_type(values, values)
+
+        def out(rows):
+            return np.empty((rows, kp1.size), dtype=dtype)
+
+    step = _pairs_per_panel(j_dim)
     for first in range(0, ip1.size, step):
         pairs = slice(first, first + step)
-        panel = np.empty((ip1[pairs].size * jp1.size, kp1.size), dtype=dtype)
+        panel = out(ip1[pairs].size * jp1.size)
         yield _kernels.minor_matrix_fill(
             values, ip1[pairs], ip2[pairs], jp1, jp2, kp1, kp2, panel
         )
@@ -177,11 +190,25 @@ def q2_triangle(t):
     binom(K+1,2), folded over :func:`q2_row_panels` (R <- R of [R; panel])
     so that Q2 is never held whole.  R has Q2's singular values and right
     singular vectors, so Q2's rank and null space are read off R.  Requires
-    I >= 2 and J >= 2."""
+    I >= 2 and J >= 2.
+
+    Each panel is filled straight into a Fortran-ordered buffer, below the R
+    held at its top, and ``np.linalg.qr`` factors that slice of the buffer:
+    LAPACK sees the same numbers as for a stacked [R; panel], so R is the
+    same bit for bit, but numpy makes no transposing copy.  The panels of an
+    integer tensor are summed in float64, exactly while every sum of minor
+    products stays below 2^53 in magnitude."""
     values = _tensor_values(t)
-    r = np.zeros((0, n_sym(values.shape[2])), dtype=np.result_type(values, 1.0))
-    for panel in q2_row_panels(values):
-        r = np.linalg.qr(np.vstack([r, panel]), mode="r")
+    i_dim, j_dim, k_dim = values.shape
+    n = n_sym(k_dim)
+    # the first panel is the largest
+    rows = min(_pairs_per_panel(j_dim), n_strict(i_dim)) * n_strict(j_dim)
+    buf = np.empty((n + rows, n), dtype=np.result_type(values, 1.0), order="F")
+    r = buf[:0]
+    # the generator asks for a panel's rows only after the last R is stored
+    for panel in q2_row_panels(values, lambda m: buf[len(r) : len(r) + m]):
+        r = np.linalg.qr(buf[: len(r) + len(panel)], mode="r")
+        buf[: len(r)] = r
     return r
 
 

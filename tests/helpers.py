@@ -22,7 +22,7 @@ from btd1.linalg import (
     rng,
     split_columns,
 )
-from btd1.minors import n_sym, strict_pairs, sym_pair_position, sym_pairs
+from btd1.minors import n_sym, q2_row_panels, strict_pairs, sym_pair_position, sym_pairs
 from btd1.uniqueness import (
     SUBSET_CAP,
     _and,
@@ -185,6 +185,15 @@ def loop_gfp_eliminate(mat, p):
         if rank == m:
             break
     return rank
+
+
+def vstack_q2_triangle(values):
+    """Reference fold of Q2's triangle: R <- R of np.vstack([R, panel]) over
+    :func:`btd1.minors.q2_row_panels`, each panel a fresh array."""
+    r = np.zeros((0, n_sym(values.shape[2])), dtype=np.result_type(values, 1.0))
+    for panel in q2_row_panels(values):
+        r = np.linalg.qr(np.vstack([r, panel]), mode="r")
+    return r
 
 
 def loop_gf_matmul(f, a, b):

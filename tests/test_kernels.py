@@ -69,3 +69,29 @@ def test_gfp_elimination_paths_agree():
         r_got = _kernels.gfp_eliminate(got, p)
         assert r_got == r_want
         assert np.array_equal(got, want)
+    # the kernel defers reduction mod p: below 2^16 nothing is reduced
+    # before the end, at 2^31 - 1 the trailing block after every pivot.  Near
+    # 2^20 an unreduced pivot row times its inverse would pass 2^63
+    for p in (2, 3, 101, 32749, 65521, 1048573, 2**31 - 1):
+        for shape in ((60, 70), (70, 45), (45, 45), (4, 30), (30, 4)):
+            for mat in _gfp_cases(gen, p, shape):
+                want, got = mat.copy(), mat.copy()
+                r_want = loop_gfp_eliminate(want, p)
+                assert _kernels.gfp_eliminate(got, p) == r_want, (p, shape)
+                assert np.array_equal(got, want), (p, shape)
+
+
+def _gfp_cases(gen, p, shape):
+    """A matrix with planted dependencies, one with zero columns and a
+    tie-heavy one (about 70% zeros), each with entries in [0, p)."""
+    m, n = shape
+    dependent = gen.integers(0, p, size=shape)
+    dependent[:, -1] = dependent[:, 0]
+    dependent[:, n // 2] = (dependent[:, 1] + 2 * dependent[:, 2]) % p
+    dependent[-1] = (dependent[0] + (p - 1) * dependent[1]) % p
+    zero_cols = gen.integers(0, p, size=shape)
+    zero_cols[:, [0, n // 3, -1]] = 0
+    ties = gen.integers(0, p, size=shape)
+    ties[gen.random(shape) < 0.7] = 0
+    ties[m // 2 :] = ties[: m - m // 2]  # repeated rows
+    return dependent, zero_cols, ties

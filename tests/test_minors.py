@@ -34,6 +34,7 @@ from helpers import (
     q2_rank_instances,
     rank1_membership,
     symprod,
+    vstack_q2_triangle,
     wedge,
 )
 
@@ -62,6 +63,29 @@ def test_q2_3x8x8_shape_and_null_dimension():
 def test_q2_rank_from_panels_equals_the_formed_rank(name, tol):
     t = compose(q2_rank_instances()[name])
     assert numerical_rank(q2_triangle(t), tol) == numerical_rank(build_Q2(t), tol)
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "integer"])
+def test_q2_triangle_equals_the_stacked_fold(field):
+    # the fold into one Fortran-ordered buffer hands LAPACK the same numbers
+    # as stacking [R; panel], so R is the same bit for bit
+    cases = (
+        ((3, 8, 8), (2, 3, 4), 1),
+        ((5, 12, 12), (2, 2, 2), 2),
+        ((6, 20, 20), (4,) * 5, 8),
+    )
+    for (i_dim, j_dim, k_dim), sizes, n_panels in cases:
+        dims = (i_dim, j_dim, k_dim)
+        if field == "integer":
+            values = compose(integer_btd(dims, sizes, seed=4)).values
+        else:
+            values = compose(random_btd(dims, sizes, field=field, seed=4)).values
+        assert len(list(q2_row_panels(values))) == n_panels
+        want, got = vstack_q2_triangle(values), q2_triangle(values)
+        rows = min(n_strict(i_dim) * n_strict(j_dim), n_sym(k_dim))
+        assert got.shape == want.shape == (rows, n_sym(k_dim))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), dims
 
 
 def test_q2_rank_sees_the_planted_deficiency():
