@@ -50,10 +50,10 @@ def randn(gen, shape, field="real"):
 
 def rank_cut(s, tol=DEFAULT_RANK_TOL, atol=0.0):
     """Number of singular values ``s`` (descending) above
-    ``max(tol * s[0], atol)``."""
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > max(tol * s[0], atol)))
+    ``max(tol * s[0], atol)``.  For a stack of them, one row per matrix as
+    a stacked ``np.linalg.svd`` returns, the array of the rows' counts."""
+    counts = np.sum(s > np.maximum(tol * s[..., :1], atol), axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def numerical_rank(a, tol=DEFAULT_RANK_TOL):

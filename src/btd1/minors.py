@@ -7,13 +7,22 @@ when ``R2(T) (f kron f) = 0``.  Because the rows of ``R2`` are vectorized
 symmetric K x K matrices, the smaller matrix ``Q2`` over unordered index
 pairs carries the same information: ``R2 = Q2 @ PK.T``.
 
-The package reads Q2 one way, and never holds it whole: Q2 is filled in
-row panels of whole i-pairs (:func:`q2_row_panels`), and the triangular
-factor R of Q2 = QR is folded over them (:func:`q2_triangle`).  R has Q2's
-singular values and right singular vectors, so Phase I's symmetric null
-matrices (:func:`symmetric_null_matrices`) and the uniqueness checker's
-rank of Q2 are both read off R.  :func:`build_Q2` stacks the panels into
-the whole matrix for the test suite alone.
+The package never holds Q2 whole, and reads it two ways.  Phase I needs
+Q2's null space: Q2 is filled in row panels of whole i-pairs
+(:func:`q2_row_panels`), the triangular factor R of Q2 = QR is folded over
+them (:func:`q2_triangle`), and R, which has Q2's singular values and right
+singular vectors, gives the symmetric null matrices
+(:func:`symmetric_null_matrices`).  The uniqueness checker needs only Q2's
+rank: :func:`q2_rank` counts it on the spectrum of the Gram matrix
+Q2^H Q2, built from two contractions of the tensor (:func:`q2_gram`).  It
+keeps that count only where H's rounding, measured against ||T||_F^4, is
+well below the count's floor and the null eigenvectors' residual, computed
+from the tensor (:func:`q2_residual`), is within the cut; otherwise it
+ranks R.  The Gram route does not give Phase I its
+basis: squaring leaves the null vectors accurate to about eps times the
+squared condition number (Davis & Kahan, SIAM J. Numer. Anal. 7(1), 1970).
+:func:`build_Q2` stacks the panels into the whole matrix for the test
+suite alone.
 
 All index pairs — (i1 < i2), (j1 < j2) for rows, (k1 <= k2) for columns,
 and the entries of wedge / symmetric products — are enumerated in one place
@@ -36,12 +45,13 @@ counts, block sizes d_r = K - sum L + L_r, Q = sum binom(d_r+1, 2) and the
 column count of Phi(A, B) with its two count conditions.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space
+from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space, numerical_rank
 from .tensor import Tensor3
 
 __all__ = [
@@ -57,6 +67,10 @@ __all__ = [
     "build_Q2",
     "q2_row_panels",
     "q2_triangle",
+    "q2_gram",
+    "q2_residual",
+    "Q2Rank",
+    "q2_rank",
     "symmetric_null_matrices",
     "sym_pair_position",
     "phi_pair_wedges",
@@ -210,6 +224,199 @@ def q2_triangle(t):
         r = np.linalg.qr(buf[: len(r) + len(panel)], mode="r")
         buf[: len(r)] = r
     return r
+
+
+def q2_gram(t):
+    """H = Q2^H Q2, binom(K+1,2) x binom(K+1,2), from two contractions of
+    the tensor; neither Q2 nor a row panel of it is formed.
+
+    With C = T_(3)^H T_(3) and P[i,i',k,k'] = sum_j conj(t_ijk) t_i'jk',
+    the Gram matrix of the ordered-pair minors summed over all (i1,i2,j1,j2)
+    is 2 C kron C - 2 E, where E[(k1,k2),(k3,k4)] = sum_{i,i'}
+    P[i,i',k1,k4] P[i',i,k2,k3].  Q2's column (k1,k2) sums the columns of
+    both orders, and each row of Q2 appears four times over ordered i- and
+    j-pairs, so summing both orders on both sides and dividing by 4 gives
+
+        H[(k1,k2),(k3,k4)] = C[k1,k3] C[k2,k4] + C[k1,k4] C[k2,k3]
+                             - E[(k1,k2),(k3,k4)] - E[(k1,k2),(k4,k3)],
+
+    using E[(k2,k1),(k4,k3)] = E[(k1,k2),(k3,k4)].  E is built one k1 at a
+    time, straight at the pairs k1 <= k2, from a (K-k1) x K x K slice.
+    Integer tensors are contracted in float64, exactly while every sum
+    stays below 2^53 in magnitude.  Requires I >= 2 and J >= 2."""
+    values = _tensor_values(t)
+    values = values.astype(np.result_type(values, 1.0), copy=False)
+    i_dim, j_dim, k_dim = values.shape
+    kp1, kp2 = sym_pairs(k_dim)
+    t3 = values.reshape(i_dim * j_dim, k_dim)
+    c = t3.conj().T @ t3
+    # P4[i,k,i',k'] = P[i,i',k,k'] from one (IK x IK) product over j
+    x = values.transpose(1, 0, 2).reshape(j_dim, i_dim * k_dim)
+    p4 = (x.conj().T @ x).reshape(i_dim, k_dim, i_dim, k_dim)
+    # pm[(i,i'),a,d] = P[i,i',a,d] and pt[(i,i'),b,c] = P[i',i,b,c]
+    pm = np.ascontiguousarray(p4.transpose(0, 2, 1, 3)).reshape(-1, k_dim, k_dim)
+    pt = np.ascontiguousarray(p4.transpose(2, 0, 1, 3)).reshape(-1, k_dim * k_dim)
+    h = np.empty((kp1.size, kp1.size), dtype=c.dtype)
+    row = 0
+    for a in range(k_dim):
+        # w[b,c,d] = E[(a,b),(c,d)] for b >= a
+        w = (pt[:, a * k_dim :].T @ pm[:, a, :]).reshape(k_dim - a, k_dim, k_dim)
+        block = h[row : row + k_dim - a]
+        np.multiply(c[a, kp1], c[a:, kp2], out=block)
+        block += c[a, kp2] * c[a:, kp1]
+        block -= w[:, kp1, kp2]
+        block -= w[:, kp2, kp1]
+        row += k_dim - a
+    return h
+
+
+# columns of g per batch in q2_residual, as many as keep a batch's
+# products at about 2^16 entries each.  At 6x20x20 the uniqueness report's
+# traced peak is 2.3 MB with 2^16 and 3.9 MB with 2^17 (the fold's was 3.6)
+_RESIDUAL_ENTRIES = 1 << 16
+
+
+def q2_residual(t, g):
+    """||Q2 g||_F for the binom(K+1,2) x m array ``g`` (or one vector),
+    without Q2, a few columns at a time.
+
+    Each column of g is packed into the symmetric K x K matrix M (entry
+    (k1,k2) of pair {k1,k2}, its diagonal doubled).  With F the IJ x K
+    matrix of mode-3 fibres, G = F M F^T, and the row (i1<i2, j1<j2) of
+    Q2 g is G[(i1,j1),(i2,j2)] - G[(i1,j2),(i2,j1)], so ||Q2 g||_F =
+    ||G - G^{j1<->j2}||_F / 2.  Only the rows of G with i1 < i2 are formed,
+    one i1 at a time for a batch of columns: the sum over i1 < i2 and all
+    (j1, j2) of |G[(i1,j1),(i2,j2)] - G[(i1,j2),(i2,j1)]|^2 / 2 is
+    ||Q2 g||_F^2.  Requires I >= 2 and J >= 2."""
+    values = _tensor_values(t)
+    i_dim, j_dim, k_dim = values.shape
+    g = np.asarray(g).reshape(n_sym(k_dim), -1)
+    f = values.reshape(i_dim * j_dim, k_dim)
+    scale = np.where(np.eye(k_dim, dtype=bool), 2.0, 1.0)[:, :, None]
+    pos = sym_pair_position(k_dim)
+    step = max(1, _RESIDUAL_ENTRIES // (j_dim * max(i_dim * k_dim, (i_dim - 1) * j_dim)))
+    total = 0.0
+    for first in range(0, g.shape[1], step):
+        m = g[pos, first : first + step] * scale  # m[k, l, column]
+        n = m.shape[2]
+        # fm[i, j1, l, column] = (F M)[(i,j1), l]
+        fm = (f @ m.reshape(k_dim, k_dim * n)).reshape(i_dim, j_dim, k_dim, n)
+        for i1 in range(i_dim - 1):
+            left = fm[i1].transpose(0, 2, 1).reshape(j_dim * n, k_dim)
+            # x[j1, column, i2, j2] = G[(i1,j1),(i2,j2)] for i2 > i1
+            x = (left @ f[(i1 + 1) * j_dim :].T).reshape(j_dim, n, -1, j_dim)
+            d = x - x.transpose(3, 1, 2, 0)
+            total += np.vdot(d, d).real / 2
+    return float(np.sqrt(total))
+
+
+# q2_rank counts an eigenvalue of H as non-null only from this fraction of
+# the largest (or (2 tol)^2, if larger); the factor 2 puts the non-null
+# singular values at least twice the fold's cut tol * sigma_max
+_GRAM_FLOOR = 1e-12
+# H's rounding, as a multiple of eps * ||T||_F^4: H sums products of size
+# up to trace(C)^2 = ||T||_F^4 that cancel where Q2 is small, so its
+# eigenvalues move by up to about eps * ||T||_F^4 whatever lambda_max is.
+# The null eigenvalues of random 2x8x7 to 8x30x30 decompositions, real and
+# complex, with all terms alike or one term (or all but one) scaled by
+# 1e-1 to 1e-4, sit within 0.57 eps * ||T||_F^4 of zero
+_GRAM_ROUNDING = 4.0
+
+
+@dataclass(frozen=True)
+class Q2Rank:
+    """Q2's numerical rank at a tolerance, and how :func:`q2_rank` found it.
+
+    ``route`` is "gram" when the Gram spectrum's count passed its checks,
+    "fold" when :func:`q2_triangle` was ranked instead.  ``margin`` is
+    whichever check decided, over its limit:
+
+    - the null eigenvectors' residual over tol * sqrt(lambda_max), at most 1
+      on the Gram route;
+    - H's rounding bound over half the floor, both relative to lambda_max,
+      when it is above 1;
+    - an eigenvalue that fell between the floor and the cut, over
+      lambda_max.
+
+    ``reason`` says why the fold ran, and is empty on the Gram route."""
+
+    rank: int
+    route: str
+    margin: float
+    reason: str = ""
+
+
+def q2_rank(t, tol=DEFAULT_RANK_TOL):
+    """Q2's rank at ``tol``, equal to ``numerical_rank(q2_triangle(t), tol)``:
+    the count of singular values above the cut tol * sigma_max.
+
+    It is read from ``eigh`` of the Gram matrix H (:func:`q2_gram`), whose
+    eigenvalues carry a rounding of up to delta = 4 eps ||T||_F^4.  The q
+    eigenvalues below the floor max(1e-12, (2 tol)^2) * lambda_max are
+    taken as null, the others as non-null, and the fold runs instead when
+    any of three checks fails:
+
+    - delta is below half the floor times lambda_max, so the exact H's
+      n - q largest eigenvalues are above half the floor times lambda_max,
+      at least 2 tol^2 * lambda_max: Q2 has at least n - q singular values
+      above the cut.  Where Q2 is small against ||T||_F^2 (one term far
+      weaker than the rest, or Q2 near zero) this fails;
+    - none of the q lies above both the cut tol^2 * lambda_max and delta,
+      where it would be a singular value the fold counts;
+    - their eigenvectors V pass ||Q2 V||_F <= tol * sqrt(lambda_max), from
+      the tensor itself (:func:`q2_residual`).  Q2 is then at most tol *
+      sigma_max on a q-dimensional subspace, so by Courant-Fischer at most
+      n - q singular values pass the cut.
+
+    With all three the rank is n - q, the fold's, as far as delta bounds
+    H's rounding: delta is measured (see ``_GRAM_ROUNDING``), not proved.
+    A zero H (Q2 = 0, as for an integer single term) gives rank 0, as the
+    fold does.  Returns a :class:`Q2Rank`.
+    """
+    values = _tensor_values(t)
+    h = q2_gram(values)
+    if not h.any():
+        return Q2Rank(0, "gram", 0.0)
+    w, v = np.linalg.eigh(h)
+    lmax = w[-1]
+    floor = max(_GRAM_FLOOR, (2 * tol) ** 2)
+    norm2 = np.linalg.norm(values) ** 2
+    delta = _GRAM_ROUNDING * np.finfo(float).eps * norm2 * norm2
+    if 2 * delta >= floor * lmax:
+        rounding = delta / lmax if lmax > 0 else np.inf
+        return _fold_rank(
+            values,
+            tol,
+            float(2 * rounding / floor),
+            f"the rounding of Q2^H Q2, {rounding:.2g} of its largest eigenvalue, "
+            f"is not clearly below the floor {floor:.2g}",
+        )
+    null = int(np.sum(w < floor * lmax))
+    # below the floor, an eigenvalue above both the cut and the rounding is
+    # a singular value the fold counts
+    if null and w[null - 1] > max(tol * tol * lmax, delta):
+        gap = float(w[null - 1] / lmax)
+        return _fold_rank(
+            values,
+            tol,
+            gap,
+            f"an eigenvalue of Q2^H Q2 at {gap:.2g} of the largest lies below the "
+            f"floor {floor:.2g} and above the cut {tol * tol:.2g} and the rounding "
+            f"{delta / lmax:.2g}",
+        )
+    margin = float(q2_residual(values, v[:, :null]) / (tol * np.sqrt(lmax))) if null else 0.0
+    if margin > 1:
+        return _fold_rank(
+            values,
+            tol,
+            margin,
+            f"the Gram null vectors' residual is {margin:.3g} times tol * sigma_max",
+        )
+    return Q2Rank(w.size - null, "gram", margin)
+
+
+def _fold_rank(values, tol, margin, reason):
+    return Q2Rank(numerical_rank(q2_triangle(values), tol), "fold", margin, reason)
 
 
 def symmetric_null_matrices(t, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):

@@ -15,18 +15,18 @@ verdict is sound.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, DimensionError, khatri_rao, numerical_rank
+from .linalg import DEFAULT_RANK_TOL, DimensionError, khatri_rao, numerical_rank, rank_cut
 from .minors import (
     block_sizes,
     n_sym,
     phi_columns,
     phi_count_conditions,
     q2_null_dim,
-    q2_triangle,
+    q2_rank,
 )
 from .tensor import compose, unfold
 
@@ -53,19 +53,28 @@ class KRankResult:
     exact: bool = True
 
 
+# k-subsets ranked per np.linalg.svd call: one stack holds at most this
+# many of them, so memory stays bounded however many subsets the cap allows
+_SUBSET_CHUNK = 256
+
+
 def _subset_rank(blocks, targets, ks, tol, cap):
     """Largest k of ``ks`` (increasing) such that every k-subset of
     ``blocks``, stacked side by side, has rank at least the sum of its
     ``targets``.
 
-    Subsets are tested in lexicographic order and the first failure ends
-    the search.  The search also ends at the first k whose k smallest
+    Subsets are tested in lexicographic order, in chunks of up to 256 ranked
+    by one stacked SVD per width, and the first chunk that holds a failure
+    ends the search.  The search also ends at the first k whose k smallest
     targets sum above the row count, since no k-subset can then reach its
     target.  ``cap`` bounds the subsets tested over all k; a k that would
     pass it ends the search with an inexact lower bound.
     """
     n = len(blocks)
     smallest = sorted(targets)
+    cols = np.hstack(blocks) if blocks else None
+    bounds = np.cumsum([0] + [b.shape[1] for b in blocks])
+    spans = [np.arange(bounds[i], bounds[i + 1]) for i in range(n)]
     best = 0
     tested = 0
     for k in ks:
@@ -75,12 +84,30 @@ def _subset_rank(blocks, targets, ks, tol, cap):
         if tested + n_subsets > cap:
             return KRankResult(best, exact=False)
         tested += n_subsets
-        for sel in combinations(range(n), k):
-            m = np.hstack([blocks[i] for i in sel])
-            if numerical_rank(m, tol=tol) < sum(targets[i] for i in sel):
+        subsets = combinations(range(n), k)
+        while chunk := list(islice(subsets, _SUBSET_CHUNK)):
+            if not _chunk_reaches(cols, spans, targets, chunk, tol):
                 return KRankResult(best)
         best = k
     return KRankResult(best)
+
+
+def _chunk_reaches(cols, spans, targets, chunk, tol):
+    """Whether every subset of ``chunk`` (tuples of block indices), its
+    blocks' columns of ``cols`` side by side, has rank at least the sum of
+    its targets; ranks are :func:`btd1.linalg.rank_cut`'s, from one stacked
+    SVD per subset width."""
+    groups = {}
+    for sel in chunk:
+        idx = np.concatenate([spans[i] for i in sel])
+        groups.setdefault(idx.size, []).append((idx, sum(targets[i] for i in sel)))
+    for group in groups.values():
+        need = np.array([target for _, target in group])
+        stack = cols[:, np.array([i for i, _ in group])].transpose(1, 0, 2)
+        ranks = rank_cut(np.linalg.svd(stack, compute_uv=False), tol)
+        if np.any(ranks < need):
+            return False
+    return True
 
 
 def k_rank(a, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
@@ -248,8 +275,10 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_C
         notes.append("F-subset rank condition not evaluated (cap)")
 
     expected_q = q2_null_dim(d_vals)
-    q2_null = n_sym(k_dim) - numerical_rank(q2_triangle(t), tol=tol)
-    q2_dim_ok = q2_null == expected_q
+    q2 = q2_rank(t, tol=tol)
+    if q2.route == "fold":
+        notes.append(f"Q2 rank from the QR fold: {q2.reason}")
+    q2_dim_ok = n_sym(k_dim) - q2.rank == expected_q
 
     assumptions = {
         "t3_full_rank": t3_rank_ok,

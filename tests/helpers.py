@@ -25,6 +25,7 @@ from btd1.linalg import (
 from btd1.minors import n_sym, q2_row_panels, strict_pairs, sym_pair_position, sym_pairs
 from btd1.uniqueness import (
     SUBSET_CAP,
+    KRankResult,
     _and,
     _at_least,
     _equals_rank,
@@ -602,6 +603,29 @@ def compound2(m):
     rp, rq = strict_pairs(m.shape[0])
     cp, cq = strict_pairs(m.shape[1])
     return m[rp][:, cp] * m[rq][:, cq] - m[rp][:, cq] * m[rq][:, cp]
+
+
+def loop_k_prime_rank(blocks, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
+    """Reference k'-rank: every subset ranked by its own ``numerical_rank``,
+    in lexicographic order, the first failure ending the search.  It stops
+    at the first k whose k smallest widths sum above the row count, and a k
+    that would take the subsets tested past ``cap`` gives an inexact lower
+    bound."""
+    widths = [b.shape[1] for b in blocks]
+    best = tested = 0
+    for k in range(1, len(blocks) + 1):
+        if sum(sorted(widths)[:k]) > blocks[0].shape[0]:
+            break
+        subsets = list(itertools.combinations(range(len(blocks)), k))
+        if tested + len(subsets) > cap:
+            return KRankResult(best, exact=False)
+        tested += len(subsets)
+        for sel in subsets:
+            m = np.hstack([blocks[i] for i in sel])
+            if numerical_rank(m, tol=tol) < sum(widths[i] for i in sel):
+                return KRankResult(best)
+        best = k
+    return KRankResult(best)
 
 
 def check_rank_only_uniqueness(d, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):

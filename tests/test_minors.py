@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from btd1 import DimensionError, Tensor3, compose, random_btd
+from btd1 import (
+    BlockTermDecomposition,
+    DimensionError,
+    NoiseSpec,
+    Tensor3,
+    add_noise,
+    compose,
+    minors,
+    random_btd,
+)
 from btd1.linalg import DEFAULT_RANK_TOL, null_space, numerical_rank, rng
 from btd1.minors import (
     block_sizes,
@@ -11,7 +20,10 @@ from btd1.minors import (
     phi_columns,
     phi_count_conditions,
     phi_matrix,
+    q2_gram,
     q2_null_dim,
+    q2_rank,
+    q2_residual,
     q2_row_panels,
     q2_triangle,
     s2_matrix,
@@ -93,6 +105,165 @@ def test_q2_rank_sees_the_planted_deficiency():
     for name in ("real", "complex", "integer", "multi_panel"):
         deficient = numerical_rank(q2_triangle(compose(cases[name + "_deficient"])))
         assert deficient < numerical_rank(q2_triangle(compose(cases[name])))
+
+
+@pytest.mark.parametrize("name", sorted(q2_rank_instances()))
+def test_q2_gram_equals_the_formed_gram(name):
+    t = compose(q2_rank_instances()[name])
+    q2 = build_Q2(t).astype(np.result_type(t.values, 1.0))
+    want = q2.conj().T @ q2
+    got = q2_gram(t)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["real", "complex", "integer", "multi_panel"])
+def test_q2_residual_equals_the_formed_product(name):
+    t = compose(q2_rank_instances()[name])
+    q2 = build_Q2(t)
+    gen = rng(7)
+    n = q2.shape[1]
+    for g in (
+        gen.standard_normal(n),
+        gen.standard_normal((n, 3)),
+        gen.standard_normal((n, 40)) + 1j * gen.standard_normal((n, 40)),
+    ):
+        want = np.linalg.norm(q2 @ g)
+        assert abs(q2_residual(t, g) - want) <= 1e-13 * want
+
+
+def test_q2_residual_batches_agree():
+    # 6x20x20 holds 13 columns per batch: 40 columns take four batches
+    t = compose(random_btd((6, 20, 20), (4,) * 5, seed=1))
+    g = rng(8).standard_normal((n_sym(20), 40))
+    whole = q2_residual(t, g)
+    parts = np.sqrt(sum(q2_residual(t, g[:, c : c + 1]) ** 2 for c in range(40)))
+    assert abs(whole - parts) <= 1e-13 * whole
+
+
+def _noisy_3x9x10(snr_db):
+    t = compose(random_btd((3, 9, 10), (1, 2, 3, 4), seed=5))
+    return add_noise(t, NoiseSpec(snr_db=snr_db, seed=6))
+
+
+def _q2_rank_grid():
+    shapes = (
+        ((3, 9, 10), (1, 2, 3, 4)),
+        ((2, 8, 7), (3, 3, 3)),
+        ((3, 8, 8), (2, 3, 4)),
+        ((5, 12, 12), (3, 3, 3, 3)),
+        ((3, 14, 15), (2, 2, 2, 3, 3, 4)),
+    )
+    for dims, sizes in shapes:
+        for field in ("real", "complex"):
+            yield f"{dims} {field}", compose(random_btd(dims, sizes, field=field, seed=9))
+    for snr in (35.0, 80.0, 120.0, 160.0):
+        yield f"3x9x10 at {snr:g} dB", _noisy_3x9x10(snr)
+    # one term far weaker than the rest: Q2 is small against ||T||_F^2
+    for dims, sizes, scales in (((3, 8, 6), (3, 3), (1e-2, 1e-3)), ((3, 8, 8), (2, 3, 4), (1e-3,))):
+        for field in ("real", "complex"):
+            for scale in scales:
+                yield f"{dims} {field}, term 0 at {scale:g}", _weak_term(dims, sizes, field, scale)
+
+
+def _weak_term(dims, sizes, field, scale):
+    d = random_btd(dims, sizes, field=field, seed=9)
+    terms = ((d.terms[0][0] * scale, d.terms[0][1]),) + d.terms[1:]
+    return compose(BlockTermDecomposition(d.A, terms))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_RANK_TOL, 1e-8, 1e-4, 3e-5])
+def test_q2_rank_equals_the_fold_rank(tol):
+    tensors = [(name, compose(d)) for name, d in sorted(q2_rank_instances().items())]
+    for name, t in tensors + list(_q2_rank_grid()):
+        got = q2_rank(t, tol)
+        assert got.rank == numerical_rank(q2_triangle(t), tol), (name, got)
+        assert got.route in ("gram", "fold")
+        assert (got.route == "gram") == (got.reason == "")
+
+
+def test_q2_rank_floor_follows_tol():
+    # the 25th relative singular value of the 2x8x7 example is 5.0e-5: at
+    # tol = 1e-4 the fold drops it, and a floor of 1e-12 alone would count
+    # its eigenvalue (2.5e-9 of the largest)
+    t = compose(q2_rank_instances()["2x8x7"])
+    s = np.linalg.svd(q2_triangle(t), compute_uv=False)
+    assert 4e-5 < s[24] / s[0] < 6e-5
+    got = q2_rank(t, 1e-4)
+    assert got.rank == numerical_rank(q2_triangle(t), 1e-4) == 24
+    assert got.route == "gram" and got.margin <= 1
+
+
+def _count_folds(monkeypatch):
+    calls = []
+    fold = minors.q2_triangle
+
+    def counted(t):
+        calls.append(t.shape)
+        return fold(t)
+
+    monkeypatch.setattr(minors, "q2_triangle", counted)
+    return calls
+
+
+def test_q2_rank_folds_only_when_the_gram_cannot_decide(monkeypatch):
+    calls = _count_folds(monkeypatch)
+    # certify's shapes at the default tolerance: the Gram route decides
+    shapes = (
+        ((3, 9, 10), (1, 2, 3, 4)),
+        ((2, 8, 7), (3, 3, 3)),
+        ((3, 8, 8), (2, 3, 4)),
+        ((5, 12, 12), (3, 3, 3, 3)),
+        ((3, 14, 15), (2, 2, 2, 3, 3, 4)),
+        ((5, 15, 15), (3,) * 5),
+        ((6, 20, 20), (4,) * 5),
+    )
+    for dims, sizes in shapes:
+        got = q2_rank(compose(random_btd(dims, sizes, seed=11)))
+        assert got.route == "gram" and got.margin <= 1, dims
+    assert calls == []
+    # at tol = 3e-5 the eigenvalue 2.5e-9 lies between the cut 9e-10 and
+    # the floor 3.6e-9: the fold decides
+    t = compose(q2_rank_instances()["2x8x7"])
+    got = q2_rank(t, 3e-5)
+    assert calls == [(2, 8, 7)]
+    assert got.route == "fold" and got.rank == 25
+    assert 2e-9 < got.margin < 3e-9 and "above the cut" in got.reason
+
+
+def test_q2_rank_folds_when_the_residual_fails(monkeypatch):
+    # eigenvectors with a residual above tol * sigma_max send q2_rank to the
+    # fold, even where the eigenvalue count looks clean
+    calls = _count_folds(monkeypatch)
+    t = compose(q2_rank_instances()["real"])
+    monkeypatch.setattr(minors, "q2_residual", lambda values, g: 1.0e6)
+    got = q2_rank(t)
+    assert calls == [(3, 8, 8)]
+    assert got.route == "fold" and got.margin > 1 and "residual" in got.reason
+    assert got.rank == numerical_rank(q2_triangle(t))
+
+
+def test_q2_rank_folds_when_h_rounds_above_the_floor(monkeypatch):
+    # two terms, one scaled by 1e-3: Q2 is about 1e-3 ||T||_F^2, so H's
+    # rounding (about eps ||T||_F^4) spreads its null eigenvalues to about
+    # 1e-10 lambda_max, above the floor 1e-12.  Counting them as non-null
+    # gives rank 15 where the fold gives 9
+    calls = _count_folds(monkeypatch)
+    t = _weak_term((3, 8, 6), (3, 3), "real", 1e-3)
+    got = q2_rank(t, 1e-8)
+    assert calls == [(3, 8, 6)]
+    assert got.route == "fold" and got.margin > 1 and "rounding" in got.reason
+    assert got.rank == numerical_rank(q2_triangle(t), 1e-8) == 9
+
+
+def test_q2_rank_of_a_single_term_is_zero():
+    # an integer single term has Q2 = 0 exactly, and so H = 0
+    t = compose(integer_btd((3, 5, 4), (2,), seed=1))
+    assert not build_Q2(t).any()
+    assert not q2_gram(t).any()
+    got = q2_rank(t)
+    assert got.rank == 0 == numerical_rank(q2_triangle(t))
+    assert got.route == "gram"
 
 
 @pytest.mark.parametrize("integer", [False, True])

@@ -1,12 +1,15 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
-from itertools import combinations
 
 from btd1 import BlockTermDecomposition, compose, random_btd
 from btd1 import uniqueness
 from btd1.linalg import DEFAULT_RANK_TOL, numerical_rank, rng
 from btd1.minors import build_Q2, n_sym, q2_null_dim
 from btd1.uniqueness import (
+    SUBSET_CAP,
     KRankResult,
     check_deterministic_uniqueness,
     check_necessary,
@@ -18,6 +21,7 @@ from btd1.uniqueness import (
 
 from helpers import (
     check_rank_only_uniqueness,
+    loop_k_prime_rank,
     nonuniqueness_family_2x8x7,
     q2_rank_instances,
     shared_columns_instance,
@@ -73,6 +77,61 @@ def test_subset_rank_stops_at_row_count():
     # with single columns the stop is the k-rank's bound min(columns, rows):
     # a cap of 25 covers the subsets of up to 3 of 5 columns
     assert k_rank(gen.standard_normal((3, 5)), cap=25) == KRankResult(3, exact=True)
+
+
+def _subset_rank_cases():
+    gen = rng(31)
+    # 364 triples of 14 columns fill two chunks; the one dependent triple,
+    # (11, 12, 13), is the last
+    a = gen.standard_normal((6, 14))
+    a[:, 13] = a[:, 11] - 2 * a[:, 12]
+    yield "late triple", [a[:, i : i + 1] for i in range(14)]
+    # the same columns with a pair that fails at k = 2
+    b = a.copy()
+    b[:, 9] = 3 * b[:, 4]
+    yield "parallel pair", [b[:, i : i + 1] for i in range(14)]
+    yield "generic", [c[:, None] for c in gen.standard_normal((5, 9)).T]
+    # blocks of widths 1 to 3: subsets of one size group by width
+    mixed = [gen.standard_normal((9, 1 + i % 3)) for i in range(11)]
+    yield "mixed widths", mixed
+    dependent = list(mixed)
+    dependent[10] = np.hstack([mixed[7][:, :1], mixed[8][:, :2]])
+    yield "mixed widths, dependent", dependent
+    zero = list(mixed)
+    zero[6] = np.zeros((9, 1))
+    yield "zero column block", zero
+
+
+@pytest.mark.parametrize("cap", [5, 60, 400, 2000, SUBSET_CAP])
+def test_stacked_subset_ranks_equal_the_loop(cap):
+    for name, blocks in _subset_rank_cases():
+        want = loop_k_prime_rank(blocks, cap=cap)
+        assert k_prime_rank(blocks, cap=cap) == want, name
+        if all(b.shape[1] == 1 for b in blocks) and all(b.any() for b in blocks):
+            assert k_rank(np.hstack(blocks), cap=cap) == want, name
+
+
+def test_k_rank_takes_one_stacked_svd_per_size(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    # 5 x 9: k = 1..5 (9, 36, 84, 126 and 126 subsets), none past the row
+    # count
+    assert k_rank(rng(32).standard_normal((5, 9))) == KRankResult(5)
+    assert calls == [(9, 5, 1), (36, 5, 2), (84, 5, 3), (126, 5, 4), (126, 5, 5)]
+    # 6 x 14: k = 1..6, each in stacks of at most 256 subsets
+    calls.clear()
+    assert k_rank(rng(33).standard_normal((6, 14))) == KRankResult(6)
+    want = []
+    for k in range(1, 7):
+        n = math.comb(14, k)
+        want += [256] * (n // 256) + [n % 256] * (n % 256 > 0)
+    assert [c[0] for c in calls] == want
 
 
 def test_main_theorem_3xJx15_narrow_j():
@@ -305,6 +364,20 @@ def test_report_serialization():
     import json
 
     json.dumps(payload)
+
+
+def test_report_notes_the_fold_only_when_it_ran():
+    # the 2x8x7 example at tol = 3e-5 has an eigenvalue of Q2^H Q2 the
+    # Gram route cannot place, so the fold ranks Q2; at the default
+    # tolerance the Gram route decides and the report has no notes
+    d = q2_rank_instances()["2x8x7"]
+    assert check_deterministic_uniqueness(d).notes == ()
+    rep = check_deterministic_uniqueness(d, tol=3e-5)
+    folds = [n for n in rep.notes if n.startswith("Q2 rank from the QR fold: ")]
+    assert len(folds) == 1 and "above the cut" in folds[0]
+    t = compose(d)
+    formed_null = n_sym(7) - numerical_rank(build_Q2(t), 3e-5)
+    assert rep.assumptions["Q2_dim_ok"] is (formed_null == q2_null_dim(uniqueness._d_values(d)))
 
 
 @pytest.mark.parametrize("name", sorted(q2_rank_instances()))
