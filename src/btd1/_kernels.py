@@ -35,6 +35,8 @@ def minor_matrix_fill(t, ip1, ip2, jp1, jp2, kp1, kp2, out):
     return out
 
 
+# nothing in the package calls this any more, but perfbench/tracing.py hooks
+# it by name
 def gf2k_eliminate(mat, logt, expt, order):
     """In-place row echelon form over GF(2^k), pivots scaled to one; returns
     the rank.  Only the rows below each pivot are reduced.
@@ -83,11 +85,11 @@ def gfp_eliminate(mat, p):
     and the pivot row (before scaling) are reduced.  An entry may go
     negative, and one update changes it by at most (p-1)^2, so the trailing
     block is reduced after every (2^63 - 1 - p) // (p-1)^2 updates and no
-    entry reaches 2^63 in magnitude; GFField's guard p(p-1) < 2^63 keeps that
-    count at one or more.  Below 2^16 nothing is reduced before the end, at
-    2^31 - 1 the block is reduced after every pivot.  The arithmetic is
-    exact and ``%`` returns values in [0, p), so the result is the same as
-    reducing at every step.
+    entry reaches 2^63 in magnitude.  That count is one or more whenever
+    p(p-1) < 2^63, and at least 1024 under GFField's guard (p-1)^2 < 2^53.
+    Below 2^16 nothing is reduced before the end, at 2^31 - 1 the block is
+    reduced after every pivot.  The arithmetic is exact and ``%`` returns
+    values in [0, p), so the result is the same as reducing at every step.
     """
     m, n = mat.shape
     budget = (2**63 - 1 - p) // (p - 1) ** 2

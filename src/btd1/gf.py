@@ -1,4 +1,4 @@
-"""Exact linear algebra over GF(p) and GF(2^15) for certifying generic rank conditions.
+"""Exact linear algebra over prime fields GF(p) for certifying generic rank conditions.
 
 The minor matrix of a composed tensor has entries that are integer
 polynomials in the factor entries.  If, for one random choice of factors
@@ -7,13 +7,13 @@ block-structure count, then the corresponding minor polynomial is nonzero
 over the integers, hence the same rank is attained generically over the
 reals and complexes.  Rank over the finite field is computed exactly
 (Gaussian elimination), so a "certified" verdict involves no rounding; a
-failed trial is inconclusive and can be retried with a new seed, a larger
-extension degree, or a different prime.
+failed trial is inconclusive and can be retried with a new seed or a
+different prime.
 
-Without an explicit ``field`` the certifiers try the prime fields GF(32749)
-and GF(65521), then GF(2^15).  Over a prime field a matrix product is a
+Without an explicit ``field`` the certifiers try GF(32749), then GF(65521).
+Only primes with (p-1)^2 < 2^53 are supported, so a matrix product is a
 float64 matmul reduced mod p, summed in blocks short enough that every
-partial sum stays an integer below 2^53, so the product is exact.  When
+partial sum stays an integer below 2^53, and the product is exact.  When
 Phi(A, B) has more rows than the expected rank + 10, it is never formed:
 the certifiers rank the sketch S Phi (times S2(C).T for Q2) instead, where
 S has expected rank + 10 rows, each the Kronecker product s_A kron s_B of
@@ -25,16 +25,12 @@ and S_B (B_r1 wedge B_r2), and the largest array a trial holds is S_B, not
 Phi.  rank(S M) <= rank(M) for every S, so a witness of the sketch still
 certifies and a miss stays inconclusive (Schwartz, J. ACM 27(4), 1980).
 
-Supported fields: prime fields GF(p) and, through ``field=``, GF(2^15) with
-table-based arithmetic (reduction polynomial x^15 + x + 1).
-
 This module does the field arithmetic, the exact products and ranks, and
 the certification loop; ``Phi(A, B)`` and ``S2(C)`` come from the builders
 in :mod:`btd1.minors`, which take a :class:`GFField` in place of numpy's
 arithmetic, so both use one enumeration of index pairs and one formula.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,22 +61,10 @@ __all__ = [
     "verify_generic_q2_dim",
 ]
 
-_REDUCTION_POLY = (1 << 15) | (1 << 1) | 1  # x^15 + x + 1
-
 # float64 represents every integer below 2^53 exactly
 _FLOAT_EXACT = 2**53
 # rows of the sketch beyond the expected rank
 _COMPRESS_SLACK = 10
-
-
-@functools.cache
-def _escalation_ladder():
-    """Fields tried in turn when no explicit field is given: two large prime
-    fields, then GF(2^15).  The prime fields come first because their
-    products run through float64 BLAS and because the symmetric-product rows
-    need odd characteristic (their diagonal entries vanish identically over
-    GF(2^k)).  Built once per process."""
-    return (GFField(32749, 1), GFField(65521, 1), GFField())
 
 
 def _is_prime(n):
@@ -94,83 +78,47 @@ def _is_prime(n):
     return True
 
 
+@dataclass(frozen=True)
 class GFField:
-    """GF(p) or GF(2^15) arithmetic on numpy integer arrays.
+    """GF(p) arithmetic on numpy int64 arrays, for a prime p with
+    (p-1)^2 < 2^53: every product of two residues is then an exact float64,
+    so every matrix product runs through float64 BLAS.  The largest such
+    prime is 94906249.  p must be a Python or numpy integer."""
 
-    GF(2^15) (p = 2, k = 15, the default) is realized through log/antilog
-    tables of the multiplicative group generated by x modulo the primitive
-    polynomial x^15 + x + 1.  For k = 1 arithmetic is plain modular
-    arithmetic; no other extension degree is supported.
-    """
+    p: int = 2
 
-    def __init__(self, p=2, k=15):
-        # residues and their products live in int64 arrays
-        if p * (p - 1) >= 2**63:
-            raise ValueError(f"{p} is too large for int64 field arithmetic")
+    def __post_init__(self):
+        p = self.p
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+            raise ValueError(f"p must be an integer, got {p!r}")
+        p = int(p)
+        # checked before primality, which is trial division
+        if p > 1 and (p - 1) ** 2 >= _FLOAT_EXACT:
+            raise ValueError(f"{p} is too large: float64 products need (p-1)^2 < 2^53")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if k != 1 and (p, k) != (2, 15):
-            raise ValueError(f"GF({p}^{k}) is not supported: use a prime field or GF(2^15)")
-        self.p = p
-        self.k = k
-        self.order = p**k
-        self.exp = None
-        self.log = None
-        if self.binary:
-            self._build_tables()
-
-    def _build_tables(self):
-        q = self.order
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        t = 1
-        for i in range(q - 1):
-            exp[i] = t
-            log[t] = i
-            t <<= 1
-            if t >> self.k:
-                t ^= _REDUCTION_POLY
-        self.exp = exp
-        self.log = log
-
-    def __repr__(self):
-        return f"GFField(p={self.p}, k={self.k})"
-
-    def __eq__(self, other):
-        return isinstance(other, GFField) and (self.p, self.k) == (other.p, other.k)
-
-    @property
-    def binary(self):
-        return self.p == 2 and self.k > 1
+        object.__setattr__(self, "p", p)
 
     def add(self, a, b):
-        if self.binary:
-            return np.bitwise_xor(a, b)
         return (a + b) % self.p
 
     def sub(self, a, b):
-        if self.binary:
-            return np.bitwise_xor(a, b)
         return (a - b) % self.p
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.binary:
-            out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-            a, b = np.broadcast_arrays(a, b)
-            nz = (a != 0) & (b != 0)
-            out[nz] = self.exp[(self.log[a[nz]] + self.log[b[nz]]) % (self.order - 1)]
-            return out
         return a * b % self.p
 
     def random(self, gen, shape):
-        return gen.integers(0, self.order, size=shape, dtype=np.int64)
+        return gen.integers(0, self.p, size=shape, dtype=np.int64)
+
+
+# fields tried in turn when no explicit field is given: two large primes
+_ESCALATION_LADDER = (GFField(32749), GFField(65521))
 
 
 @dataclass(frozen=True)
 class GFMatrix:
-    """Dense matrix with entries in [0, p^k) over a fixed field."""
+    """Dense matrix with entries in [0, p) over a fixed prime field."""
 
     values: np.ndarray
     field: GFField
@@ -179,8 +127,8 @@ class GFMatrix:
         v = np.ascontiguousarray(self.values, dtype=np.int64)
         if v.ndim != 2:
             raise DimensionError("GFMatrix needs a 2-d array")
-        if v.size and (v.min() < 0 or v.max() >= self.field.order):
-            raise ValueError("entries must lie in [0, order)")
+        if v.size and (v.min() < 0 or v.max() >= self.field.p):
+            raise ValueError("entries must lie in [0, p)")
         object.__setattr__(self, "values", v)
 
     @property
@@ -188,27 +136,20 @@ class GFMatrix:
         return self.values.shape
 
     def matmul(self, other):
-        f = self.field
-        a, b = self.values, other.values
-        block = 0 if f.binary else _exact_block(f.p)
-        if block:
-            return GFMatrix(_matmul_mod_p(a, b, f.p, block), f)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for k in range(a.shape[1]):
-            out = f.add(out, f.mul(a[:, k][:, None], b[k, :][None, :]))
-        return GFMatrix(out, f)
+        return GFMatrix(_matmul_mod_p(self.values, other.values, self.field.p), self.field)
 
 
 def _exact_block(p):
     """Longest inner length n with (p-1)^2 n < 2^53: a float64 product over
     at most n entries in [0, p) has only exact integer partial sums, in any
-    summation order.  Zero when a single product can round."""
+    summation order.  At least 1 for every prime GFField accepts."""
     return (_FLOAT_EXACT - 1) // (p - 1) ** 2
 
 
-def _matmul_mod_p(a, b, p, block):
+def _matmul_mod_p(a, b, p):
     """a @ b mod p for entries in [0, p), as float64 matmuls over inner
-    slices of length ``block`` (see ``_exact_block``)."""
+    slices of length ``_exact_block(p)``."""
+    block = _exact_block(p)
     if a.shape[1] <= block:
         part = a.astype(np.float64) @ b.astype(np.float64)
         return (part % p).astype(np.int64)
@@ -223,13 +164,9 @@ def gf_rank(m):
     """Exact rank by Gaussian elimination to row echelon form."""
     if not isinstance(m, GFMatrix):
         raise DimensionError("gf_rank needs a GFMatrix")
-    f = m.field
     if m.values.size == 0:
         return 0
-    work = m.values.copy()
-    if f.binary:
-        return int(_kernels.gf2k_eliminate(work, f.log, f.exp, f.order))
-    return int(_kernels.gfp_eliminate(work, f.p))
+    return int(_kernels.gfp_eliminate(m.values.copy(), m.field.p))
 
 
 @dataclass(frozen=True)
@@ -300,14 +237,14 @@ def _certify_rank(config, expected, build, trials, seed, field, reason):
 
     ``build(fld, gen)`` draws one trial's factors from ``gen`` and returns
     ``(a, b, sizes, *rest)``: the rank of Phi(A, B) @ rest[0] @ ... is
-    tested against ``expected``.  Over a prime field, when Phi has more than
-    n = expected + 10 rows, it is replaced by its sketch S Phi
-    (:func:`_phi_sketch`): S_A (n x binom(I,2)) and S_B (n x binom(J,2)) are
-    drawn from the same generator, and row i of S is S_A[i] kron S_B[i].
-    rank(S Phi) <= rank(Phi), so only an exact witness certifies.  Over
-    GF(2^k), and when Phi has at most n rows, Phi is formed whole.
+    tested against ``expected``.  When Phi has more than n = expected + 10
+    rows, it is replaced by its sketch S Phi (:func:`_phi_sketch`): S_A
+    (n x binom(I,2)) and S_B (n x binom(J,2)) are drawn from the same
+    generator, and row i of S is S_A[i] kron S_B[i].  rank(S Phi) <=
+    rank(Phi), so only an exact witness certifies.  When Phi has at most n
+    rows, it is formed whole.
     """
-    fields = (field,) if field is not None else _escalation_ladder()
+    fields = (field,) if field is not None else _ESCALATION_LADDER
     n_keep = expected + _COMPRESS_SLACK
     best = -1
     total = 0
@@ -317,7 +254,7 @@ def _certify_rank(config, expected, build, trials, seed, field, reason):
             total += 1
             a, b, sizes, *rest = build(fld, gen)
             n_i, n_j = n_strict(a.shape[0]), n_strict(b.shape[0])
-            if fld.binary or n_i * n_j <= n_keep:
+            if n_i * n_j <= n_keep:
                 m = gf_phi(fld, a, b, sizes)
             else:
                 s_a = fld.random(gen, (n_keep, n_i))
@@ -349,7 +286,7 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
     sizes = sorted(int(s) for s in sizes)
     if len(sizes) != r:
         raise DimensionError(f"expected {r} sizes, got {len(sizes)}")
-    first = field if field is not None else _escalation_ladder()[0]
+    first = field if field is not None else _ESCALATION_LADDER[0]
     n_cols = phi_columns(sizes)
     config = {"I": i_dim, "J": j_dim, "R": r, "L": list(sizes)}
     rows_ok, wedge_ok = phi_count_conditions(i_dim, j_dim, sizes)
@@ -366,8 +303,7 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
 
     return _certify_rank(
         config, n_cols, build, trials, seed, field,
-        reason="no full-rank witness found; retry with another seed, larger k, "
-        "or a different prime",
+        reason="no full-rank witness found; retry with another seed or a different prime",
     )
 
 
@@ -390,7 +326,7 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
         return GFVerificationResult(
             config, 0, "impossible", -1, -1,
             reason="some d_r would be nonpositive; generic blocks overlap",
-            field=field if field is not None else _escalation_ladder()[0],
+            field=field if field is not None else _ESCALATION_LADDER[0],
         )
     expected = n_sym(k_dim) - q2_null_dim(d_vals)
 
@@ -402,6 +338,6 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
 
     return _certify_rank(
         config, expected, build, trials, seed, field,
-        reason="rank never reached the generic count; retry with another seed, "
-        "larger k, or a different prime",
+        reason="rank never reached the generic count; retry with another seed or a "
+        "different prime",
     )

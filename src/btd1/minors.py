@@ -32,7 +32,7 @@ products of factor blocks and the factor matrices ``Phi(A, B)`` and
 ``S2(C)`` are built here once, for every arithmetic: :func:`phi_matrix` and
 :func:`s2_matrix` take an object with ``mul``/``add``/``sub`` methods:
 numpy's own arithmetic for real and complex factors, a ``btd1.gf.GFField``
-over finite fields.  That keeps the factorization
+over prime fields.  That keeps the factorization
 ``Q2 = Phi(A, B) @ S2(C).T`` exact entry for entry in both.  Phi's
 term-pair layout lives in :func:`phi_pair_wedges` alone; :func:`phi_matrix`
 and the finite-field sketch in :mod:`btd1.gf` both consume it.  The

@@ -130,6 +130,23 @@ def _swap_rows(mat, r1, r2):
         mat[r1, c], mat[r2, c] = mat[r2, c], mat[r1, c]
 
 
+def gf2k_tables(k, poly):
+    """Log/antilog tables of GF(2^k) from the primitive polynomial ``poly``
+    (an int with bit k set): expt[i] = x^i and logt[expt[i]] = i.  Returns
+    (logt, expt, order) with order = 2^k."""
+    order = 1 << k
+    expt = np.zeros(order - 1, dtype=np.int64)
+    logt = np.zeros(order, dtype=np.int64)
+    t = 1
+    for i in range(order - 1):
+        expt[i] = t
+        logt[t] = i
+        t <<= 1
+        if t >> k:
+            t ^= poly
+    return logt, expt, order
+
+
 def loop_gf2k_eliminate(mat, logt, expt, order):
     """Reference in-place row echelon form over GF(2^k), entry by entry,
     pivots scaled to one and only the rows below each pivot reduced; returns

@@ -22,61 +22,66 @@ from btd1.uniqueness import check_deterministic_uniqueness
 from helpers import NUMPY, loop_gf_matmul, rational_rank
 
 
+# the largest prime GFField accepts: (p-1)^2 < 2^53 <= (p'-1)^2 for the next
+# prime p' = 94906297
+LARGEST_PRIME = 94906249
+
+
 @pytest.fixture(scope="module")
-def gf2_15():
-    return GFField()
+def gf32749():
+    return GFField(32749)
 
 
 def test_field_guards():
-    with pytest.raises(ValueError):
-        GFField(4, 1)
-    with pytest.raises(ValueError):
-        GFField(2, 3)  # the only extension field is GF(2^15)
-    with pytest.raises(ValueError):
-        GFField(4294967311, 1)  # prime, but p(p-1) overflows int64
+    with pytest.raises(ValueError, match="not prime"):
+        GFField(4)
+    # primes, but (p-1)^2 >= 2^53
+    for p in (94906297, 4294967311):
+        with pytest.raises(ValueError, match="too large"):
+            GFField(p)
+    # 32749.0 used to construct and then fail inside the elimination kernel
+    for p in (2.5, 3.0, 32749.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GFField(p)
 
 
-def test_identity_rank(gf2_15):
-    assert gf_rank(GFMatrix(np.eye(7, dtype=np.int64), gf2_15)) == 7
+def test_field_accepts_integers_up_to_the_largest_prime():
+    assert GFField(LARGEST_PRIME).p == LARGEST_PRIME
+    f = GFField(np.int64(101))
+    assert f == GFField(101) and type(f.p) is int
+
+
+def test_identity_rank(gf32749):
+    assert gf_rank(GFMatrix(np.eye(7, dtype=np.int64), gf32749)) == 7
 
 
 def test_all_ones_gf2():
-    f = GFField(2, 1)
+    f = GFField(2)
     assert gf_rank(GFMatrix(np.array([[1, 1], [1, 1]]), f)) == 1
 
 
-def test_inverse_sampled_gf2_15(gf2_15):
-    # log inverts exp over the whole multiplicative group, so exp lists every
-    # nonzero element once and exp[-log a] is the inverse of a
-    f = gf2_15
-    group = np.arange(f.order - 1)
-    assert np.array_equal(f.log[f.exp[group]], group)
-    a = np.arange(1, f.order, dtype=np.int64)
-    assert np.all(f.mul(a, f.exp[-f.log[a] % (f.order - 1)]) == 1)
-
-
-def test_random_square_full_rank_and_orderings(gf2_15):
+def test_random_square_full_rank_and_orderings(gf32749):
     gen = rng(1)
-    m = GFMatrix(gf2_15.random(gen, (60, 60)), gf2_15)
+    m = GFMatrix(gf32749.random(gen, (60, 60)), gf32749)
     assert gf_rank(m) == 60
     # the same matrix eliminated with the column order reversed
-    assert gf_rank(GFMatrix(m.values[:, ::-1], gf2_15)) == 60
+    assert gf_rank(GFMatrix(m.values[:, ::-1], gf32749)) == 60
 
 
-def test_rank_permutation_invariance(gf2_15):
+def test_rank_permutation_invariance(gf32749):
     gen = rng(2)
-    vals = gf2_15.random(gen, (12, 9))
+    vals = gf32749.random(gen, (12, 9))
     vals[:, 5] = vals[:, 2]  # force a deficiency
-    m = GFMatrix(vals, gf2_15)
+    m = GFMatrix(vals, gf32749)
     base = gf_rank(m)
-    perm_rows = GFMatrix(vals[gen.permutation(12)], gf2_15)
-    perm_cols = GFMatrix(vals[:, gen.permutation(9)], gf2_15)
+    perm_rows = GFMatrix(vals[gen.permutation(12)], gf32749)
+    perm_cols = GFMatrix(vals[:, gen.permutation(9)], gf32749)
     assert gf_rank(perm_rows) == base
     assert gf_rank(perm_cols) == base
 
 
 def test_prime_field_rank():
-    f = GFField(7, 1)
+    f = GFField(7)
     m = GFMatrix(np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) % 7, f)
     assert gf_rank(m) == 2
 
@@ -84,7 +89,7 @@ def test_prime_field_rank():
 def test_gf_phi_matches_integer_construction():
     # small integer factors: the field construction reduces the integer one
     p = 101
-    f = GFField(p, 1)
+    f = GFField(p)
     gen = rng(3)
     sizes = (1, 2)
     a_int = gen.integers(0, 5, size=(3, 2))
@@ -103,11 +108,11 @@ def test_gf_phi_matches_integer_construction():
     assert np.array_equal(q2_gf.values, q2_int % p)
 
 
-def test_gf_phi_s2_binary_field_matches_scalar_loop(gf2_15):
-    # every entry of Phi and S2 over GF(2^15) from the wedge and symmetric
-    # product formulas, one field scalar at a time, and Phi S2.T against the
-    # minors of the in-field composed tensor
-    f = gf2_15
+def test_gf_phi_s2_binary_field_matches_scalar_loop():
+    # every entry of Phi and S2 over the binary field GF(2) from the wedge and
+    # symmetric product formulas, one field scalar at a time, and Phi S2.T
+    # against the minors of the in-field composed tensor
+    f = GFField(2)
     gen = rng(21)
     sizes = (1, 2, 2)
     i_dim, j_dim, k_dim = 3, 4, 3
@@ -189,9 +194,9 @@ def test_verify_q2_dim_3x3x5():
 def test_verify_q2_dim_2x8x7_needs_odd_characteristic():
     res = verify_generic_q2_dim((2, 8, 7), (3, 3, 3), seed=0)
     assert res.certified
-    assert res.field.p != 2  # the binary field caps the rank structurally
-    # restricted to the binary field the check is inconclusive
-    res2 = verify_generic_q2_dim((2, 8, 7), (3, 3, 3), seed=0, field=GFField())
+    assert res.field.p != 2  # characteristic 2 caps the rank structurally
+    # restricted to GF(2) the check is inconclusive
+    res2 = verify_generic_q2_dim((2, 8, 7), (3, 3, 3), seed=0, field=GFField(2))
     assert res2.verdict == "inconclusive"
 
 
@@ -232,7 +237,7 @@ def test_soundness_certified_trial_in_rationals():
     # re-run one certified prime-field trial exactly over the rationals:
     # the integer minor matrix of the lifted factors reaches the same rank
     p = 101
-    f = GFField(p, 1)
+    f = GFField(p)
     gen = rng(5)
     sizes = (1, 1, 2)
     dims = (3, 3, 4)
@@ -260,7 +265,7 @@ def test_soundness_certified_trial_in_rationals():
 def test_prime_matmul_matches_loop(p):
     # 67108859 < 2^26 has a block length of 2, so the inner lengths below
     # straddle it; the other two primes stay inside one block
-    f = GFField(p, 1)
+    f = GFField(p)
     gen = rng(6)
     assert gf._exact_block(p) == (2**53 - 1) // (p - 1) ** 2
     for inner in (0, 1, 2, 3, 5, 37, 160):
@@ -277,7 +282,7 @@ def test_prime_matmul_exact_across_block_length(p):
     # a.a with a = (1, p-1, ..., p-1) of length n is (n-1)(p-1)^2 + 1 = n
     # mod p; past the block length the sum is odd and above 2^53, where a
     # single float64 product would round it
-    f = GFField(p, 1)
+    f = GFField(p)
     block = gf._exact_block(p)
     assert (p - 1) ** 2 * block < 2**53 <= (p - 1) ** 2 * (block + 1)
     for n in (block - 1, block, block + 2):
@@ -287,22 +292,24 @@ def test_prime_matmul_exact_across_block_length(p):
         assert got.tolist() == [[n % p]]
 
 
-def test_matmul_fallback_above_float_range():
-    # (p-1)^2 > 2^53 for p above 2^26.5: the product takes the loop path
-    p = 2147483647
-    f = GFField(p, 1)
-    assert gf._exact_block(p) == 0
+def test_matmul_multi_block_at_largest_prime():
+    # one product of two residues already needs the whole float64-exact
+    # range, so every inner index is a block of its own
+    p = LARGEST_PRIME
+    f = GFField(p)
+    assert gf._exact_block(p) == 1
     gen = rng(7)
     a = f.random(gen, (5, 11))
     b = f.random(gen, (11, 4))
     a[0] = p - 1
+    b[:, 0] = p - 1
     want = (a.astype(object) @ b.astype(object)) % p
     got = GFMatrix(a, f).matmul(GFMatrix(b, f)).values
     assert np.array_equal(got, want.astype(np.int64))
 
 
 def test_left_compression_never_raises_rank():
-    f = GFField(101, 1)
+    f = GFField(101)
     gen = rng(8)
     for _ in range(60):
         rows, cols = gen.integers(2, 25, size=2)
@@ -330,7 +337,7 @@ def test_planted_deficient_phi_never_certifies(i_dim, j_dim, sizes, compressed):
         b[:, -1] = b[:, -2]
         return a, b, sizes
 
-    for field in (None, GFField()):
+    for field in (None, GFField(101)):
         res = gf._certify_rank({}, n_cols, build, 1, 0, field, reason="")
         assert res.verdict == "inconclusive"
         assert res.witnessed_rank < n_cols
@@ -341,11 +348,11 @@ def _row_kronecker(f, s_a, s_b):
     return f.mul(s_a[:, :, None], s_b[:, None, :]).reshape(s_a.shape[0], -1)
 
 
-@pytest.mark.parametrize("p", [101, 32749, 2147483647])
+@pytest.mark.parametrize("p", [101, 32749, LARGEST_PRIME])
 @pytest.mark.parametrize("sizes", [(2, 2, 3), (1, 3), (3,)])
 def test_phi_sketch_is_row_kronecker_times_phi(p, sizes):
-    # 2^31 - 1 is above the float-exact range, so products take the loop path
-    f = GFField(p, 1)
+    # at the largest prime every float64 product sums one inner index at a time
+    f = GFField(p)
     gen = rng(11)
     i_dim, j_dim, n_keep = 4, 6, 19
     a = f.random(gen, (i_dim, len(sizes)))
@@ -360,7 +367,7 @@ def test_phi_sketch_is_row_kronecker_times_phi(p, sizes):
 
 
 @pytest.mark.parametrize(
-    "field", [GFField(101, 1), GFField(32749, 1), GFField(2147483647, 1), GFField()]
+    "field", [GFField(101), GFField(32749), GFField(LARGEST_PRIME), GFField(65521)]
 )
 def test_certify_rank_ranks_the_sketch_over_prime_fields_only(field):
     # a Q2 trial at 4x6x5 (1, 2, 2): Phi has 90 rows, more than the 19 kept
@@ -378,15 +385,11 @@ def test_certify_rank_ranks_the_sketch_over_prime_fields_only(field):
     res = gf._certify_rank({}, expected + 1, build, 1, 3, field, reason="")
     assert res.verdict == "inconclusive" and res.trials == 1
     q2 = gf_q2_from_factors(field, drawn["a"], drawn["b"], drawn["c"], sizes)
-    if field.binary:
-        # GF(2^k) ranks Phi S2(C).T whole
-        assert res.witnessed_rank == gf_rank(q2)
-    else:
-        n_keep = expected + 1 + 10
-        s_a = field.random(drawn["gen"], (n_keep, n_strict(dims[0])))
-        s_b = field.random(drawn["gen"], (n_keep, n_strict(dims[1])))
-        s = GFMatrix(_row_kronecker(field, s_a, s_b), field)
-        assert res.witnessed_rank == gf_rank(s.matmul(q2)) == expected
+    n_keep = expected + 1 + 10
+    s_a = field.random(drawn["gen"], (n_keep, n_strict(dims[0])))
+    s_b = field.random(drawn["gen"], (n_keep, n_strict(dims[1])))
+    s = GFMatrix(_row_kronecker(field, s_a, s_b), field)
+    assert res.witnessed_rank == gf_rank(s.matmul(q2)) == expected
 
 
 def test_certify_8x30x30():
