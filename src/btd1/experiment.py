@@ -9,12 +9,13 @@ errors on the first factor matrix and on the vectorized terms.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, SolverDiagnostic, cond, rng
+from .linalg import DimensionError, SolverDiagnostic, cond, rng, rngs
 from .sjbd import CPD_IDENTITY_WEIGHT
 from .solver import SolverOptions, candidate_size_tuples, decompose
 from .tensor import (
@@ -134,29 +135,86 @@ def _fmt_snr(s):
     return "inf" if math.isinf(s) else f"{s:g}"
 
 
+# draw n of a trial uses sub-seed seed + n * SUB_SEED_STEP
+SUB_SEED_STEP = 1_000_003
+# sub-seeds hashed per rngs call: the hash costs about 0.1 ms a call and
+# 0.3 us a seed, so a block of 256 costs a trial that accepts at once 0.1 ms
+# more than rng would, and saves one that draws 60 about 1 ms
+SEED_BLOCK = 256
+# rounding margin of cond_screen, relative to a lower bound on lam_max
+SCREEN_TOL = 1e-10
+
+
+def _sub_generators(seed):
+    """Generators of the sub-seeds seed, seed + SUB_SEED_STEP, ..., each
+    bitwise ``rng`` of its sub-seed, hashed SEED_BLOCK at a time."""
+    block = SEED_BLOCK * SUB_SEED_STEP
+    for start in itertools.count(seed, block):
+        yield from rngs(range(start, start + block, SUB_SEED_STEP))
+
+
+def cond_screen(m, cap):
+    """False for each matrix of the stack ``m`` whose 2-norm condition
+    number surely exceeds ``cap``.
+
+    With G the smaller Gram matrix of a matrix, cond**2 = lam_max / lam_min,
+    so a matrix within the cap has lam_min >= lam_max / cap**2.  Two tests
+    refuse a matrix only where lam_min falls short of that by more than
+    ``SCREEN_TOL`` times a lower bound on lam_max.  Rounding moves G and
+    the tests by about n**2 * eps * lam_max for n columns, some 1e-13
+    lam_max at n = 10, so a matrix within the cap always passes.  The
+    first test bounds both ends: with G = L L^T, lam_min <= min L_ii**2 and
+    lam_max >= max G_ii.  One batched Cholesky factorization drops about
+    three quarters of the 3x9x10 draws with it, and ``eigvalsh`` tests the
+    rest exactly.
+    """
+    gram = m.swapaxes(-1, -2) @ m if m.shape[-2] >= m.shape[-1] else m @ m.swapaxes(-1, -2)
+    g_max = gram.diagonal(axis1=-2, axis2=-1).max(axis=-1)
+    try:
+        l_min = np.linalg.cholesky(gram).diagonal(axis1=-2, axis2=-1).min(axis=-1) ** 2
+        passed = ~(l_min + SCREEN_TOL * g_max < g_max / cap**2)
+    except np.linalg.LinAlgError:
+        # some G is not numerically positive definite; eigvalsh tests all
+        passed = np.ones(gram.shape[0], dtype=bool)
+    lam = np.linalg.eigvalsh(gram[passed])
+    passed[passed] = ~(lam[:, 0] + SCREEN_TOL * lam[:, -1] < lam[:, -1] / cap**2)
+    return passed
+
+
 def draw_instance(config, seed):
     """Rejection-sample a ground-truth decomposition whose first and third
     unfoldings are conditioned within the cap; returns (truth, tensor,
     number of rejected draws).
 
     Draw n is ``random_btd(config.dims, config.sizes, seed=seed +
-    n * 1_000_003)``, and the first draw that passes is accepted.  Draws
+    n * SUB_SEED_STEP)``, and the first draw that passes is accepted.  Draws
     are made in chunks of 4 sub-seeds, doubling up to 32: each chunk is
-    drawn by :func:`draw_factors`, composed by one :func:`compose_values`
-    call and tested by one batched SVD per unfolding, the third unfolding
-    first.  Every draw is the one the sub-seed gives on its own, so the
-    accepted draw and the rejection count do not depend on the chunking.
-    Only the accepted draw is wrapped as a decomposition and a tensor.
-    Chunks of 256 ran no faster on 3x9x10 and held about 2 MB more.
+    drawn by :func:`draw_factors` from generators that :func:`rngs` seeds
+    SEED_BLOCK at a time, composed by one :func:`compose_values` call and
+    tested in three batched steps.  :func:`cond_screen` drops the draws
+    whose third unfolding surely exceeds the cap, from a Cholesky
+    factorization and ``eigvalsh`` of their Gram matrices: on 3x9x10 it
+    costs about 6 us a draw where the SVD costs 22 us.  Its margin over
+    rounding means it never drops a draw that the SVD test passes.  The
+    survivors then take the SVD test of the third unfolding, then that of
+    the first.  Every draw is the one the sub-seed gives on its own, so the
+    accepted draw and the rejection count depend neither on the chunking
+    nor on the screen.  Only the accepted draw is wrapped as a
+    decomposition and a tensor.
     """
+    cap = config.cond_cap
+    gens = _sub_generators(seed)
     rejected = 0
     chunk = 4
     while True:
-        gens = [rng(seed + (rejected + n) * 1_000_003) for n in range(chunk)]
-        a, terms = draw_factors(gens, config.dims, config.sizes)
+        a, terms = draw_factors(list(itertools.islice(gens, chunk)), config.dims, config.sizes)
         t = compose_values(a, terms)
-        passed = cond(unfold(t, 3)) <= config.cond_cap
-        passed[passed] = cond(unfold(t[passed], 1)) <= config.cond_cap
+        t3 = unfold(t, 3)
+        passed = cond_screen(t3, cap)
+        # an SVD of an empty stack still costs some 17 us
+        if passed.any():
+            passed[passed] = cond(t3[passed]) <= cap
+            passed[passed] = cond(unfold(t[passed], 1)) <= cap
         if passed.any():
             n = int(np.argmax(passed))
             truth = BlockTermDecomposition(a[n], [(b[n], c[n]) for b, c in terms])

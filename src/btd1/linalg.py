@@ -13,10 +13,15 @@ eigenbasis, then its inverse) and ``phase2_case2`` (A, then :func:`lstsq`).
 Every stack [x_1 kron Y_1 ... x_R kron Y_R] is a :func:`khatri_rao`
 product.  All random draws in the package go through :func:`rng`, a PCG64
 generator seeded explicitly, so every stochastic operation is reproducible
-from its seed.
+from its seed; :func:`rngs` builds a block of them, each bitwise the
+generator :func:`rng` gives for its seed.
 """
 
+import functools
+import math
+
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -39,6 +44,93 @@ class SolverDiagnostic(RuntimeError):
 def rng(seed):
     """Deterministic generator (PCG64) for the given integer seed."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _hash_constants(init, mult, count):
+    """The (xor, multiplier) pairs of ``count`` successive hash steps, as
+    two (count, 1) uint32 columns: step k xors with init * mult**k and
+    multiplies by init * mult**(k + 1), mod 2**32."""
+    out = []
+    for _ in range(count):
+        prev, init = init, init * mult & 0xFFFFFFFF
+        out.append((prev, init))
+    return np.array(out, dtype=np.uint32).T[:, :, None]
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq for PCG, HMC-CS-2014-0905)
+# with its pool of 4 uint32 words: 16 hashmix steps from INIT_A and MULT_A
+# (4 fill the pool, 12 mix it), 8 output steps from INIT_B and MULT_B (4
+# uint64 words), and the mix multipliers.  None depends on the seed.
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHER_WORDS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
+
+
+def _seed_words(seeds):
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed in
+    ``seeds`` (a uint64 array), one row each, hashed as a block.  A seed is
+    entropy of at most 2 words, and the pool's 4 words take every word of it
+    before mixing, so the pool of a seed below 2**32 is that of the same
+    seed as 2 words: no seed needs numpy's loop over extra entropy."""
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & 0xFFFFFFFF
+    pool[1] = seeds >> 32
+    pool ^= _POOL_XOR[:4]
+    pool *= _POOL_MUL[:4]
+    pool ^= pool >> 16
+    for src, dst in enumerate(_OTHER_WORDS):
+        k = slice(4 + 3 * src, 7 + 3 * src)
+        mixed = pool[src] ^ _POOL_XOR[k]
+        mixed *= _POOL_MUL[k]
+        mixed ^= mixed >> 16
+        out = _MIX_LEFT * pool[dst]
+        out -= _MIX_RIGHT * mixed
+        out ^= out >> 16
+        pool[dst] = out
+    state = np.concatenate([pool, pool])
+    state ^= _OUT_XOR
+    state *= _OUT_MUL
+    state ^= state >> 16
+    # little-endian word pairs, as SeedSequence assembles its uint64 words
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type():
+    """An ``ISeedSequence`` that hands PCG64 its 4 already-hashed uint64
+    words, all that PCG64 asks of it.  Made on first use, so importing the
+    package does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def rngs(seeds):
+    """Generators for the integer ``seeds``, the n-th bitwise ``rng(seeds[n])``,
+    as an iterator that builds each one when it is taken.
+
+    The seeds are hashed up front in one vectorised pass, about 0.1 ms a
+    call and 0.3 us a seed; a generator then costs about 3 us, where
+    :func:`rng`, which builds a ``SeedSequence`` per seed, costs 19 us (one
+    core of a shared 2-vCPU x86 machine).  Seeds outside [0, 2**64) go
+    through :func:`rng`, which refuses negative ones.
+    """
+    seeds = list(seeds)
+    if seeds and 0 <= min(seeds) and max(seeds) < 2**64:
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        seed_words = _seed_words_type()
+        return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in words)
+    return map(rng, seeds)
 
 
 def randn(gen, shape, field="real"):
@@ -96,6 +188,30 @@ def null_space(a, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
 def lstsq(a, b, tol=DEFAULT_RANK_TOL):
     x, *_ = np.linalg.lstsq(a, b, rcond=tol)
     return x
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def solve_matrix(a, b, signature):
+    """``np.linalg.solve(a, b)`` for a square a and a matrix b, computed in
+    float64 (``signature`` "dd->d") or complex128 ("DD->D"): the same LAPACK
+    gufunc under the same error state, so a singular a raises
+    ``LinAlgError``, without the argument checks that cost more than the
+    solve itself on the small systems of ``sjbd.cpd_als``."""
+    return _umath_linalg.solve(a, b, signature=signature)
+
+
+def frobenius_norm(x):
+    """``np.linalg.norm(x)`` of a float or complex array, bit for bit: the
+    square root of the dot product of its raveled entries, real and
+    imaginary parts apart, without the wrapper's dispatch."""
+    x = x.ravel(order="K")
+    if np.iscomplexobj(x):
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def cond(a):

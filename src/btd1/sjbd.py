@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     DimensionError,
     SolverDiagnostic,
+    frobenius_norm,
     khatri_rao,
     lstsq,
     null_space,
@@ -47,6 +48,7 @@ from .linalg import (
     randn,
     rank_cut,
     rng,
+    solve_matrix,
 )
 from .minors import q2_null_dim
 
@@ -420,13 +422,14 @@ def cpd_als(tensor, init):
     extrapolated point after each sweep.
 
     Model: tensor[r, i, j] = sum_k A[r, k] C[i, k] B[j, k].  Each factor
-    update solves its normal equations G X = K^H T.T with ``np.linalg.solve``:
-    K is the Khatri-Rao product of the other two factors and G = K^H K the
-    Hadamard product of their Grams.  When that solve finds G singular, the
-    update falls back to a least-squares solve against K itself; a G that
-    is nonsingular but ill conditioned is solved as it is.  After each sweep
-    the column norms of C and B, read off their Gram diagonals, are balanced
-    into A.  The sweep's fit is the relative residual of its last update.
+    update solves its normal equations G X = K^H T.T with ``solve_matrix``,
+    ``np.linalg.solve`` without its argument checks: K is the Khatri-Rao
+    product of the other two factors and G = K^H K the Hadamard product of
+    their Grams.  When that solve finds G singular, the update falls back to
+    a least-squares solve against K itself; a G that is nonsingular but ill
+    conditioned is solved as it is.  After each sweep the column norms of C
+    and B, read off their Gram diagonals, are balanced into A.  The sweep's
+    fit is the relative residual of its last update.
 
     The sweep then tries one point X_prev + s (X - X_prev) along the line
     from the factors before the sweep to those after it, for all three
@@ -451,23 +454,32 @@ def cpd_als(tensor, init):
     t0 = tensor.reshape(m, n * n)
     t1 = tensor.transpose(1, 0, 2).reshape(n, m * n)
     t2 = tensor.transpose(2, 0, 1).reshape(n, m * n)
-    norm_t = max(np.linalg.norm(t0), 1e-300)
+    norm_t = max(frobenius_norm(t0), 1e-300)
     # real data stays real, and the conjugate of a real array is only a copy
     real = not any(np.iscomplexobj(x) for x in (tensor, a, c, b))
+    signature = "dd->d" if real else "DD->D"
 
     def adjoint(x):
         return x.T if real else x.conj().T
 
-    def update(k, g, t):
-        # the factor X.T of the normal equations G X = K^H T.T
+    rhs_a, rhs_c, rhs_b = t0.T, t1.T, t2.T
+
+    def update(k, g, rhs):
+        # the factor X.T of the normal equations G X = K^H rhs
         try:
-            x = np.linalg.solve(g, adjoint(k) @ t.T)
+            x = solve_matrix(g, adjoint(k) @ rhs, signature)
         except np.linalg.LinAlgError:
-            x = lstsq(k, t.T)
+            x = lstsq(k, rhs)
         return x.T
 
     def gram(f):
         return adjoint(f) @ f
+
+    def column_norms(g):
+        # the column norms of a factor from its Gram, 1 for a zero column
+        nrm = np.sqrt(g.diagonal().real)
+        nrm[nrm == 0] = 1.0
+        return nrm
 
     g_c, g_b = gram(c), gram(b)
     prev_fit = np.inf
@@ -475,29 +487,34 @@ def cpd_als(tensor, init):
     step = CPD_STEP_GROW
     for sweep in range(1, CPD_MAX_SWEEPS + 1):
         # each update returns a new array, so these stay the sweep's start
-        before = (a, c, b)
-        a = update(khatri_rao(c, b), g_c * g_b, t0)
+        a_0, c_0, b_0 = a, c, b
+        a = update(khatri_rao(c, b), g_c * g_b, rhs_a)
         g_a = gram(a)
-        c = update(khatri_rao(a, b), g_a * g_b, t1)
+        c = update(khatri_rao(a, b), g_a * g_b, rhs_c)
         g_c = gram(c)
         k_b = khatri_rao(a, c)
-        b = update(k_b, g_a * g_c, t2)
+        b = update(k_b, g_a * g_c, rhs_b)
         g_b = gram(b)
-        fit = np.linalg.norm(t2 - b @ k_b.T) / norm_t
-        # balance the scaling indeterminacy into the first factor
-        for f, g in ((b, g_b), (c, g_c)):
-            nrm = np.sqrt(g.diagonal().real)
-            nrm[nrm == 0] = 1.0
-            f /= nrm
-            g /= nrm[:, None] * nrm
-            a *= nrm
-        a_x, c_x, b_x = (f0 + step * (f - f0) for f0, f in zip(before, (a, c, b)))
-        fit_x = np.linalg.norm(t2 - b_x @ khatri_rao(a_x, c_x).T) / norm_t
+        fit = frobenius_norm(t2 - b @ k_b.T) / norm_t
+        # balance the scaling indeterminacy into the first factor; the
+        # Grams follow only if the extrapolated point is refused
+        nrm_b = column_norms(g_b)
+        b /= nrm_b
+        a *= nrm_b
+        nrm_c = column_norms(g_c)
+        c /= nrm_c
+        a *= nrm_c
+        a_x = a_0 + step * (a - a_0)
+        c_x = c_0 + step * (c - c_0)
+        b_x = b_0 + step * (b - b_0)
+        fit_x = frobenius_norm(t2 - b_x @ khatri_rao(a_x, c_x).T) / norm_t
         if fit_x < fit:
             a, c, b, fit = a_x, c_x, b_x, fit_x
             g_c, g_b = gram(c), gram(b)
             step = min(step * CPD_STEP_GROW, CPD_STEP_MAX)
         else:
+            g_b /= nrm_b[:, None] * nrm_b
+            g_c /= nrm_c[:, None] * nrm_c
             step = max(step / 2, CPD_STEP_MIN)
         # on noise-free data the fit sits at rounding level, where its
         # changes are large relative to it; 1e-12 absolute is the floor

@@ -23,6 +23,7 @@ from btd1.linalg import (
     split_columns,
 )
 from btd1.minors import n_sym, q2_row_panels, strict_pairs, sym_pair_position, sym_pairs
+from btd1.sjbd import CPD_MAX_SWEEPS, CPD_REL_TOL, CPD_STEP_GROW, CPD_STEP_MAX, CPD_STEP_MIN
 from btd1.uniqueness import (
     SUBSET_CAP,
     KRankResult,
@@ -450,6 +451,68 @@ def lstsq_cpd_als(tensor, init, max_iter=500, rel_tol=1e-4, extrapolate=True):
             else:
                 step = max(step / 2, 1.1)
         if abs(prev_fit - fit) <= max(rel_tol * fit, 1e-12):
+            converged = True
+            break
+        prev_fit = fit
+    return (a, c, b), fit, converged, sweep
+
+
+def solve_cpd_als(tensor, init):
+    """Reference for ``btd1.sjbd.cpd_als`` that solves each update's normal
+    equations with ``np.linalg.solve``, takes each fit with
+    ``np.linalg.norm`` and balances the Grams with the factors after every
+    sweep.  It makes the same operations in the same order, so the two
+    agree bit for bit.  Returns ((A, C, B), fit, converged, sweeps)."""
+    m, n, _ = tensor.shape
+    a, c, b = (np.array(f) for f in init)
+    t0 = tensor.reshape(m, n * n)
+    t1 = tensor.transpose(1, 0, 2).reshape(n, m * n)
+    t2 = tensor.transpose(2, 0, 1).reshape(n, m * n)
+    norm_t = max(np.linalg.norm(t0), 1e-300)
+    real = not any(np.iscomplexobj(x) for x in (tensor, a, c, b))
+
+    def adjoint(x):
+        return x.T if real else x.conj().T
+
+    def update(k, g, t):
+        try:
+            x = np.linalg.solve(g, adjoint(k) @ t.T)
+        except np.linalg.LinAlgError:
+            x = lstsq(k, t.T)
+        return x.T
+
+    def gram(f):
+        return adjoint(f) @ f
+
+    g_c, g_b = gram(c), gram(b)
+    prev_fit = np.inf
+    converged = False
+    step = CPD_STEP_GROW
+    for sweep in range(1, CPD_MAX_SWEEPS + 1):
+        before = (a, c, b)
+        a = update(khatri_rao(c, b), g_c * g_b, t0)
+        g_a = gram(a)
+        c = update(khatri_rao(a, b), g_a * g_b, t1)
+        g_c = gram(c)
+        k_b = khatri_rao(a, c)
+        b = update(k_b, g_a * g_c, t2)
+        g_b = gram(b)
+        fit = np.linalg.norm(t2 - b @ k_b.T) / norm_t
+        for f, g in ((b, g_b), (c, g_c)):
+            nrm = np.sqrt(g.diagonal().real)
+            nrm[nrm == 0] = 1.0
+            f /= nrm
+            g /= nrm[:, None] * nrm
+            a *= nrm
+        a_x, c_x, b_x = (f0 + step * (f - f0) for f0, f in zip(before, (a, c, b)))
+        fit_x = np.linalg.norm(t2 - b_x @ khatri_rao(a_x, c_x).T) / norm_t
+        if fit_x < fit:
+            a, c, b, fit = a_x, c_x, b_x, fit_x
+            g_c, g_b = gram(c), gram(b)
+            step = min(step * CPD_STEP_GROW, CPD_STEP_MAX)
+        else:
+            step = max(step / 2, CPD_STEP_MIN)
+        if abs(prev_fit - fit) <= max(CPD_REL_TOL * fit, 1e-12):
             converged = True
             break
         prev_fit = fit

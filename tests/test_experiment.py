@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 
 import btd1
-from btd1.experiment import ExperimentConfig, ExperimentResult, draw_instance, run_experiment
+from btd1.experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    cond_screen,
+    draw_instance,
+    run_experiment,
+)
 from btd1.linalg import DimensionError, cond, rng
 from btd1.solver import candidate_size_tuples
-from btd1 import unfold
+from btd1 import compose, random_btd, unfold
 
-from helpers import lstsq_cpd_als, reference_draw_instance
+from helpers import lstsq_cpd_als, reference_draw_instance, solve_cpd_als
 
 
 def test_candidate_tuples_3x8x8():
@@ -39,8 +45,14 @@ def test_draw_instance_respects_cap():
     [
         # 0, 3, 4, 26 and 188 rejections: the first sub-seed, the last of
         # the first chunk of 4, the first of the second chunk, the third
-        # chunk, a chunk past the doubling
-        ((3, 8, 8), (2, 3, 4), {4: 0, 0: 3, 6: 4, 5: 26, 3: 188}),
+        # chunk, a chunk past the doubling.  Then a chunk whose first draw
+        # passes the screen and is rejected by the first unfolding's SVD
+        # test, and a seed below 2**32 whose accepted sub-seed is above it.
+        (
+            (3, 8, 8),
+            (2, 3, 4),
+            {4: 0, 0: 3, 6: 4, 5: 26, 3: 188, 1749: 4, 2**32 - 1_000_003: 3},
+        ),
         ((3, 9, 10), (1, 2, 3, 4), {1135: 0}),
     ],
     ids=["3x8x8", "3x9x10"],
@@ -64,6 +76,48 @@ def test_draw_instance_matches_reference(dims, sizes, extra_seeds):
     assert rejections[5:] == list(extra_seeds.values())
     if dims == (3, 9, 10):
         assert sum(r > 1000 for r in rejections[:5]) >= 3
+
+
+def test_screen_survivor_can_fail_the_svd_tests():
+    # the first draw of seed 1749 (the case above) passes the screen and the
+    # third unfolding's SVD test; only the first unfolding's test rejects it
+    cfg = ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), cond_cap=10.0)
+    t = compose(random_btd(cfg.dims, cfg.sizes, seed=1749))
+    assert cond_screen(unfold(t, 3)[None], cfg.cond_cap)[0]
+    assert cond(unfold(t, 3)) <= cfg.cond_cap < cond(unfold(t, 1))
+
+
+@pytest.mark.parametrize("cap", [1.5, 10.0, 1e4, 1e7])
+@pytest.mark.parametrize("shape", [(27, 10), (10, 27)], ids=["tall", "wide"])
+def test_cond_screen_passes_every_matrix_within_the_cap(cap, shape):
+    # matrices built with cond = cap * (1 + e) for e = +-1e-9 and +-1e-2:
+    # every one whose SVD condition number is within the cap passes, and the
+    # screen drops those 1% over a cap small enough for its margin
+    gen = rng(11)
+    k = min(shape)
+    mats, conds = [], []
+    for rel in (-1e-2, -1e-9, 1e-9, 1e-2):
+        for _ in range(25):
+            u = np.linalg.qr(gen.standard_normal((shape[0], k)))[0]
+            v = np.linalg.qr(gen.standard_normal((shape[1], k)))[0]
+            s = np.geomspace(1.0, 1.0 / (cap * (1 + rel)), k) * gen.uniform(0.1, 10.0)
+            mats.append((u * s) @ v.T)
+            conds.append(cap * (1 + rel))
+    mats = np.array(mats)
+    passed = cond_screen(mats, cap)
+    within = cond(mats) <= cap
+    assert within[:25].all() and passed[within].all()
+    if cap <= 10.0:
+        assert not passed[np.array(conds) > cap * 1.001].any()
+    # a singular matrix fails the Cholesky factorization of the whole stack;
+    # eigvalsh then tests every matrix, and drops the singular one
+    singular = mats[0].copy()
+    singular[0, :] = singular[:, 0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular @ singular.T if shape[0] < shape[1] else singular.T @ singular)
+    passed_too = cond_screen(np.concatenate([mats, singular[None]]), cap)
+    assert np.array_equal(passed_too[:-1], passed)
+    assert not passed_too[-1] or cap > 10.0
 
 
 def test_config_rejects_impossible_sizes():
@@ -207,6 +261,28 @@ def test_refinement_ends_stalled_runs_lower(monkeypatch):
         assert fit <= plain_fit, trial
         converged.append(conv)
     assert any(converged)
+
+
+def test_cpd_als_matches_solve_reference_on_criterion5_trials(monkeypatch):
+    # the refinements of the first 8 trials of criterion 5's 3x8x8 sequence,
+    # at both levels: bit for bit those of np.linalg.solve and np.linalg.norm
+    import btd1.sjbd as sjbd
+
+    inputs = []
+
+    def recorded(tensor, init):
+        inputs.append((tensor.copy(), tuple(f.copy() for f in init)))
+        return real_cpd_als(tensor, init)
+
+    real_cpd_als = sjbd.cpd_als
+    monkeypatch.setattr(sjbd, "cpd_als", recorded)
+    run_experiment(_criterion5_3x8x8((35.0, 50.0), 8))
+    assert len(inputs) == 16
+    for tensor, init in inputs:
+        (a, c, b), fit, converged, sweeps = real_cpd_als(tensor, init)
+        (a_r, c_r, b_r), fit_r, converged_r, sweeps_r = solve_cpd_als(tensor, init)
+        assert all(np.array_equal(x, y) for x, y in ((a, a_r), (c, c_r), (b, b_r)))
+        assert (fit, converged, sweeps) == (fit_r, converged_r, sweeps_r)
 
 
 def test_refinement_sweep_counts_on_criterion5_trials(monkeypatch):

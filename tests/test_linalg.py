@@ -5,6 +5,7 @@ import scipy.linalg
 from btd1 import Tensor3, compress_third_mode
 from btd1.linalg import (
     DEFAULT_RANK_TOL,
+    _seed_words,
     cond,
     dominant_rank1,
     khatri_rao,
@@ -14,6 +15,7 @@ from btd1.linalg import (
     randn,
     rank_cut,
     rng,
+    rngs,
 )
 
 from helpers import subspace_angle
@@ -140,6 +142,28 @@ def test_rng_determinism_and_complex_normal():
     # unit variance, circularly symmetric
     assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.02
     assert abs(np.mean(a**2)) < 0.02
+
+
+EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+# 1,000 consecutive sub-seeds n * 1_000_003, crossing 2**32 at n = 4295
+SUB_SEEDS = [n * 1_000_003 for n in range(3800, 4800)]
+
+
+@pytest.mark.parametrize("seeds", [EDGE_SEEDS, SUB_SEEDS], ids=["edges", "sub-seeds"])
+def test_rngs_match_numpy_seeding(seeds):
+    words = _seed_words(np.array(seeds, dtype=np.uint64))
+    for s, w, gen in zip(seeds, words, rngs(seeds), strict=True):
+        assert np.array_equal(w, np.random.SeedSequence(s).generate_state(4, np.uint64))
+        assert np.array_equal(gen.standard_normal(300), rng(s).standard_normal(300))
+
+
+def test_rngs_outside_uint64_go_through_rng():
+    gens = list(rngs([5, 2**64, 2**70 + 3]))
+    for s, gen in zip([5, 2**64, 2**70 + 3], gens):
+        assert np.array_equal(gen.standard_normal(50), rng(s).standard_normal(50))
+    with pytest.raises(ValueError):
+        list(rngs([3, -1]))
+    assert list(rngs([])) == []
 
 
 def test_subspace_distance_and_angles():

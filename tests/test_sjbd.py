@@ -25,6 +25,7 @@ from helpers import (
     naive_single_linkage,
     reconstruction_errors,
     singular_pencil_instance,
+    solve_cpd_als,
     subspace_angle,
 )
 
@@ -294,6 +295,15 @@ def test_cpd_als_matches_lstsq_reference(kind):
     assert fit == pytest.approx(fit_r, rel=1e-9)
     assert converged == converged_r
     assert 1 <= sweeps == sweeps_r <= 500
+
+
+@pytest.mark.parametrize("kind", ["real", "conjugate", "complex"])
+def test_cpd_als_matches_solve_reference_bitwise(kind):
+    tensor, init = _noisy_cpd_case(kind)
+    (a, c, b), fit, converged, sweeps = cpd_als(tensor, init)
+    (a_r, c_r, b_r), fit_r, converged_r, sweeps_r = solve_cpd_als(tensor, init)
+    assert all(np.array_equal(x, y) for x, y in ((a, a_r), (c, c_r), (b, b_r)))
+    assert (fit, converged, sweeps) == (fit_r, converged_r, sweeps_r)
 
 
 @pytest.mark.parametrize("kind", ["real", "conjugate", "complex"])
