@@ -72,51 +72,138 @@ def gf2k_eliminate(mat, logt, expt, order):
     return rank
 
 
+# columns per panel of gfp_eliminate.  A panel's pivot rows and multipliers
+# reach the trailing block through float64 products of inner length at most
+# this, exact while 256 (p-1)^2 < 2^53, that is for p up to about 5.9e6.  No
+# matrix of a certify round (at most 170 x 210) is split: panels of 64 or
+# 128 columns made the round's 13 eliminations about 10% slower, as each
+# pivot's fixed cost, not its update, dominates there (one core of a shared
+# 2-vCPU Xeon)
+_PANEL_COLS = 256
+# rows of the trailing block updated by one float64 product
+_UPDATE_ROWS = 512
+# float64 represents every integer below 2^53 exactly
+FLOAT_EXACT = 2**53
+_INT64_MOST = 2**63 - 1
+
+
 def gfp_eliminate(mat, p):
     """In-place row echelon form over the prime field GF(p), pivots scaled
     to one; returns the rank.  Only the rows below each pivot are reduced.
     Entries of the int64 ``mat`` are in [0, p).
 
-    Reduction mod p is deferred (Dumas, Giorgi & Pernet, ACM TOMS 35(3),
-    2008).  Each pivot subtracts f times the pivot row from every row below
-    it, f being that row's entry in the pivot column, as one rank-one update
-    of the block below and to the right, without reducing it; a row with
-    f = 0 is left as it is.  Only the pivot column (before the pivot search)
-    and the pivot row (before scaling) are reduced.  An entry may go
-    negative, and one update changes it by at most (p-1)^2, so the trailing
-    block is reduced after every (2^63 - 1 - p) // (p-1)^2 updates and no
-    entry reaches 2^63 in magnitude.  That count is one or more whenever
-    p(p-1) < 2^63, and at least 1024 under GFField's guard (p-1)^2 < 2^53.
-    Below 2^16 nothing is reduced before the end, at 2^31 - 1 the block is
-    reduced after every pivot.  The arithmetic is exact and ``%`` returns
-    values in [0, p), so the result is the same as reducing at every step.
+    The columns are eliminated in panels of ``_PANEL_COLS`` (Dumas, Giorgi
+    & Pernet, "FFLAS and FFPACK", ACM TOMS 35(3), 2008).  Within a panel
+    each pivot subtracts f times the pivot row from every row below it, f
+    being that row's entry in the pivot column, as one rank-one update of
+    the panel's columns right of the pivot; f stays in the pivot column as
+    the multiplier.  After the panel, :func:`_panel_update` forms the pivot
+    rows' trailing part and subtracts the multipliers times it from the
+    rows below, as float64 products of inner length at most 256: exact
+    while 256 (p-1)^2 < 2^53.  For larger p the whole matrix is one panel,
+    the plain pivot loop.  The last panel clears its pivot columns as it
+    goes, as does a matrix of at most 256 columns.
+
+    Reduction mod p is deferred.  The pivot column is reduced before the
+    pivot search and the pivot row after scaling.  One rank-one update
+    changes an entry by at most (p-1)^2, and the bound on the panel's
+    entries grows by that much per pivot: the panel is reduced before an
+    update that could take an entry past 2^63 - 1, and the pivot row before
+    scaling when its entries times p - 1 could.  At GF(32749) neither
+    happens; at 2^31 - 1 both happen at every pivot after the first.  The
+    trailing block is reduced only when the next panel's product, at most
+    256 (p-1)^2 an entry, could take an entry past 2^63 - 1: after about a
+    thousand panels at the largest p.  The arithmetic is exact and ``%``
+    returns values in [0, p), so rank and echelon form are those of
+    reducing at every step, bit for bit.
     """
     m, n = mat.shape
-    budget = (2**63 - 1 - p) // (p - 1) ** 2
-    pending = 0  # updates since the trailing block was last reduced
+    width = _PANEL_COLS if _PANEL_COLS * (p - 1) ** 2 < FLOAT_EXACT else max(n, 1)
+    # the most an entry may reach before an update, and before scaling
+    most, row_most = _INT64_MOST - (p - 1) ** 2, _INT64_MOST // (p - 1)
+    bound = p  # bounds the magnitude of the trailing block's entries
     rank = 0
-    for col in range(n):
-        column = mat[rank:, col]
-        column %= p
-        nz = column.nonzero()[0]
-        if nz.size == 0:
-            continue
-        pivot = rank + nz[0]
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-        # rows at or below rank are zero (mod p) left of col
-        row = mat[rank, col:]
-        row %= p
-        row *= pow(int(row[0]), p - 2, p)
-        row %= p
-        rank += 1
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        # the last panel needs no multipliers
+        lead = 1 if stop < n else 0
+        grown = bound  # bounds the magnitude of the panel's entries
+        top = rank
+        pivots = []  # (column, inverse of the pivot)
+        for col in range(start, stop):
+            column = mat[rank:, col]
+            column %= p
+            if not column[0]:
+                nz = column.nonzero()[0]
+                if nz.size == 0:
+                    continue
+                pivot = rank + nz[0]
+                mat[[rank, pivot]] = mat[[pivot, rank]]
+            # rows at or below rank are zero (mod p) left of col, but for
+            # the multipliers of this panel's pivots
+            row = mat[rank, col:stop]
+            if grown > row_most:
+                row %= p
+            inv = pow(int(row[0]), -1, p)
+            row *= inv
+            row %= p
+            pivots.append((col, inv))
+            rank += 1
+            if rank == m:
+                break
+            if grown > most:
+                mat[rank:, col + 1 : stop] %= p
+                grown = p
+            below = mat[rank:, col:stop]
+            # row[0] is 1: without lead the pivot column becomes 0
+            below[:, lead:] -= below[:, :1] * row[lead:]
+            grown += (p - 1) ** 2
+        if lead and pivots:
+            bound = _panel_update(mat, top, rank, pivots, stop, p, bound)
+            cols = [col for col, _ in pivots]
+            # the multipliers, below each pivot, become the loop's zeros
+            mat[top:, cols] = np.triu(mat[top:, cols])
         if rank == m:
             break
-        below = mat[rank:, col:]
-        below -= below[:, :1] * row  # row[0] is 1: the pivot column becomes 0
-        pending += 1
-        if pending == budget:
-            mat[rank:, col + 1 :] %= p
-            pending = 0
     mat %= p
     return rank
+
+
+def _panel_update(mat, top, rank, pivots, stop, p, bound):
+    """The columns right of a panel after its k pivots, the pivot rows in
+    ``mat[top:rank]``; returns the new bound on the trailing block's
+    entries.
+
+    The loop would have made pivot row j's trailing part U_j = inv_j (T_j -
+    sum_{i<j} L[j,i] U_i), with T the pivot rows' trailing part at the
+    panel's start and L[j,i] the multiplier of row j at pivot i; so U = X T
+    for the lower triangular X that this recursion makes of the identity.
+    Each row below loses sum_i M[., i] U_i, M its multipliers.  Every factor
+    is in [0, p) and the inner length is k <= 256, so both products are
+    exact float64 matmuls; the rows below subtract theirs in int64."""
+    cols = [col for col, _ in pivots]
+    k = len(cols)
+    lower = mat[top:rank, cols]
+    x = np.eye(k, dtype=np.int64)
+    for i, (_, inv) in enumerate(pivots):
+        # row i has taken i updates of at most (p-1)^2 each
+        xi = x[i, : i + 1]
+        xi %= p
+        xi *= inv
+        xi %= p
+        x[i + 1 :, : i + 1] -= lower[i + 1 :, i : i + 1] * xi
+    trail = mat[top:rank, stop:]
+    trail %= p
+    u = (x.astype(np.float64) @ trail.astype(np.float64)).astype(np.int64)
+    u %= p
+    trail[...] = u
+    u = u.astype(np.float64)
+    step = k * (p - 1) ** 2
+    if bound + step > _INT64_MOST:
+        mat[rank:, stop:] %= p
+        bound = p
+    mult = mat[rank:, cols].astype(np.float64)
+    for first in range(0, mult.shape[0], _UPDATE_ROWS):
+        block = mat[rank + first : rank + first + _UPDATE_ROWS, stop:]
+        block -= (mult[first : first + _UPDATE_ROWS] @ u).astype(np.int64)
+    return bound + step

@@ -30,15 +30,19 @@ and the entries of wedge / symmetric products — are enumerated in one place
 as the inverse table), in lexicographic order.  The wedge and symmetric
 products of factor blocks and the factor matrices ``Phi(A, B)`` and
 ``S2(C)`` are built here once, for every arithmetic: :func:`phi_matrix` and
-:func:`s2_matrix` take an object with ``mul``/``add``/``sub`` methods:
-numpy's own arithmetic for real and complex factors, a ``btd1.gf.GFField``
-over prime fields.  That keeps the factorization
-``Q2 = Phi(A, B) @ S2(C).T`` exact entry for entry in both.  Phi's
-term-pair layout lives in :func:`phi_pair_wedges` alone; :func:`phi_matrix`
-and the finite-field sketch in :mod:`btd1.gf` both consume it.  The
-selector ``PK``, the vector wedge and symmetric products and the second
-compound matrix are identities the test suite checks against these
-builders; the package itself never forms them.
+:func:`s2_matrix` multiply and add with numpy and take a ``field`` whose
+``reduce`` method maps each finished product into the field: the identity
+for real and complex factors, reduction mod p for a ``btd1.gf.GFField``,
+whose residues' products and their sums or differences stay exact in
+int64.  That keeps the factorization ``Q2 = Phi(A, B) @ S2(C).T`` exact
+entry for entry in both.  The column layout of Phi and S2 lives in one
+cached table, :func:`term_pair_columns`, which gives each column its term
+pair and the two factor columns it combines; the builders gather through
+it for all term pairs at once, a column chunk at a time, and
+:func:`phi_matrix` and the finite-field sketch in :mod:`btd1.gf` both
+consume :func:`phi_wedges`.  The selector ``PK``, the vector wedge and
+symmetric products and the second compound matrix are identities the test
+suite checks against these builders; the package itself never forms them.
 
 Every other module reads the method's structural counts from here: pair
 counts, block sizes d_r = K - sum L + L_r, Q = sum binom(d_r+1, 2) and the
@@ -73,7 +77,8 @@ __all__ = [
     "q2_rank",
     "symmetric_null_matrices",
     "sym_pair_position",
-    "phi_pair_wedges",
+    "term_pair_columns",
+    "phi_wedges",
     "phi_matrix",
     "s2_matrix",
 ]
@@ -447,52 +452,94 @@ def sym_pair_position(k):
     return pos
 
 
-def _pair_block(field, x, y, wedge):
-    """Columnwise wedge (x_p y_q - x_q y_p over p < q) or symmetric product
-    (x_p y_q + x_q y_p over p <= q) of two blocks in ``field``'s arithmetic,
-    columns ordered with y's column index fastest."""
-    p, q = strict_pairs(x.shape[0]) if wedge else sym_pairs(x.shape[0])
-    combine = field.sub if wedge else field.add
-    out = combine(
-        field.mul(x[p][:, :, None], y[q][:, None, :]),
-        field.mul(x[q][:, :, None], y[p][:, None, :]),
+@lru_cache(maxsize=64)
+def term_pair_columns(sizes):
+    """The column map of Phi(A, B) and S2(C) for the block sizes ``sizes``
+    (a tuple), as three read-only arrays over the columns: the index of the
+    column's term pair r1 < r2 in :func:`strict_pairs` order, and the two
+    columns c1 = off_r1 + l1 and c2 = off_r2 + l2 of the stacked factor
+    matrix [B_1 ... B_R] (or [C_1 ... C_R]) that it combines, with off_r =
+    L_1 + ... + L_(r-1).  The pairs run in lexicographic order and, within
+    a pair's block, l2 runs fastest."""
+    r1, r2 = strict_pairs(len(sizes))
+    off = np.cumsum((0,) + sizes)
+    cols = [
+        (n, off[x] + l1, off[y] + l2)
+        for n, (x, y) in enumerate(zip(r1.tolist(), r2.tolist()))
+        for l1 in range(sizes[x])
+        for l2 in range(sizes[y])
+    ]
+    table = np.array(cols, dtype=np.int64).reshape(-1, 3).T
+    table.flags.writeable = False
+    return table
+
+
+# entries of one column chunk of the wedge and symmetric products of the
+# factor matrices: at 16x70x70 (9,)*7 a chunk of B-wedges is 2415 x 108
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _column_chunks(n_rows, n_cols):
+    """Consecutive column slices of an n_rows x n_cols product, about
+    ``_CHUNK_ENTRIES`` entries each, so that its temporaries stay bounded."""
+    step = max(1, _CHUNK_ENTRIES // max(n_rows, 1))
+    return [slice(first, first + step) for first in range(0, n_cols, step)]
+
+
+def _pair_products(x, rows, c1, c2, combine, field):
+    """combine(x[p, c1] x[q, c2], x[q, c1] x[p, c2]) over the row pairs
+    (p, q) = ``rows`` down and the column pairs (c1, c2) across: the
+    columnwise wedge (combine = np.subtract, rows from :func:`strict_pairs`)
+    or symmetric product (np.add, :func:`sym_pairs`) of the columns c1 and
+    c2 of x, reduced once by ``field``."""
+    p, q = rows
+    xp, xq = x[p], x[q]
+    out = xp[:, c1] * xq[:, c2]
+    return field.reduce(combine(out, xq[:, c1] * xp[:, c2], out=out))
+
+
+def phi_wedges(a, b_blocks, field):
+    """Phi(A, B) as its two wedge factors, ``(wa, pair, wb_chunks)``.
+
+    ``wa`` is the binom(I,2) x binom(R,2) array whose column n is a_r1 wedge
+    a_r2 for the n-th term pair; ``pair`` maps each column of Phi to its
+    term pair (:func:`term_pair_columns`); ``wb_chunks`` yields ``(cols,
+    wb)`` over consecutive column slices of Phi, wb the binom(J,2) x
+    len(cols) wedges of the B-columns each column combines.  Column m of Phi
+    is wa[:, pair[m]] kron wb[:, m].  Each wedge is reduced by ``field``."""
+    sizes = tuple(blk.shape[1] for blk in b_blocks)
+    pair, c1, c2 = term_pair_columns(sizes)
+    wa = _pair_products(a, strict_pairs(a.shape[0]), *strict_pairs(len(sizes)), np.subtract, field)
+    b = np.hstack(b_blocks)
+    rows = strict_pairs(b.shape[0])
+    wb_chunks = (
+        (cols, _pair_products(b, rows, c1[cols], c2[cols], np.subtract, field))
+        for cols in _column_chunks(rows[0].size, pair.size)
     )
-    return out.reshape(p.size, x.shape[1] * y.shape[1])
-
-
-def _stack_pairs(cols, n_rows, blocks):
-    if not cols:
-        return np.zeros((n_rows, 0), dtype=np.result_type(*blocks))
-    return np.hstack(cols)
-
-
-def phi_pair_wedges(a, b_blocks, field):
-    """Per term pair r1 < r2 in lexicographic order, the two wedge blocks
-    (a_r1 wedge a_r2, B_r1 wedge B_r2) whose Kronecker product is that
-    pair's block of Phi(A, B), yielded one pair at a time; products go
-    through ``field``."""
-    for r1, r2 in zip(*strict_pairs(len(b_blocks))):
-        wa = _pair_block(field, a[:, r1 : r1 + 1], a[:, r2 : r2 + 1], wedge=True)
-        yield wa, _pair_block(field, b_blocks[r1], b_blocks[r2], wedge=True)
+    return wa, pair, wb_chunks
 
 
 def phi_matrix(a, b_blocks, field):
-    """Phi(A, B): blocks (a_r1 wedge a_r2) kron (B_r1 wedge B_r2) from
-    :func:`phi_pair_wedges`, the (l1, l2) columns of a block enumerated l2
-    fastest; products go through ``field``."""
-    cols = []
-    for wa, wb in phi_pair_wedges(a, b_blocks, field):
-        kron = field.mul(wa[:, :, None], wb[None])
-        cols.append(kron.reshape(wa.shape[0] * wb.shape[0], wb.shape[1]))
-    n_rows = n_strict(a.shape[0]) * n_strict(b_blocks[0].shape[0])
-    return _stack_pairs(cols, n_rows, [a, *b_blocks])
+    """Phi(A, B): column m is (a_r1 wedge a_r2) kron (b_r1,l1 wedge b_r2,l2)
+    for its term pair r1 < r2 and (l1, l2) (:func:`term_pair_columns`),
+    built from :func:`phi_wedges` a column chunk at a time and reduced by
+    ``field``."""
+    wa, pair, wb_chunks = phi_wedges(a, b_blocks, field)
+    n_rows = wa.shape[0] * n_strict(b_blocks[0].shape[0])
+    out = np.empty((n_rows, pair.size), dtype=np.result_type(a, *b_blocks))
+    for cols, wb in wb_chunks:
+        out[:, cols] = field.reduce(wa[:, None, pair[cols]] * wb[None]).reshape(n_rows, -1)
+    return out
 
 
 def s2_matrix(c_blocks, field):
-    """S2(C): blocks C_r1 symprod C_r2 over term pairs r1 < r2, in the
-    order of :func:`phi_matrix`; products go through ``field``."""
-    cols = [
-        _pair_block(field, c_blocks[r1], c_blocks[r2], wedge=False)
-        for r1, r2 in zip(*strict_pairs(len(c_blocks)))
-    ]
-    return _stack_pairs(cols, n_sym(c_blocks[0].shape[0]), c_blocks)
+    """S2(C): column m is c_r1,l1 symprod c_r2,l2 for its term pair and
+    (l1, l2), in the column order of :func:`phi_matrix`, built a column
+    chunk at a time and reduced by ``field``."""
+    _, c1, c2 = term_pair_columns(tuple(blk.shape[1] for blk in c_blocks))
+    c = np.hstack(c_blocks)
+    rows = sym_pairs(c.shape[0])
+    out = np.empty((rows[0].size, c1.size), dtype=np.result_type(*c_blocks))
+    for cols in _column_chunks(rows[0].size, c1.size):
+        out[:, cols] = _pair_products(c, rows, c1[cols], c2[cols], np.add, field)
+    return out

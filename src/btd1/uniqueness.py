@@ -172,17 +172,22 @@ class UniquenessReport:
 def _d_values(d, tol=DEFAULT_RANK_TOL):
     """d_r = dim null of the stacked complementary third-factor blocks.
 
-    For a single term the complement is empty and the null space is all of
-    F^K."""
-    out = []
-    k_dim = d.terms[0][1].shape[0]
-    for r in range(d.R):
-        others = [d.terms[p][1] for p in range(d.R) if p != r]
-        if not others:
-            out.append(k_dim)
-            continue
-        z = np.hstack(others).T
-        out.append(k_dim - numerical_rank(z, tol=tol))
+    The complements of equal width, sum L - L_r, are ranked by one stacked
+    SVD.  For a single term the complement is empty and the null space is
+    all of F^K."""
+    c_blocks = [c for _, c in d.terms]
+    k_dim = c_blocks[0].shape[0]
+    out = [k_dim] * d.R
+    if d.R == 1:
+        return out
+    by_width = {}
+    for r, c in enumerate(c_blocks):
+        by_width.setdefault(c.shape[1], []).append(r)
+    for terms in by_width.values():
+        z = np.stack([np.hstack(c_blocks[:r] + c_blocks[r + 1 :]).T for r in terms])
+        ranks = rank_cut(np.linalg.svd(z, compute_uv=False), tol)
+        for r, rank in zip(terms, ranks):
+            out[r] = k_dim - int(rank)
     return out
 
 

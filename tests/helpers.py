@@ -22,7 +22,15 @@ from btd1.linalg import (
     rng,
     split_columns,
 )
-from btd1.minors import n_sym, q2_row_panels, strict_pairs, sym_pair_position, sym_pairs
+from btd1.gf import GFMatrix
+from btd1.minors import (
+    n_strict,
+    n_sym,
+    q2_row_panels,
+    strict_pairs,
+    sym_pair_position,
+    sym_pairs,
+)
 from btd1.sjbd import CPD_MAX_SWEEPS, CPD_REL_TOL, CPD_STEP_GROW, CPD_STEP_MAX, CPD_STEP_MIN
 from btd1.uniqueness import (
     SUBSET_CAP,
@@ -181,29 +189,88 @@ def loop_gf2k_eliminate(mat, logt, expt, order):
 
 
 def loop_gfp_eliminate(mat, p):
-    """Reference in-place row echelon form over GF(p), entry by entry, pivots
-    scaled to one and only the rows below each pivot reduced; returns the
-    rank."""
+    """Reference in-place row echelon form over GF(p), one pivot at a time
+    and every entry reduced at every step, pivots scaled to one and only
+    the rows below each pivot reduced; returns the rank.  Each entry stays
+    below p^2, within int64 for p < 2^31."""
     m, n = mat.shape
     rank = 0
     for col in range(n):
-        pivot = next((r for r in range(rank, m) if mat[r, col] != 0), -1)
-        if pivot < 0:
+        nz = np.flatnonzero(mat[rank:, col])
+        if nz.size == 0:
             continue
-        _swap_rows(mat, pivot, rank)
+        pivot = rank + nz[0]
+        mat[[rank, pivot]] = mat[[pivot, rank]]
         inv = pow(int(mat[rank, col]), p - 2, p)
-        for c in range(col, n):
-            mat[rank, c] = mat[rank, c] * inv % p
-        for r in range(rank + 1, m):
-            f = mat[r, col]
-            if f == 0:
-                continue
-            for c in range(col, n):
-                mat[r, c] = (mat[r, c] + (p - f) * mat[rank, c]) % p
+        mat[rank, col:] = mat[rank, col:] * inv % p
+        f = mat[rank + 1 :, col : col + 1]
+        mat[rank + 1 :, col:] = (mat[rank + 1 :, col:] + (p - f) * mat[rank, col:]) % p
         rank += 1
         if rank == m:
             break
     return rank
+
+
+def _pair_block(field, x, y, wedge):
+    """Columnwise wedge (x_p y_q - x_q y_p over p < q) or symmetric product
+    (x_p y_q + x_q y_p over p <= q) of two blocks in ``field``'s arithmetic,
+    columns ordered with y's column index fastest."""
+    p, q = strict_pairs(x.shape[0]) if wedge else sym_pairs(x.shape[0])
+    combine = field.sub if wedge else field.add
+    out = combine(
+        field.mul(x[p][:, :, None], y[q][:, None, :]),
+        field.mul(x[q][:, :, None], y[p][:, None, :]),
+    )
+    return out.reshape(p.size, x.shape[1] * y.shape[1])
+
+
+def _stack_pairs(cols, n_rows, blocks):
+    if not cols:
+        return np.zeros((n_rows, 0), dtype=np.result_type(*blocks))
+    return np.hstack(cols)
+
+
+def pair_loop_wedges(a, b_blocks, field):
+    """Per term pair r1 < r2 in lexicographic order, the two wedge blocks
+    (a_r1 wedge a_r2, B_r1 wedge B_r2) whose Kronecker product is that
+    pair's block of Phi(A, B), yielded one pair at a time."""
+    for r1, r2 in zip(*strict_pairs(len(b_blocks))):
+        wa = _pair_block(field, a[:, r1 : r1 + 1], a[:, r2 : r2 + 1], wedge=True)
+        yield wa, _pair_block(field, b_blocks[r1], b_blocks[r2], wedge=True)
+
+
+def pair_loop_phi_matrix(a, b_blocks, field):
+    """Reference Phi(A, B), one term-pair block at a time: blocks
+    (a_r1 wedge a_r2) kron (B_r1 wedge B_r2), the (l1, l2) columns of a
+    block enumerated l2 fastest."""
+    cols = []
+    for wa, wb in pair_loop_wedges(a, b_blocks, field):
+        kron = field.mul(wa[:, :, None], wb[None])
+        cols.append(kron.reshape(wa.shape[0] * wb.shape[0], wb.shape[1]))
+    n_rows = n_strict(a.shape[0]) * n_strict(b_blocks[0].shape[0])
+    return _stack_pairs(cols, n_rows, [a, *b_blocks])
+
+
+def pair_loop_s2_matrix(c_blocks, field):
+    """Reference S2(C), one term-pair block C_r1 symprod C_r2 at a time."""
+    cols = [
+        _pair_block(field, c_blocks[r1], c_blocks[r2], wedge=False)
+        for r1, r2 in zip(*strict_pairs(len(c_blocks)))
+    ]
+    return _stack_pairs(cols, n_sym(c_blocks[0].shape[0]), c_blocks)
+
+
+def pair_loop_phi_sketch(f, s_a, s_b, a, b_blocks):
+    """Reference sketch S Phi(A, B) over the prime field ``f`` (row n of S
+    is s_a[n] kron s_b[n]), one term pair at a time: the block of (r1, r2)
+    is the rowwise product of s_a (a_r1 wedge a_r2) and s_b (B_r1 wedge
+    B_r2)."""
+    s_a, s_b = GFMatrix(s_a, f), GFMatrix(s_b, f)
+    cols = [np.zeros((s_a.shape[0], 0), dtype=np.int64)]
+    for wa, wb in pair_loop_wedges(a, b_blocks, f):
+        sa = s_a.matmul(GFMatrix(wa, f)).values
+        cols.append(sa * s_b.matmul(GFMatrix(wb, f)).values % f.p)
+    return np.hstack(cols)
 
 
 def vstack_q2_triangle(values):
@@ -633,9 +700,12 @@ def rank1_membership(t, f, tol=DEFAULT_RANK_TOL, return_both=False):
 
 
 # numpy's own arithmetic under the method names of ``btd1.gf.GFField``: the
-# ``field`` argument of ``btd1.minors.phi_matrix`` and ``s2_matrix`` for real
-# and complex factors
-NUMPY = SimpleNamespace(mul=operator.mul, add=operator.add, sub=operator.sub)
+# ``field`` argument of ``btd1.minors.phi_matrix`` and ``s2_matrix`` (which
+# calls only ``reduce``) and of the per-pair reference builders for real and
+# complex factors
+NUMPY = SimpleNamespace(
+    mul=operator.mul, add=operator.add, sub=operator.sub, reduce=lambda a: a
+)
 
 
 def build_PK(k):

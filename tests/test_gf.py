@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from btd1 import gf
+from btd1 import gf, minors
 from btd1.gf import (
     GFField,
     GFMatrix,
@@ -15,11 +15,11 @@ from btd1.gf import (
     verify_generic_q2_dim,
     verify_phi_full_rank,
 )
-from btd1.linalg import rng, split_columns
+from btd1.linalg import DimensionError, rng, split_columns
 from btd1.minors import build_Q2, n_strict, n_sym, phi_matrix, s2_matrix
 from btd1 import BlockTermDecomposition, compose, random_btd
 from btd1.uniqueness import check_deterministic_uniqueness
-from helpers import NUMPY, loop_gf_matmul, rational_rank
+from helpers import NUMPY, loop_gf_matmul, pair_loop_phi_sketch, rational_rank
 
 
 # the largest prime GFField accepts: (p-1)^2 < 2^53 <= (p'-1)^2 for the next
@@ -205,6 +205,25 @@ def test_verify_q2_dim_single_term_trivial():
     assert res.certified and res.expected == 0
 
 
+@pytest.mark.parametrize(
+    "dims, sizes, rows, expected",
+    [((1, 8, 8), (2, 3, 4), 0, 26), ((3, 1, 8), (1, 1, 1), 0, 3), ((3, 3, 8), (4, 4), 9, 16)],
+)
+def test_verify_q2_dim_too_few_rows_is_impossible(dims, sizes, rows, expected):
+    # Q2 has binom(I,2) binom(J,2) rows, fewer than the expected rank: no
+    # trial can reach it
+    res = verify_generic_q2_dim(dims, sizes, seed=0)
+    assert res.verdict == "impossible" and res.trials == 0
+    assert res.expected == expected and f"{rows} rows" in res.reason
+
+
+def test_verifiers_refuse_no_terms():
+    with pytest.raises(DimensionError):
+        verify_generic_q2_dim((3, 3, 3), ())
+    with pytest.raises(DimensionError):
+        verify_phi_full_rank(3, 3, 0, ())
+
+
 def test_verify_q2_dim_clamps_large_k():
     res = verify_generic_q2_dim((3, 9, 14), (1, 2, 3, 4), seed=0)
     assert res.config["clamped"] and res.config["K"] == 10
@@ -364,6 +383,24 @@ def test_phi_sketch_is_row_kronecker_times_phi(p, sizes):
     want = GFMatrix(_row_kronecker(f, s_a, s_b), f).matmul(phi).values
     assert sketch.shape == (n_keep, phi.shape[1])
     assert np.array_equal(sketch, want)
+
+
+@pytest.mark.parametrize("sizes", [(3,), (1, 2, 3, 4), (2, 2, 3)])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_phi_sketch_equals_the_pair_loop(sizes, chunk, monkeypatch):
+    # chunks of 7 entries are one column each
+    if chunk is not None:
+        monkeypatch.setattr(minors, "_CHUNK_ENTRIES", chunk)
+    f = GFField(32749)
+    gen = rng(12)
+    i_dim, j_dim, n_keep = 5, 7, 23
+    a = f.random(gen, (i_dim, len(sizes)))
+    b_blocks = split_columns(f.random(gen, (j_dim, sum(sizes))), sizes)
+    s_a = f.random(gen, (n_keep, n_strict(i_dim)))
+    s_b = f.random(gen, (n_keep, n_strict(j_dim)))
+    got = gf._phi_sketch(f, s_a, s_b, a, b_blocks)
+    want = pair_loop_phi_sketch(f, s_a, s_b, a, b_blocks)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

@@ -81,10 +81,38 @@ def test_gfp_elimination_paths_agree():
                 assert np.array_equal(got, want), (p, shape)
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 32749, 65521, 1048573, 2**24 - 3, 2**31 - 1])
+def test_gfp_panels_agree_with_the_loop(p, monkeypatch):
+    # 280 and 300 columns are two panels of _PANEL_COLS = 256; panels of 32
+    # columns split 150 into five, so later panels start from a trailing
+    # block the products left unreduced, and 40 rows run out inside the
+    # second.  At 1048573 a pivot row not reduced inside its panel would
+    # pass 2^63 when scaled.  At 2^24 - 3 a product over 256 columns would
+    # not be exact, so the kernel runs one panel, while panels of 32 columns
+    # are exact.  At 2^31 - 1 no product is exact: one panel, reduced after
+    # every pivot
+    gen = rng(3)
+    panels = ((256, ((300, 280), (280, 300))), (32, ((150, 140), (140, 150), (40, 150))))
+    for panel, shapes in panels:
+        monkeypatch.setattr(_kernels, "_PANEL_COLS", panel)
+        for shape in shapes:
+            cases = _gfp_cases(gen, p, shape)
+            if panel < shape[1] // 2:
+                late = gen.integers(0, p, size=shape)
+                late[:, :panel] = 0  # no pivot in the first panel
+                cases += (late,)
+            for mat in cases:
+                want, got = mat.copy(), mat.copy()
+                r_want = loop_gfp_eliminate(want, p)
+                assert _kernels.gfp_eliminate(got, p) == r_want, (p, panel, shape)
+                assert np.array_equal(got, want), (p, panel, shape)
+
+
 def _gfp_cases(gen, p, shape):
-    """A matrix with planted dependencies, one with zero columns and a
-    tie-heavy one (about 70% zeros), each with entries in [0, p)."""
+    """A random matrix, one with planted dependencies, one with zero columns
+    and a tie-heavy one (about 70% zeros), each with entries in [0, p)."""
     m, n = shape
+    random = gen.integers(0, p, size=shape)
     dependent = gen.integers(0, p, size=shape)
     dependent[:, -1] = dependent[:, 0]
     dependent[:, n // 2] = (dependent[:, 1] + 2 * dependent[:, 2]) % p
@@ -94,4 +122,4 @@ def _gfp_cases(gen, p, shape):
     ties = gen.integers(0, p, size=shape)
     ties[gen.random(shape) < 0.7] = 0
     ties[m // 2 :] = ties[: m - m // 2]  # repeated rows
-    return dependent, zero_cols, ties
+    return random, dependent, zero_cols, ties

@@ -101,8 +101,16 @@ def test_null_space_dimensions():
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize(
     "shape,rank",
-    [((12, 7), 4), ((12, 7), 7), ((7, 7), 4), ((4, 9), 4), ((5, 9), 3)],
-    ids=["tall", "tall-full", "square", "wide", "wide-deficient"],
+    [
+        ((12, 7), 4),
+        ((12, 7), 7),
+        ((30, 7), 4),
+        ((30, 7), 7),
+        ((7, 7), 4),
+        ((4, 9), 4),
+        ((5, 9), 3),
+    ],
+    ids=["tall", "tall-full", "tall-qr", "tall-qr-full", "square", "wide", "wide-deficient"],
 )
 def test_null_space_matches_scipy(shape, rank, field):
     gen = rng(4)
@@ -127,12 +135,15 @@ def test_null_space_survives_svd_nonconvergence(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     gen = rng(5)
-    a = gen.standard_normal((12, 4)) @ gen.standard_normal((4, 7))
-    want = null_space(a, tol=1e-10)
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    got = null_space(a, tol=1e-10)
-    assert got.shape == want.shape == (7, 3)
-    assert np.linalg.norm(got @ got.T - want @ want.T) < 1e-10
+    # 12 rows go to the SVD whole, 30 through their QR factor first
+    for m in (12, 30):
+        a = gen.standard_normal((m, 4)) @ gen.standard_normal((4, 7))
+        want = null_space(a, tol=1e-10)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", no_convergence)
+            got = null_space(a, tol=1e-10)
+        assert got.shape == want.shape == (7, 3)
+        assert np.linalg.norm(got @ got.T - want @ want.T) < 1e-10
 
 
 def test_rng_determinism_and_complex_normal():

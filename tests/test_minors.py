@@ -11,7 +11,8 @@ from btd1 import (
     minors,
     random_btd,
 )
-from btd1.linalg import DEFAULT_RANK_TOL, null_space, numerical_rank, rng
+from btd1.gf import GFField
+from btd1.linalg import DEFAULT_RANK_TOL, null_space, numerical_rank, randn, rng, split_columns
 from btd1.minors import (
     block_sizes,
     build_Q2,
@@ -43,6 +44,8 @@ from helpers import (
     golden_integer_instance,
     integer_btd,
     loop_minor_matrix_fill,
+    pair_loop_phi_matrix,
+    pair_loop_s2_matrix,
     q2_rank_instances,
     rank1_membership,
     symprod,
@@ -350,6 +353,39 @@ def test_block_products_column_order():
             col = l1 * 3 + l2
             assert np.allclose(phi[:, col], np.kron(wa, wedge(bi[:, l1], bj[:, l2])))
             assert np.allclose(s2[:, col], symprod(ci[:, l1], cj[:, l2]))
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "gf"])
+@pytest.mark.parametrize("sizes", [(3,), (1, 2, 3, 4), (2, 2, 3)])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_builders_equal_the_pair_loop(field, sizes, chunk, monkeypatch):
+    # bit for bit against the per-term-pair reference; sizes (3,) have no
+    # term pair and no column, and chunks of 7 entries are one column each
+    if chunk is not None:
+        monkeypatch.setattr(minors, "_CHUNK_ENTRIES", chunk)
+    gen = rng(21)
+    if field == "gf":
+        f = GFField(32749)
+
+        def draw(shape):
+            return f.random(gen, shape)
+
+    else:
+        f = NUMPY
+
+        def draw(shape):
+            return randn(gen, shape, field)
+
+    a = draw((4, len(sizes)))
+    b_blocks = split_columns(draw((6, sum(sizes))), sizes)
+    c_blocks = split_columns(draw((5, sum(sizes))), sizes)
+    pairs = (
+        (phi_matrix(a, b_blocks, f), pair_loop_phi_matrix(a, b_blocks, f)),
+        (s2_matrix(c_blocks, f), pair_loop_s2_matrix(c_blocks, f)),
+    )
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_phi_s2_factorization_random():

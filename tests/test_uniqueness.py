@@ -29,6 +29,29 @@ from helpers import (
 )
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_d_values_equal_one_svd_per_term(field):
+    # the stacked SVD per complement width against one numerical_rank per
+    # term: unequal sizes, repeated widths, shared C-columns (every d_r is
+    # 1 there), a clamped K and a single term (d = K)
+    cases = [
+        random_btd((3, 9, 10), (1, 2, 3, 4), field=field, seed=1),
+        random_btd((4, 10, 10), (2, 2, 3, 3), field=field, seed=2),
+        random_btd((3, 8, 6), (2, 3, 4), field=field, seed=3),
+        random_btd((3, 5, 5), (3,), field=field, seed=4),
+        shared_columns_instance(4, seed=5, field=field),
+    ]
+    for d in cases:
+        k_dim = d.terms[0][1].shape[0]
+        want = [
+            k_dim - numerical_rank(np.hstack([c for p, (_, c) in enumerate(d.terms) if p != r]).T)
+            if d.R > 1
+            else k_dim
+            for r in range(d.R)
+        ]
+        assert uniqueness._d_values(d) == want
+
+
 def test_check_necessary_duplicate_term():
     gen = rng(0)
     b = gen.standard_normal((5, 2))
