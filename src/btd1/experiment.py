@@ -6,16 +6,29 @@ boundary where the working assumptions fail), perturbed to each target SNR,
 and decomposed with the scenario-2 noisy pipeline.  Outputs are the
 frequency of each candidate size tuple per SNR and mean/median relative
 errors on the first factor matrix and on the vectorized terms.
+
+Where few draws meet the cap (1 in 1,500 to 1,900 on 3x9x10 (1,2,3,4) at
+cap 10) the rejection sampler is a large share of a trial, so its inner loop
+costs little more than the random numbers: each chunk of draws is screened
+from its factors by :func:`cond_screen`, and only the survivors are
+composed and take the SVD tests (see :func:`draw_instance`).
 """
 
 import csv
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, SolverDiagnostic, cond, rng, rngs
+from .linalg import (
+    DimensionError,
+    SolverDiagnostic,
+    cond,
+    positive_definite,
+    rng,
+    rngs,
+)
 from .sjbd import CPD_IDENTITY_WEIGHT
 from .solver import SolverOptions, candidate_size_tuples, decompose
 from .tensor import (
@@ -24,8 +37,8 @@ from .tensor import (
     Tensor3,
     add_noise,
     compose_values,
-    draw_factors,
     match_decompositions,
+    split_factors,
     unfold,
 )
 
@@ -138,46 +151,89 @@ def _fmt_snr(s):
 # draw n of a trial uses sub-seed seed + n * SUB_SEED_STEP
 SUB_SEED_STEP = 1_000_003
 # sub-seeds hashed per rngs call: the hash costs about 0.1 ms a call and
-# 0.3 us a seed, so a block of 256 costs a trial that accepts at once 0.1 ms
-# more than rng would, and saves one that draws 60 about 1 ms
+# 0.5 us a seed, so a trial that accepts at once pays 0.1 ms more than rng
+# would, and one that draws 60 saves about 1 ms
 SEED_BLOCK = 256
+# largest chunk of draws screened at once, a divisor of SEED_BLOCK.  Past
+# about 160 draws the screen's (n, K, K) temporaries on 3x9x10 pass 128 KiB,
+# glibc's default mmap threshold, and the product of two of them cost 2.4
+# times as much a draw (0.80 against 0.33 us at 200 and 160 draws); chunks
+# of 64 and 128 drew 3x9x10 at the same speed, and 256 10-20% slower.
+CHUNK_MAX = 64
 # rounding margin of cond_screen, relative to a lower bound on lam_max
 SCREEN_TOL = 1e-10
 
 
-def _sub_generators(seed):
-    """Generators of the sub-seeds seed, seed + SUB_SEED_STEP, ..., each
-    bitwise ``rng`` of its sub-seed, hashed SEED_BLOCK at a time."""
-    block = SEED_BLOCK * SUB_SEED_STEP
-    for start in itertools.count(seed, block):
-        yield from rngs(range(start, start + block, SUB_SEED_STEP))
+@functools.cache
+def _gather_tables(dims, sizes):
+    """Number of normals in one draw, and the positions among them, in
+    :func:`split_factors`' layout, of the factors :func:`cond_screen` reads:
+    A with column r repeated L_r times (I x S, S = sum L), [B_1 ... B_R]
+    (J x S) and [C_1 ... C_R] (K x S)."""
+    count = dims[0] * len(sizes) + (dims[1] + dims[2]) * sum(sizes)
+    a, terms = split_factors(np.arange(count)[None], dims, sizes)
+    b, c = (np.concatenate(f, axis=-1)[0] for f in zip(*terms))
+    return count, a[0][:, np.repeat(np.arange(len(sizes)), sizes)], b, c
 
 
-def cond_screen(m, cap):
-    """False for each matrix of the stack ``m`` whose 2-norm condition
-    number surely exceeds ``cap``.
+def _transpose(m):
+    # stacked matmul runs BLAS on contiguous items, not on transposed views
+    return np.ascontiguousarray(m.swapaxes(-1, -2))
 
-    With G the smaller Gram matrix of a matrix, cond**2 = lam_max / lam_min,
-    so a matrix within the cap has lam_min >= lam_max / cap**2.  Two tests
-    refuse a matrix only where lam_min falls short of that by more than
-    ``SCREEN_TOL`` times a lower bound on lam_max.  Rounding moves G and
-    the tests by about n**2 * eps * lam_max for n columns, some 1e-13
-    lam_max at n = 10, so a matrix within the cap always passes.  The
-    first test bounds both ends: with G = L L^T, lam_min <= min L_ii**2 and
-    lam_max >= max G_ii.  One batched Cholesky factorization drops about
-    three quarters of the 3x9x10 draws with it, and ``eigvalsh`` tests the
-    rest exactly.
+
+def cond_screen(a, b, c, cap):
+    """False for each draw of a stack whose third unfolding surely has a
+    2-norm condition number above ``cap``, tested from its factors alone.
+
+    ``a`` (n, I, S) is A with column r repeated L_r times, ``b`` (n, J, S)
+    is [B_1 ... B_R] and ``c`` (n, K, S) is [C_1 ... C_R], S = sum L.  The
+    third unfolding is T_(3) = W C^T with W = [a_s kron b_s]_s, and
+    W^T W = (A^T A) * (B^T B), so the smaller Gram matrix G of T_(3) is
+    C (W^T W) C^T when K <= IJ and W (C^T C) W^T otherwise: small stacked
+    products, no tensor.  With cond**2 = lam_max / lam_min, a draw within
+    the cap has lam_min >= lam_max / cap**2.  ``rho``, the Rayleigh quotient
+    of G at its row i with the largest diagonal entry G_ii, is at most
+    lam_max.  A draw is refused where G - s I is not positive definite for
+    s = rho / cap**2 - margin, one batched Cholesky factorization for the
+    stack, so only where lam_min < lam_max / cap**2 - margin; on 3x9x10
+    (1,2,3,4) that keeps about 1 draw in 1,100, of which 3 in 5 pass.
+    ``eigvalsh`` then tests the survivors exactly, and refuses those with
+    lam_min + margin below lam_max / cap**2.
+
+    The margin is ``SCREEN_TOL`` * rho + n * eps * ||W||_F**2 * ||C||_F**2,
+    n = I + J + K + 2S.  The second term bounds how far rounding in the
+    products moves each eigenvalue of G = X N X^T: entry (s, t) of N is off
+    by at most about (I + J) eps sqrt(N_ss N_tt) (K eps for C^T C), and the
+    outer products add about 2S eps |X| |N| |X|^T; in norm both are below
+    n eps ||X||_F**2 tr(N) = n eps ||W||_F**2 ||C||_F**2, however badly W
+    or C is conditioned.  The first term, at least 1e-10 lam_max / K, is
+    far above the rounding of the Cholesky factorization and ``eigvalsh``
+    (about K eps lam_max) and, with the second, covers that of the composed
+    tensor and its SVD, so a draw that the SVD test passes is never refused.
     """
-    gram = m.swapaxes(-1, -2) @ m if m.shape[-2] >= m.shape[-1] else m @ m.swapaxes(-1, -2)
-    g_max = gram.diagonal(axis1=-2, axis2=-1).max(axis=-1)
-    try:
-        l_min = np.linalg.cholesky(gram).diagonal(axis1=-2, axis2=-1).min(axis=-1) ** 2
-        passed = ~(l_min + SCREEN_TOL * g_max < g_max / cap**2)
-    except np.linalg.LinAlgError:
-        # some G is not numerically positive definite; eigvalsh tests all
-        passed = np.ones(gram.shape[0], dtype=bool)
-    lam = np.linalg.eigvalsh(gram[passed])
-    passed[passed] = ~(lam[:, 0] + SCREEN_TOL * lam[:, -1] < lam[:, -1] / cap**2)
+    i_dim, j_dim, k_dim = a.shape[-2], b.shape[-2], c.shape[-2]
+    if k_dim <= i_dim * j_dim:
+        x, inner = c, (_transpose(a) @ a) * (_transpose(b) @ b)
+    else:
+        # W, item by item [a_s kron b_s]_s as linalg.khatri_rao forms it
+        x = (a[:, :, None, :] * b[:, None, :, :]).reshape(len(a), -1, a.shape[-1])
+        inner = _transpose(c) @ c
+    gram = x @ inner @ _transpose(x)
+    u = gram[np.arange(len(gram)), gram.diagonal(axis1=-2, axis2=-1).argmax(axis=-1)]
+    rho = (u * (gram @ u[..., None])[..., 0]).sum(axis=-1) / (u * u).sum(axis=-1)
+    # ||X||_F**2 tr(N) = ||W||_F**2 ||C||_F**2 for G = X N X^T either way
+    n_round = i_dim + j_dim + k_dim + 2 * a.shape[-1]
+    norms = inner.trace(axis1=-2, axis2=-1) * (x * x).sum(axis=(-2, -1))
+    margin = SCREEN_TOL * rho + n_round * np.finfo(float).eps * norms
+    shift = rho / cap**2 - margin
+    eye = np.arange(gram.shape[-1])
+    gram[:, eye, eye] -= shift[:, None]
+    passed = positive_definite(gram)
+    # eigvalsh of an empty stack still costs some 7 us
+    if not passed.any():
+        return passed
+    lam = np.linalg.eigvalsh(gram[passed]) + shift[passed, None]
+    passed[passed] = ~(lam[:, 0] + margin[passed] < lam[:, -1] / cap**2)
     return passed
 
 
@@ -188,39 +244,43 @@ def draw_instance(config, seed):
 
     Draw n is ``random_btd(config.dims, config.sizes, seed=seed +
     n * SUB_SEED_STEP)``, and the first draw that passes is accepted.  Draws
-    are made in chunks of 4 sub-seeds, doubling up to 32: each chunk is
-    drawn by :func:`draw_factors` from generators that :func:`rngs` seeds
-    SEED_BLOCK at a time, composed by one :func:`compose_values` call and
-    tested in three batched steps.  :func:`cond_screen` drops the draws
-    whose third unfolding surely exceeds the cap, from a Cholesky
-    factorization and ``eigvalsh`` of their Gram matrices: on 3x9x10 it
-    costs about 6 us a draw where the SVD costs 22 us.  Its margin over
-    rounding means it never drops a draw that the SVD test passes.  The
-    survivors then take the SVD test of the third unfolding, then that of
-    the first.  Every draw is the one the sub-seed gives on its own, so the
-    accepted draw and the rejection count depend neither on the chunking
-    nor on the screen.  Only the accepted draw is wrapped as a
-    decomposition and a tensor.
+    are made in chunks of 4, 4, 8, 16 and 32 sub-seeds, then CHUNK_MAX at
+    a time, so no chunk straddles two of the blocks of SEED_BLOCK sub-seeds
+    that :func:`rngs` hashes.  Each chunk fills one buffer of normals, a
+    row per generator, gathers the factors from it through tables built
+    once per shape, and screens them with :func:`cond_screen`.  Only the
+    survivors are split into factors, composed by :func:`compose_values`
+    and tested, by the SVD of the third unfolding, then that of the first.
+    On 3x9x10 (1,2,3,4), where 1 draw in 1,500 to 1,900 passes, a draw costs
+    9.5-15 us on one core of a shared 2-vCPU x86 machine: about 4 us of
+    normals, 1.5 us building the generator, 0.4 us of hashing and 3 us of
+    screen, where composing and screening every draw cost 17-25 us.  The
+    screen never refuses a draw that the SVD test passes, and every draw is
+    the one its sub-seed gives on its own, so the accepted draw and the
+    rejection count depend neither on the chunking nor on the screen.  Only
+    the accepted draw is wrapped as a decomposition and a tensor.
     """
     cap = config.cond_cap
-    gens = _sub_generators(seed)
-    rejected = 0
-    chunk = 4
+    count, a_at, b_at, c_at = _gather_tables(tuple(config.dims), tuple(config.sizes))
+    drawn = 0
     while True:
-        a, terms = draw_factors(list(itertools.islice(gens, chunk)), config.dims, config.sizes)
-        t = compose_values(a, terms)
-        t3 = unfold(t, 3)
-        passed = cond_screen(t3, cap)
-        # an SVD of an empty stack still costs some 17 us
-        if passed.any():
-            passed[passed] = cond(t3[passed]) <= cap
+        if drawn % SEED_BLOCK == 0:
+            first = seed + drawn * SUB_SEED_STEP
+            gens = rngs(range(first, first + SEED_BLOCK * SUB_SEED_STEP, SUB_SEED_STEP))
+        flat = np.empty((max(4, min(drawn, CHUNK_MAX)), count))
+        for row, gen in zip(flat, gens):
+            gen.standard_normal(out=row)
+        kept = np.flatnonzero(cond_screen(flat[:, a_at], flat[:, b_at], flat[:, c_at], cap))
+        if kept.size:
+            a, terms = split_factors(flat[kept], config.dims, config.sizes)
+            t = compose_values(a, terms)
+            passed = cond(unfold(t, 3)) <= cap
             passed[passed] = cond(unfold(t[passed], 1)) <= cap
-        if passed.any():
-            n = int(np.argmax(passed))
-            truth = BlockTermDecomposition(a[n], [(b[n], c[n]) for b, c in terms])
-            return truth, Tensor3(t[n]), rejected + n
-        rejected += chunk
-        chunk = min(2 * chunk, 32)
+            if passed.any():
+                n = int(np.argmax(passed))
+                truth = BlockTermDecomposition(a[n], [(b[n], c[n]) for b, c in terms])
+                return truth, Tensor3(t[n]), drawn + int(kept[n])
+        drawn += len(flat)
 
 
 def run_experiment(config, progress=None):

@@ -98,15 +98,6 @@ class GFField:
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
     def reduce(self, a):
         """a mod p, in [0, p), for an integer array such as a sum of
         products of residues."""

@@ -209,6 +209,17 @@ def solve_matrix(a, b, signature):
     return _umath_linalg.solve(a, b, signature=signature)
 
 
+def positive_definite(a):
+    """True for each symmetric float64 matrix of the stack ``a`` whose
+    Cholesky factorization completes, False where LAPACK meets a pivot that
+    is not positive: numpy's Cholesky gufunc, whose NaN result for such a
+    matrix is read instead of raised, so one failure does not refuse the
+    whole stack."""
+    with np.errstate(invalid="ignore"):
+        lower = _umath_linalg.cholesky_lo(a, signature="d->d")
+    return ~np.isnan(lower[..., -1, -1])
+
+
 def frobenius_norm(x):
     """``np.linalg.norm(x)`` of a float or complex array, bit for bit: the
     square root of the dot product of its raveled entries, real and

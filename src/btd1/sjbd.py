@@ -111,9 +111,10 @@ class SJBDProblem:
             v = np.asarray(v)
             if v.ndim != 2 or v.shape[0] != v.shape[1]:
                 raise DimensionError(f"V[{q}] is not square")
-            dev = np.linalg.norm(v - v.T)
-            if self.hint_R is None and dev > SYMMETRY_TOL * max(np.linalg.norm(v), 1.0):
-                raise ValueError(f"V[{q}] is not symmetric (deviation {dev:.2e})")
+            if self.hint_R is None:
+                dev = np.linalg.norm(v - v.T)
+                if dev > SYMMETRY_TOL * max(np.linalg.norm(v), 1.0):
+                    raise ValueError(f"V[{q}] is not symmetric (deviation {dev:.2e})")
             mats.append((v + v.T) / 2.0)
         if len({m.shape for m in mats}) > 1:
             raise DimensionError("all V_q must share the same size")

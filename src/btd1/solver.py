@@ -341,12 +341,9 @@ def _partition_by_unfolding(t, n_full, r_clusters):
     rank-one matrices a_r w.T; cluster their left directions into R groups."""
     i_dim, j_dim, _ = t.dims
     t3n = unfold(t, 3) @ n_full
-    dirs = []
-    for col in range(t3n.shape[1]):
-        m = t3n[:, col].reshape(i_dim, j_dim)
-        u, _, _ = np.linalg.svd(m, full_matrices=False)
-        dirs.append(u[:, 0])
-    order, d = _group_labels(cluster_columns(np.column_stack(dirs), n_clusters=r_clusters))
+    # one stacked SVD of the I x J reshapes of all the columns
+    u = np.linalg.svd(t3n.T.reshape(-1, i_dim, j_dim), full_matrices=False)[0]
+    order, d = _group_labels(cluster_columns(u[:, :, 0].T, n_clusters=r_clusters))
     if len(d) != r_clusters:
         raise SolverDiagnostic(
             "column clustering found a different number of groups than R",

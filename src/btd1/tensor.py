@@ -28,6 +28,7 @@ __all__ = [
     "compose",
     "compose_values",
     "draw_factors",
+    "split_factors",
     "random_btd",
     "add_noise",
     "compress_third_mode",
@@ -201,22 +202,32 @@ def draw_factors(gens, dims, sizes, field="real"):
     stacked along a leading batch axis: A (n, I, R) and per-term pairs
     (B_r, C_r) of shapes (n, J, L_r) and (n, K, L_r).
 
-    Each generator makes one ``standard_normal`` call, split in order into
-    A, then B_r and C_r term by term; a complex factor takes its real part,
-    then its imaginary part.  Each factor is therefore bitwise what
+    Each generator makes one ``standard_normal`` call, split in order by
+    :func:`split_factors`.  Each factor is therefore bitwise what
     ``randn(gen, shape, field)`` gives when called factor by factor in that
     order.
     """
     i_dim, j_dim, k_dim = dims
+    parts = 2 if field == "complex" else 1
+    flat = np.empty((len(gens), parts * (i_dim * len(sizes) + (j_dim + k_dim) * sum(sizes))))
+    for row, gen in zip(flat, gens):
+        gen.standard_normal(out=row)
+    return split_factors(flat, dims, sizes, field)
+
+
+def split_factors(flat, dims, sizes, field="real"):
+    """The factors that the rows of ``flat`` (n, count) hold, in the layout
+    :func:`draw_factors` draws them: A (n, I, R), then B_r (n, J, L_r) and
+    C_r (n, K, L_r) term by term, each row-major; a complex factor takes
+    its real part, then its imaginary part.  Real factors are views of
+    ``flat``."""
+    i_dim, j_dim, k_dim = dims
     shapes = [(i_dim, len(sizes))] + [shape for s in sizes for shape in ((j_dim, s), (k_dim, s))]
     parts = 2 if field == "complex" else 1
     counts = [parts * rows * cols for rows, cols in shapes]
-    flat = np.empty((len(gens), sum(counts)))
-    for row, gen in zip(flat, gens):
-        gen.standard_normal(out=row)
     factors = []
     for shape, chunk in zip(shapes, np.split(flat, np.cumsum(counts)[:-1], axis=1)):
-        x = chunk.reshape(len(gens), parts, *shape)
+        x = chunk.reshape(len(flat), parts, *shape)
         factors.append(x[:, 0] if parts == 1 else (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0))
     return factors[0], list(zip(factors[1::2], factors[2::2]))
 

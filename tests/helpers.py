@@ -22,7 +22,7 @@ from btd1.linalg import (
     rng,
     split_columns,
 )
-from btd1.gf import GFMatrix
+from btd1.gf import GFField, GFMatrix
 from btd1.minors import (
     n_strict,
     n_sym,
@@ -211,15 +211,29 @@ def loop_gfp_eliminate(mat, p):
     return rank
 
 
+def arithmetic(field):
+    """Elementwise add, sub and mul of ``field``: :data:`NUMPY` itself, or
+    those of GF(p) for a ``btd1.gf.GFField``, reduced after every step.  The
+    package reduces a finished product once; these are the arithmetic of
+    the per-pair reference builders and the scalar loops."""
+    if not isinstance(field, GFField):
+        return field
+    p = field.p
+    return SimpleNamespace(
+        add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p, mul=lambda a, b: a * b % p
+    )
+
+
 def _pair_block(field, x, y, wedge):
     """Columnwise wedge (x_p y_q - x_q y_p over p < q) or symmetric product
     (x_p y_q + x_q y_p over p <= q) of two blocks in ``field``'s arithmetic,
     columns ordered with y's column index fastest."""
     p, q = strict_pairs(x.shape[0]) if wedge else sym_pairs(x.shape[0])
-    combine = field.sub if wedge else field.add
+    ops = arithmetic(field)
+    combine = ops.sub if wedge else ops.add
     out = combine(
-        field.mul(x[p][:, :, None], y[q][:, None, :]),
-        field.mul(x[q][:, :, None], y[p][:, None, :]),
+        ops.mul(x[p][:, :, None], y[q][:, None, :]),
+        ops.mul(x[q][:, :, None], y[p][:, None, :]),
     )
     return out.reshape(p.size, x.shape[1] * y.shape[1])
 
@@ -245,7 +259,7 @@ def pair_loop_phi_matrix(a, b_blocks, field):
     block enumerated l2 fastest."""
     cols = []
     for wa, wb in pair_loop_wedges(a, b_blocks, field):
-        kron = field.mul(wa[:, :, None], wb[None])
+        kron = arithmetic(field).mul(wa[:, :, None], wb[None])
         cols.append(kron.reshape(wa.shape[0] * wb.shape[0], wb.shape[1]))
     n_rows = n_strict(a.shape[0]) * n_strict(b_blocks[0].shape[0])
     return _stack_pairs(cols, n_rows, [a, *b_blocks])
@@ -284,10 +298,11 @@ def vstack_q2_triangle(values):
 
 def loop_gf_matmul(f, a, b):
     """Reference product over the field ``f``, one inner index at a time
-    through the field's own add and mul."""
+    through :func:`arithmetic`'s add and mul."""
+    ops = arithmetic(f)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):
-        out = f.add(out, f.mul(a[:, k][:, None], b[k, :][None, :]))
+        out = ops.add(out, ops.mul(a[:, k][:, None], b[k, :][None, :]))
     return out
 
 
@@ -616,6 +631,18 @@ def reference_draw_instance(config, seed):
         sub_seed = sub_seed + 1_000_003
 
 
+def per_column_unfolding_directions(t, n_full):
+    """Left singular direction of each column of unfold(T,3) N reshaped to
+    I x J, one SVD per column, stacked as the columns of an I x n array."""
+    i_dim, j_dim, _ = t.dims
+    t3n = unfold(t, 3) @ n_full
+    dirs = []
+    for col in range(t3n.shape[1]):
+        u, _, _ = np.linalg.svd(t3n[:, col].reshape(i_dim, j_dim), full_matrices=False)
+        dirs.append(u[:, 0])
+    return np.column_stack(dirs)
+
+
 def reconstruction_errors(sol, v_list):
     """Relative error of N D_q N.T against each V_q for an S-JBD solution,
     the D_q fitted by :func:`recover_coefficients`."""
@@ -699,9 +726,9 @@ def rank1_membership(t, f, tol=DEFAULT_RANK_TOL, return_both=False):
     return direct
 
 
-# numpy's own arithmetic under the method names of ``btd1.gf.GFField``: the
+# numpy's own arithmetic, with the ``reduce`` of ``btd1.gf.GFField``: the
 # ``field`` argument of ``btd1.minors.phi_matrix`` and ``s2_matrix`` (which
-# calls only ``reduce``) and of the per-pair reference builders for real and
+# call only ``reduce``) and of the per-pair reference builders for real and
 # complex factors
 NUMPY = SimpleNamespace(
     mul=operator.mul, add=operator.add, sub=operator.sub, reduce=lambda a: a

@@ -17,8 +17,9 @@ from btd1.experiment import (
     draw_instance,
     run_experiment,
 )
-from btd1.linalg import DimensionError, cond, rng
+from btd1.linalg import DimensionError, cond, khatri_rao, rng
 from btd1.solver import candidate_size_tuples
+from btd1.tensor import compose_values
 from btd1 import compose, random_btd, unfold
 
 from helpers import lstsq_cpd_als, reference_draw_instance, solve_cpd_als
@@ -44,18 +45,37 @@ def test_draw_instance_respects_cap():
     "dims,sizes,extra_seeds",
     [
         # 0, 3, 4, 26 and 188 rejections: the first sub-seed, the last of
-        # the first chunk of 4, the first of the second chunk, the third
-        # chunk, a chunk past the doubling.  Then a chunk whose first draw
-        # passes the screen and is rejected by the first unfolding's SVD
-        # test, and a seed below 2**32 whose accepted sub-seed is above it.
+        # the first chunk of 4, the first of the second chunk, the chunk of
+        # 16, the chunk of 128.  Then a chunk whose first draw passes the
+        # screen and is rejected by the first unfolding's SVD test, and a
+        # seed below 2**32 whose accepted sub-seed is above it.  Then both
+        # sides of the edges 8 and 128 between chunks, and 256, the first
+        # draw of the second block of SEED_BLOCK sub-seeds.
         (
             (3, 8, 8),
             (2, 3, 4),
-            {4: 0, 0: 3, 6: 4, 5: 26, 3: 188, 1749: 4, 2**32 - 1_000_003: 3},
+            {
+                4: 0,
+                0: 3,
+                6: 4,
+                5: 26,
+                3: 188,
+                1749: 4,
+                2**32 - 1_000_003: 3,
+                2: 7,
+                113: 8,
+                596: 127,
+                60: 128,
+                1505: 256,
+            },
         ),
-        ((3, 9, 10), (1, 2, 3, 4), {1135: 0}),
+        # the last draw of the first block and the first of the second,
+        # and the same edge between the second block and the third
+        ((3, 9, 10), (1, 2, 3, 4), {1135: 0, 1410: 255, 479: 256, 182: 511, 198: 512}),
+        # IJ < K: the screen forms the IJ x IJ Gram matrix W (C^T C) W^T
+        ((2, 3, 8), (3, 3), {1: 16, 4: 239}),
     ],
-    ids=["3x8x8", "3x9x10"],
+    ids=["3x8x8", "3x9x10", "2x3x8"],
 )
 def test_draw_instance_matches_reference(dims, sizes, extra_seeds):
     # the first trial seeds of criterion 5, on 3x9x10 three of them reject
@@ -78,46 +98,90 @@ def test_draw_instance_matches_reference(dims, sizes, extra_seeds):
         assert sum(r > 1000 for r in rejections[:5]) >= 3
 
 
+def screen_factors(a, terms):
+    """The factors :func:`cond_screen` reads from a stack of draws: A with
+    column r repeated L_r times, [B_1 ... B_R] and [C_1 ... C_R]."""
+    sizes = [b.shape[-1] for b, _ in terms]
+    b, c = (np.concatenate(f, axis=-1) for f in zip(*terms))
+    return a[..., np.repeat(np.arange(len(sizes)), sizes)], b, c
+
+
 def test_screen_survivor_can_fail_the_svd_tests():
     # the first draw of seed 1749 (the case above) passes the screen and the
     # third unfolding's SVD test; only the first unfolding's test rejects it
     cfg = ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), cond_cap=10.0)
-    t = compose(random_btd(cfg.dims, cfg.sizes, seed=1749))
-    assert cond_screen(unfold(t, 3)[None], cfg.cond_cap)[0]
+    truth = random_btd(cfg.dims, cfg.sizes, seed=1749)
+    t = compose(truth)
+    terms = [(b[None], c[None]) for b, c in truth.terms]
+    assert cond_screen(*screen_factors(truth.A[None], terms), cfg.cond_cap)[0]
     assert cond(unfold(t, 3)) <= cfg.cond_cap < cond(unfold(t, 1))
 
 
+def capped_factors(gen, dims, sizes, target, tilt):
+    """Factors A, [B_1 ... B_R], [C_1 ... C_R] whose third unfolding
+    W C^T has singular values spread geometrically to cond = ``target``:
+    with W = QR and O, V random orthonormal, C^T = R^-1 O S V^T, so that
+    W C^T = (Q O) S V^T.  The last column of B is the one before it plus
+    ``tilt`` times a random column; both belong to the last term, so a
+    small tilt makes two columns of W nearly parallel and cond(W) large,
+    and C cancels it."""
+    i_dim, j_dim, k_dim = dims
+    s_sum, rank = sum(sizes), min(i_dim * j_dim, k_dim)
+    a = gen.standard_normal((i_dim, len(sizes)))
+    b = gen.standard_normal((j_dim, s_sum))
+    b[:, -1] = b[:, -2] + tilt * b[:, -1]
+    r_w = np.linalg.qr(khatri_rao(a[:, np.repeat(np.arange(len(sizes)), sizes)], b))[1]
+    o = np.linalg.qr(gen.standard_normal((s_sum, rank)))[0]
+    v = np.linalg.qr(gen.standard_normal((k_dim, rank)))[0]
+    s = np.geomspace(1.0, 1.0 / target, rank) * gen.uniform(0.1, 10.0)
+    return a, b, (np.linalg.solve(r_w, o * s) @ v.T).T
+
+
 @pytest.mark.parametrize("cap", [1.5, 10.0, 1e4, 1e7])
-@pytest.mark.parametrize("shape", [(27, 10), (10, 27)], ids=["tall", "wide"])
-def test_cond_screen_passes_every_matrix_within_the_cap(cap, shape):
-    # matrices built with cond = cap * (1 + e) for e = +-1e-9 and +-1e-2:
-    # every one whose SVD condition number is within the cap passes, and the
-    # screen drops those 1% over a cap small enough for its margin
+@pytest.mark.parametrize(
+    "shapes",
+    [[((3, 9, 10), (1, 2, 3, 4)), ((3, 8, 8), (2, 3, 4))], [((2, 3, 8), (3, 3))]],
+    ids=["tall", "wide"],
+)
+def test_cond_screen_passes_every_matrix_within_the_cap(cap, shapes):
+    # draws built from factors with cond = cap * (1 + e) for e = +-1e-9 and
+    # +-1e-2, on K = sum L and K < sum L where K <= IJ (tall) and on IJ < K
+    # (wide): every one whose composed tensor's SVD condition number is
+    # within the cap passes, and the screen drops those 1% over a cap small
+    # enough for its margin.  Five of each 25 have cond(W) >= 1e3; on the
+    # wide shape the factor-side products then move lam_min by up to about
+    # 1e-6 lam_max, far past SCREEN_TOL * lam_max, and only the screen's
+    # rounding term keeps those within the cap.
     gen = rng(11)
-    k = min(shape)
-    mats, conds = [], []
-    for rel in (-1e-2, -1e-9, 1e-9, 1e-2):
-        for _ in range(25):
-            u = np.linalg.qr(gen.standard_normal((shape[0], k)))[0]
-            v = np.linalg.qr(gen.standard_normal((shape[1], k)))[0]
-            s = np.geomspace(1.0, 1.0 / (cap * (1 + rel)), k) * gen.uniform(0.1, 10.0)
-            mats.append((u * s) @ v.T)
-            conds.append(cap * (1 + rel))
-    mats = np.array(mats)
-    passed = cond_screen(mats, cap)
-    within = cond(mats) <= cap
-    assert within[:25].all() and passed[within].all()
-    if cap <= 10.0:
-        assert not passed[np.array(conds) > cap * 1.001].any()
-    # a singular matrix fails the Cholesky factorization of the whole stack;
-    # eigvalsh then tests every matrix, and drops the singular one
-    singular = mats[0].copy()
-    singular[0, :] = singular[:, 0] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(singular @ singular.T if shape[0] < shape[1] else singular.T @ singular)
-    passed_too = cond_screen(np.concatenate([mats, singular[None]]), cap)
-    assert np.array_equal(passed_too[:-1], passed)
-    assert not passed_too[-1] or cap > 10.0
+    for dims, sizes in shapes:
+        conds = np.repeat(cap * (1 + np.array([-1e-2, -1e-9, 1e-9, 1e-2])), 25)
+        tilted = np.arange(conds.size) % 25 >= 20
+        draws = [
+            capped_factors(gen, dims, sizes, target, 1e-3 if tilt else 1.0)
+            for target, tilt in zip(conds, tilted)
+        ]
+        a, b, c = (np.array(f) for f in zip(*draws))
+        terms = list(zip(*(np.split(f, np.cumsum(sizes)[:-1], axis=-1) for f in (b, c))))
+        a_exp = screen_factors(a, terms)[0]
+        assert all(cond(khatri_rao(x, y)) >= 1e3 for x, y in zip(a_exp[tilted], b[tilted]))
+        t = compose_values(a, terms)
+        passed = cond_screen(a_exp, b, c, cap)
+        within = cond(unfold(t, 3)) <= cap
+        assert within[:25].all() and passed[within].all()
+        if cap <= 10.0:
+            assert not passed[conds > cap * 1.001].any()
+        # a singular C leaves the other verdicts as they were, and is dropped
+        # where the cap is small enough for the margin
+        singular = c[0].copy()
+        singular[: dims[2] - min(dims[0] * dims[1], dims[2]) + 1] = 0.0
+        passed_too = cond_screen(
+            np.concatenate([a_exp, a_exp[:1]]),
+            np.concatenate([b, b[:1]]),
+            np.concatenate([c, singular[None]]),
+            cap,
+        )
+        assert np.array_equal(passed_too[:-1], passed)
+        assert not passed_too[-1] or cap > 10.0
 
 
 def test_config_rejects_impossible_sizes():

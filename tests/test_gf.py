@@ -19,7 +19,7 @@ from btd1.linalg import DimensionError, rng, split_columns
 from btd1.minors import build_Q2, n_strict, n_sym, phi_matrix, s2_matrix
 from btd1 import BlockTermDecomposition, compose, random_btd
 from btd1.uniqueness import check_deterministic_uniqueness
-from helpers import NUMPY, loop_gf_matmul, pair_loop_phi_sketch, rational_rank
+from helpers import NUMPY, arithmetic, loop_gf_matmul, pair_loop_phi_sketch, rational_rank
 
 
 # the largest prime GFField accepts: (p-1)^2 < 2^53 <= (p'-1)^2 for the next
@@ -120,15 +120,16 @@ def test_gf_phi_s2_binary_field_matches_scalar_loop():
     b = f.random(gen, (j_dim, 5))
     c = f.random(gen, (k_dim, 5))
     term_cols = [(0,), (1, 2), (3, 4)]
+    ops = arithmetic(f)
 
     def mul(x, y):
-        return int(f.mul(x, y))
+        return int(ops.mul(x, y))
 
     def minor(x, y, p, q):
-        return int(f.sub(mul(x[p], y[q]), mul(x[q], y[p])))
+        return int(ops.sub(mul(x[p], y[q]), mul(x[q], y[p])))
 
     def perm(x, y, p, q):
-        return int(f.add(mul(x[p], y[q]), mul(x[q], y[p])))
+        return int(ops.add(mul(x[p], y[q]), mul(x[q], y[p])))
 
     i_pairs = [(p, q) for p in range(i_dim) for q in range(p + 1, i_dim)]
     j_pairs = [(p, q) for p in range(j_dim) for q in range(p + 1, j_dim)]
@@ -159,13 +160,13 @@ def test_gf_phi_s2_binary_field_matches_scalar_loop():
             for k in range(k_dim):
                 for r, cols in enumerate(term_cols):
                     for l in cols:
-                        t[i, j, k] = f.add(t[i, j, k], mul(a[i, r], mul(b[j, l], c[k, l])))
+                        t[i, j, k] = ops.add(t[i, j, k], mul(a[i, r], mul(b[j, l], c[k, l])))
     q2 = [
         [
             int(
-                f.sub(
-                    f.add(mul(t[i1, j1, k1], t[i2, j2, k2]), mul(t[i1, j1, k2], t[i2, j2, k1])),
-                    f.add(mul(t[i1, j2, k1], t[i2, j1, k2]), mul(t[i1, j2, k2], t[i2, j1, k1])),
+                ops.sub(
+                    ops.add(mul(t[i1, j1, k1], t[i2, j2, k2]), mul(t[i1, j1, k2], t[i2, j2, k1])),
+                    ops.add(mul(t[i1, j2, k1], t[i2, j1, k2]), mul(t[i1, j2, k2], t[i2, j1, k1])),
                 )
             )
             for k1, k2 in k_pairs
@@ -364,7 +365,7 @@ def test_planted_deficient_phi_never_certifies(i_dim, j_dim, sizes, compressed):
 
 def _row_kronecker(f, s_a, s_b):
     # row n of S is s_a[n] kron s_b[n]
-    return f.mul(s_a[:, :, None], s_b[:, None, :]).reshape(s_a.shape[0], -1)
+    return arithmetic(f).mul(s_a[:, :, None], s_b[:, None, :]).reshape(s_a.shape[0], -1)
 
 
 @pytest.mark.parametrize("p", [101, 32749, LARGEST_PRIME])

@@ -20,7 +20,9 @@ from btd1 import (
     random_btd,
     unfold,
 )
+from btd1 import solver
 from btd1.linalg import SolverDiagnostic, numerical_rank
+from btd1.sjbd import cluster_columns
 from btd1.solver import (
     candidate_size_tuples,
     default_subsets,
@@ -34,7 +36,12 @@ from btd1.solver import (
     _truncated_terms,
 )
 
-from helpers import phase1_failure, shared_columns_instance, singular_pencil_instance
+from helpers import (
+    per_column_unfolding_directions,
+    phase1_failure,
+    shared_columns_instance,
+    singular_pencil_instance,
+)
 
 
 def match_a_columns(a_true, a_est):
@@ -439,6 +446,34 @@ def test_decompose_scenario2_noisy_case2():
     assert tuple(sorted(rep.detected_L)) == (2, 3, 4)
     _, _, err_a, err_t = match_decompositions(truth, rep.decomposition)
     assert err_a < 0.05
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_partition_by_unfolding_matches_per_column_svds(monkeypatch, field):
+    # the stacked SVD hands the clustering each column's left direction bit
+    # for bit as one SVD per column does
+    seen = []
+
+    def recorded(x, n_clusters):
+        seen.append(np.array(x))
+        return cluster_columns(x, n_clusters)
+
+    def partition(t, n_full, r_clusters):
+        seen.append((t, n_full))
+        return partition_by_unfolding(t, n_full, r_clusters)
+
+    partition_by_unfolding = solver._partition_by_unfolding
+    monkeypatch.setattr(solver, "cluster_columns", recorded)
+    monkeypatch.setattr(solver, "_partition_by_unfolding", partition)
+    for dims, sizes, seed in (((3, 8, 8), (2, 3, 4), 1), ((3, 9, 10), (1, 2, 3, 4), 2)):
+        t = add_noise(compose(random_btd(dims, sizes, field, seed=seed)), NoiseSpec(35.0, seed=seed))
+        opts = SolverOptions(
+            mode="noisy_scenario2", known_R=len(sizes), known_sum_L=sum(sizes), seed=seed
+        )
+        decompose(t, opts)
+    assert len(seen) == 4
+    for (t, n_full), dirs in zip(seen[::2], seen[1::2]):
+        assert np.array_equal(dirs, per_column_unfolding_directions(t, n_full))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
