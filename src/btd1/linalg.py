@@ -199,13 +199,17 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+# np.linalg.solve's error state: LAPACK's invalid result for a singular
+# matrix raises LinAlgError, and so does any other invalid result under it
+SOLVE_ERRSTATE = np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
 def solve_matrix(a, b, signature):
     """``np.linalg.solve(a, b)`` for a square a and a matrix b, computed in
     float64 (``signature`` "dd->d") or complex128 ("DD->D"): the same LAPACK
-    gufunc under the same error state, so a singular a raises
-    ``LinAlgError``, without the argument checks that cost more than the
-    solve itself on the small systems of ``sjbd.cpd_als``."""
+    gufunc, without the argument checks that cost more than the solve
+    itself on the small systems of ``sjbd.cpd_als``, which enters
+    ``SOLVE_ERRSTATE`` once a call: a singular a raises ``LinAlgError``."""
     return _umath_linalg.solve(a, b, signature=signature)
 
 

@@ -7,22 +7,13 @@ when ``R2(T) (f kron f) = 0``.  Because the rows of ``R2`` are vectorized
 symmetric K x K matrices, the smaller matrix ``Q2`` over unordered index
 pairs carries the same information: ``R2 = Q2 @ PK.T``.
 
-The package never holds Q2 whole, and reads it two ways.  Phase I needs
-Q2's null space: Q2 is filled in row panels of whole i-pairs
-(:func:`q2_row_panels`), the triangular factor R of Q2 = QR is folded over
-them (:func:`q2_triangle`), and R, which has Q2's singular values and right
-singular vectors, gives the symmetric null matrices
-(:func:`symmetric_null_matrices`).  The uniqueness checker needs only Q2's
-rank: :func:`q2_rank` counts it on the spectrum of the Gram matrix
-Q2^H Q2, built from two contractions of the tensor (:func:`q2_gram`).  It
-keeps that count only where H's rounding, measured against ||T||_F^4, is
-well below the count's floor and the null eigenvectors' residual, computed
-from the tensor (:func:`q2_residual`), is within the cut; otherwise it
-ranks R.  The Gram route does not give Phase I its
-basis: squaring leaves the null vectors accurate to about eps times the
-squared condition number (Davis & Kahan, SIAM J. Numer. Anal. 7(1), 1970).
-:func:`build_Q2` stacks the panels into the whole matrix for the test
-suite alone.
+The package never forms Q2.  :func:`q2_gram` builds H = Q2^H Q2 from two
+contractions of the tensor, and :func:`_q2_apply` gives ||Q2 g|| and
+Q2^H Q2 g for a block of vectors, a batch of columns at a time.  Phase I's
+null space comes from :func:`_q2_null`, which corrects H's near-null
+eigenvectors against the exact product and counts them by their unsquared
+residuals; :func:`q2_rank` keeps H's own count where its checks pass and
+takes that one otherwise.  :func:`build_Q2` fills Q2 for the tests alone.
 
 All index pairs — (i1 < i2), (j1 < j2) for rows, (k1 <= k2) for columns,
 and the entries of wedge / symmetric products — are enumerated in one place
@@ -55,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .linalg import DEFAULT_RANK_TOL, DimensionError, null_space, numerical_rank
+from .linalg import DEFAULT_RANK_TOL, DimensionError
 from .tensor import Tensor3
 
 __all__ = [
@@ -69,12 +60,11 @@ __all__ = [
     "phi_columns",
     "phi_count_conditions",
     "build_Q2",
-    "q2_row_panels",
-    "q2_triangle",
     "q2_gram",
     "q2_residual",
     "Q2Rank",
     "q2_rank",
+    "NullMatrices",
     "symmetric_null_matrices",
     "sym_pair_position",
     "term_pair_columns",
@@ -142,45 +132,6 @@ def phi_count_conditions(i_dim, j_dim, sizes):
     return rows_ok, j_dim >= sum(sorted(sizes)[-2:])
 
 
-# rows of Q2 per panel: whole i-pairs, as many as fit (at least one).  With
-# the fold into one Fortran-ordered buffer, 256, 512, 1024 and 2048 rows
-# folded 6x20x20 in 45-56, 35-38, 35-37 and 43-45 ms, at traced peaks of
-# the uniqueness report of 2.2, 3.6, 7.8 and 14.4 MB, and 8x30x30 (one
-# i-pair is 435 rows against 465 columns) in 0.58-0.67, 0.56-0.57,
-# 0.48-0.59 and 0.49-0.50 s, at traced peaks of 10.4, 10.4, 17.3 and
-# 31.1 MB (two runs each, one BLAS thread).  Larger panels are no clear
-# gain, and from 1024 rows the report passes 6 MB at 6x20x20
-_PANEL_ROWS = 512
-
-
-def _pairs_per_panel(j_dim):
-    return max(1, _PANEL_ROWS // n_strict(j_dim))
-
-
-def q2_row_panels(values, out=None):
-    """Q2 of the tensor array ``values`` in consecutive row panels, each the
-    rows of one or more whole i-pairs, about 512 rows.  A panel of n rows is
-    filled into ``out(n)``, an n x binom(K+1,2) array, when ``out`` is given,
-    and into a fresh array otherwise."""
-    i_dim, j_dim, k_dim = values.shape
-    ip1, ip2 = strict_pairs(i_dim)
-    jp1, jp2 = strict_pairs(j_dim)
-    kp1, kp2 = sym_pairs(k_dim)
-    if out is None:
-        dtype = np.result_type(values, values)
-
-        def out(rows):
-            return np.empty((rows, kp1.size), dtype=dtype)
-
-    step = _pairs_per_panel(j_dim)
-    for first in range(0, ip1.size, step):
-        pairs = slice(first, first + step)
-        panel = out(ip1[pairs].size * jp1.size)
-        yield _kernels.minor_matrix_fill(
-            values, ip1[pairs], ip2[pairs], jp1, jp2, kp1, kp2, panel
-        )
-
-
 def _tensor_values(t):
     values = t.values if isinstance(t, Tensor3) else np.ascontiguousarray(t)
     if values.shape[0] < 2 or values.shape[1] < 2:
@@ -199,41 +150,17 @@ def build_Q2(t):
       - t[i1,j2,k1] t[i2,j1,k2] - t[i1,j2,k2] t[i2,j1,k1]
 
     which is integer-exact for integer tensors.  Requires I >= 2 and J >= 2.
-    Stacked from the panels of :func:`q2_row_panels`.
     """
-    return np.vstack(list(q2_row_panels(_tensor_values(t))))
-
-
-def q2_triangle(t):
-    """The triangular factor R of Q2 = QR, min(rows, binom(K+1,2)) x
-    binom(K+1,2), folded over :func:`q2_row_panels` (R <- R of [R; panel])
-    so that Q2 is never held whole.  R has Q2's singular values and right
-    singular vectors, so Q2's rank and null space are read off R.  Requires
-    I >= 2 and J >= 2.
-
-    Each panel is filled straight into a Fortran-ordered buffer, below the R
-    held at its top, and ``np.linalg.qr`` factors that slice of the buffer:
-    LAPACK sees the same numbers as for a stacked [R; panel], so R is the
-    same bit for bit, but numpy makes no transposing copy.  The panels of an
-    integer tensor are summed in float64, exactly while every sum of minor
-    products stays below 2^53 in magnitude."""
     values = _tensor_values(t)
-    i_dim, j_dim, k_dim = values.shape
-    n = n_sym(k_dim)
-    # the first panel is the largest
-    rows = min(_pairs_per_panel(j_dim), n_strict(i_dim)) * n_strict(j_dim)
-    buf = np.empty((n + rows, n), dtype=np.result_type(values, 1.0), order="F")
-    r = buf[:0]
-    # the generator asks for a panel's rows only after the last R is stored
-    for panel in q2_row_panels(values, lambda m: buf[len(r) : len(r) + m]):
-        r = np.linalg.qr(buf[: len(r) + len(panel)], mode="r")
-        buf[: len(r)] = r
-    return r
+    (ip1, ip2), (jp1, jp2) = strict_pairs(values.shape[0]), strict_pairs(values.shape[1])
+    kp1, kp2 = sym_pairs(values.shape[2])
+    out = np.empty((ip1.size * jp1.size, kp1.size), dtype=values.dtype)
+    return _kernels.minor_matrix_fill(values, ip1, ip2, jp1, jp2, kp1, kp2, out)
 
 
 def q2_gram(t):
     """H = Q2^H Q2, binom(K+1,2) x binom(K+1,2), from two contractions of
-    the tensor; neither Q2 nor a row panel of it is formed.
+    the tensor, without Q2.
 
     With C = T_(3)^H T_(3) and P[i,i',k,k'] = sum_j conj(t_ijk) t_i'jk',
     the Gram matrix of the ordered-pair minors summed over all (i1,i2,j1,j2)
@@ -262,62 +189,86 @@ def q2_gram(t):
     pm = np.ascontiguousarray(p4.transpose(0, 2, 1, 3)).reshape(-1, k_dim, k_dim)
     pt = np.ascontiguousarray(p4.transpose(2, 0, 1, 3)).reshape(-1, k_dim * k_dim)
     h = np.empty((kp1.size, kp1.size), dtype=c.dtype)
+    # C's columns and w's flat entries at the pairs, gathered once
+    c1, c2, e12, e21 = c[:, kp1], c[:, kp2], kp1 * k_dim + kp2, kp2 * k_dim + kp1
     row = 0
     for a in range(k_dim):
-        # w[b,c,d] = E[(a,b),(c,d)] for b >= a
-        w = (pt[:, a * k_dim :].T @ pm[:, a, :]).reshape(k_dim - a, k_dim, k_dim)
+        # w[b,(c,d)] = E[(a,b),(c,d)] for b >= a
+        w = (pt[:, a * k_dim :].T @ pm[:, a, :]).reshape(k_dim - a, k_dim * k_dim)
         block = h[row : row + k_dim - a]
-        np.multiply(c[a, kp1], c[a:, kp2], out=block)
-        block += c[a, kp2] * c[a:, kp1]
-        block -= w[:, kp1, kp2]
-        block -= w[:, kp2, kp1]
+        np.multiply(c1[a], c2[a:], out=block)
+        block += c2[a] * c1[a:]
+        block -= w[:, e12]
+        block -= w[:, e21]
         row += k_dim - a
     return h
 
 
-# columns of g per batch in q2_residual, as many as keep a batch's
-# products at about 2^16 entries each.  At 6x20x20 the uniqueness report's
-# traced peak is 2.3 MB with 2^16 and 3.9 MB with 2^17 (the fold's was 3.6)
-_RESIDUAL_ENTRIES = 1 << 16
+# columns of g per batch in _q2_apply, to keep its products at about 2^16
+# entries.  The uniqueness report's traced peak at 6x20x20 is 2.3 MB with
+# 2^16 and 3.9 MB with 2^17
+_BATCH_ENTRIES = 1 << 16
+
+
+def _q2_apply(values, g, normal):
+    """The column norms ||Q2 g|| of the binom(K+1,2) x m array ``g`` and,
+    with ``normal``, Q2^H Q2 g (else None), without Q2.
+
+    Column c of g packs the symmetric K x K matrix M (entry (k1,k2) of pair
+    {k1,k2}, its diagonal doubled).  With F the IJ x K matrix of mode-3
+    fibres and G = F M F^T, row (i1<i2, j1<j2) of Q2 g is D[(i1,j1),(i2,j2)]
+    = G[(i1,j1),(i2,j2)] - G[(i1,j2),(i2,j1)], formed one i1 at a time over
+    all (j1, j2).  D and Q2's rows so extended are antisymmetric in
+    j1 <-> j2, so ||Q2 g||^2 is half the sum of |D|^2, and Q2^H Q2 g =
+    pack(A + A^T) over k1 <= k2, with A = sum_i1 conj(F_i1)^T D_i1
+    conj(F_>i1) (F_i1 the rows of F at i1, F_>i1 those past it)."""
+    values = values.astype(np.result_type(values, 1.0), copy=False)
+    i_dim, j_dim, k_dim = values.shape
+    g = np.asarray(g).reshape(n_sym(k_dim), -1)
+    f = values.reshape(i_dim * j_dim, k_dim)
+    fc = f.conj()
+    kp1, kp2 = sym_pairs(k_dim)
+    pos = sym_pair_position(k_dim)
+    scale = np.where(np.eye(k_dim, dtype=bool), 2.0, 1.0)[:, :, None]
+    dtype = np.result_type(values, g)
+    norms = np.empty(g.shape[1])
+    out = np.empty(g.shape, dtype=dtype) if normal else None
+    step = max(1, _BATCH_ENTRIES // (j_dim * max(i_dim * k_dim, (i_dim - 1) * j_dim)))
+    for first in range(0, g.shape[1], step):
+        cols = slice(first, first + step)
+        m = g[pos, cols] * scale  # m[k, l, column]
+        n = m.shape[2]
+        # fm[i, j1, l, column] = (F M)[(i,j1), l]
+        fm = (f @ m.reshape(k_dim, k_dim * n)).reshape(i_dim, j_dim, k_dim, n)
+        sq = np.zeros(n)
+        a = np.zeros((k_dim, n, k_dim), dtype=dtype) if normal else None
+        for i1 in range(i_dim - 1):
+            rest = slice((i1 + 1) * j_dim, None)
+            left = fm[i1].transpose(0, 2, 1).reshape(j_dim * n, k_dim)
+            # x[j1, column, i2, j2] = G[(i1,j1),(i2,j2)] for i2 > i1
+            x = (left @ f[rest].T).reshape(j_dim, n, -1, j_dim)
+            d = x - x.transpose(3, 1, 2, 0)
+            sq += np.einsum("acbd,acbd->c", d.conj(), d).real
+            if normal:
+                # y[j1, column, k2] = (D_i1 conj(F_>i1))[j1, k2]
+                y = (d.reshape(j_dim * n, -1) @ fc[rest]).reshape(j_dim, n * k_dim)
+                a += (fc[i1 * j_dim : rest.start].T @ y).reshape(k_dim, n, k_dim)
+        norms[cols] = np.sqrt(sq / 2)
+        if normal:
+            out[:, cols] = a[kp1, :, kp2] + a[kp2, :, kp1]
+    return norms, out
 
 
 def q2_residual(t, g):
     """||Q2 g||_F for the binom(K+1,2) x m array ``g`` (or one vector),
-    without Q2, a few columns at a time.
-
-    Each column of g is packed into the symmetric K x K matrix M (entry
-    (k1,k2) of pair {k1,k2}, its diagonal doubled).  With F the IJ x K
-    matrix of mode-3 fibres, G = F M F^T, and the row (i1<i2, j1<j2) of
-    Q2 g is G[(i1,j1),(i2,j2)] - G[(i1,j2),(i2,j1)], so ||Q2 g||_F =
-    ||G - G^{j1<->j2}||_F / 2.  Only the rows of G with i1 < i2 are formed,
-    one i1 at a time for a batch of columns: the sum over i1 < i2 and all
-    (j1, j2) of |G[(i1,j1),(i2,j2)] - G[(i1,j2),(i2,j1)]|^2 / 2 is
-    ||Q2 g||_F^2.  Requires I >= 2 and J >= 2."""
-    values = _tensor_values(t)
-    i_dim, j_dim, k_dim = values.shape
-    g = np.asarray(g).reshape(n_sym(k_dim), -1)
-    f = values.reshape(i_dim * j_dim, k_dim)
-    scale = np.where(np.eye(k_dim, dtype=bool), 2.0, 1.0)[:, :, None]
-    pos = sym_pair_position(k_dim)
-    step = max(1, _RESIDUAL_ENTRIES // (j_dim * max(i_dim * k_dim, (i_dim - 1) * j_dim)))
-    total = 0.0
-    for first in range(0, g.shape[1], step):
-        m = g[pos, first : first + step] * scale  # m[k, l, column]
-        n = m.shape[2]
-        # fm[i, j1, l, column] = (F M)[(i,j1), l]
-        fm = (f @ m.reshape(k_dim, k_dim * n)).reshape(i_dim, j_dim, k_dim, n)
-        for i1 in range(i_dim - 1):
-            left = fm[i1].transpose(0, 2, 1).reshape(j_dim * n, k_dim)
-            # x[j1, column, i2, j2] = G[(i1,j1),(i2,j2)] for i2 > i1
-            x = (left @ f[(i1 + 1) * j_dim :].T).reshape(j_dim, n, -1, j_dim)
-            d = x - x.transpose(3, 1, 2, 0)
-            total += np.vdot(d, d).real / 2
-    return float(np.sqrt(total))
+    without Q2 (:func:`_q2_apply`).  Requires I >= 2 and J >= 2."""
+    norms, _ = _q2_apply(_tensor_values(t), g, normal=False)
+    return float(np.sqrt(np.sum(norms * norms)))
 
 
 # q2_rank counts an eigenvalue of H as non-null only from this fraction of
 # the largest (or (2 tol)^2, if larger); the factor 2 puts the non-null
-# singular values at least twice the fold's cut tol * sigma_max
+# singular values at least twice the cut tol * sigma_max
 _GRAM_FLOOR = 1e-12
 # H's rounding, as a multiple of eps * ||T||_F^4: H sums products of size
 # up to trace(C)^2 = ||T||_F^4 that cancel where Q2 is small, so its
@@ -326,6 +277,66 @@ _GRAM_FLOOR = 1e-12
 # complex, with all terms alike or one term (or all but one) scaled by
 # 1e-1 to 1e-4, sit within 0.57 eps * ||T||_F^4 of zero
 _GRAM_ROUNDING = 4.0
+# seminormal corrections at most, and the size below which one is rounding:
+# with all terms but one scaled by 1e-3 or 1e-4, 2-4 corrections give the
+# formed Q2's rank; on exact data the second is 4e-15 to 4e-14
+_MAX_CORRECTIONS, _CORRECTION_FLOOR = 4, 1e-12
+
+
+def _gram_limits(values, tol):
+    """The floor max(1e-12, (2 tol)^2) and H's rounding 4 eps ||T||_F^4."""
+    norm2 = np.linalg.norm(values) ** 2
+    return max(_GRAM_FLOOR, (2 * tol) ** 2), _GRAM_ROUNDING * np.finfo(float).eps * norm2 * norm2
+
+
+def _q2_null(values, tol, dim=None, atol=0.0, eig=None):
+    """Q2's null vectors and their margin, from ``eig`` = eigh(Q2^H Q2).
+
+    The candidates W are the eigenvectors below max(floor lambda_max,
+    2 delta, 2 atol^2) (:func:`_gram_limits`; any other one has sigma^2 >=
+    lambda / 2, above the cut), or the ``dim`` smallest.  Squaring leaves
+    them accurate to about delta over the gap (Davis & Kahan, SIAM J.
+    Numer. Anal. 7(1), 1970); seminormal corrections W <- orth(W - V
+    Lambda^-1 V^H S), S = Q2^H Q2 W and (V, Lambda) the eigenpairs above
+    2 delta, remove that error (Björck, Linear Algebra Appl. 88/89, 1987)
+    until one is rounding or fails to halve the last.  All of W is null
+    with ``dim`` or where ||Q2 W||_F (>= ||Q2 W||_2) is within the cut
+    max(tol sigma_max, atol), else the Ritz vectors whose unsquared
+    residual ||Q2 w|| is.  The margin is the smallest non-null singular
+    value (a residual, or the root of the next eigenvalue) over ||Q2 W||_F
+    of the null vectors; None when a side is empty."""
+    if eig is None:
+        eig = np.linalg.eigh(q2_gram(values))
+    w, v = eig
+    lmax = w[-1]
+    floor, delta = _gram_limits(values, tol)
+    fixed = dim is not None
+    if not fixed:
+        dim = int(np.sum(w < max(floor * lmax, 2 * delta, 2 * atol * atol)))
+    basis = v[:, :dim]
+    first = dim + int(np.searchsorted(w[dim:], 2 * delta, side="right"))
+    others, lam = v[:, first:], w[first:]
+    last = np.inf
+    for done in range(_MAX_CORRECTIONS + 1):
+        res, s = _q2_apply(values, basis, normal=True)
+        step = others @ ((others.conj().T @ s) / lam[:, None])
+        size = np.linalg.norm(step)
+        if done == _MAX_CORRECTIONS or not _CORRECTION_FLOOR < size < last / 2:
+            break
+        basis = np.linalg.qr(basis - step)[0]
+        last = size
+    cut = max(tol * np.sqrt(max(lmax, 0.0)), atol)
+    null = np.full(basis.shape[1], True)
+    if not fixed and np.linalg.norm(res) > cut:
+        basis = basis @ np.linalg.eigh(basis.conj().T @ s)[1]
+        res, _ = _q2_apply(values, basis, normal=False)
+        null = res <= cut
+    non_null = np.concatenate([res[~null], np.sqrt(np.maximum(w[dim : dim + 1], 0.0))])
+    margin = None
+    if null.any() and non_null.size:
+        with np.errstate(divide="ignore"):
+            margin = float(non_null.min() / np.linalg.norm(res[null]))
+    return basis[:, null], margin
 
 
 @dataclass(frozen=True)
@@ -333,17 +344,12 @@ class Q2Rank:
     """Q2's numerical rank at a tolerance, and how :func:`q2_rank` found it.
 
     ``route`` is "gram" when the Gram spectrum's count passed its checks,
-    "fold" when :func:`q2_triangle` was ranked instead.  ``margin`` is
-    whichever check decided, over its limit:
-
-    - the null eigenvectors' residual over tol * sqrt(lambda_max), at most 1
-      on the Gram route;
-    - H's rounding bound over half the floor, both relative to lambda_max,
-      when it is above 1;
-    - an eigenvalue that fell between the floor and the cut, over
-      lambda_max.
-
-    ``reason`` says why the fold ran, and is empty on the Gram route."""
+    "refined" when :func:`_q2_null` counted instead.  ``margin`` is the
+    deciding check over its limit: the null eigenvectors' residual over
+    tol * sqrt(lambda_max) (at most 1 on the Gram route), H's rounding
+    bound over half the floor (above 1), or an eigenvalue between the floor
+    and the cut over lambda_max.  ``reason`` says why the count was
+    refined, and is empty on the Gram route."""
 
     rank: int
     route: str
@@ -352,82 +358,71 @@ class Q2Rank:
 
 
 def q2_rank(t, tol=DEFAULT_RANK_TOL):
-    """Q2's rank at ``tol``, equal to ``numerical_rank(q2_triangle(t), tol)``:
+    """Q2's rank at ``tol``, equal to ``numerical_rank(build_Q2(t), tol)``:
     the count of singular values above the cut tol * sigma_max.
 
     It is read from ``eigh`` of the Gram matrix H (:func:`q2_gram`), whose
-    eigenvalues carry a rounding of up to delta = 4 eps ||T||_F^4.  The q
-    eigenvalues below the floor max(1e-12, (2 tol)^2) * lambda_max are
-    taken as null, the others as non-null, and the fold runs instead when
-    any of three checks fails:
+    eigenvalues carry a rounding of up to delta = 4 eps ||T||_F^4: the q
+    below the floor max(1e-12, (2 tol)^2) lambda_max are null.  That count
+    stands when three checks pass, and the refined count (:func:`_q2_null`)
+    is taken otherwise:
 
-    - delta is below half the floor times lambda_max, so the exact H's
-      n - q largest eigenvalues are above half the floor times lambda_max,
-      at least 2 tol^2 * lambda_max: Q2 has at least n - q singular values
-      above the cut.  Where Q2 is small against ||T||_F^2 (one term far
-      weaker than the rest, or Q2 near zero) this fails;
-    - none of the q lies above both the cut tol^2 * lambda_max and delta,
-      where it would be a singular value the fold counts;
-    - their eigenvectors V pass ||Q2 V||_F <= tol * sqrt(lambda_max), from
-      the tensor itself (:func:`q2_residual`).  Q2 is then at most tol *
-      sigma_max on a q-dimensional subspace, so by Courant-Fischer at most
-      n - q singular values pass the cut.
+    - delta is below half the floor times lambda_max, so Q2 has at least
+      n - q singular values above the cut (this fails where Q2 is small
+      against ||T||_F^2, as when one term is far weaker than the rest);
+    - none of the q lies above both tol^2 lambda_max and delta;
+    - their eigenvectors V pass ||Q2 V||_F <= tol sqrt(lambda_max)
+      (:func:`q2_residual`), so by Courant-Fischer at most n - q singular
+      values pass the cut.
 
-    With all three the rank is n - q, the fold's, as far as delta bounds
-    H's rounding: delta is measured (see ``_GRAM_ROUNDING``), not proved.
-    A zero H (Q2 = 0, as for an integer single term) gives rank 0, as the
-    fold does.  Returns a :class:`Q2Rank`.
+    delta is measured (see ``_GRAM_ROUNDING``), not proved.  A zero H (Q2 =
+    0, as for an integer single term) gives rank 0.  Returns a
+    :class:`Q2Rank`.
     """
     values = _tensor_values(t)
     h = q2_gram(values)
     if not h.any():
         return Q2Rank(0, "gram", 0.0)
-    w, v = np.linalg.eigh(h)
+    w, v = eig = np.linalg.eigh(h)
     lmax = w[-1]
-    floor = max(_GRAM_FLOOR, (2 * tol) ** 2)
-    norm2 = np.linalg.norm(values) ** 2
-    delta = _GRAM_ROUNDING * np.finfo(float).eps * norm2 * norm2
+    floor, delta = _gram_limits(values, tol)
+    null = int(np.sum(w < floor * lmax))
     if 2 * delta >= floor * lmax:
         rounding = delta / lmax if lmax > 0 else np.inf
-        return _fold_rank(
-            values,
-            tol,
-            float(2 * rounding / floor),
+        margin = float(2 * rounding / floor)
+        reason = (
             f"the rounding of Q2^H Q2, {rounding:.2g} of its largest eigenvalue, "
-            f"is not clearly below the floor {floor:.2g}",
+            f"is not clearly below the floor {floor:.2g}"
         )
-    null = int(np.sum(w < floor * lmax))
     # below the floor, an eigenvalue above both the cut and the rounding is
-    # a singular value the fold counts
-    if null and w[null - 1] > max(tol * tol * lmax, delta):
-        gap = float(w[null - 1] / lmax)
-        return _fold_rank(
-            values,
-            tol,
-            gap,
-            f"an eigenvalue of Q2^H Q2 at {gap:.2g} of the largest lies below the "
+    # a singular value above the cut
+    elif null and w[null - 1] > max(tol * tol * lmax, delta):
+        margin = float(w[null - 1] / lmax)
+        reason = (
+            f"an eigenvalue of Q2^H Q2 at {margin:.2g} of the largest lies below the "
             f"floor {floor:.2g} and above the cut {tol * tol:.2g} and the rounding "
-            f"{delta / lmax:.2g}",
+            f"{delta / lmax:.2g}"
         )
-    margin = float(q2_residual(values, v[:, :null]) / (tol * np.sqrt(lmax))) if null else 0.0
-    if margin > 1:
-        return _fold_rank(
-            values,
-            tol,
-            margin,
-            f"the Gram null vectors' residual is {margin:.3g} times tol * sigma_max",
-        )
-    return Q2Rank(w.size - null, "gram", margin)
+    else:
+        margin = float(q2_residual(values, v[:, :null]) / (tol * np.sqrt(lmax))) if null else 0.0
+        if margin <= 1:
+            return Q2Rank(w.size - null, "gram", margin)
+        reason = f"the Gram null vectors' residual is {margin:.3g} times tol * sigma_max"
+    basis, _ = _q2_null(values, tol, eig=eig)
+    return Q2Rank(w.size - basis.shape[1], "refined", margin, reason)
 
 
-def _fold_rank(values, tol, margin, reason):
-    return Q2Rank(numerical_rank(q2_triangle(values), tol), "fold", margin, reason)
+class NullMatrices(list):
+    """The V_q, with Q2's ``margin`` at the Q cut (:func:`_q2_null`)."""
+
+    def __init__(self, mats, margin):
+        super().__init__(mats)
+        self.margin = margin
 
 
 def symmetric_null_matrices(t, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
-    """Null vectors of Q2, from :func:`btd1.linalg.null_space` of
-    :func:`q2_triangle` at ``tol``, ``dim`` and ``atol``, unpacked to
-    symmetric K x K matrices.
+    """Null vectors of Q2 at ``tol``, ``dim`` and ``atol`` (:func:`_q2_null`),
+    unpacked to symmetric K x K matrices, as :class:`NullMatrices`.
 
     Entry (k1, k2) of matrix q is the basis entry of the pair {k1, k2},
     halved off the diagonal, so that vec of matrix q is in the null space of
@@ -435,10 +430,10 @@ def symmetric_null_matrices(t, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
     """
     values = _tensor_values(t)
     k_dim = values.shape[2]
-    g = null_space(q2_triangle(values), tol=tol, dim=dim, atol=atol)
+    g, margin = _q2_null(values, tol, dim=dim, atol=atol)
     pos = sym_pair_position(k_dim)
     scale = np.where(np.eye(k_dim, dtype=bool), 1.0, 0.5)
-    return [g[pos, q] * scale for q in range(g.shape[1])]
+    return NullMatrices([g[pos, q] * scale for q in range(g.shape[1])], margin)
 
 
 @lru_cache(maxsize=64)

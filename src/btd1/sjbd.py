@@ -37,6 +37,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_RANK_TOL,
+    SOLVE_ERRSTATE,
     DimensionError,
     SolverDiagnostic,
     frobenius_norm,
@@ -418,6 +419,7 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     return n, d
 
 
+@SOLVE_ERRSTATE
 def cpd_als(tensor, init):
     """Alternating least squares for a CPD of an m x n x n stack, with an
     extrapolated point after each sweep.

@@ -264,9 +264,9 @@ def _truncated_terms(a, e_mats, sizes, tol):
 def phase1_recover_A(t, opts=None):
     """Phase I of the solver: returns (A, B, N, d, diagnostics).
 
-    Q, counted from the minor matrix, is ``diagnostics["Q_used"]``; the
-    null space is read off the row-panel triangle of Q2
-    (:func:`minors.symmetric_null_matrices`), so Q2 is never held whole;
+    Q, counted from the minor matrix, is ``diagnostics["Q_used"]`` (with
+    ``q2_margin``); the null space comes from contractions of the tensor
+    (:func:`minors.symmetric_null_matrices`), so Q2 is never formed;
     :func:`sjbd.solve_sjbd` turns the Q symmetric null matrices V_q into
     (N, d), and its diagnostics are merged in whole (into its failures
     too).  Exact mode raises when they hold ``sjbd_status``, the Q verdict.
@@ -308,6 +308,7 @@ def phase1_recover_A(t, opts=None):
             {"Q_used": q_used},
         )
     diag["Q_used"] = int(q_used)
+    diag["q2_margin"] = v_mats.margin
 
     problem = SJBDProblem(
         tuple(v_mats), hint_R=r_known if scenario2 else None, hint_sum_d=sum_d

@@ -281,8 +281,8 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_C
 
     expected_q = q2_null_dim(d_vals)
     q2 = q2_rank(t, tol=tol)
-    if q2.route == "fold":
-        notes.append(f"Q2 rank from the QR fold: {q2.reason}")
+    if q2.route == "refined":
+        notes.append(f"Q2 rank from the refined null vectors: {q2.reason}")
     q2_dim_ok = n_sym(k_dim) - q2.rank == expected_q
 
     assumptions = {

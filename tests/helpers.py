@@ -26,7 +26,6 @@ from btd1.gf import GFField, GFMatrix
 from btd1.minors import (
     n_strict,
     n_sym,
-    q2_row_panels,
     strict_pairs,
     sym_pair_position,
     sym_pairs,
@@ -287,15 +286,6 @@ def pair_loop_phi_sketch(f, s_a, s_b, a, b_blocks):
     return np.hstack(cols)
 
 
-def vstack_q2_triangle(values):
-    """Reference fold of Q2's triangle: R <- R of np.vstack([R, panel]) over
-    :func:`btd1.minors.q2_row_panels`, each panel a fresh array."""
-    r = np.zeros((0, n_sym(values.shape[2])), dtype=np.result_type(values, 1.0))
-    for panel in q2_row_panels(values):
-        r = np.linalg.qr(np.vstack([r, panel]), mode="r")
-    return r
-
-
 def loop_gf_matmul(f, a, b):
     """Reference product over the field ``f``, one inner index at a time
     through :func:`arithmetic`'s add and mul."""
@@ -392,7 +382,7 @@ def integer_btd(dims, sizes, seed=0):
 def q2_rank_instances():
     """Decompositions whose composed Q2 has a clear rank gap: real, complex
     and integer, generic and planted-deficient, the 2x8x7 example, and
-    5x18x7, whose 1530 rows of Q2 fill four row panels."""
+    5x18x7, whose Q2 has 1530 rows."""
     return {
         "real": random_btd((3, 8, 8), (2, 3, 4), seed=1),
         "complex": random_btd((3, 8, 8), (2, 3, 4), field="complex", seed=1),

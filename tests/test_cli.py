@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from btd1.cli import main
+from btd1.minors import NullMatrices
 
 
 @pytest.fixture
@@ -283,7 +284,9 @@ def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, m
         ["generate", "--dims", "3,8,5", "--sizes", "2,3", "--seed", "1", "--out", str(out)],
     )
     v_list = singular_pencil_instance(5, seed=3)
-    monkeypatch.setattr(solver_module, "symmetric_null_matrices", lambda t, **kwargs: v_list)
+    monkeypatch.setattr(
+        solver_module, "symmetric_null_matrices", lambda t, **kwargs: NullMatrices(v_list, None)
+    )
     res = runner.invoke(main, ["decompose", str(out)])
     assert res.exit_code == 3, res.output
     details = json.loads(res.output)["details"]

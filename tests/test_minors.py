@@ -25,8 +25,6 @@ from btd1.minors import (
     q2_null_dim,
     q2_rank,
     q2_residual,
-    q2_row_panels,
-    q2_triangle,
     s2_matrix,
     strict_pairs,
     sym_pairs,
@@ -49,7 +47,6 @@ from helpers import (
     q2_rank_instances,
     rank1_membership,
     symprod,
-    vstack_q2_triangle,
     wedge,
 )
 
@@ -76,38 +73,17 @@ def test_q2_3x8x8_shape_and_null_dimension():
 @pytest.mark.parametrize("name", sorted(q2_rank_instances()))
 @pytest.mark.parametrize("tol", [DEFAULT_RANK_TOL, 1e-8])
 def test_q2_rank_from_panels_equals_the_formed_rank(name, tol):
+    # the refined null vectors are as many as the formed Q2's null space
     t = compose(q2_rank_instances()[name])
-    assert numerical_rank(q2_triangle(t), tol) == numerical_rank(build_Q2(t), tol)
-
-
-@pytest.mark.parametrize("field", ["real", "complex", "integer"])
-def test_q2_triangle_equals_the_stacked_fold(field):
-    # the fold into one Fortran-ordered buffer hands LAPACK the same numbers
-    # as stacking [R; panel], so R is the same bit for bit
-    cases = (
-        ((3, 8, 8), (2, 3, 4), 1),
-        ((5, 12, 12), (2, 2, 2), 2),
-        ((6, 20, 20), (4,) * 5, 8),
-    )
-    for (i_dim, j_dim, k_dim), sizes, n_panels in cases:
-        dims = (i_dim, j_dim, k_dim)
-        if field == "integer":
-            values = compose(integer_btd(dims, sizes, seed=4)).values
-        else:
-            values = compose(random_btd(dims, sizes, field=field, seed=4)).values
-        assert len(list(q2_row_panels(values))) == n_panels
-        want, got = vstack_q2_triangle(values), q2_triangle(values)
-        rows = min(n_strict(i_dim) * n_strict(j_dim), n_sym(k_dim))
-        assert got.shape == want.shape == (rows, n_sym(k_dim))
-        assert got.dtype == want.dtype
-        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), dims
+    null = len(symmetric_null_matrices(t, tol=tol))
+    assert n_sym(t.dims[2]) - null == numerical_rank(build_Q2(t), tol)
 
 
 def test_q2_rank_sees_the_planted_deficiency():
     cases = q2_rank_instances()
     for name in ("real", "complex", "integer", "multi_panel"):
-        deficient = numerical_rank(q2_triangle(compose(cases[name + "_deficient"])))
-        assert deficient < numerical_rank(q2_triangle(compose(cases[name])))
+        deficient = numerical_rank(build_Q2(compose(cases[name + "_deficient"])))
+        assert deficient < numerical_rank(build_Q2(compose(cases[name])))
 
 
 @pytest.mark.parametrize("name", sorted(q2_rank_instances()))
@@ -122,6 +98,7 @@ def test_q2_gram_equals_the_formed_gram(name):
 
 @pytest.mark.parametrize("name", ["real", "complex", "integer", "multi_panel"])
 def test_q2_residual_equals_the_formed_product(name):
+    # the product kernel's column norms and normal product Q2^H (Q2 g) too
     t = compose(q2_rank_instances()[name])
     q2 = build_Q2(t)
     gen = rng(7)
@@ -133,6 +110,11 @@ def test_q2_residual_equals_the_formed_product(name):
     ):
         want = np.linalg.norm(q2 @ g)
         assert abs(q2_residual(t, g) - want) <= 1e-13 * want
+        norms, normal = minors._q2_apply(t.values, g, normal=True)
+        product = q2 @ g.reshape(n, -1)
+        want_normal = q2.conj().T @ product
+        assert np.abs(norms - np.linalg.norm(product, axis=0)).max() <= 1e-13 * want
+        assert np.abs(normal - want_normal).max() <= 1e-13 * np.abs(want_normal).max()
 
 
 def test_q2_residual_batches_agree():
@@ -142,6 +124,10 @@ def test_q2_residual_batches_agree():
     whole = q2_residual(t, g)
     parts = np.sqrt(sum(q2_residual(t, g[:, c : c + 1]) ** 2 for c in range(40)))
     assert abs(whole - parts) <= 1e-13 * whole
+    _, normal = minors._q2_apply(t.values, g, normal=True)
+    for c in (0, 12, 13, 39):
+        _, column = minors._q2_apply(t.values, g[:, c], normal=True)
+        assert np.abs(normal[:, c] - column[:, 0]).max() <= 1e-13 * np.abs(normal).max()
 
 
 def _noisy_3x9x10(snr_db):
@@ -167,50 +153,60 @@ def _q2_rank_grid():
         for field in ("real", "complex"):
             for scale in scales:
                 yield f"{dims} {field}, term 0 at {scale:g}", _weak_term(dims, sizes, field, scale)
+    # all terms but the first far weaker: the refined count needs two to
+    # four seminormal corrections here
+    for dims, sizes in (((3, 8, 6), (3, 3)), ((6, 20, 20), (4,) * 5)):
+        for field in ("real", "complex"):
+            for scale in (1e-3, 1e-4):
+                weak = range(1, len(sizes))
+                yield f"{dims} {field}, terms 1+ at {scale:g}", _weak_term(dims, sizes, field, scale, weak)
 
 
-def _weak_term(dims, sizes, field, scale):
+def _weak_term(dims, sizes, field, scale, weak=(0,)):
     d = random_btd(dims, sizes, field=field, seed=9)
-    terms = ((d.terms[0][0] * scale, d.terms[0][1]),) + d.terms[1:]
+    terms = tuple((b * scale, c) if r in weak else (b, c) for r, (b, c) in enumerate(d.terms))
     return compose(BlockTermDecomposition(d.A, terms))
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_RANK_TOL, 1e-8, 1e-4, 3e-5])
 def test_q2_rank_equals_the_fold_rank(tol):
+    # the reference is the formed Q2's rank
     tensors = [(name, compose(d)) for name, d in sorted(q2_rank_instances().items())]
     for name, t in tensors + list(_q2_rank_grid()):
         got = q2_rank(t, tol)
-        assert got.rank == numerical_rank(q2_triangle(t), tol), (name, got)
-        assert got.route in ("gram", "fold")
+        assert got.rank == numerical_rank(build_Q2(t), tol), (name, got)
+        assert got.route in ("gram", "refined")
         assert (got.route == "gram") == (got.reason == "")
 
 
 def test_q2_rank_floor_follows_tol():
     # the 25th relative singular value of the 2x8x7 example is 5.0e-5: at
-    # tol = 1e-4 the fold drops it, and a floor of 1e-12 alone would count
-    # its eigenvalue (2.5e-9 of the largest)
+    # tol = 1e-4 the formed rank drops it, and a floor of 1e-12 alone would
+    # count its eigenvalue (2.5e-9 of the largest)
     t = compose(q2_rank_instances()["2x8x7"])
-    s = np.linalg.svd(q2_triangle(t), compute_uv=False)
+    s = np.linalg.svd(build_Q2(t), compute_uv=False)
     assert 4e-5 < s[24] / s[0] < 6e-5
     got = q2_rank(t, 1e-4)
-    assert got.rank == numerical_rank(q2_triangle(t), 1e-4) == 24
+    assert got.rank == numerical_rank(build_Q2(t), 1e-4) == 24
     assert got.route == "gram" and got.margin <= 1
 
 
-def _count_folds(monkeypatch):
+def _count_refinements(monkeypatch):
     calls = []
-    fold = minors.q2_triangle
+    refine = minors._q2_null
 
-    def counted(t):
-        calls.append(t.shape)
-        return fold(t)
+    def counted(values, *args, **kwargs):
+        calls.append(values.shape)
+        return refine(values, *args, **kwargs)
 
-    monkeypatch.setattr(minors, "q2_triangle", counted)
+    monkeypatch.setattr(minors, "_q2_null", counted)
     return calls
 
 
+# the test names below predate the refined count, which replaced the QR fold
+# as q2_rank's second route on the same inputs
 def test_q2_rank_folds_only_when_the_gram_cannot_decide(monkeypatch):
-    calls = _count_folds(monkeypatch)
+    calls = _count_refinements(monkeypatch)
     # certify's shapes at the default tolerance: the Gram route decides
     shapes = (
         ((3, 9, 10), (1, 2, 3, 4)),
@@ -226,37 +222,37 @@ def test_q2_rank_folds_only_when_the_gram_cannot_decide(monkeypatch):
         assert got.route == "gram" and got.margin <= 1, dims
     assert calls == []
     # at tol = 3e-5 the eigenvalue 2.5e-9 lies between the cut 9e-10 and
-    # the floor 3.6e-9: the fold decides
+    # the floor 3.6e-9: the refined count decides
     t = compose(q2_rank_instances()["2x8x7"])
     got = q2_rank(t, 3e-5)
     assert calls == [(2, 8, 7)]
-    assert got.route == "fold" and got.rank == 25
+    assert got.route == "refined" and got.rank == 25 == numerical_rank(build_Q2(t), 3e-5)
     assert 2e-9 < got.margin < 3e-9 and "above the cut" in got.reason
 
 
 def test_q2_rank_folds_when_the_residual_fails(monkeypatch):
     # eigenvectors with a residual above tol * sigma_max send q2_rank to the
-    # fold, even where the eigenvalue count looks clean
-    calls = _count_folds(monkeypatch)
+    # refined count, even where the eigenvalue count looks clean
+    calls = _count_refinements(monkeypatch)
     t = compose(q2_rank_instances()["real"])
     monkeypatch.setattr(minors, "q2_residual", lambda values, g: 1.0e6)
     got = q2_rank(t)
     assert calls == [(3, 8, 8)]
-    assert got.route == "fold" and got.margin > 1 and "residual" in got.reason
-    assert got.rank == numerical_rank(q2_triangle(t))
+    assert got.route == "refined" and got.margin > 1 and "residual" in got.reason
+    assert got.rank == numerical_rank(build_Q2(t))
 
 
 def test_q2_rank_folds_when_h_rounds_above_the_floor(monkeypatch):
     # two terms, one scaled by 1e-3: Q2 is about 1e-3 ||T||_F^2, so H's
     # rounding (about eps ||T||_F^4) spreads its null eigenvalues to about
     # 1e-10 lambda_max, above the floor 1e-12.  Counting them as non-null
-    # gives rank 15 where the fold gives 9
-    calls = _count_folds(monkeypatch)
+    # gives rank 15 where the formed Q2 has rank 9
+    calls = _count_refinements(monkeypatch)
     t = _weak_term((3, 8, 6), (3, 3), "real", 1e-3)
     got = q2_rank(t, 1e-8)
     assert calls == [(3, 8, 6)]
-    assert got.route == "fold" and got.margin > 1 and "rounding" in got.reason
-    assert got.rank == numerical_rank(q2_triangle(t), 1e-8) == 9
+    assert got.route == "refined" and got.margin > 1 and "rounding" in got.reason
+    assert got.rank == numerical_rank(build_Q2(t), 1e-8) == 9
 
 
 def test_q2_rank_of_a_single_term_is_zero():
@@ -265,7 +261,7 @@ def test_q2_rank_of_a_single_term_is_zero():
     assert not build_Q2(t).any()
     assert not q2_gram(t).any()
     got = q2_rank(t)
-    assert got.rank == 0 == numerical_rank(q2_triangle(t))
+    assert got.rank == 0 == numerical_rank(build_Q2(t))
     assert got.route == "gram"
 
 
@@ -274,9 +270,6 @@ def test_build_q2_panels_equal_the_loop_fill(integer):
     dims, sizes = (5, 18, 7), (2, 2, 3)
     d = integer_btd(dims, sizes, seed=3) if integer else random_btd(dims, sizes, seed=3)
     t = compose(d).values
-    # three whole i-pairs (459 rows) per panel: panels of 3, 3, 3 and 1
-    panels = list(q2_row_panels(t))
-    assert [p.shape[0] for p in panels] == [459, 459, 459, 153]
     ip1, ip2 = strict_pairs(5)
     jp1, jp2 = strict_pairs(18)
     kp1, kp2 = sym_pairs(7)
@@ -285,7 +278,6 @@ def test_build_q2_panels_equal_the_loop_fill(integer):
     q2 = build_Q2(t)
     assert q2.dtype == want.dtype
     assert np.array_equal(q2, want)
-    assert np.array_equal(np.vstack(panels), want)
 
 
 def test_q2_needs_two_rows():
@@ -521,15 +513,21 @@ def test_null_r2_via_null_q2():
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_symmetric_null_matrices_equal_d_times_basis(field):
     t = compose(random_btd((3, 8, 8), (2, 3, 4), field=field, seed=3))
-    g = null_space(q2_triangle(t), tol=1e-8)
-    mats = symmetric_null_matrices(t, tol=1e-8)
-    assert len(mats) == g.shape[1] == 10
-    # the triangle's null vectors are null vectors of the formed Q2
     q2 = build_Q2(t)
-    assert np.linalg.norm(q2 @ g) < 1e-10 * np.linalg.norm(q2)
+    formed = null_space(q2, tol=1e-8)
+    mats = symmetric_null_matrices(t, tol=1e-8)
+    assert len(mats) == formed.shape[1] == 10
+    # each matrix is D times a basis vector g, its entry at the pair
+    # {k1, k2} doubled off the diagonal
+    kp1, kp2 = sym_pairs(8)
+    g = np.stack([v[kp1, kp2] * np.where(kp1 == kp2, 1.0, 2.0) for v in mats], axis=1)
     d = build_D(8)
     for q, v in enumerate(mats):
         assert np.array_equal(v, (d @ g[:, q]).reshape(8, 8))
+    # the refined basis is orthonormal and spans the formed Q2's null space
+    assert np.abs(g.conj().T @ g - np.eye(10)).max() < 1e-12
+    assert np.linalg.norm(q2 @ g) < 1e-10 * np.linalg.norm(q2)
+    assert numerical_rank(np.hstack([g, formed]), tol=1e-8) == 10
 
 
 def test_rank1_membership_null_vector_and_zero():

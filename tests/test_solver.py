@@ -22,6 +22,7 @@ from btd1 import (
 )
 from btd1 import solver
 from btd1.linalg import SolverDiagnostic, numerical_rank
+from btd1.minors import NullMatrices
 from btd1.sjbd import cluster_columns
 from btd1.solver import (
     candidate_size_tuples,
@@ -431,6 +432,22 @@ def test_phase1_holds_less_than_q2_at_6x20x20():
     finally:
         tracemalloc.stop()
     assert peak < q2_bytes, peak
+
+
+@pytest.mark.parametrize(
+    "dims, sizes, q_used",
+    [((8, 30, 30), (5,) * 6, 90), ((12, 50, 50), (8,) * 7, 21)],
+    ids=["8x30x30", "12x50x50"],
+)
+def test_exact_decompose_of_large_shapes(dims, sizes, q_used):
+    # Phase I never forms Q2, which at 12x50x50 is 80,850 x 1,275
+    truth = random_btd(dims, sizes, seed=7)
+    rep = decompose(compose(truth))
+    assert tuple(sorted(rep.detected_L)) == sizes
+    assert rep.diagnostics["Q_used"] == q_used
+    # Q2's singular values at the Q cut are twelve orders apart
+    assert rep.diagnostics["q2_margin"] > 1e10
+    assert rep.residual <= 1e-10
 
 
 def test_decompose_scenario2_noisy_case2():
@@ -853,7 +870,9 @@ def test_exact_decompose_reports_a_singular_pencil(monkeypatch):
     import btd1.solver as solver_module
 
     v_list = singular_pencil_instance(5, seed=3)
-    monkeypatch.setattr(solver_module, "symmetric_null_matrices", lambda t, **kwargs: v_list)
+    monkeypatch.setattr(
+        solver_module, "symmetric_null_matrices", lambda t, **kwargs: NullMatrices(v_list, None)
+    )
     with pytest.raises(SolverDiagnostic) as info:
         decompose(compose(random_btd((3, 8, 5), (2, 3), seed=1)))
     details = info.value.diagnostics

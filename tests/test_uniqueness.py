@@ -391,12 +391,13 @@ def test_report_serialization():
 
 def test_report_notes_the_fold_only_when_it_ran():
     # the 2x8x7 example at tol = 3e-5 has an eigenvalue of Q2^H Q2 the
-    # Gram route cannot place, so the fold ranks Q2; at the default
-    # tolerance the Gram route decides and the report has no notes
+    # Gram route cannot place, so the refined null vectors rank Q2 (the
+    # name predates them, when a QR fold did); at the default tolerance the
+    # Gram route decides and the report has no notes
     d = q2_rank_instances()["2x8x7"]
     assert check_deterministic_uniqueness(d).notes == ()
     rep = check_deterministic_uniqueness(d, tol=3e-5)
-    folds = [n for n in rep.notes if n.startswith("Q2 rank from the QR fold: ")]
+    folds = [n for n in rep.notes if n.startswith("Q2 rank from the refined null vectors: ")]
     assert len(folds) == 1 and "above the cut" in folds[0]
     t = compose(d)
     formed_null = n_sym(7) - numerical_rank(build_Q2(t), 3e-5)
@@ -405,8 +406,8 @@ def test_report_notes_the_fold_only_when_it_ran():
 
 @pytest.mark.parametrize("name", sorted(q2_rank_instances()))
 def test_checker_q2_count_matches_the_formed_matrix(name):
-    # the checker ranks Q2 from row panels; the verdict is the one a formed
-    # Q2 gives
+    # the checker ranks Q2 from its Gram matrix without forming it; the
+    # verdict is the one a formed Q2 gives
     d = q2_rank_instances()[name]
     t = compose(d)
     k_dim = t.dims[2]
