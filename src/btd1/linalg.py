@@ -2,9 +2,10 @@
 least squares, the Khatri-Rao product and the package RNG convention.
 
 Every rank decision on singular values goes through :func:`rank_cut`: the
-count of singular values above ``max(tol * sigma_max, atol)``, with default
-``tol = DEFAULT_RANK_TOL`` (1e-10; exact ``decompose`` passes 1e-8) and
-``atol = 0``.  The same constant is the default ``rcond`` of :func:`lstsq`.
+count of singular values above ``tol * sigma_max``, with default
+``tol = DEFAULT_RANK_TOL`` (1e-10; exact ``decompose`` passes 1e-8), and
+no absolute floor.  The same constant is the default ``rcond`` of
+:func:`lstsq`.
 :func:`orth` and :func:`null_space` read rank and basis off one SVD.
 Three sites test a rank and then factor the same matrix again:
 ``gevd_two_slice_btd`` (an eigenvector group, then :func:`orth`; the
@@ -140,11 +141,11 @@ def randn(gen, shape, field="real"):
     return gen.standard_normal(shape)
 
 
-def rank_cut(s, tol=DEFAULT_RANK_TOL, atol=0.0):
-    """Number of singular values ``s`` (descending) above
-    ``max(tol * s[0], atol)``.  For a stack of them, one row per matrix as
-    a stacked ``np.linalg.svd`` returns, the array of the rows' counts."""
-    counts = np.sum(s > np.maximum(tol * s[..., :1], atol), axis=-1)
+def rank_cut(s, tol=DEFAULT_RANK_TOL):
+    """Number of singular values ``s`` (descending) above ``tol * s[0]``.
+    For a stack of them, one row per matrix as a stacked ``np.linalg.svd``
+    returns, the array of the rows' counts."""
+    counts = np.sum(s > tol * s[..., :1], axis=-1)
     return int(counts) if counts.ndim == 0 else counts
 
 
@@ -155,13 +156,12 @@ def numerical_rank(a, tol=DEFAULT_RANK_TOL):
     return rank_cut(np.linalg.svd(a, compute_uv=False), tol)
 
 
-def null_space(a, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
+def null_space(a, tol=DEFAULT_RANK_TOL, dim=None):
     """Orthonormal basis of the (numerical) null space, columns of shape (n, q).
 
-    The rank is :func:`rank_cut` at ``tol`` and ``atol``; the absolute
-    floor ``atol`` matters when the whole matrix is at rounding level.  With
-    ``dim`` given, returns the ``dim`` right singular vectors of the smallest
-    singular values regardless of threshold (the noisy-pipeline convention).  Only the right
+    The rank is :func:`rank_cut` at ``tol``.  With ``dim`` given, returns
+    the ``dim`` right singular vectors of the smallest singular values
+    regardless of threshold (the noisy-pipeline convention).  Only the right
     singular vectors are used, so the SVD is thin unless a is wide: an
     m x n matrix with m < n needs the full n x n Vh to reach its null
     vectors.  A tall matrix (m >= 2n) is first reduced to its n x n QR
@@ -186,7 +186,7 @@ def null_space(a, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
         import scipy.linalg
 
         _, s, vh = scipy.linalg.svd(a, full_matrices=m < n, lapack_driver="gesvd")
-    r = rank_cut(s, tol, atol) if dim is None else n - dim
+    r = rank_cut(s, tol) if dim is None else n - dim
     return vh[r:].conj().T
 
 

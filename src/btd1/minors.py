@@ -64,7 +64,6 @@ __all__ = [
     "q2_residual",
     "Q2Rank",
     "q2_rank",
-    "NullMatrices",
     "symmetric_null_matrices",
     "sym_pair_position",
     "term_pair_columns",
@@ -412,28 +411,20 @@ def q2_rank(t, tol=DEFAULT_RANK_TOL):
     return Q2Rank(w.size - basis.shape[1], "refined", margin, reason)
 
 
-class NullMatrices(list):
-    """The V_q, with Q2's ``margin`` at the Q cut (:func:`_q2_null`)."""
-
-    def __init__(self, mats, margin):
-        super().__init__(mats)
-        self.margin = margin
-
-
 def symmetric_null_matrices(t, tol=DEFAULT_RANK_TOL, dim=None, atol=0.0):
     """Null vectors of Q2 at ``tol``, ``dim`` and ``atol`` (:func:`_q2_null`),
-    unpacked to symmetric K x K matrices, as :class:`NullMatrices`.
+    unpacked to symmetric K x K matrices: ``(V, margin)``, V the (Q, K, K)
+    stack of the V_q and ``margin`` Q2's margin at the Q cut.
 
-    Entry (k1, k2) of matrix q is the basis entry of the pair {k1, k2},
-    halved off the diagonal, so that vec of matrix q is in the null space of
-    the ordered-pair minor matrix R2 = Q2 @ PK.T.
+    Entry (k1, k2) of V[q] is the basis entry of the pair {k1, k2}, halved
+    off the diagonal, so that vec of V[q] is in the null space of the
+    ordered-pair minor matrix R2 = Q2 @ PK.T.
     """
     values = _tensor_values(t)
     k_dim = values.shape[2]
     g, margin = _q2_null(values, tol, dim=dim, atol=atol)
-    pos = sym_pair_position(k_dim)
     scale = np.where(np.eye(k_dim, dtype=bool), 1.0, 0.5)
-    return NullMatrices([g[pos, q] * scale for q in range(g.shape[1])], margin)
+    return g.T[:, sym_pair_position(k_dim)] * scale, margin
 
 
 @lru_cache(maxsize=64)

@@ -51,7 +51,6 @@ from .linalg import (
     rng,
     solve_matrix,
 )
-from .minors import q2_null_dim
 
 __all__ = [
     "SJBDProblem",
@@ -95,39 +94,53 @@ CPD_STEP_MIN = 1.1
 class SJBDProblem:
     """A set of symmetric matrices to block-diagonalize jointly.
 
-    Without ``hint_R`` the problem is exact and each input must be symmetric
-    to 1e-12 relative; ``hint_R`` gives the number of blocks and makes it
-    approximate.  Inputs are symmetrized on ingestion either way.
-    ``hint_sum_d`` fixes the dimension of the joint column space (detected
-    when omitted).
+    ``V`` is the (Q, K, K) stack of the V_q, or a sequence of K x K
+    matrices, stored as that stack in C order.  Without ``hint_R`` the
+    problem is exact and each V_q must be symmetric to 1e-12 relative;
+    ``hint_R`` gives the number of blocks and makes it approximate.  The
+    stack is symmetrized on ingestion either way.  ``hint_sum_d`` fixes the
+    dimension of the joint column space (detected when omitted).  An empty
+    V, a V_q that is not square or not of the others' size, and a hint
+    below 1 raise :class:`DimensionError`.
     """
 
-    V: tuple
+    V: np.ndarray
     hint_R: int = None
     hint_sum_d: int = None
 
     def __post_init__(self):
-        mats = []
-        for q, v in enumerate(self.V):
+        v = self.V
+        if not isinstance(v, np.ndarray):
+            if len({np.shape(m) for m in v}) > 1:
+                raise DimensionError("all V_q must share the same size")
             v = np.asarray(v)
-            if v.ndim != 2 or v.shape[0] != v.shape[1]:
-                raise DimensionError(f"V[{q}] is not square")
-            if self.hint_R is None:
-                dev = np.linalg.norm(v - v.T)
-                if dev > SYMMETRY_TOL * max(np.linalg.norm(v), 1.0):
-                    raise ValueError(f"V[{q}] is not symmetric (deviation {dev:.2e})")
-            mats.append((v + v.T) / 2.0)
-        if len({m.shape for m in mats}) > 1:
-            raise DimensionError("all V_q must share the same size")
-        object.__setattr__(self, "V", tuple(mats))
+        if v.ndim != 3 or v.shape[0] == 0:
+            raise DimensionError(f"V must be a non-empty stack of matrices, got shape {v.shape}")
+        if v.shape[1] != v.shape[2]:
+            raise DimensionError(f"V[0] is not square ({v.shape[1]} x {v.shape[2]})")
+        for name in ("hint_R", "hint_sum_d"):
+            hint = getattr(self, name)
+            if hint is not None and hint < 1:
+                raise DimensionError(f"{name} must be at least 1, got {hint}")
+        vt = v.transpose(0, 2, 1)
+        if self.hint_R is None:
+            dev = np.linalg.norm(v - vt, axis=(1, 2))
+            scale = np.maximum(np.linalg.norm(v, axis=(1, 2)), 1.0)
+            bad = np.flatnonzero(dev > SYMMETRY_TOL * scale)
+            if bad.size:
+                q = bad[0]
+                raise ValueError(f"V[{q}] is not symmetric (deviation {dev[q]:.2e})")
+        # C order whatever the input's, so that the products downstream
+        # round alike for every layout
+        object.__setattr__(self, "V", np.ascontiguousarray((v + vt) / 2.0))
 
     @property
     def K(self):
-        return self.V[0].shape[0]
+        return self.V.shape[1]
 
     @property
     def Q(self):
-        return len(self.V)
+        return self.V.shape[0]
 
 
 @dataclass(frozen=True)
@@ -137,8 +150,7 @@ class SJBDSolution:
     ``d`` is None for an approximate problem, whose N comes back ungrouped
     for the caller to partition.  ``diagnostics`` holds every decision
     :func:`solve_sjbd` made, under the keys a solver report shows them
-    with; ``diagnostics["sjbd_status"]``, present only on a mismatch, warns
-    that Q is not sum binom(d_r+1, 2).
+    with.  Whether Q fits d is the caller's to check.
     """
 
     N: np.ndarray
@@ -571,28 +583,6 @@ def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6, partition
     return c[:, order], d, converged, fit, sweeps
 
 
-def _commutant_diagonalizer(v_list, hint_r, noisy, diagnostics, seed, rank_tol, cluster_tol):
-    """(N, d) of the V_q by the commutant route of :func:`solve_sjbd`,
-    recording the commutant dimension and, for noisy data, the CPD
-    refinement in ``diagnostics``; d is None when ``hint_r`` is given."""
-    r_found, u_mats = commutant_basis(v_list, tol=rank_tol, dim=hint_r)
-    if r_found < 1:
-        raise SolverDiagnostic("empty commutant basis", {"R": r_found})
-    diagnostics["commutant_dim"] = int(r_found)
-    if not noisy:
-        return simultaneous_evd_single(u_mats, seed=seed, cluster_tol=cluster_tol)
-    n_sub, d, converged, fit, sweeps = simultaneous_evd_cpd(
-        u_mats, r_found, seed=seed, cluster_tol=cluster_tol, partition=hint_r is None
-    )
-    diagnostics["cpd_status"] = (
-        "ok" if converged else "warning: CPD refinement hit max iterations"
-    )
-    diagnostics["cpd_fit"] = float(fit)
-    diagnostics["cpd_iters"] = int(sweeps)
-    diagnostics["cpd_converged"] = converged
-    return n_sub, d
-
-
 def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noisy=False):
     """S-JBD pipeline from the V_q to (N, d): compress, then the pencil or
     the commutant route of the module docstring.
@@ -620,22 +610,23 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     data, ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.
 
     An exact problem gets the columns of N grouped into blocks of sizes d;
-    an approximate one gets N ungrouped with d = None.  When an exact
-    problem's Q is not sum binom(d_r+1, 2), ``sjbd_status``, the one Q
-    verdict, warns that the uniqueness guarantee does not apply.
+    an approximate one gets N ungrouped with d = None.  Whether Q is
+    sum binom(d_r+1, 2) is left to the caller (Phase I of
+    :func:`solver.phase1_recover_A` checks it).
     """
     exact = problem.hint_R is None
     noisy = noisy or not exact
-    v_list = list(problem.V)
+    vs = problem.V
     k = problem.K
     s = problem.hint_sum_d
     if s is None or s < k:
-        u_s = orth(np.hstack(v_list), tol=rank_tol, dim=s)
+        # the columns of all the V_q side by side
+        u_s = orth(vs.transpose(1, 0, 2).reshape(k, -1), tol=rank_tol, dim=s)
         s = u_s.shape[1]
     diagnostics = {"sum_d": int(s)}
     if s < k:
-        v_list = [(u_s.conj().T @ v @ np.conj(u_s)) for v in v_list]
-        v_list = [(v + v.T) / 2.0 for v in v_list]
+        vs = u_s.conj().T @ vs @ np.conj(u_s)
+        vs = (vs + vs.transpose(0, 2, 1)) / 2.0
     else:
         u_s = None
 
@@ -643,7 +634,7 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     if not noisy:
         try:
             n_sub, d, margin = pencil_blocks(
-                v_list, seed=seed, tol=rank_tol, cluster_tol=cluster_tol
+                vs, seed=seed, tol=rank_tol, cluster_tol=cluster_tol
             )
         except SolverDiagnostic as exc:
             diagnostics["sjbd_fallback"] = str(exc)
@@ -660,29 +651,26 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
 
     if route == "commutant":
         try:
-            n_sub, d = _commutant_diagonalizer(
-                v_list,
-                problem.hint_R,
-                noisy,
-                diagnostics,
-                seed=seed,
-                rank_tol=rank_tol,
-                cluster_tol=cluster_tol,
-            )
+            r_found, u_mats = commutant_basis(vs, tol=rank_tol, dim=problem.hint_R)
+            if r_found < 1:
+                raise SolverDiagnostic("empty commutant basis", {"R": r_found})
+            diagnostics["commutant_dim"] = int(r_found)
+            if noisy:
+                n_sub, d, converged, fit, sweeps = simultaneous_evd_cpd(
+                    u_mats, r_found, seed=seed, cluster_tol=cluster_tol, partition=exact
+                )
+                diagnostics["cpd_status"] = (
+                    "ok" if converged else "warning: CPD refinement hit max iterations"
+                )
+                diagnostics["cpd_fit"] = float(fit)
+                diagnostics["cpd_iters"] = int(sweeps)
+                diagnostics["cpd_converged"] = converged
+            else:
+                n_sub, d = simultaneous_evd_single(u_mats, seed=seed, cluster_tol=cluster_tol)
         except SolverDiagnostic as exc:
             # a failure names the route that ran and why the pencil did not
             exc.diagnostics.update(diagnostics)
             raise
 
     n = u_s @ n_sub if u_s is not None else n_sub
-    if not exact:
-        return SJBDSolution(N=n, d=None, diagnostics=diagnostics)
-    d = tuple(int(x) for x in d)
-    # fewer than 3 matrices with some d_r >= 2 always fail this test, since
-    # then the sum is at least 3
-    if problem.Q != q2_null_dim(d):
-        diagnostics["sjbd_status"] = (
-            "warning: Q does not match sum binom(d_r+1, 2); "
-            "uniqueness guarantee does not apply"
-        )
     return SJBDSolution(N=n, d=d, diagnostics=diagnostics)

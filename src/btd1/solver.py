@@ -41,7 +41,7 @@ from .linalg import (
     rng,
     split_columns,
 )
-from .minors import n_sym, symmetric_null_matrices, total_block_size
+from .minors import n_sym, q2_null_dim, symmetric_null_matrices, total_block_size
 from .sjbd import (
     SJBDProblem,
     _eigen_groups,
@@ -267,12 +267,15 @@ def phase1_recover_A(t, opts=None):
     Q, counted from the minor matrix, is ``diagnostics["Q_used"]`` (with
     ``q2_margin``); the null space comes from contractions of the tensor
     (:func:`minors.symmetric_null_matrices`), so Q2 is never formed;
-    :func:`sjbd.solve_sjbd` turns the Q symmetric null matrices V_q into
-    (N, d), and its diagnostics are merged in whole (into its failures
-    too).  Exact mode raises when they hold ``sjbd_status``, the Q verdict.
+    :func:`sjbd.solve_sjbd` turns the (Q, K, K) stack of symmetric null
+    matrices V_q into (N, d), and its diagnostics are merged in whole (into
+    its failures too).  Phase I then checks Q against sum binom(d_r+1, 2),
+    the one Q verdict: on a mismatch exact mode raises and scenario 1 warns
+    under ``sjbd_status`` that the uniqueness guarantee does not apply.
     Scenario 2 passes R and sum d_r as hints and partitions the ungrouped N
-    itself.  Each a_r and the J x d_r matrix B_r (the list B) then come
-    from one rank-one factorization; Case 1 fits the third factor to these.
+    itself, with Q its lower bound rather than a count.  Each a_r and the
+    J x d_r matrix B_r (the list B) then come from one rank-one
+    factorization; Case 1 fits the third factor to these.
 
     N is K x sum(d) with block r spanning the common null space of the term
     matrices other than r; callers should compress the third mode first when
@@ -297,10 +300,10 @@ def phase1_recover_A(t, opts=None):
                 {"sum_d": sum_d, "R": r_known},
             )
         q_used = minimal_null_dimension(r_known, sum_d)
-        v_mats = symmetric_null_matrices(t, dim=q_used)
+        v, margin = symmetric_null_matrices(t, dim=q_used)
     else:
-        v_mats = symmetric_null_matrices(t, tol=opts.tol, atol=q2_floor)
-        q_used = len(v_mats)
+        v, margin = symmetric_null_matrices(t, tol=opts.tol, atol=q2_floor)
+        q_used = v.shape[0]
         sum_d = None
     if q_used < 1:
         raise SolverDiagnostic(
@@ -308,11 +311,9 @@ def phase1_recover_A(t, opts=None):
             {"Q_used": q_used},
         )
     diag["Q_used"] = int(q_used)
-    diag["q2_margin"] = v_mats.margin
+    diag["q2_margin"] = margin
 
-    problem = SJBDProblem(
-        tuple(v_mats), hint_R=r_known if scenario2 else None, hint_sum_d=sum_d
-    )
+    problem = SJBDProblem(v, hint_R=r_known if scenario2 else None, hint_sum_d=sum_d)
     try:
         sol = solve_sjbd(
             problem, seed=opts.seed, rank_tol=opts.tol, cluster_tol=opts.cl_tol, noisy=opts.noisy
@@ -325,12 +326,18 @@ def phase1_recover_A(t, opts=None):
     n_full, d = sol.N, sol.d
     if d is None:
         n_full, d = _partition_by_unfolding(t, n_full, r_known)
-    d = tuple(int(x) for x in d)
-    if opts.mode == "exact" and "sjbd_status" in diag:
-        raise SolverDiagnostic(
-            "null-space dimension of the minor matrix does not match "
-            "sum binom(d_r+1, 2); the structural assumption fails",
-            {"Q_used": q_used, "d": d},
+    elif q_used != q2_null_dim(d):
+        # fewer than 3 matrices with some d_r >= 2 always fail this test,
+        # since then the sum is at least 3
+        if opts.mode == "exact":
+            raise SolverDiagnostic(
+                "null-space dimension of the minor matrix does not match "
+                "sum binom(d_r+1, 2); the structural assumption fails",
+                {"Q_used": q_used, "d": d},
+            )
+        diag["sjbd_status"] = (
+            "warning: Q does not match sum binom(d_r+1, 2); "
+            "uniqueness guarantee does not apply"
         )
 
     a_cols, b_blocks = zip(*(_rank1_pair(t, n_r) for n_r in split_columns(n_full, d)))

@@ -1,6 +1,7 @@
 """Shared test utilities: brute-force oracles, reference instances, the
 algebraic identity helpers and the nonuniqueness witnesses."""
 
+import dataclasses
 import itertools
 import operator
 from fractions import Fraction
@@ -464,7 +465,8 @@ def phase1_failure(kind, monkeypatch):
     """A tensor on which exact Phase I raises one of its own two failures,
     with the failure's message and Q_used.  ``"trivial"``: an unstructured
     tensor, whose minor matrix has full column rank.  ``"mismatch"``: a
-    3x8x8 (2,3,4) tensor with ``solve_sjbd`` patched to flag a Q mismatch."""
+    3x8x8 (2,3,4) tensor, Q = 10, with ``solve_sjbd`` patched to return
+    d = (2, 2, 2), whose sum binom(d_r+1, 2) is 9."""
     import btd1.solver as solver_module
     from btd1 import Tensor3, compose, random_btd
 
@@ -473,9 +475,7 @@ def phase1_failure(kind, monkeypatch):
     solve = solver_module.solve_sjbd
 
     def flagged(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        sol.diagnostics["sjbd_status"] = "warning: Q flagged"
-        return sol
+        return dataclasses.replace(solve(*args, **kwargs), d=(2, 2, 2))
 
     monkeypatch.setattr(solver_module, "solve_sjbd", flagged)
     return compose(random_btd((3, 8, 8), (2, 3, 4), seed=0)), "structural assumption fails", 10

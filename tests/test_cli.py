@@ -1,10 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from btd1.cli import main
-from btd1.minors import NullMatrices
 
 
 @pytest.fixture
@@ -285,7 +285,7 @@ def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, m
     )
     v_list = singular_pencil_instance(5, seed=3)
     monkeypatch.setattr(
-        solver_module, "symmetric_null_matrices", lambda t, **kwargs: NullMatrices(v_list, None)
+        solver_module, "symmetric_null_matrices", lambda t, **kwargs: (np.stack(v_list), None)
     )
     res = runner.invoke(main, ["decompose", str(out)])
     assert res.exit_code == 3, res.output

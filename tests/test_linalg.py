@@ -78,14 +78,6 @@ def test_one_rank_rule(s, tol, rank):
     assert compress_third_mode(Tensor3(a.reshape(3, 4, 4)), **kw)[2] == rank
 
 
-def test_null_space_atol_floor_is_the_rank_rule():
-    a = _with_singular_values((1.0, 1e-3, 1e-6), 5, 3)
-    s = np.linalg.svd(a, compute_uv=False)
-    for atol, rank in ((1e-4, 2), (2.0, 0)):
-        assert rank_cut(s, 1e-9, atol) == rank
-        assert 3 - null_space(a, tol=1e-9, atol=atol).shape[1] == rank
-
-
 def test_null_space_dimensions():
     gen = rng(0)
     a = gen.standard_normal((4, 6))
@@ -94,8 +86,6 @@ def test_null_space_dimensions():
     assert np.linalg.norm(a @ ns) < 1e-12
     ns3 = null_space(a, dim=3)
     assert ns3.shape == (6, 3)
-    # an absolute floor above sigma_max makes the whole space null
-    assert null_space(a, atol=2 * np.linalg.norm(a, 2)).shape == (6, 6)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -117,12 +107,7 @@ def test_null_space_matches_scipy(shape, rank, field):
     m, n = shape
     a = randn(gen, (m, rank), field) @ randn(gen, (rank, n), field)
     want = scipy.linalg.null_space(a, rcond=1e-10)
-    atol = 1e-10 * np.linalg.norm(a, 2)
-    for got in (
-        null_space(a, tol=1e-10),
-        null_space(a, tol=0.0, atol=atol),
-        null_space(a, dim=n - rank),
-    ):
+    for got in (null_space(a, tol=1e-10), null_space(a, dim=n - rank)):
         assert got.shape == (n, n - rank) == want.shape
         assert np.allclose(got.conj().T @ got, np.eye(n - rank), atol=1e-12)
         assert np.linalg.norm(a @ got) < 1e-10 * np.linalg.norm(a)

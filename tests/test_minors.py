@@ -75,7 +75,7 @@ def test_q2_3x8x8_shape_and_null_dimension():
 def test_q2_rank_from_panels_equals_the_formed_rank(name, tol):
     # the refined null vectors are as many as the formed Q2's null space
     t = compose(q2_rank_instances()[name])
-    null = len(symmetric_null_matrices(t, tol=tol))
+    null = symmetric_null_matrices(t, tol=tol)[0].shape[0]
     assert n_sym(t.dims[2]) - null == numerical_rank(build_Q2(t), tol)
 
 
@@ -515,12 +515,13 @@ def test_symmetric_null_matrices_equal_d_times_basis(field):
     t = compose(random_btd((3, 8, 8), (2, 3, 4), field=field, seed=3))
     q2 = build_Q2(t)
     formed = null_space(q2, tol=1e-8)
-    mats = symmetric_null_matrices(t, tol=1e-8)
-    assert len(mats) == formed.shape[1] == 10
+    mats, margin = symmetric_null_matrices(t, tol=1e-8)
+    assert mats.shape == (formed.shape[1], 8, 8) == (10, 8, 8)
+    assert margin > 1e4
     # each matrix is D times a basis vector g, its entry at the pair
     # {k1, k2} doubled off the diagonal
     kp1, kp2 = sym_pairs(8)
-    g = np.stack([v[kp1, kp2] * np.where(kp1 == kp2, 1.0, 2.0) for v in mats], axis=1)
+    g = (mats[:, kp1, kp2] * np.where(kp1 == kp2, 1.0, 2.0)).T
     d = build_D(8)
     for q, v in enumerate(mats):
         assert np.array_equal(v, (d @ g[:, q]).reshape(8, 8))

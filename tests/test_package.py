@@ -94,6 +94,28 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not unread
 
 
+def _package_imports(path):
+    """The btd1 modules a source file imports, by their names in the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("btd1.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "btd1":
+                continue
+            inner = parts[1:] if node.level == 0 else [p for p in parts if p]
+            names |= {inner[0]} if inner else {a.name for a in node.names}
+    return names
+
+
+def test_sjbd_imports_only_linalg_from_the_package():
+    # the S-JBD is a layer below the solver: it takes the V_q as a stack and
+    # leaves the Q verdict to Phase I, so it needs nothing of minors
+    src = Path(btd1.__file__).resolve().parent
+    assert _package_imports(src / "sjbd.py") == {"linalg"}
+
+
 def test_benchmark_config_keywords_resolve():
     # perfbench/workloads.py builds these with exactly these keywords; a
     # dropped field would break the benchmark run, not the tier-1 suite

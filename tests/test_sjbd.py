@@ -200,26 +200,43 @@ def test_solve_sjbd_seed_invariance_up_to_permutation():
     assert worst < 1e-6
 
 
-def test_solve_sjbd_flags_low_matrix_count():
-    d = (2, 2)
-    gen = rng(13)
-    n = gen.standard_normal((4, 4))
-    v_list = []
-    for _ in range(2):  # fewer than the theorem quorum of 3
-        blocks = [
-            (lambda m: (m + m.T) / 2)(gen.standard_normal((2, 2))) for _ in range(2)
-        ]
-        v_list.append(n @ scipy.linalg.block_diag(*blocks) @ n.T)
-    sol = solve_sjbd(SJBDProblem(tuple(v_list)))
-    assert "guarantee" in sol.diagnostics["sjbd_status"]
-
-
 def test_sjbd_problem_symmetry_validation():
     bad = np.arange(9.0).reshape(3, 3)
     with pytest.raises(ValueError):
         SJBDProblem((bad,))
     prob = SJBDProblem((bad,), hint_R=1)
     assert np.allclose(prob.V[0], prob.V[0].T)
+    for field in ("real", "complex"):
+        # the whole stack is checked at once, and the message names the
+        # first asymmetric V_q and its deviation
+        _, _, v_list = make_instance((1, 2), 3, seed=5, field=field, q=4)
+        v = np.stack(v_list)
+        v[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match=r"V\[2\] is not symmetric \(deviation 1\.41e-03\)"):
+            SJBDProblem(v)
+        prob = SJBDProblem(v, hint_R=2)
+        assert prob.V.shape == (4, 3, 3) and prob.Q == 4 and prob.K == 3
+        assert np.array_equal(prob.V, prob.V.transpose(0, 2, 1))
+        # a sequence of matrices is stored as the symmetrized stack
+        sym = np.stack([(m + m.T) / 2.0 for m in v_list])
+        assert np.array_equal(SJBDProblem(tuple(v_list)).V, sym)
+
+
+def test_sjbd_problem_refuses_bad_input_at_construction():
+    from btd1.linalg import DimensionError
+
+    _, _, v_list = make_instance((1, 2), 3, seed=5)
+    for v, kwargs, match in [
+        ((), {}, "non-empty"),
+        (np.zeros((0, 3, 3)), {}, "non-empty"),
+        ((v_list[0], v_list[1][:2, :2]), {}, "same size"),
+        ((np.zeros((3, 4)),), {}, "not square"),
+        (v_list, {"hint_R": 0}, "hint_R must be at least 1, got 0"),
+        (v_list, {"hint_R": 2, "hint_sum_d": 0}, "hint_sum_d must be at least 1, got 0"),
+        (v_list, {"hint_sum_d": -1}, "hint_sum_d must be at least 1, got -1"),
+    ]:
+        with pytest.raises(DimensionError, match=match):
+            SJBDProblem(v, **kwargs)
 
 
 def test_complex_instance():

@@ -21,8 +21,8 @@ from btd1 import (
     unfold,
 )
 from btd1 import solver
-from btd1.linalg import SolverDiagnostic, numerical_rank
-from btd1.minors import NullMatrices
+from btd1.linalg import SolverDiagnostic, numerical_rank, rng
+from btd1.minors import q2_null_dim
 from btd1.sjbd import cluster_columns
 from btd1.solver import (
     candidate_size_tuples,
@@ -123,7 +123,6 @@ def test_minimal_null_dimension_3x9x10():
 
 def test_minimal_null_dimension_is_the_balanced_split():
     # the closed form against the enumeration of every partition
-    from btd1.minors import q2_null_dim
     from btd1.solver import _partitions
 
     pairs = 0
@@ -871,7 +870,7 @@ def test_exact_decompose_reports_a_singular_pencil(monkeypatch):
 
     v_list = singular_pencil_instance(5, seed=3)
     monkeypatch.setattr(
-        solver_module, "symmetric_null_matrices", lambda t, **kwargs: NullMatrices(v_list, None)
+        solver_module, "symmetric_null_matrices", lambda t, **kwargs: (np.stack(v_list), None)
     )
     with pytest.raises(SolverDiagnostic) as info:
         decompose(compose(random_btd((3, 8, 5), (2, 3), seed=1)))
@@ -891,6 +890,32 @@ def test_phase1_failures_name_q_as_the_report_does(kind, monkeypatch):
     details = info.value.diagnostics
     assert details["Q_used"] == q_used
     assert not {"Q", "subspace_dim"} & set(details)
+
+
+def test_phase1_flags_low_matrix_count(monkeypatch):
+    # two V_q with two 2 x 2 blocks, fewer than the theorem's quorum of 3:
+    # every d summing to K = 4 has sum binom(d_r+1, 2) >= 4, so Phase I's
+    # own Q verdict fails whatever the S-JBD groups
+    import btd1.solver as solver_module
+
+    gen = rng(13)
+    n = gen.standard_normal((4, 4))
+    v = np.zeros((2, 4, 4))
+    for q in range(2):
+        for blk in (slice(0, 2), slice(2, 4)):
+            m = gen.standard_normal((2, 2))
+            v[q, blk, blk] = (m + m.T) / 2
+    v = n @ v @ n.T
+    monkeypatch.setattr(solver_module, "symmetric_null_matrices", lambda t, **kwargs: (v, None))
+    t = compose(random_btd((3, 6, 4), (2, 2), seed=0))
+    with pytest.raises(SolverDiagnostic, match="structural assumption fails") as info:
+        phase1_recover_A(t)
+    assert info.value.diagnostics["Q_used"] == 2
+    *_, d, diag = phase1_recover_A(t, SolverOptions(mode="noisy_scenario1"))
+    assert diag["Q_used"] == 2 and q2_null_dim(d) != 2
+    assert diag["sjbd_status"] == (
+        "warning: Q does not match sum binom(d_r+1, 2); uniqueness guarantee does not apply"
+    )
 
 
 def test_low_coupling_margin_falls_back_with_a_warning(monkeypatch):
