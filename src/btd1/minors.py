@@ -12,8 +12,9 @@ contractions of the tensor, and :func:`_q2_apply` gives ||Q2 g|| and
 Q2^H Q2 g for a block of vectors, a batch of columns at a time.  Phase I's
 null space comes from :func:`_q2_null`, which corrects H's near-null
 eigenvectors against the exact product and counts them by their unsquared
-residuals; :func:`q2_rank` keeps H's own count where its checks pass and
-takes that one otherwise.  :func:`build_Q2` fills Q2 for the tests alone.
+residuals (scenario 2, whose count is given, takes them as they are);
+:func:`q2_rank` keeps H's own count where its checks pass and takes that
+one otherwise.  :func:`build_Q2` fills Q2 for the tests alone.
 
 All index pairs — (i1 < i2), (j1 < j2) for rows, (k1 <= k2) for columns,
 and the entries of wedge / symmetric products — are enumerated in one place
@@ -157,6 +158,12 @@ def build_Q2(t):
     return _kernels.minor_matrix_fill(values, ip1, ip2, jp1, jp2, kp1, kp2, out)
 
 
+# columns of g per batch in _q2_apply, and entries of one product in
+# q2_gram, to keep their products at about 2^16 entries.  The uniqueness
+# report's traced peak at 6x20x20 is 2.3 MB with 2^16 and 3.9 MB with 2^17
+_BATCH_ENTRIES = 1 << 16
+
+
 def q2_gram(t):
     """H = Q2^H Q2, binom(K+1,2) x binom(K+1,2), from two contractions of
     the tensor, without Q2.
@@ -171,10 +178,13 @@ def q2_gram(t):
         H[(k1,k2),(k3,k4)] = C[k1,k3] C[k2,k4] + C[k1,k4] C[k2,k3]
                              - E[(k1,k2),(k3,k4)] - E[(k1,k2),(k4,k3)],
 
-    using E[(k2,k1),(k4,k3)] = E[(k1,k2),(k3,k4)].  E is built one k1 at a
-    time, straight at the pairs k1 <= k2, from a (K-k1) x K x K slice.
-    Integer tensors are contracted in float64, exactly while every sum
-    stays below 2^53 in magnitude.  Requires I >= 2 and J >= 2."""
+    using E[(k2,k1),(k4,k3)] = E[(k1,k2),(k3,k4)].  E is built for a chunk
+    of k1 at a time by one batched product, over every k2 from the chunk's
+    first k1 on, and gathered at the pairs k1 <= k2.  A chunk's product
+    holds at most about ``_BATCH_ENTRIES`` entries, so up to K = 16 one
+    product builds all of E.  Integer tensors are contracted in float64,
+    exactly while every sum stays below 2^53 in magnitude.  Requires I >= 2
+    and J >= 2."""
     values = _tensor_values(t)
     values = values.astype(np.result_type(values, 1.0), copy=False)
     i_dim, j_dim, k_dim = values.shape
@@ -184,29 +194,31 @@ def q2_gram(t):
     # P4[i,k,i',k'] = P[i,i',k,k'] from one (IK x IK) product over j
     x = values.transpose(1, 0, 2).reshape(j_dim, i_dim * k_dim)
     p4 = (x.conj().T @ x).reshape(i_dim, k_dim, i_dim, k_dim)
-    # pm[(i,i'),a,d] = P[i,i',a,d] and pt[(i,i'),b,c] = P[i',i,b,c]
-    pm = np.ascontiguousarray(p4.transpose(0, 2, 1, 3)).reshape(-1, k_dim, k_dim)
+    # pm[a,(i,i'),d] = P[i,i',a,d] and pt[(i,i'),(b,c)] = P[i',i,b,c]
+    pm = p4.transpose(1, 0, 2, 3).reshape(k_dim, -1, k_dim)
     pt = np.ascontiguousarray(p4.transpose(2, 0, 1, 3)).reshape(-1, k_dim * k_dim)
     h = np.empty((kp1.size, kp1.size), dtype=c.dtype)
-    # C's columns and w's flat entries at the pairs, gathered once
+    # C's columns and E's flat (c,d) and (d,c) entries at the pairs
     c1, c2, e12, e21 = c[:, kp1], c[:, kp2], kp1 * k_dim + kp2, kp2 * k_dim + kp1
-    row = 0
-    for a in range(k_dim):
-        # w[b,(c,d)] = E[(a,b),(c,d)] for b >= a
-        w = (pt[:, a * k_dim :].T @ pm[:, a, :]).reshape(k_dim - a, k_dim * k_dim)
-        block = h[row : row + k_dim - a]
-        np.multiply(c1[a], c2[a:], out=block)
-        block += c2[a] * c1[a:]
+    first = 0
+    while first < k_dim:
+        width = k_dim - first
+        stop = min(k_dim, first + max(1, _BATCH_ENTRIES // (width * k_dim * k_dim)))
+        rows = slice(*np.searchsorted(kp1, (first, stop)))
+        a, b = kp1[rows], kp2[rows]
+        # w[a,(b,c),d] = E[(a,b),(c,d)] for first <= a < stop and b >= first,
+        # then w[(a,b),(c,d)] at the pairs a <= b
+        w = np.matmul(pt[:, first * k_dim :].T, pm[first:stop])
+        w = w.reshape(-1, k_dim * k_dim).take((a - first) * width + b - first, axis=0)
+        block = h[rows]
+        np.multiply(c1[a], c2[b], out=block)
+        cross = c2[a]
+        cross *= c1[b]
+        block += cross
         block -= w[:, e12]
         block -= w[:, e21]
-        row += k_dim - a
+        first = stop
     return h
-
-
-# columns of g per batch in _q2_apply, to keep its products at about 2^16
-# entries.  The uniqueness report's traced peak at 6x20x20 is 2.3 MB with
-# 2^16 and 3.9 MB with 2^17
-_BATCH_ENTRIES = 1 << 16
 
 
 def _q2_apply(values, g, normal):
@@ -295,15 +307,17 @@ def _q2_null(values, tol, dim=None, atol=0.0, eig=None):
     2 delta, 2 atol^2) (:func:`_gram_limits`; any other one has sigma^2 >=
     lambda / 2, above the cut), or the ``dim`` smallest.  Squaring leaves
     them accurate to about delta over the gap (Davis & Kahan, SIAM J.
-    Numer. Anal. 7(1), 1970); seminormal corrections W <- orth(W - V
-    Lambda^-1 V^H S), S = Q2^H Q2 W and (V, Lambda) the eigenpairs above
-    2 delta, remove that error (Björck, Linear Algebra Appl. 88/89, 1987)
-    until one is rounding or fails to halve the last.  All of W is null
-    with ``dim`` or where ||Q2 W||_F (>= ||Q2 W||_2) is within the cut
-    max(tol sigma_max, atol), else the Ritz vectors whose unsquared
-    residual ||Q2 w|| is.  The margin is the smallest non-null singular
-    value (a residual, or the root of the next eigenvalue) over ||Q2 W||_F
-    of the null vectors; None when a side is empty."""
+    Numer. Anal. 7(1), 1970); without ``dim``, seminormal corrections W <-
+    orth(W - V Lambda^-1 V^H S), S = Q2^H Q2 W and (V, Lambda) the
+    eigenpairs above 2 delta, remove that error (Björck, Linear Algebra
+    Appl. 88/89, 1987) until one is rounding or fails to halve the last.
+    With ``dim``, for scenario 2's noisy data, W stays as it is: there the
+    first correction is about 1e-10, far below the noise (about 1e-2 at 35
+    dB).  All of W is null with ``dim`` or where ||Q2 W||_F (>= ||Q2 W||_2)
+    is within the cut max(tol sigma_max, atol), else the Ritz vectors whose
+    unsquared residual ||Q2 w|| is.  The margin is the smallest non-null
+    singular value (a residual, or the root of the next eigenvalue) over
+    ||Q2 W||_F of the null vectors; None when a side is empty."""
     if eig is None:
         eig = np.linalg.eigh(q2_gram(values))
     w, v = eig
@@ -313,17 +327,20 @@ def _q2_null(values, tol, dim=None, atol=0.0, eig=None):
     if not fixed:
         dim = int(np.sum(w < max(floor * lmax, 2 * delta, 2 * atol * atol)))
     basis = v[:, :dim]
-    first = dim + int(np.searchsorted(w[dim:], 2 * delta, side="right"))
-    others, lam = v[:, first:], w[first:]
-    last = np.inf
-    for done in range(_MAX_CORRECTIONS + 1):
-        res, s = _q2_apply(values, basis, normal=True)
-        step = others @ ((others.conj().T @ s) / lam[:, None])
-        size = np.linalg.norm(step)
-        if done == _MAX_CORRECTIONS or not _CORRECTION_FLOOR < size < last / 2:
-            break
-        basis = np.linalg.qr(basis - step)[0]
-        last = size
+    if fixed:
+        res, _ = _q2_apply(values, basis, normal=False)
+    else:
+        first = dim + int(np.searchsorted(w[dim:], 2 * delta, side="right"))
+        others, lam = v[:, first:], w[first:]
+        last = np.inf
+        for done in range(_MAX_CORRECTIONS + 1):
+            res, s = _q2_apply(values, basis, normal=True)
+            step = others @ ((others.conj().T @ s) / lam[:, None])
+            size = np.linalg.norm(step)
+            if done == _MAX_CORRECTIONS or not _CORRECTION_FLOOR < size < last / 2:
+                break
+            basis = np.linalg.qr(basis - step)[0]
+            last = size
     cut = max(tol * np.sqrt(max(lmax, 0.0)), atol)
     null = np.full(basis.shape[1], True)
     if not fixed and np.linalg.norm(res) > cut:

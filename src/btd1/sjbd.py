@@ -14,12 +14,16 @@ eigendecomposition, by one of two routes.
   27(1), 2010).  The coupling margin, the smallest coupling kept over the
   largest one dropped, is R's margin.
 * **Commutant.**  The commutant subspace {U : U V_q = V_q U.T for all q}
-  has a basis U_1..U_R that N diagonalizes simultaneously, found as the
-  null space of a Q K(K-1)/2 x K^2 system.  For noisy data, N and d come
-  from a least-squares rank-one tensor refinement of the EVD of one
-  generic combination of the U_r (De Lathauwer, SIMAX 28(3), 2006); for
-  exact data whose pencil is singular, defective or has a margin below
-  ``COUPLING_MARGIN_FLOOR``, from that EVD alone.
+  has a basis U_1..U_R that N diagonalizes simultaneously, the null space
+  of a Q K(K-1)/2 x K^2 system M.  For noisy data, with R given, the basis
+  is the R smallest eigenvectors of the K^2 x K^2 Gram matrix M^H M, built
+  from two contractions of the V_q without M; N and d come from a
+  least-squares rank-one tensor refinement of the EVD of one generic
+  combination of the U_r (De Lathauwer, SIMAX 28(3), 2006).  For exact
+  data whose pencil is singular, defective or has a margin below
+  ``COUPLING_MARGIN_FLOOR``, R is cut from M's own singular values, whose
+  cut lies below the rounding of the squared ones, and N and d come from
+  that EVD alone.
 
 The data picks the route: exact data takes the pencil, noisy data the
 commutant with the refinement.  A problem is exact unless its number of
@@ -179,21 +183,54 @@ def build_commutant_matrix(v_list):
     return m.reshape(q * i.size, k * k)
 
 
+def _commutant_gram(vs):
+    """M^H M for M = :func:`build_commutant_matrix` of the (Q, K, K) stack,
+    from two contractions of the stack, without M.
+
+    Over all K^2 entries of U V_q - V_q U.T, each equation of M counts
+    twice, and for symmetric V_q the squared norm halves to ||U V_q||^2 -
+    Re tr((U V_q)^H (U V_q).T).  With column-major vec that is G = (sum_q
+    conj(V_q) V_q) kron I - C, where C is einsum('qab,qcd->bcda', conj(V),
+    V) reshaped to K^2 x K^2 (Golub & Van Loan, Matrix Computations, 4th
+    ed., 2013, on the Kronecker structure of Sylvester-type operators).
+    """
+    q, k, _ = vs.shape
+    vc = vs.conj()
+    cross = (vc.reshape(q, k * k).T @ vs.reshape(q, k * k)).reshape(k, k, k, k)
+    g = -cross.transpose(1, 2, 3, 0).reshape(k * k, k * k)
+    r = np.arange(k)
+    g.reshape(k, k, k, k)[:, r, :, r] += np.tensordot(vc, vs, axes=([0, 2], [0, 1]))
+    return g
+
+
 def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
     """Basis U_1..U_R of the commutant subspace of the symmetric V_q.
 
-    R is the null-space dimension of :func:`build_commutant_matrix`, cut at
-    ``tol`` relative to its largest singular value, or, when ``dim`` is
-    given, R = ``dim`` and the basis is the ``dim`` smallest right singular
-    directions (in noisy data the exact null space is only the span of the
-    vectorized identity).  Stacking every equation twice, as all of
-    vec(U V_q - V_q U.T) does, would scale each singular value by sqrt(2)
-    and keep the right singular vectors, so neither cut depends on it.
-    Assumes the slices span, i.e. K = sum d_r; :func:`solve_sjbd`
-    compresses first when they do not.
+    With ``dim`` given (noisy data, whose exact null space is only the span
+    of the vectorized identity), R = ``dim`` and the basis is the
+    eigenvectors of the ``dim`` smallest eigenvalues of M^H M
+    (:func:`_commutant_gram`), so the Q K(K-1)/2 x K^2 matrix M of
+    :func:`build_commutant_matrix` is never formed.  They come in
+    decreasing order of eigenvalue, as right singular vectors do, so that
+    the identity direction is the last matrix: :func:`simultaneous_evd_cpd`
+    replaces that one.
+    Without ``dim`` (exact data), R is the null-space dimension of M itself,
+    cut at ``tol`` relative to its largest singular value.  That cut stays on
+    M because at the default 1e-10 it lies below the rounding of the squared
+    spectrum (tol^2 = 1e-20 against eps), the same reason Phase I corrects
+    its own Gram basis; it is the one reason the two routes remain.
+    Stacking every equation twice, as all of vec(U V_q - V_q U.T) does,
+    would scale each singular value by sqrt(2) and keep the right singular
+    vectors, so neither route depends on it.  Assumes the slices span, i.e.
+    K = sum d_r; :func:`solve_sjbd` compresses first when they do not.
     """
-    k = v_list[0].shape[0]
-    basis = null_space(build_commutant_matrix(v_list), tol=tol, dim=dim)
+    # C order whatever the input's, so that every layout rounds alike
+    vs = np.ascontiguousarray(v_list)
+    k = vs.shape[1]
+    if dim is None:
+        basis = null_space(build_commutant_matrix(vs), tol=tol)
+    else:
+        basis = np.linalg.eigh(_commutant_gram(vs))[1][:, :dim][:, ::-1]
     mats = [basis[:, i].reshape(k, k, order="F") for i in range(basis.shape[1])]
     return len(mats), mats
 
@@ -371,7 +408,8 @@ def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
     W_1 is singular at ``tol`` or when the pencil is defective (eigenvalues
     grouped at ``cluster_tol``).
     """
-    vs = np.asarray(v_list)
+    # C order whatever the input's, so that every layout rounds alike
+    vs = np.ascontiguousarray(v_list)
     s = vs.shape[1]
     complex_input = np.iscomplexobj(vs)
     w = randn(rng(seed), (2, vs.shape[0]), "complex" if complex_input else "real")

@@ -382,8 +382,9 @@ def integer_btd(dims, sizes, seed=0):
 
 def q2_rank_instances():
     """Decompositions whose composed Q2 has a clear rank gap: real, complex
-    and integer, generic and planted-deficient, the 2x8x7 example, and
-    5x18x7, whose Q2 has 1530 rows."""
+    and integer, generic and planted-deficient, the 2x8x7 example,
+    5x18x7, whose Q2 has 1530 rows, and 3x6x18, whose K = 18 splits
+    ``q2_gram``'s product in two."""
     return {
         "real": random_btd((3, 8, 8), (2, 3, 4), seed=1),
         "complex": random_btd((3, 8, 8), (2, 3, 4), field="complex", seed=1),
@@ -396,6 +397,7 @@ def q2_rank_instances():
         "2x8x7": random_btd((2, 8, 7), (3, 3, 3), seed=0),
         "multi_panel": random_btd((5, 18, 7), (2, 2, 3), seed=4),
         "multi_panel_deficient": with_equal_b_columns(random_btd((5, 18, 7), (2, 2, 3), seed=4)),
+        "two_products": random_btd((3, 6, 18), (4, 5, 5, 4), seed=5),
     }
 
 

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from btd1.linalg import randn, rng, split_columns
+from btd1 import compose, random_btd
+from btd1.linalg import null_space, randn, rng, split_columns
+from btd1.minors import symmetric_null_matrices
 from btd1.sjbd import (
     CPD_IDENTITY_WEIGHT,
     SJBDProblem,
     _cluster_scalars,
+    _commutant_gram,
     _eigen_groups,
     _single_linkage,
     build_commutant_matrix,
     cluster_columns,
     commutant_basis,
     cpd_als,
+    pencil_blocks,
     simultaneous_evd_cpd,
     simultaneous_evd_single,
     solve_sjbd,
@@ -80,6 +84,54 @@ def test_commutant_matrix_keeps_the_independent_rows(d, k, field):
     s_full = np.linalg.svd(full, compute_uv=False)
     assert np.allclose(np.sqrt(2.0) * s, s_full[: s.size], rtol=0, atol=1e-12 * s_full[0])
     assert np.all(s_full[s.size :] < 1e-12 * s_full[0])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d,k", [((1, 1), 2), ((1, 2, 3), 6), ((2, 3), 7)])
+def test_commutant_gram_equals_the_formed_gram(d, k, field):
+    _, _, v_list = make_instance(d, k, seed=8, field=field)
+    v = SJBDProblem(tuple(v_list)).V
+    m = build_commutant_matrix(v)
+    formed = m.conj().T @ m
+    gram = _commutant_gram(v)
+    assert gram.shape == formed.shape and gram.dtype == formed.dtype
+    assert np.abs(gram - formed).max() <= 1e-14 * np.abs(formed).max()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_noisy_commutant_basis_spans_the_smallest_singular_directions(field):
+    # the Gram route's basis spans the formed matrix's dim smallest right
+    # singular directions, and keeps the identity last as they come
+    d, k = (1, 2, 3), 6
+    _, _, v_list = make_instance(d, k, seed=21, field=field)
+    noise = randn(rng(22), (len(v_list), k, k), field)
+    v = SJBDProblem(np.stack(v_list) + 1e-3 * noise, hint_R=len(d)).V
+    r, u_mats = commutant_basis(v, dim=len(d))
+    assert r == len(d)
+    basis = np.column_stack([u.ravel(order="F") for u in u_mats])
+    formed = null_space(build_commutant_matrix(v), dim=len(d))
+    cosines = np.linalg.svd(formed.conj().T @ basis, compute_uv=False)
+    assert np.all(cosines > 1 - 1e-10)
+    identity = np.eye(k).ravel() / np.sqrt(k)
+    assert abs(abs(np.vdot(identity, basis[:, -1])) - 1) < 1e-12
+    assert abs(abs(np.vdot(identity, formed[:, -1])) - 1) < 1e-12
+
+
+def test_the_sjbd_gives_the_same_bits_for_any_stack_layout():
+    # Phase I gathers its V_q with Q as the fastest axis
+    t = compose(random_btd((3, 9, 10), (1, 2, 3, 4), seed=1))
+    v, _ = symmetric_null_matrices(t, tol=1e-8)
+    strided = np.zeros(v.shape + (2,))
+    strided[..., 1] = v
+    layouts = [v, np.asfortranarray(v), strided[..., 1]]
+    n, d, margin = pencil_blocks(np.ascontiguousarray(v), tol=1e-8)
+    bases = [commutant_basis(np.ascontiguousarray(v), dim=dim)[1] for dim in (None, 4)]
+    for x in layouts:
+        assert not x.flags.c_contiguous
+        n_x, d_x, margin_x = pencil_blocks(x, tol=1e-8)
+        assert np.array_equal(n_x, n) and d_x == d and margin_x == margin
+        for dim, basis in zip((None, 4), bases):
+            assert np.array_equal(commutant_basis(x, dim=dim)[1], basis)
 
 
 @pytest.mark.parametrize("d", [(1, 1, 1), (1, 2), (2, 3), (1, 2, 3)])

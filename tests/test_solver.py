@@ -20,7 +20,7 @@ from btd1 import (
     random_btd,
     unfold,
 )
-from btd1 import solver
+from btd1 import sjbd, solver
 from btd1.linalg import SolverDiagnostic, numerical_rank, rng
 from btd1.minors import q2_null_dim
 from btd1.sjbd import cluster_columns
@@ -502,6 +502,24 @@ def test_scenario2_cpd_refinement_is_deterministic(field):
     assert 1 <= rep1.diagnostics["cpd_iters"] <= 500
     for key in ("cpd_iters", "cpd_converged", "cpd_fit"):
         assert rep1.diagnostics[key] == rep2.diagnostics[key]
+
+
+def test_scenario2_never_forms_the_commutant_matrix(monkeypatch):
+    # noisy S-JBD takes the commutant basis from its Gram
+    def refuse(v_list):
+        raise AssertionError("scenario 2 formed the commutant matrix")
+
+    monkeypatch.setattr(sjbd, "build_commutant_matrix", refuse)
+    t = add_noise(compose(random_btd((3, 8, 8), (2, 3, 4), seed=4)), NoiseSpec(35.0, seed=5))
+    rep = decompose(t, SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9))
+    assert rep.diagnostics["sjbd_route"] == "commutant"
+
+
+def test_scenario2_at_6x20x20():
+    truth = random_btd((6, 20, 20), (4,) * 5, seed=7)
+    t = add_noise(compose(truth), NoiseSpec(snr_db=35.0, seed=8))
+    rep = decompose(t, SolverOptions(mode="noisy_scenario2", known_R=5, known_sum_L=20))
+    assert tuple(sorted(rep.detected_L)) == (4,) * 5
 
 
 def test_decompose_scenario1_mild_noise():
