@@ -15,20 +15,21 @@ eigendecomposition, by one of two routes.
   largest one dropped, is R's margin.
 * **Commutant.**  The commutant subspace {U : U V_q = V_q U.T for all q}
   has a basis U_1..U_R that N diagonalizes simultaneously, the null space
-  of a Q K(K-1)/2 x K^2 system M.  For noisy data, with R given, the basis
-  is the R smallest eigenvectors of the K^2 x K^2 Gram matrix M^H M, built
-  from two contractions of the V_q without M; N and d come from a
-  least-squares rank-one tensor refinement of the EVD of one generic
-  combination of the U_r (De Lathauwer, SIMAX 28(3), 2006).  For exact
+  of a Q K(K-1)/2 x K^2 system M.  For noisy data the basis is the R
+  smallest eigenvectors of the K^2 x K^2 Gram matrix M^H M, built from two
+  contractions of the V_q without M, with R given or cut at the rank
+  tolerance; N comes ungrouped from a least-squares rank-one tensor
+  refinement of the EVD of one generic combination of the U_r (De
+  Lathauwer, SIMAX 28(3), 2006), for the caller to partition.  For exact
   data whose pencil is singular, defective or has a margin below
-  ``COUPLING_MARGIN_FLOOR``, R is cut from M's own singular values, whose
-  cut lies below the rounding of the squared ones, and N and d come from
-  that EVD alone.
+  ``COUPLING_MARGIN_FLOOR``, R is cut from M's own singular values, since
+  an exact tolerance lies below the rounding of the squared ones, and N
+  and d come from that EVD alone.
 
 The data picks the route: exact data takes the pencil, noisy data the
 commutant with the refinement.  A problem is exact unless its number of
-blocks R is given; given R, it is approximate (noisy data) and R is taken
-rather than detected.
+blocks R is given or it is flagged noisy; given R, it is approximate and R
+is taken rather than detected.
 
 Transposes here are plain transposes even over the complex field; none of
 the factors are required to be orthogonal.
@@ -92,6 +93,11 @@ CPD_REL_TOL = 1e-4
 CPD_STEP_GROW = 1.5
 CPD_STEP_MAX = 50.0
 CPD_STEP_MIN = 1.1
+# the eigenvalues of the commutant Gram carry rounding of about K^2 eps
+# lambda_max; a squared tolerance this factor above that reads R from the
+# Gram as M's singular values would, while the exact tolerances (1e-8,
+# 1e-10) cut below it and stay on M
+GRAM_CUT_MARGIN = 1e4
 
 
 @dataclass(frozen=True)
@@ -151,10 +157,11 @@ class SJBDProblem:
 class SJBDSolution:
     """Joint block diagonalizer N = [N_1 ... N_R] and its block sizes.
 
-    ``d`` is None for an approximate problem, whose N comes back ungrouped
-    for the caller to partition.  ``diagnostics`` holds every decision
-    :func:`solve_sjbd` made, under the keys a solver report shows them
-    with.  Whether Q fits d is the caller's to check.
+    ``d`` is None for noisy data (an approximate problem, or one solved as
+    ``noisy``), whose N comes back ungrouped for the caller to partition
+    into ``diagnostics["commutant_dim"]`` blocks.  ``diagnostics`` holds
+    every decision :func:`solve_sjbd` made, under the keys a solver report
+    shows them with.  Whether Q fits d is the caller's to check.
     """
 
     N: np.ndarray
@@ -206,19 +213,25 @@ def _commutant_gram(vs):
 def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
     """Basis U_1..U_R of the commutant subspace of the symmetric V_q.
 
-    With ``dim`` given (noisy data, whose exact null space is only the span
-    of the vectorized identity), R = ``dim`` and the basis is the
-    eigenvectors of the ``dim`` smallest eigenvalues of M^H M
-    (:func:`_commutant_gram`), so the Q K(K-1)/2 x K^2 matrix M of
-    :func:`build_commutant_matrix` is never formed.  They come in
-    decreasing order of eigenvalue, as right singular vectors do, so that
-    the identity direction is the last matrix: :func:`simultaneous_evd_cpd`
-    replaces that one.
-    Without ``dim`` (exact data), R is the null-space dimension of M itself,
-    cut at ``tol`` relative to its largest singular value.  That cut stays on
-    M because at the default 1e-10 it lies below the rounding of the squared
-    spectrum (tol^2 = 1e-20 against eps), the same reason Phase I corrects
-    its own Gram basis; it is the one reason the two routes remain.
+    R is ``dim`` when given (noisy data, whose exact null space is only the
+    span of the vectorized identity), and otherwise the null-space
+    dimension of the Q K(K-1)/2 x K^2 matrix M of
+    :func:`build_commutant_matrix`, cut at ``tol`` relative to its largest
+    singular value.  Two routes give the basis.
+
+    * **Gram.**  The eigenvectors of the R smallest eigenvalues of M^H M
+      (:func:`_commutant_gram`), so M is never formed; without ``dim``, R
+      counts the eigenvalues at most tol^2 lambda_max, the squares of the
+      singular values M's own cut keeps.  They come in decreasing order of
+      eigenvalue, as right singular vectors do, so that the identity
+      direction is the last matrix: :func:`simultaneous_evd_cpd` replaces
+      that one.  This route runs whenever ``dim`` is given or tol^2 clears
+      the Gram's rounding, about K^2 eps lambda_max, by ``GRAM_CUT_MARGIN``:
+      every noisy tolerance (1e-2 by default).
+    * **Formed.**  M's null space at ``tol``, for the exact tolerances (1e-8,
+      1e-10), whose squares lie below that rounding; the same reason Phase I
+      corrects its own Gram basis.  It is the one reason M is still formed.
+
     Stacking every equation twice, as all of vec(U V_q - V_q U.T) does,
     would scale each singular value by sqrt(2) and keep the right singular
     vectors, so neither route depends on it.  Assumes the slices span, i.e.
@@ -227,10 +240,13 @@ def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
     # C order whatever the input's, so that every layout rounds alike
     vs = np.ascontiguousarray(v_list)
     k = vs.shape[1]
-    if dim is None:
+    if dim is None and tol**2 <= GRAM_CUT_MARGIN * k * k * np.finfo(float).eps:
         basis = null_space(build_commutant_matrix(vs), tol=tol)
     else:
-        basis = np.linalg.eigh(_commutant_gram(vs))[1][:, :dim][:, ::-1]
+        lam, vecs = np.linalg.eigh(_commutant_gram(vs))
+        if dim is None:
+            dim = int(np.count_nonzero(lam <= tol**2 * lam[-1]))
+        basis = vecs[:, :dim][:, ::-1]
     mats = [basis[:, i].reshape(k, k, order="F") for i in range(basis.shape[1])]
     return len(mats), mats
 
@@ -578,20 +594,19 @@ def cpd_als(tensor, init):
     return (a, c, b), fit, converged, sweep
 
 
-def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6, partition=True):
+def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6):
     """Joint diagonalizer via a rank-one tensor fit of the stacked basis.
 
     The basis matrices are stacked into a tensor whose exact decomposition
     is U_r = C diag(a_r1..a_rK) B.T with B = C^{-T}; the last slice is
     replaced by ``CPD_IDENTITY_WEIGHT`` * I, which is always consistent and
     softly enforces that coupling.  The fit is an alternating least squares
-    refinement initialized from the single-combination EVD.  The K
-    first-factor columns are clustered modulo sign/scaling into
-    ``n_clusters`` groups, which give the block sizes and group N.
+    refinement initialized from the single-combination EVD, its eigenvalues
+    grouped into ``n_clusters``.  Each column of N = C lies in one block;
+    the columns come ungrouped, for the caller to partition.
 
-    Returns (N, d, converged, fit, sweeps) with the convergence flag and
-    ALS sweep count of :func:`cpd_als`; with ``partition=False`` the
-    columns are left ungrouped and d is None.
+    Returns (N, converged, fit, sweeps) with the convergence flag and ALS
+    sweep count of :func:`cpd_als`.
     """
     k = u_mats[0].shape[0]
     mats = [np.array(u) for u in u_mats]
@@ -614,11 +629,8 @@ def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6, partition
             "initialization eigenbasis is singular", {"size": k}
         ) from exc
     a0 = np.stack([np.diagonal(n0_inv @ u @ n0) for u in mats])
-    (a, c, _b), fit, converged, sweeps = cpd_als(stack, (a0, n0, n0_inv.T))
-    if not partition:
-        return c, None, converged, fit, sweeps
-    order, d = _group_labels(cluster_columns(a, n_clusters))
-    return c[:, order], d, converged, fit, sweeps
+    (_a, c, _b), fit, converged, sweeps = cpd_als(stack, (a0, n0, n0_inv.T))
+    return c, converged, fit, sweeps
 
 
 def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noisy=False):
@@ -644,16 +656,15 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     unless ``hint_R`` gives it.  Each decision is written once into
     ``diagnostics``, under the key :class:`solver.SolveReport` shows: s is
     ``sum_d``, ``sjbd_route`` names the route that ran, the pencil records
-    ``coupling_margin``, the commutant ``commutant_dim`` and, for noisy
+    ``coupling_margin``, the commutant ``commutant_dim`` (R) and, for noisy
     data, ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.
 
-    An exact problem gets the columns of N grouped into blocks of sizes d;
-    an approximate one gets N ungrouped with d = None.  Whether Q is
-    sum binom(d_r+1, 2) is left to the caller (Phase I of
-    :func:`solver.phase1_recover_A` checks it).
+    Exact data gets the columns of N grouped into blocks of sizes d; noisy
+    data gets N ungrouped with d = None, for the caller to partition into
+    R blocks.  Whether Q is sum binom(d_r+1, 2) is left to the caller
+    (Phase I of :func:`solver.phase1_recover_A` checks it).
     """
-    exact = problem.hint_R is None
-    noisy = noisy or not exact
+    noisy = noisy or problem.hint_R is not None
     vs = problem.V
     k = problem.K
     s = problem.hint_sum_d
@@ -694,8 +705,9 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
                 raise SolverDiagnostic("empty commutant basis", {"R": r_found})
             diagnostics["commutant_dim"] = int(r_found)
             if noisy:
-                n_sub, d, converged, fit, sweeps = simultaneous_evd_cpd(
-                    u_mats, r_found, seed=seed, cluster_tol=cluster_tol, partition=exact
+                d = None
+                n_sub, converged, fit, sweeps = simultaneous_evd_cpd(
+                    u_mats, r_found, seed=seed, cluster_tol=cluster_tol
                 )
                 diagnostics["cpd_status"] = (
                     "ok" if converged else "warning: CPD refinement hit max iterations"

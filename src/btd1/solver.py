@@ -15,10 +15,11 @@ overlapping groups, project onto two-slice subtensors, and decompose each by
 a generalized eigendecomposition).
 
 Noisy data is handled in two regimes: scenario 1 assumes the perturbation is
-small enough that the structural integers (Q, R, d_r) are still detectable
-from singular-value gaps; scenario 2 assumes only R and sum L_r are known
-and replaces the null-space dimension by its minimum over the compatible
-block-size tuples, recovering the block structure afterwards by clustering.
+small enough that the structural integers (Q, R) are still detectable from
+singular-value gaps; scenario 2 assumes only R and sum L_r are known and
+replaces the null-space dimension by its minimum over the compatible
+block-size tuples.  Both recover the block sizes d_r afterwards by
+clustering the columns of N into R groups.
 """
 
 import math
@@ -269,11 +270,16 @@ def phase1_recover_A(t, opts=None):
     (:func:`minors.symmetric_null_matrices`), so Q2 is never formed;
     :func:`sjbd.solve_sjbd` turns the (Q, K, K) stack of symmetric null
     matrices V_q into (N, d), and its diagnostics are merged in whole (into
-    its failures too).  Phase I then checks Q against sum binom(d_r+1, 2),
-    the one Q verdict: on a mismatch exact mode raises and scenario 1 warns
-    under ``sjbd_status`` that the uniqueness guarantee does not apply.
-    Scenario 2 passes R and sum d_r as hints and partitions the ungrouped N
-    itself, with Q its lower bound rather than a count.  Each a_r and the
+    its failures too).  Exact data comes back grouped.  Noisy data comes
+    back ungrouped, and Phase I partitions N into R =
+    ``diagnostics["commutant_dim"]`` blocks by the left directions of its
+    unfolded columns (:func:`_partition_by_unfolding`), a failure again
+    carrying Phase I's diagnostics; scenario 2 passes R and sum d_r as
+    hints, so R is ``known_R`` there.  Exact mode and scenario 1 then check
+    Q against sum binom(d_r+1, 2), the one Q verdict: on a mismatch exact
+    mode raises and scenario 1 warns under ``sjbd_status`` that the
+    uniqueness guarantee does not apply.  Scenario 2's Q is its lower bound
+    rather than a count, and is not checked.  Each a_r and the
     J x d_r matrix B_r (the list B) then come from one rank-one
     factorization; Case 1 fits the third factor to these.
 
@@ -325,8 +331,12 @@ def phase1_recover_A(t, opts=None):
 
     n_full, d = sol.N, sol.d
     if d is None:
-        n_full, d = _partition_by_unfolding(t, n_full, r_known)
-    elif q_used != q2_null_dim(d):
+        try:
+            n_full, d = _partition_by_unfolding(t, n_full, diag["commutant_dim"])
+        except SolverDiagnostic as exc:
+            exc.diagnostics.update(diag)
+            raise
+    if not scenario2 and q_used != q2_null_dim(d):
         # fewer than 3 matrices with some d_r >= 2 always fail this test,
         # since then the sum is at least 3
         if opts.mode == "exact":
@@ -345,18 +355,18 @@ def phase1_recover_A(t, opts=None):
 
 
 def _partition_by_unfolding(t, n_full, r_clusters):
-    """Scenario-2 block detection: columns of unfold(T,3) N reshape to
-    rank-one matrices a_r w.T; cluster their left directions into R groups."""
+    """Noisy block detection: columns of unfold(T,3) N reshape to rank-one
+    matrices a_r w.T; cluster their left directions into R groups."""
     i_dim, j_dim, _ = t.dims
     t3n = unfold(t, 3) @ n_full
     # one stacked SVD of the I x J reshapes of all the columns
     u = np.linalg.svd(t3n.T.reshape(-1, i_dim, j_dim), full_matrices=False)[0]
     order, d = _group_labels(cluster_columns(u[:, :, 0].T, n_clusters=r_clusters))
     if len(d) != r_clusters:
-        raise SolverDiagnostic(
-            "column clustering found a different number of groups than R",
-            {"R": r_clusters, "found": len(d)},
-        )
+        message = "column clustering found a different number of groups than R"
+        if r_clusters > n_full.shape[1]:
+            message += f"; R = {r_clusters} exceeds the {n_full.shape[1]} columns of N"
+        raise SolverDiagnostic(message, {"R": r_clusters, "found": len(d)})
     return n_full[:, order], d
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from btd1 import compose, random_btd
+from btd1 import compose, random_btd, sjbd
 from btd1.linalg import null_space, randn, rng, split_columns
 from btd1.minors import symmetric_null_matrices
 from btd1.sjbd import (
@@ -117,6 +117,41 @@ def test_noisy_commutant_basis_spans_the_smallest_singular_directions(field):
     assert abs(abs(np.vdot(identity, formed[:, -1])) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d,k", [((1, 2, 3), 6), ((1, 2, 3, 4), 10)])
+def test_noisy_tolerance_cuts_the_gram_as_the_formed_matrix(monkeypatch, d, k, field):
+    # a noisy tolerance reads R from the Gram's eigenvalues, with the count
+    # and the span the formed matrix's singular values give at that cut
+    def refuse(vs):
+        raise AssertionError("a noisy tolerance formed the commutant matrix")
+
+    _, _, v_list = make_instance(d, k, seed=21, field=field)
+    noise = randn(rng(22), (len(v_list), k, k), field)
+    v = SJBDProblem(np.stack(v_list) + 1e-3 * noise, hint_R=len(d)).V
+    formed = null_space(build_commutant_matrix(v), tol=1e-2)
+    monkeypatch.setattr(sjbd, "build_commutant_matrix", refuse)
+    r, u_mats = commutant_basis(v, tol=1e-2)
+    assert r == formed.shape[1] == len(d)
+    basis = np.column_stack([u.ravel(order="F") for u in u_mats])
+    cosines = np.linalg.svd(formed.conj().T @ basis, compute_uv=False)
+    assert np.all(cosines > 1 - 1e-10)
+    identity = np.eye(k).ravel() / np.sqrt(k)
+    assert abs(abs(np.vdot(identity, basis[:, -1])) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_exact_tolerances_keep_the_formed_commutant_matrix(monkeypatch, tol):
+    # an exact tolerance lies below the rounding of the Gram's spectrum
+    def refuse(vs):
+        raise AssertionError("an exact tolerance took the commutant Gram")
+
+    monkeypatch.setattr(sjbd, "_commutant_gram", refuse)
+    d = (1, 2, 3)
+    _, _, v_list = make_instance(d, sum(d), seed=3)
+    r, _ = commutant_basis(v_list, tol=tol)
+    assert r == len(d)
+
+
 def test_the_sjbd_gives_the_same_bits_for_any_stack_layout():
     # Phase I gathers its V_q with Q as the fastest axis
     t = compose(random_btd((3, 9, 10), (1, 2, 3, 4), seed=1))
@@ -187,17 +222,30 @@ def test_simultaneous_evd_single_identity_input():
     assert d_est == (5,)
 
 
+def columns_per_block(n, blocks):
+    """How many columns of n lie in each block's span, checking that every
+    column lies in one of them to 1e-6 relative."""
+    labels = []
+    for col in n.T:
+        resid = [np.linalg.norm(col - b @ np.linalg.lstsq(b, col, rcond=None)[0]) for b in blocks]
+        labels.append(int(np.argmin(resid)))
+        assert min(resid) < 1e-6 * np.linalg.norm(col)
+    return tuple(np.bincount(labels, minlength=len(blocks)))
+
+
 def test_simultaneous_evd_cpd_matches_single():
+    # the refinement's ungrouped columns each lie in one block of the
+    # single-combination EVD, as many as that block is wide
     d = (1, 2, 3)
     k = sum(d)
-    n_true, _, v_list = make_instance(d, k, seed=7)
+    _, _, v_list = make_instance(d, k, seed=7)
     _, u_mats = commutant_basis(v_list)
     n_s, d_s = simultaneous_evd_single(u_mats, seed=2)
-    n_c, d_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 3, seed=2)
-    assert sorted(d_c) == sorted(d)
+    assert sorted(d_s) == sorted(d)
+    n_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 3, seed=2)
     assert fit < 1e-8
-    worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_s, d_s))
-    assert worst < 1e-6
+    assert n_c.shape == (k, k)
+    assert columns_per_block(n_c, true_blocks(n_s, d_s)) == d_s
 
 
 def test_cpd_als_all_distinct_reduces_to_diagonalization():
@@ -205,10 +253,9 @@ def test_cpd_als_all_distinct_reduces_to_diagonalization():
     k = 4
     n_true, _, v_list = make_instance(d, k, seed=8)
     _, u_mats = commutant_basis(v_list)
-    n_c, d_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 4, seed=3)
-    assert d_c == (1, 1, 1, 1)
-    worst = block_subspace_match(true_blocks(n_c, d_c), true_blocks(n_true, d))
-    assert worst < 1e-6
+    n_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 4, seed=3)
+    assert n_c.shape == (k, k)
+    assert columns_per_block(n_c, true_blocks(n_true, d)) == d
 
 
 def test_solve_sjbd_reconstruction_and_subspaces():

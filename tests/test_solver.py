@@ -515,6 +515,19 @@ def test_scenario2_never_forms_the_commutant_matrix(monkeypatch):
     assert rep.diagnostics["sjbd_route"] == "commutant"
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_scenario1_never_forms_the_commutant_matrix(monkeypatch, field):
+    # scenario 1's noisy tolerance reads R from the commutant Gram too
+    def refuse(v_list):
+        raise AssertionError("scenario 1 formed the commutant matrix")
+
+    monkeypatch.setattr(sjbd, "build_commutant_matrix", refuse)
+    t = compose(random_btd((3, 8, 8), (2, 3, 4), field, seed=4))
+    rep = decompose(add_noise(t, NoiseSpec(50.0, seed=5)), SolverOptions(mode="noisy_scenario1"))
+    assert rep.diagnostics["sjbd_route"] == "commutant"
+    assert rep.diagnostics["commutant_dim"] == len(rep.detected_d)
+
+
 def test_scenario2_at_6x20x20():
     truth = random_btd((6, 20, 20), (4,) * 5, seed=7)
     t = add_noise(compose(truth), NoiseSpec(snr_db=35.0, seed=8))
@@ -660,8 +673,8 @@ def test_phase1_runs_solve_sjbd_once(monkeypatch, opts, hint_r, hint_sum_d):
 
 
 def test_scenario1_single_reads_blocks_from_eigenvalue_gaps():
-    # with R detected rather than given, the CPD refinement clusters into
-    # the detected R groups
+    # with R detected rather than given, Phase I partitions the ungrouped
+    # columns of the CPD refinement into the detected R groups
     truth = random_btd((3, 9, 10), (1, 2, 3, 4), seed=2)
     t = add_noise(compose(truth), NoiseSpec(snr_db=50.0, seed=3))
     rep = decompose(t, SolverOptions(mode="noisy_scenario1"))
@@ -675,14 +688,15 @@ def test_scenario1_single_reads_blocks_from_eigenvalue_gaps():
     "opts,route,refined,grouped",
     [
         (SolverOptions(), "pencil", False, True),
-        (SolverOptions(mode="noisy_scenario1"), "commutant", True, True),
+        (SolverOptions(mode="noisy_scenario1"), "commutant", True, False),
         (SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9), "commutant", True, False),
     ],
     ids=["exact", "scenario1", "scenario2"],
 )
 def test_mode_picks_the_sjbd_route(monkeypatch, opts, route, refined, grouped):
-    # exact data takes the pencil; noisy data takes the commutant with the
-    # CPD refinement, whose blocks come grouped unless R is given
+    # exact data takes the pencil, whose blocks come grouped; noisy data
+    # takes the commutant with the CPD refinement, whose columns come
+    # ungrouped for Phase I to partition, whether R is given or detected
     import btd1.solver as solver_module
 
     solutions = []
@@ -910,12 +924,9 @@ def test_phase1_failures_name_q_as_the_report_does(kind, monkeypatch):
     assert not {"Q", "subspace_dim"} & set(details)
 
 
-def test_phase1_flags_low_matrix_count(monkeypatch):
-    # two V_q with two 2 x 2 blocks, fewer than the theorem's quorum of 3:
-    # every d summing to K = 4 has sum binom(d_r+1, 2) >= 4, so Phase I's
-    # own Q verdict fails whatever the S-JBD groups
-    import btd1.solver as solver_module
-
+def feed_two_matrix_stack(monkeypatch):
+    """Feed Phase I two V_q with two 2 x 2 blocks, fewer than the theorem's
+    quorum of 3, and return a tensor to run it on."""
     gen = rng(13)
     n = gen.standard_normal((4, 4))
     v = np.zeros((2, 4, 4))
@@ -924,16 +935,37 @@ def test_phase1_flags_low_matrix_count(monkeypatch):
             m = gen.standard_normal((2, 2))
             v[q, blk, blk] = (m + m.T) / 2
     v = n @ v @ n.T
-    monkeypatch.setattr(solver_module, "symmetric_null_matrices", lambda t, **kwargs: (v, None))
-    t = compose(random_btd((3, 6, 4), (2, 2), seed=0))
+    monkeypatch.setattr(solver, "symmetric_null_matrices", lambda t, **kwargs: (v, None))
+    return compose(random_btd((3, 6, 4), (2, 2), seed=0))
+
+
+def test_phase1_flags_low_matrix_count(monkeypatch):
+    # every d summing to K = 4 has sum binom(d_r+1, 2) >= 4, so Phase I's
+    # own Q verdict fails whatever the S-JBD groups; scenario 1 never
+    # reaches it, since two matrices leave a commutant wider than N (the
+    # scenario-1 warning is covered on real data by
+    # test_scenario1_single_reads_blocks_from_eigenvalue_gaps)
+    t = feed_two_matrix_stack(monkeypatch)
     with pytest.raises(SolverDiagnostic, match="structural assumption fails") as info:
         phase1_recover_A(t)
     assert info.value.diagnostics["Q_used"] == 2
-    *_, d, diag = phase1_recover_A(t, SolverOptions(mode="noisy_scenario1"))
-    assert diag["Q_used"] == 2 and q2_null_dim(d) != 2
-    assert diag["sjbd_status"] == (
-        "warning: Q does not match sum binom(d_r+1, 2); uniqueness guarantee does not apply"
+    with pytest.raises(SolverDiagnostic, match="a different number of groups than R"):
+        phase1_recover_A(t, SolverOptions(mode="noisy_scenario1"))
+
+
+def test_noisy_partition_failure_names_its_cause_and_carries_phase1_keys(monkeypatch):
+    # the commutant of two V_q is 7-dimensional, wider than N's 4 columns
+    t = feed_two_matrix_stack(monkeypatch)
+    with pytest.raises(SolverDiagnostic) as info:
+        decompose(t, SolverOptions(mode="noisy_scenario1"))
+    assert str(info.value) == (
+        "column clustering found a different number of groups than R; "
+        "R = 7 exceeds the 4 columns of N"
     )
+    details = info.value.diagnostics
+    assert (details["R"], details["found"]) == (7, 4)
+    assert (details["Q_used"], details["commutant_dim"], details["sum_d"]) == (2, 7, 4)
+    assert "q2_margin" in details and details["sjbd_route"] == "commutant"
 
 
 def test_low_coupling_margin_falls_back_with_a_warning(monkeypatch):
