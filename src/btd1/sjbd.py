@@ -26,6 +26,9 @@ eigendecomposition, by one of two routes.
   an exact tolerance lies below the rounding of the squared ones, and N
   and d come from that EVD alone.
 
+Both routes, and the solver's Case 3, take their EVD from one routine,
+:func:`_pencil_eig`.
+
 The data picks the route: exact data takes the pencil, noisy data the
 commutant with the refinement.  A problem is exact unless its number of
 blocks R is given or it is flagged noisy; given R, it is approximate and R
@@ -356,9 +359,10 @@ def _real_span(b):
 
 
 def _realify_blocks(blocks, means, tol):
+    """Real bases and real means when every mean is real at ``tol``; else both as given."""
     if any(abs(np.imag(m)) > tol * max(np.max(np.abs(means)), 1.0) for m in means):
-        return blocks, False
-    return [_real_span(b) for b in blocks], True
+        return blocks, means
+    return [_real_span(b) for b in blocks], means.real
 
 
 def _check_eigenvectors(rank, vecs, groups):
@@ -394,17 +398,38 @@ def _indices_by_label(labels):
     return [np.nonzero(labels == g)[0] for g in range(labels.max() + 1)]
 
 
-def _eigen_groups(z, cluster_tol, n_clusters=None):
-    """Eigenvectors of z grouped by near-equal eigenvalues.
+def _pencil_eig(w2, w1=None, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, n_clusters=None):
+    """The package's one EVD: of the pencil W_2 W_1^-1, or of W_2 alone.
 
-    Returns the eigenvector blocks and their mean eigenvalues, groups in
-    order of first appearance.  Raises :class:`SolverDiagnostic` when z is
-    numerically defective (:func:`_check_eigenvectors`).
+    One SVD of W_1 tests it (singular below full rank at ``tol``) and
+    inverts it.  The eigenvalues are grouped at ``cluster_tol`` (into
+    ``n_clusters`` when given) and :func:`_check_eigenvectors` reads the
+    eigenvector matrix's one SVD.  Returns (vecs, groups, means, svd): the
+    column indices and mean eigenvalue of each group, and (U, s, Vh) of
+    vecs.  Raises :class:`SolverDiagnostic` on a singular W_1, a failed EVD
+    or defective eigenvectors.
     """
-    vals, vecs = np.linalg.eig(z)
-    groups = _indices_by_label(_cluster_scalars(vals, cluster_tol, n_clusters=n_clusters))
-    _check_eigenvectors(numerical_rank(vecs, tol=1e-10), vecs, groups)
-    return [vecs[:, idx] for idx in groups], [vals[idx].mean() for idx in groups]
+    z = w2
+    if w1 is not None:
+        u, sv, vh = np.linalg.svd(w1)
+        rank, size = rank_cut(sv, tol), w1.shape[0]
+        if rank < size:
+            # the singular values on either side of the cut, below over above
+            ratio = float(sv[rank] / sv[rank - 1]) if rank else None
+            raise SolverDiagnostic(
+                "pencil combination W_1 is singular",
+                {"W1_rank": rank, "size": size, "W1_cut_ratio": ratio},
+            )
+        z = (w2 @ vh.conj().T / sv) @ u.conj().T
+    try:
+        vals, vecs = np.linalg.eig(z)
+    except np.linalg.LinAlgError as exc:
+        raise SolverDiagnostic(f"pencil EVD failed: {exc}", {"size": z.shape[0]}) from exc
+    svd = np.linalg.svd(vecs)
+    groups = _indices_by_label(_cluster_scalars(vals, cluster_tol, n_clusters))
+    _check_eigenvectors(rank_cut(svd[1], 1e-10), vecs, groups)
+    # sum / size: the bits of .mean() at a third of its cost (K groups per exact pencil)
+    return vecs, groups, np.array([vals[idx].sum() / idx.size for idx in groups]), svd
 
 
 def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
@@ -426,23 +451,10 @@ def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
     """
     # C order whatever the input's, so that every layout rounds alike
     vs = np.ascontiguousarray(v_list)
-    s = vs.shape[1]
     complex_input = np.iscomplexobj(vs)
     w = randn(rng(seed), (2, vs.shape[0]), "complex" if complex_input else "real")
     w1, w2 = np.tensordot(w, vs, axes=1)
-    u, sv, vh = np.linalg.svd(w1)
-    rank = rank_cut(sv, tol)
-    if rank < s:
-        raise SolverDiagnostic(
-            "pencil combination W_1 is singular", {"W1_rank": rank, "size": s}
-        )
-    try:
-        vals, p = np.linalg.eig((w2 @ vh.conj().T / sv) @ u.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise SolverDiagnostic(f"pencil EVD failed: {exc}", {"size": s}) from exc
-    u, sv, vh = np.linalg.svd(p)
-    groups = _indices_by_label(_cluster_scalars(vals, cluster_tol))
-    _check_eigenvectors(rank_cut(sv, 1e-10), p, groups)
+    p, _, _, (u, sv, vh) = _pencil_eig(w2, w1, tol, cluster_tol)
     p_inv = (vh.conj().T / sv) @ u.conj().T
     p_inv /= np.linalg.norm(p_inv, axis=1)[:, None]
     g = p_inv @ vs @ p_inv.T
@@ -471,18 +483,15 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     """
     if not u_mats:
         raise DimensionError("need at least one matrix")
-    gen = rng(seed)
     complex_input = any(np.iscomplexobj(u) for u in u_mats)
-    w = randn(gen, len(u_mats), "complex" if complex_input else "real")
+    w = randn(rng(seed), len(u_mats), "complex" if complex_input else "real")
     z = sum(wi * ui for wi, ui in zip(w, u_mats))
-    blocks, means = _eigen_groups(z, cluster_tol, n_clusters)
+    vecs, groups, means, _ = _pencil_eig(z, cluster_tol=cluster_tol, n_clusters=n_clusters)
+    blocks = [vecs[:, idx] for idx in groups]
     if not complex_input:
         blocks, _ = _realify_blocks(blocks, means, cluster_tol)
-    order = np.argsort([-b.shape[1] for b in blocks], kind="stable")
-    blocks = [blocks[i] for i in order]
-    n = np.hstack(blocks)
-    d = tuple(b.shape[1] for b in blocks)
-    return n, d
+    blocks.sort(key=lambda b: -b.shape[1])
+    return np.hstack(blocks), tuple(b.shape[1] for b in blocks)
 
 
 @SOLVE_ERRSTATE

@@ -45,8 +45,8 @@ from .linalg import (
 from .minors import n_sym, q2_null_dim, symmetric_null_matrices, total_block_size
 from .sjbd import (
     SJBDProblem,
-    _eigen_groups,
     _group_labels,
+    _pencil_eig,
     _realify_blocks,
     cluster_columns,
     solve_sjbd,
@@ -508,8 +508,9 @@ def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_term
     Assumes the second and third factor matrices of the underlying
     decomposition have full column rank and any two columns of the 2 x R
     first factor matrix are independent.  Two generic slice mixtures reduce
-    to a matrix pencil; eigenvalue multiplicities give the term sizes,
-    eigenvector groups the column spaces of the B_r.
+    to a matrix pencil, decomposed by the S-JBD's one routine
+    (:func:`sjbd._pencil_eig`); eigenvalue multiplicities give the term
+    sizes, eigenvector groups the column spaces of the B_r.
     """
     if q.dims[0] != 2:
         raise DimensionError("two-slice decomposition needs a 2 x J x K tensor")
@@ -522,26 +523,15 @@ def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_term
     u = orth(np.hstack([h1, h2]), dim=s)
     g1 = u.conj().T @ h1 @ np.conj(v)
     g2 = u.conj().T @ h2 @ np.conj(v)
-    gen = rng(seed)
     complex_input = np.iscomplexobj(h1)
-    mix = randn(gen, (2, 2), "complex" if complex_input else "real")
+    mix = randn(rng(seed), (2, 2), "complex" if complex_input else "real")
     s_a = mix[0, 0] * g1 + mix[0, 1] * g2
     s_b = mix[1, 0] * g1 + mix[1, 1] * g2
-    if numerical_rank(s_a, tol=tol) < s:
-        raise SolverDiagnostic("degenerate pencil: generic mixture is singular", {})
-    w = s_b @ np.linalg.inv(s_a)
-    blocks, means = _eigen_groups(w, cluster_tol, n_terms)
-    blocks = [orth(b, dim=b.shape[1]) for b in blocks]
+    vecs, groups, means, _ = _pencil_eig(s_b, s_a, tol, cluster_tol, n_terms)
+    blocks = [orth(vecs[:, idx], dim=idx.size) for idx in groups]
     if not complex_input:
-        blocks, realified = _realify_blocks(blocks, means, max(cluster_tol, 1e-8))
-        if realified:
-            means = [np.real(mn) for mn in means]
-    a = np.column_stack(
-        [
-            np.linalg.solve(mix, np.array([1.0, lam], dtype=np.result_type(mix, lam)))
-            for lam in means
-        ]
-    )
+        blocks, means = _realify_blocks(blocks, means, max(cluster_tol, 1e-8))
+    a = np.linalg.solve(mix, np.vstack([np.ones_like(means), means]))
     return _fit_third_factor(q, a, [u @ b for b in blocks])
 
 

@@ -116,6 +116,21 @@ def test_sjbd_imports_only_linalg_from_the_package():
     assert _package_imports(src / "sjbd.py") == {"linalg"}
 
 
+def test_one_function_calls_eig():
+    # every eigendecomposition of a general matrix, the exact S-JBD's
+    # pencil, the commutant EVD and Case 3's two-slice GEVD alike, goes
+    # through the one pencil routine of the S-JBD
+    src = Path(btd1.__file__).resolve().parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+                if any(ast.unparse(c.func) == "np.linalg.eig" for c in calls):
+                    callers.add((path.name, fn.name))
+    assert callers == {("sjbd.py", "_pencil_eig")}
+
+
 def test_benchmark_config_keywords_resolve():
     # perfbench/workloads.py builds these with exactly these keywords; a
     # dropped field would break the benchmark run, not the tier-1 suite

@@ -10,7 +10,7 @@ from btd1.sjbd import (
     SJBDProblem,
     _cluster_scalars,
     _commutant_gram,
-    _eigen_groups,
+    _pencil_eig,
     _single_linkage,
     build_commutant_matrix,
     cluster_columns,
@@ -486,9 +486,10 @@ def test_simultaneous_evd_defective_raises():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(SolverDiagnostic):
         simultaneous_evd_single([jordan], seed=0)
-    # the grouping shared with the two-slice GEVD names the shortfall
+    # the one pencil routine, shared with the two-slice GEVD, names the
+    # shortfall
     with pytest.raises(SolverDiagnostic, match="defective") as info:
-        _eigen_groups(jordan, 1e-6)
+        _pencil_eig(jordan)
     assert info.value.diagnostics == {"eigenvector_rank": 1, "size": 2}
 
 

@@ -252,6 +252,29 @@ def test_gevd_defective_pencil_raises(second, seed):
         gevd_two_slice_btd(t, seed=seed)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_noisy_case3_returns_or_names_the_singular_pencil(seed):
+    # the paper's case-3 shape at 50 dB: a run that does not return raises
+    # the pencil's named failure, with W_1's rank and cut and Phase I's
+    # decisions, never a raw LinAlgError.  The residual is not asserted:
+    # the returned runs are still far above the noise level
+    dims, sizes = (3, 14, 15), (2, 2, 2, 3, 3, 4)
+    t = add_noise(compose(random_btd(dims, sizes, seed=seed)), NoiseSpec(50, seed=seed))
+    opts = SolverOptions(mode="noisy_scenario2", known_R=6, known_sum_L=16, seed=seed)
+    try:
+        rep = decompose(t, opts)
+    except SolverDiagnostic as exc:
+        assert str(exc) == "pencil combination W_1 is singular"
+        details = exc.diagnostics
+        assert details["W1_rank"] < details["size"]
+        assert 0 < details["W1_cut_ratio"] < 1
+        assert {"Q_used", "q2_margin", "sum_d", "sjbd_route", "commutant_dim"} <= set(details)
+        assert details["case_considered"] == 3
+    else:
+        assert rep.case_used == 3
+        assert len(rep.detected_L) == 6 and sum(rep.detected_L) == 16
+
+
 def test_estimate_L_from_d():
     assert estimate_L_from_d((1, 2, 3), 8, 3) == (2, 3, 4)
     assert estimate_L_from_d((1, 2, 3, 4), 10, 4) == (1, 2, 3, 4)
@@ -825,7 +848,8 @@ def _svd_caller():
     ids=["case1", "case1-compressed", "case2", "case3"],
 )
 def test_decompose_factors_each_matrix_once(monkeypatch, dims, sizes, case, field):
-    # every rank decision reads the SVD that gives its basis or factors.  Two
+    # every rank decision reads the SVD that gives its basis, factors or
+    # inverse, so no matrix is ranked by an SVD and then inverted.  Two
     # repeats are left: the two-slice GEVD's orthonormal basis of an
     # eigenvector group whose rank _check_eigenvectors has checked (sharing
     # it would change the raw eigenvector blocks), and the rank of A, which
@@ -841,20 +865,23 @@ def test_decompose_factors_each_matrix_once(monkeypatch, dims, sizes, case, fiel
 
     first = {}
     repeats = []
-    svd = np.linalg.svd
 
-    def recording(m, *args, **kwargs):
-        m = np.asarray(m)
-        caller = _svd_caller()
-        key, key_t = digest(m), digest(m.T)
-        earlier = first.get(key, first.get(key_t))
-        if earlier is None:
-            first[key] = caller
-        elif (earlier, caller) not in allowed:
-            repeats.append((m.shape, earlier, caller))
-        return svd(m, *args, **kwargs)
+    def recording(factor):
+        def recorded(m, *args, **kwargs):
+            m = np.asarray(m)
+            caller = _svd_caller()
+            key, key_t = digest(m), digest(m.T)
+            earlier = first.get(key, first.get(key_t))
+            if earlier is None:
+                first[key] = caller
+            elif (earlier, caller) not in allowed:
+                repeats.append((m.shape, earlier, caller))
+            return factor(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+        return recorded
+
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "inv", recording(np.linalg.inv))
     rep = decompose(compose(random_btd(dims, sizes, field=field, seed=1)))
     assert rep.case_used == case
     assert first and repeats == []
