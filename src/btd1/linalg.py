@@ -164,18 +164,13 @@ def null_space(a, tol=DEFAULT_RANK_TOL, dim=None):
     regardless of threshold (the noisy-pipeline convention).  Only the right
     singular vectors are used, so the SVD is thin unless a is wide: an
     m x n matrix with m < n needs the full n x n Vh to reach its null
-    vectors.  A tall matrix (m >= 2n) is first reduced to its n x n QR
-    factor R, which has its singular values and right singular vectors:
-    the SVD then forms no m x n left factor.
+    vectors.
     """
     a = np.asarray(a)
     m, n = a.shape
     if m == 0:
         q = n if dim is None else dim
         return np.eye(n)[:, :q]
-    if m >= 2 * n:
-        a = np.linalg.qr(a, mode="r")
-        m = n
     try:
         _, s, vh = np.linalg.svd(a, full_matrices=m < n)
     except np.linalg.LinAlgError:

@@ -12,19 +12,16 @@ eigendecomposition, by one of two routes.
   max_q |G_q[i, j]| / ||G_q||, cut at ``COUPLING_CUT``, and R is their
   count (Murota, Kanno, Kojima & Kojima, Japan J. Indust. Appl. Math.
   27(1), 2010).  The coupling margin, the smallest coupling kept over the
-  largest one dropped, is R's margin.
-* **Commutant.**  The commutant subspace {U : U V_q = V_q U.T for all q}
-  has a basis U_1..U_R that N diagonalizes simultaneously, the null space
-  of a Q K(K-1)/2 x K^2 system M.  For noisy data the basis is the R
+  largest one dropped, is R's margin; below ``COUPLING_MARGIN_FLOOR`` the
+  blocks may mix, and are kept with a warning.
+* **Commutant** (noisy data).  The commutant subspace {U : U V_q = V_q
+  U.T for all q} has a basis U_1..U_R that N diagonalizes simultaneously,
+  the null space of a Q K(K-1)/2 x K^2 system M.  The basis is the R
   smallest eigenvectors of the K^2 x K^2 Gram matrix M^H M, built from two
   contractions of the V_q without M, with R given or cut at the rank
   tolerance; N comes ungrouped from a least-squares rank-one tensor
   refinement of the EVD of one generic combination of the U_r (De
-  Lathauwer, SIMAX 28(3), 2006), for the caller to partition.  For exact
-  data whose pencil is singular, defective or has a margin below
-  ``COUPLING_MARGIN_FLOOR``, R is cut from M's own singular values, since
-  an exact tolerance lies below the rounding of the squared ones, and N
-  and d come from that EVD alone.
+  Lathauwer, SIMAX 28(3), 2006), for the caller to partition.
 
 Both routes, and the solver's Case 3, take their EVD from one routine,
 :func:`_pencil_eig`.
@@ -51,7 +48,6 @@ from .linalg import (
     frobenius_norm,
     khatri_rao,
     lstsq,
-    null_space,
     numerical_rank,
     orth,
     randn,
@@ -77,9 +73,9 @@ SYMMETRY_TOL = 1e-12
 # a coupling of two pencil eigenvectors above this joins their blocks; exact
 # data puts the couplings across blocks at rounding level
 COUPLING_CUT = 1e-6
-# the pencil's blocks are trusted only when the smallest coupling kept
-# exceeds the largest one dropped by this factor; exact instances measure
-# 1e10 to 1e14
+# below this ratio of the smallest coupling kept to the largest one dropped
+# the pencil's blocks may mix, and are kept with a warning; exact instances
+# measure 1e10 to 1e14
 COUPLING_MARGIN_FLOOR = 1e4
 # weight of the identity slice that stands in for the last commutant basis
 # matrix in the CPD refinement
@@ -97,9 +93,9 @@ CPD_STEP_GROW = 1.5
 CPD_STEP_MAX = 50.0
 CPD_STEP_MIN = 1.1
 # the eigenvalues of the commutant Gram carry rounding of about K^2 eps
-# lambda_max; a squared tolerance this factor above that reads R from the
-# Gram as M's singular values would, while the exact tolerances (1e-8,
-# 1e-10) cut below it and stay on M
+# lambda_max; R counts those at most this factor above that rounding, or
+# at most tol^2 lambda_max when tol^2 is higher, so a tolerance the Gram
+# cannot resolve (an exact one, 1e-8 or 1e-10) is cut at its rounding
 GRAM_CUT_MARGIN = 1e4
 
 
@@ -172,6 +168,8 @@ class SJBDSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+# only the tests call this (as the reference for the Gram), but
+# perfbench/tracing.py hooks it by name
 def build_commutant_matrix(v_list):
     """Q K(K-1)/2 x K^2 matrix whose null space is
     {vec(U) : U V_q = V_q U.T for all q} (column-major vec).
@@ -216,40 +214,31 @@ def _commutant_gram(vs):
 def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
     """Basis U_1..U_R of the commutant subspace of the symmetric V_q.
 
-    R is ``dim`` when given (noisy data, whose exact null space is only the
-    span of the vectorized identity), and otherwise the null-space
-    dimension of the Q K(K-1)/2 x K^2 matrix M of
-    :func:`build_commutant_matrix`, cut at ``tol`` relative to its largest
-    singular value.  Two routes give the basis.
-
-    * **Gram.**  The eigenvectors of the R smallest eigenvalues of M^H M
-      (:func:`_commutant_gram`), so M is never formed; without ``dim``, R
-      counts the eigenvalues at most tol^2 lambda_max, the squares of the
-      singular values M's own cut keeps.  They come in decreasing order of
-      eigenvalue, as right singular vectors do, so that the identity
-      direction is the last matrix: :func:`simultaneous_evd_cpd` replaces
-      that one.  This route runs whenever ``dim`` is given or tol^2 clears
-      the Gram's rounding, about K^2 eps lambda_max, by ``GRAM_CUT_MARGIN``:
-      every noisy tolerance (1e-2 by default).
-    * **Formed.**  M's null space at ``tol``, for the exact tolerances (1e-8,
-      1e-10), whose squares lie below that rounding; the same reason Phase I
-      corrects its own Gram basis.  It is the one reason M is still formed.
+    The basis is the eigenvectors of the R smallest eigenvalues of M^H M
+    (:func:`_commutant_gram`), for the Q K(K-1)/2 x K^2 commutant matrix M,
+    which is never formed.  R is ``dim`` when given (noisy data, whose
+    exact null space is only the span of the vectorized identity).
+    Otherwise R counts the eigenvalues at most tol^2 lambda_max, the
+    squares of the singular values M's own cut at ``tol`` keeps, with the
+    cut raised to the Gram's rounding, ``GRAM_CUT_MARGIN`` K^2 eps
+    lambda_max, when tol^2 lies below it.  The eigenvectors come in
+    decreasing order of eigenvalue, as right singular vectors do, so that
+    the identity direction is the last matrix: :func:`simultaneous_evd_cpd`
+    replaces that one.
 
     Stacking every equation twice, as all of vec(U V_q - V_q U.T) does,
-    would scale each singular value by sqrt(2) and keep the right singular
-    vectors, so neither route depends on it.  Assumes the slices span, i.e.
-    K = sum d_r; :func:`solve_sjbd` compresses first when they do not.
+    would scale each eigenvalue by 2 and keep the eigenvectors, so the
+    basis does not depend on it.  Assumes the slices span, i.e. K = sum
+    d_r; :func:`solve_sjbd` compresses first when they do not.
     """
     # C order whatever the input's, so that every layout rounds alike
     vs = np.ascontiguousarray(v_list)
     k = vs.shape[1]
-    if dim is None and tol**2 <= GRAM_CUT_MARGIN * k * k * np.finfo(float).eps:
-        basis = null_space(build_commutant_matrix(vs), tol=tol)
-    else:
-        lam, vecs = np.linalg.eigh(_commutant_gram(vs))
-        if dim is None:
-            dim = int(np.count_nonzero(lam <= tol**2 * lam[-1]))
-        basis = vecs[:, :dim][:, ::-1]
+    lam, vecs = np.linalg.eigh(_commutant_gram(vs))
+    if dim is None:
+        cut = max(tol**2, GRAM_CUT_MARGIN * k * k * np.finfo(float).eps)
+        dim = int(np.count_nonzero(lam <= cut * lam[-1]))
+    basis = vecs[:, :dim][:, ::-1]
     mats = [basis[:, i].reshape(k, k, order="F") for i in range(basis.shape[1])]
     return len(mats), mats
 
@@ -653,20 +642,21 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     given and otherwise the numerical rank at ``rank_tol``.
 
     ``noisy`` marks the V_q as perturbed; a given ``hint_R`` implies it.
-    Exact data takes the pencil route (:func:`pencil_blocks`); it falls
-    back to the commutant route with the single-combination EVD when W_1 is
-    singular at ``rank_tol``, when the pencil is defective, or when the
-    coupling margin is below ``COUPLING_MARGIN_FLOOR``, and
-    ``diagnostics["sjbd_fallback"]`` says which (a ``warning:`` for the
-    margin).  Noisy data takes the commutant route with the CPD refinement
-    (:func:`simultaneous_evd_cpd`), even with R detected rather than given:
-    noise couples every pair of pencil eigenvectors above any cut, leaving
-    one block with no margin to doubt it.  R is detected at ``rank_tol``
-    unless ``hint_R`` gives it.  Each decision is written once into
-    ``diagnostics``, under the key :class:`solver.SolveReport` shows: s is
-    ``sum_d``, ``sjbd_route`` names the route that ran, the pencil records
-    ``coupling_margin``, the commutant ``commutant_dim`` (R) and, for noisy
-    data, ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.
+    Exact data takes the pencil route (:func:`pencil_blocks`) and nothing
+    else: a W_1 singular at ``rank_tol`` or a defective pencil raises the
+    pencil's :class:`SolverDiagnostic`, and a coupling margin below
+    ``COUPLING_MARGIN_FLOOR`` keeps the pencil's blocks with a ``warning:``
+    under ``coupling_status`` that they may mix (the caller's residual
+    check judges them).  Noisy data takes the commutant route with the CPD
+    refinement (:func:`simultaneous_evd_cpd`), even with R detected rather
+    than given: noise couples every pair of pencil eigenvectors above any
+    cut, leaving one block with no margin to doubt it.  R is detected at
+    ``rank_tol`` unless ``hint_R`` gives it.  Each decision is written once
+    into ``diagnostics``, under the key :class:`solver.SolveReport` shows: s
+    is ``sum_d``, ``sjbd_route`` names the route that ran, the pencil
+    records ``coupling_margin``, the commutant ``commutant_dim`` (R),
+    ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.  A
+    failure carries the diagnostics written before it.
 
     Exact data gets the columns of N grouped into blocks of sizes d; noisy
     data gets N ungrouped with d = None, for the caller to partition into
@@ -688,48 +678,39 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     else:
         u_s = None
 
-    route = "commutant"
-    if not noisy:
-        try:
-            n_sub, d, margin = pencil_blocks(
-                vs, seed=seed, tol=rank_tol, cluster_tol=cluster_tol
-            )
-        except SolverDiagnostic as exc:
-            diagnostics["sjbd_fallback"] = str(exc)
-        else:
-            diagnostics["coupling_margin"] = margin
-            if margin is not None and margin < COUPLING_MARGIN_FLOOR:
-                diagnostics["sjbd_fallback"] = (
-                    f"warning: pencil coupling margin {margin:.1e} is below "
-                    f"{COUPLING_MARGIN_FLOOR:.0e}; blocks taken from the commutant"
-                )
-            else:
-                route = "pencil"
-    diagnostics["sjbd_route"] = route
-
-    if route == "commutant":
-        try:
+    route = "commutant" if noisy else "pencil"
+    try:
+        if noisy:
+            diagnostics["sjbd_route"] = route
             r_found, u_mats = commutant_basis(vs, tol=rank_tol, dim=problem.hint_R)
             if r_found < 1:
                 raise SolverDiagnostic("empty commutant basis", {"R": r_found})
             diagnostics["commutant_dim"] = int(r_found)
-            if noisy:
-                d = None
-                n_sub, converged, fit, sweeps = simultaneous_evd_cpd(
-                    u_mats, r_found, seed=seed, cluster_tol=cluster_tol
+            d = None
+            n_sub, converged, fit, sweeps = simultaneous_evd_cpd(
+                u_mats, r_found, seed=seed, cluster_tol=cluster_tol
+            )
+            diagnostics["cpd_status"] = (
+                "ok" if converged else "warning: CPD refinement hit max iterations"
+            )
+            diagnostics["cpd_fit"] = float(fit)
+            diagnostics["cpd_iters"] = int(sweeps)
+            diagnostics["cpd_converged"] = converged
+        else:
+            n_sub, d, margin = pencil_blocks(
+                vs, seed=seed, tol=rank_tol, cluster_tol=cluster_tol
+            )
+            diagnostics["coupling_margin"] = margin
+            diagnostics["sjbd_route"] = route
+            if margin is not None and margin < COUPLING_MARGIN_FLOOR:
+                diagnostics["coupling_status"] = (
+                    f"warning: pencil coupling margin {margin:.1e} is below "
+                    f"{COUPLING_MARGIN_FLOOR:.0e}; its blocks may mix"
                 )
-                diagnostics["cpd_status"] = (
-                    "ok" if converged else "warning: CPD refinement hit max iterations"
-                )
-                diagnostics["cpd_fit"] = float(fit)
-                diagnostics["cpd_iters"] = int(sweeps)
-                diagnostics["cpd_converged"] = converged
-            else:
-                n_sub, d = simultaneous_evd_single(u_mats, seed=seed, cluster_tol=cluster_tol)
-        except SolverDiagnostic as exc:
-            # a failure names the route that ran and why the pencil did not
-            exc.diagnostics.update(diagnostics)
-            raise
+    except SolverDiagnostic as exc:
+        # a failure names the route that ran
+        exc.diagnostics.update(diagnostics, sjbd_route=route)
+        raise
 
     n = u_s @ n_sub if u_s is not None else n_sub
     return SJBDSolution(N=n, d=d, diagnostics=diagnostics)

@@ -463,6 +463,27 @@ def singular_pencil_instance(k, field="real", seed=0, q=4):
     return v_list
 
 
+def near_degenerate_btd(dims, sizes, field, seed, variant="plain", eps=0.0):
+    """``random_btd`` with one near-degeneracy.  ``"scale"`` multiplies the
+    first term by ``eps``; ``"a_collinear"`` sets a_2 = a_1 + eps a_2;
+    ``"b_collinear"`` (``"c_collinear"``) sets the first column of B_2
+    (C_2) to that of B_1 (C_1) plus eps times its own.  ``"plain"`` is the
+    draw as it is."""
+    truth = random_btd(dims, sizes, field, seed=seed)
+    a = np.array(truth.A)
+    terms = [(np.array(b), np.array(c)) for b, c in truth.terms]
+    if variant == "scale":
+        terms[0] = (eps * terms[0][0], terms[0][1])
+    elif variant == "a_collinear":
+        a[:, 1] = a[:, 0] + eps * a[:, 1]
+    elif variant in ("b_collinear", "c_collinear"):
+        f = 0 if variant == "b_collinear" else 1
+        terms[1][f][:, 0] = terms[0][f][:, 0] + eps * terms[1][f][:, 0]
+    elif variant != "plain":
+        raise ValueError(f"unknown variant {variant!r}")
+    return BlockTermDecomposition(a, terms)
+
+
 def phase1_failure(kind, monkeypatch):
     """A tensor on which exact Phase I raises one of its own two failures,
     with the failure's message and Q_used.  ``"trivial"``: an unstructured

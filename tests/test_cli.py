@@ -154,13 +154,13 @@ def test_decompose_reports_the_sjbd_route(runner, tmp_path, monkeypatch):
     assert diagnostics["coupling_margin"] > sjbd_module.COUPLING_MARGIN_FLOOR
     assert "commutant_dim" not in diagnostics
     assert res.stderr == ""
-    # a margin below the floor sends Phase I to the commutant, with a warning
+    # a margin below the floor keeps the pencil's blocks, with a warning
     monkeypatch.setattr(sjbd_module, "COUPLING_MARGIN_FLOOR", 1e30)
     res = runner.invoke(main, ["decompose", str(out)])
     assert res.exit_code == 0, res.output
     diagnostics = json.loads(res.stdout)["diagnostics"]
-    assert diagnostics["sjbd_route"] == "commutant"
-    assert res.stderr.splitlines() == [f"sjbd_fallback: {diagnostics['sjbd_fallback']}"]
+    assert diagnostics["sjbd_route"] == "pencil"
+    assert res.stderr.splitlines() == [f"coupling_status: {diagnostics['coupling_status']}"]
     assert "below 1e+30" in res.stderr
 
 
@@ -273,8 +273,8 @@ def test_decompose_phase2_failure_details_carry_phase1(runner, tmp_path, dims, s
 
 def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, monkeypatch):
     # a minor matrix whose null matrices make every pencil combination
-    # singular: the commutant route fails as well, and the exit-3 details
-    # carry Phase I's Q_used and the S-JBD's sum_d
+    # singular: the exit-3 details carry the pencil's rank and cut, Phase
+    # I's Q_used and the S-JBD's sum_d
     import btd1.solver as solver_module
     from helpers import singular_pencil_instance
 
@@ -289,9 +289,12 @@ def test_decompose_sjbd_failure_details_use_the_report_names(runner, tmp_path, m
     )
     res = runner.invoke(main, ["decompose", str(out)])
     assert res.exit_code == 3, res.output
-    details = json.loads(res.output)["details"]
+    payload = json.loads(res.output)
+    assert payload["diagnostic"] == "pencil combination W_1 is singular"
+    details = payload["details"]
     assert (details["Q_used"], details["sum_d"]) == (4, 3)
-    assert details["sjbd_fallback"] == "pencil combination W_1 is singular"
+    assert (details["W1_rank"], details["size"], details["sjbd_route"]) == (2, 3, "pencil")
+    assert 0 <= details["W1_cut_ratio"] < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["trivial", "mismatch"])

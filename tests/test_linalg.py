@@ -120,7 +120,7 @@ def test_null_space_survives_svd_nonconvergence(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     gen = rng(5)
-    # 12 rows go to the SVD whole, 30 through their QR factor first
+    # 12 and 30 rows: both go to the gesvd retry whole
     for m in (12, 30):
         a = gen.standard_normal((m, 4)) @ gen.standard_normal((4, 7))
         want = null_space(a, tol=1e-10)

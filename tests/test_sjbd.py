@@ -141,11 +141,12 @@ def test_noisy_tolerance_cuts_the_gram_as_the_formed_matrix(monkeypatch, d, k, f
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 def test_exact_tolerances_keep_the_formed_commutant_matrix(monkeypatch, tol):
-    # an exact tolerance lies below the rounding of the Gram's spectrum
+    # an exact tolerance lies below the rounding of the Gram's spectrum, and
+    # is cut at that rounding: M is never formed
     def refuse(vs):
-        raise AssertionError("an exact tolerance took the commutant Gram")
+        raise AssertionError("an exact tolerance formed the commutant matrix")
 
-    monkeypatch.setattr(sjbd, "_commutant_gram", refuse)
+    monkeypatch.setattr(sjbd, "build_commutant_matrix", refuse)
     d = (1, 2, 3)
     _, _, v_list = make_instance(d, sum(d), seed=3)
     r, _ = commutant_basis(v_list, tol=tol)
@@ -618,7 +619,7 @@ def test_exact_solve_takes_the_pencil_route(d, field, seed):
     problem = SJBDProblem(tuple(v_list))
     sol = solve_sjbd(problem, seed=seed)
     assert sol.diagnostics["sjbd_route"] == "pencil"
-    assert "sjbd_fallback" not in sol.diagnostics
+    assert "coupling_status" not in sol.diagnostics
     assert "commutant_dim" not in sol.diagnostics
     assert sol.d == tuple(sorted(d, reverse=True))
     remaining = true_blocks(n_true, d)
@@ -634,11 +635,13 @@ def test_singular_pencil_falls_back_to_the_commutant(field):
     from btd1.linalg import SolverDiagnostic
 
     v_list = singular_pencil_instance(5, field, seed=3)
-    # the commutant of this block holds a nilpotent element, so the commutant
-    # route fails too, and its diagnostic says why the pencil did not run
-    with pytest.raises(SolverDiagnostic, match="defective") as info:
+    # exact data has no route but the pencil: its singular W_1 is the
+    # failure, named with its rank and cut, and the S-JBD's own keys
+    with pytest.raises(SolverDiagnostic) as info:
         solve_sjbd(SJBDProblem(tuple(v_list)))
+    assert str(info.value) == "pencil combination W_1 is singular"
     details = info.value.diagnostics
-    assert details["sjbd_route"] == "commutant"
-    assert details["sjbd_fallback"] == "pencil combination W_1 is singular"
+    assert (details["W1_rank"], details["size"], details["sum_d"]) == (2, 3, 3)
+    assert 0 <= details["W1_cut_ratio"] < 1e-8
+    assert details["sjbd_route"] == "pencil"
     assert "coupling_margin" not in details

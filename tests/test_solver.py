@@ -38,6 +38,7 @@ from btd1.solver import (
 )
 
 from helpers import (
+    near_degenerate_btd,
     per_column_unfolding_directions,
     phase1_failure,
     shared_columns_instance,
@@ -551,6 +552,23 @@ def test_scenario1_never_forms_the_commutant_matrix(monkeypatch, field):
     assert rep.diagnostics["commutant_dim"] == len(rep.detected_d)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scenario1_below_the_gram_floor_never_forms_the_commutant_matrix(monkeypatch, seed):
+    # a rank tolerance whose square lies below the Gram's rounding is cut at
+    # that rounding, on the Gram, and still reads the structure
+    def refuse(v_list):
+        raise AssertionError("scenario 1 formed the commutant matrix")
+
+    monkeypatch.setattr(sjbd, "build_commutant_matrix", refuse)
+    t = compose(random_btd((3, 9, 10), (1, 2, 3, 4), seed=seed))
+    rep = decompose(
+        add_noise(t, NoiseSpec(120.0, seed=seed + 1)),
+        SolverOptions(mode="noisy_scenario1", rank_tol=1e-6),
+    )
+    assert rep.detected_d == rep.detected_L == (4, 3, 2, 1)
+    assert rep.diagnostics["commutant_dim"] == 4
+
+
 def test_scenario2_at_6x20x20():
     truth = random_btd((6, 20, 20), (4,) * 5, seed=7)
     t = add_noise(compose(truth), NoiseSpec(snr_db=35.0, seed=8))
@@ -781,7 +799,7 @@ def _documented_diagnostics():
 
 def test_every_diagnostics_key_is_documented(monkeypatch):
     # exact (compressed), scenario 1 (with its Q warning), scenario 2
-    # (compressed) and the low-margin fallback between them emit every key
+    # (compressed) and the low-margin warning between them emit every key
     import btd1.sjbd as sjbd_module
 
     def noisy(dims, sizes, seed):
@@ -921,10 +939,40 @@ def test_exact_structure_table(dims, sizes, d, l, case, q, sum_d, field, seed):
     assert "commutant_dim" not in diag
 
 
+NEAR_DEGENERATE_SHAPES = [
+    ((3, 8, 8), (2, 3, 4)),
+    ((3, 9, 10), (1, 2, 3, 4)),
+    ((3, 14, 15), (2, 2, 2, 3, 3, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "dims,sizes",
+    NEAR_DEGENERATE_SHAPES,
+    ids=["x".join(map(str, dims)) for dims, _ in NEAR_DEGENERATE_SHAPES],
+)
+def test_exact_near_degenerate_draws_return_on_the_pencil_or_name_the_failure(dims, sizes):
+    # a term scaled down, two columns of A or of B nearly collinear: exact
+    # mode returns a pencil decomposition that fits, or a diagnostic; the
+    # plain draws return
+    variants = [("plain", 0.0), ("scale", 1e-5), ("a_collinear", 1e-6), ("b_collinear", 1e-6)]
+    for field in ("real", "complex"):
+        for seed in (0, 1):
+            for variant, eps in variants:
+                t = compose(near_degenerate_btd(dims, sizes, field, seed, variant, eps))
+                try:
+                    rep = decompose(t)
+                except SolverDiagnostic:
+                    assert variant != "plain"
+                    continue
+                assert rep.residual <= 1e-6
+                assert rep.diagnostics["sjbd_route"] == "pencil"
+                assert "coupling_status" not in rep.diagnostics
+
+
 def test_exact_decompose_reports_a_singular_pencil(monkeypatch):
-    # Phase I fed matrices whose every combination is singular: the pencil
-    # is skipped, and the commutant route's failure is a diagnostic naming
-    # both routes, never a raw LinAlgError
+    # Phase I fed matrices whose every combination is singular: the pencil's
+    # failure is a diagnostic naming its rank and cut, never a raw LinAlgError
     import btd1.solver as solver_module
 
     v_list = singular_pencil_instance(5, seed=3)
@@ -933,11 +981,14 @@ def test_exact_decompose_reports_a_singular_pencil(monkeypatch):
     )
     with pytest.raises(SolverDiagnostic) as info:
         decompose(compose(random_btd((3, 8, 5), (2, 3), seed=1)))
+    assert str(info.value) == "pencil combination W_1 is singular"
     details = info.value.diagnostics
-    assert details["sjbd_route"] == "commutant"
-    assert details["sjbd_fallback"] == "pencil combination W_1 is singular"
+    assert details["sjbd_route"] == "pencil"
+    assert (details["W1_rank"], details["size"]) == (2, 3)
+    assert 0 <= details["W1_cut_ratio"] < 1e-8
     # Phase I's diagnostics ride along, under the report's names
     assert (details["Q_used"], details["sum_d"]) == (4, 3)
+    assert "q2_margin" in details
     assert not {"Q", "subspace_dim"} & set(details)
 
 
@@ -996,19 +1047,43 @@ def test_noisy_partition_failure_names_its_cause_and_carries_phase1_keys(monkeyp
 
 
 def test_low_coupling_margin_falls_back_with_a_warning(monkeypatch):
+    # a margin below the floor keeps the pencil's blocks, bit for bit, and
+    # warns that they may mix; the residual check still judges them
     import btd1.sjbd as sjbd_module
 
     t = compose(random_btd((3, 8, 8), (2, 3, 4), seed=1))
-    pencil = decompose(t)
+    pencil, pencil_n = decompose(t), phase1_recover_A(t)[2]
     monkeypatch.setattr(sjbd_module, "COUPLING_MARGIN_FLOOR", 1e30)
     rep = decompose(t)
     diag = rep.diagnostics
-    assert diag["sjbd_route"] == "commutant"
-    assert diag["sjbd_fallback"].startswith("warning: pencil coupling margin")
+    assert diag["sjbd_route"] == "pencil"
+    assert diag["coupling_status"] == (
+        f"warning: pencil coupling margin {diag['coupling_margin']:.1e} is below 1e+30; "
+        "its blocks may mix"
+    )
     assert diag["coupling_margin"] == pencil.diagnostics["coupling_margin"]
-    assert diag["commutant_dim"] == 3
+    assert "commutant_dim" not in diag
+    assert np.array_equal(phase1_recover_A(t)[2], pencil_n)
     assert rep.detected_d == pencil.detected_d == (3, 2, 1)
+    assert np.array_equal(rep.decomposition.A, pencil.decomposition.A)
+    for (b, c), (b_0, c_0) in zip(rep.decomposition.terms, pencil.decomposition.terms):
+        assert np.array_equal(b, b_0) and np.array_equal(c, c_0)
     assert rep.residual < 1e-10
+
+
+@pytest.mark.parametrize("field,seed", [("real", 2), ("complex", 0)])
+def test_collinear_third_factor_columns_warn_of_a_low_margin(field, seed):
+    # C_2's first column 1e-6 from C_1's leaves the pencil a margin between
+    # 1e2 and 1e3: its blocks are kept with the warning, and the residual
+    # check, which they fail, carries it
+    t = compose(near_degenerate_btd((2, 7, 7), (3, 4), field, seed, "c_collinear", 1e-6))
+    with pytest.raises(SolverDiagnostic, match="exact-mode reconstruction failed") as info:
+        decompose(t)
+    details = info.value.diagnostics
+    assert details["sjbd_route"] == "pencil"
+    assert 1e2 < details["coupling_margin"] < 1e3
+    assert details["coupling_status"].startswith("warning: pencil coupling margin")
+    assert details["residual"] > 1e-6
 
 
 def test_exact_failure_names_the_structure_phase1_found():
