@@ -6,8 +6,9 @@ CSV), ``check`` (uniqueness report for dimensions or a decomposition file,
 optionally with finite-field certification).
 
 Exit codes: 0 success, 2 input error, 3 solver diagnostic.  ``decompose``
-prints each warning in the solver's diagnostics (for instance a CPD
-refinement that hit its iteration cap) to stderr, one line each.  Its
+prints each warning in the solver's diagnostics, a failure's included (for
+instance a CPD refinement that hit its iteration cap), to stderr, one line
+each.  Its
 relative rank tolerance is ``--rank-tol`` when given (strictly between 0
 and 1), else 1e-8 in exact mode and 1e-2 in the noisy modes;
 ``--known-r`` and ``--known-suml`` apply to scenario 2 only.  The mode also picks the S-JBD route:
@@ -19,6 +20,7 @@ noisy data (``decompose`` in scenario 1 or 2, and every noisy trial of
 
 import json
 import math
+import os
 import sys
 
 import click
@@ -95,12 +97,18 @@ def generate(dims, sizes, field_tag, seed, snr, out, truth_out):
         t = add_noise(t, NoiseSpec(snr_db=snr_db[0], seed=seed + 1))
         fileio.write_tensor(out, t)
         if truth_out is None:
-            truth_out = out.rsplit(".", 1)[0] + ".truth.json"
+            truth_out = os.path.splitext(out)[0] + ".truth.json"
         fileio.write_decomposition(truth_out, truth)
     except (DimensionError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     click.echo(f"wrote {out} and {truth_out}")
+
+
+def _echo_warnings(diagnostics):
+    for key, value in diagnostics.items():
+        if isinstance(value, str) and value.startswith("warning"):
+            click.echo(f"{key}: {value}", err=True)
 
 
 @main.command("decompose")
@@ -132,12 +140,11 @@ def decompose_cmd(tensor_file, mode, known_r, known_suml, rank_tol, seed, out):
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except SolverDiagnostic as exc:
+        _echo_warnings(exc.diagnostics)
         payload = {"diagnostic": str(exc), "details": exc.diagnostics}
         click.echo(json.dumps(payload, indent=1))
         sys.exit(3)
-    for key, value in report.diagnostics.items():
-        if isinstance(value, str) and value.startswith("warning"):
-            click.echo(f"{key}: {value}", err=True)
+    _echo_warnings(report.diagnostics)
     payload = json.dumps(report.to_dict(), indent=1)
     if out:
         with open(out, "w") as fh:

@@ -212,7 +212,8 @@ def _commutant_gram(vs):
 
 
 def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
-    """Basis U_1..U_R of the commutant subspace of the symmetric V_q.
+    """Basis U_1..U_R of the commutant subspace of the symmetric V_q, as
+    an (R, K, K) stack.
 
     The basis is the eigenvectors of the R smallest eigenvalues of M^H M
     (:func:`_commutant_gram`), for the Q K(K-1)/2 x K^2 commutant matrix M,
@@ -238,9 +239,8 @@ def commutant_basis(v_list, tol=DEFAULT_RANK_TOL, dim=None):
     if dim is None:
         cut = max(tol**2, GRAM_CUT_MARGIN * k * k * np.finfo(float).eps)
         dim = int(np.count_nonzero(lam <= cut * lam[-1]))
-    basis = vecs[:, :dim][:, ::-1]
-    mats = [basis[:, i].reshape(k, k, order="F") for i in range(basis.shape[1])]
-    return len(mats), mats
+    # column i of the basis is vec(U_i), column-major
+    return vecs[:, :dim][:, ::-1].T.reshape(-1, k, k).transpose(0, 2, 1)
 
 
 def _single_linkage(dist, cut=0.0, n_clusters=None):
@@ -333,12 +333,6 @@ def cluster_columns(x, n_clusters):
     sim = np.abs(cols.conj().T @ cols)
     # rounding can push |cos| of parallel columns just above 1
     return _single_linkage(np.maximum(1.0 - sim, 0.0), n_clusters=n_clusters)[0]
-
-
-def _group_labels(labels):
-    """Stable column order that groups integer labels 0, 1, ... (as
-    :func:`cluster_columns` returns them), and the group sizes."""
-    return np.argsort(labels, kind="stable"), tuple(int(x) for x in np.bincount(labels))
 
 
 def _real_span(b):
@@ -470,7 +464,7 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     give the block sizes d_r and the grouped eigenvectors give N.  Raises
     :class:`SolverDiagnostic` when Z is numerically defective.
     """
-    if not u_mats:
+    if len(u_mats) == 0:
         raise DimensionError("need at least one matrix")
     complex_input = any(np.iscomplexobj(u) for u in u_mats)
     w = randn(rng(seed), len(u_mats), "complex" if complex_input else "real")
@@ -595,38 +589,37 @@ def cpd_als(tensor, init):
 def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6):
     """Joint diagonalizer via a rank-one tensor fit of the stacked basis.
 
-    The basis matrices are stacked into a tensor whose exact decomposition
-    is U_r = C diag(a_r1..a_rK) B.T with B = C^{-T}; the last slice is
-    replaced by ``CPD_IDENTITY_WEIGHT`` * I, which is always consistent and
-    softly enforces that coupling.  The fit is an alternating least squares
-    refinement initialized from the single-combination EVD, its eigenvalues
-    grouped into ``n_clusters``.  Each column of N = C lies in one block;
+    The (R, K, K) stack of basis matrices (or a sequence of them) is a
+    tensor whose exact decomposition is U_r = C diag(a_r1..a_rK) B.T with
+    B = C^{-T}; the last slice is replaced by ``CPD_IDENTITY_WEIGHT`` * I,
+    which is always consistent and softly enforces that coupling.  The fit
+    is an alternating least squares refinement initialized from the
+    single-combination EVD, its eigenvalues grouped into ``n_clusters``.  Each column of N = C lies in one block;
     the columns come ungrouped, for the caller to partition.
 
     Returns (N, converged, fit, sweeps) with the convergence flag and ALS
     sweep count of :func:`cpd_als`.
     """
-    k = u_mats[0].shape[0]
-    mats = [np.array(u) for u in u_mats]
-    mats[-1] = CPD_IDENTITY_WEIGHT * np.eye(k, dtype=mats[-1].dtype)
-    stack = np.stack(mats)
+    stack = np.array(u_mats, order="C")
+    k = stack.shape[1]
+    stack[-1] = CPD_IDENTITY_WEIGHT * np.eye(k)
 
     # the grouped single-combination EVD keeps the initialization real for
     # real input, so the refinement stays in real arithmetic
     n0, _ = simultaneous_evd_single(
-        mats, seed=seed, cluster_tol=cluster_tol, n_clusters=n_clusters
+        stack, seed=seed, cluster_tol=cluster_tol, n_clusters=n_clusters
     )
     if numerical_rank(n0, tol=1e-12) < k:
         # realified grouping can collapse when conjugate directions land in
         # different clusters; fall back to the ungrouped complex eigenbasis
-        n0, _ = simultaneous_evd_single(mats, seed=seed, cluster_tol=0.0, n_clusters=k)
+        n0, _ = simultaneous_evd_single(stack, seed=seed, cluster_tol=0.0, n_clusters=k)
     try:
         n0_inv = np.linalg.inv(n0)
     except np.linalg.LinAlgError as exc:
         raise SolverDiagnostic(
             "initialization eigenbasis is singular", {"size": k}
         ) from exc
-    a0 = np.stack([np.diagonal(n0_inv @ u @ n0) for u in mats])
+    a0 = np.stack([np.diagonal(n0_inv @ u @ n0) for u in stack])
     (_a, c, _b), fit, converged, sweeps = cpd_als(stack, (a0, n0, n0_inv.T))
     return c, converged, fit, sweeps
 
@@ -656,7 +649,8 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     is ``sum_d``, ``sjbd_route`` names the route that ran, the pencil
     records ``coupling_margin``, the commutant ``commutant_dim`` (R),
     ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.  A
-    failure carries the diagnostics written before it.
+    failure carries those written before it and ``sjbd_route``; on a
+    shared name, its own value stands.
 
     Exact data gets the columns of N grouped into blocks of sizes d; noisy
     data gets N ungrouped with d = None, for the caller to partition into
@@ -682,13 +676,13 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     try:
         if noisy:
             diagnostics["sjbd_route"] = route
-            r_found, u_mats = commutant_basis(vs, tol=rank_tol, dim=problem.hint_R)
-            if r_found < 1:
-                raise SolverDiagnostic("empty commutant basis", {"R": r_found})
-            diagnostics["commutant_dim"] = int(r_found)
+            u_mats = commutant_basis(vs, tol=rank_tol, dim=problem.hint_R)
+            if len(u_mats) == 0:
+                raise SolverDiagnostic("empty commutant basis", {"R": 0})
+            diagnostics["commutant_dim"] = len(u_mats)
             d = None
             n_sub, converged, fit, sweeps = simultaneous_evd_cpd(
-                u_mats, r_found, seed=seed, cluster_tol=cluster_tol
+                u_mats, len(u_mats), seed=seed, cluster_tol=cluster_tol
             )
             diagnostics["cpd_status"] = (
                 "ok" if converged else "warning: CPD refinement hit max iterations"
@@ -708,8 +702,9 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
                     f"{COUPLING_MARGIN_FLOOR:.0e}; its blocks may mix"
                 )
     except SolverDiagnostic as exc:
-        # a failure names the route that ran
-        exc.diagnostics.update(diagnostics, sjbd_route=route)
+        # a failure carries the record and names the route that ran; on a
+        # shared name its own value stands
+        exc.diagnostics = {**diagnostics, "sjbd_route": route, **exc.diagnostics}
         raise
 
     n = u_s @ n_sub if u_s is not None else n_sub

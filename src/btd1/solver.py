@@ -45,7 +45,7 @@ from .linalg import (
 from .minors import n_sym, q2_null_dim, symmetric_null_matrices, total_block_size
 from .sjbd import (
     SJBDProblem,
-    _group_labels,
+    _indices_by_label,
     _pencil_eig,
     _realify_blocks,
     cluster_columns,
@@ -269,12 +269,11 @@ def phase1_recover_A(t, opts=None):
     ``q2_margin``); the null space comes from contractions of the tensor
     (:func:`minors.symmetric_null_matrices`), so Q2 is never formed;
     :func:`sjbd.solve_sjbd` turns the (Q, K, K) stack of symmetric null
-    matrices V_q into (N, d), and its diagnostics are merged in whole (into
-    its failures too).  Exact data comes back grouped.  Noisy data comes
-    back ungrouped, and Phase I partitions N into R =
-    ``diagnostics["commutant_dim"]`` blocks by the left directions of its
-    unfolded columns (:func:`_partition_by_unfolding`), a failure again
-    carrying Phase I's diagnostics; scenario 2 passes R and sum d_r as
+    matrices V_q into (N, d), and its diagnostics are merged in whole.
+    Exact data comes back grouped.  Noisy data comes back ungrouped, and
+    Phase I partitions N into R = ``diagnostics["commutant_dim"]`` blocks
+    by the left directions of its unfolded columns
+    (:func:`_partition_by_unfolding`); scenario 2 passes R and sum d_r as
     hints, so R is ``known_R`` there.  Exact mode and scenario 1 then check
     Q against sum binom(d_r+1, 2), the one Q verdict: on a mismatch exact
     mode raises and scenario 1 warns under ``sjbd_status`` that the
@@ -289,7 +288,6 @@ def phase1_recover_A(t, opts=None):
     """
     opts = opts or SolverOptions()
     k_dim = t.dims[2]
-    diag = {}
     # entries of the minor matrix are quadratic in the tensor; anything below
     # rounding level on that scale is noise even when the whole matrix is
     # numerically zero (single-term tensors), so the relative threshold gets
@@ -311,46 +309,42 @@ def phase1_recover_A(t, opts=None):
         v, margin = symmetric_null_matrices(t, tol=opts.tol, atol=q2_floor)
         q_used = v.shape[0]
         sum_d = None
-    if q_used < 1:
-        raise SolverDiagnostic(
-            "minor matrix has trivial null space; no block structure visible",
-            {"Q_used": q_used},
-        )
-    diag["Q_used"] = int(q_used)
-    diag["q2_margin"] = margin
-
-    problem = SJBDProblem(v, hint_R=r_known if scenario2 else None, hint_sum_d=sum_d)
+    diag = {"Q_used": int(q_used), "q2_margin": margin}
     try:
+        if q_used < 1:
+            raise SolverDiagnostic(
+                "minor matrix has trivial null space; no block structure visible"
+            )
+
+        problem = SJBDProblem(v, hint_R=r_known if scenario2 else None, hint_sum_d=sum_d)
         sol = solve_sjbd(
             problem, seed=opts.seed, rank_tol=opts.tol, cluster_tol=opts.cl_tol, noisy=opts.noisy
         )
-    except SolverDiagnostic as exc:
-        exc.diagnostics.update(diag)
-        raise
-    diag.update(sol.diagnostics)
+        diag.update(sol.diagnostics)
 
-    n_full, d = sol.N, sol.d
-    if d is None:
-        try:
+        n_full, d = sol.N, sol.d
+        if d is None:
             n_full, d = _partition_by_unfolding(t, n_full, diag["commutant_dim"])
-        except SolverDiagnostic as exc:
-            exc.diagnostics.update(diag)
-            raise
-    if not scenario2 and q_used != q2_null_dim(d):
-        # fewer than 3 matrices with some d_r >= 2 always fail this test,
-        # since then the sum is at least 3
-        if opts.mode == "exact":
-            raise SolverDiagnostic(
-                "null-space dimension of the minor matrix does not match "
-                "sum binom(d_r+1, 2); the structural assumption fails",
-                {"Q_used": q_used, "d": d},
+        if not scenario2 and q_used != q2_null_dim(d):
+            # fewer than 3 matrices with some d_r >= 2 always fail this test,
+            # since then the sum is at least 3
+            if opts.mode == "exact":
+                raise SolverDiagnostic(
+                    "null-space dimension of the minor matrix does not match "
+                    "sum binom(d_r+1, 2); the structural assumption fails",
+                    {"d": d},
+                )
+            diag["sjbd_status"] = (
+                "warning: Q does not match sum binom(d_r+1, 2); "
+                "uniqueness guarantee does not apply"
             )
-        diag["sjbd_status"] = (
-            "warning: Q does not match sum binom(d_r+1, 2); "
-            "uniqueness guarantee does not apply"
-        )
 
-    a_cols, b_blocks = zip(*(_rank1_pair(t, n_r) for n_r in split_columns(n_full, d)))
+        a_cols, b_blocks = zip(*(_rank1_pair(t, n_r) for n_r in split_columns(n_full, d)))
+    except SolverDiagnostic as exc:
+        # a failure carries the decisions made before it; on a shared name,
+        # its own value stands
+        exc.diagnostics = {**diag, **exc.diagnostics}
+        raise
     return np.column_stack(a_cols), list(b_blocks), n_full, d, diag
 
 
@@ -361,13 +355,13 @@ def _partition_by_unfolding(t, n_full, r_clusters):
     t3n = unfold(t, 3) @ n_full
     # one stacked SVD of the I x J reshapes of all the columns
     u = np.linalg.svd(t3n.T.reshape(-1, i_dim, j_dim), full_matrices=False)[0]
-    order, d = _group_labels(cluster_columns(u[:, :, 0].T, n_clusters=r_clusters))
-    if len(d) != r_clusters:
+    groups = _indices_by_label(cluster_columns(u[:, :, 0].T, n_clusters=r_clusters))
+    if len(groups) != r_clusters:
         message = "column clustering found a different number of groups than R"
         if r_clusters > n_full.shape[1]:
             message += f"; R = {r_clusters} exceeds the {n_full.shape[1]} columns of N"
-        raise SolverDiagnostic(message, {"R": r_clusters, "found": len(d)})
-    return n_full[:, order], d
+        raise SolverDiagnostic(message, {"R": r_clusters, "found": len(groups)})
+    return n_full[:, np.concatenate(groups)], tuple(g.size for g in groups)
 
 
 def phase2_case1(t, a, b_blocks):
@@ -550,7 +544,8 @@ def decompose(t, opts=None):
 
     Exact mode compresses to the numerical rank, scenario 2 to ``known_sum_L``
     when K exceeds it (a ``known_sum_L`` above I J is then refused).  Case
-    selection prefers Case 1 over Case 2 over Case 3.
+    selection prefers Case 1 over Case 2 over Case 3.  A failure carries
+    every diagnostic written before it; on a shared name, its own value stands.
     """
     opts = opts or SolverOptions()
     i_dim, j_dim, k_dim = t.dims
@@ -566,22 +561,22 @@ def decompose(t, opts=None):
             "third mode cannot be compressed to more than I J directions",
             {"known_sum_L": opts.known_sum_L, "IJ": i_dim * j_dim},
         )
-    if not opts.noisy or to_known:
-        compressed, _, r3 = compress_third_mode(
-            t, tol=opts.tol, dim=opts.known_sum_L if to_known else None
-        )
-        if r3 < k_dim:
-            t, k_dim = compressed, r3
-            diag["compressed_K"] = int(r3)
-
-    a, b_blocks, _, d, phase1_diag = phase1_recover_A(t, opts)
-    diag.update(phase1_diag)
-    r = len(d)
-    case = _select_case(k_dim, i_dim, d, a, opts)
-    diag["case_considered"] = case
-
-    sizes = None
     try:
+        if not opts.noisy or to_known:
+            compressed, _, r3 = compress_third_mode(
+                t, tol=opts.tol, dim=opts.known_sum_L if to_known else None
+            )
+            if r3 < k_dim:
+                t, k_dim = compressed, r3
+                diag["compressed_K"] = int(r3)
+
+        a, b_blocks, _, d, phase1_diag = phase1_recover_A(t, opts)
+        diag.update(phase1_diag)
+        r = len(d)
+        case = _select_case(k_dim, i_dim, d, a, opts)
+        diag["case_considered"] = case
+
+        sizes = None
         if opts.noisy or case == 3:
             # exact Case 3 takes them too: its subsets are checked against them
             sizes = estimate_L_from_d(d, k_dim, r)
@@ -592,27 +587,27 @@ def decompose(t, opts=None):
             est = phase2_case2(t, a, opts, sizes=sizes)
         else:
             est = phase2_case3(t, a, opts, sizes=sizes)
+
+        if t is not original:
+            # map the compressed third factor back to the original tensor
+            est = _fit_third_factor(original, est.A, [b for b, _ in est.terms])
+
+        recon = compose(est)
+        residual = float(
+            np.linalg.norm(recon.values - original.values) / np.linalg.norm(original.values)
+        )
+        if not opts.noisy and residual > 1e-6:
+            raise SolverDiagnostic(
+                f"exact-mode reconstruction failed (residual {residual:.2e}); either "
+                f"the structure Phase I found (R = {r}, d = {d}) or the rank "
+                f"conditions backing case {case} do not hold",
+                {"R": r, "d": d, "case": case, "residual": residual},
+            )
     except SolverDiagnostic as exc:
-        # a Phase II failure names the Phase I decisions that led to it too;
-        # on a shared name, Phase II's own value stands
+        # a failure carries every decision made before it, from the
+        # compression on; on a shared name, its own value stands
         exc.diagnostics = {**diag, **exc.diagnostics}
         raise
-
-    if t is not original:
-        # map the compressed third factor back to the original tensor
-        est = _fit_third_factor(original, est.A, [b for b, _ in est.terms])
-
-    recon = compose(est)
-    residual = float(
-        np.linalg.norm(recon.values - original.values) / np.linalg.norm(original.values)
-    )
-    if not opts.noisy and residual > 1e-6:
-        raise SolverDiagnostic(
-            f"exact-mode reconstruction failed (residual {residual:.2e}); either "
-            f"the structure Phase I found (R = {r}, d = {d}) or the rank "
-            f"conditions backing case {case} do not hold",
-            {**diag, "R": r, "d": d, "case": case, "residual": residual},
-        )
     return SolveReport(
         decomposition=est,
         detected_d=tuple(d),

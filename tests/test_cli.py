@@ -25,6 +25,20 @@ def test_generate_deterministic(runner, tmp_path):
     assert (tmp_path / "a.truth.json").exists()
 
 
+def test_generate_default_truth_path_keeps_a_dotted_directory(runner, tmp_path):
+    # the truth file sits beside the tensor, named from the tensor's stem,
+    # whatever dots the directory holds
+    folder = tmp_path / "cli.v2"
+    folder.mkdir()
+    res = runner.invoke(
+        main,
+        ["generate", "--dims", "3,8,8", "--sizes", "2,3,4", "--out", str(folder / "tensor")],
+    )
+    assert res.exit_code == 0, res.output
+    assert (folder / "tensor.truth.json").exists()
+    assert not (tmp_path / "cli.truth.json").exists()
+
+
 def test_generate_complex(runner, tmp_path):
     out = tmp_path / "c.btd1"
     res = runner.invoke(
@@ -162,6 +176,25 @@ def test_decompose_reports_the_sjbd_route(runner, tmp_path, monkeypatch):
     assert diagnostics["sjbd_route"] == "pencil"
     assert res.stderr.splitlines() == [f"coupling_status: {diagnostics['coupling_status']}"]
     assert "below 1e+30" in res.stderr
+
+
+def test_decompose_prints_the_warnings_of_a_failure(runner, tmp_path):
+    # C_2's first column 1e-6 from C_1's: Phase I's Q check fails, and the
+    # pencil's low-margin warning, the real cause, reaches stderr before
+    # the exit-3 JSON
+    from btd1 import compose
+    from btd1.fileio import write_tensor
+    from helpers import near_degenerate_btd
+
+    out = tmp_path / "t.btd1"
+    write_tensor(out, compose(near_degenerate_btd((2, 7, 7), (3, 4), "real", 7, "c_collinear", 1e-6)))
+    res = runner.invoke(main, ["decompose", str(out)])
+    assert res.exit_code == 3, res.output
+    payload = json.loads(res.stdout)
+    assert "structural assumption fails" in payload["diagnostic"]
+    status = payload["details"]["coupling_status"]
+    assert status.startswith("warning: pencil coupling margin")
+    assert res.stderr.splitlines() == [f"coupling_status: {status}"]
 
 
 @pytest.mark.parametrize(

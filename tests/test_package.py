@@ -131,6 +131,28 @@ def test_one_function_calls_eig():
     assert callers == {("sjbd.py", "_pencil_eig")}
 
 
+def test_each_failure_record_is_merged_once():
+    # solve_sjbd, phase1_recover_A and decompose each merge their diagnostics
+    # into a failure in one handler, under one rule; no layer updates a
+    # failure's diagnostics in place
+    src = Path(btd1.__file__).resolve().parent
+    handlers = {}
+    for path in sorted(src.glob("*.py")):
+        assert ".diagnostics.update(" not in path.read_text(), path.name
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                caught = [
+                    h for h in ast.walk(fn)
+                    if isinstance(h, ast.ExceptHandler)
+                    and h.type is not None
+                    and ast.unparse(h.type) == "SolverDiagnostic"
+                ]
+                handlers[(path.name, fn.name)] = len(caught)
+    assert handlers[("sjbd.py", "solve_sjbd")] == 1
+    assert handlers[("solver.py", "phase1_recover_A")] == 1
+    assert handlers[("solver.py", "decompose")] == 1
+
+
 def test_benchmark_config_keywords_resolve():
     # perfbench/workloads.py builds these with exactly these keywords; a
     # dropped field would break the benchmark run, not the tier-1 suite

@@ -106,8 +106,8 @@ def test_noisy_commutant_basis_spans_the_smallest_singular_directions(field):
     _, _, v_list = make_instance(d, k, seed=21, field=field)
     noise = randn(rng(22), (len(v_list), k, k), field)
     v = SJBDProblem(np.stack(v_list) + 1e-3 * noise, hint_R=len(d)).V
-    r, u_mats = commutant_basis(v, dim=len(d))
-    assert r == len(d)
+    u_mats = commutant_basis(v, dim=len(d))
+    assert u_mats.shape == (len(d), k, k)
     basis = np.column_stack([u.ravel(order="F") for u in u_mats])
     formed = null_space(build_commutant_matrix(v), dim=len(d))
     cosines = np.linalg.svd(formed.conj().T @ basis, compute_uv=False)
@@ -130,8 +130,8 @@ def test_noisy_tolerance_cuts_the_gram_as_the_formed_matrix(monkeypatch, d, k, f
     v = SJBDProblem(np.stack(v_list) + 1e-3 * noise, hint_R=len(d)).V
     formed = null_space(build_commutant_matrix(v), tol=1e-2)
     monkeypatch.setattr(sjbd, "build_commutant_matrix", refuse)
-    r, u_mats = commutant_basis(v, tol=1e-2)
-    assert r == formed.shape[1] == len(d)
+    u_mats = commutant_basis(v, tol=1e-2)
+    assert len(u_mats) == formed.shape[1] == len(d)
     basis = np.column_stack([u.ravel(order="F") for u in u_mats])
     cosines = np.linalg.svd(formed.conj().T @ basis, compute_uv=False)
     assert np.all(cosines > 1 - 1e-10)
@@ -149,8 +149,7 @@ def test_exact_tolerances_keep_the_formed_commutant_matrix(monkeypatch, tol):
     monkeypatch.setattr(sjbd, "build_commutant_matrix", refuse)
     d = (1, 2, 3)
     _, _, v_list = make_instance(d, sum(d), seed=3)
-    r, _ = commutant_basis(v_list, tol=tol)
-    assert r == len(d)
+    assert len(commutant_basis(v_list, tol=tol)) == len(d)
 
 
 def test_the_sjbd_gives_the_same_bits_for_any_stack_layout():
@@ -161,21 +160,21 @@ def test_the_sjbd_gives_the_same_bits_for_any_stack_layout():
     strided[..., 1] = v
     layouts = [v, np.asfortranarray(v), strided[..., 1]]
     n, d, margin = pencil_blocks(np.ascontiguousarray(v), tol=1e-8)
-    bases = [commutant_basis(np.ascontiguousarray(v), dim=dim)[1] for dim in (None, 4)]
+    bases = [commutant_basis(np.ascontiguousarray(v), dim=dim) for dim in (None, 4)]
     for x in layouts:
         assert not x.flags.c_contiguous
         n_x, d_x, margin_x = pencil_blocks(x, tol=1e-8)
         assert np.array_equal(n_x, n) and d_x == d and margin_x == margin
         for dim, basis in zip((None, 4), bases):
-            assert np.array_equal(commutant_basis(x, dim=dim)[1], basis)
+            assert np.array_equal(commutant_basis(x, dim=dim), basis)
 
 
 @pytest.mark.parametrize("d", [(1, 1, 1), (1, 2), (2, 3), (1, 2, 3)])
 def test_commutant_dimension_matches_block_count(d):
     k = sum(d)
     _, _, v_list = make_instance(d, k, seed=3)
-    r, u_mats = commutant_basis(v_list)
-    assert r == len(d)
+    u_mats = commutant_basis(v_list)
+    assert len(u_mats) == len(d)
     for u in u_mats:
         for v in v_list:
             resid = np.linalg.norm(u @ v - v @ u.T)
@@ -191,9 +190,9 @@ def test_commutant_three_generic_combinations_same_null_space():
         sum(w * v for w, v in zip(gen.standard_normal(len(v_list)), v_list))
         for _ in range(3)
     ]
-    r1, u1 = commutant_basis(v_list)
-    r2, u2 = commutant_basis(combos)
-    assert r1 == r2 == len(d)
+    u1 = commutant_basis(v_list)
+    u2 = commutant_basis(combos)
+    assert len(u1) == len(u2) == len(d)
     b1 = np.column_stack([u.ravel() for u in u1])
     b2 = np.column_stack([u.ravel() for u in u2])
     assert subspace_angle(b1, b2) < 1e-7
@@ -201,8 +200,8 @@ def test_commutant_three_generic_combinations_same_null_space():
 
 def test_single_block_gives_identity_direction():
     _, _, v_list = make_instance((4,), 4, seed=5)
-    r, u_mats = commutant_basis(v_list)
-    assert r == 1
+    u_mats = commutant_basis(v_list)
+    assert len(u_mats) == 1
     u = u_mats[0]
     assert np.linalg.norm(u - u[0, 0] * np.eye(4)) < 1e-8 * abs(u[0, 0])
 
@@ -211,7 +210,7 @@ def test_simultaneous_evd_single_cluster_sizes():
     d = (1, 2, 3)
     k = sum(d)
     n_true, _, v_list = make_instance(d, k, seed=6)
-    _, u_mats = commutant_basis(v_list)
+    u_mats = commutant_basis(v_list)
     n_est, d_est = simultaneous_evd_single(u_mats, seed=1)
     assert sorted(d_est) == sorted(d)
     worst = block_subspace_match(true_blocks(n_est, d_est), true_blocks(n_true, d))
@@ -240,7 +239,7 @@ def test_simultaneous_evd_cpd_matches_single():
     d = (1, 2, 3)
     k = sum(d)
     _, _, v_list = make_instance(d, k, seed=7)
-    _, u_mats = commutant_basis(v_list)
+    u_mats = commutant_basis(v_list)
     n_s, d_s = simultaneous_evd_single(u_mats, seed=2)
     assert sorted(d_s) == sorted(d)
     n_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 3, seed=2)
@@ -253,7 +252,7 @@ def test_cpd_als_all_distinct_reduces_to_diagonalization():
     d = (1, 1, 1, 1)
     k = 4
     n_true, _, v_list = make_instance(d, k, seed=8)
-    _, u_mats = commutant_basis(v_list)
+    u_mats = commutant_basis(v_list)
     n_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 4, seed=3)
     assert n_c.shape == (k, k)
     assert columns_per_block(n_c, true_blocks(n_true, d)) == d
@@ -469,8 +468,8 @@ def test_noisy_commutant_basis_contains_identity_direction():
     _, _, v_list = make_instance(d, k, seed=17)
     gen = rng(18)
     noisy = tuple(v + 1e-6 * (lambda m: (m + m.T) / 2)(gen.standard_normal((k, k))) for v in v_list)
-    r, u_mats = commutant_basis(SJBDProblem(noisy, hint_R=2).V, dim=2)
-    assert r == 2
+    u_mats = commutant_basis(SJBDProblem(noisy, hint_R=2).V, dim=2)
+    assert len(u_mats) == 2
     basis = np.column_stack([u.ravel(order="F") for u in u_mats])
     vec_i = np.eye(k).ravel() / np.sqrt(k)
     proj = basis @ (basis.conj().T @ vec_i)

@@ -1096,3 +1096,88 @@ def test_exact_failure_names_the_structure_phase1_found():
     assert "case 2" in str(info.value)
     details = info.value.diagnostics
     assert (details["R"], details["d"], details["Q_used"], details["sum_d"]) == (1, (1,), 1, 1)
+
+
+# the report's keys each failure site has reached: Q counted, S-JBD done
+Q_KEYS = {"Q_used", "q2_margin"}
+SJBD_KEYS = {"sum_d", "sjbd_route", "coupling_margin"}
+
+
+def _c_collinear_draw(field, seed):
+    def build(monkeypatch):
+        return compose(near_degenerate_btd((2, 7, 7), (3, 4), field, seed, "c_collinear", 1e-6))
+
+    return build
+
+
+def _singular_pencil_input(monkeypatch):
+    v_list = singular_pencil_instance(5, seed=3)
+    monkeypatch.setattr(
+        solver, "symmetric_null_matrices", lambda t, **kwargs: (np.stack(v_list), None)
+    )
+    return compose(random_btd((3, 8, 5), (2, 3), seed=1))
+
+
+def _compressed_sjbd_failure(monkeypatch):
+    def failing(*args, **kwargs):
+        raise SolverDiagnostic("patched S-JBD failure", {"patched": True})
+
+    monkeypatch.setattr(solver, "solve_sjbd", failing)
+    return compose(random_btd((3, 8, 10), (2, 3, 4), seed=1))
+
+
+FAILURE_SITES = [
+    ("trivial", lambda mp: phase1_failure("trivial", mp)[0], "trivial null space", Q_KEYS),
+    (
+        "mismatch",
+        lambda mp: phase1_failure("mismatch", mp)[0],
+        "structural assumption fails",
+        Q_KEYS | SJBD_KEYS | {"d"},
+    ),
+    (
+        "singular-pencil",
+        _singular_pencil_input,
+        "W_1 is singular",
+        Q_KEYS | {"sum_d", "sjbd_route", "W1_rank", "size", "W1_cut_ratio"},
+    ),
+    *(
+        (
+            f"q-check-{field}-{seed}",
+            _c_collinear_draw(field, seed),
+            "structural assumption fails",
+            Q_KEYS | SJBD_KEYS | {"coupling_status", "d"},
+        )
+        for field, seed in [("real", 7), ("real", 8), ("real", 10), ("complex", 1)]
+    ),
+    (
+        "case3",
+        lambda mp: compose(random_btd((2, 10, 6), (2, 2, 3), seed=1)),
+        r"sum L_r = 7 > min\(J, K\)",
+        Q_KEYS | SJBD_KEYS | {"case_considered", "subset", "sum_L", "min_JK"},
+    ),
+    (
+        "compressed",
+        _compressed_sjbd_failure,
+        "patched S-JBD failure",
+        Q_KEYS | {"compressed_K", "patched"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build,message,keys", [row[1:] for row in FAILURE_SITES], ids=[row[0] for row in FAILURE_SITES]
+)
+def test_every_failure_carries_the_keys_written_before_it(monkeypatch, build, message, keys):
+    # solve_sjbd, Phase I and decompose each merge their diagnostics into a
+    # failure once: whichever site raises, the failure names every decision
+    # the report held at that point, its own keys too
+    t = build(monkeypatch)
+    with pytest.raises(SolverDiagnostic, match=message) as info:
+        decompose(t)
+    details = info.value.diagnostics
+    assert keys <= details.keys(), keys - details.keys()
+    if "compressed_K" in keys:
+        assert details["compressed_K"] == 9
+    if "coupling_status" in keys:
+        assert details["coupling_status"].startswith("warning: pencil coupling margin")
+    json.dumps(details)
