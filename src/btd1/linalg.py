@@ -7,11 +7,9 @@ count of singular values above ``tol * sigma_max``, with default
 no absolute floor.  The same constant is the default ``rcond`` of
 :func:`lstsq`.
 :func:`orth` and :func:`null_space` read rank and basis off one SVD.
-Four matrices are factored more than once: ``gevd_two_slice_btd``'s
-eigenvector groups (ranked, then :func:`orth`), ``simultaneous_evd_cpd``'s
-initial eigenbasis (factored, ranked, then inverted), A in Case 2 (ranked
-by ``_select_case`` and ``phase2_case2``, then :func:`lstsq`) and
-compressed Case 1's design (:func:`lstsq` for the fit and the map back).
+One matrix is still factored more than once: ``simultaneous_evd_cpd``'s
+initial eigenbasis on noisy data (factored, ranked, then inverted), kept
+so that scenario 2's CPD start keeps its bits.
 Every stack [x_1 kron Y_1 ... x_R kron Y_R] is a :func:`khatri_rao`
 product.  All random draws in the package go through :func:`rng`, a PCG64
 generator seeded explicitly, so every stochastic operation is reproducible

@@ -349,32 +349,41 @@ def _realify_blocks(blocks, means, tol):
 
 
 def _check_eigenvectors(rank, vecs, groups):
-    """Raise :class:`SolverDiagnostic` when eigenvectors are numerically
+    """Orthonormal bases of the eigenvector groups; raises
+    :class:`SolverDiagnostic` when the eigenvectors are numerically
     defective.
 
     ``rank`` is the rank of the eigenvector matrix ``vecs`` at 1e-10, and
     ``groups`` index its columns by near-equal eigenvalue.  The eigenvectors
     are defective when they do not span, or when those of one group are
-    dependent at 1e-6.
+    dependent at 1e-6.  A group of several eigenvectors is ranked by one
+    SVD, whose U is its basis; a single eigenvector is not ranked, and its
+    basis is None.
     """
     if rank < vecs.shape[0]:
         raise SolverDiagnostic(
             "combination matrix is defective; eigenvectors do not span",
             {"eigenvector_rank": rank, "size": vecs.shape[0]},
         )
+    bases = [None] * len(groups)
     for g, idx in enumerate(groups):
+        if idx.size == 1:
+            continue
         # eig splits an m-fold defective eigenvalue into m values about
         # eps^(1/m) apart (1e-8 for m = 2) whose unit eigenvectors are as
         # close, so they pass the 1e-10 test above; the eigenvectors of a
         # diagonalizable repeated eigenvalue are independent at the
         # conditioning of the problem, far above the 1e-6 used here
-        group_rank = numerical_rank(vecs[:, idx], tol=1e-6) if idx.size > 1 else 1
+        u, s, _ = np.linalg.svd(vecs[:, idx], full_matrices=False)
+        group_rank = rank_cut(s, 1e-6)
         if group_rank < idx.size:
             raise SolverDiagnostic(
                 "combination matrix is defective; the eigenvectors of a "
                 "repeated eigenvalue do not span its group",
                 {"group": g, "group_rank": group_rank, "group_size": int(idx.size)},
             )
+        bases[g] = u
+    return bases
 
 
 def _indices_by_label(labels):
@@ -387,8 +396,9 @@ def _pencil_eig(w2, w1=None, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, n_clusters=
     One SVD of W_1 tests it (singular below full rank at ``tol``) and
     inverts it.  The eigenvalues are grouped at ``cluster_tol`` (into
     ``n_clusters`` when given) and :func:`_check_eigenvectors` reads the
-    eigenvector matrix's one SVD.  Returns (vecs, groups, means, svd): the
-    column indices and mean eigenvalue of each group, and (U, s, Vh) of
+    eigenvector matrix's one SVD and each group's.  Returns (vecs, groups,
+    means, svd, bases): the column indices, mean eigenvalue and orthonormal
+    basis (None for a single column) of each group, and (U, s, Vh) of
     vecs.  Raises :class:`SolverDiagnostic` on a singular W_1, a failed EVD
     or defective eigenvectors.
     """
@@ -410,9 +420,10 @@ def _pencil_eig(w2, w1=None, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, n_clusters=
         raise SolverDiagnostic(f"pencil EVD failed: {exc}", {"size": z.shape[0]}) from exc
     svd = np.linalg.svd(vecs)
     groups = _indices_by_label(_cluster_scalars(vals, cluster_tol, n_clusters))
-    _check_eigenvectors(rank_cut(svd[1], 1e-10), vecs, groups)
+    bases = _check_eigenvectors(rank_cut(svd[1], 1e-10), vecs, groups)
     # sum / size: the bits of .mean() at a third of its cost (K groups per exact pencil)
-    return vecs, groups, np.array([vals[idx].sum() / idx.size for idx in groups]), svd
+    means = np.array([vals[idx].sum() / idx.size for idx in groups])
+    return vecs, groups, means, svd, bases
 
 
 def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
@@ -437,7 +448,7 @@ def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
     complex_input = np.iscomplexobj(vs)
     w = randn(rng(seed), (2, vs.shape[0]), "complex" if complex_input else "real")
     w1, w2 = np.tensordot(w, vs, axes=1)
-    p, _, _, (u, sv, vh) = _pencil_eig(w2, w1, tol, cluster_tol)
+    p, _, _, (u, sv, vh), _ = _pencil_eig(w2, w1, tol, cluster_tol)
     p_inv = (vh.conj().T / sv) @ u.conj().T
     p_inv /= np.linalg.norm(p_inv, axis=1)[:, None]
     g = p_inv @ vs @ p_inv.T
@@ -469,7 +480,7 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     complex_input = any(np.iscomplexobj(u) for u in u_mats)
     w = randn(rng(seed), len(u_mats), "complex" if complex_input else "real")
     z = sum(wi * ui for wi, ui in zip(w, u_mats))
-    vecs, groups, means, _ = _pencil_eig(z, cluster_tol=cluster_tol, n_clusters=n_clusters)
+    vecs, groups, means, _, _ = _pencil_eig(z, cluster_tol=cluster_tol, n_clusters=n_clusters)
     blocks = [vecs[:, idx] for idx in groups]
     if not complex_input:
         blocks, _ = _realify_blocks(blocks, means, cluster_tol)

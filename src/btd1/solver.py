@@ -35,7 +35,6 @@ from .linalg import (
     khatri_rao,
     lstsq,
     null_space,
-    numerical_rank,
     orth,
     randn,
     rank_cut,
@@ -375,19 +374,22 @@ def phase2_case1(t, a, b_blocks):
     return _fit_third_factor(t, a, b_blocks)
 
 
-def phase2_case2(t, a, opts=None, sizes=None):
+def phase2_case2(t, a, a_svd, opts=None, sizes=None):
     """Case 2 (first factor matrix of full column rank): the term matrices
     solve unfold(T,1) = [vec(E_1) ... vec(E_R)] A.T in least squares.
 
-    ``sizes`` forces the truncation ranks (noisy pipelines); otherwise each
-    L_r is the numerical rank of E_r.
+    ``a_svd`` is the thin SVD (U, s, Vh) of A: its rank at ``opts.tol``
+    checks the case, and [vec(E_1) ... vec(E_R)] = unfold(T,1) (A^+).T with
+    A^+ = Vh^H diag(1/s) U^H.  ``sizes`` forces the truncation ranks (noisy
+    pipelines); otherwise each L_r is the numerical rank of E_r.
     """
     opts = opts or SolverOptions()
     _, j_dim, k_dim = t.dims
     r = a.shape[1]
-    if numerical_rank(a, tol=opts.tol) < r:
+    u, s, vh = a_svd
+    if rank_cut(s, opts.tol) < r:
         raise SolverDiagnostic("Case 2 requires A with full column rank", {"R": r})
-    vec_e = lstsq(a, unfold(t, 1).T).T
+    vec_e = (unfold(t, 1) @ np.conj(u) / s) @ np.conj(vh)
     e_mats = [vec_e[:, idx].reshape(j_dim, k_dim, order="F") for idx in range(r)]
     return _truncated_terms(a, e_mats, sizes, opts.tol)
 
@@ -404,19 +406,22 @@ def default_subsets(r, r_a):
     return subsets
 
 
-def phase2_case3(t, a, opts=None, subsets=None, sizes=None):
+def phase2_case3(t, a, a_svd, opts=None, subsets=None, sizes=None):
     """Case 3 (neither factor matrix square enough): decompose two-slice
     projections onto subsets of terms by generalized EVD, then resolve the
     global term scales against the mode-1 unfolding.
 
-    ``sizes`` forces the truncation ranks, as in :func:`phase2_case2`, and
-    is checked before any GEVD: a subset whose sum L_r exceeds min(J, K)
-    gives a pencil the two-slice GEVD cannot split into its terms.
+    ``a_svd`` is the thin SVD (U, s, Vh) of A; its U, cut at ``opts.tol``,
+    is the orthonormal basis of A's column space.  ``sizes`` forces the
+    truncation ranks, as in :func:`phase2_case2`, and is checked before any
+    GEVD: a subset whose sum L_r exceeds min(J, K) gives a pencil the
+    two-slice GEVD cannot split into its terms.
     """
     opts = opts or SolverOptions()
     _, j_dim, k_dim = t.dims
     r = a.shape[1]
-    col_a = orth(a, tol=opts.tol)
+    u_a, s_a, _ = a_svd
+    col_a = u_a[:, : rank_cut(s_a, opts.tol)]
     r_a = col_a.shape[1]
     if r_a >= r:
         raise SolverDiagnostic("Case 3 expects rank(A) < R", {"rank_A": r_a, "R": r})
@@ -521,8 +526,10 @@ def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_term
     mix = randn(rng(seed), (2, 2), "complex" if complex_input else "real")
     s_a = mix[0, 0] * g1 + mix[0, 1] * g2
     s_b = mix[1, 0] * g1 + mix[1, 1] * g2
-    vecs, groups, means, _ = _pencil_eig(s_b, s_a, tol, cluster_tol, n_terms)
-    blocks = [orth(vecs[:, idx], dim=idx.size) for idx in groups]
+    vecs, groups, means, _, bases = _pencil_eig(s_b, s_a, tol, cluster_tol, n_terms)
+    # a group's orthonormal basis is the U of the SVD that ranked it; a
+    # single eigenvector, which nothing ranked, is factored here
+    blocks = [orth(vecs[:, idx], dim=1) if u is None else u for idx, u in zip(groups, bases)]
     if not complex_input:
         blocks, means = _realify_blocks(blocks, means, max(cluster_tol, 1e-8))
     a = np.linalg.solve(mix, np.vstack([np.ones_like(means), means]))
@@ -530,12 +537,15 @@ def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_term
 
 
 def _select_case(k_dim, i_dim, d, a, opts):
+    """The Phase II case, with the thin SVD of A that Cases 2 and 3 read
+    (None for Case 1, which does not factor A)."""
     if k_dim == sum(d):
-        return 1
+        return 1, None
+    a_svd = np.linalg.svd(a, full_matrices=False)
     r = len(d)
-    if r <= i_dim and numerical_rank(a, tol=opts.tol) == r:
-        return 2
-    return 3
+    if r <= i_dim and rank_cut(a_svd[1], opts.tol) == r:
+        return 2, a_svd
+    return 3, a_svd
 
 
 def decompose(t, opts=None):
@@ -544,8 +554,11 @@ def decompose(t, opts=None):
 
     Exact mode compresses to the numerical rank, scenario 2 to ``known_sum_L``
     when K exceeds it (a ``known_sum_L`` above I J is then refused).  Case
-    selection prefers Case 1 over Case 2 over Case 3.  A failure carries
-    every diagnostic written before it; on a shared name, its own value stands.
+    selection prefers Case 1 over Case 2 over Case 3.  Exact mode refuses
+    block sizes whose increment (K - sum d_r) / (R - 1) is not an integer
+    before Phase II; the noisy modes round it (:func:`estimate_L_from_d`).
+    A failure carries every diagnostic written before it; on a shared name,
+    its own value stands.
     """
     opts = opts or SolverOptions()
     i_dim, j_dim, k_dim = t.dims
@@ -573,22 +586,36 @@ def decompose(t, opts=None):
         a, b_blocks, _, d, phase1_diag = phase1_recover_A(t, opts)
         diag.update(phase1_diag)
         r = len(d)
-        case = _select_case(k_dim, i_dim, d, a, opts)
+        case, a_svd = _select_case(k_dim, i_dim, d, a, opts)
         diag["case_considered"] = case
+        if not opts.noisy and r > 1 and (k_dim - sum(d)) % (r - 1):
+            # when every term has d_r = K - sum L + L_r >= 1 the increment is
+            # sum L - K; a term with d_r <= 0 has no block in N, so Phase I
+            # misses it, and its R and d_r can leave a fraction
+            inc = (k_dim - sum(d)) / (r - 1)
+            raise SolverDiagnostic(
+                f"the size increment (K - sum d_r) / (R - 1) = {inc:.3g} is not an "
+                f"integer (K = {k_dim}, R = {r}, d = {d}); some term may have d_r = "
+                "K - sum L + L_r <= 0, which Phase I cannot see",
+                {"d": d, "K": k_dim, "R": r, "increment": inc},
+            )
 
         sizes = None
         if opts.noisy or case == 3:
             # exact Case 3 takes them too: its subsets are checked against them
             sizes = estimate_L_from_d(d, k_dim, r)
-        if case == 1:
-            # the B_r of Phase I have widths d_r, which are the sizes here
+        if case == 1 and t is not original:
+            # the B_r of Phase I have widths d_r, which are the sizes here;
+            # C is fitted once, against the original tensor
+            est = _fit_third_factor(original, a, b_blocks)
+        elif case == 1:
             est = phase2_case1(t, a, b_blocks)
         elif case == 2:
-            est = phase2_case2(t, a, opts, sizes=sizes)
+            est = phase2_case2(t, a, a_svd, opts, sizes=sizes)
         else:
-            est = phase2_case3(t, a, opts, sizes=sizes)
+            est = phase2_case3(t, a, a_svd, opts, sizes=sizes)
 
-        if t is not original:
+        if t is not original and case != 1:
             # map the compressed third factor back to the original tensor
             est = _fit_third_factor(original, est.A, [b for b, _ in est.terms])
 

@@ -285,7 +285,7 @@ def test_decompose_case3_subset_wider_than_min_jk_exit_3(runner, tmp_path):
     "dims,sizes,message",
     [
         ("2,10,6", "2,2,3", "sum L_r = 7 > min(J, K) = 6"),
-        ("2,7,6", "1,2,2,2", "block sizes are inconsistent"),
+        ("2,7,6", "1,2,2,2", "is not an integer"),
     ],
     ids=["2x10x6", "2x7x6"],
 )
