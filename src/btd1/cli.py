@@ -40,6 +40,8 @@ def _parse_dims(text):
         i_dim, j_dim, k_dim = (int(p) for p in text.split(","))
     except ValueError:
         raise click.BadParameter(f"dims must look like I,J,K, got {text!r}") from None
+    if min(i_dim, j_dim, k_dim) < 1:
+        raise click.BadParameter(f"dims must be at least 1, got {text!r}")
     return i_dim, j_dim, k_dim
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     DimensionError,
     SolverDiagnostic,
     cond,
+    khatri_rao,
     positive_definite,
     rng,
     rngs,
@@ -68,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("snr grid must be nonempty")
         for snr in self.snr_grid:
             NoiseSpec(snr)  # rejects NaN and -inf
+        if min(self.dims) < 1:
+            raise DimensionError(f"dimensions must be at least 1, got {self.dims}")
         # draw_instance samples without random_btd's size checks
         if min(self.sizes) < 1 or max(self.sizes) > min(self.dims[1:]):
             raise DimensionError("term sizes must be positive and at most min(J, K)")
@@ -215,8 +218,7 @@ def cond_screen(a, b, c, cap):
     if k_dim <= i_dim * j_dim:
         x, inner = c, (_transpose(a) @ a) * (_transpose(b) @ b)
     else:
-        # W, item by item [a_s kron b_s]_s as linalg.khatri_rao forms it
-        x = (a[:, :, None, :] * b[:, None, :, :]).reshape(len(a), -1, a.shape[-1])
+        x = khatri_rao(a, b)
         inner = _transpose(c) @ c
     gram = x @ inner @ _transpose(x)
     u = gram[np.arange(len(gram)), gram.diagonal(axis1=-2, axis2=-1).argmax(axis=-1)]

@@ -51,6 +51,8 @@ def read_tensor(path):
             raise DimensionError(f"{path}: not a {_MAGIC} file")
         tag = header[1]
         i_dim, j_dim, k_dim = (int(x) for x in header[2:])
+        if min(i_dim, j_dim, k_dim) < 1:
+            raise DimensionError(f"{path}: dimensions must be at least 1, got {header[2:]}")
         raw = np.frombuffer(fh.read(), dtype="<f8")
     n = i_dim * j_dim * k_dim
     if tag == "C":

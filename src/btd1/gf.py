@@ -282,12 +282,15 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
     the wedge of two blocks is structurally rank deficient).  One full-rank
     witness certifies; all-trials failure over the field ladder is
     inconclusive.  Raises ``ValueError`` when ``trials`` is below 1 and
-    ``DimensionError`` when ``sizes`` is empty or not ``r`` long.
+    ``DimensionError`` when ``sizes`` is empty or not ``r`` long, or when I
+    or J is below 1.
     """
     _check_trials(trials)
     sizes = sorted(int(s) for s in sizes)
     if len(sizes) != r or not sizes:
         raise DimensionError(f"expected {r} sizes (at least one), got {len(sizes)}")
+    if min(i_dim, j_dim) < 1:
+        raise DimensionError(f"dimensions must be at least 1, got I = {i_dim}, J = {j_dim}")
     first = field if field is not None else _ESCALATION_LADDER[0]
     n_cols = phi_columns(sizes)
     config = {"I": i_dim, "J": j_dim, "R": r, "L": list(sizes)}
@@ -317,13 +320,16 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
     to sum L_r (the extra directions are removed by third-mode compression).
     When Q2's binom(I,2) binom(J,2) rows are fewer than that rank, the
     verdict is "impossible" without a trial.  Raises ``ValueError`` when
-    ``trials`` is below 1 and ``DimensionError`` when ``sizes`` is empty.
+    ``trials`` is below 1 and ``DimensionError`` when ``sizes`` is empty or
+    a dimension is below 1.
     """
     _check_trials(trials)
     i_dim, j_dim, k_dim = (int(x) for x in dims)
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
         raise DimensionError("verify_generic_q2_dim needs at least one term size")
+    if min(i_dim, j_dim, k_dim) < 1:
+        raise DimensionError(f"dimensions must be at least 1, got {tuple(dims)}")
     sum_l = sum(sizes)
     clamped = k_dim > sum_l
     k_dim, d_vals = block_sizes(k_dim, sizes)

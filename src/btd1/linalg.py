@@ -4,8 +4,7 @@ least squares, the Khatri-Rao product and the package RNG convention.
 Every rank decision on singular values goes through :func:`rank_cut`: the
 count of singular values above ``tol * sigma_max``, with default
 ``tol = DEFAULT_RANK_TOL`` (1e-10; exact ``decompose`` passes 1e-8), and
-no absolute floor.  The same constant is the default ``rcond`` of
-:func:`lstsq`.
+no absolute floor.  The same constant is the ``rcond`` of :func:`lstsq`.
 :func:`orth` and :func:`null_space` read rank and basis off one SVD.
 One matrix is still factored more than once: ``simultaneous_evd_cpd``'s
 initial eigenbasis on noisy data (factored, ranked, then inverted), kept
@@ -184,8 +183,8 @@ def null_space(a, tol=DEFAULT_RANK_TOL, dim=None):
     return vh[r:].conj().T
 
 
-def lstsq(a, b, tol=DEFAULT_RANK_TOL):
-    x, *_ = np.linalg.lstsq(a, b, rcond=tol)
+def lstsq(a, b):
+    x, *_ = np.linalg.lstsq(a, b, rcond=DEFAULT_RANK_TOL)
     return x
 
 
@@ -250,11 +249,12 @@ def orth(a, tol=DEFAULT_RANK_TOL, dim=None):
 
 
 def khatri_rao(x, y):
-    """Column-wise Kronecker product [x_1 kron y_1 ... x_n kron y_n].
+    """Column-wise Kronecker product [x_1 kron y_1 ... x_n kron y_n], of
+    each pair of matrices when ``x`` and ``y`` carry leading batch axes.
 
     With ``x = np.repeat(a, widths, axis=1)`` and ``y = np.hstack(blocks)``
     this is the block stack [a_1 kron Y_1 ... a_R kron Y_R]."""
-    return (x[:, None, :] * y[None, :, :]).reshape(-1, x.shape[1])
+    return (x[..., :, None, :] * y[..., None, :, :]).reshape(x.shape[:-2] + (-1, x.shape[-1]))
 
 
 def split_columns(m, widths):

@@ -26,17 +26,15 @@ eigendecomposition, by one of two routes.
 Both routes, and the solver's Case 3, take their EVD from one routine,
 :func:`_pencil_eig`.
 
-The data picks the route: exact data takes the pencil, noisy data the
-commutant with the refinement.  A problem is exact unless its number of
-blocks R is given or it is flagged noisy; given R, it is approximate and R
-is taken rather than detected.
+One flag picks the route: exact data takes the pencil, noisy data the
+commutant with the refinement.  Only noisy data may give R, which is then
+taken rather than detected.
 
 Transposes here are plain transposes even over the complex field; none of
 the factors are required to be orthogonal.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,8 +55,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "SJBDProblem",
-    "SJBDSolution",
     "build_commutant_matrix",
     "commutant_basis",
     "pencil_blocks",
@@ -97,75 +93,6 @@ CPD_STEP_MIN = 1.1
 # at most tol^2 lambda_max when tol^2 is higher, so a tolerance the Gram
 # cannot resolve (an exact one, 1e-8 or 1e-10) is cut at its rounding
 GRAM_CUT_MARGIN = 1e4
-
-
-@dataclass(frozen=True)
-class SJBDProblem:
-    """A set of symmetric matrices to block-diagonalize jointly.
-
-    ``V`` is the (Q, K, K) stack of the V_q, or a sequence of K x K
-    matrices, stored as that stack in C order.  Without ``hint_R`` the
-    problem is exact and each V_q must be symmetric to 1e-12 relative;
-    ``hint_R`` gives the number of blocks and makes it approximate.  The
-    stack is symmetrized on ingestion either way.  ``hint_sum_d`` fixes the
-    dimension of the joint column space (detected when omitted).  An empty
-    V, a V_q that is not square or not of the others' size, and a hint
-    below 1 raise :class:`DimensionError`.
-    """
-
-    V: np.ndarray
-    hint_R: int = None
-    hint_sum_d: int = None
-
-    def __post_init__(self):
-        v = self.V
-        if not isinstance(v, np.ndarray):
-            if len({np.shape(m) for m in v}) > 1:
-                raise DimensionError("all V_q must share the same size")
-            v = np.asarray(v)
-        if v.ndim != 3 or v.shape[0] == 0:
-            raise DimensionError(f"V must be a non-empty stack of matrices, got shape {v.shape}")
-        if v.shape[1] != v.shape[2]:
-            raise DimensionError(f"V[0] is not square ({v.shape[1]} x {v.shape[2]})")
-        for name in ("hint_R", "hint_sum_d"):
-            hint = getattr(self, name)
-            if hint is not None and hint < 1:
-                raise DimensionError(f"{name} must be at least 1, got {hint}")
-        vt = v.transpose(0, 2, 1)
-        if self.hint_R is None:
-            dev = np.linalg.norm(v - vt, axis=(1, 2))
-            scale = np.maximum(np.linalg.norm(v, axis=(1, 2)), 1.0)
-            bad = np.flatnonzero(dev > SYMMETRY_TOL * scale)
-            if bad.size:
-                q = bad[0]
-                raise ValueError(f"V[{q}] is not symmetric (deviation {dev[q]:.2e})")
-        # C order whatever the input's, so that the products downstream
-        # round alike for every layout
-        object.__setattr__(self, "V", np.ascontiguousarray((v + vt) / 2.0))
-
-    @property
-    def K(self):
-        return self.V.shape[1]
-
-    @property
-    def Q(self):
-        return self.V.shape[0]
-
-
-@dataclass(frozen=True)
-class SJBDSolution:
-    """Joint block diagonalizer N = [N_1 ... N_R] and its block sizes.
-
-    ``d`` is None for noisy data (an approximate problem, or one solved as
-    ``noisy``), whose N comes back ungrouped for the caller to partition
-    into ``diagnostics["commutant_dim"]`` blocks.  ``diagnostics`` holds
-    every decision :func:`solve_sjbd` made, under the keys a solver report
-    shows them with.  Whether Q fits d is the caller's to check.
-    """
-
-    N: np.ndarray
-    d: tuple
-    diagnostics: dict = field(default_factory=dict)
 
 
 # only the tests call this (as the reference for the Gram), but
@@ -635,32 +562,42 @@ def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6):
     return c, converged, fit, sweeps
 
 
-def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noisy=False):
-    """S-JBD pipeline from the V_q to (N, d): compress, then the pencil or
-    the commutant route of the module docstring.
+def solve_sjbd(
+    v, noisy=False, r=None, sum_d=None, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6
+):
+    """S-JBD pipeline from the V_q to (N, d, diagnostics): compress, then
+    the pencil or the commutant route of the module docstring.
+
+    ``v`` is the (Q, K, K) stack of the V_q, or a sequence of K x K
+    matrices.  An empty or ragged stack, a V_q that is not square and an
+    ``r`` or ``sum_d`` below 1 raise :class:`DimensionError`; on exact data
+    a V_q asymmetric beyond ``SYMMETRY_TOL`` relative raises ``ValueError``,
+    and so does an ``r`` or ``sum_d`` given with ``noisy`` false.  The
+    stack is symmetrized and copied to C order, so every layout gives the
+    same bits.
 
     When the slices only span an s-dimensional subspace with s < K (always
     the case when sum d_r < K), the V_q are first restricted to that joint
     column space; the diagonalizer is mapped back afterwards, so N is K x
-    sum d_r with full column rank in exact mode.  s is ``hint_sum_d`` when
-    given and otherwise the numerical rank at ``rank_tol``.
+    sum d_r with full column rank in exact mode.  s is ``sum_d`` when given
+    and otherwise the numerical rank at ``rank_tol``.
 
-    ``noisy`` marks the V_q as perturbed; a given ``hint_R`` implies it.
-    Exact data takes the pencil route (:func:`pencil_blocks`) and nothing
-    else: a W_1 singular at ``rank_tol`` or a defective pencil raises the
-    pencil's :class:`SolverDiagnostic`, and a coupling margin below
+    ``noisy`` alone picks the route.  Exact data takes the pencil route
+    (:func:`pencil_blocks`) and nothing else: a W_1 singular at
+    ``rank_tol`` or a defective pencil raises the pencil's
+    :class:`SolverDiagnostic`, and a coupling margin below
     ``COUPLING_MARGIN_FLOOR`` keeps the pencil's blocks with a ``warning:``
     under ``coupling_status`` that they may mix (the caller's residual
     check judges them).  Noisy data takes the commutant route with the CPD
     refinement (:func:`simultaneous_evd_cpd`), even with R detected rather
     than given: noise couples every pair of pencil eigenvectors above any
-    cut, leaving one block with no margin to doubt it.  R is detected at
-    ``rank_tol`` unless ``hint_R`` gives it.  Each decision is written once
-    into ``diagnostics``, under the key :class:`solver.SolveReport` shows: s
-    is ``sum_d``, ``sjbd_route`` names the route that ran, the pencil
-    records ``coupling_margin``, the commutant ``commutant_dim`` (R),
-    ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.  A
-    failure carries those written before it and ``sjbd_route``; on a
+    cut, leaving one block with no margin to doubt it.  R is ``r`` when
+    given and otherwise detected at ``rank_tol``.  Each decision is written
+    once into ``diagnostics``, under the key :class:`solver.SolveReport`
+    shows: s is ``sum_d``, ``sjbd_route`` names the route that ran, the
+    pencil records ``coupling_margin``, the commutant ``commutant_dim``
+    (R), ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.
+    A failure carries those written before it and ``sjbd_route``; on a
     shared name, its own value stands.
 
     Exact data gets the columns of N grouped into blocks of sizes d; noisy
@@ -668,10 +605,31 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     R blocks.  Whether Q is sum binom(d_r+1, 2) is left to the caller
     (Phase I of :func:`solver.phase1_recover_A` checks it).
     """
-    noisy = noisy or problem.hint_R is not None
-    vs = problem.V
-    k = problem.K
-    s = problem.hint_sum_d
+    if not noisy and (r is not None or sum_d is not None):
+        raise ValueError("r and sum_d apply only to noisy data")
+    if not isinstance(v, np.ndarray):
+        if len({np.shape(m) for m in v}) > 1:
+            raise DimensionError("all V_q must share the same size")
+        v = np.asarray(v)
+    if v.ndim != 3 or v.shape[0] == 0:
+        raise DimensionError(f"V must be a non-empty stack of matrices, got shape {v.shape}")
+    k = v.shape[1]
+    if k != v.shape[2]:
+        raise DimensionError(f"V[0] is not square ({k} x {v.shape[2]})")
+    for name, hint in (("r", r), ("sum_d", sum_d)):
+        if hint is not None and hint < 1:
+            raise DimensionError(f"{name} must be at least 1, got {hint}")
+    vt = v.transpose(0, 2, 1)
+    if not noisy:
+        dev = np.linalg.norm(v - vt, axis=(1, 2))
+        scale = np.maximum(np.linalg.norm(v, axis=(1, 2)), 1.0)
+        bad = np.flatnonzero(dev > SYMMETRY_TOL * scale)
+        if bad.size:
+            raise ValueError(f"V[{bad[0]}] is not symmetric (deviation {dev[bad[0]]:.2e})")
+    # C order whatever the input's, so that the products downstream round
+    # alike for every layout
+    vs = np.ascontiguousarray((v + vt) / 2.0)
+    s = sum_d
     if s is None or s < k:
         # the columns of all the V_q side by side
         u_s = orth(vs.transpose(1, 0, 2).reshape(k, -1), tol=rank_tol, dim=s)
@@ -687,7 +645,7 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
     try:
         if noisy:
             diagnostics["sjbd_route"] = route
-            u_mats = commutant_basis(vs, tol=rank_tol, dim=problem.hint_R)
+            u_mats = commutant_basis(vs, tol=rank_tol, dim=r)
             if len(u_mats) == 0:
                 raise SolverDiagnostic("empty commutant basis", {"R": 0})
             diagnostics["commutant_dim"] = len(u_mats)
@@ -719,4 +677,4 @@ def solve_sjbd(problem, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, noi
         raise
 
     n = u_s @ n_sub if u_s is not None else n_sub
-    return SJBDSolution(N=n, d=d, diagnostics=diagnostics)
+    return n, d, diagnostics

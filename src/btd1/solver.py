@@ -43,7 +43,6 @@ from .linalg import (
 )
 from .minors import n_sym, q2_null_dim, symmetric_null_matrices, total_block_size
 from .sjbd import (
-    SJBDProblem,
     _indices_by_label,
     _pencil_eig,
     _realify_blocks,
@@ -272,8 +271,8 @@ def phase1_recover_A(t, opts=None):
     Exact data comes back grouped.  Noisy data comes back ungrouped, and
     Phase I partitions N into R = ``diagnostics["commutant_dim"]`` blocks
     by the left directions of its unfolded columns
-    (:func:`_partition_by_unfolding`); scenario 2 passes R and sum d_r as
-    hints, so R is ``known_R`` there.  Exact mode and scenario 1 then check
+    (:func:`_partition_by_unfolding`); scenario 2 passes R and sum d_r to
+    it, so R is ``known_R`` there.  Exact mode and scenario 1 then check
     Q against sum binom(d_r+1, 2), the one Q verdict: on a mismatch exact
     mode raises and scenario 1 warns under ``sjbd_status`` that the
     uniqueness guarantee does not apply.  Scenario 2's Q is its lower bound
@@ -307,7 +306,7 @@ def phase1_recover_A(t, opts=None):
     else:
         v, margin = symmetric_null_matrices(t, tol=opts.tol, atol=q2_floor)
         q_used = v.shape[0]
-        sum_d = None
+        r_known = sum_d = None
     diag = {"Q_used": int(q_used), "q2_margin": margin}
     try:
         if q_used < 1:
@@ -315,13 +314,16 @@ def phase1_recover_A(t, opts=None):
                 "minor matrix has trivial null space; no block structure visible"
             )
 
-        problem = SJBDProblem(v, hint_R=r_known if scenario2 else None, hint_sum_d=sum_d)
-        sol = solve_sjbd(
-            problem, seed=opts.seed, rank_tol=opts.tol, cluster_tol=opts.cl_tol, noisy=opts.noisy
+        n_full, d, sjbd_diag = solve_sjbd(
+            v,
+            noisy=opts.noisy,
+            r=r_known,
+            sum_d=sum_d,
+            seed=opts.seed,
+            rank_tol=opts.tol,
+            cluster_tol=opts.cl_tol,
         )
-        diag.update(sol.diagnostics)
-
-        n_full, d = sol.N, sol.d
+        diag.update(sjbd_diag)
         if d is None:
             n_full, d = _partition_by_unfolding(t, n_full, diag["commutant_dim"])
         if not scenario2 and q_used != q2_null_dim(d):
@@ -519,6 +521,14 @@ def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_term
     s = v.shape[1]
     if s == 0:
         raise SolverDiagnostic("zero tensor has no two-slice decomposition", {})
+    j_dim, k_dim = h1.shape
+    if s > min(j_dim, k_dim):
+        # a noisy [H1; H2] can be wider at the tolerance than [H1 H2] is
+        # tall, and the pencil would not be square
+        raise SolverDiagnostic(
+            f"two-slice pencil width s = {s} exceeds min(J, K) = {min(j_dim, k_dim)}",
+            {"s": s, "J": j_dim, "K": k_dim},
+        )
     u = orth(np.hstack([h1, h2]), dim=s)
     g1 = u.conj().T @ h1 @ np.conj(v)
     g2 = u.conj().T @ h2 @ np.conj(v)

@@ -191,12 +191,12 @@ def _d_values(d, tol=DEFAULT_RANK_TOL):
     return out
 
 
-def _subset_rank_condition(mats, sizes, subset_size, transpose, tol, cap=SUBSET_CAP):
+def _subset_rank_condition(mats, sizes, subset_size, transpose, tol):
     """Whether every ``subset_size``-subset of term matrices, concatenated
     side by side (transposed when ``transpose``), has rank equal to the sum
-    of the corresponding term sizes."""
+    of the corresponding term sizes, or None past ``SUBSET_CAP`` subsets."""
     blocks = [m.T for m in mats] if transpose else mats
-    return _at_least(_subset_rank(blocks, sizes, (subset_size,), tol, cap), subset_size)
+    return _at_least(_subset_rank(blocks, sizes, (subset_size,), tol, SUBSET_CAP), subset_size)
 
 
 def _at_least(kres, need):
@@ -228,7 +228,7 @@ def _or(*vals):
     return False
 
 
-def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
+def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL):
     """Evaluate the deterministic uniqueness criteria on one decomposition.
 
     Assumptions: full column rank of unfold(T, 3); every d_r >= 1; and
@@ -265,16 +265,14 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_C
     d_vals = _d_values(d, tol=tol)
     d_positive = [dv >= 1 for dv in d_vals]
 
-    ka = k_rank(d.A, tol=tol, cap=cap)
+    ka = k_rank(d.A, tol=tol)
     ra = numerical_rank(d.A, tol=tol)
     if not ka.exact:
         notes.append("k-rank of A hit the subset cap; using the lower bound")
     subset_size = r - ra + 2
     f_rank_ok = _and(
         _at_least(ka, 2),
-        _subset_rank_condition(
-            e_mats, sizes, subset_size, transpose=False, tol=tol, cap=cap
-        ),
+        _subset_rank_condition(e_mats, sizes, subset_size, transpose=False, tol=tol),
     )
     if f_rank_ok is None:
         notes.append("F-subset rank condition not evaluated (cap)")
@@ -295,9 +293,7 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL, cap=SUBSET_C
 
     cond_a = _and(k_dim >= sum_l - min(sizes) + 1, _at_least(ka, 2))
     cond_b = ra == r
-    g_rank_ok = _subset_rank_condition(
-        e_mats, sizes, subset_size, transpose=True, tol=tol, cap=cap
-    )
+    g_rank_ok = _subset_rank_condition(e_mats, sizes, subset_size, transpose=True, tol=tol)
     if g_rank_ok is None:
         notes.append("G-subset rank condition not evaluated (cap)")
     cond_c = _and(_equals_rank(ka, ra), ra < r, f_rank_ok, g_rank_ok)

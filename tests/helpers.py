@@ -1,7 +1,6 @@
 """Shared test utilities: brute-force oracles, reference instances, the
 algebraic identity helpers and the nonuniqueness witnesses."""
 
-import dataclasses
 import itertools
 import operator
 from fractions import Fraction
@@ -498,7 +497,8 @@ def phase1_failure(kind, monkeypatch):
     solve = solver_module.solve_sjbd
 
     def flagged(*args, **kwargs):
-        return dataclasses.replace(solve(*args, **kwargs), d=(2, 2, 2))
+        n, _, diagnostics = solve(*args, **kwargs)
+        return n, (2, 2, 2), diagnostics
 
     monkeypatch.setattr(solver_module, "solve_sjbd", flagged)
     return compose(random_btd((3, 8, 8), (2, 3, 4), seed=0)), "structural assumption fails", 10
@@ -656,12 +656,19 @@ def per_column_unfolding_directions(t, n_full):
     return np.column_stack(dirs)
 
 
-def reconstruction_errors(sol, v_list):
-    """Relative error of N D_q N.T against each V_q for an S-JBD solution,
-    the D_q fitted by :func:`recover_coefficients`."""
+def symmetrized(v):
+    """The (Q, K, K) stack of the V_q (or a sequence of them) symmetrized
+    and in C order, bitwise the stack ``sjbd.solve_sjbd`` works on."""
+    v = np.asarray(v)
+    return np.ascontiguousarray((v + v.transpose(0, 2, 1)) / 2.0)
+
+
+def reconstruction_errors(n, d, v_list):
+    """Relative error of N D_q N.T against each V_q for the S-JBD's N and
+    block sizes d, the D_q fitted by :func:`recover_coefficients`."""
     errs = []
-    for v, d_q in zip(v_list, recover_coefficients(sol.N, sol.d, v_list)):
-        recon = sol.N @ d_q @ sol.N.T
+    for v, d_q in zip(v_list, recover_coefficients(n, d, v_list)):
+        recon = n @ d_q @ n.T
         errs.append(np.linalg.norm(recon - v) / max(np.linalg.norm(v), 1e-300))
     return np.array(errs)
 

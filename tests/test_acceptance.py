@@ -23,7 +23,7 @@ from btd1.experiment import ExperimentConfig, run_experiment
 from btd1.gf import verify_generic_q2_dim, verify_phi_full_rank
 from btd1.linalg import null_space, numerical_rank, rng, split_columns
 from btd1.minors import build_Q2, phi_matrix, s2_matrix
-from btd1.sjbd import SJBDProblem, solve_sjbd
+from btd1.sjbd import solve_sjbd
 from btd1.uniqueness import generic_bounds, parameter_count_S
 
 from helpers import (
@@ -140,12 +140,12 @@ def test_criterion_4():
                 (lambda m: (m + m.T) / 2)(gen.standard_normal((x, x))) for x in d
             ]
             v_list.append(n_true @ scipy.linalg.block_diag(*blocks) @ n_true.T)
-        sol = solve_sjbd(SJBDProblem(tuple(v_list)), seed=seed)
-        assert sorted(sol.d) == sorted(d)
-        assert reconstruction_errors(sol, v_list).max() < 1e-8
+        n, d_found, _ = solve_sjbd(v_list, seed=seed)
+        assert sorted(d_found) == sorted(d)
+        assert reconstruction_errors(n, d_found, v_list).max() < 1e-8
         offs = np.concatenate([[0], np.cumsum(d)])
         true_blocks = [n_true[:, offs[r] : offs[r + 1]] for r in range(len(d))]
-        assert block_subspace_match(split_columns(sol.N, sol.d), true_blocks) < 1e-6
+        assert block_subspace_match(split_columns(n, d_found), true_blocks) < 1e-6
 
 
 @pytest.mark.parametrize(

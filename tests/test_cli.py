@@ -94,6 +94,44 @@ def test_input_errors_exit_2(runner, tmp_path, monkeypatch, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--dims", "0,8,8", "--sizes", "2"],
+        ["experiment", "--dims", "-3,8,8", "--sizes", "2,3", "--trials", "1", "--snr", "50"],
+        ["check", "--dims", "0,5,5", "--sizes", "1", "--gf"],
+        ["decompose", "empty.btd1"],
+    ],
+    ids=["generate", "experiment", "check", "decompose"],
+)
+def test_dimension_below_1_exits_2(runner, tmp_path, monkeypatch, args):
+    # a tensor file whose header has a zero dimension is refused as it is
+    # read, before any solve
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.btd1").write_bytes(b"BTD1 R 0 2 2\n")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "must be at least 1" in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.btd1"]
+
+
+def test_noisy_case3_wider_than_min_jk_exits_3(runner, tmp_path):
+    out = tmp_path / "c3.btd1"
+    res = runner.invoke(
+        main,
+        ["generate", "--dims", "3,14,15", "--sizes", "2,2,2,3,3,4", "--seed", "0",
+         "--snr", "35", "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(
+        main, ["decompose", str(out), "--mode", "scenario2", "--known-r", "6", "--known-suml", "16"]
+    )
+    assert res.exit_code == 3, res.output
+    payload = json.loads(res.stdout)
+    assert payload["diagnostic"] == "two-slice pencil width s = 15 exceeds min(J, K) = 14"
+    assert (payload["details"]["s"], payload["details"]["J"], payload["details"]["K"]) == (15, 14, 15)
+
+
 def test_decompose_3x9x10_case1(runner, tmp_path):
     out = tmp_path / "t.btd1"
     res = runner.invoke(

@@ -42,6 +42,17 @@ def test_khatri_rao_of_repeated_columns_is_the_kron_block_stack(field):
     assert np.array_equal(khatri_rao(a, vec_e), want)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_batched_khatri_rao_is_the_per_item_product(field):
+    # the condition screen's batch of [a_s kron b_s]_s stacks, bit for bit
+    gen = rng(5)
+    x, y = randn(gen, (2, 4, 3, 6), field), randn(gen, (2, 4, 5, 6), field)
+    got = khatri_rao(x, y)
+    assert got.shape == (2, 4, 15, 6)
+    want = np.array([[khatri_rao(a, b) for a, b in zip(xs, ys)] for xs, ys in zip(x, y)])
+    assert np.array_equal(got, want)
+
+
 def test_numerical_rank_threshold():
     m = np.diag([1.0, 1e-3, 1e-12])
     assert numerical_rank(m) == 2

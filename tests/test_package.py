@@ -219,6 +219,24 @@ EVERY_PATH = textwrap.dedent(
 )
 
 
+def test_dimension_below_1_is_refused(tmp_path):
+    from btd1 import DimensionError
+    from btd1.experiment import ExperimentConfig
+    from btd1.fileio import read_tensor
+    from btd1.gf import verify_generic_q2_dim, verify_phi_full_rank
+
+    path = tmp_path / "empty.btd1"
+    path.write_bytes(b"BTD1 R 0 2 2\n")
+    for call in (
+        lambda: read_tensor(path),
+        lambda: ExperimentConfig(dims=(-3, 8, 8), sizes=(2, 3)),
+        lambda: verify_generic_q2_dim((3, 0, 5), (1,)),
+        lambda: verify_phi_full_rank(3, 0, 1, (1,)),
+    ):
+        with pytest.raises(DimensionError, match="must be at least 1"):
+            call()
+
+
 def test_no_path_imports_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(btd1.__file__).resolve().parents[1]))
     res = subprocess.run(

@@ -7,7 +7,6 @@ from btd1.linalg import null_space, randn, rng, split_columns
 from btd1.minors import symmetric_null_matrices
 from btd1.sjbd import (
     CPD_IDENTITY_WEIGHT,
-    SJBDProblem,
     _cluster_scalars,
     _commutant_gram,
     _pencil_eig,
@@ -31,6 +30,7 @@ from helpers import (
     singular_pencil_instance,
     solve_cpd_als,
     subspace_angle,
+    symmetrized,
 )
 
 
@@ -72,7 +72,7 @@ def test_commutant_contains_identity():
 def test_commutant_matrix_keeps_the_independent_rows(d, k, field):
     # K = 2 gives a wide commutant matrix, the others tall ones
     _, _, v_list = make_instance(d, k, seed=8, field=field)
-    v_list = SJBDProblem(tuple(v_list)).V
+    v_list = symmetrized(v_list)
     full = full_commutant_matrix(v_list)
     i, j = np.meshgrid(np.arange(k), np.arange(k))  # row j K + i is entry (i, j)
     upper = np.tile((i < j).ravel(), len(v_list))
@@ -90,7 +90,7 @@ def test_commutant_matrix_keeps_the_independent_rows(d, k, field):
 @pytest.mark.parametrize("d,k", [((1, 1), 2), ((1, 2, 3), 6), ((2, 3), 7)])
 def test_commutant_gram_equals_the_formed_gram(d, k, field):
     _, _, v_list = make_instance(d, k, seed=8, field=field)
-    v = SJBDProblem(tuple(v_list)).V
+    v = symmetrized(v_list)
     m = build_commutant_matrix(v)
     formed = m.conj().T @ m
     gram = _commutant_gram(v)
@@ -105,7 +105,7 @@ def test_noisy_commutant_basis_spans_the_smallest_singular_directions(field):
     d, k = (1, 2, 3), 6
     _, _, v_list = make_instance(d, k, seed=21, field=field)
     noise = randn(rng(22), (len(v_list), k, k), field)
-    v = SJBDProblem(np.stack(v_list) + 1e-3 * noise, hint_R=len(d)).V
+    v = symmetrized(np.stack(v_list) + 1e-3 * noise)
     u_mats = commutant_basis(v, dim=len(d))
     assert u_mats.shape == (len(d), k, k)
     basis = np.column_stack([u.ravel(order="F") for u in u_mats])
@@ -127,7 +127,7 @@ def test_noisy_tolerance_cuts_the_gram_as_the_formed_matrix(monkeypatch, d, k, f
 
     _, _, v_list = make_instance(d, k, seed=21, field=field)
     noise = randn(rng(22), (len(v_list), k, k), field)
-    v = SJBDProblem(np.stack(v_list) + 1e-3 * noise, hint_R=len(d)).V
+    v = symmetrized(np.stack(v_list) + 1e-3 * noise)
     formed = null_space(build_commutant_matrix(v), tol=1e-2)
     monkeypatch.setattr(sjbd, "build_commutant_matrix", refuse)
     u_mats = commutant_basis(v, tol=1e-2)
@@ -262,10 +262,10 @@ def test_solve_sjbd_reconstruction_and_subspaces():
     d = (1, 2, 3)
     k = 6
     n_true, d_qs, v_list = make_instance(d, k, seed=9)
-    sol = solve_sjbd(SJBDProblem(tuple(v_list)))
-    assert sorted(sol.d) == sorted(d)
-    assert reconstruction_errors(sol, v_list).max() < 1e-8
-    worst = block_subspace_match(split_columns(sol.N, sol.d), true_blocks(n_true, d))
+    n, d_found, _ = solve_sjbd(v_list)
+    assert sorted(d_found) == sorted(d)
+    assert reconstruction_errors(n, d_found, v_list).max() < 1e-8
+    worst = block_subspace_match(split_columns(n, d_found), true_blocks(n_true, d))
     assert worst < 1e-6
 
 
@@ -273,55 +273,55 @@ def test_solve_sjbd_rectangular_n():
     # slices span only a 4-dimensional subspace of a 7-dimensional space
     d = (1, 3)
     n_true, _, v_list = make_instance(d, 7, seed=10)
-    sol = solve_sjbd(SJBDProblem(tuple(v_list)))
-    assert sorted(sol.d) == sorted(d)
-    assert sol.N.shape == (7, 4)
-    assert reconstruction_errors(sol, v_list).max() < 1e-8
-    worst = block_subspace_match(split_columns(sol.N, sol.d), true_blocks(n_true, d))
+    n, d_found, _ = solve_sjbd(v_list)
+    assert sorted(d_found) == sorted(d)
+    assert n.shape == (7, 4)
+    assert reconstruction_errors(n, d_found, v_list).max() < 1e-8
+    worst = block_subspace_match(split_columns(n, d_found), true_blocks(n_true, d))
     assert worst < 1e-6
 
 
 def test_solve_sjbd_joint_diagonalization_case():
     d = (1, 1, 1)
     n_true, _, v_list = make_instance(d, 3, seed=11)
-    sol = solve_sjbd(SJBDProblem(tuple(v_list)))
-    assert sol.d == (1, 1, 1)
-    assert reconstruction_errors(sol, v_list).max() < 1e-8
+    n, d_found, _ = solve_sjbd(v_list)
+    assert d_found == (1, 1, 1)
+    assert reconstruction_errors(n, d_found, v_list).max() < 1e-8
 
 
 def test_solve_sjbd_seed_invariance_up_to_permutation():
     d = (2, 2, 1)
     n_true, _, v_list = make_instance(d, 5, seed=12)
-    sol_a = solve_sjbd(SJBDProblem(tuple(v_list)), seed=1)
-    sol_b = solve_sjbd(SJBDProblem(tuple(v_list)), seed=2)
-    assert sorted(sol_a.d) == sorted(sol_b.d)
-    worst = block_subspace_match(split_columns(sol_a.N, sol_a.d), split_columns(sol_b.N, sol_b.d))
+    n_a, d_a, _ = solve_sjbd(v_list, seed=1)
+    n_b, d_b, _ = solve_sjbd(v_list, seed=2)
+    assert sorted(d_a) == sorted(d_b)
+    worst = block_subspace_match(split_columns(n_a, d_a), split_columns(n_b, d_b))
     assert worst < 1e-6
 
 
-def test_sjbd_problem_symmetry_validation():
+def test_solve_sjbd_symmetry_validation():
     bad = np.arange(9.0).reshape(3, 3)
-    with pytest.raises(ValueError):
-        SJBDProblem((bad,))
-    prob = SJBDProblem((bad,), hint_R=1)
-    assert np.allclose(prob.V[0], prob.V[0].T)
+    with pytest.raises(ValueError, match=r"V\[0\] is not symmetric"):
+        solve_sjbd((bad,))
     for field in ("real", "complex"):
-        # the whole stack is checked at once, and the message names the
-        # first asymmetric V_q and its deviation
+        # exact data is checked whole, and the message names the first
+        # asymmetric V_q and its deviation; noisy data is only symmetrized
         _, _, v_list = make_instance((1, 2), 3, seed=5, field=field, q=4)
         v = np.stack(v_list)
         v[2, 0, 1] += 1e-3
         with pytest.raises(ValueError, match=r"V\[2\] is not symmetric \(deviation 1\.41e-03\)"):
-            SJBDProblem(v)
-        prob = SJBDProblem(v, hint_R=2)
-        assert prob.V.shape == (4, 3, 3) and prob.Q == 4 and prob.K == 3
-        assert np.array_equal(prob.V, prob.V.transpose(0, 2, 1))
-        # a sequence of matrices is stored as the symmetrized stack
-        sym = np.stack([(m + m.T) / 2.0 for m in v_list])
-        assert np.array_equal(SJBDProblem(tuple(v_list)).V, sym)
+            solve_sjbd(v)
+        n, _, _ = solve_sjbd(v, noisy=True, r=2)
+        assert np.array_equal(n, solve_sjbd(symmetrized(v), noisy=True, r=2)[0])
+        # a sequence of matrices and a Fortran-order stack give the bits of
+        # the symmetrized C-order stack
+        n, d, diagnostics = solve_sjbd(symmetrized(v_list))
+        for x in (tuple(v_list), np.asfortranarray(np.stack(v_list))):
+            n_x, d_x, diagnostics_x = solve_sjbd(x)
+            assert np.array_equal(n_x, n) and d_x == d and diagnostics_x == diagnostics
 
 
-def test_sjbd_problem_refuses_bad_input_at_construction():
+def test_solve_sjbd_refuses_bad_input():
     from btd1.linalg import DimensionError
 
     _, _, v_list = make_instance((1, 2), 3, seed=5)
@@ -330,21 +330,25 @@ def test_sjbd_problem_refuses_bad_input_at_construction():
         (np.zeros((0, 3, 3)), {}, "non-empty"),
         ((v_list[0], v_list[1][:2, :2]), {}, "same size"),
         ((np.zeros((3, 4)),), {}, "not square"),
-        (v_list, {"hint_R": 0}, "hint_R must be at least 1, got 0"),
-        (v_list, {"hint_R": 2, "hint_sum_d": 0}, "hint_sum_d must be at least 1, got 0"),
-        (v_list, {"hint_sum_d": -1}, "hint_sum_d must be at least 1, got -1"),
+        (v_list, {"noisy": True, "r": 0}, "^r must be at least 1, got 0"),
+        (v_list, {"noisy": True, "r": 2, "sum_d": 0}, "sum_d must be at least 1, got 0"),
+        (v_list, {"noisy": True, "sum_d": -1}, "sum_d must be at least 1, got -1"),
     ]:
         with pytest.raises(DimensionError, match=match):
-            SJBDProblem(v, **kwargs)
+            solve_sjbd(v, **kwargs)
+    # noisy alone picks the route: exact data takes neither R nor sum d_r
+    for kwargs in ({"r": 2}, {"sum_d": 3}, {"r": 2, "sum_d": 3}):
+        with pytest.raises(ValueError, match="r and sum_d apply only to noisy data"):
+            solve_sjbd(v_list, **kwargs)
 
 
 def test_complex_instance():
     d = (1, 2)
     n_true, _, v_list = make_instance(d, 3, seed=14, field="complex")
-    sol = solve_sjbd(SJBDProblem(tuple(v_list)))
-    assert sorted(sol.d) == sorted(d)
-    assert reconstruction_errors(sol, v_list).max() < 1e-8
-    worst = block_subspace_match(split_columns(sol.N, sol.d), true_blocks(n_true, d))
+    n, d_found, _ = solve_sjbd(v_list)
+    assert sorted(d_found) == sorted(d)
+    assert reconstruction_errors(n, d_found, v_list).max() < 1e-8
+    worst = block_subspace_match(split_columns(n, d_found), true_blocks(n_true, d))
     assert worst < 1e-6
 
 
@@ -468,7 +472,7 @@ def test_noisy_commutant_basis_contains_identity_direction():
     _, _, v_list = make_instance(d, k, seed=17)
     gen = rng(18)
     noisy = tuple(v + 1e-6 * (lambda m: (m + m.T) / 2)(gen.standard_normal((k, k))) for v in v_list)
-    u_mats = commutant_basis(SJBDProblem(noisy, hint_R=2).V, dim=2)
+    u_mats = commutant_basis(symmetrized(noisy), dim=2)
     assert len(u_mats) == 2
     basis = np.column_stack([u.ravel(order="F") for u in u_mats])
     vec_i = np.eye(k).ravel() / np.sqrt(k)
@@ -496,14 +500,13 @@ def test_simultaneous_evd_defective_raises():
 def test_solve_sjbd_approximate_returns_ungrouped_columns():
     d = (1, 3)
     n_true, _, v_list = make_instance(d, 7, seed=10)
-    problem = SJBDProblem(tuple(v_list), hint_R=2, hint_sum_d=4)
-    sol = solve_sjbd(problem)
-    assert sol.d is None
-    assert sol.N.shape == (7, 4)
-    assert sol.diagnostics["commutant_dim"] == 2
-    assert subspace_angle(sol.N, n_true) < 1e-6
-    assert 1 <= sol.diagnostics["cpd_iters"] <= 500
-    assert sol.diagnostics["cpd_converged"] == (sol.diagnostics["cpd_status"] == "ok")
+    n, d_found, diagnostics = solve_sjbd(v_list, noisy=True, r=2, sum_d=4)
+    assert d_found is None
+    assert n.shape == (7, 4)
+    assert diagnostics["commutant_dim"] == 2
+    assert subspace_angle(n, n_true) < 1e-6
+    assert 1 <= diagnostics["cpd_iters"] <= 500
+    assert diagnostics["cpd_converged"] == (diagnostics["cpd_status"] == "ok")
 
 
 def _scalars(x, n_clusters=None, cut=None):
@@ -615,18 +618,17 @@ def test_clustering_matches_greedy_reference(seed):
 def test_exact_solve_takes_the_pencil_route(d, field, seed):
     # K > sum d on odd seeds, so the compression runs too
     n_true, _, v_list = make_instance(d, sum(d) + seed % 2, seed=seed, field=field)
-    problem = SJBDProblem(tuple(v_list))
-    sol = solve_sjbd(problem, seed=seed)
-    assert sol.diagnostics["sjbd_route"] == "pencil"
-    assert "coupling_status" not in sol.diagnostics
-    assert "commutant_dim" not in sol.diagnostics
-    assert sol.d == tuple(sorted(d, reverse=True))
+    n, d_found, diagnostics = solve_sjbd(v_list, seed=seed)
+    assert diagnostics["sjbd_route"] == "pencil"
+    assert "coupling_status" not in diagnostics
+    assert "commutant_dim" not in diagnostics
+    assert d_found == tuple(sorted(d, reverse=True))
     remaining = true_blocks(n_true, d)
-    for block in split_columns(sol.N, sol.d):
+    for block in split_columns(n, d_found):
         angles = [subspace_angle(block, t) for t in remaining]
         assert min(angles) < 1e-8
         remaining.pop(int(np.argmin(angles)))
-    assert np.array_equal(solve_sjbd(problem, seed=seed).N, sol.N)
+    assert np.array_equal(solve_sjbd(v_list, seed=seed)[0], n)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -637,7 +639,7 @@ def test_singular_pencil_falls_back_to_the_commutant(field):
     # exact data has no route but the pencil: its singular W_1 is the
     # failure, named with its rank and cut, and the S-JBD's own keys
     with pytest.raises(SolverDiagnostic) as info:
-        solve_sjbd(SJBDProblem(tuple(v_list)))
+        solve_sjbd(v_list)
     assert str(info.value) == "pencil combination W_1 is singular"
     details = info.value.diagnostics
     assert (details["W1_rank"], details["size"], details["sum_d"]) == (2, 3, 3)

@@ -261,8 +261,9 @@ def test_gevd_defective_pencil_raises(second, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_noisy_case3_returns_or_names_the_singular_pencil(seed):
     # the paper's case-3 shape at 50 dB: a run that does not return raises
-    # the pencil's named failure, with W_1's rank and cut and Phase I's
-    # decisions, never a raw LinAlgError.  The residual is not asserted:
+    # a named failure with Phase I's decisions, never a raw LinAlgError: a
+    # two-slice pencil wider than min(J, K) (seed 3), or else the pencil's
+    # singular W_1 with its rank and cut.  The residual is not asserted:
     # the returned runs are still far above the noise level
     dims, sizes = (3, 14, 15), (2, 2, 2, 3, 3, 4)
     t = add_noise(compose(random_btd(dims, sizes, seed=seed)), NoiseSpec(50, seed=seed))
@@ -270,15 +271,34 @@ def test_noisy_case3_returns_or_names_the_singular_pencil(seed):
     try:
         rep = decompose(t, opts)
     except SolverDiagnostic as exc:
-        assert str(exc) == "pencil combination W_1 is singular"
         details = exc.diagnostics
-        assert details["W1_rank"] < details["size"]
-        assert 0 < details["W1_cut_ratio"] < 1
+        if seed == 3:
+            assert str(exc) == "two-slice pencil width s = 15 exceeds min(J, K) = 14"
+            assert (details["s"], details["J"], details["K"]) == (15, 14, 15)
+        else:
+            assert str(exc) == "pencil combination W_1 is singular"
+            assert details["W1_rank"] < details["size"]
+            assert 0 < details["W1_cut_ratio"] < 1
         assert {"Q_used", "q2_margin", "sum_d", "sjbd_route", "commutant_dim"} <= set(details)
         assert details["case_considered"] == 3
     else:
         assert rep.case_used == 3
         assert len(rep.detected_L) == 6 and sum(rep.detected_L) == 16
+
+
+@pytest.mark.parametrize("field,seed", [("real", 0), ("complex", 4), ("complex", 5)])
+def test_noisy_case3_names_a_pencil_wider_than_min_jk(field, seed):
+    # at 35 dB [H1; H2] is 15 wide at the tolerance, while [H1 H2] has J =
+    # 14 rows: the two-slice GEVD names the width, where numpy's broadcast
+    # error on the 14 x 15 pencil used to escape
+    dims, sizes = (3, 14, 15), (2, 2, 2, 3, 3, 4)
+    t = add_noise(compose(random_btd(dims, sizes, field, seed=seed)), NoiseSpec(35, seed=seed + 1))
+    opts = SolverOptions(mode="noisy_scenario2", known_R=6, known_sum_L=16, seed=seed)
+    with pytest.raises(SolverDiagnostic) as info:
+        decompose(t, opts)
+    assert str(info.value) == "two-slice pencil width s = 15 exceeds min(J, K) = 14"
+    details = info.value.diagnostics
+    assert (details["s"], details["J"], details["K"], details["case_considered"]) == (15, 14, 15, 3)
 
 
 def test_estimate_L_from_d():
@@ -696,26 +716,26 @@ def test_solver_options_refuse_known_counts_outside_scenario2(mode, name):
 
 
 @pytest.mark.parametrize(
-    "opts,hint_r,hint_sum_d",
+    "opts,noisy,r,sum_d",
     [
-        (SolverOptions(), None, None),
-        (SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9), 3, 6),
+        (SolverOptions(), False, None, None),
+        (SolverOptions(mode="noisy_scenario2", known_R=3, known_sum_L=9), True, 3, 6),
     ],
     ids=["exact", "scenario2"],
 )
-def test_phase1_runs_solve_sjbd_once(monkeypatch, opts, hint_r, hint_sum_d):
+def test_phase1_runs_solve_sjbd_once(monkeypatch, opts, noisy, r, sum_d):
     import btd1.solver as solver_module
 
-    problems = []
+    calls = []
     solve = solver_module.solve_sjbd
 
-    def recording(problem, **kwargs):
-        problems.append(problem)
-        return solve(problem, **kwargs)
+    def recording(v, **kwargs):
+        calls.append((kwargs["noisy"], kwargs["r"], kwargs["sum_d"]))
+        return solve(v, **kwargs)
 
     monkeypatch.setattr(solver_module, "solve_sjbd", recording)
     decompose(compose(random_btd((3, 8, 8), (2, 3, 4), seed=1)), opts)
-    assert [(p.hint_R, p.hint_sum_d) for p in problems] == [(hint_r, hint_sum_d)]
+    assert calls == [(noisy, r, sum_d)]
 
 
 def test_scenario1_single_reads_blocks_from_eigenvalue_gaps():
@@ -748,8 +768,8 @@ def test_mode_picks_the_sjbd_route(monkeypatch, opts, route, refined, grouped):
     solutions = []
     solve = solver_module.solve_sjbd
 
-    def recording(problem, **kwargs):
-        solutions.append(solve(problem, **kwargs))
+    def recording(v, **kwargs):
+        solutions.append(solve(v, **kwargs))
         return solutions[-1]
 
     monkeypatch.setattr(solver_module, "solve_sjbd", recording)
@@ -757,11 +777,11 @@ def test_mode_picks_the_sjbd_route(monkeypatch, opts, route, refined, grouped):
     if opts.noisy:
         t = add_noise(t, NoiseSpec(snr_db=50.0, seed=2))
     diag = phase1_recover_A(t, opts)[4]
-    (sol,) = solutions
-    assert diag["sjbd_route"] == sol.diagnostics["sjbd_route"] == route
+    ((_, d, sjbd_diag),) = solutions
+    assert diag["sjbd_route"] == sjbd_diag["sjbd_route"] == route
     cpd_keys = {"cpd_status", "cpd_fit", "cpd_iters", "cpd_converged"}
     assert {key for key in diag if key.startswith("cpd_")} == (cpd_keys if refined else set())
-    assert (sol.d is not None) == grouped
+    assert (d is not None) == grouped
 
 
 @pytest.mark.parametrize(
@@ -780,10 +800,10 @@ def test_sjbd_diagnostics_reach_the_report(monkeypatch, opts):
 
     solve = solver_module.solve_sjbd
 
-    def tagged(problem, **kwargs):
-        sol = solve(problem, **kwargs)
-        sol.diagnostics["sentinel"] = 0.5
-        return sol
+    def tagged(v, **kwargs):
+        n, d, diagnostics = solve(v, **kwargs)
+        diagnostics["sentinel"] = 0.5
+        return n, d, diagnostics
 
     monkeypatch.setattr(solver_module, "solve_sjbd", tagged)
     t = compose(random_btd((3, 8, 8), (2, 3, 4), seed=1))
