@@ -7,10 +7,10 @@ block-structure count, then the corresponding minor polynomial is nonzero
 over the integers, hence the same rank is attained generically over the
 reals and complexes.  Rank over the finite field is computed exactly
 (Gaussian elimination), so a "certified" verdict involves no rounding; a
-failed trial is inconclusive and can be retried with a new seed or a
-different prime.
+failed trial is inconclusive.  The certifiers run their trials over
+GF(32749) and, if none certifies, as many again over GF(65521); a verdict
+that stays inconclusive can be rerun with a new seed.
 
-Without an explicit ``field`` the certifiers try GF(32749), then GF(65521).
 Only primes with (p-1)^2 < 2^53 are supported, so a matrix product is a
 float64 matmul reduced mod p, summed in blocks short enough that every
 partial sum stays an integer below 2^53, and the product is exact.  When
@@ -107,7 +107,7 @@ class GFField:
         return gen.integers(0, self.p, size=shape, dtype=np.int64)
 
 
-# fields tried in turn when no explicit field is given: two large primes
+# the fields the certifiers try in turn: two large primes
 _ESCALATION_LADDER = (GFField(32749), GFField(65521))
 
 
@@ -233,8 +233,9 @@ def _check_trials(trials):
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
-def _certify_rank(config, expected, build, trials, seed, field, reason):
-    """Randomized rank certification shared by both verifiers.
+def _certify_rank(config, expected, build, trials, seed, reason):
+    """Randomized rank certification shared by both verifiers, over each
+    field of ``_ESCALATION_LADDER`` in turn.
 
     ``build(fld, gen)`` draws one trial's factors from ``gen`` and returns
     ``(a, b, sizes, *rest)``: the rank of Phi(A, B) @ rest[0] @ ... is
@@ -245,11 +246,10 @@ def _certify_rank(config, expected, build, trials, seed, field, reason):
     rank(Phi), so only an exact witness certifies.  When Phi has at most n
     rows, it is formed whole.
     """
-    fields = (field,) if field is not None else _ESCALATION_LADDER
     n_keep = expected + _COMPRESS_SLACK
     best = -1
     total = 0
-    for f_idx, fld in enumerate(fields):
+    for f_idx, fld in enumerate(_ESCALATION_LADDER):
         gen = rng(seed + 7919 * f_idx)
         for _ in range(trials):
             total += 1
@@ -270,11 +270,12 @@ def _certify_rank(config, expected, build, trials, seed, field, reason):
                     config, total, "certified", rank, expected, field=fld
                 )
     return GFVerificationResult(
-        config, total, "inconclusive", best, expected, reason=reason, field=fields[-1]
+        config, total, "inconclusive", best, expected, reason=reason,
+        field=_ESCALATION_LADDER[-1],
     )
 
 
-def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
+def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0):
     """Certify that Phi(A, B) has full column rank for random field factors.
 
     Necessary count conditions are checked first: binom(I,2) binom(J,2) must
@@ -291,13 +292,12 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
         raise DimensionError(f"expected {r} sizes (at least one), got {len(sizes)}")
     if min(i_dim, j_dim) < 1:
         raise DimensionError(f"dimensions must be at least 1, got I = {i_dim}, J = {j_dim}")
-    first = field if field is not None else _ESCALATION_LADDER[0]
     n_cols = phi_columns(sizes)
     config = {"I": i_dim, "J": j_dim, "R": r, "L": list(sizes)}
     rows_ok, wedge_ok = phi_count_conditions(i_dim, j_dim, sizes)
     if r >= 2 and not (rows_ok and wedge_ok):
         return GFVerificationResult(
-            config, 0, "impossible", -1, n_cols, field=first,
+            config, 0, "impossible", -1, n_cols, field=_ESCALATION_LADDER[0],
             reason="row count below column count" if not rows_ok
             else "J below the two largest sizes; wedge blocks collapse",
         )
@@ -307,12 +307,12 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0, field=None):
         return a, fld.random(gen, (j_dim, sum(sizes))), sizes
 
     return _certify_rank(
-        config, n_cols, build, trials, seed, field,
+        config, n_cols, build, trials, seed,
         reason="no full-rank witness found; retry with another seed or a different prime",
     )
 
 
-def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
+def verify_generic_q2_dim(dims, sizes, trials=5, seed=0):
     """Certify the generic null-space dimension of Q2 by finite-field rank.
 
     The certified identity is rank Q2 = binom(K+1,2) - sum binom(d_r+1,2)
@@ -334,17 +334,16 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
     clamped = k_dim > sum_l
     k_dim, d_vals = block_sizes(k_dim, sizes)
     config = {"I": i_dim, "J": j_dim, "K": k_dim, "L": list(sizes), "clamped": clamped}
-    first = field if field is not None else _ESCALATION_LADDER[0]
     if any(dv < 1 for dv in d_vals):
         return GFVerificationResult(
-            config, 0, "impossible", -1, -1, field=first,
+            config, 0, "impossible", -1, -1, field=_ESCALATION_LADDER[0],
             reason="some d_r would be nonpositive; generic blocks overlap",
         )
     expected = n_sym(k_dim) - q2_null_dim(d_vals)
     n_rows = n_strict(i_dim) * n_strict(j_dim)
     if n_rows < expected:
         return GFVerificationResult(
-            config, 0, "impossible", -1, expected, field=first,
+            config, 0, "impossible", -1, expected, field=_ESCALATION_LADDER[0],
             reason=f"Q2 has {n_rows} rows, below the expected rank {expected}",
         )
 
@@ -355,7 +354,7 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0, field=None):
         return a, b, sizes, GFMatrix(gf_s2(fld, c, sizes).values.T, fld)
 
     return _certify_rank(
-        config, expected, build, trials, seed, field,
+        config, expected, build, trials, seed,
         reason="rank never reached the generic count; retry with another seed or a "
         "different prime",
     )

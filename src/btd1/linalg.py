@@ -154,21 +154,16 @@ def numerical_rank(a, tol=DEFAULT_RANK_TOL):
     return rank_cut(np.linalg.svd(a, compute_uv=False), tol)
 
 
-def null_space(a, tol=DEFAULT_RANK_TOL, dim=None):
-    """Orthonormal basis of the (numerical) null space, columns of shape (n, q).
+def null_space(a, tol=DEFAULT_RANK_TOL):
+    """Orthonormal basis of the (numerical) null space of a matrix with at
+    least one row, columns of shape (n, q).
 
-    The rank is :func:`rank_cut` at ``tol``.  With ``dim`` given, returns
-    the ``dim`` right singular vectors of the smallest singular values
-    regardless of threshold (the noisy-pipeline convention).  Only the right
-    singular vectors are used, so the SVD is thin unless a is wide: an
-    m x n matrix with m < n needs the full n x n Vh to reach its null
-    vectors.
+    The rank is :func:`rank_cut` at ``tol``.  Only the right singular
+    vectors are used, so the SVD is thin unless a is wide: an m x n matrix
+    with m < n needs the full n x n Vh to reach its null vectors.
     """
     a = np.asarray(a)
     m, n = a.shape
-    if m == 0:
-        q = n if dim is None else dim
-        return np.eye(n)[:, :q]
     try:
         _, s, vh = np.linalg.svd(a, full_matrices=m < n)
     except np.linalg.LinAlgError:
@@ -179,8 +174,7 @@ def null_space(a, tol=DEFAULT_RANK_TOL, dim=None):
         import scipy.linalg
 
         _, s, vh = scipy.linalg.svd(a, full_matrices=m < n, lapack_driver="gesvd")
-    r = rank_cut(s, tol) if dim is None else n - dim
-    return vh[r:].conj().T
+    return vh[rank_cut(s, tol) :].conj().T
 
 
 def lstsq(a, b):

@@ -573,8 +573,9 @@ def solve_sjbd(
     ``r`` or ``sum_d`` below 1 raise :class:`DimensionError`; on exact data
     a V_q asymmetric beyond ``SYMMETRY_TOL`` relative raises ``ValueError``,
     and so does an ``r`` or ``sum_d`` given with ``noisy`` false.  The
-    stack is symmetrized and copied to C order, so every layout gives the
-    same bits.
+    stack is symmetrized; every layout gives the same bits, as
+    :func:`pencil_blocks` and :func:`commutant_basis` copy their stack to C
+    order.
 
     When the slices only span an s-dimensional subspace with s < K (always
     the case when sum d_r < K), the V_q are first restricted to that joint
@@ -626,9 +627,7 @@ def solve_sjbd(
         bad = np.flatnonzero(dev > SYMMETRY_TOL * scale)
         if bad.size:
             raise ValueError(f"V[{bad[0]}] is not symmetric (deviation {dev[bad[0]]:.2e})")
-    # C order whatever the input's, so that the products downstream round
-    # alike for every layout
-    vs = np.ascontiguousarray((v + vt) / 2.0)
+    vs = (v + vt) / 2.0
     s = sum_d
     if s is None or s < k:
         # the columns of all the V_q side by side

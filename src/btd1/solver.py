@@ -87,8 +87,11 @@ class SolverOptions:
     there).  A given ``rank_tol`` lies in (0, 1).  The mode also picks the
     S-JBD route of :func:`sjbd.solve_sjbd`: the pencil for exact data, the
     commutant with the least-squares CPD refinement for noisy data.
-    Eigenvalues are grouped at a relative spread of 1e-6 in exact mode and
-    1e-2 in the noisy modes.
+    Exact mode's pencil groups eigenvalues at a relative spread of 1e-6;
+    every other grouping is by count: R in the noisy S-JBD's EVD, a Case-3
+    subset's size in its two-slice GEVD.  The noisy modes' 1e-2
+    (``cl_tol``) only decides, in :func:`sjbd._realify_blocks`, whether
+    the group means count as real (1e-6 in exact mode).
     """
 
     mode: str = "exact"
@@ -408,16 +411,17 @@ def default_subsets(r, r_a):
     return subsets
 
 
-def phase2_case3(t, a, a_svd, opts=None, subsets=None, sizes=None):
+def phase2_case3(t, a, a_svd, sizes, opts=None):
     """Case 3 (neither factor matrix square enough): decompose two-slice
     projections onto subsets of terms by generalized EVD, then resolve the
     global term scales against the mode-1 unfolding.
 
     ``a_svd`` is the thin SVD (U, s, Vh) of A; its U, cut at ``opts.tol``,
-    is the orthonormal basis of A's column space.  ``sizes`` forces the
-    truncation ranks, as in :func:`phase2_case2`, and is checked before any
-    GEVD: a subset whose sum L_r exceeds min(J, K) gives a pencil the
-    two-slice GEVD cannot split into its terms.
+    is the orthonormal basis of A's column space.  The subsets are
+    :func:`default_subsets`.  ``sizes``, the L_r in A's column order, are
+    the truncation ranks, and are checked before any GEVD: a subset whose
+    sum L_r exceeds min(J, K) gives a pencil the two-slice GEVD cannot
+    split into its terms.
     """
     opts = opts or SolverOptions()
     _, j_dim, k_dim = t.dims
@@ -427,22 +431,10 @@ def phase2_case3(t, a, a_svd, opts=None, subsets=None, sizes=None):
     r_a = col_a.shape[1]
     if r_a >= r:
         raise SolverDiagnostic("Case 3 expects rank(A) < R", {"rank_A": r_a, "R": r})
-    card = r - r_a + 2
-    if subsets is None:
-        subsets = default_subsets(r, r_a)
-    covered = set()
-    for s in subsets:
-        covered.update(s)
-    if covered != set(range(r)):
-        raise SolverDiagnostic("subsets do not cover all terms", {"subsets": subsets})
+    subsets = default_subsets(r, r_a)
     width = min(j_dim, k_dim)
-    for m_idx, omega in enumerate(subsets):
-        if len(omega) != card:
-            raise SolverDiagnostic(
-                f"subset {m_idx} has cardinality {len(omega)}, expected {card}",
-                {"subset": omega},
-            )
-        omega_l = [] if sizes is None else [int(sizes[p]) for p in omega]
+    for omega in subsets:
+        omega_l = [int(sizes[p]) for p in omega]
         if sum(omega_l) > width:
             raise SolverDiagnostic(
                 f"Case 3 subset {list(omega)} has sizes {omega_l}, sum L_r = "
@@ -623,7 +615,7 @@ def decompose(t, opts=None):
         elif case == 2:
             est = phase2_case2(t, a, a_svd, opts, sizes=sizes)
         else:
-            est = phase2_case3(t, a, a_svd, opts, sizes=sizes)
+            est = phase2_case3(t, a, a_svd, sizes, opts)
 
         if t is not original and case != 1:
             # map the compressed third factor back to the original tensor

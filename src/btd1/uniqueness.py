@@ -58,7 +58,7 @@ class KRankResult:
 _SUBSET_CHUNK = 256
 
 
-def _subset_rank(blocks, targets, ks, tol, cap):
+def _subset_rank(blocks, targets, ks, tol):
     """Largest k of ``ks`` (increasing) such that every k-subset of
     ``blocks``, stacked side by side, has rank at least the sum of its
     ``targets``.
@@ -67,8 +67,8 @@ def _subset_rank(blocks, targets, ks, tol, cap):
     by one stacked SVD per width, and the first chunk that holds a failure
     ends the search.  The search also ends at the first k whose k smallest
     targets sum above the row count, since no k-subset can then reach its
-    target.  ``cap`` bounds the subsets tested over all k; a k that would
-    pass it ends the search with an inexact lower bound.
+    target.  ``SUBSET_CAP`` bounds the subsets tested over all k; a k that
+    would pass it ends the search with an inexact lower bound.
     """
     n = len(blocks)
     smallest = sorted(targets)
@@ -81,7 +81,7 @@ def _subset_rank(blocks, targets, ks, tol, cap):
         if k <= n and sum(smallest[:k]) > blocks[0].shape[0]:
             break
         n_subsets = math.comb(n, k)
-        if tested + n_subsets > cap:
+        if tested + n_subsets > SUBSET_CAP:
             return KRankResult(best, exact=False)
         tested += n_subsets
         subsets = combinations(range(n), k)
@@ -110,19 +110,19 @@ def _chunk_reaches(cols, spans, targets, chunk, tol):
     return True
 
 
-def k_rank(a, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
+def k_rank(a, tol=DEFAULT_RANK_TOL):
     """Largest k such that every k columns of ``a`` are linearly independent."""
     a = np.asarray(a)
     if np.any(np.linalg.norm(a, axis=0) == 0):
         return KRankResult(0)
-    return k_prime_rank([a[:, i : i + 1] for i in range(a.shape[1])], tol=tol, cap=cap)
+    return k_prime_rank([a[:, i : i + 1] for i in range(a.shape[1])], tol=tol)
 
 
-def k_prime_rank(blocks, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
+def k_prime_rank(blocks, tol=DEFAULT_RANK_TOL):
     """Largest k' such that any k' blocks yield independent columns."""
     blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
     targets = [b.shape[1] for b in blocks]
-    return _subset_rank(blocks, targets, range(1, len(blocks) + 1), tol, cap)
+    return _subset_rank(blocks, targets, range(1, len(blocks) + 1), tol)
 
 
 def check_necessary(d, tol=DEFAULT_RANK_TOL):
@@ -196,7 +196,7 @@ def _subset_rank_condition(mats, sizes, subset_size, transpose, tol):
     side by side (transposed when ``transpose``), has rank equal to the sum
     of the corresponding term sizes, or None past ``SUBSET_CAP`` subsets."""
     blocks = [m.T for m in mats] if transpose else mats
-    return _at_least(_subset_rank(blocks, sizes, (subset_size,), tol, SUBSET_CAP), subset_size)
+    return _at_least(_subset_rank(blocks, sizes, (subset_size,), tol), subset_size)
 
 
 def _at_least(kres, need):
@@ -228,8 +228,9 @@ def _or(*vals):
     return False
 
 
-def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL):
-    """Evaluate the deterministic uniqueness criteria on one decomposition.
+def check_deterministic_uniqueness(d, tol=DEFAULT_RANK_TOL):
+    """Evaluate the deterministic uniqueness criteria on one decomposition
+    and its composed tensor T.
 
     Assumptions: full column rank of unfold(T, 3); every d_r >= 1; and
     either the subset rank condition on the term matrices (F-ranks with
@@ -247,10 +248,7 @@ def check_deterministic_uniqueness(d, t=None, tol=DEFAULT_RANK_TOL):
     (a and b) or (a and c) or d).
     """
     notes = []
-    if t is None:
-        t = compose(d)
-    elif t.dims != d.dims:
-        raise DimensionError(f"tensor dims {t.dims} do not match factors {d.dims}")
+    t = compose(d)
     sizes = d.sizes
     i_dim, j_dim, k_dim = t.dims
     sum_l = sum(sizes)

@@ -825,7 +825,7 @@ def loop_k_prime_rank(blocks, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
     return KRankResult(best)
 
 
-def check_rank_only_uniqueness(d, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
+def check_rank_only_uniqueness(d, tol=DEFAULT_RANK_TOL):
     """Uniqueness via ranks only: r_C >= sum L_r - min L_r + 1,
     k'_B >= R - r_A + 2, k_A >= 2, and either r_A = R or
     (k_A = r_A < R and k'_C >= R - r_A + 2)."""
@@ -834,9 +834,9 @@ def check_rank_only_uniqueness(d, tol=DEFAULT_RANK_TOL, cap=SUBSET_CAP):
     r = d.R
     rc = numerical_rank(d.C, tol=tol)
     ra = numerical_rank(d.A, tol=tol)
-    ka = k_rank(d.A, tol=tol, cap=cap)
-    kb = k_prime_rank([b for b, _ in d.terms], tol=tol, cap=cap)
-    kc = k_prime_rank([c for _, c in d.terms], tol=tol, cap=cap)
+    ka = k_rank(d.A, tol=tol)
+    kb = k_prime_rank([b for b, _ in d.terms], tol=tol)
+    kc = k_prime_rank([c for _, c in d.terms], tol=tol)
     need = r - ra + 2
     first = _and(
         rc >= sum_l - min(sizes) + 1,

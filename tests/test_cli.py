@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from btd1.cli import main
+from btd1.uniqueness import generic_bounds
 
 
 @pytest.fixture
@@ -145,6 +146,12 @@ def test_decompose_3x9x10_case1(runner, tmp_path):
     assert payload["case_used"] == 1
     assert payload["residual"] < 1e-8
     assert sorted(payload["detected_L"]) == [1, 2, 3, 4]
+    # --out writes the same report to a file
+    report = tmp_path / "report.json"
+    res_out = runner.invoke(main, ["decompose", str(out), "--out", str(report)])
+    assert res_out.exit_code == 0, res_out.output
+    assert res_out.output == f"wrote {report}\n"
+    assert report.read_text() + "\n" == res.output
 
 
 def test_decompose_3x8x8_case2(runner, tmp_path):
@@ -401,10 +408,24 @@ def test_check_2x8x7(runner):
     assert "first_fm_upon_verification True" in res.output
 
 
-def test_check_gf_certification(runner):
-    res = runner.invoke(main, ["check", "--gf", "--dims", "3,3,5", "--sizes", "1,1,1,2"])
+def test_check_gf_certification(runner, tmp_path):
+    out = tmp_path / "check.json"
+    res = runner.invoke(
+        main, ["check", "--gf", "--dims", "3,3,5", "--sizes", "1,1,1,2", "--json-out", str(out)]
+    )
     assert res.exit_code == 0
     assert "certified" in res.output
+    # --json-out writes the whole payload
+    payload = json.loads(out.read_text())
+    assert payload["parameter_count"] == {"S": 41, "IJK": 45, "passes": True}
+    assert payload["generic_bounds"] == generic_bounds((3, 3, 5), (1, 1, 1, 2))
+    assert payload["gf_certification"]["verdict"] == "certified"
+
+
+def test_check_without_dims_exits_2(runner):
+    res = runner.invoke(main, ["check", "--sizes", "2,2"])
+    assert res.exit_code == 2
+    assert "need --dims and --sizes (or --decomposition)" in res.output
 
 
 def test_check_decomposition_file(runner, tmp_path):
@@ -459,6 +480,16 @@ def test_experiment_csv_schema(runner, tmp_path):
     assert err_rows[0].startswith("snr,mean_err_A,median_err_A")
     exact_row = err_rows[1].split(",")
     assert float(exact_row[1]) < 1e-8
+
+
+def test_experiment_reports_progress_unless_quiet(runner, tmp_path):
+    res = runner.invoke(
+        main,
+        ["experiment", "--dims", "3,8,8", "--sizes", "2,3,4", "--snr", "inf", "--trials", "2",
+         "--freq-out", str(tmp_path / "freq.csv"), "--err-out", str(tmp_path / "err.csv")],
+    )
+    assert res.exit_code == 0, res.output
+    assert res.stderr == "\rtrial 1/2\rtrial 2/2\n"
 
 
 def test_experiment_rejects_shape_whose_cap_no_draw_meets(runner, tmp_path):

@@ -221,6 +221,24 @@ def test_config_accepts_only_the_cpd_weight():
         ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), omega=3.0)
 
 
+def test_config_rejects_an_empty_snr_grid():
+    with pytest.raises(ValueError, match="snr grid must be nonempty"):
+        ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), snr_grid=())
+
+
+def test_config_rejects_r_below_min_jk_i():
+    # sum L = 6 reaches min(IJ, K) = 3, but R = 2 is below min(JK, I) = 4
+    with pytest.raises(DimensionError, match=r"R below min\(JK, I\)"):
+        ExperimentConfig(dims=(4, 3, 3), sizes=(3, 3))
+
+
+def test_progress_is_called_once_per_trial():
+    calls = []
+    config = ExperimentConfig(dims=(3, 8, 8), sizes=(2, 3, 4), snr_grid=(50.0,), num_trials=3)
+    run_experiment(config, progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(1, 3), (2, 3), (3, 3)]
+
+
 @pytest.mark.parametrize("snr", [math.nan, -math.inf], ids=["nan", "minus-inf"])
 def test_config_rejects_snr_that_is_not_a_level(snr):
     with pytest.raises(ValueError, match="SNR"):

@@ -46,6 +46,10 @@ def test_tensor_reject_garbage(tmp_path):
     path.write_bytes(b"BTD1 R 2 2 2\n" + b"\0" * 8)  # truncated payload
     with pytest.raises(DimensionError):
         read_tensor(path)
+    # a complex payload holds two floats an entry
+    path.write_bytes(b"BTD1 C 2 2 2\n" + b"\0" * 8 * 8)
+    with pytest.raises(DimensionError, match="expected 16 floats, found 8"):
+        read_tensor(path)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -192,13 +192,23 @@ def test_verify_q2_dim_3x3x5():
     assert res.expected == 9  # rank 9 on a 9 x 15 matrix: null dimension 6
 
 
-def test_verify_q2_dim_2x8x7_needs_odd_characteristic():
+def test_verify_q2_dim_2x8x7_needs_odd_characteristic(monkeypatch):
     res = verify_generic_q2_dim((2, 8, 7), (3, 3, 3), seed=0)
     assert res.certified
     assert res.field.p != 2  # characteristic 2 caps the rank structurally
     # restricted to GF(2) the check is inconclusive
-    res2 = verify_generic_q2_dim((2, 8, 7), (3, 3, 3), seed=0, field=GFField(2))
+    monkeypatch.setattr(gf, "_ESCALATION_LADDER", (GFField(2),))
+    res2 = verify_generic_q2_dim((2, 8, 7), (3, 3, 3), seed=0)
     assert res2.verdict == "inconclusive"
+
+
+def test_verify_q2_dim_impossible_when_some_d_r_is_below_1():
+    # K = 4 against sum L = 6: d_1 = 4 - 6 + 1 = -1
+    res = verify_generic_q2_dim((3, 6, 4), (1, 2, 3), seed=0)
+    assert res.verdict == "impossible" and res.trials == 0
+    assert res.expected == -1 and res.witnessed_rank == -1
+    assert res.field == GFField(32749)
+    assert res.reason == "some d_r would be nonpositive; generic blocks overlap"
 
 
 def test_verify_q2_dim_single_term_trivial():
@@ -346,7 +356,7 @@ def test_left_compression_never_raises_rank():
     "i_dim, j_dim, sizes, compressed",
     [((2, 5, (1, 2), False)), ((6, 20, (4, 4, 4, 4, 4), True))],
 )
-def test_planted_deficient_phi_never_certifies(i_dim, j_dim, sizes, compressed):
+def test_planted_deficient_phi_never_certifies(i_dim, j_dim, sizes, compressed, monkeypatch):
     # two equal columns inside the last B block make two Phi columns equal
     n_cols = sum(x * y for k, x in enumerate(sizes) for y in sizes[k + 1 :])
     assert (n_strict(i_dim) * n_strict(j_dim) > n_cols + 10) == compressed
@@ -357,8 +367,9 @@ def test_planted_deficient_phi_never_certifies(i_dim, j_dim, sizes, compressed):
         b[:, -1] = b[:, -2]
         return a, b, sizes
 
-    for field in (None, GFField(101)):
-        res = gf._certify_rank({}, n_cols, build, 1, 0, field, reason="")
+    for ladder in (gf._ESCALATION_LADDER, (GFField(101),)):
+        monkeypatch.setattr(gf, "_ESCALATION_LADDER", ladder)
+        res = gf._certify_rank({}, n_cols, build, 1, 0, reason="")
         assert res.verdict == "inconclusive"
         assert res.witnessed_rank < n_cols
 
@@ -407,7 +418,7 @@ def test_phi_sketch_equals_the_pair_loop(sizes, chunk, monkeypatch):
 @pytest.mark.parametrize(
     "field", [GFField(101), GFField(32749), GFField(LARGEST_PRIME), GFField(65521)]
 )
-def test_certify_rank_ranks_the_sketch_over_prime_fields_only(field):
+def test_certify_rank_ranks_the_sketch_over_prime_fields_only(field, monkeypatch):
     # a Q2 trial at 4x6x5 (1, 2, 2): Phi has 90 rows, more than the 19 kept
     dims, sizes, expected = (4, 6, 5), (1, 2, 2), n_sym(5) - 7
     drawn = {}
@@ -420,7 +431,8 @@ def test_certify_rank_ranks_the_sketch_over_prime_fields_only(field):
         return a, b, sizes, GFMatrix(gf_s2(fld, c, sizes).values.T, fld)
 
     # expected + 1 is never reached, so the single trial reports its rank
-    res = gf._certify_rank({}, expected + 1, build, 1, 3, field, reason="")
+    monkeypatch.setattr(gf, "_ESCALATION_LADDER", (field,))
+    res = gf._certify_rank({}, expected + 1, build, 1, 3, reason="")
     assert res.verdict == "inconclusive" and res.trials == 1
     q2 = gf_q2_from_factors(field, drawn["a"], drawn["b"], drawn["c"], sizes)
     n_keep = expected + 1 + 10

@@ -213,7 +213,7 @@ EVERY_PATH = textwrap.dedent(
     scipy_modules("experiment")
     assert verify_generic_q2_dim((3, 3, 5), (1, 1, 1, 2), seed=1).certified
     assert verify_phi_full_rank(2, 3, 2, (1, 1), seed=1).certified
-    check_deterministic_uniqueness(truth, compose(truth))
+    check_deterministic_uniqueness(truth)
     scipy_modules("checkers")
     """
 )

@@ -109,7 +109,9 @@ def test_noisy_commutant_basis_spans_the_smallest_singular_directions(field):
     u_mats = commutant_basis(v, dim=len(d))
     assert u_mats.shape == (len(d), k, k)
     basis = np.column_stack([u.ravel(order="F") for u in u_mats])
-    formed = null_space(build_commutant_matrix(v), dim=len(d))
+    # the formed (tall) matrix's right singular vectors, smallest last
+    vh = np.linalg.svd(build_commutant_matrix(v), full_matrices=False)[2]
+    formed = vh[-len(d) :].conj().T
     cosines = np.linalg.svd(formed.conj().T @ basis, compute_uv=False)
     assert np.all(cosines > 1 - 1e-10)
     identity = np.eye(k).ravel() / np.sqrt(k)
@@ -167,6 +169,26 @@ def test_the_sjbd_gives_the_same_bits_for_any_stack_layout():
         assert np.array_equal(n_x, n) and d_x == d and margin_x == margin
         for dim, basis in zip((None, 4), bases):
             assert np.array_equal(commutant_basis(x, dim=dim), basis)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dims, sizes", [((3, 9, 10), (1, 2, 3, 4)), ((3, 8, 8), (2, 3, 4))])
+def test_solve_sjbd_gives_the_same_bits_for_any_stack_layout(dims, sizes, field):
+    # C order, Fortran order and Q as the fastest axis (as Phase I gathers
+    # its V_q), on both routes; 3x8x8 has sum d_r = 6 < K = 8, so its stack
+    # is restricted to the joint column space first
+    t = compose(random_btd(dims, sizes, field=field, seed=1))
+    v, _ = symmetric_null_matrices(t, tol=1e-8)
+    noisy = v + 1e-4 * randn(rng(2), v.shape, field)
+    for stack, kwargs in ((v, {}), (noisy, {"noisy": True, "r": len(sizes)})):
+        c_order = np.ascontiguousarray(stack)
+        want, d, diagnostics = solve_sjbd(c_order, **kwargs)
+        q_fastest = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+        assert q_fastest.strides[0] == q_fastest.itemsize
+        for x in (np.asfortranarray(stack), q_fastest):
+            assert not x.flags.c_contiguous
+            n_x, d_x, diagnostics_x = solve_sjbd(x, **kwargs)
+            assert np.array_equal(n_x, want) and d_x == d and diagnostics_x == diagnostics
 
 
 @pytest.mark.parametrize("d", [(1, 1, 1), (1, 2), (2, 3), (1, 2, 3)])

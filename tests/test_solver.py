@@ -21,7 +21,7 @@ from btd1 import (
     unfold,
 )
 from btd1 import sjbd, solver
-from btd1.linalg import SolverDiagnostic, numerical_rank, rng
+from btd1.linalg import DimensionError, SolverDiagnostic, numerical_rank, rng
 from btd1.minors import q2_null_dim
 from btd1.sjbd import cluster_columns
 from btd1.solver import (
@@ -185,25 +185,26 @@ def test_phase2_case2_rank_deficient_a():
 
 
 def test_phase2_case3_3xJx15_and_subsets():
-    truth = random_btd((3, 14, 15), (2, 2, 2, 3, 3, 4), seed=10)
-    t = compose(truth)
-    a, _, n, d, _ = phase1_recover_A(t)
-    est = phase2_case3(t, a, _thin_svd(a))
-    _, _, err_a, err_t = match_decompositions(truth, est)
-    assert err_a < 1e-8 and err_t < 1e-8
+    for seed in (10, 31):
+        truth = random_btd((3, 14, 15), (2, 2, 2, 3, 3, 4), seed=seed)
+        t = compose(truth)
+        a, _, n, d, _ = phase1_recover_A(t)
+        # the true sizes, in the order of A's columns
+        sizes = estimate_L_from_d(d, 15, 6)
+        assert sorted(sizes) == sorted(truth.sizes)
+        est = phase2_case3(t, a, _thin_svd(a), sizes)
+        _, _, err_a, err_t = match_decompositions(truth, est)
+        assert err_a < 1e-8 and err_t < 1e-8, seed
     subs = default_subsets(6, 3)
     assert all(len(s) == 5 for s in subs)
     assert set().union(*subs) == set(range(6))
 
 
-def test_phase2_case3_explicit_subset_choice():
-    # two overlapping five-element windows, as in the reference experiment
-    truth = random_btd((3, 14, 15), (2, 2, 2, 3, 3, 4), seed=31)
-    t = compose(truth)
-    a, _, n, d, _ = phase1_recover_A(t)
-    est = phase2_case3(t, a, _thin_svd(a), subsets=[(0, 1, 2, 3, 4), (0, 1, 2, 3, 5)])
-    _, _, err_a, err_t = match_decompositions(truth, est)
-    assert err_a < 1e-8 and err_t < 1e-8
+def test_gevd_two_slice_refuses_other_slice_counts_and_zero():
+    with pytest.raises(DimensionError, match="needs a 2 x J x K tensor"):
+        gevd_two_slice_btd(compose(random_btd((3, 6, 6), (2, 2), seed=11)))
+    with pytest.raises(SolverDiagnostic, match="zero tensor has no two-slice decomposition"):
+        gevd_two_slice_btd(Tensor3(np.zeros((2, 6, 6))))
 
 
 def test_gevd_two_slice_single_term():

@@ -139,6 +139,21 @@ def test_random_btd_d_values_3x9x10():
 def test_random_btd_size_guard():
     with pytest.raises(DimensionError):
         random_btd((3, 4, 4), (5,), seed=0)
+    with pytest.raises(DimensionError, match="term sizes must be positive"):
+        random_btd((3, 4, 4), (2, 0), seed=0)
+
+
+def test_decomposition_shape_errors():
+    gen = rng(0)
+    a, b, c = gen.standard_normal((3, 2)), gen.standard_normal((4, 2)), gen.standard_normal((5, 2))
+    for a_x, terms, message in [
+        (a[:, 0], ((b, c),), "A must be an I x R matrix"),
+        (a, ((b, c),), "A has 2 columns but 1 terms were given"),
+        (a, ((b, c), (b, c[:, :1])), "term 1: B_r and C_r must share column count"),
+        (a, ((b, c), (b[:3], c)), "all terms must share J and K"),
+    ]:
+        with pytest.raises(DimensionError, match=message):
+            BlockTermDecomposition(a_x, terms)
 
 
 def test_add_noise_exact_flag():

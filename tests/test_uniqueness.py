@@ -6,7 +6,7 @@ import pytest
 
 from btd1 import BlockTermDecomposition, compose, random_btd
 from btd1 import uniqueness
-from btd1.linalg import DEFAULT_RANK_TOL, numerical_rank, rng
+from btd1.linalg import DEFAULT_RANK_TOL, DimensionError, numerical_rank, rng
 from btd1.minors import build_Q2, n_sym, q2_null_dim
 from btd1.uniqueness import (
     SUBSET_CAP,
@@ -81,25 +81,31 @@ def test_k_rank_basics():
     gen = rng(3)
     blocks = [gen.standard_normal((8, 2)) for _ in range(3)]
     assert k_prime_rank(blocks).value == 3
+    a = gen.standard_normal((4, 3))
+    a[:, 1] = 0.0
+    assert k_rank(a) == KRankResult(0)
 
 
-def test_k_rank_cap_gives_lower_bound():
+def test_k_rank_cap_gives_lower_bound(monkeypatch):
     gen = rng(4)
     a = gen.standard_normal((10, 12))
-    res = k_rank(a, cap=20)
+    monkeypatch.setattr(uniqueness, "SUBSET_CAP", 20)
+    res = k_rank(a)
     assert not res.exact
     assert res.value <= 10
 
 
-def test_subset_rank_stops_at_row_count():
+def test_subset_rank_stops_at_row_count(monkeypatch):
     # any two 4 x 2 blocks fill the 4 rows and no three fit, so k' = 2 is
     # exact without testing the triples, which the cap would not cover
     gen = rng(30)
     blocks = [gen.standard_normal((4, 2)) for _ in range(3)]
-    assert k_prime_rank(blocks, cap=6) == KRankResult(2, exact=True)
+    monkeypatch.setattr(uniqueness, "SUBSET_CAP", 6)
+    assert k_prime_rank(blocks) == KRankResult(2, exact=True)
     # with single columns the stop is the k-rank's bound min(columns, rows):
     # a cap of 25 covers the subsets of up to 3 of 5 columns
-    assert k_rank(gen.standard_normal((3, 5)), cap=25) == KRankResult(3, exact=True)
+    monkeypatch.setattr(uniqueness, "SUBSET_CAP", 25)
+    assert k_rank(gen.standard_normal((3, 5))) == KRankResult(3, exact=True)
 
 
 def _subset_rank_cases():
@@ -126,12 +132,13 @@ def _subset_rank_cases():
 
 
 @pytest.mark.parametrize("cap", [5, 60, 400, 2000, SUBSET_CAP])
-def test_stacked_subset_ranks_equal_the_loop(cap):
+def test_stacked_subset_ranks_equal_the_loop(cap, monkeypatch):
+    monkeypatch.setattr(uniqueness, "SUBSET_CAP", cap)
     for name, blocks in _subset_rank_cases():
         want = loop_k_prime_rank(blocks, cap=cap)
-        assert k_prime_rank(blocks, cap=cap) == want, name
+        assert k_prime_rank(blocks) == want, name
         if all(b.shape[1] == 1 for b in blocks) and all(b.any() for b in blocks):
-            assert k_rank(np.hstack(blocks), cap=cap) == want, name
+            assert k_rank(np.hstack(blocks)) == want, name
 
 
 def test_k_rank_takes_one_stacked_svd_per_size(monkeypatch):
@@ -192,7 +199,7 @@ def test_main_theorem_shared_columns_subtensor_assumption_fails():
     # compress to the essential third dimension (rank 4)
     from btd1 import compress_third_mode
 
-    compressed, _, rank = compress_third_mode(t2)
+    compressed, mixing, rank = compress_third_mode(t2)
     assert rank == 4
     q2 = build_Q2(compressed)
     null_dim = q2.shape[1] - numerical_rank(q2, tol=1e-8)
@@ -200,8 +207,20 @@ def test_main_theorem_shared_columns_subtensor_assumption_fails():
     # every admissible (d_1, d_2) tuple gives sum binom(d+1, 2) <= 4 < 5
     best = max(1 + 1, 3 + 1, 1 + 3)
     assert best == 4 < null_dim
-    rep = check_deterministic_uniqueness(d2, t=compressed)
-    assert not rep.assumptions["Q2_dim_ok"]
+    # the compressed tensor's own decomposition: unfold(t2, 3) = M C.T and
+    # unfold(compressed, 3) = unfold(t2, 3) mixing^+, so C_r becomes
+    # (mixing^+).T C_r
+    mix_pinv = np.linalg.pinv(mixing)
+    d_c = BlockTermDecomposition(d2.A, tuple((b, mix_pinv.T @ c) for b, c in d2.terms))
+    rebuilt = compose(d_c).values
+    assert np.linalg.norm(rebuilt - compressed.values) < 1e-12 * np.linalg.norm(compressed.values)
+    rep = check_deterministic_uniqueness(d_c)
+    assert rep.assumptions == {
+        "t3_full_rank": True,
+        "d_r_positive": [True, True],
+        "F_rank_ok": False,
+        "Q2_dim_ok": False,
+    }
 
 
 def test_main_theorem_statement_logic_consistency():
@@ -251,6 +270,8 @@ def test_parameter_count():
             flipped = True
             break
     assert flipped
+    with pytest.raises(DimensionError, match=r"term sizes must not exceed min\(J, K\)"):
+        parameter_count_S((3, 4, 5), (2, 5))
 
 
 def test_generic_bounds_8_8_50():
@@ -413,5 +434,5 @@ def test_checker_q2_count_matches_the_formed_matrix(name):
     k_dim = t.dims[2]
     formed_null = n_sym(k_dim) - numerical_rank(build_Q2(t), DEFAULT_RANK_TOL)
     want = formed_null == q2_null_dim(uniqueness._d_values(d))
-    rep = check_deterministic_uniqueness(d, t)
+    rep = check_deterministic_uniqueness(d)
     assert rep.assumptions["Q2_dim_ok"] is want
