@@ -308,7 +308,7 @@ def verify_phi_full_rank(i_dim, j_dim, r, sizes, trials=5, seed=0):
 
     return _certify_rank(
         config, n_cols, build, trials, seed,
-        reason="no full-rank witness found; retry with another seed or a different prime",
+        reason="no full-rank witness found; retry with another seed",
     )
 
 
@@ -355,6 +355,5 @@ def verify_generic_q2_dim(dims, sizes, trials=5, seed=0):
 
     return _certify_rank(
         config, expected, build, trials, seed,
-        reason="rank never reached the generic count; retry with another seed or a "
-        "different prime",
+        reason="rank never reached the generic count; retry with another seed",
     )

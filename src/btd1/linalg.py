@@ -8,7 +8,8 @@ no absolute floor.  The same constant is the ``rcond`` of :func:`lstsq`.
 :func:`orth` and :func:`null_space` read rank and basis off one SVD.
 One matrix is still factored more than once: ``simultaneous_evd_cpd``'s
 initial eigenbasis on noisy data (factored, ranked, then inverted), kept
-so that scenario 2's CPD start keeps its bits.
+so that scenario 2's CPD start keeps its bits; it is decomposed once, as
+a start that loses rank takes the ungrouped eigenvectors of the same EVD.
 Every stack [x_1 kron Y_1 ... x_R kron Y_R] is a :func:`khatri_rao`
 product.  All random draws in the package go through :func:`rng`, a PCG64
 generator seeded explicitly, so every stochastic operation is reproducible

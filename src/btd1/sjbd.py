@@ -46,7 +46,6 @@ from .linalg import (
     frobenius_norm,
     khatri_rao,
     lstsq,
-    numerical_rank,
     orth,
     randn,
     rank_cut,
@@ -88,6 +87,12 @@ CPD_REL_TOL = 1e-4
 CPD_STEP_GROW = 1.5
 CPD_STEP_MAX = 50.0
 CPD_STEP_MIN = 1.1
+# eigenvalues within this spread, relative to the largest, form one group
+# when no group count is given (exact data: equal to rounding)
+EIG_GROUP_SPREAD = 1e-6
+# real input is realified when every group mean's imaginary part is at most
+# this, relative to the largest mean or 1 (noise makes them nonzero)
+REAL_MEAN_TOL = 1e-2
 # the eigenvalues of the commutant Gram carry rounding of about K^2 eps
 # lambda_max; R counts those at most this factor above that rounding, or
 # at most tol^2 lambda_max when tol^2 is higher, so a tolerance the Gram
@@ -268,9 +273,10 @@ def _real_span(b):
     return orth(np.hstack([np.real(b), np.imag(b)]), dim=b.shape[1])
 
 
-def _realify_blocks(blocks, means, tol):
-    """Real bases and real means when every mean is real at ``tol``; else both as given."""
-    if any(abs(np.imag(m)) > tol * max(np.max(np.abs(means)), 1.0) for m in means):
+def _realify_blocks(blocks, means):
+    """Real bases and real means when every mean is real at ``REAL_MEAN_TOL``;
+    else both as given."""
+    if any(abs(np.imag(m)) > REAL_MEAN_TOL * max(np.max(np.abs(means)), 1.0) for m in means):
         return blocks, means
     return [_real_span(b) for b in blocks], means.real
 
@@ -317,13 +323,14 @@ def _indices_by_label(labels):
     return [np.nonzero(labels == g)[0] for g in range(labels.max() + 1)]
 
 
-def _pencil_eig(w2, w1=None, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, n_clusters=None):
+def _pencil_eig(w2, w1=None, tol=DEFAULT_RANK_TOL, n_clusters=None):
     """The package's one EVD: of the pencil W_2 W_1^-1, or of W_2 alone.
 
     One SVD of W_1 tests it (singular below full rank at ``tol``) and
-    inverts it.  The eigenvalues are grouped at ``cluster_tol`` (into
-    ``n_clusters`` when given) and :func:`_check_eigenvectors` reads the
-    eigenvector matrix's one SVD and each group's.  Returns (vecs, groups,
+    inverts it.  The eigenvalues are grouped into ``n_clusters`` when given,
+    else at the relative spread ``EIG_GROUP_SPREAD``, and
+    :func:`_check_eigenvectors` reads the eigenvector matrix's one SVD and
+    each group's.  Returns (vecs, groups,
     means, svd, bases): the column indices, mean eigenvalue and orthonormal
     basis (None for a single column) of each group, and (U, s, Vh) of
     vecs.  Raises :class:`SolverDiagnostic` on a singular W_1, a failed EVD
@@ -346,14 +353,14 @@ def _pencil_eig(w2, w1=None, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6, n_clusters=
     except np.linalg.LinAlgError as exc:
         raise SolverDiagnostic(f"pencil EVD failed: {exc}", {"size": z.shape[0]}) from exc
     svd = np.linalg.svd(vecs)
-    groups = _indices_by_label(_cluster_scalars(vals, cluster_tol, n_clusters))
+    groups = _indices_by_label(_cluster_scalars(vals, EIG_GROUP_SPREAD, n_clusters))
     bases = _check_eigenvectors(rank_cut(svd[1], 1e-10), vecs, groups)
     # sum / size: the bits of .mean() at a third of its cost (K groups per exact pencil)
     means = np.array([vals[idx].sum() / idx.size for idx in groups])
     return vecs, groups, means, svd, bases
 
 
-def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
+def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL):
     """Joint block diagonalizer of exact, spanning V_q from one pencil EVD.
 
     Two seeded generic combinations W_1 and W_2 of the V_q give the EVD
@@ -368,14 +375,14 @@ def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
     when every block is a single column) over the largest coupling dropped,
     and None when nothing is dropped.  Raises :class:`SolverDiagnostic` when
     W_1 is singular at ``tol`` or when the pencil is defective (eigenvalues
-    grouped at ``cluster_tol``).
+    grouped at ``EIG_GROUP_SPREAD``).
     """
     # C order whatever the input's, so that every layout rounds alike
     vs = np.ascontiguousarray(v_list)
     complex_input = np.iscomplexobj(vs)
     w = randn(rng(seed), (2, vs.shape[0]), "complex" if complex_input else "real")
     w1, w2 = np.tensordot(w, vs, axes=1)
-    p, _, _, (u, sv, vh), _ = _pencil_eig(w2, w1, tol, cluster_tol)
+    p, _, _, (u, sv, vh), _ = _pencil_eig(w2, w1, tol)
     p_inv = (vh.conj().T / sv) @ u.conj().T
     p_inv /= np.linalg.norm(p_inv, axis=1)[:, None]
     g = p_inv @ vs @ p_inv.T
@@ -395,11 +402,16 @@ def pencil_blocks(v_list, seed=0, tol=DEFAULT_RANK_TOL, cluster_tol=1e-6):
     return np.hstack(blocks), tuple(b.shape[1] for b in blocks), margin
 
 
-def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
+def simultaneous_evd_single(u_mats, seed=0, n_clusters=None):
     """Joint diagonalizer from the EVD of one generic combination.
 
-    Z = sum_r w_r U_r with generic seeded weights; its eigenvalue clusters
-    give the block sizes d_r and the grouped eigenvectors give N.  Raises
+    Z = sum_r w_r U_r with generic seeded weights; its eigenvalue groups
+    (``n_clusters`` of them when given, else at ``EIG_GROUP_SPREAD``) give
+    the block sizes d_r and the grouped eigenvectors give N, realified for
+    real input when the group means are real (:func:`_realify_blocks`).
+    Realified groups can lose rank when conjugate eigenvalues land in
+    different groups; when N's rank at 1e-12 falls short, N is Z's
+    eigenvectors ungrouped, with every d_r 1.  Raises
     :class:`SolverDiagnostic` when Z is numerically defective.
     """
     if len(u_mats) == 0:
@@ -407,12 +419,15 @@ def simultaneous_evd_single(u_mats, seed=0, cluster_tol=1e-6, n_clusters=None):
     complex_input = any(np.iscomplexobj(u) for u in u_mats)
     w = randn(rng(seed), len(u_mats), "complex" if complex_input else "real")
     z = sum(wi * ui for wi, ui in zip(w, u_mats))
-    vecs, groups, means, _, _ = _pencil_eig(z, cluster_tol=cluster_tol, n_clusters=n_clusters)
+    vecs, groups, means, _, _ = _pencil_eig(z, n_clusters=n_clusters)
     blocks = [vecs[:, idx] for idx in groups]
     if not complex_input:
-        blocks, _ = _realify_blocks(blocks, means, cluster_tol)
+        blocks, _ = _realify_blocks(blocks, means)
     blocks.sort(key=lambda b: -b.shape[1])
-    return np.hstack(blocks), tuple(b.shape[1] for b in blocks)
+    n = np.hstack(blocks)
+    if rank_cut(np.linalg.svd(n, compute_uv=False), 1e-12) < len(n):
+        return vecs, (1,) * len(n)
+    return n, tuple(b.shape[1] for b in blocks)
 
 
 @SOLVE_ERRSTATE
@@ -524,7 +539,7 @@ def cpd_als(tensor, init):
     return (a, c, b), fit, converged, sweep
 
 
-def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6):
+def simultaneous_evd_cpd(u_mats, seed=0):
     """Joint diagonalizer via a rank-one tensor fit of the stacked basis.
 
     The (R, K, K) stack of basis matrices (or a sequence of them) is a
@@ -532,25 +547,20 @@ def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6):
     B = C^{-T}; the last slice is replaced by ``CPD_IDENTITY_WEIGHT`` * I,
     which is always consistent and softly enforces that coupling.  The fit
     is an alternating least squares refinement initialized from the
-    single-combination EVD, its eigenvalues grouped into ``n_clusters``.  Each column of N = C lies in one block;
+    single-combination EVD (:func:`simultaneous_evd_single`), its
+    eigenvalues grouped into R.  Each column of N = C lies in one block;
     the columns come ungrouped, for the caller to partition.
 
     Returns (N, converged, fit, sweeps) with the convergence flag and ALS
     sweep count of :func:`cpd_als`.
     """
     stack = np.array(u_mats, order="C")
-    k = stack.shape[1]
+    r, k, _ = stack.shape
     stack[-1] = CPD_IDENTITY_WEIGHT * np.eye(k)
 
     # the grouped single-combination EVD keeps the initialization real for
     # real input, so the refinement stays in real arithmetic
-    n0, _ = simultaneous_evd_single(
-        stack, seed=seed, cluster_tol=cluster_tol, n_clusters=n_clusters
-    )
-    if numerical_rank(n0, tol=1e-12) < k:
-        # realified grouping can collapse when conjugate directions land in
-        # different clusters; fall back to the ungrouped complex eigenbasis
-        n0, _ = simultaneous_evd_single(stack, seed=seed, cluster_tol=0.0, n_clusters=k)
+    n0, _ = simultaneous_evd_single(stack, seed=seed, n_clusters=r)
     try:
         n0_inv = np.linalg.inv(n0)
     except np.linalg.LinAlgError as exc:
@@ -562,9 +572,7 @@ def simultaneous_evd_cpd(u_mats, n_clusters, seed=0, cluster_tol=1e-6):
     return c, converged, fit, sweeps
 
 
-def solve_sjbd(
-    v, noisy=False, r=None, sum_d=None, seed=0, rank_tol=DEFAULT_RANK_TOL, cluster_tol=1e-6
-):
+def solve_sjbd(v, noisy=False, r=None, sum_d=None, seed=0, rank_tol=DEFAULT_RANK_TOL):
     """S-JBD pipeline from the V_q to (N, d, diagnostics): compress, then
     the pencil or the commutant route of the module docstring.
 
@@ -593,9 +601,11 @@ def solve_sjbd(
     refinement (:func:`simultaneous_evd_cpd`), even with R detected rather
     than given: noise couples every pair of pencil eigenvectors above any
     cut, leaving one block with no margin to doubt it.  R is ``r`` when
-    given and otherwise detected at ``rank_tol``.  Each decision is written
-    once into ``diagnostics``, under the key :class:`solver.SolveReport`
-    shows: s is ``sum_d``, ``sjbd_route`` names the route that ran, the
+    given and otherwise detected at ``rank_tol``.  The eigenvalue grouping
+    is the module's: the pencil groups at ``EIG_GROUP_SPREAD``, the
+    refinement's start into R groups, realified at ``REAL_MEAN_TOL``.  Each
+    decision is written once into ``diagnostics``, under the key
+    :class:`solver.SolveReport` shows: s is ``sum_d``, ``sjbd_route`` names the route that ran, the
     pencil records ``coupling_margin``, the commutant ``commutant_dim``
     (R), ``cpd_status``, ``cpd_fit``, ``cpd_iters`` and ``cpd_converged``.
     A failure carries those written before it and ``sjbd_route``; on a
@@ -649,9 +659,7 @@ def solve_sjbd(
                 raise SolverDiagnostic("empty commutant basis", {"R": 0})
             diagnostics["commutant_dim"] = len(u_mats)
             d = None
-            n_sub, converged, fit, sweeps = simultaneous_evd_cpd(
-                u_mats, len(u_mats), seed=seed, cluster_tol=cluster_tol
-            )
+            n_sub, converged, fit, sweeps = simultaneous_evd_cpd(u_mats, seed=seed)
             diagnostics["cpd_status"] = (
                 "ok" if converged else "warning: CPD refinement hit max iterations"
             )
@@ -659,9 +667,7 @@ def solve_sjbd(
             diagnostics["cpd_iters"] = int(sweeps)
             diagnostics["cpd_converged"] = converged
         else:
-            n_sub, d, margin = pencil_blocks(
-                vs, seed=seed, tol=rank_tol, cluster_tol=cluster_tol
-            )
+            n_sub, d, margin = pencil_blocks(vs, seed=seed, tol=rank_tol)
             diagnostics["coupling_margin"] = margin
             diagnostics["sjbd_route"] = route
             if margin is not None and margin < COUPLING_MARGIN_FLOOR:

@@ -87,11 +87,6 @@ class SolverOptions:
     there).  A given ``rank_tol`` lies in (0, 1).  The mode also picks the
     S-JBD route of :func:`sjbd.solve_sjbd`: the pencil for exact data, the
     commutant with the least-squares CPD refinement for noisy data.
-    Exact mode's pencil groups eigenvalues at a relative spread of 1e-6;
-    every other grouping is by count: R in the noisy S-JBD's EVD, a Case-3
-    subset's size in its two-slice GEVD.  The noisy modes' 1e-2
-    (``cl_tol``) only decides, in :func:`sjbd._realify_blocks`, whether
-    the group means count as real (1e-6 in exact mode).
     """
 
     mode: str = "exact"
@@ -130,10 +125,6 @@ class SolverOptions:
         if self.noisy:
             return 1e-2
         return EXACT_RANK_TOL
-
-    @property
-    def cl_tol(self):
-        return 1e-2 if self.noisy else 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,16 +191,16 @@ def candidate_size_tuples(r, k, sum_l):
     return tuples
 
 
-def estimate_L_from_d(d, k, r):
-    """Term sizes from block sizes: L_r = d_r + (K - sum d) / (R - 1).
+def estimate_L_from_d(d, k):
+    """Term sizes from block sizes: L_r = d_r + (K - sum d) / (R - 1), with
+    R = len(d).
 
     Valid when the stacked complementary third-factor blocks have full
     column rank, which holds generically.  Raises when the shared increment
     is farther than 0.25 from an integer.
     """
     d = tuple(int(x) for x in d)
-    if len(d) != r:
-        raise DimensionError(f"expected {r} block sizes, got {len(d)}")
+    r = len(d)
     if r == 1:
         if k != d[0]:
             raise SolverDiagnostic(
@@ -324,7 +315,6 @@ def phase1_recover_A(t, opts=None):
             sum_d=sum_d,
             seed=opts.seed,
             rank_tol=opts.tol,
-            cluster_tol=opts.cl_tol,
         )
         diag.update(sjbd_diag)
         if d is None:
@@ -471,11 +461,7 @@ def phase2_case3(t, a, a_svd, sizes, opts=None):
             [q1[:, s].reshape(j_dim, k_dim, order="F") for s in range(2)]
         )
         sub = gevd_two_slice_btd(
-            Tensor3(q_values),
-            tol=opts.tol,
-            seed=int(gen.integers(2**31)),
-            cluster_tol=opts.cl_tol,
-            n_terms=len(omega),
+            Tensor3(q_values), tol=opts.tol, seed=int(gen.integers(2**31)), n_terms=len(omega)
         )
         if sub.R != len(omega):
             raise SolverDiagnostic(
@@ -495,7 +481,7 @@ def phase2_case3(t, a, a_svd, sizes, opts=None):
     return _truncated_terms(a, [x[idx] * e_hat[idx] for idx in range(r)], sizes, opts.tol)
 
 
-def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_terms=None):
+def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, n_terms=None):
     """Decomposition of a 2 x J x K tensor by generalized eigendecomposition.
 
     Assumes the second and third factor matrices of the underlying
@@ -503,7 +489,10 @@ def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_term
     first factor matrix are independent.  Two generic slice mixtures reduce
     to a matrix pencil, decomposed by the S-JBD's one routine
     (:func:`sjbd._pencil_eig`); eigenvalue multiplicities give the term
-    sizes, eigenvector groups the column spaces of the B_r.
+    sizes, eigenvector groups the column spaces of the B_r.  The
+    eigenvalues are grouped into ``n_terms`` when given, else at
+    ``sjbd.EIG_GROUP_SPREAD``; real input is realified when the group means
+    are real at ``sjbd.REAL_MEAN_TOL``.
     """
     if q.dims[0] != 2:
         raise DimensionError("two-slice decomposition needs a 2 x J x K tensor")
@@ -528,12 +517,12 @@ def gevd_two_slice_btd(q, tol=DEFAULT_RANK_TOL, seed=0, cluster_tol=1e-6, n_term
     mix = randn(rng(seed), (2, 2), "complex" if complex_input else "real")
     s_a = mix[0, 0] * g1 + mix[0, 1] * g2
     s_b = mix[1, 0] * g1 + mix[1, 1] * g2
-    vecs, groups, means, _, bases = _pencil_eig(s_b, s_a, tol, cluster_tol, n_terms)
+    vecs, groups, means, _, bases = _pencil_eig(s_b, s_a, tol, n_terms)
     # a group's orthonormal basis is the U of the SVD that ranked it; a
     # single eigenvector, which nothing ranked, is factored here
     blocks = [orth(vecs[:, idx], dim=1) if u is None else u for idx, u in zip(groups, bases)]
     if not complex_input:
-        blocks, means = _realify_blocks(blocks, means, max(cluster_tol, 1e-8))
+        blocks, means = _realify_blocks(blocks, means)
     a = np.linalg.solve(mix, np.vstack([np.ones_like(means), means]))
     return _fit_third_factor(q, a, [u @ b for b in blocks])
 
@@ -605,7 +594,7 @@ def decompose(t, opts=None):
         sizes = None
         if opts.noisy or case == 3:
             # exact Case 3 takes them too: its subsets are checked against them
-            sizes = estimate_L_from_d(d, k_dim, r)
+            sizes = estimate_L_from_d(d, k_dim)
         if case == 1 and t is not original:
             # the B_r of Phase I have widths d_r, which are the sizes here;
             # C is fitted once, against the original tensor

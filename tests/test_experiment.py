@@ -192,18 +192,19 @@ def test_config_rejects_impossible_sizes():
 
 
 @pytest.mark.parametrize(
-    "dims, sizes, cap",
+    "dims, sizes, cap, rule",
     [
-        ((3, 8, 10), (2, 3, 4), 10.0),
-        ((4, 8, 8), (2, 3), 10.0),
-        ((3, 8, 8), (2, 3, 4), 0.5),
-        ((3, 8, 8), (2, 3, 4), math.nan),
+        ((3, 8, 10), (2, 3, 4), 10.0, r"sum L below min\(IJ, K\)"),
+        # sum L = 8 = min(IJ, K) passes the sum-L rule; R = 2 < min(JK, I) = 4
+        ((4, 8, 8), (4, 4), 10.0, r"R below min\(JK, I\)"),
+        ((3, 8, 8), (2, 3, 4), 0.5, "cond_cap must be at least 1"),
+        ((3, 8, 8), (2, 3, 4), math.nan, "cond_cap must be at least 1"),
     ],
     ids=["sum-L-below-K", "R-below-I", "cap-below-1", "cap-nan"],
 )
-def test_config_rejects_caps_that_no_draw_meets(dims, sizes, cap):
+def test_config_rejects_caps_that_no_draw_meets(dims, sizes, cap, rule):
     # draw_instance would redraw forever on each of these
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule):
         ExperimentConfig(dims=dims, sizes=sizes, cond_cap=cap)
 
 

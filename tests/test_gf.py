@@ -200,6 +200,7 @@ def test_verify_q2_dim_2x8x7_needs_odd_characteristic(monkeypatch):
     monkeypatch.setattr(gf, "_ESCALATION_LADDER", (GFField(2),))
     res2 = verify_generic_q2_dim((2, 8, 7), (3, 3, 3), seed=0)
     assert res2.verdict == "inconclusive"
+    assert res2.reason == "rank never reached the generic count; retry with another seed"
 
 
 def test_verify_q2_dim_impossible_when_some_d_r_is_below_1():
@@ -372,6 +373,17 @@ def test_planted_deficient_phi_never_certifies(i_dim, j_dim, sizes, compressed, 
         res = gf._certify_rank({}, n_cols, build, 1, 0, reason="")
         assert res.verdict == "inconclusive"
         assert res.witnessed_rank < n_cols
+    # the public verifier on the planted factors gives its retry hint, which
+    # names only the seed: no caller chooses the prime
+    certify = gf._certify_rank
+
+    def planted(config, expected, _build, *rest, **kwargs):
+        return certify(config, expected, build, *rest, **kwargs)
+
+    monkeypatch.setattr(gf, "_certify_rank", planted)
+    res = gf.verify_phi_full_rank(i_dim, j_dim, len(sizes), sizes, trials=1)
+    assert res.verdict == "inconclusive"
+    assert res.reason == "no full-rank witness found; retry with another seed"
 
 
 def _row_kronecker(f, s_a, s_b):

@@ -264,7 +264,7 @@ def test_simultaneous_evd_cpd_matches_single():
     u_mats = commutant_basis(v_list)
     n_s, d_s = simultaneous_evd_single(u_mats, seed=2)
     assert sorted(d_s) == sorted(d)
-    n_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 3, seed=2)
+    n_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, seed=2)
     assert fit < 1e-8
     assert n_c.shape == (k, k)
     assert columns_per_block(n_c, true_blocks(n_s, d_s)) == d_s
@@ -275,7 +275,7 @@ def test_cpd_als_all_distinct_reduces_to_diagonalization():
     k = 4
     n_true, _, v_list = make_instance(d, k, seed=8)
     u_mats = commutant_basis(v_list)
-    n_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, 4, seed=3)
+    n_c, _converged, fit, _sweeps = simultaneous_evd_cpd(u_mats, seed=3)
     assert n_c.shape == (k, k)
     assert columns_per_block(n_c, true_blocks(n_true, d)) == d
 

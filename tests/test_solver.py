@@ -190,7 +190,7 @@ def test_phase2_case3_3xJx15_and_subsets():
         t = compose(truth)
         a, _, n, d, _ = phase1_recover_A(t)
         # the true sizes, in the order of A's columns
-        sizes = estimate_L_from_d(d, 15, 6)
+        sizes = estimate_L_from_d(d, 15)
         assert sorted(sizes) == sorted(truth.sizes)
         est = phase2_case3(t, a, _thin_svd(a), sizes)
         _, _, err_a, err_t = match_decompositions(truth, est)
@@ -302,13 +302,42 @@ def test_noisy_case3_names_a_pencil_wider_than_min_jk(field, seed):
     assert (details["s"], details["J"], details["K"], details["case_considered"]) == (15, 14, 15, 3)
 
 
+def test_collapsed_cpd_start_takes_one_evd(monkeypatch):
+    # the input of the real case above: the start's realified grouping into
+    # R = 6 loses rank, and the start falls back to the ungrouped
+    # eigenvectors of the EVD it already ran.  solver holds its own
+    # reference to _pencil_eig, so only the S-JBD's calls are counted
+    dims, sizes = (3, 14, 15), (2, 2, 2, 3, 3, 4)
+    t = add_noise(compose(random_btd(dims, sizes, seed=0)), NoiseSpec(35, seed=1))
+    opts = SolverOptions(mode="noisy_scenario2", known_R=6, known_sum_L=16, seed=0)
+    eig, single = sjbd._pencil_eig, sjbd.simultaneous_evd_single
+    calls, starts = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eig(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        out = single(*args, **kwargs)
+        starts.append(out[1])
+        return out
+
+    monkeypatch.setattr(sjbd, "_pencil_eig", counted)
+    monkeypatch.setattr(sjbd, "simultaneous_evd_single", recorded)
+    with pytest.raises(SolverDiagnostic, match="two-slice pencil width"):
+        decompose(t, opts)
+    # sum d = 16 - 6 = 10 eigenvectors, one block each
+    assert starts == [(1,) * 10]
+    assert len(calls) == 1
+
+
 def test_estimate_L_from_d():
-    assert estimate_L_from_d((1, 2, 3), 8, 3) == (2, 3, 4)
-    assert estimate_L_from_d((1, 2, 3, 4), 10, 4) == (1, 2, 3, 4)
-    assert estimate_L_from_d((2, 2), 4, 2) == (2, 2)
+    assert estimate_L_from_d((1, 2, 3), 8) == (2, 3, 4)
+    assert estimate_L_from_d((1, 2, 3, 4), 10) == (1, 2, 3, 4)
+    assert estimate_L_from_d((2, 2), 4) == (2, 2)
     # non-integral increment: K - sum d = 3 over R - 1 = 2
     with pytest.raises(SolverDiagnostic):
-        estimate_L_from_d((1, 2, 3), 9, 3)
+        estimate_L_from_d((1, 2, 3), 9)
 
 
 @pytest.mark.parametrize(
@@ -340,6 +369,23 @@ def test_decompose_compresses_rank_deficient_third_mode():
     assert rep.residual < 1e-10
     _, _, err_a, err_t = match_decompositions(truth, rep.decomposition)
     assert err_a < 1e-8 and err_t < 1e-8
+
+
+def test_decompose_maps_a_compressed_case2_result_back():
+    # two columns of C_3 repeat columns of C_1 and C_2, so unfold(T, 3) has
+    # rank 7 < sum L = 9 < K = 10: the compressed tensor takes Case 2, whose
+    # third factor is refitted against the original.  The shared columns
+    # allow other exact decompositions, so the planted sizes are not asserted
+    truth = random_btd((3, 8, 10), (2, 3, 4), seed=0)
+    (b1, c1), (b2, c2), (b3, c3) = truth.terms
+    c3 = c3.copy()
+    c3[:, 0], c3[:, 1] = c1[:, 0], c2[:, 0]
+    t = compose(BlockTermDecomposition(truth.A, ((b1, c1), (b2, c2), (b3, c3))))
+    rep = decompose(t)
+    assert rep.diagnostics["compressed_K"] == 7
+    assert rep.case_used == 2
+    assert all(c.shape[0] == 10 for _, c in rep.decomposition.terms)
+    assert rep.residual <= 1e-6
 
 
 def test_decompose_6x20x20_exact():
